@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/livenet/... ./internal/engine/... ./internal/rowsync/... ./internal/core/... ./internal/transport/... ./internal/lossnet/... ./internal/durable/... ./internal/obs/... ./internal/serve/...
+	sh scripts/verify.sh race
 
 recover-smoke:
 	tmp=$$(mktemp -d); \

@@ -16,8 +16,8 @@ import (
 // return, and branch/loop/switch exits merge conservatively (held only if
 // held on every non-terminating path). sync.Cond.Wait needs no modeling —
 // it reacquires its locker before returning, so a linear hold survives it
-// (the engine's WaitList is the simnet analogue of that pattern and is
-// single-threaded by construction, so it carries no annotations).
+// (the engine's WaitList — the simnet cluster's analogue of that pattern —
+// annotates its own maps and is checked like any other type).
 //
 // Methods whose name ends in "Locked" assert that the caller holds the
 // mutex (the repo's existing convention) and are skipped. Plain functions

@@ -117,7 +117,7 @@ func TestFLOWNStalenessBound(t *testing.T) {
 	c := newCluster(cfg, wl)
 	c.start()
 	for c.k.Step() {
-		if ahead := c.versions.MaxAhead(); ahead > int64(cfg.Threshold) {
+		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("FLOWN staleness bound violated: %d > %d", ahead, cfg.Threshold)
 		}
 	}
@@ -162,7 +162,7 @@ func TestNoGradientLost(t *testing.T) {
 	// bound), and version stores show all units were pushed recently.
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {
-			lag := c.iter[w] - c.pushIter[w][u]
+			lag := c.iter[w] - c.rep[w].PushIter[u]
 			if lag >= int64(cfg.Threshold) {
 				t.Fatalf("worker %d unit %d lag %d >= threshold", w, u, lag)
 			}

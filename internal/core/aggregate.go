@@ -138,7 +138,7 @@ func (t *aggTier) flush(a *aggregator) {
 		t.c.probe.RowsSent(-(a.id + 1), 0, seq, obs.DirPush, len(rows), bytes,
 			t.c.k.Now()-start, false)
 		a.busy = false
-		t.c.state.WakeWaiters(t.c.k.Now())
+		t.c.waiters.Wake()
 		t.flush(a)
 	})
 }

@@ -13,43 +13,34 @@ import (
 // engine policy. The loop owns only simnet mechanics: flows, timers, the
 // waiter list and the energy/stall accounting.
 
-// pushView assembles the policy's worker-side view for iteration n.
-func (c *cluster) pushView(w int, n int64) engine.PushView {
-	rows := make([]atp.RowInfo, c.part.NumUnits())
-	for u := range rows {
-		rows[u] = atp.RowInfo{ID: u, MeanAbs: c.local[w].MeanAbs(u), Iter: c.pushIter[w][u]}
-	}
-	return engine.PushView{
-		Worker: w,
-		Iter:   n,
-		Rows:   rows,
-		Min:    c.versions.Min(),
-		Budget: c.state.Tracker.Budget(),
-	}
-}
-
 func (c *cluster) wireSize(u int) float64 { return float64(c.part.WireSize(u)) }
 
-// transmitPush moves one push plan over worker w's link: speculatively
-// under the MTA budget when the plan says so, or as a single whole-plan
-// flow. done receives the delivered unit count, the (possibly estimated)
-// MTA time and the elapsed transmission time.
-func (c *cluster) transmitPush(w int, n int64, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
-	c.planSeq[w]++
-	seq := c.planSeq[w]
-	// Seed the engine state's per-worker plan seq so the Merge events this
-	// push produces carry the same correlation id (no-op when tracing is
-	// off).
-	c.state.NotePushSeq(w, seq)
+// transmit moves one plan of worker w's iteration n over its link — a push
+// (opening a new plan sequence) or the pull that completes it —
+// speculatively under the MTA budget when the plan says so, else as one
+// whole-plan flow. done receives the delivered unit count, the (possibly
+// estimated) MTA time and the elapsed transmission time.
+func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
 	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
-	c.probe.PushPlanned(w, n, seq, len(ap.Units), plan.Must,
-		c.part.NumUnits()-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
-	deliver := func(u int) { c.deliverPush(w, u, n) }
+	var deliver func(u int)
+	if dir == obs.DirPull {
+		deliver = func(u int) { c.deliverPull(w, u) }
+	} else {
+		c.planSeq[w]++
+		// Seed the engine state's per-worker plan seq so the Merge events this
+		// push produces carry the same correlation id (no-op when tracing is
+		// off).
+		c.state.NotePushSeq(w, c.planSeq[w])
+		c.probe.PushPlanned(w, n, c.planSeq[w], len(ap.Units), plan.Must,
+			c.part.NumUnits()-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
+		deliver = func(u int) { c.deliverPush(w, u, n) }
+	}
+	seq := c.planSeq[w] // a pull completes the push plan's iteration
 	finish := func(delivered int, mtaTime, elapsed float64) {
-		c.probe.RowsSent(w, n, seq, obs.DirPush, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
+		c.probe.RowsSent(w, n, seq, dir, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
 		done(delivered, mtaTime, elapsed)
 	}
-	if f := c.newLossFilter(w, n, obs.DirPush, plan, deliver); f != nil {
+	if f := c.newLossFilter(w, n, dir, plan, deliver); f != nil {
 		deliver = f.filterDeliver
 		inner := finish
 		finish = func(delivered int, mtaTime, elapsed float64) {
@@ -67,44 +58,42 @@ func (c *cluster) transmitPush(w int, n int64, plan engine.Plan, done func(deliv
 	}
 	start := c.k.Now()
 	c.ch.StartFlow(w, ap.TotalBytes(), func() {
-		elapsed := c.k.Now() - start
 		for _, u := range plan.Units {
 			deliver(u)
 		}
+		elapsed := c.k.Now() - start
 		finish(len(plan.Units), elapsed, elapsed)
 	})
 }
 
-// transmitPull moves one pull plan of worker w's iteration n and reports
-// the elapsed transmission time.
-func (c *cluster) transmitPull(w int, n int64, plan engine.Plan, done func(elapsed float64)) {
-	seq := c.planSeq[w] // the pull completes the push plan's iteration
-	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
-	deliver := func(u int) { c.deliverPull(w, u) }
-	finish := func(delivered int, elapsed float64) {
-		c.probe.RowsSent(w, n, seq, obs.DirPull, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
-		done(elapsed)
-	}
-	if f := c.newLossFilter(w, n, obs.DirPull, plan, deliver); f != nil {
-		deliver = f.filterDeliver
-		inner := finish
-		finish = func(delivered int, elapsed float64) {
-			f.drain(func(retrans float64) { inner(delivered, elapsed+retrans) })
-		}
-	}
-	if plan.Speculative {
-		c.sendPlan(w, ap, plan.Must, c.state.Tracker.Budget(), deliver,
-			func(delivered int, _, elapsed float64) {
-				finish(delivered, elapsed)
+// synchronize is the communication half of worker w's iteration n, shared
+// by the async and pipelined loops: push what the policy planned, report it
+// (ObservePush, the Fig. 8 sample), let the merges re-evaluate every parked
+// gate, wait out w's own — parked on the waiter list so version advances
+// and detaches re-check it — then pull what the server plans. done gets the
+// summed transmission seconds; a crash abandons the iteration and done
+// never fires.
+func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSec float64)) {
+	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
+		c.state.ObservePush(w, n, mtaTime, pushSec, plan.Speculative)
+		c.recordMicro(w, n, delivered)
+		c.waiters.Wake()
+
+		pull := func() bool {
+			if c.crashed[w] {
+				return true // abandon: the crash ends the iteration
+			}
+			if !c.state.CanAdvance(n) {
+				return false
+			}
+			c.transmit(w, n, obs.DirPull, c.state.PlanPull(w, n), func(_ int, _, pullSec float64) {
+				done(pushSec + pullSec)
 			})
-		return
-	}
-	start := c.k.Now()
-	c.ch.StartFlow(w, ap.TotalBytes(), func() {
-		for _, u := range plan.Units {
-			deliver(u)
+			return true
 		}
-		finish(len(plan.Units), c.k.Now()-start)
+		if !pull() {
+			c.parkStalled(w, n, pull)
+		}
 	})
 }
 
@@ -138,29 +127,26 @@ func (c *cluster) recordMicro(w int, n int64, delivered int) {
 // ended, or membership ended it).
 func (c *cluster) parkStalled(w int, n int64, pull func() bool) {
 	start := c.k.Now()
-	if c.probe == nil {
-		c.state.ParkWaiter(w, start, pull)
-		return
-	}
-	// Causal attribution: StallBegin names the (worker, unit, version)
-	// currently pinning the RSP gate's version floor; StallEnd names the
-	// merge that last advanced the floor — the release that let the
-	// predicate pass.
-	seq := c.planSeq[w]
-	c.probe.StallBegin(w, n, seq, "gate", c.state.MinBlocker())
-	c.state.ParkWaiter(w, start, func() bool {
-		if !pull() {
-			return false
+	if c.probe != nil {
+		// Causal attribution: StallBegin names the (worker, unit, version)
+		// currently pinning the RSP gate's version floor; StallEnd names the
+		// merge that last advanced the floor — the release that let the
+		// predicate pass.
+		seq, gate := c.planSeq[w], pull
+		c.probe.StallBegin(w, n, seq, "gate", c.state.MinBlocker())
+		pull = func() bool {
+			if !gate() {
+				return false
+			}
+			c.probe.StallEnd(w, n, seq, "gate", c.k.Now()-start, c.state.LastRelease())
+			return true
 		}
-		c.probe.StallEnd(w, n, seq, "gate", c.k.Now()-start, c.state.LastRelease())
-		return true
-	})
+	}
+	c.waiters.Park(w, start, pull)
 }
 
-// runAsync drives independent workers: each computes, pushes what the
-// policy plans, waits out the staleness gate (parked on the waiter list so
-// version advances and detaches re-evaluate it), pulls what the server
-// plans, and loops.
+// runAsync drives independent workers: each computes, synchronizes (push,
+// staleness gate, pull) and loops.
 func (c *cluster) runAsync() {
 	var startIter func(w int)
 	startIter = func(w int) {
@@ -173,17 +159,16 @@ func (c *cluster) runAsync() {
 		}
 		iterStart := c.k.Now()
 		n := c.iter[w] + 1
-		commSec := 0.0
 		c.probe.IterStart(w, n)
 
 		c.wl.ComputeGradients(w)
-		c.snapshotInto(w)
+		c.accumulate(w)
 
 		c.k.After(c.computeSecondsFor(w), func() {
 			if c.crashed[w] {
 				return // crashed during compute: the iteration is lost
 			}
-			plan := c.policy.PlanPush(c.pushView(w, n))
+			plan := c.planPush(w, n)
 			if plan.Skip {
 				// The scheduler (FLOWN) sat this one out: local gradients
 				// keep accumulating, nothing moves.
@@ -193,29 +178,9 @@ func (c *cluster) runAsync() {
 				startIter(w)
 				return
 			}
-			c.transmitPush(w, n, plan, func(delivered int, mtaTime, elapsed float64) {
-				commSec += elapsed
-				c.state.ObservePush(w, n, mtaTime, elapsed, plan.Speculative)
-				c.recordMicro(w, n, delivered)
-				c.state.WakeWaiters(c.k.Now())
-
-				pull := func() bool {
-					if c.crashed[w] {
-						return true // abandon: the crash ends the iteration
-					}
-					if !c.state.CanAdvance(n) {
-						return false
-					}
-					c.transmitPull(w, n, c.state.PlanPull(w, n), func(elapsed float64) {
-						commSec += elapsed
-						c.finishIteration(w, iterStart, commSec)
-						startIter(w)
-					})
-					return true
-				}
-				if !pull() {
-					c.parkStalled(w, n, pull)
-				}
+			c.synchronize(w, n, plan, func(commSec float64) {
+				c.finishIteration(w, iterStart, commSec)
+				startIter(w)
 			})
 		})
 	}

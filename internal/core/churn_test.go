@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rog/internal/obs"
 	"rog/internal/simnet"
 )
 
@@ -117,5 +118,44 @@ func TestChurnDeterminism(t *testing.T) {
 		if a.Churn != b.Churn {
 			t.Fatalf("%v churn counters not deterministic: %+v vs %+v", s, a.Churn, b.Churn)
 		}
+	}
+}
+
+// TestBSPRejoinFinishesOnlyParticipants crashes a BSP worker and rejoins it
+// in the middle of a round it never started. The barrier used to hand it
+// finishIteration anyway — an IterEnd with no IterStart, an iteration and
+// its compute energy counted for a round the robot sat out. Every IterEnd
+// the run emits must close an open IterStart (the critical-path analyzer's
+// structural check), the rejoined worker must have finished strictly fewer
+// iterations than the survivors, and its counter must still land on the
+// team's round so later rounds pair up.
+func TestBSPRejoinFinishesOnlyParticipants(t *testing.T) {
+	cfg := churnConfig(BSP, 0, "crash:1@20+10")
+	cp := obs.NewCritPath()
+	cfg.Trace = cp
+	c := newCluster(cfg, newTestWorkload(3, 21))
+	c.checkpoint()
+	c.start()
+	if err := c.installFaults(); err != nil {
+		t.Fatal(err)
+	}
+	c.k.RunUntilIdle(10_000_000)
+
+	rep := cp.Report()
+	if len(rep.Errors) != 0 {
+		t.Fatalf("trace structurally broken: %v", rep.Errors)
+	}
+	if c.iter[1] != c.iter[0] || c.iter[0] != int64(cfg.MaxIterations) {
+		t.Fatalf("round counters diverged: %v", c.iter)
+	}
+	finished := make(map[int]int64)
+	for _, w := range rep.Workers {
+		finished[w.Worker] = w.Iters
+	}
+	if finished[0] != c.iter[0] || finished[2] != c.iter[2] {
+		t.Fatalf("survivors finished %v iterations, counters %v", finished, c.iter)
+	}
+	if finished[1] >= finished[0] {
+		t.Fatalf("worker 1 was down for 10 s yet finished %d of %d rounds", finished[1], finished[0])
 	}
 }

@@ -396,19 +396,12 @@ type cluster struct {
 	policy engine.Policy
 	state  *engine.State
 
-	opt   []*nn.SGD            // per-worker optimizer (applies pulled rows)
-	local []*rowsync.GradStore // per-worker accumulated gradients g′
-	// pushIter[w][u]: last local iteration whose gradients for unit u were
-	// pushed (the worker-side `iters` of Algo. 1).
-	pushIter [][]int64
-
-	upCodec   []*compress.Codec // worker→server compression (error feedback)
+	rep       []*engine.Replica // per-robot worker half: model, optimizer, g′, push stamps, uplink codec
 	downCodec []*compress.Codec // server→worker, one per worker copy
 
-	// versions and serverAcc alias the engine state (kept as fields for the
-	// invariant checks the tests walk mid-run).
-	serverAcc []*rowsync.GradStore
-	versions  *rowsync.VersionStore
+	// waiters parks workers the staleness gate holds back. It lives here,
+	// not in the engine state, so parked gates survive a recovered state swap.
+	waiters *engine.WaitList
 
 	meters []*energy.Meter
 	comp   metrics.CompositionRecorder
@@ -424,10 +417,7 @@ type cluster struct {
 	planSeq []int64
 
 	// Fault-tolerance state: crashed workers and the driver's per-worker
-	// resume hook for rejoins. RSP parks blocked workers on the engine
-	// state's per-shard wait lists (shared with the fault layer so a detach
-	// can wake and attribute the released stall); churn counters live there
-	// too.
+	// resume hook for rejoins (churn counters live in the engine state).
 	crashed  []bool
 	resumeFn func(w int)
 
@@ -495,7 +485,11 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		part:    part,
 		policy:  policy,
 		state:   engine.NewStateSharded(policy, part, cfg.Workers, 1.0, cfg.Shards),
+		waiters: engine.NewWaitList(),
 		scratch: make([]float32, maxUnitLen(part)),
+		iter:    make([]int64, cfg.Workers),
+		halted:  make([]bool, cfg.Workers),
+		planSeq: make([]int64, cfg.Workers),
 		crashed: make([]bool, cfg.Workers),
 	}
 	if cfg.Aggregators > 0 {
@@ -524,19 +518,11 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	}
 	c.probe = obs.NewProbe(tr, cfg.Metrics, k.Now)
 	c.state.Probe = c.probe
-	c.planSeq = make([]int64, cfg.Workers)
-	c.serverAcc = c.state.Acc
-	c.versions = c.state.Versions
 	c.series.Name = fmt.Sprintf("%s-%d", cfg.Strategy, cfg.Threshold)
 	for w := 0; w < cfg.Workers; w++ {
-		c.opt = append(c.opt, nn.NewSGD(cfg.LR, cfg.Momentum))
-		c.local = append(c.local, rowsync.NewGradStore(part))
-		c.pushIter = append(c.pushIter, make([]int64, part.NumUnits()))
-		c.upCodec = append(c.upCodec, compress.NewCodec(part.Widths()))
+		c.rep = append(c.rep, engine.NewReplica(wl.Model(w), part, cfg.LR, cfg.Momentum))
 		c.downCodec = append(c.downCodec, compress.NewCodec(part.Widths()))
 		c.meters = append(c.meters, energy.NewMeter(energy.PaperModel()))
-		c.iter = append(c.iter, 0)
-		c.halted = append(c.halted, false)
 	}
 	return c
 }
@@ -551,7 +537,7 @@ func maxUnitLen(p *rowsync.Partition) int {
 	return m
 }
 
-// computeSeconds is one iteration's virtual compute time for worker w,
+// computeSecondsFor is one iteration's virtual compute time for worker w,
 // honoring heterogeneity and dynamic batching.
 func (c *cluster) computeSecondsFor(w int) float64 {
 	base := c.cfg.ComputeSeconds * c.cfg.BatchScale
@@ -570,25 +556,18 @@ func (c *cluster) computeSecondsFor(w int) float64 {
 	return base * c.cfg.ComputeSkew[w]
 }
 
-// computeSeconds is the homogeneous-team compute time (worker 0's view);
-// retained for call sites that predate heterogeneity support.
-func (c *cluster) computeSeconds() float64 {
-	return c.computeSecondsFor(0)
-}
-
 // shouldHalt reports whether worker w must stop before another iteration.
 func (c *cluster) shouldHalt(w int) bool {
 	return c.iter[w] >= int64(c.cfg.MaxIterations) ||
 		c.k.Now() >= c.cfg.MaxVirtualSeconds
 }
 
-// deliverPush decodes worker w's unit u at local iteration n into the
-// server state (Algo. 2 lines 2–6: shrink-to-attached averaging and
-// version stamping live in engine.State.Merge).
+// deliverPush moves worker w's unit u at local iteration n into the server
+// state (Algo. 2 lines 2–6: shrink-to-attached averaging and version
+// stamping live in engine.State.Merge).
 func (c *cluster) deliverPush(w, u int, n int64) {
-	g := c.local[w].Unit(u)
-	payload := c.upCodec[w].Encode(u, g)
-	vals := c.scratch[:len(g)]
+	payload := c.rep[w].EncodeUnit(u)
+	vals := c.scratch[:payload.N]
 	compress.Decode(payload, vals)
 	if c.agg != nil {
 		// Edge tier: the row lands at w's aggregator, which coalesces and
@@ -598,69 +577,35 @@ func (c *cluster) deliverPush(w, u int, n int64) {
 	} else {
 		c.state.Merge(w, u, vals, n)
 	}
-	// Worker side of Algo. 1 lines 9–11.
-	c.local[w].ZeroUnit(u)
-	c.pushIter[w][u] = n
+	c.rep[w].Stamp(u, n)
 }
 
 // deliverPull decodes the server's averaged unit u for worker w and applies
 // it to w's replica (Algo. 1 lines 13–16), then clears w's server copy.
 func (c *cluster) deliverPull(w, u int) {
-	acc := c.serverAcc[w].Unit(u)
+	acc := c.state.Acc[w].Unit(u)
 	payload := c.downCodec[w].Encode(u, acc)
 	vals := c.scratch[:len(acc)]
 	compress.Decode(payload, vals)
-	c.applyUnit(w, u, vals)
+	c.rep[w].Apply(u, vals)
 	// Drain through the engine so the transition reaches the WAL: a pulled
 	// copy must stay drained across a server crash, or recovery would
 	// double-apply it on the next pull.
 	c.state.DrainUnit(w, u)
 }
 
-// applyUnit runs the SGD row update on one unit of worker w's replica.
-func (c *cluster) applyUnit(w, u int, vals []float32) {
-	params := c.wl.Model(w).Params()
-	un := c.part.Unit(u)
-	p := params[un.Param]
-	// Units are contiguous ranges; apply row by row through the optimizer
-	// so momentum state stays per-row.
-	startRow := un.Offset / p.Cols
-	endOff := un.Offset + un.Len
-	for off := un.Offset; off < endOff; {
-		row := off / p.Cols
-		colStart := off - row*p.Cols
-		width := p.Cols - colStart
-		if off+width > endOff {
-			width = endOff - off
-		}
-		if colStart == 0 && width == p.Cols {
-			c.opt[w].ApplyRow(params, un.Param, row, vals[off-un.Offset:off-un.Offset+width])
-		} else {
-			// Partial row (element granularity): apply directly with the
-			// same step rule, bypassing per-row momentum.
-			lr := float32(c.opt[w].LR)
-			pr := p.Data[off : off+width]
-			src := vals[off-un.Offset : off-un.Offset+width]
-			for i := range pr {
-				pr[i] -= lr * src[i]
-			}
-		}
-		off += width
+// accumulate folds worker w's freshly computed gradients into its local
+// store and refreshes its learning rate under the decay schedule.
+func (c *cluster) accumulate(w int) {
+	c.rep[w].Accumulate()
+	if c.cfg.LRDecayIters > 0 {
+		c.rep[w].Opt.LR = c.cfg.LR / (1 + float64(c.iter[w])/c.cfg.LRDecayIters)
 	}
-	_ = startRow
 }
 
-// snapshotInto accumulates worker w's freshly computed gradients into its
-// local store (Algo. 1 lines 2–3) and refreshes the worker's learning rate
-// under the decay schedule.
-func (c *cluster) snapshotInto(w int) {
-	model := c.wl.Model(w)
-	grads := model.Grads()
-	c.local[w].Accumulate(grads)
-	model.ZeroGrads()
-	if c.cfg.LRDecayIters > 0 {
-		c.opt[w].LR = c.cfg.LR / (1 + float64(c.iter[w])/c.cfg.LRDecayIters)
-	}
+// planPush asks the policy what worker w transmits for iteration n.
+func (c *cluster) planPush(w int, n int64) engine.Plan {
+	return c.policy.PlanPush(c.rep[w].PushView(w, n, c.state.Versions.Min(), c.state.Tracker.Budget()))
 }
 
 // checkpoint evaluates the workload and appends a series point.

@@ -73,7 +73,7 @@ func TestROGLosesNoGradientMass(t *testing.T) {
 	var parked float64
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {
-			parked += c.local[w].MeanAbs(u) + c.serverAcc[w].MeanAbs(u)
+			parked += c.rep[w].Local.MeanAbs(u) + c.state.Acc[w].MeanAbs(u)
 		}
 	}
 	// Parked mass is bounded by a few iterations' worth of gradients, not

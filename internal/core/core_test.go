@@ -209,7 +209,7 @@ func TestSSPRunAndStalenessBound(t *testing.T) {
 	c := newCluster(cfg, wl2)
 	c.start()
 	for c.k.Step() {
-		if ahead := c.versions.MaxAhead(); ahead > int64(cfg.Threshold) {
+		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("staleness bound violated: %d > %d", ahead, cfg.Threshold)
 		}
 	}
@@ -238,7 +238,7 @@ func TestROGRunsAndRespectsRSP(t *testing.T) {
 	steps := 0
 	for c.k.Step() {
 		steps++
-		if ahead := c.versions.MaxAhead(); ahead > int64(cfg.Threshold) {
+		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("RSP bound violated after %d events: %d > %d", steps, ahead, cfg.Threshold)
 		}
 	}
@@ -249,7 +249,7 @@ func TestROGRunsAndRespectsRSP(t *testing.T) {
 	// threshold iterations of that worker (no starved rows).
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {
-			lag := c.iter[w] - c.pushIter[w][u]
+			lag := c.iter[w] - c.rep[w].PushIter[u]
 			if lag >= int64(cfg.Threshold) {
 				t.Fatalf("worker %d unit %d starved: lag %d", w, u, lag)
 			}

@@ -51,8 +51,12 @@ func (c *cluster) crashWorker(w int) {
 	// The ghost itself must not resume; survivors it was blocking re-check
 	// their staleness predicate now, and any wait the detach releases is
 	// churn-attributable stall.
-	c.state.DropWaiter(w)
-	c.state.WakeWaitersDetach(c.k.Now())
+	c.waiters.Drop(w)
+	var stall float64
+	c.waiters.WakeAttributing(c.k.Now(), &stall)
+	if stall != 0 {
+		c.state.AddDetachStall(stall)
+	}
 }
 
 // rejoinWorker re-admits worker w: membership first (so the staleness
@@ -68,11 +72,7 @@ func (c *cluster) rejoinWorker(w int) {
 	if c.iter[w] < base {
 		c.iter[w] = base
 	}
-	for u := range c.pushIter[w] {
-		if c.pushIter[w][u] < base {
-			c.pushIter[w][u] = base
-		}
-	}
+	c.rep[w].Rebase(base)
 	// The rejoin resync: every averaged row that accumulated while the
 	// worker was away rides one flow over its (possibly still weak) link.
 	units := c.state.Backlog(w)

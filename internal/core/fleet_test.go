@@ -104,7 +104,7 @@ func TestAggregatedMatchesDirectVersions(t *testing.T) {
 	c.k.RunUntilIdle(10_000_000)
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {
-			if got, want := c.versions.Get(w, u), c.pushIter[w][u]; got != want {
+			if got, want := c.state.Versions.Get(w, u), c.rep[w].PushIter[u]; got != want {
 				t.Fatalf("worker %d unit %d: version %d, want pushed iteration %d", w, u, got, want)
 			}
 		}

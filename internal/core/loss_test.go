@@ -33,7 +33,7 @@ func TestROGSelectiveRSPBoundUnderLoss(t *testing.T) {
 	c.checkpoint()
 	c.start()
 	for c.k.Step() {
-		if ahead := c.versions.MaxAhead(); ahead > int64(cfg.Threshold) {
+		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("RSP bound violated under loss: %d > %d", ahead, cfg.Threshold)
 		}
 	}
@@ -42,7 +42,7 @@ func TestROGSelectiveRSPBoundUnderLoss(t *testing.T) {
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {
-			if lag := c.iter[w] - c.pushIter[w][u]; lag >= int64(cfg.Threshold) {
+			if lag := c.iter[w] - c.rep[w].PushIter[u]; lag >= int64(cfg.Threshold) {
 				t.Fatalf("worker %d unit %d starved under loss: lag %d", w, u, lag)
 			}
 		}

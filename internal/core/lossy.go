@@ -7,10 +7,10 @@ import (
 )
 
 // This file injects the lossnet channel model into the simnet drivers. The
-// interception point is the per-unit deliver callback of transmitPush and
-// transmitPull — the one funnel every driver loop (barrier, pipelined,
-// async) and every transmission shape (speculative, forced continuation,
-// whole-plan) routes row deliveries through. A unit whose bytes crossed
+// interception point is the per-unit deliver callback of transmit — the
+// one funnel every driver loop (barrier, pipelined, async) and every
+// transmission shape (speculative, forced continuation, whole-plan) routes
+// row deliveries through. A unit whose bytes crossed
 // the simulated link still rolls the loss model's dice:
 //
 //   - delivered → the normal merge/apply path runs;

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"rog/internal/energy"
-	"rog/internal/metrics"
-)
-
 // runPipelined implements the paper's future-work extension (Sec. VI-D):
 // overlapping communication and computation on each robot, in the spirit of
 // Pipe-SGD [65]. Each worker owns two serial resources — the CPU and the
@@ -36,26 +31,6 @@ func (c *cluster) runPipelined() {
 	var tryCompute func(w int)
 	var beginComm func(w int, n int64)
 
-	finish := func(w int, commSec float64) {
-		st := states[w]
-		span := c.k.Now() - st.spanStart
-		st.spanStart = c.k.Now()
-		comp := c.computeSecondsFor(w)
-		stall := span - comp - commSec
-		if stall < 0 {
-			stall = 0
-		}
-		c.meters[w].Add(energy.Compute, comp)
-		c.meters[w].Add(energy.Communicate, commSec)
-		c.meters[w].Add(energy.Stall, stall)
-		c.comp.Record(metrics.Composition{Compute: comp, Comm: commSec, Stall: stall})
-		c.probe.IterEnd(w, c.iter[w]+1, comp, commSec, stall)
-		c.iter[w]++
-		if w == 0 && c.iter[0]%int64(c.cfg.CheckpointEvery) == 0 {
-			c.checkpoint()
-		}
-	}
-
 	beginComm = func(w int, n int64) {
 		st := states[w]
 		if c.crashed[w] {
@@ -63,34 +38,14 @@ func (c *cluster) runPipelined() {
 		}
 		st.commBusy = true
 		st.readyIter = 0
-		commSec := 0.0
-
-		plan := c.policy.PlanPush(c.pushView(w, n))
-		c.transmitPush(w, n, plan, func(_ int, mtaTime, elapsed float64) {
-			commSec += elapsed
-			c.state.ObservePush(w, n, mtaTime, elapsed, plan.Speculative)
-			c.state.WakeWaiters(c.k.Now())
-			pull := func() bool {
-				if c.crashed[w] {
-					return true // abandon: the crash ends the iteration
-				}
-				if !c.state.CanAdvance(n) {
-					return false
-				}
-				c.transmitPull(w, n, c.state.PlanPull(w, n), func(elapsed float64) {
-					commSec += elapsed
-					finish(w, commSec)
-					st.commBusy = false
-					if st.readyIter != 0 {
-						beginComm(w, st.readyIter)
-					}
-					tryCompute(w)
-				})
-				return true
+		c.synchronize(w, n, c.planPush(w, n), func(commSec float64) {
+			c.finishIteration(w, st.spanStart, commSec)
+			st.spanStart = c.k.Now()
+			st.commBusy = false
+			if st.readyIter != 0 {
+				beginComm(w, st.readyIter)
 			}
-			if !pull() {
-				c.parkStalled(w, n, pull)
-			}
+			tryCompute(w)
 		})
 		// The radio is now busy with iteration n; the CPU may start on n+1.
 		tryCompute(w)
@@ -117,7 +72,7 @@ func (c *cluster) runPipelined() {
 			if c.crashed[w] {
 				return // crashed during compute: the iteration is lost
 			}
-			c.snapshotInto(w)
+			c.accumulate(w)
 			st.cpuBusy = false
 			st.readyIter = n
 			if !st.commBusy {

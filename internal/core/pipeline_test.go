@@ -27,7 +27,7 @@ func TestPipelinedROGRespectsRSP(t *testing.T) {
 	c := newCluster(cfg, wl)
 	c.start()
 	for c.k.Step() {
-		if ahead := c.versions.MaxAhead(); ahead > int64(cfg.Threshold) {
+		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("pipelined RSP bound violated: %d > %d", ahead, cfg.Threshold)
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"rog/internal/engine"
+	"rog/internal/durable"
 )
 
 // This file is the durability layer of the simulated cluster: it binds the
@@ -49,33 +49,25 @@ func (c *cluster) setupDurable() error {
 		if !st.HasState() {
 			return fmt.Errorf("core: Resume set but the checkpoint store holds no state")
 		}
-		rec, info, err := st.RecoverSharded(c.policy, c.part, c.cfg.Workers, 1.0, c.cfg.Shards)
+		info, err := c.recoverState()
 		if err != nil {
 			return fmt.Errorf("core: resume recovery: %w", err)
 		}
-		c.adoptState(rec)
-		c.recovery.Recoveries++
-		c.recovery.ReplayedRecords += info.ReplayedRecords
-		c.recovery.ReplayedBytes += info.ReplayedBytes
-		c.recovery.SnapshotBytes += info.SnapshotBytes
 		if err := c.applyResumePayload(info.Payload); err != nil {
 			return err
 		}
 		// A fresh process brings every worker back: re-attach whoever the
 		// previous run had detached, then fast-forward the worker-side
 		// counters so the next push of every row stamps a fresh version.
-		for w := 0; w < c.cfg.Workers; w++ {
+		for w, r := range c.rep {
 			if !c.state.Versions.IsActive(w) {
 				c.state.Attach(w)
 			}
-		}
-		for w := 0; w < c.cfg.Workers; w++ {
-			for u := range c.pushIter[w] {
-				if v := c.state.Versions.Get(w, u); v > c.pushIter[w][u] {
-					c.pushIter[w][u] = v
-				}
-				if c.pushIter[w][u] > c.iter[w] {
-					c.iter[w] = c.pushIter[w][u]
+			for u := range r.PushIter {
+				v := c.state.Versions.Get(w, u)
+				r.Stamp(u, v)
+				if v > c.iter[w] {
+					c.iter[w] = v
 				}
 			}
 		}
@@ -91,19 +83,23 @@ func (c *cluster) setupDurable() error {
 	return nil
 }
 
-// adoptState swaps a recovered engine state under the running cluster. The
-// driver loops read c.state/c.versions/c.serverAcc at call time, so parked
-// gate predicates and in-flight flow completions pick the swap up
-// transparently.
-func (c *cluster) adoptState(rec *engine.State) {
+// recoverState rebuilds the engine state from the checkpoint store and
+// swaps it under the running cluster. The driver loops read c.state at
+// call time, so parked gate predicates (on the cluster's own waiter list)
+// and in-flight flow completions pick the swap up transparently.
+func (c *cluster) recoverState() (*durable.RecoveryInfo, error) {
+	rec, info, err := c.store.RecoverSharded(c.policy, c.part, c.cfg.Workers, 1.0, c.cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
 	rec.OnMerge = c.cfg.OnMerge
 	rec.Probe = c.probe
-	// Parked gate predicates live on the old state's wait lists; move them
-	// so post-recovery merges keep re-evaluating them.
-	c.state.TransferWaiters(rec)
 	c.state = rec
-	c.serverAcc = rec.Acc
-	c.versions = rec.Versions
+	c.recovery.Recoveries++
+	c.recovery.ReplayedRecords += info.ReplayedRecords
+	c.recovery.ReplayedBytes += info.ReplayedBytes
+	c.recovery.SnapshotBytes += info.SnapshotBytes
+	return info, nil
 }
 
 // allStopped reports whether no driver will schedule further work — the
@@ -171,16 +167,11 @@ func (c *cluster) restartServer() {
 	if !c.serverDown {
 		return
 	}
-	rec, info, err := c.store.RecoverSharded(c.policy, c.part, c.cfg.Workers, 1.0, c.cfg.Shards)
+	info, err := c.recoverState()
 	if err != nil {
 		c.fatalErr = fmt.Errorf("core: server restart at t=%.3f: %w", c.k.Now(), err)
 		return
 	}
-	c.adoptState(rec)
-	c.recovery.Recoveries++
-	c.recovery.ReplayedRecords += info.ReplayedRecords
-	c.recovery.ReplayedBytes += info.ReplayedBytes
-	c.recovery.SnapshotBytes += info.SnapshotBytes
 
 	// Re-stamp pass: a row the worker already pushed past the recovered
 	// version will never be pushed at that iteration again. Stamp it with
@@ -190,8 +181,8 @@ func (c *cluster) restartServer() {
 		if c.crashed[w] {
 			continue
 		}
-		for u := range c.pushIter[w] {
-			if n := c.pushIter[w][u]; n > c.state.Versions.Get(w, u) {
+		for u, n := range c.rep[w].PushIter {
+			if n > c.state.Versions.Get(w, u) {
 				un := c.part.Unit(u)
 				zero := c.scratch[:un.Len]
 				for i := range zero {
@@ -211,7 +202,7 @@ func (c *cluster) restartServer() {
 		for w := 0; w < c.cfg.Workers; w++ {
 			c.ch.SetLinkDown(w, false)
 		}
-		c.state.WakeWaiters(c.k.Now())
+		c.waiters.Wake()
 	}
 	if recSeconds > 0 {
 		c.k.After(recSeconds, finish)

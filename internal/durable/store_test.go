@@ -31,7 +31,7 @@ func testShape(t testing.TB, workers int) (engine.Policy, *rowsync.Partition) {
 func newTestState(t testing.TB, workers int) (*engine.State, *rowsync.Partition) {
 	t.Helper()
 	pol, part := testShape(t, workers)
-	return engine.NewState(pol, part, workers, 1.0), part
+	return engine.NewStateSharded(pol, part, workers, 1.0, 1), part
 }
 
 // op is one scripted state transition. Each op journals exactly one WAL

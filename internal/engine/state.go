@@ -10,10 +10,13 @@ import (
 	"rog/internal/rowsync"
 )
 
-// State is the server side of a run, shared verbatim by both runtimes:
-// per-worker averaged-gradient copies, row versions, the MTA-time tracker
-// and the churn counters. It owns the merge semantics (shrink-to-attached
-// averaging) and the membership bookkeeping.
+// State is the server side of a run (Algo. 2), shared verbatim by both
+// runtimes: per-worker averaged-gradient copies, row versions, the MTA-time
+// tracker and the churn counters. It owns the merge semantics
+// (shrink-to-attached averaging) and the membership bookkeeping, but parks
+// nobody: a gated worker waits in its runtime (the simnet cluster's
+// WaitList, the socket server's sync.Cond), which re-evaluates CanAdvance
+// after every merge and detach. Replica is the matching worker side.
 //
 // Concurrency: the state is sharded by contiguous unit ranges (the
 // ShardMap shared with the version store and the per-worker accumulators).
@@ -97,7 +100,7 @@ type State struct {
 	Journal Journal
 
 	// RowSink, when set, observes every merged row's averaged contribution:
-	// vals scaled by scale is exactly the mass addMassLocked folded into
+	// vals scaled by scale is exactly the mass the merge folded into
 	// each worker's averaged copy, and iter is the highest version the
 	// merge stamped. The serving tier's weight shadow consumes this stream.
 	// It runs under the owning shard's lock, after the version stamp, and
@@ -111,48 +114,18 @@ type State struct {
 // every worker's accumulated gradients for those units, RowIter entries,
 // and the counters below.
 type stateShard struct {
-	id     int
 	lo, hi int // unit range [lo, hi)
 
 	mu      sync.Mutex
 	dups    int64 // guarded by mu; duplicate pushes dropped in this range
 	maxLead int64 // guarded by mu; largest stamped lead over Min() observed
-	// wait is set once at construction and internally synchronized; its
-	// own lock is taken with no other lock held (retry closures run
-	// unlocked), so it sits outside the declared order.
-	wait *WaitList
 }
 
-// Duplicates returns the duplicate pushes dropped in this shard's range.
-func (sh *stateShard) Duplicates() int64 {
-	sh.mu.Lock()
-	n := sh.dups
-	sh.mu.Unlock()
-	return n
-}
-
-// MaxLead returns the largest version lead over the global minimum any
-// merge in this shard has stamped. A row's lead is maximal at stamp time —
-// the minimum only advances afterwards — so the running maximum recorded
-// on the merge path equals the maximum the full-matrix MaxAhead scan would
-// ever have observed.
-func (sh *stateShard) MaxLead() int64 {
-	sh.mu.Lock()
-	n := sh.maxLead
-	sh.mu.Unlock()
-	return n
-}
-
-// NewState builds the unsharded (single-shard) server state for one run.
-// initialBudget seeds the MTA-time tracker (the simnet drivers use 1 s,
-// the socket server its configured floor).
-func NewState(policy Policy, part *rowsync.Partition, workers int, initialBudget float64) *State {
-	return NewStateSharded(policy, part, workers, initialBudget, 1)
-}
-
-// NewStateSharded builds server state split into shards contiguous unit
-// ranges (clamped to [1, NumUnits]). Shard 1 is bit-for-bit equivalent to
-// the historical single-lock state.
+// NewStateSharded builds the server state for one run, split into shards
+// contiguous unit ranges (clamped to [1, NumUnits]); 1 shard is bit-for-bit
+// the historical single-lock state. initialBudget seeds the MTA-time
+// tracker (the simnet drivers use 1 s, the socket server its configured
+// floor).
 func NewStateSharded(policy Policy, part *rowsync.Partition, workers int, initialBudget float64, shards int) *State {
 	sm := rowsync.NewShardMap(part.NumUnits(), shards)
 	s := &State{
@@ -170,7 +143,7 @@ func NewStateSharded(policy Policy, part *rowsync.Partition, workers int, initia
 	}
 	for i := 0; i < sm.NumShards(); i++ {
 		lo, hi := sm.Range(i)
-		s.shards = append(s.shards, &stateShard{id: i, lo: lo, hi: hi, wait: NewWaitList()})
+		s.shards = append(s.shards, &stateShard{lo: lo, hi: hi})
 	}
 	return s
 }
@@ -230,16 +203,7 @@ func (s *State) WithAllLocked(fn func()) {
 // server re-receives rows it merged before the crash — applying those
 // again would double-count their gradients.
 func (s *State) Merge(worker, unit int, vals []float32, iter int64) bool {
-	before := s.Versions.Min()
-	sh := s.shards[s.sm.ShardOf(unit)]
-	sh.mu.Lock()
-	s.mergeUnitLocked(sh, worker, unit, vals, iter)
-	sh.mu.Unlock()
-	adv := s.Versions.Min() > before
-	if adv && s.Probe != nil {
-		s.lastRelease.Store(&obs.Blocker{Worker: worker, Unit: unit, Version: iter})
-	}
-	return adv
+	return s.MergeBatch(worker, []int{unit}, [][]float32{vals}, iter)
 }
 
 // MergeBatch merges one push's rows — units ascending, vals[i] the row for
@@ -247,25 +211,24 @@ func (s *State) Merge(worker, unit int, vals []float32, iter int64) bool {
 // contiguous run instead of once per row. It reports whether the global
 // minimum advanced across the whole batch.
 func (s *State) MergeBatch(worker int, units []int, vals [][]float32, iter int64) bool {
+	if len(units) == 0 {
+		return false
+	}
 	before := s.Versions.Min()
 	for i := 0; i < len(units); {
 		sh := s.shards[s.sm.ShardOf(units[i])]
 		sh.mu.Lock()
 		for i < len(units) && units[i] >= sh.lo && units[i] < sh.hi {
-			s.mergeUnitLocked(sh, worker, units[i], vals[i], iter)
+			s.mergeUnitLocked(sh, units[i], vals[i], Stamp{worker, iter})
 			i++
 		}
 		sh.mu.Unlock()
 	}
-	adv := s.Versions.Min() > before
-	if adv && s.Probe != nil && len(units) > 0 {
-		// The batch is one causal push; its last unit stands for it.
-		s.lastRelease.Store(&obs.Blocker{Worker: worker, Unit: units[len(units)-1], Version: iter})
-	}
-	return adv
+	// The batch is one causal push; its last unit stands for it.
+	return s.released(before, Stamp{worker, iter}, units[len(units)-1])
 }
 
-// Stamp is one originating-worker iteration carried by an aggregated row.
+// Stamp is one originating-worker iteration carried by a merged row.
 type Stamp struct {
 	Worker int
 	Iter   int64
@@ -284,79 +247,70 @@ func (s *State) MergeCombined(unit int, vals []float32, stamps []Stamp) bool {
 	before := s.Versions.Min()
 	sh := s.shards[s.sm.ShardOf(unit)]
 	sh.mu.Lock()
-	live := stamps[:0:0]
+	first, live := s.mergeUnitLocked(sh, unit, vals, stamps...)
+	sh.mu.Unlock()
+	return live && s.released(before, first, unit)
+}
+
+// mergeUnitLocked is the one merge body: vals lands once, carried by the
+// first stamp that advances its worker's version of unit (returned, with
+// whether there was one); every further live stamp only advances its own
+// worker's version. Stamps that advance nothing are duplicates. The caller
+// holds the lock of the shard owning unit.
+func (s *State) mergeUnitLocked(sh *stateShard, unit int, vals []float32, stamps ...Stamp) (first Stamp, live bool) {
+	var (
+		inv     float32
+		maxIter int64
+		zero    []float32
+	)
 	for _, st := range stamps {
-		if st.Iter > s.Versions.Get(st.Worker, unit) {
-			live = append(live, st)
-		} else {
+		if st.Iter <= s.Versions.Get(st.Worker, unit) {
 			sh.dups++
+			continue
 		}
-	}
-	if len(live) == 0 {
-		sh.mu.Unlock()
-		return false
-	}
-	if s.Journal != nil {
-		// Replay equivalence: the first live stamp carries the combined
-		// mass, the rest re-stamp with zero rows.
-		s.Journal.JournalMerge(live[0].Worker, unit, live[0].Iter, vals)
-		if len(live) > 1 {
-			zero := make([]float32, len(vals))
-			for _, st := range live[1:] {
-				s.Journal.JournalMerge(st.Worker, unit, st.Iter, zero)
+		if !live {
+			first, live = st, true
+			if s.Journal != nil {
+				s.Journal.JournalMerge(st.Worker, unit, st.Iter, vals)
 			}
+			// Average over the attached team; the shard lock pins membership
+			// (written only under all shard locks).
+			active := s.Versions.ActiveWorkers()
+			if active == 0 {
+				active = s.workers
+			}
+			inv = 1 / float32(active)
+			for w := range s.Acc {
+				s.Acc[w].AddUnit(unit, vals, inv)
+			}
+		} else if s.Journal != nil {
+			// Replay equivalence: the first live stamp carried the combined
+			// mass, the rest re-stamp with zero rows.
+			if zero == nil {
+				zero = make([]float32, len(vals))
+			}
+			s.Journal.JournalMerge(st.Worker, unit, st.Iter, zero)
 		}
-	}
-	inv := s.addMassLocked(unit, vals)
-	maxIter := live[0].Iter
-	for _, st := range live {
 		s.stampLocked(sh, st.Worker, unit, st.Iter)
 		if st.Iter > maxIter {
 			maxIter = st.Iter
 		}
 	}
-	if s.RowSink != nil {
+	if live && s.RowSink != nil {
 		s.RowSink(unit, vals, inv, maxIter)
 	}
-	sh.mu.Unlock()
+	return first, live
+}
+
+// released reports whether the global minimum advanced past before and,
+// when it did, records by's merge of unit as the release a closing
+// staleness gate attributes its stall to.
+func (s *State) released(before int64, by Stamp, unit int) bool {
 	adv := s.Versions.Min() > before
 	if adv && s.Probe != nil {
-		s.lastRelease.Store(&obs.Blocker{Worker: live[0].Worker, Unit: unit, Version: live[0].Iter})
+		s.lastRelease.Store(&obs.Blocker{Worker: by.Worker, Unit: unit, Version: by.Iter})
 	}
 	return adv
-}
-
-// mergeUnitLocked is the single-row merge body; the caller holds the lock
-// of the shard owning unit.
-func (s *State) mergeUnitLocked(sh *stateShard, worker, unit int, vals []float32, iter int64) {
-	if iter <= s.Versions.Get(worker, unit) {
-		sh.dups++
-		return
-	}
-	if s.Journal != nil {
-		s.Journal.JournalMerge(worker, unit, iter, vals)
-	}
-	inv := s.addMassLocked(unit, vals)
-	s.stampLocked(sh, worker, unit, iter)
-	if s.RowSink != nil {
-		s.RowSink(unit, vals, inv, iter)
-	}
-}
-
-// addMassLocked folds vals into every worker's averaged copy of unit,
-// normalized by the attached team size, and returns the normalization
-// factor applied. Caller holds the unit's shard lock, which also pins
-// membership (written only under all shard locks).
-func (s *State) addMassLocked(unit int, vals []float32) float32 {
-	active := s.Versions.ActiveWorkers()
-	if active == 0 {
-		active = s.workers
-	}
-	inv := 1 / float32(active)
-	for w := range s.Acc {
-		s.Acc[w].AddUnit(unit, vals, inv)
-	}
-	return inv
 }
 
 // stampLocked advances worker's version of unit to iter and fires the
@@ -388,13 +342,18 @@ func (s *State) stampLocked(sh *stateShard, worker, unit int, iter int64) {
 
 // MaxLeadObserved returns the largest staleness lead any merge has ever
 // stamped — the whole-run bound the fleet experiment asserts against the
-// RSP threshold.
+// RSP threshold. A row's lead over the global minimum is maximal at stamp
+// time — the minimum only advances afterwards — so the running maxima
+// recorded on the merge path equal the maximum a full-matrix MaxAhead scan
+// would ever have observed.
 func (s *State) MaxLeadObserved() int64 {
 	var max int64
 	for _, sh := range s.shards {
-		if l := sh.MaxLead(); l > max {
-			max = l
+		sh.mu.Lock()
+		if sh.maxLead > max {
+			max = sh.maxLead
 		}
+		sh.mu.Unlock()
 	}
 	return max
 }
@@ -715,96 +674,4 @@ func (s *State) AddRowsResynced(n int) {
 // must not be shared yet.
 func (s *State) RestoreVersions(v [][]int64, active []bool, frozenMin int64) {
 	s.Versions = rowsync.RestoreVersionStoreSharded(v, active, frozenMin, s.sm)
-}
-
-// minShardIndex returns the shard whose cached minimum pins the global
-// minimum (lowest index on ties) — where a parked staleness gate is most
-// usefully registered.
-func (s *State) minShardIndex() int {
-	best := 0
-	min := s.Versions.MinShard(0)
-	for i := 1; i < len(s.shards); i++ {
-		if m := s.Versions.MinShard(i); m < min {
-			min, best = m, i
-		}
-	}
-	return best
-}
-
-// ParkWaiter parks worker w's retry closure on the shard currently
-// pinning the global minimum — the shard whose progress can unblock it.
-func (s *State) ParkWaiter(w int, now float64, retry func() bool) {
-	s.shards[s.minShardIndex()].wait.Park(w, now, retry)
-}
-
-// DropWaiter discards w's parked retry wherever it is parked.
-func (s *State) DropWaiter(w int) {
-	for _, sh := range s.shards {
-		sh.wait.Drop(w)
-	}
-}
-
-// WaitersParked reports how many workers are parked across all shards.
-func (s *State) WaitersParked() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.wait.Len()
-	}
-	return n
-}
-
-// WakeWaiters retries every parked worker in globally ascending worker
-// order — merged across shards, so the wake sequence is identical to the
-// single-shard list's and the simnet event order stays deterministic.
-func (s *State) WakeWaiters(now float64) { s.wakeWaiters(now, nil) }
-
-// WakeWaitersDetach is WakeWaiters for a detach-triggered wake: each
-// resumed worker's time parked is charged to the churn stall counter.
-func (s *State) WakeWaitersDetach(now float64) {
-	var stall float64
-	s.wakeWaiters(now, &stall)
-	if stall != 0 {
-		s.AddDetachStall(stall)
-	}
-}
-
-func (s *State) wakeWaiters(now float64, stall *float64) {
-	if len(s.shards) == 1 {
-		s.shards[0].wait.WakeAttributing(now, stall)
-		return
-	}
-	type parked struct {
-		w  int
-		wl *WaitList
-	}
-	var all []parked
-	for _, sh := range s.shards {
-		for _, w := range sh.wait.Workers() {
-			all = append(all, parked{w, sh.wait})
-		}
-	}
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].w < all[j-1].w; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	for _, p := range all {
-		p.wl.TryResume(p.w, now, stall)
-	}
-}
-
-// TransferWaiters moves every parked retry into dst, preserving park
-// stamps — the state-adoption step of a server recovery (the survivors'
-// gates must re-evaluate against the recovered state, not the dead one).
-func (s *State) TransferWaiters(dst *State) {
-	for _, sh := range s.shards {
-		sh.wait.mu.Lock()
-		pending, parkedAt := sh.wait.pending, sh.wait.parkedAt
-		sh.wait.pending = make(map[int]func() bool)
-		sh.wait.parkedAt = make(map[int]float64)
-		sh.wait.mu.Unlock()
-		for w, retry := range pending {
-			dst.shards[dst.minShardIndex()].wait.Park(w, parkedAt[w], retry)
-		}
-	}
 }

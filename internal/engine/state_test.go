@@ -17,7 +17,7 @@ func testState(t *testing.T, workers int) (*State, *rowsync.Partition) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewState(pol, part, workers, 1.0), part
+	return NewStateSharded(pol, part, workers, 1.0, 1), part
 }
 
 // TestMergeShrinkToAttachedAveraging pushes one row before and after a
@@ -174,7 +174,7 @@ func BenchmarkMergeNilProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewState(pol, part, 3, 1.0)
+	s := NewStateSharded(pol, part, 3, 1.0, 1)
 	vals := make([]float32, part.Unit(0).Len)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

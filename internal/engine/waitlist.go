@@ -5,20 +5,20 @@ import (
 	"sync"
 )
 
-// WaitList holds workers blocked on the staleness predicate, with the
-// check to re-evaluate whenever server versions advance. Park times are
-// recorded so a wake triggered by a membership detach can attribute the
-// released stall to churn. It is the simnet runtime's analogue of the
-// socket server's condition variable, kept here because park/wake ordering
-// is part of the engine's determinism contract.
+// WaitList holds workers blocked on a predicate, with the check to
+// re-evaluate whenever the state it reads advances. Park times are recorded
+// so a wake triggered by a membership detach can attribute the released
+// stall to churn. The simnet cluster keeps one for the staleness gate —
+// its analogue of the socket server's condition variable, kept here
+// because park/wake ordering is part of the engine's determinism contract
+// — and the serving tier's publisher keeps one for its read gate.
 //
-// The list is safe for concurrent use: the sharded State keeps one per
-// shard, and pushes landing on different shards may wake them from
-// different goroutines. Retry closures run without the list's lock held
-// (they re-evaluate the staleness predicate, which takes State locks of
-// its own), so a closure may park other workers or wake other lists; it
-// must not re-park its own worker — a false return already keeps it
-// parked.
+// The list is safe for concurrent use (the publisher wakes it from merge
+// goroutines while request goroutines park). Retry closures run without
+// the list's lock held (they re-evaluate their predicate, which takes
+// locks of its own), so a closure may park other workers or wake other
+// lists; it must not re-park its own worker — a false return already keeps
+// it parked.
 type WaitList struct {
 	mu       sync.Mutex
 	pending  map[int]func() bool // worker → "try to resume; true if resumed"; guarded by mu
@@ -81,20 +81,6 @@ func (wl *WaitList) Len() int {
 	return n
 }
 
-// Workers returns the parked workers in ascending order — the
-// deterministic retry order, and what the sharded State merges across
-// shards to preserve the global wake order.
-func (wl *WaitList) Workers() []int {
-	wl.mu.Lock()
-	workers := make([]int, 0, len(wl.pending))
-	for w := range wl.pending {
-		workers = append(workers, w)
-	}
-	wl.mu.Unlock()
-	sort.Ints(workers)
-	return workers
-}
-
 // TryResume runs worker w's parked retry, if any. A true return drops the
 // entry and — when stall is non-nil — adds the time parked to *stall (the
 // caller passes the churn counter when the wake was caused by a detach).
@@ -139,7 +125,14 @@ func (wl *WaitList) Wake() { wl.WakeAttributing(0, nil) }
 // WakeAttributing is Wake with churn accounting: when stall is non-nil,
 // each resumed worker adds its time-parked to *stall.
 func (wl *WaitList) WakeAttributing(now float64, stall *float64) {
-	for _, w := range wl.Workers() {
+	wl.mu.Lock()
+	workers := make([]int, 0, len(wl.pending))
+	for w := range wl.pending {
+		workers = append(workers, w)
+	}
+	wl.mu.Unlock()
+	sort.Ints(workers)
+	for _, w := range workers {
 		wl.TryResume(w, now, stall)
 	}
 }

@@ -256,3 +256,127 @@ func TestParityShardedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParityLayersMomentumWeights pins the worker half the two runtimes now
+// share (engine.Replica): with layer-granularity units and momentum, a
+// pulled unit spans many rows and must walk them through the optimizer one
+// by one. The socket worker used to send such a unit down the momentum-free
+// branch, so its weights drifted from the simnet run's. BSP makes the
+// comparison exact: every round all pushes merge before any pull is
+// encoded, so — driving the socket workers' pushes in the order the simnet
+// run merged them — both runtimes pull bit-identical averaged rows and must
+// end on bit-identical weights.
+func TestParityLayersMomentumWeights(t *testing.T) {
+	const momentum = 0.9
+	// pushOrder[k] lists the workers in the order round k+1's pushes merged.
+	pushOrder := make([][]int, parityIters)
+	wl := newParityWorkload(parityWorkers)
+	_, err := core.Run(core.Config{
+		Strategy:        core.BSP,
+		Workers:         parityWorkers,
+		Granularity:     rowsync.Layers,
+		Env:             trace.Outdoor,
+		Seed:            11,
+		ComputeSeconds:  0.01,
+		PaperModelBytes: 1.0,
+		LR:              0.1,
+		Momentum:        momentum,
+		MaxIterations:   parityIters,
+		OnMerge: func(w, u int, iter int64) {
+			if u == 0 {
+				pushOrder[iter-1] = append(pushOrder[iter-1], w)
+			}
+		},
+	}, wl)
+	if err != nil {
+		t.Fatalf("simnet run: %v", err)
+	}
+
+	part := rowsync.NewPartition(parityModel().Params(), rowsync.Layers)
+	params := engine.Params{Workers: parityWorkers, NumUnits: part.NumUnits()}
+	newPolicy := func() engine.Policy {
+		pol, err := engine.New("bsp", params)
+		if err != nil {
+			t.Fatalf("engine.New: %v", err)
+		}
+		return pol
+	}
+	// A push returns once the handler has read its frames, not once it has
+	// merged them; pushed signals the merge of a push's last unit, so the
+	// next push can be held back until this one has landed.
+	pushed := make(chan struct{}, 1)
+	srv, err := NewServer(part, ServerConfig{
+		Workers: parityWorkers,
+		Policy:  newPolicy(),
+		OnMerge: func(_, u int, _ int64) {
+			if u == part.NumUnits()-1 {
+				pushed <- struct{}{}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	var (
+		ws    []*Worker
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < parityWorkers; i++ {
+		c, s := net.Pipe()
+		conns = append(conns, c, s)
+		wg.Add(1)
+		go func(id int, conn net.Conn) {
+			defer wg.Done()
+			if err := srv.HandleConn(id, conn); err != nil {
+				t.Errorf("server handler %d: %v", id, err)
+			}
+		}(i, s)
+		ws = append(ws, NewWorker(parityModel(), part, c, WorkerConfig{
+			ID: i, Workers: parityWorkers, Policy: newPolicy(), LR: 0.1, Momentum: momentum,
+		}))
+	}
+	rngs := make([]*tensor.RNG, parityWorkers)
+	for i := range rngs {
+		rngs[i] = gradRNG(i)
+	}
+	for k, order := range pushOrder {
+		if len(order) != parityWorkers {
+			t.Fatalf("simnet round %d merged pushes of workers %v", k+1, order)
+		}
+		// The round's pushes, in simnet merge order; every handler then
+		// parks at the BSP gate until the last one lands.
+		for _, i := range order {
+			w := ws[i]
+			w.iter++
+			fillGrads(w.rep.Model, rngs[i])
+			w.rep.Accumulate()
+			if _, err := w.push(w.iter); err != nil {
+				t.Fatalf("worker %d round %d push: %v", i, k+1, err)
+			}
+			<-pushed
+		}
+		for i, w := range ws {
+			if err := w.pull(); err != nil {
+				t.Fatalf("worker %d round %d pull: %v", i, k+1, err)
+			}
+		}
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	srv.Close()
+	wg.Wait()
+
+	for i, w := range ws {
+		sim, live := wl.models[i].Params(), w.rep.Model.Params()
+		for p := range sim {
+			for j := range sim[p].Data {
+				if sim[p].Data[j] != live[p].Data[j] {
+					t.Fatalf("worker %d param %d[%d]: simnet %v, livenet %v",
+						i, p, j, sim[p].Data[j], live[p].Data[j])
+				}
+			}
+		}
+	}
+}

@@ -169,12 +169,7 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		if cfg.Threshold < 2 {
 			return nil, fmt.Errorf("livenet: threshold must be >= 2, got %d", cfg.Threshold)
 		}
-		pol, err := engine.New("rog", engine.Params{
-			Workers:   cfg.Workers,
-			Threshold: cfg.Threshold,
-			NumUnits:  part.NumUnits(),
-			Coeff:     cfg.Coeff,
-		})
+		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold, cfg.Coeff)
 		if err != nil {
 			return nil, err
 		}
@@ -256,6 +251,12 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		}()
 	}
 	return s, nil
+}
+
+// defaultPolicy is the policy a server or worker configured without one
+// executes: ROG, the paper's system.
+func defaultPolicy(part *rowsync.Partition, workers, threshold int, coeff atp.Coefficients) (engine.Policy, error) {
+	return engine.New("rog", engine.Params{Workers: workers, Threshold: threshold, NumUnits: part.NumUnits(), Coeff: coeff})
 }
 
 // DebugAddr reports the bound address of the metrics debug endpoint, or ""
@@ -486,11 +487,7 @@ func (s *Server) detach(worker int, cause string) {
 	s.noteDetachLocked()
 	// Pull rows cut off mid-flight stay in pending; fold their mass back
 	// into the accumulator so nothing is lost across the disconnect.
-	for _, p := range s.pending[worker] {
-		vals := make([]float32, p.N)
-		compress.Decode(p, vals)
-		s.state.RestoreUnit(worker, p.Row, vals)
-	}
+	s.restore(worker, s.pending[worker])
 	s.pending[worker] = nil
 	s.cond.Broadcast()
 }
@@ -560,11 +557,7 @@ func (s *Server) attach(worker int, conn net.Conn) error {
 	}
 	if err != nil {
 		// Conserve the undelivered mass; the next attach replays it.
-		for _, p := range payloads[sent:] {
-			vals := make([]float32, p.N)
-			compress.Decode(p, vals)
-			s.state.RestoreUnit(worker, p.Row, vals)
-		}
+		s.restore(worker, payloads[sent:])
 		return fmt.Errorf("livenet: worker %d resync: %w", worker, err)
 	}
 	return nil
@@ -600,46 +593,53 @@ func (s *Server) planPullLocked(worker int, n int64) ([][]byte, engine.Plan, flo
 	return frames, plan, s.budgetFloored(), s.state.Versions.Min()
 }
 
-// restoreUnsent re-adds the decoded values of rows the deadline cut off
-// back into the worker's accumulator: encode moved (value − residual) into
+// restore re-adds the decoded values of encoded rows that never left the
+// server to the worker's accumulator: encode moved (value − residual) into
 // the payload, so returning the decoded value conserves the gradient mass
 // exactly.
-func (s *Server) restoreUnsent(worker, sentFrames int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.pending[worker][sentFrames:] {
+func (s *Server) restore(worker int, payloads []compress.Payload) {
+	for _, p := range payloads {
 		vals := make([]float32, p.N)
 		compress.Decode(p, vals)
 		s.state.RestoreUnit(worker, p.Row, vals)
 	}
-	s.pending[worker] = nil
 }
 
-// sendPull transmits the planned rows: speculatively within the budget
-// when the plan says so (completing the first plan.Must rows regardless,
-// mirroring the push-side MTA floor), or in full with no deadline for
-// whole-model plans. Rows cut off by the deadline — or stranded by a
-// connection failure — are restored to the worker's accumulator (mass
-// conserved) and ride a later pull or the rejoin resync. The pull-done
-// control frame follows on success, carrying the budget and the global
-// minimum row version for the worker's next push.
-func (s *Server) sendPull(worker int, conn net.Conn, frames [][]byte, plan engine.Plan, budget float64, min int64) error {
+// sendPlanned is the socket form of Algo. 4's speculative transmission,
+// shared by pushes and pulls: the plan's frames go out in order — under a
+// budget-seconds deadline when the plan is speculative, with none for
+// whole-model plans — and if the deadline cuts the send short of the
+// plan's first must frames (the MTA floor and rows at the staleness bound),
+// those are completed regardless. It returns how many frames went out
+// whole; the deadline cut itself is the expected outcome, not an error.
+func sendPlanned(conn net.Conn, frames [][]byte, must int, speculative bool, budget float64) (int, error) {
 	deadline := time.Time{}
-	if plan.Speculative {
+	if speculative {
 		deadline = time.Now().Add(time.Duration(budget * float64(time.Second)))
 	}
 	sent, err := transport.SendFrames(conn, frames, deadline)
 	if err == transport.ErrTimeout {
-		err = nil // the deadline cut is the expected speculative outcome
+		err = nil
 	}
-	if err == nil && sent < plan.Must {
-		// Forced continuation: the speculative deadline cut the plan short
-		// of its floor; finish the mandatory rows without a deadline.
+	if err == nil && sent < must {
 		var more int
-		more, err = transport.SendFrames(conn, frames[sent:plan.Must], time.Time{})
+		more, err = transport.SendFrames(conn, frames[sent:must], time.Time{})
 		sent += more
 	}
-	s.restoreUnsent(worker, sent)
+	return sent, err
+}
+
+// sendPull transmits the planned rows (see sendPlanned). Rows cut off by
+// the deadline — or stranded by a connection failure — are restored to the
+// worker's accumulator (mass conserved) and ride a later pull or the rejoin
+// resync. The pull-done control frame follows on success, carrying the
+// budget and the global minimum row version for the worker's next push.
+func (s *Server) sendPull(worker int, conn net.Conn, frames [][]byte, plan engine.Plan, budget float64, min int64) error {
+	sent, err := sendPlanned(conn, frames, plan.Must, plan.Speculative, budget)
+	s.mu.Lock()
+	s.restore(worker, s.pending[worker][sent:])
+	s.pending[worker] = nil
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -39,18 +39,13 @@ type WorkerConfig struct {
 // server-distributed MTA budget when the plan says so — and applies
 // whatever averaged rows the pull delivers.
 type Worker struct {
-	cfg    WorkerConfig
-	part   *rowsync.Partition
-	model  *nn.Sequential
-	opt    *nn.SGD
-	policy engine.Policy
+	cfg  WorkerConfig
+	part *rowsync.Partition
+	rep  *engine.Replica // model, optimizer, local accumulator, push stamps, uplink codec
 
-	local    *rowsync.GradStore
-	pushIter []int64
-	codec    *compress.Codec
-	conn     net.Conn
-	rc       *transport.Receiver
-	probe    *obs.Probe // nil when tracing and metrics are both off
+	conn  net.Conn
+	rc    *transport.Receiver
+	probe *obs.Probe // nil when tracing and metrics are both off
 
 	iter    int64
 	planSeq int64   // push plans made (incl. skips) — correlation id on trace events
@@ -71,12 +66,7 @@ func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg
 		cfg.Workers = cfg.ID + 1
 	}
 	if cfg.Policy == nil {
-		pol, err := engine.New("rog", engine.Params{
-			Workers:   cfg.Workers,
-			Threshold: cfg.Threshold,
-			NumUnits:  part.NumUnits(),
-			Coeff:     cfg.Coeff,
-		})
+		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold, cfg.Coeff)
 		if err != nil {
 			panic(err) // unreachable: "rog" is always registered
 		}
@@ -84,18 +74,13 @@ func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg
 	}
 	t0 := time.Now()
 	return &Worker{
-		cfg:      cfg,
-		part:     part,
-		probe:    obs.NewProbe(cfg.Trace, cfg.Metrics, func() float64 { return time.Since(t0).Seconds() }),
-		model:    model,
-		opt:      nn.NewSGD(cfg.LR, cfg.Momentum),
-		policy:   cfg.Policy,
-		local:    rowsync.NewGradStore(part),
-		pushIter: make([]int64, part.NumUnits()),
-		codec:    compress.NewCodec(part.Widths()),
-		conn:     conn,
-		rc:       transport.NewReceiver(conn),
-		budget:   2 * time.Millisecond.Seconds(),
+		cfg:    cfg,
+		part:   part,
+		probe:  obs.NewProbe(cfg.Trace, cfg.Metrics, func() float64 { return time.Since(t0).Seconds() }),
+		rep:    engine.NewReplica(model, part, cfg.LR, cfg.Momentum),
+		conn:   conn,
+		rc:     transport.NewReceiver(conn),
+		budget: 2 * time.Millisecond.Seconds(),
 	}
 }
 
@@ -119,8 +104,7 @@ func (w *Worker) RunIteration(computeGradients func()) error {
 	w.probe.IterStart(w.cfg.ID, n)
 	iterStart := time.Now()
 	computeGradients()
-	w.local.Accumulate(w.model.Grads())
-	w.model.ZeroGrads()
+	w.rep.Accumulate()
 	compute := time.Since(iterStart).Seconds()
 
 	commStart := time.Now()
@@ -152,17 +136,7 @@ func (w *Worker) RunIteration(computeGradients func()) error {
 // It reports skipped=true when the policy sat this iteration out.
 func (w *Worker) push(n int64) (skipped bool, err error) {
 	numUnits := w.part.NumUnits()
-	rows := make([]atp.RowInfo, numUnits)
-	for u := 0; u < numUnits; u++ {
-		rows[u] = atp.RowInfo{ID: u, MeanAbs: w.local.MeanAbs(u), Iter: w.pushIter[u]}
-	}
-	plan := w.policy.PlanPush(engine.PushView{
-		Worker: w.cfg.ID,
-		Iter:   n,
-		Rows:   rows,
-		Min:    w.minVer,
-		Budget: w.budget,
-	})
+	plan := w.cfg.Policy.PlanPush(w.rep.PushView(w.cfg.ID, n, w.minVer, w.budget))
 	w.planSeq++
 	seq := w.planSeq
 	if plan.Skip {
@@ -180,30 +154,12 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	frames := make([][]byte, len(plan.Units))
 	payloads := make([]compress.Payload, len(plan.Units))
 	for i, u := range plan.Units {
-		payloads[i] = w.codec.Encode(u, w.local.Unit(u))
-		w.local.ZeroUnit(u)
+		payloads[i] = w.rep.EncodeUnit(u)
 		frames[i] = rowMsg(n, payloads[i])
 	}
 
 	start := time.Now()
-	deadline := time.Time{}
-	if plan.Speculative {
-		deadline = start.Add(time.Duration(w.budget * float64(time.Second)))
-	}
-	sent, serr := transport.SendFrames(w.conn, frames, deadline)
-	var sendErr error
-	if serr != nil && serr != transport.ErrTimeout {
-		sendErr = serr
-	}
-	if sendErr == nil && sent < must {
-		// Forced continuation (Algo. 4 lines 4–7): finish the MTA floor
-		// and any rows at the staleness bound, without a deadline.
-		more, serr := transport.SendFrames(w.conn, frames[sent:must], time.Time{})
-		sent += more
-		if serr != nil {
-			sendErr = serr
-		}
-	}
+	sent, sendErr := sendPlanned(w.conn, frames, must, plan.Speculative, w.budget)
 	elapsed := time.Since(start).Seconds()
 	w.probe.RowsSent(w.cfg.ID, n, seq, obs.DirPush, sent, ap.Prefix[sent], elapsed, plan.Speculative)
 	mtaTime := elapsed
@@ -219,50 +175,56 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	// after the worker reconnects.
 	for i, u := range plan.Units {
 		if i < sent {
-			w.pushIter[u] = n
-			continue
+			w.rep.Stamp(u, n)
+		} else {
+			w.rep.Restore(payloads[i])
 		}
-		vals := make([]float32, payloads[i].N)
-		compress.Decode(payloads[i], vals)
-		w.local.AddUnit(u, vals, 1)
 	}
 	if sendErr != nil {
 		return false, fmt.Errorf("livenet: worker %d push: %w", w.cfg.ID, sendErr)
 	}
-	w.policy.ObservePush(w.cfg.ID, n, elapsed)
-	_, serr = transport.SendFrames(w.conn, [][]byte{pushDoneMsg(n, mtaTime)}, time.Time{})
-	return false, serr
+	w.cfg.Policy.ObservePush(w.cfg.ID, n, elapsed)
+	_, err = transport.SendFrames(w.conn, [][]byte{pushDoneMsg(n, mtaTime)}, time.Time{})
+	return false, err
 }
 
-// pull consumes averaged rows until the pull-done control frame, applying
-// each to the model (Algo. 1 PullAveragedGradients). The control frame also
-// refreshes the worker's view of the MTA budget and the global minimum row
-// version its next push plan sees.
-func (w *Worker) pull() error {
+// recvAveraged applies averaged rows to the model (Algo. 1
+// PullAveragedGradients) until the control frame of kind done arrives, and
+// returns that frame after refreshing the worker's view of the MTA budget
+// and the global minimum row version its next push plan sees. phase names
+// the exchange in errors.
+func (w *Worker) recvAveraged(phase string, done byte) (parsed, error) {
 	for {
 		frame, err := w.rc.Recv()
 		if err != nil {
-			return fmt.Errorf("livenet: worker %d pull: %w", w.cfg.ID, err)
+			return parsed{}, fmt.Errorf("livenet: worker %d %s: %w", w.cfg.ID, phase, err)
 		}
 		msg, err := parse(frame)
 		if err != nil {
-			return err
+			return parsed{}, err
 		}
 		switch msg.kind {
 		case kindPull:
 			vals := make([]float32, msg.payload.N)
 			compress.Decode(msg.payload, vals)
-			w.applyUnit(msg.payload.Row, vals)
-		case kindPullDone:
+			w.rep.Apply(msg.payload.Row, vals)
+		case done:
 			if msg.budget > 0 {
 				w.budget = msg.budget
 			}
 			w.minVer = msg.min
-			return nil
+			return msg, nil
 		default:
-			return fmt.Errorf("livenet: worker %d got frame %q during pull", w.cfg.ID, msg.kind)
+			return parsed{}, fmt.Errorf("livenet: worker %d got frame %q during %s", w.cfg.ID, msg.kind, phase)
 		}
 	}
+}
+
+// pull consumes the averaged rows that answer a push, up to the pull-done
+// control frame.
+func (w *Worker) pull() error {
+	_, err := w.recvAveraged("pull", kindPullDone)
+	return err
 }
 
 // Rejoin resumes the worker over a fresh connection after a disconnect.
@@ -275,39 +237,16 @@ func (w *Worker) pull() error {
 func (w *Worker) Rejoin(conn net.Conn) error {
 	w.conn = conn
 	w.rc = transport.NewReceiver(conn)
-	for {
-		frame, err := w.rc.Recv()
-		if err != nil {
-			return fmt.Errorf("livenet: worker %d resync: %w", w.cfg.ID, err)
-		}
-		msg, err := parse(frame)
-		if err != nil {
-			return err
-		}
-		switch msg.kind {
-		case kindPull:
-			vals := make([]float32, msg.payload.N)
-			compress.Decode(msg.payload, vals)
-			w.applyUnit(msg.payload.Row, vals)
-		case kindResyncDone:
-			if msg.iter > w.iter {
-				w.iter = msg.iter
-			}
-			for u := range w.pushIter {
-				if w.pushIter[u] < w.iter {
-					w.pushIter[u] = w.iter
-				}
-			}
-			if msg.budget > 0 {
-				w.budget = msg.budget
-			}
-			w.minVer = msg.min
-			w.epoch = msg.epoch
-			return nil
-		default:
-			return fmt.Errorf("livenet: worker %d got frame %q during resync", w.cfg.ID, msg.kind)
-		}
+	msg, err := w.recvAveraged("resync", kindResyncDone)
+	if err != nil {
+		return err
 	}
+	if msg.iter > w.iter {
+		w.iter = msg.iter
+	}
+	w.rep.Rebase(w.iter)
+	w.epoch = msg.epoch
+	return nil
 }
 
 // RunResilient runs iterations until the worker has completed iters of
@@ -343,22 +282,4 @@ func (w *Worker) RunResilient(iters int, computeGradients func(), dial func() (n
 		}
 	}
 	return nil
-}
-
-// applyUnit applies one averaged gradient unit to the model via per-row
-// SGD momentum.
-func (w *Worker) applyUnit(u int, vals []float32) {
-	params := w.model.Params()
-	un := w.part.Unit(u)
-	p := params[un.Param]
-	row := un.Offset / p.Cols
-	if un.Offset%p.Cols == 0 && un.Len == p.Cols {
-		w.opt.ApplyRow(params, un.Param, row, vals)
-		return
-	}
-	lr := float32(w.opt.LR)
-	dst := p.Data[un.Offset : un.Offset+un.Len]
-	for i := range dst {
-		dst[i] -= lr * vals[i]
-	}
 }

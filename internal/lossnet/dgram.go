@@ -176,13 +176,31 @@ func (s *BurstSender) SendBurst(payloads [][]byte, reliable func(i int) bool, de
 	}
 
 	// resend retransmits every unsettled reliable seq and re-abandons every
-	// unsettled best-effort one — the timeout path and the NACK path share it.
-	resend := func(seqs []uint32) error {
+	// unsettled best-effort one — the timeout path and the NACK path share
+	// it. Only timers drive repeats (LTP's rule): a NACK triggers a seq's
+	// first repeat at once, but a seq repeated inside the current RTO is
+	// left to that repeat. The receiver acks every datagram with its full
+	// gap list; answering each NACK multiplies one loss into a repeat per
+	// ack and an ack per repeat until the ack path overflows and drops the
+	// ack that settles the burst.
+	var repeated map[uint32]time.Time // seq → its latest repeat; made on the first one
+	resend := func(seqs []uint32, nacked bool) error {
+		if len(seqs) == 0 {
+			return nil
+		}
+		now := time.Now()
 		for _, q := range seqs {
 			idx, open := pending[q]
 			if !open {
 				continue
 			}
+			if at, ok := repeated[q]; nacked && ok && now.Sub(at) < s.RTO {
+				continue
+			}
+			if repeated == nil {
+				repeated = make(map[uint32]time.Time)
+			}
+			repeated[q] = now
 			switch {
 			case idx == -1:
 				if err := s.sendCtl(dgramEnd, q); err != nil {
@@ -228,7 +246,7 @@ func (s *BurstSender) SendBurst(payloads [][]byte, reliable func(i int) bool, de
 				for q := range pending {
 					all = append(all, q)
 				}
-				if err := resend(all); err != nil {
+				if err := resend(all, false); err != nil {
 					return delivered, err
 				}
 				continue
@@ -268,7 +286,7 @@ func (s *BurstSender) SendBurst(payloads [][]byte, reliable func(i int) bool, de
 		for i := 0; i < int(h.NackCount); i++ {
 			nacks = append(nacks, binary.LittleEndian.Uint32(lists[4*i:]))
 		}
-		if err := resend(nacks); err != nil {
+		if err := resend(nacks, true); err != nil {
 			return delivered, err
 		}
 	}

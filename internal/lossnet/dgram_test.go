@@ -153,6 +153,47 @@ func TestBurstAbandonHook(t *testing.T) {
 	}
 }
 
+// TestBurstNackStormBounded is the regression test for the tier-1 flake
+// TestBurstAbandonHook used to hit: answering every NACK of every ack with
+// a repeat multiplied each loss into thousands of abandon notices, the
+// acks they provoked overflowed the sender's 1024-slot inbox, the ack that
+// settled the burst was among the drops, and the sender spun to its
+// deadline against a receiver that had already returned. With repeats
+// driven by the RTO alone, the same burst (GE 0.25/4 seed 42, clean ack
+// direction) settles every time and both directions stay within a small
+// multiple of the payload count: one repeat per NACKed sequence, plus one
+// per still-unsettled sequence for every RTO round a lost abandon notice
+// costs (the storm was over a hundredfold).
+func TestBurstNackStormBounded(t *testing.T) {
+	const payloadCount, rounds, factor = 120, 60, 8
+	payloads := burstPayloads(payloadCount)
+	for round := 0; round < rounds; round++ {
+		a, b := PacketPipe(NewGilbertElliott(0.25, 4, 42), nil)
+		s := NewBurstSender(a, b.LocalAddr())
+		r := NewBurstReceiver(b)
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RecvBurst(time.Now().Add(5*time.Second), func([]byte) {})
+			done <- err
+		}()
+		_, err := s.SendBurst(payloads, func(i int) bool { return i < 10 }, time.Now().Add(5*time.Second))
+		if err != nil {
+			t.Fatalf("round %d: SendBurst: %v (sender %+v)", round, err, s.Stats)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: RecvBurst: %v", round, err)
+		}
+		if s.Stats.Abandons > factor*payloadCount {
+			t.Fatalf("round %d: %d abandon notices for %d payloads", round, s.Stats.Abandons, payloadCount)
+		}
+		if r.Stats.AcksSent > factor*payloadCount {
+			t.Fatalf("round %d: %d acks for %d payloads", round, r.Stats.AcksSent, payloadCount)
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
 func TestBurstAllReliableUnderLoss(t *testing.T) {
 	a, b := PacketPipe(NewGilbertElliott(0.3, 4, 7), nil)
 	defer a.Close()
@@ -281,5 +322,68 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if _, ok := decodeHeader(buf[:dgramHeaderSize-1]); ok {
 		t.Fatal("truncated header decoded")
+	}
+}
+
+// TestStaleMaxSeenNacks: after a completed burst, maxSeen goes stale below
+// the frontier. In the next burst a gap must produce exactly the gap's
+// NACKs, not 128 bogus NACKs for never-sent sequences.
+func TestStaleMaxSeenNacks(t *testing.T) {
+	a, b := PacketPipe(nil, nil)
+	defer a.Close()
+	defer b.Close()
+	r := NewBurstReceiver(b)
+
+	send := func(kind uint8, seq uint32, payload []byte) {
+		buf := make([]byte, dgramHeaderSize+len(payload))
+		dgramHeader{Kind: kind, Seq: seq}.encode(buf)
+		copy(buf[dgramHeaderSize:], payload)
+		if _, err := a.WriteTo(buf, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAck := func() dgramHeader {
+		buf := make([]byte, 65536)
+		a.SetReadDeadline(time.Now().Add(time.Second))
+		n, _, err := a.ReadFrom(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, ok := decodeHeader(buf[:n])
+		if !ok {
+			t.Fatal("bad ack")
+		}
+		return h
+	}
+
+	// Burst 1: seqs 1,2 data + 3 end, all in order.
+	go func() {
+		send(dgramData, 1, []byte("p1"))
+		send(dgramData, 2, []byte("p2"))
+		send(dgramEnd, 3, nil)
+	}()
+	if _, err := r.RecvBurst(time.Now().Add(2*time.Second), func([]byte) {}); err != nil {
+		t.Fatalf("burst 1: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		readAck()
+	}
+	t.Logf("after burst 1: frontier=%d maxSeen=%d", r.frontier, r.maxSeen)
+
+	// Burst 2: seq 4 arrives, seq 5 is "lost", seq 6 arrives -> gap {5}.
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RecvBurst(time.Now().Add(500*time.Millisecond), func([]byte) {})
+		done <- err
+	}()
+	send(dgramData, 4, []byte("p4"))
+	h1 := readAck()
+	send(dgramData, 6, []byte("p6"))
+	h2 := readAck()
+	t.Logf("ack after seq4: ack=%d nacks=%d lost=%d", h1.Ack, h1.NackCount, h1.LostCount)
+	t.Logf("ack after seq6: ack=%d nacks=%d lost=%d (want 1 nack for seq 5)", h2.Ack, h2.NackCount, h2.LostCount)
+	<-done
+	if h2.NackCount != 1 {
+		t.Fatalf("expected exactly 1 NACK (seq 5), got %d", h2.NackCount)
 	}
 }

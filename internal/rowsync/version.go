@@ -246,10 +246,6 @@ func (vs *VersionStore) Min() int64 {
 	return min
 }
 
-// MinShard returns shard s's cached minimum — the oldest version of any
-// attached worker's entry inside the shard's unit range.
-func (vs *VersionStore) MinShard(s int) int64 { return vs.shards[s].min.Load() }
-
 // Stale reports whether worker r's unit i is too far *ahead* of the
 // global minimum for threshold t — the condition in Algo. 2 lines 8–9
 // (v_i^r − min(V) ≥ t) under which non-stragglers must wait.

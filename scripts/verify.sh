@@ -18,7 +18,10 @@
 # engine it executes, the simnet drivers and version store that share
 # engine.State with it, the wire transport, the lossnet datagram
 # transport, the durable checkpoint store and the serving tier's
-# snapshot publisher) again under -race. When a
+# snapshot publisher) again under -race, plus the lossnet burst tests
+# twenty times over (their liveness depends on goroutine scheduling, so one
+# green run proves little). `verify.sh race` runs that stage alone — it is
+# what `make race` calls, so the package list lives only here. When a
 # BENCH_<n>.json snapshot exists, a final non-fatal stage reruns its
 # experiment and prints the drift — informational only, never a gate.
 # Each stage reports its wall time.
@@ -49,6 +52,7 @@ run_race() {
 		./internal/rowsync/... ./internal/core/... ./internal/transport/... \
 		./internal/lossnet/... ./internal/durable/... ./internal/obs/... \
 		./internal/serve/...
+	go test ./internal/lossnet -run 'Burst' -count=20
 }
 
 run_serve_smoke() {
@@ -187,6 +191,11 @@ run_bench_drift() {
 	# Non-fatal by design: drift is information for the reviewer, not a gate.
 	go run ./cmd/rogbench -drift "$latest" || echo "   (bench-drift failed; not a gate)"
 }
+
+if [ "${1:-}" = race ]; then
+	stage race run_race
+	exit
+fi
 
 stage fmt check_fmt
 stage build go build ./...
