@@ -42,15 +42,14 @@ bench-json:
 	$(GO) run ./cmd/rogbench -exp fig1 -json BENCH_fig1.json
 	$(GO) run ./cmd/rogbench -exp churn -json BENCH_churn.json
 
-# bench-save snapshots one experiment's -json report into the first free
-# BENCH_<n>.json; bench-drift (also run by scripts/verify.sh, non-fatally)
-# reruns the latest snapshot's experiment and reports what moved.
+# bench-save snapshots one experiment's -json report as the next
+# BENCH_<n>.json (one past the highest n present); bench-drift (also the
+# last, non-fatal stage of scripts/verify.sh, where it is implemented) reruns
+# the newest snapshot of every experiment and reports what moved.
 BENCH_EXP ?= fleet
 bench-save:
-	n=1; while [ -e "BENCH_$$n.json" ]; do n=$$((n+1)); done; \
-	$(GO) run ./cmd/rogbench -exp $(BENCH_EXP) -json "BENCH_$$n.json"
+	n=$$(ls BENCH_[0-9]*.json 2>/dev/null | sed 's/BENCH_\([0-9]*\)\.json/\1/' | sort -n | tail -1); \
+	$(GO) run ./cmd/rogbench -exp $(BENCH_EXP) -json "BENCH_$$(($${n:-0}+1)).json"
 
 bench-drift:
-	latest=$$(ls BENCH_[0-9]*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -z "$$latest" ]; then echo "bench-drift: no BENCH_<n>.json snapshot (run make bench-save)"; \
-	else $(GO) run ./cmd/rogbench -drift "$$latest"; fi
+	sh scripts/verify.sh bench-drift

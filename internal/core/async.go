@@ -6,8 +6,8 @@ import (
 	"rog/internal/obs"
 )
 
-// This file is the asynchronous driver loop shared by every non-barrier,
-// non-pipelined policy (SSP, FLOWN, ROG, DSSP): compute → plan → push →
+// This file is the per-worker driver loop shared by every non-pipelined
+// policy (BSP, SSP, FLOWN, ROG, DSSP): compute → plan → push →
 // staleness gate → plan → pull → next iteration, with every decision —
 // what to transmit, whether to skip, when to advance — delegated to the
 // engine policy. The loop owns only simnet mechanics: flows, timers, the
@@ -18,13 +18,21 @@ func (c *cluster) wireSize(u int) float64 { return float64(c.part.WireSize(u)) }
 // transmit moves one plan of worker w's iteration n over its link — a push
 // (opening a new plan sequence) or the pull that completes it —
 // speculatively under the MTA budget when the plan says so, else as one
-// whole-plan flow. done receives the delivered unit count, the (possibly
-// estimated) MTA time and the elapsed transmission time.
+// whole-plan flow. A pull's rows leave the server copy here, at plan time
+// (engine.Downlink): a later merge rides the worker's next pull, and what
+// the flow does not deliver is folded back when it ends. done receives the
+// delivered unit count, the (possibly estimated) MTA time and the elapsed
+// transmission time.
 func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
 	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
 	var deliver func(u int)
 	if dir == obs.DirPull {
-		deliver = func(u int) { c.deliverPull(w, u) }
+		c.down[w].Hold(c.state, plan.Units)
+		deliver = func(u int) {
+			if p, ok := c.down[w].Take(u); ok {
+				c.deliverPull(w, p)
+			}
+		}
 	} else {
 		c.planSeq[w]++
 		// Seed the engine state's per-worker plan seq so the Merge events this
@@ -37,6 +45,9 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 	}
 	seq := c.planSeq[w] // a pull completes the push plan's iteration
 	finish := func(delivered int, mtaTime, elapsed float64) {
+		if dir == obs.DirPull {
+			c.down[w].Release(c.state)
+		}
 		c.probe.RowsSent(w, n, seq, dir, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
 		done(delivered, mtaTime, elapsed)
 	}
@@ -146,7 +157,7 @@ func (c *cluster) parkStalled(w int, n int64, pull func() bool) {
 }
 
 // runAsync drives independent workers: each computes, synchronizes (push,
-// staleness gate, pull) and loops.
+// staleness gate, pull) and loops; BSP's gate keeps them in lockstep.
 func (c *cluster) runAsync() {
 	var startIter func(w int)
 	startIter = func(w int) {

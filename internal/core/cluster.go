@@ -174,9 +174,8 @@ type Config struct {
 	// while its uplink is busy and forwards the combined rows to the root.
 	// Forwarded rows carry every originating worker's iteration stamp, so
 	// the RSP staleness bound is preserved through the tier. Pulls stay
-	// direct (root → worker). 0 disables the tier. Requires an
-	// async-driver strategy (SSP/FLOWN/ROG/DSSP, no Pipeline) and is
-	// mutually exclusive with Faults, Loss and Durable.
+	// direct (root → worker). 0 disables the tier. Mutually exclusive with
+	// Faults, Loss and Durable.
 	Aggregators int
 
 	// Pipeline enables the paper's future-work extension (Sec. VI-D):
@@ -326,9 +325,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: need fewer Aggregators than Workers, got %d for %d workers",
 				c.Aggregators, c.Workers)
 		}
-		if c.Strategy == BSP || c.Pipeline {
-			return fmt.Errorf("core: Aggregators need an async-driver strategy, not %q", c.policyName())
-		}
 		if len(c.Faults) > 0 || c.Loss.Enabled() || c.Durable != nil {
 			return fmt.Errorf("core: Aggregators are mutually exclusive with Faults, Loss and Durable")
 		}
@@ -396,8 +392,10 @@ type cluster struct {
 	policy engine.Policy
 	state  *engine.State
 
-	rep       []*engine.Replica // per-robot worker half: model, optimizer, g′, push stamps, uplink codec
-	downCodec []*compress.Codec // server→worker, one per worker copy
+	rep []*engine.Replica // per-robot worker half: model, optimizer, g′, push stamps, uplink codec
+	// down is the server's pull half per worker (downlink codec, pull in
+	// flight); it lives here so both survive a recovered state swap.
+	down []*engine.Downlink
 
 	// waiters parks workers the staleness gate holds back. It lives here,
 	// not in the engine state, so parked gates survive a recovered state swap.
@@ -486,7 +484,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		policy:  policy,
 		state:   engine.NewStateSharded(policy, part, cfg.Workers, 1.0, cfg.Shards),
 		waiters: engine.NewWaitList(),
-		scratch: make([]float32, maxUnitLen(part)),
+		scratch: make([]float32, part.MaxUnitLen()),
 		iter:    make([]int64, cfg.Workers),
 		halted:  make([]bool, cfg.Workers),
 		planSeq: make([]int64, cfg.Workers),
@@ -521,20 +519,10 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	c.series.Name = fmt.Sprintf("%s-%d", cfg.Strategy, cfg.Threshold)
 	for w := 0; w < cfg.Workers; w++ {
 		c.rep = append(c.rep, engine.NewReplica(wl.Model(w), part, cfg.LR, cfg.Momentum))
-		c.downCodec = append(c.downCodec, compress.NewCodec(part.Widths()))
+		c.down = append(c.down, engine.NewDownlink(w, part))
 		c.meters = append(c.meters, energy.NewMeter(energy.PaperModel()))
 	}
 	return c
-}
-
-func maxUnitLen(p *rowsync.Partition) int {
-	m := 0
-	for u := 0; u < p.NumUnits(); u++ {
-		if l := p.Unit(u).Len; l > m {
-			m = l
-		}
-	}
-	return m
 }
 
 // computeSecondsFor is one iteration's virtual compute time for worker w,
@@ -580,18 +568,12 @@ func (c *cluster) deliverPush(w, u int, n int64) {
 	c.rep[w].Stamp(u, n)
 }
 
-// deliverPull decodes the server's averaged unit u for worker w and applies
-// it to w's replica (Algo. 1 lines 13–16), then clears w's server copy.
-func (c *cluster) deliverPull(w, u int) {
-	acc := c.state.Acc[w].Unit(u)
-	payload := c.downCodec[w].Encode(u, acc)
-	vals := c.scratch[:len(acc)]
-	compress.Decode(payload, vals)
-	c.rep[w].Apply(u, vals)
-	// Drain through the engine so the transition reaches the WAL: a pulled
-	// copy must stay drained across a server crash, or recovery would
-	// double-apply it on the next pull.
-	c.state.DrainUnit(w, u)
+// deliverPull applies an averaged row that reached worker w to its replica
+// (Algo. 1 lines 13–16); its server copy was drained at plan time.
+func (c *cluster) deliverPull(w int, p compress.Payload) {
+	vals := c.scratch[:p.N]
+	compress.Decode(p, vals)
+	c.rep[w].Apply(p.Row, vals)
 }
 
 // accumulate folds worker w's freshly computed gradients into its local
@@ -680,14 +662,12 @@ func (c *cluster) result() *Result {
 	return r
 }
 
-// start launches the driver loop matching the policy's traits: the round
-// barrier for BSP, the compute/comm-overlapped pipeline when requested,
-// and the shared asynchronous loop for everything else. The traits choose
+// start launches the driver loop matching the policy's traits: the
+// compute/comm-overlapped pipeline when requested, the per-worker loop for
+// everything else (BSP too — its lockstep is the gate). The traits choose
 // the loop shape only — plans, gates and merges all come from the policy.
 func (c *cluster) start() {
 	switch t := c.policy.Traits(); {
-	case t.Barrier:
-		c.runBarrier()
 	case t.Pipelined:
 		c.runPipelined()
 	default:

@@ -20,9 +20,10 @@ import (
 //     worker's server-side copy, which therefore accumulates exactly the
 //     state a rejoin must replay.
 //   - A rejoin re-attaches the worker (rows re-baselined at the surviving
-//     minimum), transmits the accumulated rows over the worker's link as a
-//     single resync flow, fast-forwards the worker's iteration counters to
-//     the baseline, and restarts its driver loop.
+//     minimum), takes the accumulated rows out of its server copy and
+//     transmits them over the worker's link as a single resync flow,
+//     fast-forwards the worker's iteration counters to the baseline, and
+//     restarts its driver loop.
 //
 // Link faults (blackout, flap) bypass this file entirely: the injector
 // drives Channel.SetLinkDown and the fluid-flow model stalls/resumes the
@@ -75,23 +76,22 @@ func (c *cluster) rejoinWorker(w int) {
 	c.rep[w].Rebase(base)
 	// The rejoin resync: every averaged row that accumulated while the
 	// worker was away rides one flow over its (possibly still weak) link.
-	units := c.state.Backlog(w)
+	// Like any pull, its content is fixed now, not when the flow lands.
+	backlog := c.down[w].HoldBacklog(c.state)
 	var bytes float64
-	for _, u := range units {
-		bytes += float64(c.part.WireSize(u))
+	for _, p := range backlog {
+		bytes += c.wireSize(p.Row)
 	}
-	c.state.AddRowsResynced(len(units))
+	c.state.AddRowsResynced(len(backlog))
 	c.probe.Reconnect(w, base)
-	c.probe.Resync(w, len(units), bytes)
+	c.probe.Resync(w, len(backlog), bytes)
 	c.crashed[w] = false
 	start := c.k.Now()
 	c.ch.StartFlow(w, bytes, func() {
-		for _, u := range units {
-			c.deliverPull(w, u)
+		for _, p := range backlog {
+			c.deliverPull(w, p)
 		}
 		c.meters[w].Add(energy.Communicate, c.k.Now()-start)
-		if c.resumeFn != nil {
-			c.resumeFn(w)
-		}
+		c.resumeFn(w)
 	})
 }

@@ -52,38 +52,53 @@ func TestShardedRunBitIdentical(t *testing.T) {
 }
 
 // TestAggregatedRunBoundsStaleness drives a fleet through the edge tier
-// and checks the RSP invariant end to end: rows coalesced in an aggregator
-// queue must never merge with a lead beyond the staleness threshold, and
-// the run must still make progress.
+// and checks the staleness invariant end to end, for every loop shape that
+// reaches the tier: rows coalesced in an aggregator queue must never merge
+// with a lead beyond the policy's bound (the threshold; 1 for BSP, whose
+// gate is a full barrier), and the run must still make progress.
 func TestAggregatedRunBoundsStaleness(t *testing.T) {
-	cfg := testConfig(SSP, 4)
-	cfg.Workers = 8
-	cfg.Aggregators = 2
-	cfg.Shards = 4
-	cfg.MaxIterations = 15
-	wl := newTestWorkload(cfg.Workers, 6)
-	res, err := Run(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 5 {
-		t.Fatalf("aggregated run barely progressed: %d iterations", res.Iterations)
-	}
-	if res.MaxStaleness > int64(cfg.Threshold) {
-		t.Fatalf("RSP bound violated through the edge tier: max lead %d > threshold %d",
-			res.MaxStaleness, cfg.Threshold)
-	}
-	// White-box: the version lattice obeys the bound at every kernel step.
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wl2 := newTestWorkload(cfg.Workers, 6)
-	c := newCluster(cfg, wl2)
-	c.start()
-	for c.k.Step() {
-		if ahead := c.state.MaxAhead(); ahead > int64(cfg.Threshold) {
-			t.Fatalf("staleness bound violated mid-run: %d > %d", ahead, cfg.Threshold)
-		}
+	pipelined := testConfig(ROG, 4)
+	pipelined.Pipeline = true
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		bound int64
+	}{
+		{"SSP-4", testConfig(SSP, 4), 4},
+		{"BSP", testConfig(BSP, 0), 1},
+		{"pipelined ROG-4", pipelined, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers = 8
+			cfg.Aggregators = 2
+			cfg.Shards = 4
+			cfg.MaxIterations = 15
+			wl := newTestWorkload(cfg.Workers, 6)
+			res, err := Run(cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations < 5 {
+				t.Fatalf("aggregated run barely progressed: %d iterations", res.Iterations)
+			}
+			if res.MaxStaleness > tc.bound {
+				t.Fatalf("staleness bound violated through the edge tier: max lead %d > %d",
+					res.MaxStaleness, tc.bound)
+			}
+			// White-box: the version lattice obeys the bound at every kernel step.
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			wl2 := newTestWorkload(cfg.Workers, 6)
+			c := newCluster(cfg, wl2)
+			c.start()
+			for c.k.Step() {
+				if ahead := c.state.MaxAhead(); ahead > tc.bound {
+					t.Fatalf("staleness bound violated mid-run: %d > %d", ahead, tc.bound)
+				}
+			}
+		})
 	}
 }
 
@@ -134,17 +149,18 @@ func TestValidateShardAggregatorRules(t *testing.T) {
 		t.Fatal("Aggregators == Workers accepted")
 	}
 
-	bad = testConfig(BSP, 0)
-	bad.Aggregators = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("BSP with Aggregators accepted")
+	// Every strategy reaches the tier through the one synchronize loop.
+	ok = testConfig(BSP, 0)
+	ok.Aggregators = 1
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("BSP with Aggregators rejected: %v", err)
 	}
 
-	bad = testConfig(ROG, 6)
-	bad.Pipeline = true
-	bad.Aggregators = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Pipeline with Aggregators accepted")
+	ok = testConfig(ROG, 6)
+	ok.Pipeline = true
+	ok.Aggregators = 1
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Pipeline with Aggregators rejected: %v", err)
 	}
 
 	bad = testConfig(SSP, 4)

@@ -8,14 +8,14 @@ import (
 
 // This file injects the lossnet channel model into the simnet drivers. The
 // interception point is the per-unit deliver callback of transmit — the
-// one funnel every driver loop (barrier, pipelined, async) and every
-// transmission shape (speculative, forced continuation, whole-plan) routes
-// row deliveries through. A unit whose bytes crossed
-// the simulated link still rolls the loss model's dice:
+// one funnel both driver loops and every transmission shape (speculative,
+// forced continuation, whole-plan) route row deliveries through. A unit
+// whose bytes crossed the simulated link still rolls the loss model's dice:
 //
 //   - delivered → the normal merge/apply path runs;
 //   - lost, best-effort class → nothing runs: the gradient mass stays in
-//     the sender's accumulator (push) or the server copy (pull), the row's
+//     the sender's accumulator (push) or is folded back into the server
+//     copy when the pull ends (engine.Downlink.Release), the row's
 //     pushIter/version never advances, and RSP accounting sees a row that
 //     was simply never sent. Thm. 1's staleness bound is untouched.
 //   - lost, reliable class → the unit queues for a retransmission flow

@@ -1,16 +1,16 @@
 package engine
 
 // bsp is Bulk Synchronous Parallel: whole-model push and pull every
-// iteration, and a gate equivalent to a full barrier — a worker entering
-// iteration n may not advance until every attached worker's rows reached
-// n−1. The simnet runtime executes it round-lockstep (the Barrier trait);
-// the socket runtime gets the same semantics from CanAdvance alone.
+// iteration, and a gate equivalent to a full barrier — a worker that
+// pushed iteration n is not answered until every attached worker's rows
+// reached n. Both runtimes get the lockstep from CanAdvance alone: a pull's
+// content is fixed when the gate opens (Downlink), so replicas stay equal.
 type bsp struct{}
 
 func newBSP() *bsp { return &bsp{} }
 
 func (*bsp) Name() string   { return "bsp" }
-func (*bsp) Traits() Traits { return Traits{Barrier: true} }
+func (*bsp) Traits() Traits { return Traits{} }
 
 func (*bsp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 

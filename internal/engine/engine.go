@@ -21,13 +21,8 @@ import (
 
 // Traits tell a runtime which loop shape executes the policy. They select
 // the driver, not the decisions: all plan/gate/merge logic stays in the
-// Policy methods.
+// Policy methods (BSP's lockstep is its CanAdvance, not a trait).
 type Traits struct {
-	// Barrier marks round-lockstep strategies (BSP): the simnet runtime
-	// drives explicit rounds; the socket runtime gets the same behaviour
-	// from CanAdvance alone (iteration n proceeds only once every attached
-	// worker pushed n).
-	Barrier bool
 	// Pipelined lets a runtime overlap a worker's compute with its
 	// communication (the paper's Sec. VI-D extension).
 	Pipelined bool

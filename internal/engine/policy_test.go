@@ -36,7 +36,7 @@ func TestRegistryKnowsEveryPolicy(t *testing.T) {
 
 func TestTraitsSelectLoopShapes(t *testing.T) {
 	for name, want := range map[string]Traits{
-		"bsp":      {Barrier: true},
+		"bsp":      {},
 		"ssp":      {},
 		"flown":    {},
 		"rog":      {},

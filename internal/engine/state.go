@@ -16,7 +16,8 @@ import (
 // (shrink-to-attached averaging) and the membership bookkeeping, but parks
 // nobody: a gated worker waits in its runtime (the simnet cluster's
 // WaitList, the socket server's sync.Cond), which re-evaluates CanAdvance
-// after every merge and detach. Replica is the matching worker side.
+// after every merge and detach. Replica is the matching worker side;
+// Downlink takes a pull's rows out of the averaged copies.
 //
 // Concurrency: the state is sharded by contiguous unit ranges (the
 // ShardMap shared with the version store and the per-worker accumulators).
@@ -552,26 +553,12 @@ func (s *State) MaxAhead() int64 {
 	return s.Versions.MaxAhead()
 }
 
-// DrainUnit zeroes worker's averaged copy of unit after its contents left
-// the server inside a pull or resync transmission. Both runtimes must
-// drain through here (not GradStore.ZeroUnit directly) so the transition
-// reaches the journal.
+// DrainUnit zeroes worker's averaged copy of unit. Live pulls drain through
+// Downlink (encode-then-drain under one lock hold); this is the bare
+// transition, kept for the WAL replay of the drains they journaled.
 func (s *State) DrainUnit(worker, unit int) {
 	sh := s.shards[s.sm.ShardOf(unit)]
 	sh.mu.Lock()
-	s.drainUnitLocked(worker, unit)
-	sh.mu.Unlock()
-}
-
-// DrainUnitWith runs fn over worker's live averaged copy of unit, then
-// drains it, all under the owning shard's lock — the encode-then-drain
-// step of the socket server's pull path, which must not let a concurrent
-// merge land between the copy leaving and the zero (the merged mass would
-// be silently dropped).
-func (s *State) DrainUnitWith(worker, unit int, fn func(vals []float32)) {
-	sh := s.shards[s.sm.ShardOf(unit)]
-	sh.mu.Lock()
-	fn(s.Acc[worker].Unit(unit))
 	s.drainUnitLocked(worker, unit)
 	sh.mu.Unlock()
 }
@@ -585,8 +572,9 @@ func (s *State) drainUnitLocked(worker, unit int) {
 }
 
 // RestoreUnit folds vals back into worker's averaged copy — the undo of a
-// DrainUnit whose transmission never made it out, conserving gradient
-// mass. Journaled for the same reason DrainUnit is.
+// drain whose transmission never made it out, conserving gradient mass.
+// Journaled for the same reason the drain is: a pulled copy must stay
+// drained, and a restored one restored, across a server crash.
 func (s *State) RestoreUnit(worker, unit int, vals []float32) {
 	sh := s.shards[s.sm.ShardOf(unit)]
 	sh.mu.Lock()
@@ -595,36 +583,6 @@ func (s *State) RestoreUnit(worker, unit int, vals []float32) {
 	}
 	s.Acc[worker].AddUnit(unit, vals, 1)
 	sh.mu.Unlock()
-}
-
-// Backlog lists the units holding accumulated mass for the worker — what a
-// rejoin resync must replay. The caller transmits them and adds the count
-// to the churn stats via AddRowsResynced. Cost is proportional to the
-// backlog size (the accumulators track dirty units per shard).
-func (s *State) Backlog(worker int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lockShardsLocked()
-	defer s.unlockShardsLocked()
-	return s.Acc[worker].Backlog()
-}
-
-// DrainBacklog encodes and drains the worker's whole backlog: fn runs over
-// each dirty unit's live mass under the owning locks, and the unit is
-// zeroed before the next one is visited. It returns the number of units
-// drained. This is the socket server's rejoin resync, made atomic against
-// concurrent merges the same way DrainUnitWith is.
-func (s *State) DrainBacklog(worker int, fn func(unit int, vals []float32)) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lockShardsLocked()
-	defer s.unlockShardsLocked()
-	units := s.Acc[worker].Backlog()
-	for _, u := range units {
-		fn(u, s.Acc[worker].Unit(u))
-		s.drainUnitLocked(worker, u)
-	}
-	return len(units)
 }
 
 // ChurnSnapshot returns the churn counters with the per-shard duplicate

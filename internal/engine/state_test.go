@@ -103,9 +103,17 @@ func TestDetachAttachBacklog(t *testing.T) {
 	if !s.CanAdvance(4) {
 		t.Fatal("detached worker's stale rows still pin the gate")
 	}
-	backlog := s.Backlog(2)
+	backlog := NewDownlink(2, part).HoldBacklog(s)
 	if len(backlog) != part.NumUnits() {
 		t.Fatalf("backlog = %d units, want every unit", len(backlog))
+	}
+	for i, p := range backlog {
+		if p.Row != i {
+			t.Fatalf("backlog[%d] is unit %d, want ascending unit order", i, p.Row)
+		}
+		if got := s.Acc[2].MeanAbs(p.Row); got != 0 {
+			t.Fatalf("unit %d still holds mean-abs %g after the resync took it", p.Row, got)
+		}
 	}
 	base := s.Attach(2)
 	if base != 3 {

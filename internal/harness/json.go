@@ -11,7 +11,6 @@ import (
 	"rog/internal/lossnet"
 	"rog/internal/metrics"
 	"rog/internal/obs"
-	"rog/internal/simnet"
 	"rog/internal/trace"
 )
 
@@ -54,7 +53,7 @@ type SystemReport struct {
 	TotalJoules float64 `json:"total_joules"`
 	StallFrac   float64 `json:"stall_frac"`
 	// MaxStaleness is the largest merge lead the run observed — the
-	// empirical RSP bound (0 is omitted; BSP never leads).
+	// empirical RSP bound (0 is omitted).
 	MaxStaleness   int64   `json:"max_staleness,omitempty"`
 	ComputeSeconds float64 `json:"compute_seconds"`
 	CommSeconds    float64 `json:"comm_seconds"`
@@ -132,9 +131,7 @@ func jsonExperiments(id string, s Scale) (EndToEndOptions, Report, error) {
 			Report{Experiment: id, Title: "Fig. 7: CRIMP, outdoors",
 				Paradigm: "crimp", Env: "outdoor", Metric: "trajectory error", Increasing: false}, nil
 	case "churn":
-		t := s.VirtualSeconds
-		spec := fmt.Sprintf("crash:1@%.0f+%.0f,blackout:2@%.0f+%.0f", t/4, t/4, 5*t/8, t/8)
-		faults, err := simnet.ParseFaultSchedule(spec)
+		spec, faults, err := churnFaults(s)
 		if err != nil {
 			return EndToEndOptions{}, Report{}, err
 		}

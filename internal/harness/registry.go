@@ -260,19 +260,7 @@ func runTable2(Scale) (string, error) {
 	return b.String(), nil
 }
 
-func runTable3(s Scale) (string, error) {
-	// Run a short BSP round and recover the per-state wattage from the
-	// integrated energy — confirming the measurement pipeline reproduces
-	// the model it integrates.
-	results, err := RunEndToEnd(EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Indoor,
-		Scale:   Scale{Name: "t3", VirtualSeconds: 120, CheckpointEvery: 100, PretrainIters: 50},
-		Systems: []SystemSpec{{core.BSP, 0}},
-	})
-	if err != nil {
-		return "", err
-	}
-	_ = results
+func runTable3(Scale) (string, error) {
 	m := energy.PaperModel()
 	var b strings.Builder
 	b.WriteString("== Table III: power in different states (W) ==\n\n")
@@ -440,10 +428,17 @@ func runExtDSSP(s Scale) (string, error) {
 // keeps learning through it. Worker 1 crashes a quarter of the way in and
 // rejoins at the half-way mark; worker 2's link then blacks out for an
 // eighth of the run without any membership change.
-func runChurn(s Scale) (string, error) {
+// churnFaults is the churn experiment's fault script at scale s: robot 1
+// is down for the second quarter, robot 2's link for an eighth from 5/8.
+func churnFaults(s Scale) (string, simnet.FaultSchedule, error) {
 	t := s.VirtualSeconds
 	spec := fmt.Sprintf("crash:1@%.0f+%.0f,blackout:2@%.0f+%.0f", t/4, t/4, 5*t/8, t/8)
 	faults, err := simnet.ParseFaultSchedule(spec)
+	return spec, faults, err
+}
+
+func runChurn(s Scale) (string, error) {
+	spec, faults, err := churnFaults(s)
 	if err != nil {
 		return "", err
 	}

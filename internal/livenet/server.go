@@ -134,13 +134,12 @@ type Server struct {
 	// the owning shard locks only; mu guards the residue below plus the
 	// gate condition variable.
 	mu          sync.Mutex
-	cond        *sync.Cond           // signals on mu; set once in NewServer
-	state       *engine.State        // internally locked; the pointer itself is set once in NewServer
-	codecs      []*compress.Codec    // guarded by mu — per-worker downlink error feedback
-	pending     [][]compress.Payload // guarded by mu — rows encoded for an in-flight pull
-	closed      bool                 // guarded by mu
-	detachEpoch int64                // guarded by mu — bumped on every detach; attributes wait time to churn
-	detachTimes []time.Time          // guarded by mu — recent detaches, for storm detection
+	cond        *sync.Cond         // signals on mu; set once in NewServer
+	state       *engine.State      // internally locked; the pointer itself is set once in NewServer
+	down        []*engine.Downlink // guarded by mu — per-worker pull half: downlink codec + the rows out in an in-flight pull
+	closed      bool               // guarded by mu
+	detachEpoch int64              // guarded by mu — bumped on every detach; attributes wait time to churn
+	detachTimes []time.Time        // guarded by mu — recent detaches, for storm detection
 
 	// pushSeq[w] counts worker w's pushes — the correlation id on this
 	// connection's gate-stall and merge events. Entry w is written only by
@@ -224,9 +223,8 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	s.state.Probe = s.probe
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
-		s.codecs = append(s.codecs, compress.NewCodec(part.Widths()))
+		s.down = append(s.down, engine.NewDownlink(i, part))
 	}
-	s.pending = make([][]compress.Payload, cfg.Workers)
 	if cfg.DebugAddr != "" {
 		ln, err := net.Listen("tcp", cfg.DebugAddr)
 		if err != nil {
@@ -485,10 +483,9 @@ func (s *Server) detach(worker int, cause string) {
 	s.probe.Detach(worker, s.state.Versions.Min(), cause)
 	s.detachEpoch++
 	s.noteDetachLocked()
-	// Pull rows cut off mid-flight stay in pending; fold their mass back
+	// Pull rows cut off mid-flight are still held; fold their mass back
 	// into the accumulator so nothing is lost across the disconnect.
-	s.restore(worker, s.pending[worker])
-	s.pending[worker] = nil
+	s.down[worker].Release(s.state)
 	s.cond.Broadcast()
 }
 
@@ -526,25 +523,20 @@ func (s *Server) attach(worker int, conn net.Conn) error {
 	if s.state.IsActive(worker) {
 		return nil
 	}
-	// Encode the backlog atomically with its drain (DrainBacklog runs the
-	// closure under the owning shard locks, so no concurrent merge can
-	// slip mass in between the copy leaving and the zero); send outside
+	// The backlog is encoded atomically with its drain (no concurrent merge
+	// can slip mass in between the copy leaving and the zero); send outside
 	// every lock.
-	var frames [][]byte
-	var payloads []compress.Payload
 	s.mu.Lock()
-	n := s.state.DrainBacklog(worker, func(u int, vals []float32) {
-		payload := s.codecs[worker].Encode(u, vals)
-		payloads = append(payloads, payload)
-		frames = append(frames, pullMsg(payload))
-	})
-	baseline := s.state.Attach(worker)
-	s.state.AddRowsResynced(n)
-	s.probe.Reconnect(worker, baseline)
+	payloads := s.down[worker].HoldBacklog(s.state)
+	frames := make([][]byte, len(payloads))
 	var resyncBytes float64
-	for _, f := range frames {
-		resyncBytes += float64(len(f))
+	for i, p := range payloads {
+		frames[i] = pullMsg(p)
+		resyncBytes += float64(len(frames[i]))
 	}
+	baseline := s.state.Attach(worker)
+	s.state.AddRowsResynced(len(payloads))
+	s.probe.Reconnect(worker, baseline)
 	s.probe.Resync(worker, len(frames), resyncBytes)
 	budget := s.budgetFloored()
 	min := s.state.Versions.Min()
@@ -557,7 +549,9 @@ func (s *Server) attach(worker int, conn net.Conn) error {
 	}
 	if err != nil {
 		// Conserve the undelivered mass; the next attach replays it.
-		s.restore(worker, payloads[sent:])
+		s.mu.Lock()
+		s.down[worker].Restore(s.state, payloads[sent:]...)
+		s.mu.Unlock()
 		return fmt.Errorf("livenet: worker %d resync: %w", worker, err)
 	}
 	return nil
@@ -573,36 +567,16 @@ func (s *Server) budgetFloored() float64 {
 }
 
 // planPullLocked asks the policy which averaged rows to return to the
-// worker after its iteration-n push and encodes them in plan order. Must
-// hold s.mu.
+// worker after its iteration-n push, takes them out of its server copy
+// (engine.Downlink) and frames them in plan order. Must hold s.mu.
 func (s *Server) planPullLocked(worker int, n int64) ([][]byte, engine.Plan, float64, int64) {
 	plan := s.state.PlanPull(worker, n)
-	frames := make([][]byte, 0, len(plan.Units))
-	payloads := make([]compress.Payload, 0, len(plan.Units))
-	for _, u := range plan.Units {
-		var payload compress.Payload
-		// Encode-then-drain under the owning shard lock: a merge landing
-		// between the two would otherwise vanish with the zero.
-		s.state.DrainUnitWith(worker, u, func(vals []float32) {
-			payload = s.codecs[worker].Encode(u, vals)
-		})
-		payloads = append(payloads, payload)
-		frames = append(frames, pullMsg(payload))
+	s.down[worker].Hold(s.state, plan.Units)
+	frames := make([][]byte, len(plan.Units))
+	for i, u := range plan.Units {
+		frames[i] = pullMsg(s.down[worker].Held(u))
 	}
-	s.pending[worker] = payloads
 	return frames, plan, s.budgetFloored(), s.state.Versions.Min()
-}
-
-// restore re-adds the decoded values of encoded rows that never left the
-// server to the worker's accumulator: encode moved (value − residual) into
-// the payload, so returning the decoded value conserves the gradient mass
-// exactly.
-func (s *Server) restore(worker int, payloads []compress.Payload) {
-	for _, p := range payloads {
-		vals := make([]float32, p.N)
-		compress.Decode(p, vals)
-		s.state.RestoreUnit(worker, p.Row, vals)
-	}
 }
 
 // sendPlanned is the socket form of Algo. 4's speculative transmission,
@@ -637,14 +611,14 @@ func sendPlanned(conn net.Conn, frames [][]byte, must int, speculative bool, bud
 func (s *Server) sendPull(worker int, conn net.Conn, frames [][]byte, plan engine.Plan, budget float64, min int64) error {
 	sent, err := sendPlanned(conn, frames, plan.Must, plan.Speculative, budget)
 	s.mu.Lock()
-	s.restore(worker, s.pending[worker][sent:])
-	s.pending[worker] = nil
+	for _, u := range plan.Units[:sent] {
+		s.down[worker].Take(u)
+	}
+	s.down[worker].Release(s.state)
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if _, err := transport.SendFrames(conn, [][]byte{pullDoneMsg(budget, min)}, time.Time{}); err != nil {
-		return err
-	}
-	return nil
+	_, err = transport.SendFrames(conn, [][]byte{pullDoneMsg(budget, min)}, time.Time{})
+	return err
 }

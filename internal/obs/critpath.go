@@ -16,11 +16,11 @@ import (
 //     built the instant compute finishes in every driver)
 //   - comm:     the summed durations of the iteration's RowsSent and
 //     Retransmit transmissions
-//   - stall:    the summed durations of its StallEnd intervals (the RSP
-//     staleness gate, detach waits)
+//   - stall:    the summed durations of its StallEnd intervals (the
+//     policy's gate — BSP's wait for its team included — and detach waits)
 //   - merge:    the residual span − compute − comm − stall, clamped at
-//     zero — the server-side window (merge work, barrier waits) the
-//     worker's own events cannot see
+//     zero — the server-side window the worker's own events cannot see
+//     (merge work, rows queued in an edge aggregator)
 //
 // Because merge is the residual, coverage — decomposed time over the
 // worker's first-IterStart→last-IterEnd wall time — is exactly 1.0 when

@@ -100,6 +100,17 @@ func (p *Partition) Widths() []int {
 	return w
 }
 
+// MaxUnitLen returns the longest unit's length (sizes a decode buffer).
+func (p *Partition) MaxUnitLen() int {
+	m := 0
+	for _, u := range p.units {
+		if u.Len > m {
+			m = u.Len
+		}
+	}
+	return m
+}
+
 // WireSize returns the compressed on-wire size of unit u in bytes,
 // including the per-unit index overhead the paper charges against finer
 // granularity.

@@ -21,9 +21,12 @@
 # snapshot publisher) again under -race, plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little). `verify.sh race` runs that stage alone — it is
-# what `make race` calls, so the package list lives only here. When a
-# BENCH_<n>.json snapshot exists, a final non-fatal stage reruns its
-# experiment and prints the drift — informational only, never a gate.
+# what `make race` calls, so the package list lives only here. A final
+# non-fatal stage reruns the newest BENCH_<n>.json snapshot of every
+# experiment that has one and prints the drift — informational only, never
+# a gate; `verify.sh bench-drift` (= `make bench-drift`) runs it alone.
+# The bench-build stage right after build vets and builds the nested bench/
+# module, which root `go build ./...` does not see.
 # Each stage reports its wall time.
 set -eu
 
@@ -182,23 +185,43 @@ run_critpath_smoke() {
 	esac
 }
 
+run_bench_build() {
+	# bench/ is a nested module (its own go.mod, replace rog => ../): root
+	# `go build ./...` never sees it, so an engine/core/livenet API change
+	# can break the wall-clock benchmark unnoticed. Vet and build it here.
+	(cd bench && go vet . && go build -o /dev/null .)
+}
+
 run_bench_drift() {
-	latest=$(ls BENCH_[0-9]*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
+	# The newest snapshot of each experiment: walk BENCH_<n>.json in
+	# ascending n, keyed by the report's "experiment" field, later wins.
+	latest=$(ls BENCH_[0-9]*.json 2>/dev/null | sort -t_ -k2 -n | while read -r f; do
+		echo "$(sed -n 's/^ *"experiment": *"\([^"]*\)".*/\1/p' "$f" | head -1) $f"
+	done | awk '{ last[$1] = $2 } END { for (e in last) print last[e] }' | sort -t_ -k2 -n)
 	if [ -z "$latest" ]; then
 		echo "   (no BENCH_<n>.json snapshot; run make bench-save to record one)"
 		return 0
 	fi
 	# Non-fatal by design: drift is information for the reviewer, not a gate.
-	go run ./cmd/rogbench -drift "$latest" || echo "   (bench-drift failed; not a gate)"
+	for f in $latest; do
+		go run ./cmd/rogbench -drift "$f" || echo "   (bench-drift on $f failed; not a gate)"
+	done
 }
 
-if [ "${1:-}" = race ]; then
+case "${1:-}" in
+race)
 	stage race run_race
 	exit
-fi
+	;;
+bench-drift)
+	stage bench-drift run_bench_drift
+	exit
+	;;
+esac
 
 stage fmt check_fmt
 stage build go build ./...
+stage bench-build run_bench_build
 stage vet go vet ./...
 stage lint sh scripts/lint.sh
 stage test go test ./...
