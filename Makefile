@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet lint lint-json test race verify bench bench-json bench-save bench-drift recover-smoke
+.PHONY: build fmt vet lint lint-json test race verify bench bench-json bench-save bench-drift recover-smoke loc
 
 build:
 	$(GO) build ./...
@@ -53,3 +53,7 @@ bench-save:
 
 bench-drift:
 	sh scripts/verify.sh bench-drift
+
+# loc prints non-test Go lines per package outside bench/ and the total.
+loc:
+	sh scripts/loc.sh

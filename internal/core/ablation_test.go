@@ -83,7 +83,7 @@ func TestEnergyAccountingConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCluster(cfg, wl)
-	c.start()
+	c.launch()
 	c.k.RunUntilIdle(10_000_000)
 
 	// TotalJoules must equal the integral of the power model over the
@@ -115,7 +115,7 @@ func TestFLOWNStalenessBound(t *testing.T) {
 	}
 	wl := newTestWorkload(3, 26)
 	c := newCluster(cfg, wl)
-	c.start()
+	c.launch()
 	for c.k.Step() {
 		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("FLOWN staleness bound violated: %d > %d", ahead, cfg.Threshold)
@@ -154,7 +154,7 @@ func TestNoGradientLost(t *testing.T) {
 	}
 	wl := newTestWorkload(3, 28)
 	c := newCluster(cfg, wl)
-	c.start()
+	c.launch()
 	c.k.RunUntilIdle(10_000_000)
 
 	// After the run: every unit's accumulated gradient still sitting in

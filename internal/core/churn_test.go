@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rog/internal/energy"
 	"rog/internal/obs"
 	"rog/internal/simnet"
 )
@@ -135,7 +136,7 @@ func TestBSPRejoinFinishesOnlyParticipants(t *testing.T) {
 	cfg.Trace = cp
 	c := newCluster(cfg, newTestWorkload(3, 21))
 	c.checkpoint()
-	c.start()
+	c.launch()
 	if err := c.installFaults(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,5 +158,55 @@ func TestBSPRejoinFinishesOnlyParticipants(t *testing.T) {
 	}
 	if finished[1] >= finished[0] {
 		t.Fatalf("worker 1 was down for 10 s yet finished %d of %d rounds", finished[1], finished[0])
+	}
+}
+
+// eventLog is a Tracer that keeps every event.
+type eventLog []obs.Event
+
+func (l *eventLog) Emit(e obs.Event) { *l = append(*l, e) }
+
+// TestRejoinStartsFreshSpan crashes a worker for 60 s at both loop depths.
+// The first iteration it finishes after the rejoin starts at its own compute,
+// so the downtime is in no span: neither that iteration's stall nor the
+// worker's metered stall seconds (the stall share of TotalJoules) carry it.
+// The pipelined loop used to keep the pre-crash span start and charged the
+// whole downtime — 61.62 s — as stall time and stall energy.
+func TestRejoinStartsFreshSpan(t *testing.T) {
+	const down = 60
+	for _, pipeline := range []bool{false, true} {
+		cfg := churnConfig(ROG, 4, "crash:1@30+60")
+		cfg.Pipeline = pipeline
+		var log eventLog
+		cfg.Trace = &log
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c := newCluster(cfg, newTestWorkload(3, 21))
+		c.checkpoint()
+		c.launch()
+		if err := c.installFaults(); err != nil {
+			t.Fatal(err)
+		}
+		c.k.RunUntilIdle(10_000_000)
+
+		rejoined, checked := false, false
+		for _, e := range log {
+			switch {
+			case e.Kind == obs.KindReconnect && e.Worker == 1:
+				rejoined = true
+			case e.Kind == obs.KindIterEnd && e.Worker == 1 && rejoined && !checked:
+				checked = true
+				if e.Stall >= down {
+					t.Errorf("pipeline=%v: first iteration after the rejoin reports %.2f s of stall — the downtime", pipeline, e.Stall)
+				}
+			}
+		}
+		if !checked {
+			t.Fatalf("pipeline=%v: worker 1 finished no iteration after its rejoin", pipeline)
+		}
+		if stall := c.meters[1].Seconds(energy.Stall); stall >= down {
+			t.Errorf("pipeline=%v: worker 1 metered %.2f s of stall energy, the %d s it was down included", pipeline, stall, down)
+		}
 	}
 }

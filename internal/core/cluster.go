@@ -1,7 +1,7 @@
 // Package core is the simnet runtime of the synchronization engine: it
 // executes the single-copy strategy policies from internal/engine (BSP,
-// SSP, FLOWN, ROG, pipelined ROG, DSSP) as deterministic state machines
-// over the virtual-time channel while doing real SGD math on real models.
+// SSP, FLOWN, ROG, DSSP) as deterministic state machines over the
+// virtual-time channel while doing real SGD math on real models.
 //
 // The parameter-update discipline is the paper's: workers never apply their
 // own gradients directly; gradients travel worker → server (averaged into
@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"rog/internal/atp"
 	"rog/internal/compress"
@@ -47,44 +48,25 @@ const (
 	DSSP
 )
 
+// strategyNames are the display names; the engine registry knows each
+// strategy by the same name in lower case.
+var strategyNames = [...]string{BSP: "BSP", SSP: "SSP", FLOWN: "FLOWN", ROG: "ROG", DSSP: "DSSP"}
+
 // String names the strategy.
 func (s Strategy) String() string {
-	switch s {
-	case BSP:
-		return "BSP"
-	case SSP:
-		return "SSP"
-	case FLOWN:
-		return "FLOWN"
-	case ROG:
-		return "ROG"
-	case DSSP:
-		return "DSSP"
-	default:
+	if s < 0 || int(s) >= len(strategyNames) {
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
+	return strategyNames[s]
 }
 
-// policyName maps the strategy (plus the Pipeline flag) to its engine
-// registry name; "" for unknown strategies.
+// policyName maps the strategy to its engine registry name; "" for unknown
+// strategies.
 func (c Config) policyName() string {
-	switch c.Strategy {
-	case BSP:
-		return "bsp"
-	case SSP:
-		return "ssp"
-	case FLOWN:
-		return "flown"
-	case ROG:
-		if c.Pipeline {
-			return "pipeline"
-		}
-		return "rog"
-	case DSSP:
-		return "dssp"
-	default:
+	if c.Strategy < 0 || int(c.Strategy) >= len(strategyNames) {
 		return ""
 	}
+	return strings.ToLower(strategyNames[c.Strategy])
 }
 
 // Workload abstracts the training task (CRUDA or CRIMP): per-worker model
@@ -180,7 +162,9 @@ type Config struct {
 
 	// Pipeline enables the paper's future-work extension (Sec. VI-D):
 	// overlapping each robot's computation with its communication,
-	// Pipe-SGD style. Only meaningful for the ROG strategy.
+	// Pipe-SGD style — a robot computes iteration n+1 while its radio
+	// synchronizes n. It is a property of the runtime's worker loop, not of
+	// the strategy: every strategy runs with it, under its own gate.
 	Pipeline bool
 
 	// PerUnitCheckSeconds models the ablation where a timeout judgement is
@@ -414,10 +398,11 @@ type cluster struct {
 	// stay bit-identical.
 	planSeq []int64
 
-	// Fault-tolerance state: crashed workers and the driver's per-worker
-	// resume hook for rejoins (churn counters live in the engine state).
-	crashed  []bool
-	resumeFn func(w int)
+	// robots is the per-worker loop state (CPU, radio, the iteration between
+	// them); crashed marks the workers a fault has taken out (churn counters
+	// live in the engine state).
+	robots  []robot
+	crashed []bool
 
 	// agg is the edge-aggregation tier (nil unless cfg.Aggregators > 0).
 	agg *aggTier
@@ -488,6 +473,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		iter:    make([]int64, cfg.Workers),
 		halted:  make([]bool, cfg.Workers),
 		planSeq: make([]int64, cfg.Workers),
+		robots:  make([]robot, cfg.Workers),
 		crashed: make([]bool, cfg.Workers),
 	}
 	if cfg.Aggregators > 0 {
@@ -542,12 +528,6 @@ func (c *cluster) computeSecondsFor(w int) float64 {
 		return base * sum / float64(len(c.cfg.ComputeSkew))
 	}
 	return base * c.cfg.ComputeSkew[w]
-}
-
-// shouldHalt reports whether worker w must stop before another iteration.
-func (c *cluster) shouldHalt(w int) bool {
-	return c.iter[w] >= int64(c.cfg.MaxIterations) ||
-		c.k.Now() >= c.cfg.MaxVirtualSeconds
 }
 
 // deliverPush moves worker w's unit u at local iteration n into the server
@@ -662,16 +642,10 @@ func (c *cluster) result() *Result {
 	return r
 }
 
-// start launches the driver loop matching the policy's traits: the
-// compute/comm-overlapped pipeline when requested, the per-worker loop for
-// everything else (BSP too — its lockstep is the gate). The traits choose
-// the loop shape only — plans, gates and merges all come from the policy.
-func (c *cluster) start() {
-	switch t := c.policy.Traits(); {
-	case t.Pipelined:
-		c.runPipelined()
-	default:
-		c.runAsync()
+// launch starts every worker's loop.
+func (c *cluster) launch() {
+	for w := range c.robots {
+		c.resume(w)
 	}
 }
 
@@ -685,7 +659,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		return nil, err
 	}
 	c.checkpoint() // baseline point at t=0
-	c.start()
+	c.launch()
 	if len(cfg.Faults) > 0 {
 		if err := c.installFaults(); err != nil {
 			return nil, err

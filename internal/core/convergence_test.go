@@ -67,7 +67,7 @@ func TestROGLosesNoGradientMass(t *testing.T) {
 	}
 	wl := newTestWorkload(3, 88)
 	c := newCluster(cfg, wl)
-	c.start()
+	c.launch()
 	c.k.RunUntilIdle(10_000_000)
 
 	var parked float64

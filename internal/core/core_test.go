@@ -207,7 +207,7 @@ func TestSSPRunAndStalenessBound(t *testing.T) {
 	}
 	wl2 := newTestWorkload(3, 4)
 	c := newCluster(cfg, wl2)
-	c.start()
+	c.launch()
 	for c.k.Step() {
 		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("staleness bound violated: %d > %d", ahead, cfg.Threshold)
@@ -234,7 +234,7 @@ func TestROGRunsAndRespectsRSP(t *testing.T) {
 	wl := newTestWorkload(3, 6)
 	c := newCluster(cfg, wl)
 	c.checkpoint()
-	c.start()
+	c.launch()
 	steps := 0
 	for c.k.Step() {
 		steps++

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"rog/internal/atp"
+	"rog/internal/compress"
 	"rog/internal/energy"
+	"rog/internal/engine"
+	"rog/internal/obs"
 	"rog/internal/simnet"
 )
 
 // This file is the membership layer of the simulated cluster: it binds the
 // simnet fault injector's crash/rejoin events to the VersionStore's
-// Detach/Attach protocol, so every driver survives worker dropout the same
+// Detach/Attach protocol, so every policy survives worker dropout the same
 // way the live parameter server does.
 //
 // Semantics:
@@ -15,15 +19,15 @@ import (
 //     stop pinning the RSP minimum and parked survivors are re-evaluated)
 //     but in-flight events of the crashed worker complete — its abandoned
 //     iteration simply never finishes, so the crash lands at an iteration
-//     boundary from the driver's point of view.
+//     boundary from the loop's point of view.
 //   - Gradient averaging keeps folding survivor pushes into the crashed
 //     worker's server-side copy, which therefore accumulates exactly the
 //     state a rejoin must replay.
 //   - A rejoin re-attaches the worker (rows re-baselined at the surviving
 //     minimum), takes the accumulated rows out of its server copy and
-//     transmits them over the worker's link as a single resync flow,
+//     transmits them over the worker's link as one reliable resync plan,
 //     fast-forwards the worker's iteration counters to the baseline, and
-//     restarts its driver loop.
+//     restarts its loop.
 //
 // Link faults (blackout, flap) bypass this file entirely: the injector
 // drives Channel.SetLinkDown and the fluid-flow model stalls/resumes the
@@ -62,7 +66,7 @@ func (c *cluster) crashWorker(w int) {
 
 // rejoinWorker re-admits worker w: membership first (so the staleness
 // bound holds from this instant), then the resync transmission, then the
-// driver restart.
+// loop restart.
 func (c *cluster) rejoinWorker(w int) {
 	if !c.crashed[w] {
 		return
@@ -75,23 +79,26 @@ func (c *cluster) rejoinWorker(w int) {
 	}
 	c.rep[w].Rebase(base)
 	// The rejoin resync: every averaged row that accumulated while the
-	// worker was away rides one flow over its (possibly still weak) link.
-	// Like any pull, its content is fixed now, not when the flow lands.
+	// worker was away rides one whole-plan transmission over its (possibly
+	// still weak) link — all of it reliable: on a lossy channel a dropped
+	// row is sent again until it lands. Like any pull, its content is fixed
+	// now, not when the flow lands.
 	backlog := c.down[w].HoldBacklog(c.state)
-	var bytes float64
-	for _, p := range backlog {
-		bytes += c.wireSize(p.Row)
+	units := make([]int, len(backlog))
+	held := make([]compress.Payload, c.part.NumUnits()) // by unit
+	for i, p := range backlog {
+		units[i] = p.Row
+		held[p.Row] = p
 	}
+	ap := atp.NewPlan(units, c.wireSize)
 	c.state.AddRowsResynced(len(backlog))
 	c.probe.Reconnect(w, base)
-	c.probe.Resync(w, len(backlog), bytes)
+	c.probe.Resync(w, len(backlog), ap.TotalBytes())
 	c.crashed[w] = false
-	start := c.k.Now()
-	c.ch.StartFlow(w, bytes, func() {
-		for _, p := range backlog {
-			c.deliverPull(w, p)
-		}
-		c.meters[w].Add(energy.Communicate, c.k.Now()-start)
-		c.resumeFn(w)
-	})
+	c.send(w, c.iter[w], obs.DirPull, engine.Plan{Units: units, Must: len(units)}, ap,
+		func(u int) { c.deliverPull(w, held[u]) },
+		func(_ int, _, elapsed float64) {
+			c.meters[w].Add(energy.Communicate, elapsed)
+			c.resume(w)
+		})
 }

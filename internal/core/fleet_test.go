@@ -92,7 +92,7 @@ func TestAggregatedRunBoundsStaleness(t *testing.T) {
 			}
 			wl2 := newTestWorkload(cfg.Workers, 6)
 			c := newCluster(cfg, wl2)
-			c.start()
+			c.launch()
 			for c.k.Step() {
 				if ahead := c.state.MaxAhead(); ahead > tc.bound {
 					t.Fatalf("staleness bound violated mid-run: %d > %d", ahead, tc.bound)
@@ -115,7 +115,7 @@ func TestAggregatedMatchesDirectVersions(t *testing.T) {
 	}
 	wl := newTestWorkload(cfg.Workers, 9)
 	c := newCluster(cfg, wl)
-	c.start()
+	c.launch()
 	c.k.RunUntilIdle(10_000_000)
 	for w := 0; w < cfg.Workers; w++ {
 		for u := 0; u < c.part.NumUnits(); u++ {

@@ -31,7 +31,7 @@ func TestROGSelectiveRSPBoundUnderLoss(t *testing.T) {
 	wl := newTestWorkload(3, 6)
 	c := newCluster(cfg, wl)
 	c.checkpoint()
-	c.start()
+	c.launch()
 	for c.k.Step() {
 		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
 			t.Fatalf("RSP bound violated under loss: %d > %d", ahead, cfg.Threshold)
@@ -153,34 +153,71 @@ func TestLossyRunDeterministic(t *testing.T) {
 // TestLossTracePairing runs the aggregation over a lossy trace and checks
 // the structural invariant: every best-effort gap folded back, every
 // reliable loss retransmitted — and the trace totals agree with the
-// Result counters.
+// Result counters. The second case crashes a worker on a 30 % channel: its
+// rejoin resync rides the same send path as every other row, so it rolls
+// the loss model too — all of it reliable, every dropped row sent again
+// (RowsLost/Retransmit pairs between the Resync and the worker's next
+// IterStart; the resync used to start its own flow and crossed unharmed).
 func TestLossTracePairing(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.NewJSONLTracer(&buf)
-	cfg := lossConfig(ROG, 4, lossnet.Selective)
-	cfg.Trace = tr
-	res, err := Run(cfg, newTestWorkload(3, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := obs.Aggregate(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pe := range sum.PairErrors {
-		t.Errorf("pair error: %s", pe)
-	}
-	if sum.RowsLostFolded != int64(res.Loss.RowsLostFolded) {
-		t.Fatalf("trace folded %d, result %d", sum.RowsLostFolded, res.Loss.RowsLostFolded)
-	}
-	if sum.RowsRetransmitted != int64(res.Loss.RowsRetransmitted) {
-		t.Fatalf("trace retransmitted %d, result %d", sum.RowsRetransmitted, res.Loss.RowsRetransmitted)
-	}
-	if sum.RetransmitBytes != res.Loss.RetransmitBytes {
-		t.Fatalf("trace retransmit bytes %.0f, result %.0f", sum.RetransmitBytes, res.Loss.RetransmitBytes)
+	crash := churnConfig(ROG, 4, "crash:1@30+60")
+	crash.Loss = lossnet.Spec{Kind: "iid", Rate: 0.3}
+	for name, cfg := range map[string]Config{
+		"ge:0.05":         lossConfig(ROG, 4, lossnet.Selective),
+		"crash + iid:0.3": crash,
+	} {
+		var buf bytes.Buffer
+		var log eventLog
+		tr := obs.NewJSONLTracer(&buf)
+		cfg.Trace = obs.Tee(tr, &log)
+		res, err := Run(cfg, newTestWorkload(3, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := obs.Aggregate(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pe := range sum.PairErrors {
+			t.Errorf("%s: pair error: %s", name, pe)
+		}
+		if sum.RowsLostRetrans != sum.RowsRetransmitted {
+			t.Errorf("%s: %d rows lost for retransmission, %d retransmitted", name, sum.RowsLostRetrans, sum.RowsRetransmitted)
+		}
+		if sum.RowsLostFolded != int64(res.Loss.RowsLostFolded) {
+			t.Fatalf("%s: trace folded %d, result %d", name, sum.RowsLostFolded, res.Loss.RowsLostFolded)
+		}
+		if sum.RowsRetransmitted != int64(res.Loss.RowsRetransmitted) {
+			t.Fatalf("%s: trace retransmitted %d, result %d", name, sum.RowsRetransmitted, res.Loss.RowsRetransmitted)
+		}
+		if sum.RetransmitBytes != res.Loss.RetransmitBytes {
+			t.Fatalf("%s: trace retransmit bytes %.0f, result %.0f", name, sum.RetransmitBytes, res.Loss.RetransmitBytes)
+		}
+		if len(cfg.Faults) == 0 {
+			continue
+		}
+		resyncing, repeated := false, 0
+		for _, e := range log {
+			if e.Worker != 1 {
+				continue
+			}
+			switch e.Kind {
+			case obs.KindResync:
+				resyncing = true
+			case obs.KindIterStart:
+				resyncing = false
+			case obs.KindRetransmit:
+				if resyncing && e.Dir == obs.DirPull {
+					repeated += e.Units
+				}
+			}
+		}
+		if sum.Resyncs != 1 || repeated == 0 {
+			t.Errorf("%s: %d resyncs, %d resync rows retransmitted — the resync crossed a 30 %% loss channel unharmed",
+				name, sum.Resyncs, repeated)
+		}
 	}
 }
 

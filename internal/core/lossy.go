@@ -1,16 +1,20 @@
 package core
 
 import (
+	"math"
+
+	"rog/internal/atp"
 	"rog/internal/engine"
 	"rog/internal/lossnet"
 	"rog/internal/obs"
 )
 
-// This file injects the lossnet channel model into the simnet drivers. The
-// interception point is the per-unit deliver callback of transmit — the
-// one funnel both driver loops and every transmission shape (speculative,
-// forced continuation, whole-plan) route row deliveries through. A unit
-// whose bytes crossed the simulated link still rolls the loss model's dice:
+// This file injects the lossnet channel model into the simnet runtime. The
+// interception point is the per-unit deliver callback of send — the one
+// funnel every transmission (push, pull, rejoin resync) and every shape
+// (speculative, forced continuation, whole-plan) routes row deliveries
+// through. A unit whose bytes crossed the simulated link still rolls the
+// loss model's dice:
 //
 //   - delivered → the normal merge/apply path runs;
 //   - lost, best-effort class → nothing runs: the gradient mass stays in
@@ -27,8 +31,9 @@ import (
 // (LTP-style selective reliability steered by ATP importance): a
 // speculative plan's Must prefix — the MTA floor plus the rows RSP forces
 // to keep the staleness gate live — retransmits; everything after it may
-// be lost cheaply. Whole-model plans (BSP/SSP) and AllReliable mode treat
-// every row as reliable.
+// be lost cheaply. Whole-model plans (BSP/SSP), the rejoin resync and
+// AllReliable mode treat every row as reliable (LTP's rule: what must land
+// is retransmitted until acked).
 //
 // When Config.Loss is disabled none of this is constructed and the
 // transmit paths are byte-identical to the lossless baseline.
@@ -64,17 +69,24 @@ func (c *cluster) reliableFor(plan engine.Plan) func(u int) bool {
 	return func(u int) bool { return rel[u] }
 }
 
-// newLossFilter wraps deliver for worker w's transmission, or returns nil
-// when the run has no loss channel.
-func (c *cluster) newLossFilter(w int, n int64, dir obs.Dir, plan engine.Plan, deliver func(u int)) *lossFilter {
+// lossy wraps one transmission's deliver/done pair in worker w's loss
+// channel; a run without one gets the pair back untouched. The wrapped done
+// settles the losses first: it reports the fold-backs, then repeats the
+// reliable ones until all have landed. The rounds extend the transmission —
+// the MTA report (what the straggler tracker sees) and the comm time both
+// include them: loss slows the link, visibly.
+func (c *cluster) lossy(w int, n int64, dir obs.Dir, plan engine.Plan, deliver func(u int),
+	done func(delivered int, mtaTime, elapsed float64)) (func(u int), func(int, float64, float64)) {
 	if c.loss == nil {
-		return nil
+		return deliver, done
 	}
-	return &lossFilter{
-		c: c, w: w, n: n, dir: dir,
-		model:   c.loss[w],
-		rel:     c.reliableFor(plan),
-		deliver: deliver,
+	f := &lossFilter{c: c, w: w, n: n, dir: dir, model: c.loss[w], rel: c.reliableFor(plan), deliver: deliver}
+	return f.filterDeliver, func(delivered int, mtaTime, elapsed float64) {
+		if f.folded > 0 {
+			c.probe.RowsLost(w, n, dir, f.folded, "fold")
+			c.state.ObserveLoss(f.folded, 0, 0)
+		}
+		f.retransmitRound(0, func(retrans float64) { done(delivered, mtaTime+retrans, elapsed+retrans) })
 	}
 }
 
@@ -92,52 +104,26 @@ func (f *lossFilter) filterDeliver(u int) {
 	}
 }
 
-// drain settles the transmission's losses: report the fold-backs, then run
-// retransmission flows until the reliable queue is empty, and hand done the
-// extra seconds the repeats cost.
-func (f *lossFilter) drain(done func(retransSeconds float64)) {
-	if f.folded > 0 {
-		f.c.probe.RowsLost(f.w, f.n, f.dir, f.folded, "fold")
-		f.c.state.ObserveLoss(f.folded, 0, 0)
-		f.folded = 0
-	}
-	f.retransmitRound(0, done)
-}
-
-// retransmitRound moves every queued reliable unit over the link again.
-// Units lost again requeue for the next round. RowsLost(retransmit) and
-// Retransmit are emitted together per round, counting the units that
-// landed — so the aggregate totals pair exactly even if the run halts
-// between rounds.
+// retransmitRound moves every queued reliable unit over the link again, a
+// whole plan with no deadline. Units lost again requeue (they are all
+// reliable) for the next round. RowsLost(retransmit) and Retransmit are
+// emitted together per round, counting the units that landed — so the
+// aggregate totals pair exactly even if the run halts between rounds.
 func (f *lossFilter) retransmitRound(spent float64, done func(retransSeconds float64)) {
 	if len(f.retry) == 0 {
 		done(spent)
 		return
 	}
-	units := f.retry
+	ap := atp.NewPlan(f.retry, f.c.wireSize)
 	f.retry = nil
-	var bytes float64
-	for _, u := range units {
-		bytes += f.c.wireSize(u)
-	}
-	start := f.c.k.Now()
-	f.c.ch.StartFlow(f.w, bytes, func() {
-		elapsed := f.c.k.Now() - start
-		delivered := 0
-		for _, u := range units {
-			if f.model.Lost(f.c.k.Now()) {
-				f.retry = append(f.retry, u)
-			} else {
-				f.deliver(u)
-				delivered++
-			}
-		}
-		if delivered > 0 {
-			f.c.probe.RowsLost(f.w, f.n, f.dir, delivered, "retransmit")
+	f.c.sendPlan(f.w, ap, len(ap.Units), math.Inf(1), f.filterDeliver, func(_ int, _, elapsed float64) {
+		landed := len(ap.Units) - len(f.retry)
+		if landed > 0 {
+			f.c.probe.RowsLost(f.w, f.n, f.dir, landed, "retransmit")
 		}
 		// Bytes count even on a fully re-lost round — the airtime was spent.
-		f.c.probe.Retransmit(f.w, f.n, f.dir, delivered, bytes, elapsed)
-		f.c.state.ObserveLoss(0, delivered, bytes)
+		f.c.probe.Retransmit(f.w, f.n, f.dir, landed, ap.TotalBytes(), elapsed)
+		f.c.state.ObserveLoss(0, landed, ap.TotalBytes())
 		f.retransmitRound(spent+elapsed, done)
 	})
 }

@@ -17,18 +17,35 @@ func TestPipelinedROGRuns(t *testing.T) {
 	}
 }
 
-func TestPipelinedROGRespectsRSP(t *testing.T) {
-	cfg := testConfig(ROG, 4)
-	cfg.Pipeline = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wl := newTestWorkload(3, 32)
-	c := newCluster(cfg, wl)
-	c.start()
-	for c.k.Step() {
-		if ahead := c.state.Versions.MaxAhead(); ahead > int64(cfg.Threshold) {
-			t.Fatalf("pipelined RSP bound violated: %d > %d", ahead, cfg.Threshold)
+// TestPipelineRespectsEveryGate runs every strategy at loop depth 1: the
+// overlap is the runtime's, so each strategy's own staleness bound must hold
+// at every kernel event and the run must still complete.
+func TestPipelineRespectsEveryGate(t *testing.T) {
+	for _, tc := range []struct {
+		strategy  Strategy
+		threshold int
+		bound     int64
+	}{
+		{BSP, 0, 1},
+		{SSP, 4, 4},
+		{FLOWN, 4, 4},
+		{ROG, 4, 4},
+		{DSSP, 4, 4},
+	} {
+		cfg := testConfig(tc.strategy, tc.threshold)
+		cfg.Pipeline = true
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c := newCluster(cfg, newTestWorkload(3, 32))
+		c.launch()
+		for c.k.Step() {
+			if ahead := c.state.Versions.MaxAhead(); ahead > tc.bound {
+				t.Fatalf("pipelined %v: staleness bound violated: %d > %d", tc.strategy, ahead, tc.bound)
+			}
+		}
+		if c.iter[0] != int64(cfg.MaxIterations) {
+			t.Errorf("pipelined %v: worker 0 completed %d of %d iterations", tc.strategy, c.iter[0], cfg.MaxIterations)
 		}
 	}
 }

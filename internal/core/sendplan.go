@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"rog/internal/atp"
 	"rog/internal/simnet"
 )
@@ -9,23 +11,23 @@ import (
 // estimate cannot collapse transmissions to nothing.
 const minBudget = 0.05
 
-// sendPlan transmits plan units in order on worker w's link: speculatively
-// within `budget` seconds, but always completing the first mustCount units
-// (Algo. 4 lines 3–7). deliver fires for each fully transmitted unit;
-// done receives the delivered count, the (possibly estimated) time the
-// first mustCount units took, and the total elapsed transmission time.
+// sendPlan is the one place a plan's bytes become a flow on worker w's link
+// (pushes, pulls, retransmission rounds and the rejoin resync all end here).
+// It transmits the units in order: speculatively within `budget` seconds,
+// but always completing the first mustCount units (Algo. 4 lines 3–7); an
+// infinite budget is no deadline — one flow, no timer. deliver fires for
+// each fully transmitted unit; done receives the delivered count, the
+// (possibly estimated) time the first mustCount units took, and the total
+// elapsed transmission time.
 func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
 	if len(ap.Units) == 0 {
 		c.k.After(0, func() { done(0, 0, 0) })
 		return
 	}
-	if mustCount > len(ap.Units) {
-		mustCount = len(ap.Units)
-	}
-	if budget < minBudget {
-		budget = minBudget
-	}
-	if c.cfg.PerUnitCheckSeconds > 0 {
+	mustCount = min(mustCount, len(ap.Units))
+	budget = max(budget, minBudget)
+	deadline := !math.IsInf(budget, 1)
+	if c.cfg.PerUnitCheckSeconds > 0 && deadline {
 		c.sendPlanSequential(w, ap, mustCount, budget, deliver, done)
 		return
 	}
@@ -38,17 +40,24 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 	// StartFlow only schedules events; neither callback can fire until the
 	// kernel processes the next event, so both captures are safe.
 	flow = c.ch.StartFlow(w, total, func() {
-		timer.Stop()
+		if timer != nil {
+			timer.Stop()
+		}
 		for _, u := range ap.Units {
 			deliver(u)
 		}
 		elapsed := c.k.Now() - start
 		mta := elapsed
-		if total > 0 {
+		if deadline && total > 0 {
+			// Also when mustBytes == total: x*y/y is not always x in floating
+			// point, and the MTA tracker's recorded budgets carry this form.
 			mta = elapsed * mustBytes / total
 		}
 		done(len(ap.Units), mta, elapsed)
 	})
+	if !deadline {
+		return
+	}
 	timer = c.k.After(budget, func() {
 		sent := c.ch.Cancel(flow)
 		k := ap.DeliveredCount(sent)
@@ -76,10 +85,11 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 	})
 }
 
-// sendPlanSequential is the granularity-ablation path: a timeout judgement
-// is inserted between every two unit transmissions (cost
-// PerUnitCheckSeconds each) instead of speculating — the design the paper
-// rejects in Sec. III-A for under-utilizing the channel.
+// sendPlanSequential is the speculative-transmission ablation's reference
+// path: a timeout judgement is inserted between every two unit
+// transmissions (cost PerUnitCheckSeconds each) instead of speculating — the
+// design the paper rejects in Sec. III-A for under-utilizing the channel. A
+// plan without a deadline has no judgement to insert and never comes here.
 func (c *cluster) sendPlanSequential(w int, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
 	start := c.k.Now()
 	mtaTime := 0.0

@@ -9,8 +9,7 @@ type bsp struct{}
 
 func newBSP() *bsp { return &bsp{} }
 
-func (*bsp) Name() string   { return "bsp" }
-func (*bsp) Traits() Traits { return Traits{} }
+func (*bsp) Name() string { return "bsp" }
 
 func (*bsp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 

@@ -29,8 +29,7 @@ func newDSSP(p Params) *dssp {
 	return &dssp{lo: lo, hi: hi, cur: hi, lastIter: make([]int64, p.Workers)}
 }
 
-func (*dssp) Name() string   { return "dssp" }
-func (*dssp) Traits() Traits { return Traits{} }
+func (*dssp) Name() string { return "dssp" }
 
 func (*dssp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 

@@ -19,15 +19,6 @@ import (
 	"rog/internal/atp"
 )
 
-// Traits tell a runtime which loop shape executes the policy. They select
-// the driver, not the decisions: all plan/gate/merge logic stays in the
-// Policy methods (BSP's lockstep is its CanAdvance, not a trait).
-type Traits struct {
-	// Pipelined lets a runtime overlap a worker's compute with its
-	// communication (the paper's Sec. VI-D extension).
-	Pipelined bool
-}
-
 // Plan is one transmission decision. Units are sent in order; the first
 // Must units always complete (the MTA floor and rows at the staleness
 // bound), the rest are speculative and may be cut at the budget deadline.
@@ -74,8 +65,6 @@ type PullView struct {
 type Policy interface {
 	// Name is the registry name ("ssp", "rog", ...).
 	Name() string
-	// Traits selects the runtime loop shape.
-	Traits() Traits
 	// PlanPush decides what worker v.Worker transmits for iteration v.Iter.
 	PlanPush(v PushView) Plan
 	// CanAdvance reports whether a worker at iteration iter may proceed
@@ -104,8 +93,7 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// New builds the named policy. Names: "bsp", "ssp", "flown", "rog",
-// "pipeline" (ROG with the pipelined trait), "dssp".
+// New builds the named policy. Names: "bsp", "ssp", "flown", "rog", "dssp".
 func New(name string, p Params) (Policy, error) {
 	p = p.withDefaults()
 	switch name {
@@ -116,9 +104,7 @@ func New(name string, p Params) (Policy, error) {
 	case "flown":
 		return newFLOWN(p), nil
 	case "rog":
-		return newROG(p, false), nil
-	case "pipeline":
-		return newROG(p, true), nil
+		return newROG(p), nil
 	case "dssp":
 		return newDSSP(p), nil
 	default:
@@ -128,7 +114,7 @@ func New(name string, p Params) (Policy, error) {
 
 // Names lists the registered policies.
 func Names() []string {
-	return []string{"bsp", "ssp", "flown", "rog", "pipeline", "dssp"}
+	return []string{"bsp", "ssp", "flown", "rog", "dssp"}
 }
 
 // allUnits is the whole-model plan shared by the model-granular policies:

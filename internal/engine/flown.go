@@ -25,8 +25,7 @@ func newFLOWN(p Params) *flown {
 	}
 }
 
-func (*flown) Name() string   { return "flown" }
-func (*flown) Traits() Traits { return Traits{} }
+func (*flown) Name() string { return "flown" }
 
 // period computes worker w's scheduled synchronization period: the slower
 // its last transmission relative to the team's slowest, the less often it

@@ -34,22 +34,6 @@ func TestRegistryKnowsEveryPolicy(t *testing.T) {
 	}
 }
 
-func TestTraitsSelectLoopShapes(t *testing.T) {
-	for name, want := range map[string]Traits{
-		"bsp":      {},
-		"ssp":      {},
-		"flown":    {},
-		"rog":      {},
-		"pipeline": {Pipelined: true},
-		"dssp":     {},
-	} {
-		p, _ := New(name, params(4, 4, 8))
-		if got := p.Traits(); got != want {
-			t.Errorf("%s traits = %+v, want %+v", name, got, want)
-		}
-	}
-}
-
 func TestGates(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -11,32 +11,22 @@ import (
 // the worker-mode importance metric, force out rows nearing the
 // within-worker staleness bound, and floor the transmission at the MTA
 // count (Table I); pulls rank the accumulated averaged rows server-mode
-// (fresher first). The "pipeline" registry name is the same policy with
-// the Pipelined trait (Sec. VI-D: overlap compute with communication).
+// (fresher first).
 type rog struct {
 	threshold int64
 	mtaCount  int
 	coeff     atp.Coefficients
-	pipelined bool
 }
 
-func newROG(p Params, pipelined bool) *rog {
+func newROG(p Params) *rog {
 	return &rog{
 		threshold: int64(p.Threshold),
 		mtaCount:  int(math.Ceil(atp.MTA(p.Threshold) * float64(p.NumUnits))),
 		coeff:     p.Coeff,
-		pipelined: pipelined,
 	}
 }
 
-func (r *rog) Name() string {
-	if r.pipelined {
-		return "pipeline"
-	}
-	return "rog"
-}
-
-func (r *rog) Traits() Traits { return Traits{Pipelined: r.pipelined} }
+func (*rog) Name() string { return "rog" }
 
 // PlanPush is Algo. 1 PushGradients with Algo. 3 worker mode: rank all
 // units by importance, then force rows whose within-worker staleness would

@@ -11,8 +11,7 @@ type ssp struct {
 
 func newSSP(p Params) *ssp { return &ssp{threshold: int64(p.Threshold)} }
 
-func (*ssp) Name() string   { return "ssp" }
-func (*ssp) Traits() Traits { return Traits{} }
+func (*ssp) Name() string { return "ssp" }
 
 func (*ssp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 

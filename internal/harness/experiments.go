@@ -149,6 +149,31 @@ func (o EndToEndOptions) newWorkload() core.Workload {
 	return NewCRUDA(opts)
 }
 
+// config is the run every experiment starts from: system sys with the
+// paradigm's timing constants and the harness-wide optimizer settings.
+func (o EndToEndOptions) config(sys SystemSpec) core.Config {
+	computeSec, paperBytes := paradigmConfig(o.Paradigm)
+	return core.Config{
+		Strategy:          sys.Strategy,
+		Workers:           o.Workers,
+		Threshold:         sys.Threshold,
+		Env:               o.Env,
+		Seed:              o.Seed,
+		ComputeSeconds:    computeSec,
+		BatchScale:        float64(max(1, o.BatchScale)),
+		PaperModelBytes:   paperBytes,
+		LR:                0.025,
+		Momentum:          0.9,
+		LRDecayIters:      600,
+		MaxVirtualSeconds: o.Scale.VirtualSeconds,
+		CheckpointEvery:   o.Scale.CheckpointEvery,
+		RecordMicro:       o.RecordMicro,
+		Faults:            o.Faults,
+		Loss:              o.Loss,
+		Reliability:       o.Reliability,
+	}
+}
+
 // RunEndToEnd executes every system on an identical workload and network
 // seed, returning one Result per system in input order.
 func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
@@ -161,29 +186,10 @@ func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
 	if len(o.Systems) == 0 {
 		o.Systems = PaperSystems()
 	}
-	computeSec, paperBytes := paradigmConfig(o.Paradigm)
 	var out []*core.Result
 	for _, sys := range o.Systems {
 		wl := o.newWorkload()
-		cfg := core.Config{
-			Strategy:          sys.Strategy,
-			Workers:           o.Workers,
-			Threshold:         sys.Threshold,
-			Env:               o.Env,
-			Seed:              o.Seed,
-			ComputeSeconds:    computeSec,
-			BatchScale:        float64(max(1, o.BatchScale)),
-			PaperModelBytes:   paperBytes,
-			LR:                0.025,
-			Momentum:          0.9,
-			LRDecayIters:      600,
-			MaxVirtualSeconds: o.Scale.VirtualSeconds,
-			CheckpointEvery:   o.Scale.CheckpointEvery,
-			RecordMicro:       o.RecordMicro,
-			Faults:            o.Faults,
-			Loss:              o.Loss,
-			Reliability:       o.Reliability,
-		}
+		cfg := o.config(sys)
 		if o.MakeTrace != nil {
 			cfg.Trace = o.MakeTrace(sys.Label())
 		}
@@ -206,11 +212,4 @@ func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

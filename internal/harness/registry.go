@@ -69,7 +69,7 @@ func endToEndReport(title string, results []*core.Result, increasing bool, s Sca
 	b.WriteString("-- average time composition of a training iteration --\n")
 	b.WriteString(CompositionTable(results))
 	b.WriteString("\n-- statistical efficiency (quality vs iteration) --\n")
-	b.WriteString(SeriesByIteration(results, maxInt(1, iterStep(results))))
+	b.WriteString(SeriesByIteration(results, max(1, iterStep(results))))
 	b.WriteString("\n-- quality vs wall-clock time --\n")
 	b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
 	b.WriteString("\n-- energy consumption --\n")
@@ -87,14 +87,7 @@ func iterStep(results []*core.Result) int {
 			end = it
 		}
 	}
-	return maxInt(1, end/8)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return max(1, end/8)
 }
 
 func runFig1(s Scale) (string, error) {
@@ -281,6 +274,14 @@ func ablationScale(s Scale) Scale {
 	return s
 }
 
+// rog4CRUDA is the run the ablations and the pipeline extension each vary
+// one knob of: ROG-4 on CRUDA outdoors, four robots, seed 1, with a fresh
+// workload.
+func rog4CRUDA(s Scale) (core.Config, core.Workload) {
+	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Seed: 1, Workers: 4}
+	return o.config(SystemSpec{core.ROG, 4}), o.newWorkload()
+}
+
 func runAblationGranularity(s Scale) (string, error) {
 	s = ablationScale(s)
 	var b strings.Builder
@@ -289,21 +290,12 @@ func runAblationGranularity(s Scale) (string, error) {
 	// All granularities run on the same channel: scale it to the row
 	// partition's wire size, so finer granularity genuinely pays its
 	// index overhead (Sec. III-A's management-cost argument).
-	refWL := (EndToEndOptions{Paradigm: "cruda", Scale: s, Seed: 1, Workers: 4}).newWorkload()
+	_, refWL := rog4CRUDA(s)
 	refBytes := float64(rowsync.NewPartition(refWL.Model(0).Params(), rowsync.Rows).TotalWireSize())
 	for _, g := range []rowsync.Granularity{rowsync.Layers, rowsync.Rows, rowsync.Elements} {
-		wl := (EndToEndOptions{Paradigm: "cruda", Scale: s, Seed: 1, Workers: 4}).newWorkload()
-		computeSec, paperBytes := paradigmConfig("cruda")
-		cfg := core.Config{
-			Strategy: core.ROG, Workers: 4, Threshold: 4,
-			Env: trace.Outdoor, Seed: 1,
-			ComputeSeconds: computeSec, PaperModelBytes: paperBytes,
-			ScaleReferenceBytes: refBytes,
-			LR:                  0.025, Momentum: 0.9, LRDecayIters: 600,
-			Granularity:       g,
-			MaxVirtualSeconds: s.VirtualSeconds,
-			CheckpointEvery:   s.CheckpointEvery,
-		}
+		cfg, wl := rog4CRUDA(s)
+		cfg.ScaleReferenceBytes = refBytes
+		cfg.Granularity = g
 		res, err := core.Run(cfg, wl)
 		if err != nil {
 			return "", err
@@ -340,17 +332,8 @@ func runAblationImportance(s Scale) (string, error) {
 	}
 	var rows [][]string
 	for _, v := range variants {
-		wl := (EndToEndOptions{Paradigm: "cruda", Scale: s, Seed: 1, Workers: 4}).newWorkload()
-		computeSec, paperBytes := paradigmConfig("cruda")
-		cfg := core.Config{
-			Strategy: core.ROG, Workers: 4, Threshold: 4,
-			Env: trace.Outdoor, Seed: 1,
-			ComputeSeconds: computeSec, PaperModelBytes: paperBytes,
-			LR: 0.025, Momentum: 0.9, LRDecayIters: 600,
-			Coeff:             v.c,
-			MaxVirtualSeconds: s.VirtualSeconds,
-			CheckpointEvery:   s.CheckpointEvery,
-		}
+		cfg, wl := rog4CRUDA(s)
+		cfg.Coeff = v.c
 		res, err := core.Run(cfg, wl)
 		if err != nil {
 			return "", err
@@ -371,17 +354,8 @@ func runExtPipeline(s Scale) (string, error) {
 	b.WriteString("== Extension: pipelined compute/communication (ROG-4, CRUDA outdoors) ==\n\n")
 	var rows [][]string
 	for _, pipe := range []bool{false, true} {
-		wl := (EndToEndOptions{Paradigm: "cruda", Scale: s, Seed: 1, Workers: 4}).newWorkload()
-		computeSec, paperBytes := paradigmConfig("cruda")
-		cfg := core.Config{
-			Strategy: core.ROG, Workers: 4, Threshold: 4,
-			Env: trace.Outdoor, Seed: 1,
-			ComputeSeconds: computeSec, PaperModelBytes: paperBytes,
-			LR: 0.025, Momentum: 0.9, LRDecayIters: 600,
-			Pipeline:          pipe,
-			MaxVirtualSeconds: s.VirtualSeconds,
-			CheckpointEvery:   s.CheckpointEvery,
-		}
+		cfg, wl := rog4CRUDA(s)
+		cfg.Pipeline = pipe
 		res, err := core.Run(cfg, wl)
 		if err != nil {
 			return "", err
@@ -551,17 +525,8 @@ func runAblationSpeculative(s Scale) (string, error) {
 	}
 	var rows [][]string
 	for _, v := range variants {
-		wl := (EndToEndOptions{Paradigm: "cruda", Scale: s, Seed: 1, Workers: 4}).newWorkload()
-		computeSec, paperBytes := paradigmConfig("cruda")
-		cfg := core.Config{
-			Strategy: core.ROG, Workers: 4, Threshold: 4,
-			Env: trace.Outdoor, Seed: 1,
-			ComputeSeconds: computeSec, PaperModelBytes: paperBytes,
-			LR: 0.025, Momentum: 0.9, LRDecayIters: 600,
-			PerUnitCheckSeconds: v.check,
-			MaxVirtualSeconds:   s.VirtualSeconds,
-			CheckpointEvery:     s.CheckpointEvery,
-		}
+		cfg, wl := rog4CRUDA(s)
+		cfg.PerUnitCheckSeconds = v.check
 		res, err := core.Run(cfg, wl)
 		if err != nil {
 			return "", err

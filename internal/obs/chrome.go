@@ -14,7 +14,7 @@ import (
 // closing record arrives — IterEnd, StallEnd and RowsSent all carry the
 // elapsed duration, so ts = (now − duration) reconstructs the span without
 // begin/end pairing. That sidesteps the B/E nesting rules, which the
-// pipelined driver's overlapping compute/comm spans would violate.
+// depth-1 worker loop's overlapping compute/comm spans would violate.
 // Everything else becomes an instant ("i") event. pid is always 1; tid is
 // the worker, so each robot gets its own track.
 type ChromeTracer struct {

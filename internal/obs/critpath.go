@@ -26,7 +26,7 @@ import (
 // worker's first-IterStart→last-IterEnd wall time — is exactly 1.0 when
 // the trace is complete and iterations do not overlap; a value below that
 // means events are missing, which is what the verify.sh critpath-smoke
-// stage asserts against. The pipelined driver overlaps one iteration's
+// stage asserts against. The depth-1 worker loop overlaps one iteration's
 // transmission with the next one's compute, so its per-iteration spans can
 // double-count wall time and coverage legitimately exceeds 1.0.
 //
