@@ -44,8 +44,8 @@ bench-json:
 
 # bench-save snapshots one experiment's -json report as the next
 # BENCH_<n>.json (one past the highest n present); bench-drift (also the
-# last, non-fatal stage of scripts/verify.sh, where it is implemented) reruns
-# the newest snapshot of every experiment and reports what moved.
+# last stage of scripts/verify.sh, where it is implemented) reruns the newest
+# snapshot of every experiment and fails if any leaf of a report moved.
 BENCH_EXP ?= fleet
 bench-save:
 	n=$$(ls BENCH_[0-9]*.json 2>/dev/null | sed 's/BENCH_\([0-9]*\)\.json/\1/' | sort -n | tail -1); \

@@ -1,251 +1,36 @@
 package rog
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (plus the design-choice ablations from DESIGN.md).
-// Each benchmark reruns the corresponding experiment at QuickScale and
-// reports the figure's headline quantities as benchmark metrics; the full
-// formatted report for any experiment is printed by `go run ./cmd/rogbench
-// -exp <id>` (add -full for the paper-scale run).
+// Benchmark harness: one sub-benchmark per registry entry — every table,
+// figure, ablation and extension of the evaluation. Each reruns its
+// experiment at QuickScale; where the experiment has a structured report
+// the per-system headline quantities are reported as benchmark metrics. The
+// formatted report for any id is printed by `go run ./cmd/rogbench -exp
+// <id>` (add -full for the paper-scale run); the wall-clock benchmark
+// proper lives in bench/.
 
 import (
-	"math"
+	"strings"
 	"testing"
-
-	"rog/internal/atp"
-	"rog/internal/harness"
-	"rog/internal/trace"
 )
 
-// runEndToEndBench executes one end-to-end figure and reports per-system
-// stall fraction and final quality.
-func runEndToEndBench(b *testing.B, o harness.EndToEndOptions) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		results, err := harness.RunEndToEnd(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i > 0 {
-			continue
-		}
-		for _, r := range results {
-			b.ReportMetric(r.StallFrac, "stall_frac_"+r.Label())
-			b.ReportMetric(r.FinalValue, "final_"+r.Label())
-			b.ReportMetric(float64(r.Iterations), "iters_"+r.Label())
-		}
-	}
-}
-
-// BenchmarkFig1EndToEnd regenerates Fig. 1: CRUDA outdoors across BSP,
-// SSP-4, SSP-20, FLOWN, ROG-4, ROG-20 (time composition, statistical
-// efficiency, accuracy vs time, energy — all four panels come from this
-// run; rogbench prints them).
-func BenchmarkFig1EndToEnd(b *testing.B) {
-	runEndToEndBench(b, harness.EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Outdoor, Scale: harness.Quick,
-	})
-}
-
-// BenchmarkFig3BandwidthTraces regenerates Fig. 3: the bandwidth
-// instability statistics of the indoor and outdoor environments.
-func BenchmarkFig3BandwidthTraces(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, env := range []trace.Env{trace.Indoor, trace.Outdoor} {
-			tr := trace.GenerateEnv(env, 300, 42)
-			if i == 0 {
-				b.ReportMetric(tr.MeanFluctuationInterval(0.2), "s_per_20pct_"+env.String())
-				b.ReportMetric(tr.MeanFluctuationInterval(0.4), "s_per_40pct_"+env.String())
-			}
-		}
-	}
-}
-
-// BenchmarkFig6EndToEnd regenerates Fig. 6: CRUDA indoors.
-func BenchmarkFig6EndToEnd(b *testing.B) {
-	runEndToEndBench(b, harness.EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Indoor, Scale: harness.Quick,
-	})
-}
-
-// BenchmarkFig7EndToEnd regenerates Fig. 7: CRIMP outdoors (trajectory
-// error, lower is better).
-func BenchmarkFig7EndToEnd(b *testing.B) {
-	runEndToEndBench(b, harness.EndToEndOptions{
-		Paradigm: "crimp", Env: trace.Outdoor, Scale: harness.Quick,
-	})
-}
-
-// BenchmarkFig8MicroEvent regenerates Fig. 8: bandwidth vs ROG's
-// transmission rate vs staleness on one robot.
-func BenchmarkFig8MicroEvent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment("fig8", QuickScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(out)), "report_bytes")
-		}
-	}
-}
-
-// BenchmarkFig9BatchSize regenerates the batch-size sensitivity study
-// (Fig. 9 left column): BSP/SSP/ROG at batch x1, x2, x4.
-func BenchmarkFig9BatchSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, scale := range []int{1, 2, 4} {
-			results, err := harness.RunEndToEnd(harness.EndToEndOptions{
-				Paradigm: "cruda", Env: trace.Outdoor, Scale: harness.Quick,
-				BatchScale: scale, Systems: harness.SensitivitySystems(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				for _, r := range results {
-					b.ReportMetric(r.StallFrac, "stall_"+r.Label()+"_bx"+itoa(scale))
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(QuickScale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i > 0 {
+					continue
+				}
+				for _, s := range rep.Systems {
+					label := strings.ReplaceAll(s.Label, " ", "_") // units may not hold spaces
+					b.ReportMetric(s.StallFrac, "stall_frac_"+label)
+					b.ReportMetric(s.FinalValue, "final_"+label)
+					b.ReportMetric(float64(s.Iterations), "iters_"+label)
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig9Workers regenerates the worker-count sensitivity study
-// (Fig. 9 right column): 4, 6 and 8 robots.
-func BenchmarkFig9Workers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, n := range []int{4, 6, 8} {
-			results, err := harness.RunEndToEnd(harness.EndToEndOptions{
-				Paradigm: "cruda", Env: trace.Outdoor, Scale: harness.Quick,
-				Workers: n, Systems: harness.SensitivitySystems(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				for _, r := range results {
-					b.ReportMetric(r.StallFrac, "stall_"+r.Label()+"_n"+itoa(n))
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig10Threshold regenerates the threshold sensitivity study:
-// ROG at thresholds 4/20/30/40.
-func BenchmarkFig10Threshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := harness.RunEndToEnd(harness.EndToEndOptions{
-			Paradigm: "cruda", Env: trace.Outdoor, Scale: harness.Quick,
-			Systems: []harness.SystemSpec{
-				{Strategy: ROG, Threshold: 4},
-				{Strategy: ROG, Threshold: 20},
-				{Strategy: ROG, Threshold: 30},
-				{Strategy: ROG, Threshold: 40},
-			},
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range results {
-				b.ReportMetric(float64(r.Iterations), "iters_"+r.Label())
-				b.ReportMetric(r.FinalValue, "final_"+r.Label())
-			}
-		}
 	}
-}
-
-// BenchmarkTable1MTA regenerates Table I: MTA values for thresholds 2–8,
-// verifying against the paper's published row.
-func BenchmarkTable1MTA(b *testing.B) {
-	paper := map[int]float64{2: 0.5, 3: 0.38, 4: 0.32, 5: 0.28, 6: 0.25, 7: 0.22, 8: 0.2}
-	for i := 0; i < b.N; i++ {
-		table := atp.MTATable()
-		for s, want := range paper {
-			if math.Abs(table[s]-want) > 0.011 {
-				b.Fatalf("MTA(%d)=%v, paper says %v", s, table[s], want)
-			}
-		}
-		if i == 0 {
-			b.ReportMetric(table[4], "MTA_threshold4")
-		}
-	}
-}
-
-// BenchmarkTable2DefaultSetup regenerates Table II (the configuration
-// echo).
-func BenchmarkTable2DefaultSetup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("table2", QuickScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3PowerStates regenerates Table III: per-state power.
-func BenchmarkTable3PowerStates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment("table3", QuickScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(out)), "report_bytes")
-		}
-	}
-}
-
-// BenchmarkAblationGranularity compares rows vs layers vs elements
-// (Sec. III-A's design argument).
-func BenchmarkAblationGranularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ablation-granularity", QuickScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationImportance compares the importance-metric terms
-// (magnitude only / staleness only / both).
-func BenchmarkAblationImportance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ablation-importance", QuickScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSpeculative compares speculative transmission against
-// inserting per-row timeout judgements.
-func BenchmarkAblationSpeculative(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ablation-speculative", QuickScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtPipeline measures the future-work extension: pipelining
-// computation and communication on each robot (paper Sec. VI-D).
-func BenchmarkExtPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ext-pipeline", QuickScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -97,7 +97,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
+		fmt.Println(out.Text)
 		fmt.Printf("[serve sweep completed in %.1fs wall clock, scale=%s]\n", time.Since(start).Seconds(), scale.Name)
 	case *listen != "":
 		if *workers < 2 || *threshold < 2 || *period <= 0 {

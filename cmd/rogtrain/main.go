@@ -193,46 +193,25 @@ func main() {
 		e = rog.Indoor
 	}
 
-	var wl rog.Workload
-	computeSec, modelBytes := 2.64, 2.1e6
-	metric := "accuracy"
-	if *paradigm == "crimp" {
-		opts := rog.DefaultCRIMPOptions()
-		opts.Workers = *workers
-		opts.Seed = *seed
-		wl = rog.NewCRIMPWorkload(opts)
-		computeSec, modelBytes = 1.4, 0.76e6
-		metric = "trajectory error"
-	} else {
-		opts := rog.DefaultCRUDAOptions()
-		opts.Workers = *workers
-		opts.Seed = *seed
+	// The run every harness experiment starts from, at paper-scale workload
+	// sizes, for the requested duration.
+	o := harness.EndToEndOptions{
+		Paradigm: *paradigm, Env: e, Workers: *workers, Seed: *seed, Scale: harness.Full,
+		Faults: faults, Loss: loss, Reliability: reliability,
+	}
+	o.Scale.VirtualSeconds, o.Scale.CheckpointEvery = *minutes*60, 10
+	metric := "trajectory error"
+	if *paradigm == "cruda" {
+		metric = "accuracy"
 		fmt.Println("pretraining shared model on the clean domain...")
-		c := rog.NewCRUDAWorkload(opts)
+	}
+	wl := o.NewWorkload()
+	if c, ok := wl.(*harness.CRUDAWorkload); ok {
 		fmt.Printf("pretrained: clean acc %.3f, after domain shift %.3f\n",
 			c.PretrainCleanAcc, c.PretrainNoisyAcc)
-		wl = c
 	}
-
-	cfg := rog.Config{
-		Strategy:          strat,
-		Workers:           *workers,
-		Threshold:         *threshold,
-		Env:               e,
-		Seed:              *seed,
-		ComputeSeconds:    computeSec,
-		PaperModelBytes:   modelBytes,
-		LR:                0.025,
-		Momentum:          0.9,
-		LRDecayIters:      600,
-		MaxVirtualSeconds: *minutes * 60,
-		CheckpointEvery:   10,
-		Faults:            faults,
-		Loss:              loss,
-		Reliability:       reliability,
-		Shards:            *shards,
-		Aggregators:       *aggs,
-	}
+	cfg := o.Config(harness.SystemSpec{Strategy: strat, Threshold: *threshold})
+	cfg.Shards, cfg.Aggregators = *shards, *aggs
 	if *ckptDir != "" {
 		st, err := rog.OpenCheckpoints(*ckptDir)
 		if err != nil {

@@ -27,11 +27,12 @@ var (
 func Experiments() []Experiment { return harness.Registry() }
 
 // RunExperiment reruns one experiment by id ("fig1", "table1",
-// "ablation-granularity", …) and returns its formatted report.
-func RunExperiment(id string, scale ExperimentScale) (string, error) {
+// "ablation-granularity", …) and returns its report: Text is the formatted
+// rendering, WriteJSON the structured view where the experiment has one.
+func RunExperiment(id string, scale ExperimentScale) (*harness.Report, error) {
 	e, ok := harness.Find(id)
 	if !ok {
-		return "", fmt.Errorf("rog: unknown experiment %q (see Experiments())", id)
+		return nil, fmt.Errorf("rog: unknown experiment %q (see Experiments())", id)
 	}
 	return e.Run(scale)
 }

@@ -3,121 +3,76 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"sort"
-	"strings"
-
-	"rog/internal/metrics"
 )
 
 // Bench-drift support: `make bench-save` snapshots a rogbench -json report
 // to BENCH_<n>.json, and `rogbench -drift BENCH_<n>.json` reruns the same
-// experiment at the same scale and renders what moved. The comparison is a
-// report, not a gate — the simnet is deterministic, so any drift is a real
-// behaviour change worth reading about, but whether it is a regression or
-// an intended improvement is the reader's call.
+// experiment at the same scale and compares every leaf of the two reports.
+// The virtual clock is deterministic, so a leaf that moved is a fact, not a
+// judgement: the comparison is exact, and any difference fails the gate
+// until the snapshot is re-saved alongside the change that explains it.
 
-// ReadJSONReport parses a report previously written by Report.WriteJSON.
-func ReadJSONReport(r io.Reader) (*Report, error) {
-	var rep Report
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("harness: parsing benchmark snapshot: %w", err)
+// DriftTable lists every leaf on which cur differs from the snapshot base,
+// one "path: base → now" line each, sorted by path; a leaf only one side
+// has reads "added" or "dropped". Both reports are walked in their JSON
+// form, so what is compared is exactly what -json writes, and a block an
+// older snapshot predates shows up as added instead of being skipped.
+func DriftTable(base, cur *Report) ([]string, error) {
+	var leaves [2]map[string]string
+	for i, rep := range []*Report{base, cur} {
+		var tree any
+		raw, err := json.Marshal(rep)
+		if err == nil {
+			err = json.Unmarshal(raw, &tree)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("harness: drift: %w", err)
+		}
+		leaves[i] = map[string]string{}
+		flatten("", tree, leaves[i])
 	}
-	if rep.Experiment == "" {
-		return nil, fmt.Errorf("harness: benchmark snapshot names no experiment")
+	var lines []string
+	for path, b := range leaves[0] {
+		if c, ok := leaves[1][path]; !ok {
+			lines = append(lines, fmt.Sprintf("%s: %s → dropped", path, b))
+		} else if b != c {
+			lines = append(lines, fmt.Sprintf("%s: %s → %s", path, b, c))
+		}
 	}
-	return &rep, nil
+	for path, c := range leaves[1] {
+		if _, ok := leaves[0][path]; !ok {
+			lines = append(lines, fmt.Sprintf("%s: added → %s", path, c))
+		}
+	}
+	sort.Strings(lines)
+	return lines, nil
 }
 
-// driftPct renders a relative change, guarding the zero baseline.
-func driftPct(base, cur float64) string {
-	if base == cur {
-		return "="
-	}
-	if base == 0 {
-		return "new"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(cur-base)/math.Abs(base))
-}
-
-// DriftTable compares a fresh report against a snapshot of the same
-// experiment, one row per system (matched by label).
-func DriftTable(base, cur *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bench drift: %s (scale=%s, snapshot scale=%s)\n",
-		cur.Experiment, cur.Scale, base.Scale)
-	byLabel := make(map[string]*SystemReport, len(base.Systems))
-	for i := range base.Systems {
-		byLabel[base.Systems[i].Label] = &base.Systems[i]
-	}
-	var rows [][]string
-	for i := range cur.Systems {
-		c := &cur.Systems[i]
-		o, ok := byLabel[c.Label]
-		if !ok {
-			rows = append(rows, []string{c.Label, "-", fmt.Sprintf("%d", c.Iterations),
-				"new", "new", "new", fmt.Sprintf("%d", c.MaxStaleness)})
-			continue
+// flatten records every scalar under v as path → its exact JSON text.
+// Object members extend the path with "name" (dot-joined); array elements
+// with "[label]" when they are labelled objects (systems), "[i]" otherwise.
+func flatten(path string, v any, out map[string]string) {
+	switch v := v.(type) {
+	case map[string]any:
+		if path != "" {
+			path += "."
 		}
-		delete(byLabel, c.Label)
-		rows = append(rows, []string{
-			c.Label,
-			fmt.Sprintf("%d", o.Iterations),
-			fmt.Sprintf("%d", c.Iterations),
-			driftPct(float64(o.Iterations), float64(c.Iterations)),
-			driftPct(o.FinalValue, c.FinalValue),
-			driftPct(o.TotalJoules, c.TotalJoules),
-			fmt.Sprintf("%d→%d", o.MaxStaleness, c.MaxStaleness),
-		})
-	}
-	dropped := make([]string, 0, len(byLabel))
-	for label := range byLabel {
-		dropped = append(dropped, label)
-	}
-	sort.Strings(dropped)
-	for _, label := range dropped {
-		rows = append(rows, []string{label, fmt.Sprintf("%d", byLabel[label].Iterations),
-			"-", "dropped", "dropped", "dropped", "-"})
-	}
-	b.WriteString(metrics.FormatTable(
-		[]string{"system", "iters (base)", "iters (now)", "Δiters", "Δfinal", "Δjoules", "staleness"},
-		rows,
-	))
-	critDrift(&b, base, cur)
-	return b.String()
-}
-
-// critDrift appends the critical-path comm/stall split per system, with the
-// baseline's split alongside when its snapshot carried one (older snapshots
-// predate the analyzer and render as "-").
-func critDrift(b *strings.Builder, base, cur *Report) {
-	byLabel := make(map[string]*SystemReport, len(base.Systems))
-	for i := range base.Systems {
-		byLabel[base.Systems[i].Label] = &base.Systems[i]
-	}
-	wrote := false
-	for i := range cur.Systems {
-		c := &cur.Systems[i]
-		if c.CritPath == nil {
-			continue
+		for k, c := range v {
+			flatten(path+k, c, out)
 		}
-		if !wrote {
-			fmt.Fprintf(b, "\ncritical path (comm/stall split, seconds summed over workers):\n")
-			wrote = true
+	case []any:
+		for i, c := range v {
+			key := fmt.Sprint(i)
+			if obj, ok := c.(map[string]any); ok {
+				if label, ok := obj["label"].(string); ok {
+					key = label
+				}
+			}
+			flatten(path+"["+key+"]", c, out)
 		}
-		_, comm, stall, _ := c.CritPath.Totals()
-		baseline := "-"
-		if o, ok := byLabel[c.Label]; ok && o.CritPath != nil {
-			_, bc, bs, _ := o.CritPath.Totals()
-			baseline = fmt.Sprintf("comm %.1f stall %.1f", bc, bs)
-		}
-		top := ""
-		if len(c.CritPath.Blockers) > 0 {
-			blk := c.CritPath.Blockers[0]
-			top = fmt.Sprintf("; top blocker worker %d unit %d (%.1fs)", blk.Worker, blk.Unit, blk.StallSeconds)
-		}
-		fmt.Fprintf(b, "  %-8s comm %.1f stall %.1f (base: %s)%s\n", c.Label, comm, stall, baseline, top)
+	default:
+		raw, _ := json.Marshal(v) // a decoded JSON scalar always re-encodes
+		out[path] = string(raw)
 	}
 }

@@ -88,7 +88,6 @@ type EndToEndOptions struct {
 	Seed        uint64
 	Scale       Scale
 	Systems     []SystemSpec
-	Threshold   int // override threshold for ROG-only sweeps (0 = per spec)
 	RecordMicro bool
 	// ConvMLP (CRUDA) / GridMap (CRIMP) select the architecture-faithful
 	// model variants for the ext-convmlp / ext-gridmap experiments.
@@ -111,7 +110,7 @@ type EndToEndOptions struct {
 	WALSyncEvery         int
 	// MakeTrace, when set, builds a tracer for each system run (label is
 	// the system's Label()); a nil return leaves that run untraced. The
-	// JSON exporter hangs the streaming critical-path analyzer on it.
+	// structured reports hang the streaming critical-path analyzer on it.
 	MakeTrace func(label string) obs.Tracer
 }
 
@@ -126,9 +125,9 @@ func paradigmConfig(paradigm string) (computeSeconds, paperModelBytes float64) {
 	return 2.64, 2.1e6
 }
 
-// newWorkload builds a fresh workload for one system run (every system
+// NewWorkload builds a fresh workload for one system run (every system
 // must start from the same pretrained state, so each gets its own copy).
-func (o EndToEndOptions) newWorkload() core.Workload {
+func (o EndToEndOptions) NewWorkload() core.Workload {
 	if o.Paradigm == "crimp" {
 		opts := DefaultCRIMPOptions()
 		opts.Workers = o.Workers
@@ -149,9 +148,9 @@ func (o EndToEndOptions) newWorkload() core.Workload {
 	return NewCRUDA(opts)
 }
 
-// config is the run every experiment starts from: system sys with the
+// Config is the run every experiment starts from: system sys with the
 // paradigm's timing constants and the harness-wide optimizer settings.
-func (o EndToEndOptions) config(sys SystemSpec) core.Config {
+func (o EndToEndOptions) Config(sys SystemSpec) core.Config {
 	computeSec, paperBytes := paradigmConfig(o.Paradigm)
 	return core.Config{
 		Strategy:          sys.Strategy,
@@ -188,8 +187,8 @@ func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
 	}
 	var out []*core.Result
 	for _, sys := range o.Systems {
-		wl := o.newWorkload()
-		cfg := o.config(sys)
+		wl := o.NewWorkload()
+		cfg := o.Config(sys)
 		if o.MakeTrace != nil {
 			cfg.Trace = o.MakeTrace(sys.Label())
 		}
@@ -205,11 +204,30 @@ func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
 			cfg.SnapshotEverySeconds = o.SnapshotEverySeconds
 			cfg.RecoverySecondsPerMB = o.RecoverySecondsPerMB
 		}
-		res, err := core.Run(cfg, wl)
+		res, err := run(cfg, wl)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", sys.Label(), err)
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// run is core.Run under the harness-owned invariants, so every cell of every
+// experiment is held to them: no merge, direct or forwarded through an
+// aggregator, may lead the slowest worker by more than the strategy's
+// staleness bound (the threshold; 1 for BSP's barrier).
+func run(cfg core.Config, wl core.Workload) (*core.Result, error) {
+	res, err := core.Run(cfg, wl)
+	if err != nil {
+		return nil, err
+	}
+	bound := int64(cfg.Threshold)
+	if cfg.Strategy == core.BSP {
+		bound = 1
+	}
+	if res.MaxStaleness > bound {
+		return nil, fmt.Errorf("staleness bound violated: max lead %d > %d", res.MaxStaleness, bound)
+	}
+	return res, nil
 }

@@ -18,15 +18,10 @@ func TestFleetCellLargeBoundsStaleness(t *testing.T) {
 	}
 }
 
-// TestFleetJSONReport exercises the rogbench JSON path end to end at a
-// tiny budget: one SystemReport per sweep cell, fleet-style labels.
+// TestFleetJSONReport checks the fleet sweep's structured view at tiny
+// scale: one SystemReport per sweep cell, fleet-style labels.
 func TestFleetJSONReport(t *testing.T) {
-	s := Quick
-	s.VirtualSeconds = 70 // fleetSeconds → 10s per cell
-	rep, err := RunJSONReport("fleet", s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTiny(t, "fleet")
 	if len(rep.Systems) != len(fleetCells()) {
 		t.Fatalf("%d system reports, want %d", len(rep.Systems), len(fleetCells()))
 	}

@@ -177,11 +177,7 @@ func TestRegistryCompleteness(t *testing.T) {
 
 func TestFastExperimentsRun(t *testing.T) {
 	for _, id := range []string{"fig3", "table1", "table2"} {
-		e, _ := Find(id)
-		out, err := e.Run(tinyScale)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		out := runTiny(t, id).Text
 		if len(out) < 50 {
 			t.Fatalf("%s: suspiciously short output:\n%s", id, out)
 		}
@@ -189,14 +185,7 @@ func TestFastExperimentsRun(t *testing.T) {
 }
 
 func TestChurnExperiment(t *testing.T) {
-	e, ok := Find("churn")
-	if !ok {
-		t.Fatal("churn experiment not registered")
-	}
-	out, err := e.Run(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runTiny(t, "churn").Text
 	for _, col := range []string{"disconnects", "reconnects", "rows resynced", "detach-stall"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("churn report missing %q:\n%s", col, out)
@@ -208,11 +197,7 @@ func TestChurnExperiment(t *testing.T) {
 }
 
 func TestFig8MicroExperiment(t *testing.T) {
-	e, _ := Find("fig8")
-	out, err := e.Run(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runTiny(t, "fig8").Text
 	if !strings.Contains(out, "bandwidth") || !strings.Contains(out, "tx rate") {
 		t.Fatalf("fig8 output missing columns:\n%s", out)
 	}

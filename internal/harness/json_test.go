@@ -1,19 +1,15 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
+	"strings"
 	"testing"
 )
 
-// TestRunJSONReportChurn runs the churn experiment at tiny scale through
-// the JSON exporter: the report must round-trip through encoding/json with
+// TestRunJSONReportChurn checks the churn experiment's structured view at
+// tiny scale: the report must round-trip through encoding/json with
 // populated systems, series and churn counters.
 func TestRunJSONReportChurn(t *testing.T) {
-	rep, err := RunJSONReport("churn", tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTiny(t, "churn")
 	if rep.Experiment != "churn" || rep.Scale != "tiny" || rep.Faults == "" {
 		t.Fatalf("report header incomplete: %+v", rep)
 	}
@@ -40,60 +36,51 @@ func TestRunJSONReportChurn(t *testing.T) {
 		t.Fatal("no system recorded the scripted rejoin")
 	}
 
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
+	back := roundTrip(t, rep)
 	if back.Target != rep.Target || len(back.Systems) != len(rep.Systems) {
 		t.Fatalf("round-trip changed the report: %+v", back)
 	}
 }
 
-// TestRunJSONReportLoss runs the loss experiment at tiny scale through the
-// JSON exporter: the header must name the injected channel and every system
-// must carry loss counters.
+// TestRunJSONReportLoss checks ext-loss's structured view at tiny scale on
+// its 5 % cells: each names its loss channel and reliability mode and carries
+// loss counters — BSP's whole-model plans fold nothing, selective ROG folds
+// best-effort rows back, and something was retransmitted.
 func TestRunJSONReportLoss(t *testing.T) {
-	rep, err := RunJSONReport("loss", tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Loss != "ge:0.05" || rep.Reliability != "selective" {
-		t.Fatalf("loss header incomplete: loss=%q reliability=%q", rep.Loss, rep.Reliability)
-	}
-	if len(rep.Systems) != len(SensitivitySystems()) {
-		t.Fatalf("systems = %d, want %d", len(rep.Systems), len(SensitivitySystems()))
-	}
-	var retransmitted int
-	for _, s := range rep.Systems {
+	rep := runTiny(t, "ext-loss")
+	back := roundTrip(t, rep)
+	var cells, retransmitted int
+	for i, s := range rep.Systems {
 		if s.Loss == nil {
 			t.Fatalf("loss run exported no loss counters for %s", s.Label)
 		}
+		if b := back.Systems[i]; b.Label != s.Label || b.Loss == nil || *b.Loss != *s.Loss {
+			t.Fatalf("round-trip changed cell %s: %+v", s.Label, b)
+		}
+		if !strings.Contains(s.Label, " ge:0.05 ") {
+			continue
+		}
+		cells++
 		retransmitted += s.Loss.RowsRetransmitted
-		if s.Strategy == "ROG" && s.Loss.RowsLostFolded == 0 {
-			t.Errorf("%s folded no best-effort rows at 5%% loss", s.Label)
+		switch s.Label {
+		case "BSP ge:0.05 selective":
+			if s.Loss.RowsLostFolded != 0 {
+				t.Errorf("BSP folded %d rows — whole-model plans are fully reliable", s.Loss.RowsLostFolded)
+			}
+		case "ROG-4 ge:0.05 selective":
+			if s.Loss.RowsLostFolded == 0 {
+				t.Errorf("%s folded no best-effort rows at 5%% loss", s.Label)
+			}
+		case "ROG-4 ge:0.05 all":
+		default:
+			t.Errorf("unexpected 5%% cell %q", s.Label)
 		}
-		if s.Strategy == "BSP" && s.Loss.RowsLostFolded != 0 {
-			t.Errorf("BSP folded %d rows — whole-model plans are fully reliable", s.Loss.RowsLostFolded)
-		}
+	}
+	if cells != 3 || len(rep.Systems) != 6 {
+		t.Fatalf("%d cells at 5%% of %d, want 3 of 6", cells, len(rep.Systems))
 	}
 	if retransmitted == 0 {
 		t.Fatal("no system retransmitted anything at 5% loss")
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
-	if back.Loss != rep.Loss || back.Systems[0].Loss == nil {
-		t.Fatalf("round-trip dropped the loss fields: %+v", back)
 	}
 }
 
@@ -103,10 +90,7 @@ func TestRunJSONReportLoss(t *testing.T) {
 // lazy WAL syncing must not replay more than its eager sibling at the same
 // interval.
 func TestRunJSONReportExtRecovery(t *testing.T) {
-	rep, err := RunJSONReport("ext-recovery", tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTiny(t, "ext-recovery")
 	if rep.Experiment != "ext-recovery" || rep.Faults == "" {
 		t.Fatalf("report header incomplete: %+v", rep)
 	}
@@ -135,23 +119,8 @@ func TestRunJSONReportExtRecovery(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
+	back := roundTrip(t, rep)
 	if back.Systems[1].Recovery == nil || *back.Systems[1].Recovery != *rep.Systems[1].Recovery {
 		t.Fatalf("round-trip changed the recovery block: %+v", back.Systems[1].Recovery)
-	}
-}
-
-// TestRunJSONReportUnknownID checks the exporter refuses non-exportable
-// experiment ids instead of writing an empty file.
-func TestRunJSONReportUnknownID(t *testing.T) {
-	if _, err := RunJSONReport("fig3", tinyScale); err == nil {
-		t.Fatal("fig3 (no JSON shape) accepted")
 	}
 }

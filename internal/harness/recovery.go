@@ -17,84 +17,69 @@ import (
 // at recovery, rows lost from the unsynced WAL tail, downtime, and training
 // iterations the team never got back.
 
-// recoveryRun is one cell of the sweep.
-type recoveryRun struct {
-	Interval  float64 // snapshot interval (virtual seconds)
-	SyncEvery int     // WAL records per fsync
-	Res       *core.Result
-}
-
-// recoverySweep runs the uninterrupted baseline plus one faulted run per
-// (snapshot interval × WAL sync cadence) cell. Every run is ROG-4 on the
-// same CRUDA workload, seed and outdoor trace; the faulted runs share one
-// servercrash schedule so only the checkpoint policy varies.
-func recoverySweep(s Scale) (spec string, baseline *core.Result, runs []recoveryRun, err error) {
+// runExtRecovery runs the uninterrupted baseline plus one faulted run per
+// (snapshot interval × WAL sync cadence) cell, once. Every run is ROG-4 on
+// the same CRUDA workload, seed and outdoor trace; the faulted runs share one
+// servercrash schedule so only the checkpoint policy varies. The structured
+// view is the baseline plus one entry per cell, each carrying its policy and
+// recovery counters.
+func runExtRecovery(s Scale) (*Report, error) {
+	s = ablationScale(s)
 	t := s.VirtualSeconds
-	spec = fmt.Sprintf("servercrash@%.0f+%.0f", t/2, t/16)
+	spec := fmt.Sprintf("servercrash@%.0f+%.0f", t/2, t/16)
 	faults, err := simnet.ParseFaultSchedule(spec)
 	if err != nil {
-		return "", nil, nil, err
+		return nil, err
 	}
-	base := EndToEndOptions{
+	o := EndToEndOptions{
 		Paradigm: "cruda", Env: trace.Outdoor, Scale: s,
 		Systems: []SystemSpec{{core.ROG, 4}},
 	}
-	bres, err := RunEndToEnd(base)
+	results, err := RunEndToEnd(o)
 	if err != nil {
-		return "", nil, nil, err
+		return nil, err
 	}
-	baseline = bres[0]
+	baseline := results[0]
+	rep := structured("Extension: crash-consistent checkpointing — interval vs recovery cost", o)
+	rep.Faults = spec
+	o.Faults, o.Checkpoint, o.RecoverySecondsPerMB = faults, true, 0.5
+	var cells []RecoveryReport
 	for _, interval := range []float64{t / 16, t / 4} {
 		for _, sync := range []int{1, 64} {
-			o := base
-			o.Faults = faults
-			o.Checkpoint = true
-			o.SnapshotEverySeconds = interval
-			o.RecoverySecondsPerMB = 0.5
-			o.WALSyncEvery = sync
+			o.SnapshotEverySeconds, o.WALSyncEvery = interval, sync
 			rs, err := RunEndToEnd(o)
 			if err != nil {
-				return "", nil, nil, err
+				return nil, err
 			}
-			runs = append(runs, recoveryRun{Interval: interval, SyncEvery: sync, Res: rs[0]})
+			// The outage priced in training iterations against the
+			// baseline (clamped: a lucky run can finish at parity).
+			lost := max(0, baseline.Iterations-rs[0].Iterations)
+			results = append(results, rs[0])
+			cells = append(cells, RecoveryReport{interval, sync, rs[0].Recovery, lost})
 		}
 	}
-	return spec, baseline, runs, nil
-}
-
-// iterationsLost prices the outage in training iterations against the
-// uninterrupted baseline (clamped: a lucky run can finish at parity).
-func iterationsLost(baseline *core.Result, r *core.Result) int {
-	if lost := baseline.Iterations - r.Iterations; lost > 0 {
-		return lost
-	}
-	return 0
-}
-
-func runExtRecovery(s Scale) (string, error) {
-	s = ablationScale(s)
-	spec, baseline, runs, err := recoverySweep(s)
-	if err != nil {
-		return "", err
-	}
+	rep.fill(results)
+	rep.Systems[0].Label = "ROG-4 uninterrupted"
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Extension: crash-consistent checkpointing (ROG-4, CRUDA outdoors, faults %s) ==\n\n", spec)
 	fmt.Fprintf(&b, "uninterrupted baseline: %d iterations, final acc %.4f\n\n",
 		baseline.Iterations, baseline.FinalValue)
-	rows := make([][]string, 0, len(runs))
-	for _, r := range runs {
-		rec := r.Res.Recovery
+	rows := make([][]string, 0, len(cells))
+	for i := range cells {
+		rec, sr := &cells[i], &rep.Systems[i+1]
+		sr.Label = fmt.Sprintf("ROG-4 ckpt=%.0fs sync=%d", rec.CheckpointEverySeconds, rec.WALSyncEvery)
+		sr.Recovery = rec
 		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", r.Interval),
-			fmt.Sprintf("%d", r.SyncEvery),
+			fmt.Sprintf("%.0f", rec.CheckpointEverySeconds),
+			fmt.Sprintf("%d", rec.WALSyncEvery),
 			fmt.Sprintf("%.0f", rec.SnapshotBytes/1e3),
 			fmt.Sprintf("%.0f", rec.ReplayedBytes/1e3),
 			fmt.Sprintf("%d", rec.ReplayedRecords),
 			fmt.Sprintf("%d", rec.RowsLost),
 			fmt.Sprintf("%.1f", rec.DowntimeSeconds),
-			fmt.Sprintf("%d", r.Res.Iterations),
-			fmt.Sprintf("%d", iterationsLost(baseline, r.Res)),
-			fmt.Sprintf("%.4f", r.Res.FinalValue),
+			fmt.Sprintf("%d", sr.Iterations),
+			fmt.Sprintf("%d", rec.IterationsLost),
+			fmt.Sprintf("%.4f", sr.FinalValue),
 		})
 	}
 	b.WriteString(metrics.FormatTable(
@@ -104,44 +89,6 @@ func runExtRecovery(s Scale) (string, error) {
 	))
 	b.WriteString("\nshorter intervals shrink the WAL replayed at recovery; lazy WAL syncs trade\n")
 	b.WriteString("fsync cost for rows lost from the unsynced tail (zero-mass re-stamped on restart)\n")
-	return b.String(), nil
-}
-
-// runExtRecoveryJSON is the rogbench -json shape of the sweep: the baseline
-// plus one system entry per sweep cell, each carrying its recovery counters.
-func runExtRecoveryJSON(s Scale) (*Report, error) {
-	s = ablationScale(s)
-	spec, baseline, runs, err := recoverySweep(s)
-	if err != nil {
-		return nil, err
-	}
-	rep := Report{
-		Experiment: "ext-recovery",
-		Title:      "Extension: crash-consistent checkpointing — interval vs recovery cost",
-		Scale:      s.Name, Paradigm: "cruda", Env: "outdoor", Faults: spec,
-		Metric: "accuracy", Increasing: true,
-	}
-	results := []*core.Result{baseline}
-	for _, r := range runs {
-		results = append(results, r.Res)
-	}
-	fillReport(&rep, results, false, false)
-	rep.Systems[0].Label = "ROG-4 uninterrupted"
-	for i, r := range runs {
-		sr := &rep.Systems[i+1]
-		rec := r.Res.Recovery
-		sr.Label = fmt.Sprintf("ROG-4 ckpt=%.0fs sync=%d", r.Interval, r.SyncEvery)
-		sr.Recovery = &RecoveryReport{
-			CheckpointEverySeconds: r.Interval,
-			WALSyncEvery:           r.SyncEvery,
-			Recoveries:             rec.Recoveries,
-			ReplayedRecords:        rec.ReplayedRecords,
-			ReplayedBytes:          rec.ReplayedBytes,
-			SnapshotBytes:          rec.SnapshotBytes,
-			RowsLost:               rec.RowsLost,
-			DowntimeSeconds:        rec.DowntimeSeconds,
-			IterationsLost:         iterationsLost(baseline, r.Res),
-		}
-	}
-	return &rep, nil
+	rep.Text = b.String()
+	return rep, nil
 }

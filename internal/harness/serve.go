@@ -174,19 +174,14 @@ func (tr *serveTraining) digest() uint64 {
 	return h.Sum64()
 }
 
-// serveRun is one cell's measured outcome.
+// serveRun is one cell's measured outcome: the reported metrics, plus the
+// sorted per-request latencies behind their quantiles and the training-
+// state digest after the run drained (the non-perturbation test compares
+// it against a train-only run's).
 type serveRun struct {
-	cell      serveCell
-	rounds    int64     // training rounds completed
-	latencies []float64 // per-request latency, sorted ascending
-	served    int64
-	batches   int64
-	publishes int64
-	stalls    int64 // requests that parked on the read gate
-	maxStale  int64 // max over requests of (expected − served version)
-	// digest is the training-state digest after the run drained — the
-	// non-perturbation test compares it against a train-only run's.
-	digest uint64
+	ServeCellReport
+	latencies []float64
+	digest    uint64
 }
 
 func (r *serveRun) quantile(p float64) float64 {
@@ -195,13 +190,6 @@ func (r *serveRun) quantile(p float64) float64 {
 	}
 	i := int(p * float64(len(r.latencies)-1))
 	return r.latencies[i]
-}
-
-func (r *serveRun) throughput(seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(r.served) / seconds
 }
 
 // runServeCell executes one cell: trainer plus publisher plus server plus
@@ -226,7 +214,8 @@ func runServeCell(cell serveCell, seconds float64, seed uint64, tracer obs.Trace
 		Probe:         probe,
 	})
 
-	run := &serveRun{cell: cell}
+	run := &serveRun{ServeCellReport: ServeCellReport{Clients: cell.clients,
+		WindowSeconds: cell.window, StalenessBound: cell.bound, FreshnessLead: cell.lead}}
 	var reqID int64
 	loadEnd := seconds - 2*servePeriod // let the tail drain before training ends
 	var fail error
@@ -247,7 +236,7 @@ func runServeCell(cell serveCell, seconds float64, seed uint64, tracer obs.Trace
 				minV = training.iters // never demand past the schedule's end
 			}
 			if pub.Version() < minV {
-				run.stalls++
+				run.ReadStalls++
 			}
 			reqID++
 			input := make([]float32, 6)
@@ -258,8 +247,8 @@ func runServeCell(cell serveCell, seconds float64, seed uint64, tracer obs.Trace
 			err := srv.Submit(serve.Request{ID: reqID, MinVersion: minV, Input: input}, func(rep serve.Reply) {
 				lat := k.Now() - t0
 				run.latencies = append(run.latencies, lat)
-				if stale := expected - rep.Version; stale > run.maxStale {
-					run.maxStale = stale
+				if stale := expected - rep.Version; stale > run.MaxObservedStaleness {
+					run.MaxObservedStaleness = stale
 				}
 				if rep.Version < minV && fail == nil {
 					fail = fmt.Errorf("harness: serve %s: request %d served at version %d below its floor %d",
@@ -278,68 +267,29 @@ func runServeCell(cell serveCell, seconds float64, seed uint64, tracer obs.Trace
 	if fail != nil {
 		return nil, fail
 	}
-	if run.maxStale > cell.bound {
+	if run.MaxObservedStaleness > cell.bound {
 		return nil, fmt.Errorf("harness: serve %s: observed staleness %d exceeds bound %d",
-			cell.label(), run.maxStale, cell.bound)
+			cell.label(), run.MaxObservedStaleness, cell.bound)
 	}
 	st := srv.Stats()
 	if st.Parked != 0 {
 		return nil, fmt.Errorf("harness: serve %s: %d requests still parked after the run drained",
 			cell.label(), st.Parked)
 	}
-	run.rounds = training.iters
-	run.digest = training.digest()
-	run.served = st.Served
-	run.batches = st.Batches
-	run.publishes = st.Publishes
-	sort.Float64s(run.latencies)
-	if int64(len(run.latencies)) != run.served {
+	if int64(len(run.latencies)) != st.Served {
 		return nil, fmt.Errorf("harness: serve %s: %d replies for %d served requests",
-			cell.label(), len(run.latencies), run.served)
+			cell.label(), len(run.latencies), st.Served)
 	}
+	sort.Float64s(run.latencies)
+	run.digest = training.digest()
+	run.TrainRounds, run.Requests, run.Batches, run.Snapshots = training.iters, st.Served, st.Batches, st.Publishes
+	run.ThroughputRPS = float64(st.Served) / seconds
+	run.P50Seconds, run.P95Seconds, run.P99Seconds = run.quantile(0.50), run.quantile(0.95), run.quantile(0.99)
+	run.MaxSeconds = run.quantile(1)
 	return run, nil
 }
 
-// serveSeconds derives the per-cell budget from the scale.
-func serveSeconds(s Scale) float64 { return s.VirtualSeconds / 7 }
-
-func runServe(s Scale) (string, error) {
-	seconds := serveSeconds(s)
-	var b strings.Builder
-	b.WriteString("== Inference tier: bounded-staleness serving over versioned snapshots ==\n\n")
-	var rows [][]string
-	for _, cell := range serveCells() {
-		run, err := runServeCell(cell, seconds, 11, nil)
-		if err != nil {
-			return "", err
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", cell.clients),
-			fmt.Sprintf("%.0f", cell.window*1e3),
-			fmt.Sprintf("%d", cell.bound),
-			fmt.Sprintf("%d", cell.lead),
-			fmt.Sprintf("%d", run.served),
-			fmt.Sprintf("%.1f", run.throughput(seconds)),
-			fmt.Sprintf("%.1f", run.quantile(0.50)*1e3),
-			fmt.Sprintf("%.1f", run.quantile(0.95)*1e3),
-			fmt.Sprintf("%.1f", run.quantile(0.99)*1e3),
-			fmt.Sprintf("%d", run.publishes),
-			fmt.Sprintf("%d", run.stalls),
-			fmt.Sprintf("%d/%d", run.maxStale, cell.bound),
-		})
-	}
-	b.WriteString(metrics.FormatTable(
-		[]string{"clients", "window(ms)", "bound", "lead", "served", "req/s",
-			"p50(ms)", "p95(ms)", "p99(ms)", "snapshots", "read stalls", "staleness max/bound"},
-		rows,
-	))
-	fmt.Fprintf(&b, "\nevery request was answered from a snapshot within its staleness bound (%d training rounds per cell);\n",
-		int64(serveSeconds(s)/servePeriod))
-	b.WriteString("requests demanding unseen versions parked on the read gate and resumed on the satisfying publish\n")
-	return b.String(), nil
-}
-
-// ServeCellReport is one serve sweep cell in JSON form.
+// ServeCellReport is one serve sweep cell's measurements.
 type ServeCellReport struct {
 	Clients        int     `json:"clients"`
 	WindowSeconds  float64 `json:"window_seconds"`
@@ -360,52 +310,51 @@ type ServeCellReport struct {
 	MaxObservedStaleness int64 `json:"max_observed_staleness"`
 }
 
-// runServeJSON is the machine-readable sweep: one SystemReport per cell,
-// labelled "c8-w0.10-b2" style, with the full serving metrics attached.
-func runServeJSON(s Scale) (*Report, error) {
+// runServe runs the sweep once; the structured view has one entry per cell,
+// labelled "c8-w0.10-b2" style, with the full serving metrics attached, and
+// the text table is rendered from the same cell reports.
+func runServe(s Scale) (*Report, error) {
 	rep := &Report{
-		Experiment: "serve",
-		Title:      "Inference tier: bounded-staleness serving over versioned snapshots",
-		Scale:      s.Name,
-		Paradigm:   "synthetic",
-		Env:        "simnet",
-		Metric:     "p95 latency (s)",
-		Increasing: false,
+		Title:    "Inference tier: bounded-staleness serving over versioned snapshots",
+		Paradigm: "synthetic", Env: "simnet", Metric: "p95 latency (s)",
 	}
-	seconds := serveSeconds(s)
+	seconds := s.VirtualSeconds / 7 // the per-cell budget
+	var rows [][]string
 	for _, cell := range serveCells() {
 		run, err := runServeCell(cell, seconds, 11, nil)
 		if err != nil {
 			return nil, err
 		}
-		var maxLat float64
-		if n := len(run.latencies); n > 0 {
-			maxLat = run.latencies[n-1]
-		}
+		c := &run.ServeCellReport
 		rep.Systems = append(rep.Systems, SystemReport{
-			Label:      cell.label(),
-			Strategy:   "rog",
-			Threshold:  serveThreshold,
-			Iterations: int(run.rounds),
-			FinalValue: run.quantile(0.95),
-			Serve: &ServeCellReport{
-				Clients:              cell.clients,
-				WindowSeconds:        cell.window,
-				StalenessBound:       cell.bound,
-				FreshnessLead:        cell.lead,
-				TrainRounds:          run.rounds,
-				Requests:             run.served,
-				ThroughputRPS:        run.throughput(seconds),
-				P50Seconds:           run.quantile(0.50),
-				P95Seconds:           run.quantile(0.95),
-				P99Seconds:           run.quantile(0.99),
-				MaxSeconds:           maxLat,
-				Snapshots:            run.publishes,
-				Batches:              run.batches,
-				ReadStalls:           run.stalls,
-				MaxObservedStaleness: run.maxStale,
-			},
+			Label: cell.label(), Strategy: "rog", Threshold: serveThreshold,
+			Iterations: int(c.TrainRounds), FinalValue: c.P95Seconds, Serve: c,
+		})
+		rows = append(rows, []string{
+			fmt.Sprintf("%d", c.Clients),
+			fmt.Sprintf("%.0f", c.WindowSeconds*1e3),
+			fmt.Sprintf("%d", c.StalenessBound),
+			fmt.Sprintf("%d", c.FreshnessLead),
+			fmt.Sprintf("%d", c.Requests),
+			fmt.Sprintf("%.1f", c.ThroughputRPS),
+			fmt.Sprintf("%.1f", c.P50Seconds*1e3),
+			fmt.Sprintf("%.1f", c.P95Seconds*1e3),
+			fmt.Sprintf("%.1f", c.P99Seconds*1e3),
+			fmt.Sprintf("%d", c.Snapshots),
+			fmt.Sprintf("%d", c.ReadStalls),
+			fmt.Sprintf("%d/%d", c.MaxObservedStaleness, c.StalenessBound),
 		})
 	}
+	var b strings.Builder
+	b.WriteString("== Inference tier: bounded-staleness serving over versioned snapshots ==\n\n")
+	b.WriteString(metrics.FormatTable(
+		[]string{"clients", "window(ms)", "bound", "lead", "served", "req/s",
+			"p50(ms)", "p95(ms)", "p99(ms)", "snapshots", "read stalls", "staleness max/bound"},
+		rows,
+	))
+	fmt.Fprintf(&b, "\nevery request was answered from a snapshot within its staleness bound (%d training rounds per cell);\n",
+		int64(seconds/servePeriod))
+	b.WriteString("requests demanding unseen versions parked on the read gate and resumed on the satisfying publish\n")
+	rep.Text = b.String()
 	return rep, nil
 }

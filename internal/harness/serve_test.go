@@ -14,14 +14,14 @@ func TestServeCellBoundedStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.served == 0 {
+	if run.Requests == 0 {
 		t.Fatal("cell served nothing")
 	}
-	if run.maxStale > 2 {
-		t.Fatalf("observed staleness %d over bound 2", run.maxStale)
+	if run.MaxObservedStaleness > 2 {
+		t.Fatalf("observed staleness %d over bound 2", run.MaxObservedStaleness)
 	}
-	if run.publishes < run.rounds {
-		t.Fatalf("%d publishes for %d training rounds", run.publishes, run.rounds)
+	if run.Snapshots < run.TrainRounds {
+		t.Fatalf("%d publishes for %d training rounds", run.Snapshots, run.TrainRounds)
 	}
 	if run.quantile(0.99) < run.quantile(0.50) {
 		t.Fatalf("quantiles unordered: p50 %g > p99 %g", run.quantile(0.50), run.quantile(0.99))
@@ -33,11 +33,11 @@ func TestServeCellWaitForFreshParks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.stalls == 0 {
+	if run.ReadStalls == 0 {
 		t.Fatal("wait-for-fresh clients never hit the read gate")
 	}
-	if run.stalls != int64(len(run.latencies)) {
-		t.Fatalf("%d stalls for %d requests: every lead-1 request should park", run.stalls, len(run.latencies))
+	if run.ReadStalls != int64(len(run.latencies)) {
+		t.Fatalf("%d stalls for %d requests: every lead-1 request should park", run.ReadStalls, len(run.latencies))
 	}
 }
 
@@ -71,7 +71,7 @@ func TestServeTrainingUnperturbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.served == 0 {
+	if run.Requests == 0 {
 		t.Fatal("serving side did nothing; the non-perturbation claim would be vacuous")
 	}
 	if err := servTr.Close(); err != nil {
@@ -117,10 +117,7 @@ func trainingEvents(t *testing.T, raw string) string {
 }
 
 func TestServeJSONReport(t *testing.T) {
-	rep, err := runServeJSON(Scale{Name: "tiny", VirtualSeconds: 90})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTiny(t, "serve")
 	if rep.Experiment != "serve" || len(rep.Systems) != len(serveCells()) {
 		t.Fatalf("report %q with %d systems, want serve/%d", rep.Experiment, len(rep.Systems), len(serveCells()))
 	}
@@ -147,28 +144,5 @@ func TestServeJSONReport(t *testing.T) {
 		if !strings.Contains(buf.String(), key) {
 			t.Fatalf("JSON report missing %s", key)
 		}
-	}
-}
-
-func TestJSONExperimentIDsCoverRunners(t *testing.T) {
-	ids := JSONExperimentIDs()
-	if len(ids) != len(jsonRunners()) {
-		t.Fatalf("%d ids for %d runners", len(ids), len(jsonRunners()))
-	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %q", id)
-		}
-		seen[id] = true
-	}
-	for _, want := range []string{"fig1", "fleet", "serve", "ext-recovery"} {
-		if !seen[want] {
-			t.Fatalf("id %q missing from %v", want, ids)
-		}
-	}
-	if _, err := RunJSONReport("nope", Quick); err == nil ||
-		!strings.Contains(err.Error(), "serve") {
-		t.Fatalf("unknown-id error should list the exportable ids, got: %v", err)
 	}
 }

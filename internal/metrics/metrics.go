@@ -70,11 +70,11 @@ func (r *CompositionRecorder) Count() int { return r.n }
 // have advanced (the deadlock the membership layer converts into bounded
 // stall).
 type ChurnStats struct {
-	Disconnects       int     // workers detached (crash, connection loss, stall)
-	Reconnects        int     // workers re-attached after a detach
-	RowsResynced      int     // rows replayed to rejoining workers
-	DuplicatesDropped int     // pushes re-sent after a server recovery and deduplicated
-	DetachStall       float64 // seconds survivors spent blocked until a detach freed them
+	Disconnects       int     `json:"disconnects"`                  // workers detached (crash, connection loss, stall)
+	Reconnects        int     `json:"reconnects"`                   // workers re-attached after a detach
+	RowsResynced      int     `json:"rows_resynced"`                // rows replayed to rejoining workers
+	DuplicatesDropped int     `json:"duplicates_dropped,omitempty"` // pushes re-sent after a server recovery and deduplicated
+	DetachStall       float64 `json:"detach_stall_seconds"`         // seconds survivors spent blocked until a detach freed them
 }
 
 // Add accumulates another stats snapshot.
@@ -101,12 +101,12 @@ func (c ChurnStats) String() string {
 // what the write-ahead log replays cost, and what was lost anyway (rows
 // whose merged gradients fell in the torn tail past the last sync).
 type RecoveryStats struct {
-	Recoveries      int     // server restarts served from the checkpoint store
-	ReplayedRecords int     // WAL records replayed across all recoveries
-	ReplayedBytes   float64 // WAL bytes replayed
-	SnapshotBytes   float64 // snapshot bytes loaded
-	RowsLost        int     // row versions re-stamped with zero gradient (lost to the crash)
-	DowntimeSeconds float64 // virtual seconds the server was unavailable
+	Recoveries      int     `json:"recoveries"`       // server restarts served from the checkpoint store
+	ReplayedRecords int     `json:"replayed_records"` // WAL records replayed across all recoveries
+	ReplayedBytes   float64 `json:"replayed_bytes"`   // WAL bytes replayed
+	SnapshotBytes   float64 `json:"snapshot_bytes"`   // snapshot bytes loaded
+	RowsLost        int     `json:"rows_lost"`        // row versions re-stamped with zero gradient (lost to the crash)
+	DowntimeSeconds float64 `json:"downtime_seconds"` // virtual seconds the server was unavailable
 }
 
 // Add accumulates another stats snapshot.
@@ -134,9 +134,9 @@ func (r RecoveryStats) String() string {
 // as never sent), reliable rows retransmitted until delivered, and the
 // extra bytes those repeats put on the wire.
 type LossStats struct {
-	RowsLostFolded    int     // best-effort rows lost, gradients folded back
-	RowsRetransmitted int     // reliable rows sent again after loss
-	RetransmitBytes   float64 // wire bytes spent on retransmissions
+	RowsLostFolded    int     `json:"rows_lost_folded"`   // best-effort rows lost, gradients folded back
+	RowsRetransmitted int     `json:"rows_retransmitted"` // reliable rows sent again after loss
+	RetransmitBytes   float64 `json:"retransmit_bytes"`   // wire bytes spent on retransmissions
 }
 
 // Add accumulates another stats snapshot.
@@ -159,10 +159,10 @@ func (l LossStats) String() string {
 
 // Point is one checkpoint: training quality at a moment of the run.
 type Point struct {
-	Iter   int     // training iteration (per-worker count)
-	Time   float64 // virtual wall-clock seconds
-	Energy float64 // cumulative joules across the team
-	Value  float64 // accuracy (higher better) or error (lower better)
+	Iter   int     `json:"iter"`          // training iteration (per-worker count)
+	Time   float64 `json:"time_seconds"`  // virtual wall-clock seconds
+	Energy float64 `json:"energy_joules"` // cumulative joules across the team
+	Value  float64 `json:"value"`         // accuracy (higher better) or error (lower better)
 }
 
 // Series is a named sequence of checkpoints, ordered by time.

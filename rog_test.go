@@ -71,8 +71,8 @@ func TestExperimentsRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "0.32") {
-		t.Fatalf("table1 missing the paper's MTA(4)=0.32:\n%s", out)
+	if !strings.Contains(out.Text, "0.32") {
+		t.Fatalf("table1 missing the paper's MTA(4)=0.32:\n%s", out.Text)
 	}
 }
 

@@ -21,10 +21,12 @@
 # snapshot publisher) again under -race, plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little). `verify.sh race` runs that stage alone — it is
-# what `make race` calls, so the package list lives only here. A final
-# non-fatal stage reruns the newest BENCH_<n>.json snapshot of every
-# experiment that has one and prints the drift — informational only, never
-# a gate; `verify.sh bench-drift` (= `make bench-drift`) runs it alone.
+# what `make race` calls, so the package list lives only here. The final
+# stage reruns the newest BENCH_<n>.json snapshot of every experiment that
+# has one and fails the gate if any leaf of a report differs (the virtual
+# clock is deterministic: a moved number arrives with a re-saved snapshot
+# and a CHANGES.md line, or not at all); `verify.sh bench-drift` (= `make
+# bench-drift`) runs it alone.
 # The bench-build stage right after build vets and builds the nested bench/
 # module, which root `go build ./...` does not see.
 # Each stage reports its wall time.
@@ -202,10 +204,14 @@ run_bench_drift() {
 		echo "   (no BENCH_<n>.json snapshot; run make bench-save to record one)"
 		return 0
 	fi
-	# Non-fatal by design: drift is information for the reviewer, not a gate.
+	# Every snapshot is rerun even after one has drifted, so a single pass
+	# lists everything that moved; rogbench exits non-zero on a differing
+	# leaf and when the experiment cannot run.
+	rc=0
 	for f in $latest; do
-		go run ./cmd/rogbench -drift "$f" || echo "   (bench-drift on $f failed; not a gate)"
+		go run ./cmd/rogbench -drift "$f" || rc=1
 	done
+	return $rc
 }
 
 case "${1:-}" in
