@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"rog/internal/harness"
+)
 
 // TestMode pins the mode decision: every flag either takes effect or the
 // combination is refused — none is silently dropped.
@@ -32,6 +38,28 @@ func TestMode(t *testing.T) {
 		got, err := mode(c.o)
 		if got != c.want || (err == nil) != (c.want != "") {
 			t.Errorf("mode(%+v) = %q, %v; want %q", c.o, got, err, c.want)
+		}
+	}
+}
+
+// TestProfilesWritten runs a small workload build between startProfiles and
+// its stop function and expects both profile files to exist, non-empty.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := harness.DefaultCRUDAOptions()
+	o.PretrainIters = 20
+	harness.NewCRUDA(o).Evaluate()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
 	}
 }

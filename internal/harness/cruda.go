@@ -5,6 +5,11 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+
 	"rog/internal/core"
 	"rog/internal/dataset"
 	"rog/internal/nn"
@@ -44,23 +49,60 @@ func DefaultCRUDAOptions() CRUDAOptions {
 // domain must adapt online to fog/brightness-corrupted data spread across
 // non-IID worker shards.
 type CRUDAWorkload struct {
-	models []*nn.Sequential
-	shards []*dataset.Shard
-	batch  int
-	evalX  *tensor.Matrix
-	evalY  []int
+	*crudaBuild // shared with every workload of equal options: read only
+	models      []*nn.Sequential
+	shards      []*dataset.Shard
+	batch       int
+	infer       []nn.Inference // Evaluate's forward-only pass, one per scorer
+	accs        []float64      // Evaluate's accuracy per replica
+}
+
+var _ core.Workload = (*CRUDAWorkload)(nil)
+
+// crudaBuild is what of a CRUDA workload follows from the options alone and
+// is never written once built, so one build serves every system of an
+// experiment: Shard.Batch copies the samples it draws (and
+// Corruption.Apply copied them before), Evaluate only reads the eval batch,
+// and proto is only ever the source of CopyParamsFrom.
+type crudaBuild struct {
+	newModel func(r *tensor.RNG) *nn.Sequential
+	proto    *nn.Sequential     // pretrained on the clean domain
+	parts    [][]dataset.Sample // corrupted training data per worker
+	evalX    *tensor.Matrix     // corrupted test set
+	evalY    []int
 	// PretrainCleanAcc and PretrainNoisyAcc record the accuracy story the
 	// paper tells: high on the clean domain, degraded by the shift.
 	PretrainCleanAcc float64
 	PretrainNoisyAcc float64
 }
 
-var _ core.Workload = (*CRUDAWorkload)(nil)
+var crudaBuilds memo
 
 // NewCRUDA builds the workload: synthesizes the dataset, pretrains one
 // model on the clean domain, corrupts the world, shards the corrupted data
-// Pachinko-style, and clones the pretrained model to every worker.
+// Pachinko-style, and clones the pretrained model to every worker. Calls
+// with equal options share all of that but the clones and the shards'
+// sampling streams, which are fresh: the workloads are independent and
+// start identical.
 func NewCRUDA(opts CRUDAOptions) *CRUDAWorkload {
+	key := opts
+	key.BatchSize, key.BatchScale = 0, 0 // the batch is drawn per step, not built
+	w := &CRUDAWorkload{
+		crudaBuild: crudaBuilds.get(fmt.Sprintf("%+v", key), func() *crudaBuild { return buildCRUDA(opts) }),
+		batch:      opts.BatchSize * opts.BatchScale,
+		infer:      make([]nn.Inference, opts.Workers),
+		accs:       make([]float64, opts.Workers),
+	}
+	for i := 0; i < opts.Workers; i++ {
+		m := w.newModel(tensor.NewRNG(1))
+		m.CopyParamsFrom(w.proto)
+		w.models = append(w.models, m)
+		w.shards = append(w.shards, dataset.NewShard(w.parts[i], opts.Seed+uint64(i)*31+21))
+	}
+	return w
+}
+
+func buildCRUDA(opts CRUDAOptions) *crudaBuild {
 	var (
 		train, test []dataset.Sample
 		dim         int
@@ -86,8 +128,9 @@ func NewCRUDA(opts CRUDAOptions) *CRUDAWorkload {
 		data := dataset.NewCRUDA(cfg)
 		train, test = data.Train, data.Test
 		dim, classes, superclass = cfg.Dim, cfg.Classes, cfg.Superclass
+		hidden := slices.Clone(opts.Hidden) // the caller may reuse its slice
 		newModel = func(r *tensor.RNG) *nn.Sequential {
-			return nn.NewClassifierMLP(dim, opts.Hidden, classes, r)
+			return nn.NewClassifierMLP(dim, hidden, classes, r)
 		}
 		corr = dataset.Corruption{Fog: 0.65, Brightness: 0.6, Gain: 1.0, Noise: 0.7, Seed: opts.Seed + 9}
 	}
@@ -106,20 +149,14 @@ func NewCRUDA(opts CRUDAOptions) *CRUDAWorkload {
 	noisyTrain := corr.Apply(train, dim)
 	noisyTest := corr.Apply(test, dim)
 
-	w := &CRUDAWorkload{batch: opts.BatchSize * opts.BatchScale}
-	w.evalX, w.evalY = samplesToBatch(noisyTest)
+	b := &crudaBuild{newModel: newModel, proto: proto}
+	b.evalX, b.evalY = samplesToBatch(noisyTest)
 	cleanX, cleanY := samplesToBatch(test)
-	w.PretrainCleanAcc = nn.Accuracy(proto.Forward(cleanX), cleanY)
-	w.PretrainNoisyAcc = nn.Accuracy(proto.Forward(w.evalX), w.evalY)
-
-	parts := dataset.PartitionPachinko(noisyTrain, opts.Workers, classes, superclass, 0.3, opts.Seed+13)
-	for i := 0; i < opts.Workers; i++ {
-		m := newModel(tensor.NewRNG(1))
-		m.CopyParamsFrom(proto)
-		w.models = append(w.models, m)
-		w.shards = append(w.shards, dataset.NewShard(parts[i], opts.Seed+uint64(i)*31+21))
-	}
-	return w
+	var inf nn.Inference
+	b.PretrainCleanAcc = nn.Accuracy(inf.Forward(proto, cleanX), cleanY)
+	b.PretrainNoisyAcc = nn.Accuracy(inf.Forward(proto, b.evalX), b.evalY)
+	b.parts = dataset.PartitionPachinko(noisyTrain, opts.Workers, classes, superclass, 0.3, opts.Seed+13)
+	return b
 }
 
 func samplesToBatch(samples []dataset.Sample) (*tensor.Matrix, []int) {
@@ -145,10 +182,25 @@ func (c *CRUDAWorkload) ComputeGradients(w int) float64 {
 
 // Evaluate returns the mean corrupted-domain test accuracy across workers
 // (the paper checkpoints and validates on every worker, then averages).
+// The replicas are scored on up to GOMAXPROCS goroutines; their accuracies
+// are summed in replica order once all are in, so the value does not depend
+// on how many scorers ran or when.
 func (c *CRUDAWorkload) Evaluate() float64 {
+	n := min(runtime.GOMAXPROCS(0), len(c.models))
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) { // scorer g: every n-th replica, through its own buffers
+			defer wg.Done()
+			for i := g; i < len(c.models); i += n {
+				c.accs[i] = nn.Accuracy(c.infer[g].Forward(c.models[i], c.evalX), c.evalY)
+			}
+		}(g)
+	}
+	wg.Wait()
 	var acc float64
-	for _, m := range c.models {
-		acc += nn.Accuracy(m.Forward(c.evalX), c.evalY)
+	for _, a := range c.accs {
+		acc += a
 	}
 	return acc / float64(len(c.models))
 }

@@ -1,0 +1,46 @@
+package nn
+
+import "rog/internal/tensor"
+
+// Inference runs models forward only: it records nothing for a backward
+// pass, writes every Linear layer's output into a buffer it owns and reuses,
+// and applies ReLU in place on those buffers. Layer kinds without such a
+// form (convolution, pooling, Fourier encoding, tanh, feature grid) run
+// their ordinary Forward. The outputs equal Sequential.Forward's bit for
+// bit: Linear shares affineInto with it and ReLU is the same max(v, 0).
+//
+// One Inference serves any number of models, one call at a time; concurrent
+// callers each need their own. The zero value is ready to use.
+type Inference struct {
+	bufs []*tensor.Matrix // one per layer index, grown on demand
+}
+
+// Forward returns m's output for the batch x. The result is owned by the
+// Inference and valid until its next Forward; x is never written to.
+func (inf *Inference) Forward(m *Sequential, x *tensor.Matrix) *tensor.Matrix {
+	for len(inf.bufs) < len(m.Layers) {
+		inf.bufs = append(inf.bufs, nil)
+	}
+	in := x
+	for i, l := range m.Layers {
+		switch l := l.(type) {
+		case *Linear:
+			inf.bufs[i] = sized(inf.bufs[i], x.Rows, l.W.Cols)
+			l.affineInto(inf.bufs[i], x)
+			x = inf.bufs[i]
+		case *ReLU:
+			dst := x
+			if x == in { // in place on everything but the caller's batch
+				inf.bufs[i] = sized(inf.bufs[i], x.Rows, x.Cols)
+				dst = inf.bufs[i]
+			}
+			for j, v := range x.Data {
+				dst.Data[j] = max(v, 0)
+			}
+			x = dst
+		default:
+			x = l.Forward(x)
+		}
+	}
+	return x
+}

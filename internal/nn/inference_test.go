@@ -1,0 +1,74 @@
+package nn
+
+import (
+	"testing"
+
+	"rog/internal/tensor"
+)
+
+// TestInferenceMatchesForward holds the forward-only pass to the training
+// pass bit for bit on every model family, across batch sizes that make its
+// buffers grow and shrink, and with one Inference serving several models.
+func TestInferenceMatchesForward(t *testing.T) {
+	r := tensor.NewRNG(5)
+	models := map[string]struct {
+		m  *Sequential
+		in int
+	}{
+		"mlp":      {NewClassifierMLP(32, []int{64, 64}, 100, r), 32},
+		"convmlp":  {NewConvMLP(1, 8, 8, []int{6}, []int{32}, 10, r), 64},
+		"implicit": {NewImplicitMapMLP(6, []int{64, 64}, 1, r), 2},
+		"gridmap":  {NewGridMap(24, 8, []int{16}, 1, r), 2},
+	}
+	var inf Inference
+	for _, batch := range []int{24, 1, 200, 7} {
+		for name, c := range models {
+			x := tensor.New(batch, c.in)
+			x.FillUniform(r, -1, 1)
+			keep := x.Clone()
+			got := inf.Forward(c.m, x)
+			if want := c.m.Forward(x); !got.Equal(want) {
+				t.Fatalf("%s batch %d: forward-only output differs from Forward", name, batch)
+			}
+			if !x.Equal(keep) {
+				t.Fatalf("%s batch %d: input rewritten", name, batch)
+			}
+		}
+	}
+}
+
+// TestInferenceCopiesBeforeRectifying: a model that opens with a ReLU must
+// rectify a copy, never the caller's batch.
+func TestInferenceCopiesBeforeRectifying(t *testing.T) {
+	m := NewSequential(NewReLU(), NewLinear(3, 2, tensor.NewRNG(1)))
+	x := tensor.NewFrom(2, 3, []float32{-1, 2, -3, 4, -5, 6})
+	keep := x.Clone()
+	var inf Inference
+	got := inf.Forward(m, x)
+	if !x.Equal(keep) {
+		t.Fatalf("input rewritten: %v", x.Data)
+	}
+	if want := m.Forward(x); !got.Equal(want) {
+		t.Fatalf("forward-only %v, training pass %v", got.Data, want.Data)
+	}
+}
+
+// TestSteadyStateAllocations pins what the reused scratch buys: the
+// forward-only pass allocates nothing once warm, and a training step only
+// its three Linear outputs and the loss gradient (a Matrix is two
+// allocations) plus the Grads slices ZeroGrads walks.
+func TestSteadyStateAllocations(t *testing.T) {
+	m, x, y := benchModel()
+	var inf Inference
+	if n := testing.AllocsPerRun(20, func() { inf.Forward(m, x) }); n != 0 {
+		t.Errorf("Inference.Forward allocates %v times a call", n)
+	}
+	step := func() {
+		m.ZeroGrads()
+		_, d := SoftmaxCrossEntropy(m.Forward(x), y)
+		m.Backward(d)
+	}
+	if n := testing.AllocsPerRun(20, step); n > 14 {
+		t.Errorf("forward+backward allocates %v times a step, want at most 14 (was 34)", n)
+	}
+}

@@ -40,6 +40,7 @@ type Linear struct {
 	W, B   *tensor.Matrix // B is 1×out
 	GW, GB *tensor.Matrix
 	x      *tensor.Matrix // cached input
+	gw, dx *tensor.Matrix // Backward's scratch, reused across calls
 	name   string
 }
 
@@ -57,34 +58,55 @@ func NewLinear(in, out int, r *tensor.RNG) *Linear {
 	return l
 }
 
-// Forward computes x·W + b for a batch.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	l.x = x
-	out := tensor.Mul(x, l.W)
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
+// sized returns m reshaped to rows×cols when its backing array is large
+// enough and a fresh matrix otherwise. The contents are unspecified: the
+// caller overwrites every element.
+func sized(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+// affineInto computes dst = x·W + b: the one body the training pass and the
+// forward-only pass (Inference) share, so the two cannot round differently.
+func (l *Linear) affineInto(dst, x *tensor.Matrix) {
+	tensor.MulInto(dst, x, l.W)
+	for i := 0; i < dst.Rows; i++ {
+		row := dst.Row(i)
 		for j, b := range l.B.Data {
 			row[j] += b
 		}
 	}
+}
+
+// Forward computes x·W + b for a batch.
+func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
+	l.x = x
+	out := tensor.New(x.Rows, l.W.Cols)
+	l.affineInto(out, x)
 	return out
 }
 
 // Backward accumulates dW += xᵀ·dout, dB += colsum(dout) and returns
-// dx = dout·Wᵀ.
+// dx = dout·Wᵀ. The returned matrix is the layer's scratch: it is valid
+// until the layer's next Backward.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	gw := tensor.New(l.W.Rows, l.W.Cols)
-	tensor.MulTransAInto(gw, l.x, dout)
-	l.GW.Add(gw)
+	// xᵀ·dout goes to a temporary and is then added, as one sum, so that a
+	// gradient accumulated over several batches rounds as it always has.
+	l.gw = sized(l.gw, l.W.Rows, l.W.Cols)
+	tensor.MulTransAInto(l.gw, l.x, dout)
+	l.GW.Add(l.gw)
 	for i := 0; i < dout.Rows; i++ {
 		row := dout.Row(i)
 		for j, v := range row {
 			l.GB.Data[j] += v
 		}
 	}
-	dx := tensor.New(dout.Rows, l.W.Rows)
-	tensor.MulTransBInto(dx, dout, l.W)
-	return dx
+	l.dx = sized(l.dx, dout.Rows, l.W.Rows)
+	tensor.MulTransBInto(l.dx, dout, l.W)
+	return l.dx
 }
 
 func (l *Linear) Params() []*tensor.Matrix { return []*tensor.Matrix{l.W, l.B} }
@@ -93,39 +115,39 @@ func (l *Linear) Name() string             { return l.name }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
+	mask    []bool
+	out, dx *tensor.Matrix // scratch, reused across calls
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative activations.
+// Forward zeroes negative activations. The returned matrix is the layer's
+// scratch: it is valid until the layer's next Forward.
 func (l *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := x.Clone()
+	l.out = sized(l.out, x.Rows, x.Cols)
 	if cap(l.mask) < len(x.Data) {
 		l.mask = make([]bool, len(x.Data))
 	}
 	l.mask = l.mask[:len(x.Data)]
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			l.mask[i] = false
-		} else {
-			l.mask[i] = true
-		}
+	for i, v := range x.Data {
+		l.mask[i] = !(v <= 0)
+		l.out.Data[i] = max(v, 0) // like the mask, lets NaN through; branch-free
 	}
-	return out
+	return l.out
 }
 
-// Backward gates the upstream gradient by the forward mask.
+// Backward gates the upstream gradient by the forward mask. The returned
+// matrix is the layer's scratch: it is valid until the layer's next Backward.
 func (l *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := dout.Clone()
-	for i := range dx.Data {
+	l.dx = sized(l.dx, dout.Rows, dout.Cols)
+	for i, v := range dout.Data {
 		if !l.mask[i] {
-			dx.Data[i] = 0
+			v = 0
 		}
+		l.dx.Data[i] = v
 	}
-	return dx
+	return l.dx
 }
 
 func (l *ReLU) Params() []*tensor.Matrix { return nil }

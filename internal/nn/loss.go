@@ -68,17 +68,21 @@ func MSE(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
 // Argmax returns the index of the largest value in each row of m.
 func Argmax(m *tensor.Matrix) []int {
 	out := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
+	for i := range out {
+		out[i] = argmaxRow(m.Row(i))
 	}
 	return out
+}
+
+// argmaxRow returns the index of the first largest value of row.
+func argmaxRow(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the label.
@@ -86,10 +90,9 @@ func Accuracy(logits *tensor.Matrix, labels []int) float64 {
 	if logits.Rows == 0 {
 		return 0
 	}
-	pred := Argmax(logits)
 	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
+	for i := 0; i < logits.Rows; i++ {
+		if argmaxRow(logits.Row(i)) == labels[i] {
 			correct++
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"testing"
 
 	"rog/internal/engine"
@@ -255,4 +256,44 @@ func TestServedMatchesMaterializedForward(t *testing.T) {
 			t.Fatalf("output[%d] = %v, want %v", i, v, want.Data[i])
 		}
 	}
+}
+
+// TestConcurrentFlushesKeepRepliesApart is meant for -race: with MaxBatch 1
+// every Submit flushes on its caller's goroutine, so two submitters run two
+// flushes at once over the one scratch replica and the one set of reused
+// activations. Each reply must be the forward pass of its own input — a
+// reply read out of the shared buffers after fwdMu is released would carry
+// the other flush's logits.
+func TestConcurrentFlushesKeepRepliesApart(t *testing.T) {
+	r := newRig(t, 2, 2, Config{MaxBatch: 1})
+	const perClient = 400
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			private := nn.NewClassifierMLP(4, []int{6}, 3, tensor.NewRNG(7)) // the published version 0
+			rng := tensor.NewRNG(uint64(c) + 1)
+			for i := 0; i < perClient; i++ {
+				x := tensor.New(1, r.inDim)
+				x.FillNormal(rng, 1)
+				want := private.Forward(x)
+				// The reply may come from the other submitter's flush, which
+				// took both queued requests; wg waits for it either way.
+				wg.Add(1)
+				err := r.srv.Submit(Request{ID: int64(c*perClient + i), Input: x.Data}, func(rep Reply) {
+					defer wg.Done()
+					if !tensor.NewFrom(1, r.outDim, rep.Output).Equal(want) {
+						t.Errorf("client %d request %d: reply %v, own forward %v", c, i, rep.Output, want.Data)
+					}
+				})
+				if err != nil {
+					wg.Done()
+					t.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -56,6 +56,7 @@ type Config struct {
 type Server struct {
 	pub    *Publisher
 	model  *nn.Sequential // scratch replica; guarded by fwdMu
+	infer  nn.Inference   // the forward pass's reused activations; guarded by fwdMu
 	inDim  int
 	window float64
 	maxB   int
@@ -189,7 +190,9 @@ func (s *Server) flush() {
 	for i, pr := range batch {
 		copy(x.Row(i), pr.req.Input)
 	}
-	out := s.model.Forward(x)
+	// The forward-only pass answers from buffers the next flush overwrites,
+	// so the replies' copy is taken before the lock goes.
+	out := s.infer.Forward(s.model, x).Clone()
 	s.fwdMu.Unlock()
 	s.batches.Add(1)
 	now := s.clock.Now()
@@ -200,7 +203,7 @@ func (s *Server) flush() {
 			ID:      pr.req.ID,
 			Version: snap.Version(),
 			Seq:     snap.Seq(),
-			Output:  append([]float32(nil), out.Row(i)...),
+			Output:  out.Data[i*out.Cols : (i+1)*out.Cols : (i+1)*out.Cols],
 		})
 	}
 }

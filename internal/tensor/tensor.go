@@ -109,6 +109,16 @@ func (m *Matrix) AXPY(a float32, x *Matrix) {
 	}
 }
 
+// The three product kernels are register-blocked: eight adjacent output
+// columns are accumulated in locals over the inner dimension, so dst is
+// loaded and stored once per block instead of once per multiply-add.
+// Blocking changes which element is worked on when, never what is added to
+// it: every output element still receives exactly the products the plain
+// triple loop gave it, in ascending k, with the same zero-skip, each folded
+// in by the one expression acc += mv * ov (a target that fuses it fuses it in
+// every copy). The results are bit-identical to the plain loops, which
+// tensor_test.go keeps as the reference.
+
 // MulInto computes dst = m × o. dst must be m.Rows×o.Cols and distinct from
 // both operands.
 func MulInto(dst, m, o *Matrix) {
@@ -119,19 +129,9 @@ func MulInto(dst, m, o *Matrix) {
 		panic(fmt.Sprintf("tensor: MulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Cols))
 	}
 	dst.Zero()
-	// ikj loop order: streams over o rows, cache friendly for row-major.
+	var t terms
 	for i := 0; i < m.Rows; i++ {
-		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for k, mv := range mi {
-			if mv == 0 {
-				continue
-			}
-			ok := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j, ov := range ok {
-				di[j] += mv * ov
-			}
-		}
+		t.addProducts(dst.Row(i), m.Data, i*m.Cols, 1, o)
 	}
 }
 
@@ -151,18 +151,69 @@ func MulTransAInto(dst, m, o *Matrix) {
 		panic(fmt.Sprintf("tensor: MulTransAInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Cols, o.Cols))
 	}
 	dst.Zero()
-	for k := 0; k < m.Rows; k++ {
-		mk := m.Data[k*m.Cols : (k+1)*m.Cols]
-		ok := o.Data[k*o.Cols : (k+1)*o.Cols]
-		for i, mv := range mk {
-			if mv == 0 {
-				continue
-			}
-			di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, ov := range ok {
-				di[j] += mv * ov
+	var t terms
+	for i := 0; i < m.Cols; i++ {
+		t.addProducts(dst.Row(i), m.Data, i, m.Cols, o)
+	}
+}
+
+// kChunk is how many terms of the inner dimension are compacted at a time.
+const kChunk = 256
+
+// terms is the kernels' on-stack scratch: the non-zero multipliers of up to
+// kChunk terms and the offsets of the rows of o they scale.
+type terms struct {
+	off [kChunk]int
+	val [kChunk]float32
+}
+
+// addProducts adds Σₖ s[base+k·stride] · (row k of o) to di, k ascending,
+// zero multipliers skipped. The skip is decided once per term, while the
+// terms are compacted into t, not once per term and column block; an inner
+// dimension above kChunk goes chunk by chunk, the sums passing through di
+// in between, which a float32 store and load leave unchanged.
+func (t *terms) addProducts(di, s []float32, base, stride int, o *Matrix) {
+	for k0 := 0; k0 < o.Rows; k0 += kChunk {
+		nz := 0
+		for k := k0; k < min(k0+kChunk, o.Rows); k++ {
+			mv := s[base+k*stride]
+			t.off[nz], t.val[nz] = k*o.Cols, mv
+			if mv != 0 { // only now is the store kept: no branch to mispredict
+				nz++
 			}
 		}
+		addScaledRows(di, o.Data, t.off[:nz], t.val[:nz])
+	}
+}
+
+// addScaledRows adds val[t] times the len(di)-wide row of data at off[t] to
+// di, for t ascending.
+func addScaledRows(di, data []float32, off []int, val []float32) {
+	val = val[:len(off)]
+	j := 0
+	for ; j+8 <= len(di); j += 8 {
+		d := di[j : j+8 : j+8]
+		a0, a1, a2, a3, a4, a5, a6, a7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		for t, at := range off {
+			mv := val[t]
+			ov := data[at+j : at+j+8 : at+j+8]
+			a0 += mv * ov[0]
+			a1 += mv * ov[1]
+			a2 += mv * ov[2]
+			a3 += mv * ov[3]
+			a4 += mv * ov[4]
+			a5 += mv * ov[5]
+			a6 += mv * ov[6]
+			a7 += mv * ov[7]
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; j < len(di); j++ {
+		a := di[j]
+		for t, at := range off {
+			a += val[t] * data[at+j]
+		}
+		di[j] = a
 	}
 }
 
@@ -174,11 +225,31 @@ func MulTransBInto(dst, m, o *Matrix) {
 	if dst.Rows != m.Rows || dst.Cols != o.Rows {
 		panic(fmt.Sprintf("tensor: MulTransBInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Rows))
 	}
+	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
+		mi := m.Data[i*n : (i+1)*n]
 		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < o.Rows; j++ {
-			oj := o.Data[j*o.Cols : (j+1)*o.Cols]
+		j := 0
+		for ; j+8 <= o.Rows; j += 8 {
+			ob := o.Data[j*n : (j+8)*n]
+			o0, o1, o2, o3 := ob[:n], ob[n:2*n], ob[2*n:3*n], ob[3*n:4*n]
+			o4, o5, o6, o7 := ob[4*n:5*n], ob[5*n:6*n], ob[6*n:7*n], ob[7*n:8*n]
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			for k, mv := range mi {
+				a0 += mv * o0[k]
+				a1 += mv * o1[k]
+				a2 += mv * o2[k]
+				a3 += mv * o3[k]
+				a4 += mv * o4[k]
+				a5 += mv * o5[k]
+				a6 += mv * o6[k]
+				a7 += mv * o7[k]
+			}
+			d := di[j : j+8 : j+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		}
+		for ; j < o.Rows; j++ {
+			oj := o.Data[j*n : (j+1)*n]
 			var s float32
 			for k, mv := range mi {
 				s += mv * oj[k]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -295,14 +296,191 @@ func TestXavierInitRange(t *testing.T) {
 	}
 }
 
-func BenchmarkMul128(b *testing.B) {
+// The three reference kernels are the loops MulInto, MulTransAInto and
+// MulTransBInto were until the register-blocked versions replaced them,
+// kept verbatim (shape checks dropped): they define, per output element,
+// which products are added, in which k order, and which are skipped.
+
+func refMulInto(dst, m, o *Matrix) {
+	dst.Zero()
+	// ikj loop order: streams over o rows, cache friendly for row-major.
+	for i := 0; i < m.Rows; i++ {
+		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for k, mv := range mi {
+			if mv == 0 {
+				continue
+			}
+			ok := o.Data[k*o.Cols : (k+1)*o.Cols]
+			for j, ov := range ok {
+				di[j] += mv * ov
+			}
+		}
+	}
+}
+
+func refMulTransAInto(dst, m, o *Matrix) {
+	dst.Zero()
+	for k := 0; k < m.Rows; k++ {
+		mk := m.Data[k*m.Cols : (k+1)*m.Cols]
+		ok := o.Data[k*o.Cols : (k+1)*o.Cols]
+		for i, mv := range mk {
+			if mv == 0 {
+				continue
+			}
+			di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+			for j, ov := range ok {
+				di[j] += mv * ov
+			}
+		}
+	}
+}
+
+func refMulTransBInto(dst, m, o *Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
+		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for j := 0; j < o.Rows; j++ {
+			oj := o.Data[j*o.Cols : (j+1)*o.Cols]
+			var s float32
+			for k, mv := range mi {
+				s += mv * oj[k]
+			}
+			di[j] = s
+		}
+	}
+}
+
+// sameBits is Equal on the bit patterns, so it tells -0 from +0. Two NaNs
+// count as the same whatever their sign and payload: when two NaNs meet in
+// an addition the hardware keeps one operand's, and which operand that is
+// follows from the registers the compiler picked, not from the arithmetic.
+func sameBits(a, b *Matrix) (int, bool) {
+	for i, v := range a.Data {
+		w := b.Data[i]
+		if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+			return i, false
+		}
+	}
+	return 0, a.Rows == b.Rows && a.Cols == b.Cols
+}
+
+// awkward fills m with normal draws of which about half are replaced by
+// exact zeros and a few by -0; every 5th row, when special is set, also
+// carries an Inf and a NaN.
+func awkward(m *Matrix, r *RNG, special bool) {
+	m.FillNormal(r, 1)
+	negZero := float32(math.Copysign(0, -1))
+	for i := range m.Data {
+		switch r.Intn(8) {
+		case 0, 1, 2, 3:
+			m.Data[i] = 0
+		case 4:
+			m.Data[i] = negZero
+		}
+	}
+	if !special || m.Cols == 0 {
+		return
+	}
+	for i := 0; i < m.Rows; i += 5 {
+		row := m.Row(i)
+		row[r.Intn(len(row))] = float32(math.Inf(1 - 2*r.Intn(2)))
+		row[r.Intn(len(row))] = float32(math.NaN())
+	}
+}
+
+// TestBlockedKernelsBitIdentical holds the blocked kernels to the reference
+// loops bit for bit, over inner dimensions on both sides of the blocking
+// width and of the k scratch (kChunk), output widths that leave a tail, and
+// inputs whose zeros, signed zeros, infinities and NaNs make the order of
+// additions and the zero-skip visible.
+func TestBlockedKernelsBitIdentical(t *testing.T) {
+	dims := []int{1, 7, 8, 9, 24, 64, 100, 2000}
+	if kChunk >= 2000 {
+		t.Fatalf("kChunk %d: no case has K above the scratch size", kChunk)
+	}
+	kernels := []struct {
+		name      string
+		blocked   func(dst, m, o *Matrix)
+		reference func(dst, m, o *Matrix)
+		// shapes of m, o and dst for an (outer, inner, width) product
+		shapes func(n, k, w int) (mr, mc, or, oc int)
+	}{
+		{"MulInto", MulInto, refMulInto, func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
+		{"MulTransAInto", MulTransAInto, refMulTransAInto, func(n, k, w int) (int, int, int, int) { return k, n, k, w }},
+		{"MulTransBInto", MulTransBInto, refMulTransBInto, func(n, k, w int) (int, int, int, int) { return n, k, w, k }},
+	}
+	r := NewRNG(17)
+	for _, kn := range kernels {
+		for _, n := range dims {
+			for _, k := range dims {
+				for _, w := range []int{1, 7, 9, 13, 100} {
+					if n*k*w > 2000*100*13 {
+						continue // keep the sweep in seconds; K=2000 still meets every width
+					}
+					for _, special := range []bool{false, true} {
+						mr, mc, or, oc := kn.shapes(n, k, w)
+						m, o := New(mr, mc), New(or, oc)
+						awkward(m, r, special)
+						awkward(o, r, special)
+						got, want := New(n, w), New(n, w)
+						got.Fill(42) // a kernel must not depend on what dst held
+						kn.blocked(got, m, o)
+						kn.reference(want, m, o)
+						if at, ok := sameBits(got, want); !ok {
+							t.Fatalf("%s n=%d k=%d w=%d special=%v: element %d is %v (%#x), reference %v (%#x)",
+								kn.name, n, k, w, special, at, got.Data[at], math.Float32bits(got.Data[at]),
+								want.Data[at], math.Float32bits(want.Data[at]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkKernels(b *testing.B) {
 	r := NewRNG(1)
-	x, y := New(128, 128), New(128, 128)
-	x.FillNormal(r, 1)
-	y.FillNormal(r, 1)
-	dst := New(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulInto(dst, x, y)
+	for _, s := range []struct {
+		name    string
+		n, k, w int
+		relu    bool // half of m's entries zero, as after a ReLU
+	}{
+		{"128", 128, 128, 128, false},
+		{"dense24x64x64", 24, 64, 64, false},
+		{"train24x64x64", 24, 64, 64, true},
+		{"eval2000x64x100", 2000, 64, 100, true},
+	} {
+		for _, kn := range []struct {
+			name string
+			f    func(dst, m, o *Matrix)
+			tb   bool
+		}{
+			{"Mul", MulInto, false}, {"refMul", refMulInto, false},
+			{"TransA", MulTransAInto, false}, {"refTransA", refMulTransAInto, false},
+			{"TransB", MulTransBInto, true}, {"refTransB", refMulTransBInto, true},
+		} {
+			m, o, dst := New(s.n, s.k), New(s.k, s.w), New(s.n, s.w)
+			if kn.name == "TransA" || kn.name == "refTransA" {
+				m = New(s.k, s.n)
+			}
+			if kn.tb {
+				o = New(s.w, s.k)
+			}
+			m.FillNormal(r, 1)
+			o.FillNormal(r, 1)
+			if s.relu {
+				for i, v := range m.Data {
+					if v < 0 {
+						m.Data[i] = 0
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("%s/%s", s.name, kn.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kn.f(dst, m, o)
+				}
+			})
+		}
 	}
 }

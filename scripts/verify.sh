@@ -18,7 +18,9 @@
 # engine it executes, the simnet drivers and version store that share
 # engine.State with it, the wire transport, the lossnet datagram
 # transport, the durable checkpoint store and the serving tier's
-# snapshot publisher) again under -race, plus the lossnet burst tests
+# snapshot publisher, the nn substrate and, in -short mode, the harness whose
+# workload memo and Evaluate fan-out share builds across goroutines) again
+# under -race, plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little). `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
@@ -56,7 +58,10 @@ run_race() {
 	go test -race ./internal/livenet/... ./internal/engine/... \
 		./internal/rowsync/... ./internal/core/... ./internal/transport/... \
 		./internal/lossnet/... ./internal/durable/... ./internal/obs/... \
-		./internal/serve/...
+		./internal/serve/... ./internal/nn/...
+	# The workload memo and Evaluate's scoring goroutines; -short leaves the
+	# registry sweep (minutes under the race detector) to the plain test stage.
+	go test -race -short ./internal/harness/...
 	go test ./internal/lossnet -run 'Burst' -count=20
 }
 
