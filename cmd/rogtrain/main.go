@@ -11,6 +11,7 @@
 //	rogtrain -strategy rog -checkpoint-dir ckpt -checkpoint-every 60
 //	rogtrain -strategy rog -checkpoint-dir ckpt -resume
 //	rogtrain -strategy rog -workers 64 -shards 8 -aggregators 4
+//	rogtrain -workers 8 -aggregators 2 -faults "crash:1@60+40,servercrash@90+15" -loss 0.05 -checkpoint-dir ckpt
 package main
 
 import (
@@ -64,24 +65,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rogtrain: unknown env %q (want indoor or outdoor)\n", *env)
 		os.Exit(2)
 	}
-	if *workers < 2 {
-		fmt.Fprintf(os.Stderr, "rogtrain: need at least 2 workers, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if *threshold < 1 {
-		fmt.Fprintf(os.Stderr, "rogtrain: threshold must be >= 1, got %d\n", *threshold)
-		os.Exit(2)
-	}
 	if *minutes <= 0 {
 		fmt.Fprintf(os.Stderr, "rogtrain: minutes must be > 0, got %g\n", *minutes)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "rogtrain: shards must be >= 0, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if *aggs < 0 {
-		fmt.Fprintf(os.Stderr, "rogtrain: aggregators must be >= 0, got %d\n", *aggs)
 		os.Exit(2)
 	}
 
@@ -99,12 +84,6 @@ func main() {
 				os.Exit(2)
 			}
 		})
-		for _, ev := range faults {
-			if ev.Kind == rog.FaultServerCrash {
-				fmt.Fprintln(os.Stderr, "rogtrain: servercrash faults need -checkpoint-dir to recover from")
-				os.Exit(2)
-			}
-		}
 	} else if *ckptEvery <= 0 {
 		fmt.Fprintf(os.Stderr, "rogtrain: checkpoint-every must be > 0, got %g\n", *ckptEvery)
 		os.Exit(2)
@@ -123,12 +102,6 @@ func main() {
 		}
 		if loss, err = rog.ParseLossSpec(spec); err != nil {
 			fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
-			os.Exit(2)
-		}
-		if loss.Kind == "trace" {
-			// The simnet generates its bandwidth traces internally, so there
-			// is no recorded loss column to replay here.
-			fmt.Fprintln(os.Stderr, "rogtrain: -loss-model trace needs recorded traces; use ge or iid")
 			os.Exit(2)
 		}
 	} else {
@@ -155,23 +128,6 @@ func main() {
 			}
 		})
 	}
-	var tracer interface {
-		rog.Tracer
-		Close() error
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
-			os.Exit(1)
-		}
-		if *traceFmt == "chrome" {
-			tracer = rog.NewChromeTracer(f)
-		} else {
-			tracer = rog.NewJSONLTracer(f)
-		}
-	}
-
 	var strat rog.Strategy
 	switch strings.ToLower(*strategy) {
 	case "bsp":
@@ -200,16 +156,6 @@ func main() {
 		Faults: faults, Loss: loss, Reliability: reliability,
 	}
 	o.Scale.VirtualSeconds, o.Scale.CheckpointEvery = *minutes*60, 10
-	metric := "trajectory error"
-	if *paradigm == "cruda" {
-		metric = "accuracy"
-		fmt.Println("pretraining shared model on the clean domain...")
-	}
-	wl := o.NewWorkload()
-	if c, ok := wl.(*harness.CRUDAWorkload); ok {
-		fmt.Printf("pretrained: clean acc %.3f, after domain shift %.3f\n",
-			c.PretrainCleanAcc, c.PretrainNoisyAcc)
-	}
 	cfg := o.Config(harness.SystemSpec{Strategy: strat, Threshold: *threshold})
 	cfg.Shards, cfg.Aggregators = *shards, *aggs
 	if *ckptDir != "" {
@@ -222,8 +168,38 @@ func main() {
 		cfg.SnapshotEverySeconds = *ckptEvery
 		cfg.Resume = *resume
 	}
-	if tracer != nil {
+	// Which values and combinations make a run is Config.Validate's call, made
+	// here so a bad one is refused before the workload is pretrained.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
+		os.Exit(2)
+	}
+	var tracer interface {
+		rog.Tracer
+		Close() error
+	}
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
+			os.Exit(1)
+		}
+		if *traceFmt == "chrome" {
+			tracer = rog.NewChromeTracer(f)
+		} else {
+			tracer = rog.NewJSONLTracer(f)
+		}
 		cfg.Trace = tracer
+	}
+	metric := "trajectory error"
+	if *paradigm == "cruda" {
+		metric = "accuracy"
+		fmt.Println("pretraining shared model on the clean domain...")
+	}
+	wl := o.NewWorkload()
+	if c, ok := wl.(*harness.CRUDAWorkload); ok {
+		fmt.Printf("pretrained: clean acc %.3f, after domain shift %.3f\n",
+			c.PretrainCleanAcc, c.PretrainNoisyAcc)
 	}
 	res, err := rog.Run(cfg, wl)
 	if err != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+
+	"rog/internal/atp"
 	"rog/internal/engine"
 	"rog/internal/obs"
 	"rog/internal/simnet"
@@ -15,7 +18,9 @@ import (
 // now takes two hops: the robot's own radio carries the row to its
 // aggregator (the existing per-worker channel — that contention is why the
 // tier exists), and the aggregator forwards it to the root over a
-// dedicated backhaul uplink.
+// dedicated backhaul uplink — a link like any robot's, so the second hop
+// rides send too: it draws Config.Loss (a combined row is reliable: a lost
+// one goes again until it lands) and is dark while the server is down.
 //
 // The aggregator pre-combines: while its uplink is busy, newly arrived
 // rows for the same unit are summed element-wise and their version stamps
@@ -40,18 +45,18 @@ import (
 // root→worker path.
 type aggTier struct {
 	c    *cluster
-	up   *simnet.Channel // M backhaul uplinks, one device per aggregator
 	aggs []*aggregator
 }
 
-// aggregator is one edge node: a coalescing queue and a busy flag for its
-// single in-flight uplink flow.
+// aggregator is one edge node: its uplink, a coalescing queue and a busy
+// flag for its single in-flight uplink plan.
 type aggregator struct {
-	id    int
-	queue map[int]*aggRow // unit → pending combined row
-	order []int           // units in first-arrival order (deterministic flush)
-	busy  bool
-	// flowSeq counts this aggregator's uplink flows — the correlation id on
+	up     link
+	queue  map[int]*aggRow // unit → pending combined row
+	order  []int           // units in first-arrival order (deterministic flush)
+	flying map[int]*aggRow // unit → row on the uplink, not yet merged
+	busy   bool
+	// flowSeq counts this aggregator's uplink flushes — the correlation id on
 	// its RowsSent events. Incremented unconditionally (pure memory) so
 	// traced and untraced runs stay bit-identical.
 	flowSeq int64
@@ -60,43 +65,42 @@ type aggregator struct {
 // aggRow is a pending combined row: the element-wise sum of every queued
 // push of one unit, plus the version stamp of each contributing push.
 type aggRow struct {
-	unit   int
 	vals   []float32
 	stamps []engine.Stamp
 }
 
-// newAggTier builds the tier. Uplink traces draw from the same environment
+// newAggTier builds the tier: M backhaul uplinks on a channel of their own,
+// one device per aggregator. Uplink traces draw from the same environment
 // distribution as the robot links but from an independent seed stream — a
 // backhaul fades too, just not in lockstep with any robot.
 func newAggTier(c *cluster) *aggTier {
-	m := c.cfg.Aggregators
-	links := make([]*trace.Trace, m)
-	for a := range links {
-		links[a] = trace.GenerateEnv(c.cfg.Env, 300, c.cfg.Seed*7919+uint64(a)+1)
+	traces := make([]*trace.Trace, c.cfg.Aggregators)
+	for a := range traces {
+		traces[a] = trace.GenerateEnv(c.cfg.Env, 300, c.cfg.Seed*7919+uint64(a)+1)
 	}
-	t := &aggTier{
-		c:  c,
-		up: simnet.NewChannel(c.k, links, c.ch.Scale),
-	}
-	for a := 0; a < m; a++ {
-		t.aggs = append(t.aggs, &aggregator{id: a, queue: make(map[int]*aggRow)})
+	up := simnet.NewChannel(c.k, traces, c.ch.Scale)
+	t := &aggTier{c: c}
+	for a, tr := range traces {
+		l := c.newLink(up, a, -(a + 1), c.cfg.Seed*7013+uint64(a)+1, tr)
+		c.links = append(c.links, l)
+		t.aggs = append(t.aggs, &aggregator{up: l, queue: make(map[int]*aggRow)})
 	}
 	return t
 }
 
 // aggOf maps a worker to its aggregator: contiguous balanced groups, the
 // same arithmetic rowsync.ShardMap uses for unit ranges.
-func (t *aggTier) aggOf(w int) int {
-	return w * len(t.aggs) / t.c.cfg.Workers
+func (t *aggTier) aggOf(w int) *aggregator {
+	return t.aggs[w*len(t.aggs)/t.c.cfg.Workers]
 }
 
 // enqueue accepts worker w's decoded row for unit u at local iteration n.
 // vals is borrowed (the cluster's decode scratch) and copied here.
 func (t *aggTier) enqueue(w, u int, vals []float32, n int64) {
-	a := t.aggs[t.aggOf(w)]
+	a := t.aggOf(w)
 	r := a.queue[u]
 	if r == nil {
-		r = &aggRow{unit: u, vals: append([]float32(nil), vals...)}
+		r = &aggRow{vals: append([]float32(nil), vals...)}
 		a.queue[u] = r
 		a.order = append(a.order, u)
 	} else {
@@ -108,35 +112,41 @@ func (t *aggTier) enqueue(w, u int, vals []float32, n int64) {
 	t.flush(a)
 }
 
-// flush starts the next uplink flow if the aggregator is idle and has
-// queued rows. The whole queue ships as one flow (its rows were coalesced
-// while the previous flow drained); on completion the combined rows merge
-// into the root state and any workers parked on the RSP gate re-check.
+// holds reports whether worker w's push of unit u at iteration n is still
+// parked in the tier, queued or on the uplink: it will merge when it lands,
+// so a server restart must not count it lost.
+func (t *aggTier) holds(w, u int, n int64) bool {
+	a := t.aggOf(w)
+	for _, r := range []*aggRow{a.queue[u], a.flying[u]} {
+		if r != nil && slices.Contains(r.stamps, engine.Stamp{Worker: w, Iter: n}) {
+			return true
+		}
+	}
+	return false
+}
+
+// flush sends the queue up if the aggregator is idle and has queued rows.
+// The whole queue ships as one plan (its rows were coalesced while the
+// previous one drained), whole and reliable like a BSP push; each combined
+// row merges into the root state as it lands, and when all have, any workers
+// parked on the RSP gate re-check.
 func (t *aggTier) flush(a *aggregator) {
 	if a.busy || len(a.order) == 0 {
 		return
 	}
-	rows := make([]*aggRow, 0, len(a.order))
-	var bytes float64
-	for _, u := range a.order {
-		rows = append(rows, a.queue[u])
-		bytes += float64(t.c.part.WireSize(u))
-	}
-	a.queue = make(map[int]*aggRow, len(rows))
-	a.order = a.order[:0]
+	units := slices.Clone(a.order)
+	a.flying, a.queue, a.order = a.queue, make(map[int]*aggRow, len(units)), a.order[:0]
 	a.busy = true
 	a.flowSeq++
 	seq := a.flowSeq
-	start := t.c.k.Now()
-	t.up.StartFlow(a.id, bytes, func() {
-		for _, r := range rows {
-			t.c.state.MergeCombined(r.unit, r.vals, r.stamps)
-		}
-		// The backhaul hop is infrastructure time, not any robot's radio:
-		// the negative worker id routes it to the critical-path analyzer's
-		// infra bucket instead of a worker's comm segment.
-		t.c.probe.RowsSent(-(a.id + 1), 0, seq, obs.DirPush, len(rows), bytes,
-			t.c.k.Now()-start, false)
+	ap := atp.NewPlan(units, t.c.wireSize)
+	t.c.send(a.up, 0, obs.DirPush, engine.Plan{Units: units, Must: len(units)}, ap, func(u int) {
+		r := a.flying[u]
+		delete(a.flying, u)
+		t.c.state.MergeCombined(u, r.vals, r.stamps)
+	}, func(delivered int, _, elapsed float64) {
+		// Infrastructure time, not any robot's radio: the uplink's id says so.
+		t.c.probe.RowsSent(a.up.id, 0, seq, obs.DirPush, delivered, ap.TotalBytes(), elapsed, false)
 		a.busy = false
 		t.c.waiters.Wake()
 		t.flush(a)

@@ -156,8 +156,9 @@ type Config struct {
 	// while its uplink is busy and forwards the combined rows to the root.
 	// Forwarded rows carry every originating worker's iteration stamp, so
 	// the RSP staleness bound is preserved through the tier. Pulls stay
-	// direct (root → worker). 0 disables the tier. Mutually exclusive with
-	// Faults, Loss and Durable.
+	// direct (root → worker). 0 disables the tier. An uplink is a link like
+	// a robot's: it draws Loss, is dark while the server is down, and what
+	// the tier holds across a servercrash is delivered after the restart.
 	Aggregators int
 
 	// Pipeline enables the paper's future-work extension (Sec. VI-D):
@@ -173,9 +174,12 @@ type Config struct {
 	// seconds of dead air. 0 = speculative transmission (the default).
 	PerUnitCheckSeconds float64
 
-	// Loss injects a packet-loss channel model on every worker link
+	// Loss injects a packet-loss channel model on every link — each robot's
+	// and each aggregator uplink's, every one from its own seed stream
 	// (internal/lossnet grammar: "iid:0.05", "ge:0.05/16", "trace", "none").
-	// The zero value disables loss and leaves the transmit paths untouched.
+	// "trace" replays the loss column of Traces, which a generated uplink
+	// does not have: uplinks then stay lossless. The zero value disables
+	// loss and leaves the transmit paths untouched.
 	Loss lossnet.Spec
 	// Reliability selects how lost rows settle: Selective (default)
 	// retransmits only a speculative plan's Must prefix and folds the rest
@@ -304,14 +308,9 @@ func (c *Config) Validate() error {
 	if c.Aggregators < 0 {
 		return fmt.Errorf("core: negative Aggregators %d", c.Aggregators)
 	}
-	if c.Aggregators > 0 {
-		if c.Aggregators >= c.Workers {
-			return fmt.Errorf("core: need fewer Aggregators than Workers, got %d for %d workers",
-				c.Aggregators, c.Workers)
-		}
-		if len(c.Faults) > 0 || c.Loss.Enabled() || c.Durable != nil {
-			return fmt.Errorf("core: Aggregators are mutually exclusive with Faults, Loss and Durable")
-		}
+	if c.Aggregators >= c.Workers {
+		return fmt.Errorf("core: need fewer Aggregators than Workers, got %d for %d workers",
+			c.Aggregators, c.Workers)
 	}
 	if c.MaxIterations <= 0 && c.MaxVirtualSeconds <= 0 {
 		return fmt.Errorf("core: no termination condition configured")
@@ -404,18 +403,19 @@ type cluster struct {
 	robots  []robot
 	crashed []bool
 
+	// links are the hops plans ride: robot w's radio at [w], then (with
+	// cfg.Aggregators) aggregator a's backhaul uplink at [Workers+a].
+	links []link
 	// agg is the edge-aggregation tier (nil unless cfg.Aggregators > 0).
 	agg *aggTier
 
-	// loss holds the per-worker packet-loss models (nil = lossless run,
-	// the transmit paths then take their original branches untouched).
-	loss []lossnet.Model
-
 	// Durable-server state: the checkpoint store (nil = volatile server),
-	// whether the server is currently down, when it crashed, accumulated
-	// recovery counters, and the first unrecoverable error (surfaced by Run).
+	// whether the server is currently down, the robots whose rejoin waits for
+	// it, when it crashed, accumulated recovery counters, and the first
+	// unrecoverable error (surfaced by Run).
 	store      *durable.Store
 	serverDown bool
+	rejoins    []int
 	crashTime  float64
 	recovery   metrics.RecoveryStats
 	fatalErr   error
@@ -476,21 +476,11 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		robots:  make([]robot, cfg.Workers),
 		crashed: make([]bool, cfg.Workers),
 	}
+	for w := range links {
+		c.links = append(c.links, c.newLink(c.ch, w, w, cfg.Seed*6151+uint64(w)+1, links[w]))
+	}
 	if cfg.Aggregators > 0 {
 		c.agg = newAggTier(c)
-	}
-	if cfg.Loss.Enabled() {
-		c.loss = make([]lossnet.Model, cfg.Workers)
-		for w := range c.loss {
-			// Distinct seed stream from the trace generator's so loss and
-			// bandwidth schedules stay independent draws.
-			m, err := cfg.Loss.Model(cfg.Seed*6151+uint64(w)+1, links[w])
-			if err != nil {
-				// Validate pinned the trace-column requirement already.
-				panic(err)
-			}
-			c.loss[w] = m
-		}
 	}
 	c.state.OnMerge = cfg.OnMerge
 	// The flight recorder rides the same event stream as the trace sink.
@@ -509,6 +499,15 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		c.meters = append(c.meters, energy.NewMeter(energy.PaperModel()))
 	}
 	return c
+}
+
+// newLink makes device dev of ch a link whose events carry id. Its loss model
+// draws cfg.Loss from its own seed stream, so loss and bandwidth schedules
+// stay independent draws. A model tr cannot feed ("trace" over a generated
+// backhaul; Validate pins the robots' loss columns) leaves the link lossless.
+func (c *cluster) newLink(ch *simnet.Channel, dev, id int, seed uint64, tr *trace.Trace) link {
+	m, _ := c.cfg.Loss.Model(seed, tr)
+	return link{ch: ch, dev: dev, loss: m, id: id}
 }
 
 // computeSecondsFor is one iteration's virtual compute time for worker w,

@@ -23,7 +23,8 @@ import (
 //   - Gradient averaging keeps folding survivor pushes into the crashed
 //     worker's server-side copy, which therefore accumulates exactly the
 //     state a rejoin must replay.
-//   - A rejoin re-attaches the worker (rows re-baselined at the surviving
+//   - A rejoin (deferred to the restart while the server is down)
+//     re-attaches the worker (rows re-baselined at the surviving
 //     minimum), takes the accumulated rows out of its server copy and
 //     transmits them over the worker's link as one reliable resync plan,
 //     fast-forwards the worker's iteration counters to the baseline, and
@@ -71,6 +72,12 @@ func (c *cluster) rejoinWorker(w int) {
 	if !c.crashed[w] {
 		return
 	}
+	if c.serverDown {
+		// A robot cannot reconnect to a dead server (the state it would attach
+		// to is about to be replaced): the restart re-admits it.
+		c.rejoins = append(c.rejoins, w)
+		return
+	}
 	base := c.state.Attach(w)
 	// Fast-forward the worker's counters to the baseline: its next
 	// iteration must version-stamp rows above every re-baselined entry.
@@ -95,7 +102,7 @@ func (c *cluster) rejoinWorker(w int) {
 	c.probe.Reconnect(w, base)
 	c.probe.Resync(w, len(backlog), ap.TotalBytes())
 	c.crashed[w] = false
-	c.send(w, c.iter[w], obs.DirPull, engine.Plan{Units: units, Must: len(units)}, ap,
+	c.send(c.links[w], c.iter[w], obs.DirPull, engine.Plan{Units: units, Must: len(units)}, ap,
 		func(u int) { c.deliverPull(w, held[u]) },
 		func(_ int, _, elapsed float64) {
 			c.meters[w].Add(energy.Communicate, elapsed)

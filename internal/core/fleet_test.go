@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"rog/internal/lossnet"
 )
 
 // mergeLogRun executes one experiment with an OnMerge recorder and returns
@@ -163,11 +165,13 @@ func TestValidateShardAggregatorRules(t *testing.T) {
 		t.Fatalf("Pipeline with Aggregators rejected: %v", err)
 	}
 
-	bad = testConfig(SSP, 4)
-	bad.Aggregators = 1
-	bad.Loss.Kind = "iid"
-	bad.Loss.Rate = 0.05
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Loss with Aggregators accepted")
+	// The tier composes with every other subsystem: its uplink rides the one
+	// send path, so loss, faults and a durable server need no exclusion.
+	ok, _, _ = durableConfig(t, SSP, 4)
+	ok.Aggregators = 1
+	ok.Loss = lossnet.Spec{Kind: "iid", Rate: 0.05}
+	ok.Faults = mustFaults(t, "crash:1@20+25,servercrash@40+10")
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Aggregators with Loss, Faults and Durable rejected: %v", err)
 	}
 }

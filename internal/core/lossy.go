@@ -11,10 +11,10 @@ import (
 
 // This file injects the lossnet channel model into the simnet runtime. The
 // interception point is the per-unit deliver callback of send — the one
-// funnel every transmission (push, pull, rejoin resync) and every shape
-// (speculative, forced continuation, whole-plan) routes row deliveries
-// through. A unit whose bytes crossed the simulated link still rolls the
-// loss model's dice:
+// funnel every transmission (push, pull, uplink flush, rejoin resync) and
+// every shape (speculative, forced continuation, whole-plan) routes row
+// deliveries through. A unit whose bytes crossed the link still rolls that
+// link's loss model:
 //
 //   - delivered → the normal merge/apply path runs;
 //   - lost, best-effort class → nothing runs: the gradient mass stays in
@@ -31,8 +31,8 @@ import (
 // (LTP-style selective reliability steered by ATP importance): a
 // speculative plan's Must prefix — the MTA floor plus the rows RSP forces
 // to keep the staleness gate live — retransmits; everything after it may
-// be lost cheaply. Whole-model plans (BSP/SSP), the rejoin resync and
-// AllReliable mode treat every row as reliable (LTP's rule: what must land
+// be lost cheaply. Whole plans (BSP/SSP, an aggregator's flush, the rejoin
+// resync) and AllReliable mode treat every row as reliable (LTP's rule: what must land
 // is retransmitted until acked).
 //
 // When Config.Loss is disabled none of this is constructed and the
@@ -41,10 +41,9 @@ import (
 // lossFilter carries one transmission's loss state.
 type lossFilter struct {
 	c       *cluster
-	w       int
+	l       link
 	n       int64
 	dir     obs.Dir
-	model   lossnet.Model
 	rel     func(u int) bool
 	deliver func(u int)
 
@@ -69,21 +68,21 @@ func (c *cluster) reliableFor(plan engine.Plan) func(u int) bool {
 	return func(u int) bool { return rel[u] }
 }
 
-// lossy wraps one transmission's deliver/done pair in worker w's loss
-// channel; a run without one gets the pair back untouched. The wrapped done
+// lossy wraps one transmission's deliver/done pair in link l's loss channel;
+// a link without one gets the pair back untouched. The wrapped done
 // settles the losses first: it reports the fold-backs, then repeats the
 // reliable ones until all have landed. The rounds extend the transmission —
 // the MTA report (what the straggler tracker sees) and the comm time both
 // include them: loss slows the link, visibly.
-func (c *cluster) lossy(w int, n int64, dir obs.Dir, plan engine.Plan, deliver func(u int),
+func (c *cluster) lossy(l link, n int64, dir obs.Dir, plan engine.Plan, deliver func(u int),
 	done func(delivered int, mtaTime, elapsed float64)) (func(u int), func(int, float64, float64)) {
-	if c.loss == nil {
+	if l.loss == nil {
 		return deliver, done
 	}
-	f := &lossFilter{c: c, w: w, n: n, dir: dir, model: c.loss[w], rel: c.reliableFor(plan), deliver: deliver}
+	f := &lossFilter{c: c, l: l, n: n, dir: dir, rel: c.reliableFor(plan), deliver: deliver}
 	return f.filterDeliver, func(delivered int, mtaTime, elapsed float64) {
 		if f.folded > 0 {
-			c.probe.RowsLost(w, n, dir, f.folded, "fold")
+			c.probe.RowsLost(l.id, n, dir, f.folded, "fold")
 			c.state.ObserveLoss(f.folded, 0, 0)
 		}
 		f.retransmitRound(0, func(retrans float64) { done(delivered, mtaTime+retrans, elapsed+retrans) })
@@ -93,7 +92,7 @@ func (c *cluster) lossy(w int, n int64, dir obs.Dir, plan engine.Plan, deliver f
 // filterDeliver is the wrapped per-unit delivery: roll the dice, then
 // deliver, queue or fold.
 func (f *lossFilter) filterDeliver(u int) {
-	if !f.model.Lost(f.c.k.Now()) {
+	if !f.l.loss.Lost(f.c.k.Now()) {
 		f.deliver(u)
 		return
 	}
@@ -116,13 +115,13 @@ func (f *lossFilter) retransmitRound(spent float64, done func(retransSeconds flo
 	}
 	ap := atp.NewPlan(f.retry, f.c.wireSize)
 	f.retry = nil
-	f.c.sendPlan(f.w, ap, len(ap.Units), math.Inf(1), f.filterDeliver, func(_ int, _, elapsed float64) {
+	f.c.sendPlan(f.l, ap, len(ap.Units), math.Inf(1), f.filterDeliver, func(_ int, _, elapsed float64) {
 		landed := len(ap.Units) - len(f.retry)
 		if landed > 0 {
-			f.c.probe.RowsLost(f.w, f.n, f.dir, landed, "retransmit")
+			f.c.probe.RowsLost(f.l.id, f.n, f.dir, landed, "retransmit")
 		}
 		// Bytes count even on a fully re-lost round — the airtime was spent.
-		f.c.probe.Retransmit(f.w, f.n, f.dir, landed, ap.TotalBytes(), elapsed)
+		f.c.probe.Retransmit(f.l.id, f.n, f.dir, landed, ap.TotalBytes(), elapsed)
 		f.c.state.ObserveLoss(0, landed, ap.TotalBytes())
 		f.retransmitRound(spent+elapsed, done)
 	})

@@ -137,7 +137,7 @@ func TestPullRestoresUndeliveredMass(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.lossy {
-				c.loss[0] = &everyOther{}
+				c.links[0].loss = &everyOther{}
 			}
 			seedServerCopy(c, 1, 1, 0.5)
 			for w := 0; w < cfg.Workers; w++ {

@@ -152,10 +152,17 @@ func (c *cluster) crashServer(duration float64) {
 	// last N events before the server died — exactly what a postmortem
 	// wants. Best-effort diagnostics; a sink failure must not kill the run.
 	_ = c.cfg.Flight.Dump(fmt.Sprintf("servercrash at t=%.3f", c.k.Now()))
+	// The server's own membership edge: the restart's Reconnect(-1) closes it.
+	c.probe.Detach(-1, int64(c.store.Epoch()), "servercrash")
 	if duration > 0 || c.cfg.RecoverySecondsPerMB > 0 {
-		for w := 0; w < c.cfg.Workers; w++ {
-			c.ch.SetLinkDown(w, true)
-		}
+		c.setServerDown(true)
+	}
+}
+
+// setServerDown darkens (or relights) every channel a link rides.
+func (c *cluster) setServerDown(down bool) {
+	for _, l := range c.links {
+		l.ch.SetServerDown(down) // a no-op after a channel's first link
 	}
 }
 
@@ -179,10 +186,13 @@ func (c *cluster) restartServer() {
 	// matches the workers' view; the lost mass is the price of the crash.
 	for w := 0; w < c.cfg.Workers; w++ {
 		if c.crashed[w] {
+			// Its detach may have died with the old process (unsynced, or the
+			// robot crashed during the outage); a ghost would pin the gate.
+			c.state.Detach(w)
 			continue
 		}
 		for u, n := range c.rep[w].PushIter {
-			if n > c.state.Versions.Get(w, u) {
+			if n > c.state.Versions.Get(w, u) && !(c.agg != nil && c.agg.holds(w, u, n)) {
 				un := c.part.Unit(u)
 				zero := c.scratch[:un.Len]
 				for i := range zero {
@@ -199,10 +209,12 @@ func (c *cluster) restartServer() {
 	c.probe.Reconnect(-1, int64(c.store.Epoch()))
 	finish := func() {
 		c.serverDown = false
-		for w := 0; w < c.cfg.Workers; w++ {
-			c.ch.SetLinkDown(w, false)
-		}
+		c.setServerDown(false)
 		c.waiters.Wake()
+		for _, w := range c.rejoins {
+			c.rejoinWorker(w)
+		}
+		c.rejoins = nil
 	}
 	if recSeconds > 0 {
 		c.k.After(recSeconds, finish)

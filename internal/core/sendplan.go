@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rog/internal/atp"
+	"rog/internal/lossnet"
 	"rog/internal/simnet"
 )
 
@@ -11,15 +12,26 @@ import (
 // estimate cannot collapse transmissions to nothing.
 const minBudget = 0.05
 
-// sendPlan is the one place a plan's bytes become a flow on worker w's link
-// (pushes, pulls, retransmission rounds and the rejoin resync all end here).
+// link is one hop a plan can ride: the channel, the device on it, that
+// link's loss model (nil = lossless) and the worker id its events carry — a
+// robot's index, or -(a+1) for aggregator a's uplink (infrastructure time).
+type link struct {
+	ch   *simnet.Channel
+	dev  int
+	loss lossnet.Model
+	id   int
+}
+
+// sendPlan is the one place a plan's bytes become a flow on a link (pushes,
+// pulls, aggregator uplink flushes, retransmission rounds and the rejoin
+// resync all end here).
 // It transmits the units in order: speculatively within `budget` seconds,
 // but always completing the first mustCount units (Algo. 4 lines 3–7); an
 // infinite budget is no deadline — one flow, no timer. deliver fires for
 // each fully transmitted unit; done receives the delivered count, the
 // (possibly estimated) time the first mustCount units took, and the total
 // elapsed transmission time.
-func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
+func (c *cluster) sendPlan(l link, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
 	if len(ap.Units) == 0 {
 		c.k.After(0, func() { done(0, 0, 0) })
 		return
@@ -28,7 +40,7 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 	budget = max(budget, minBudget)
 	deadline := !math.IsInf(budget, 1)
 	if c.cfg.PerUnitCheckSeconds > 0 && deadline {
-		c.sendPlanSequential(w, ap, mustCount, budget, deliver, done)
+		c.sendPlanSequential(l, ap, mustCount, budget, deliver, done)
 		return
 	}
 	start := c.k.Now()
@@ -39,7 +51,7 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 	var flow *simnet.Flow
 	// StartFlow only schedules events; neither callback can fire until the
 	// kernel processes the next event, so both captures are safe.
-	flow = c.ch.StartFlow(w, total, func() {
+	flow = l.ch.StartFlow(l.dev, total, func() {
 		if timer != nil {
 			timer.Stop()
 		}
@@ -59,7 +71,7 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 		return
 	}
 	timer = c.k.After(budget, func() {
-		sent := c.ch.Cancel(flow)
+		sent := l.ch.Cancel(flow)
 		k := ap.DeliveredCount(sent)
 		for _, u := range ap.Units[:k] {
 			deliver(u)
@@ -68,7 +80,7 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 			// Forced continuation: retransmit the discarded partial unit
 			// and finish the MTA floor (Algo. 4 lines 4–7).
 			remaining := mustBytes - ap.Prefix[k]
-			c.ch.StartFlow(w, remaining, func() {
+			l.ch.StartFlow(l.dev, remaining, func() {
 				for _, u := range ap.Units[k:mustCount] {
 					deliver(u)
 				}
@@ -90,7 +102,7 @@ func (c *cluster) sendPlan(w int, ap atp.Plan, mustCount int, budget float64, de
 // transmissions (cost PerUnitCheckSeconds each) instead of speculating — the
 // design the paper rejects in Sec. III-A for under-utilizing the channel. A
 // plan without a deadline has no judgement to insert and never comes here.
-func (c *cluster) sendPlanSequential(w int, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
+func (c *cluster) sendPlanSequential(l link, ap atp.Plan, mustCount int, budget float64, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
 	start := c.k.Now()
 	mtaTime := 0.0
 	var next func(i int)
@@ -107,7 +119,7 @@ func (c *cluster) sendPlanSequential(w int, ap atp.Plan, mustCount int, budget f
 			return
 		}
 		u := ap.Units[i]
-		c.ch.StartFlow(w, float64(c.part.WireSize(u)), func() {
+		l.ch.StartFlow(l.dev, float64(c.part.WireSize(u)), func() {
 			deliver(u)
 			// The inserted judgement: dead air before the next unit.
 			c.k.After(c.cfg.PerUnitCheckSeconds, func() { next(i + 1) })

@@ -112,18 +112,19 @@ func (c *cluster) communicate(w int) {
 	}
 }
 
-// send moves one plan over worker w's link: through the worker's loss
-// channel when the run has one, then sendPlan — with the MTA budget as the
-// deadline when the plan is speculative, with none otherwise. done receives
-// the delivered unit count, the (possibly estimated) MTA time and the
-// elapsed transmission time, retransmission rounds included.
-func (c *cluster) send(w int, n int64, dir obs.Dir, plan engine.Plan, ap atp.Plan, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
-	deliver, done = c.lossy(w, n, dir, plan, deliver, done)
+// send moves one plan over link l — either hop: a robot's radio or an
+// aggregator's uplink — through the link's loss channel when it has one, then
+// sendPlan — with the MTA budget as the deadline when the plan is
+// speculative, with none otherwise. done receives the delivered unit count,
+// the (possibly estimated) MTA time and the elapsed transmission time,
+// retransmission rounds included.
+func (c *cluster) send(l link, n int64, dir obs.Dir, plan engine.Plan, ap atp.Plan, deliver func(u int), done func(delivered int, mtaTime, elapsed float64)) {
+	deliver, done = c.lossy(l, n, dir, plan, deliver, done)
 	budget := math.Inf(1)
 	if plan.Speculative {
 		budget = c.state.Tracker.Budget()
 	}
-	c.sendPlan(w, ap, plan.Must, budget, deliver, done)
+	c.sendPlan(l, ap, plan.Must, budget, deliver, done)
 }
 
 // transmit moves one plan of worker w's iteration n over its link — a push
@@ -152,7 +153,7 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 		deliver = func(u int) { c.deliverPush(w, u, n) }
 	}
 	seq := c.planSeq[w] // a pull completes the push plan's iteration
-	c.send(w, n, dir, plan, ap, deliver, func(delivered int, mtaTime, elapsed float64) {
+	c.send(c.links[w], n, dir, plan, ap, deliver, func(delivered int, mtaTime, elapsed float64) {
 		if dir == obs.DirPull {
 			c.down[w].Release(c.state)
 		}

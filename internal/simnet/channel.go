@@ -34,6 +34,10 @@ type Channel struct {
 	// of range. Flows on a downed link stall in place and resume when the
 	// link comes back.
 	down []bool
+	// serverDown marks the server at the far end of every link dead. It is a
+	// state of its own: a restart cannot end a blackout early, and a blackout
+	// lifting cannot reach a dead server.
+	serverDown bool
 }
 
 // Flow is one in-flight transmission.
@@ -74,19 +78,23 @@ func NewChannel(k *Kernel, links []*trace.Trace, scale float64) *Channel {
 
 // bytesPerSec returns the current drain rate of flow f given n active flows.
 func (c *Channel) bytesPerSec(f *Flow, at float64, n int) float64 {
-	if n == 0 || c.down[f.Device] {
+	if n == 0 || c.dark(f.Device) {
 		return 0
 	}
 	mbps := c.links[f.Device].At(at) * c.Scale / float64(n)
 	return mbps * 1e6 / 8
 }
 
+// dark reports whether nothing can drain on the device's link: it is blacked
+// out, or the server at its far end is down.
+func (c *Channel) dark(device int) bool { return c.serverDown || c.down[device] }
+
 // contending returns the number of flows competing for airtime: flows on a
-// blacked-out link transmit nothing and do not contend.
+// dark link transmit nothing and do not contend.
 func (c *Channel) contending() int {
 	n := 0
 	for f := range c.flows {
-		if !c.down[f.Device] {
+		if !c.dark(f.Device) {
 			n++
 		}
 	}
@@ -173,11 +181,11 @@ func (c *Channel) schedule() {
 	}
 	now := c.k.Now()
 	next := math.Inf(1)
-	// Trace boundaries of links with active flows (a downed link has no
-	// boundary worth waking for — its rate is pinned at zero until the
-	// blackout lifts, and SetLinkDown reschedules then).
+	// Trace boundaries of links with active flows (a dark link has no
+	// boundary worth waking for — its rate is pinned at zero until it is lit
+	// again, and SetLinkDown/SetServerDown reschedule then).
 	for f := range c.flows {
-		if c.down[f.Device] {
+		if c.dark(f.Device) {
 			continue
 		}
 		if b := c.links[f.Device].NextBoundary(now); b < next {
@@ -259,6 +267,18 @@ func (c *Channel) SetLinkDown(device int, down bool) {
 	c.schedule()
 }
 
+// SetServerDown marks the server behind every link of the channel dead
+// (down=true) or back (down=false): while it is down no flow drains. Per-link
+// blackouts are untouched — each lasts until its own end.
+func (c *Channel) SetServerDown(down bool) {
+	if c.serverDown == down {
+		return
+	}
+	c.advance(c.k.Now())
+	c.serverDown = down
+	c.schedule()
+}
+
 // LinkDown reports whether the device's link is currently blacked out.
 func (c *Channel) LinkDown(device int) bool { return c.down[device] }
 
@@ -266,9 +286,9 @@ func (c *Channel) LinkDown(device int) bool { return c.down[device] }
 func (c *Channel) ActiveFlows() int { return len(c.flows) }
 
 // LinkMbps reports the instantaneous solo capacity of a device's link
-// (before airtime sharing), already scaled. A blacked-out link reports 0.
+// (before airtime sharing), already scaled. A dark link reports 0.
 func (c *Channel) LinkMbps(device int) float64 {
-	if c.down[device] {
+	if c.dark(device) {
 		return 0
 	}
 	return c.links[device].At(c.k.Now()) * c.Scale

@@ -229,3 +229,29 @@ func TestBlackoutFreesAirtime(t *testing.T) {
 		t.Fatal("downed link should report zero capacity")
 	}
 }
+
+// Server reachability and a link's blackout are two states: the server
+// coming back must not lift a blackout, and a blackout lifting must not
+// reach a dead server.
+func TestServerDownIndependentOfBlackout(t *testing.T) {
+	k := NewKernel()
+	links := []*trace.Trace{trace.Constant(8, 1000, 1), trace.Constant(8, 1000, 1)}
+	ch := NewChannel(k, links, 1)
+	var done [2]float64
+	ch.StartFlow(0, 1e6, func() { done[0] = k.Now() }) // 1 s of solo airtime
+	ch.StartFlow(1, 1e6, func() { done[1] = k.Now() })
+	ch.SetLinkDown(0, true)                       // device 0 blacked out over [0, 30)
+	k.At(0.5, func() { ch.SetServerDown(true) })  // server dead over [0.5, 20)
+	k.At(10, func() { ch.SetLinkDown(1, true) })  // a flap on device 1 inside the outage:
+	k.At(15, func() { ch.SetLinkDown(1, false) }) // its up-edge moves no bytes
+	k.At(20, func() { ch.SetServerDown(false) })  // the restart does not light device 0
+	k.At(30, func() { ch.SetLinkDown(0, false) })
+	k.RunUntilIdle(100000)
+	// Device 1: 0.5 s alone before the outage, the other 0.5 s after it.
+	if math.Abs(done[1]-20.5) > 1e-6 {
+		t.Fatalf("device 1 finished at %.6f, want 20.5 (nothing drains while the server is down)", done[1])
+	}
+	if math.Abs(done[0]-31) > 1e-6 {
+		t.Fatalf("device 0 finished at %.6f, want 31 (its blackout outlives the server restart)", done[0])
+	}
+}

@@ -10,7 +10,9 @@
 # non-zero unless ≥99% of every worker's wall time decomposes and the
 # gate stalls attribute), a crash-recovery
 # smoke (a run whose parameter server is killed and recovered from its
-# checkpoint store, then resumed by a fresh process), a serve smoke (a
+# checkpoint store, then resumed by a fresh process, then one composed run —
+# aggregators, loss, a robot crash and a server crash together — whose
+# trace must be well-formed), a serve smoke (a
 # rogserve -listen process training in the background while a gated
 # client and then a lossy retrying client exercise the inference tier
 # over a real socket), and the
@@ -140,7 +142,44 @@ run_recover_smoke() {
 		echo "recover smoke: resume failed over the surviving store" >&2
 		return 1
 	}
+	# Leg 3: everything at once through the CLI — an aggregated fleet on a
+	# lossy channel, a robot whose rejoin falls inside a server outage — and
+	# the trace of it must be well-formed: rogtrace exits 0 (no pairing
+	# violations) and rogtrace critpath reports no structural violation (it
+	# still exits 1: a crashed robot's downtime is not decomposable, so its
+	# coverage is short of 99% by construction).
+	go run ./cmd/rogtrain -workers 8 -aggregators 2 \
+		-faults "crash:1@60+40,servercrash@90+15" -loss 0.05 \
+		-checkpoint-dir "$tmp/ckpt3" -trace "$tmp/t.jsonl" -minutes 4 >"$tmp/leg3.out" || {
+		cat "$tmp/leg3.out" >&2
+		rm -rf "$tmp"
+		echo "recover smoke: composed run failed" >&2
+		return 1
+	}
+	case "$(cat "$tmp/leg3.out")" in
+	*"disconnects 1 reconnects 1"*"recoveries 1"*) ;;
+	*)
+		cat "$tmp/leg3.out" >&2
+		rm -rf "$tmp"
+		echo "recover smoke: composed run lost its rejoin or its recovery" >&2
+		return 1
+		;;
+	esac
+	go run ./cmd/rogtrace "$tmp/t.jsonl" >"$tmp/agg.out" || {
+		cat "$tmp/agg.out" >&2
+		rm -rf "$tmp"
+		echo "recover smoke: composed trace has pairing violations" >&2
+		return 1
+	}
+	out=$(go run ./cmd/rogtrace critpath "$tmp/t.jsonl") || true
 	rm -rf "$tmp"
+	case "$out" in
+	*"structural violations"* | "")
+		echo "$out" >&2
+		echo "recover smoke: composed trace is structurally broken" >&2
+		return 1
+		;;
+	esac
 }
 
 run_trace_smoke() {
