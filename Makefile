@@ -54,6 +54,7 @@ bench-save:
 bench-drift:
 	sh scripts/verify.sh bench-drift
 
-# loc prints non-test Go lines per package outside bench/ and the total.
+# loc prints non-test Go lines per package outside bench/ and the total;
+# `make loc BASE=<git-ref>` prints that commit's, the tree's and the delta.
 loc:
-	sh scripts/loc.sh
+	sh scripts/loc.sh $(BASE)

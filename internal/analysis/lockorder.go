@@ -25,13 +25,13 @@ import (
 //
 // The analysis is cross-package: each Run records, per function, the
 // locks acquired directly, the static call edges, and every call made
-// with locks held; Finish closes the call graph (interface calls are
-// unresolvable and conservatively dropped — the tree's Journal/FS/Policy
-// indirections hide no state locks on their far side), derives held →
-// acquired edges, and reports three shapes of finding: an edge that
-// inverts the declared order (the message quotes the violated "A < B"
-// pair), an edge that closes a cycle in the measured graph, and a
-// re-acquisition of an already-held label.
+// with locks held; Finish closes the call graph (interface and func-value
+// calls are unresolvable and conservatively dropped — the tree's
+// observer-chain/FS/Policy indirections hide no state locks on their far
+// side), derives held → acquired edges, and reports three shapes of
+// finding: an edge that inverts the declared order (the message quotes the
+// violated "A < B" pair), an edge that closes a cycle in the measured
+// graph, and a re-acquisition of an already-held label.
 type Lockorder struct {
 	decls     []loDecl
 	funcs     map[*types.Func]*loFunc

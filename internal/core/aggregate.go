@@ -94,10 +94,11 @@ func (t *aggTier) aggOf(w int) *aggregator {
 	return t.aggs[w*len(t.aggs)/t.c.cfg.Workers]
 }
 
-// enqueue accepts worker w's decoded row for unit u at local iteration n.
-// vals is borrowed (the cluster's decode scratch) and copied here.
-func (t *aggTier) enqueue(w, u int, vals []float32, n int64) {
-	a := t.aggOf(w)
+// enqueue accepts the decoded row for unit u that st.Worker pushed at local
+// iteration st.Iter under plan st.Seq. vals is borrowed (the cluster's
+// decode scratch) and copied here.
+func (t *aggTier) enqueue(u int, vals []float32, st engine.Stamp) {
+	a := t.aggOf(st.Worker)
 	r := a.queue[u]
 	if r == nil {
 		r = &aggRow{vals: append([]float32(nil), vals...)}
@@ -108,7 +109,7 @@ func (t *aggTier) enqueue(w, u int, vals []float32, n int64) {
 			r.vals[i] += v
 		}
 	}
-	r.stamps = append(r.stamps, engine.Stamp{Worker: w, Iter: n})
+	r.stamps = append(r.stamps, st)
 	t.flush(a)
 }
 
@@ -118,7 +119,7 @@ func (t *aggTier) enqueue(w, u int, vals []float32, n int64) {
 func (t *aggTier) holds(w, u int, n int64) bool {
 	a := t.aggOf(w)
 	for _, r := range []*aggRow{a.queue[u], a.flying[u]} {
-		if r != nil && slices.Contains(r.stamps, engine.Stamp{Worker: w, Iter: n}) {
+		if r != nil && slices.ContainsFunc(r.stamps, func(st engine.Stamp) bool { return st.Worker == w && st.Iter == n }) {
 			return true
 		}
 	}

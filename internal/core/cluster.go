@@ -467,7 +467,6 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		ch:      simnet.NewChannel(k, links, scale),
 		part:    part,
 		policy:  policy,
-		state:   engine.NewStateSharded(policy, part, cfg.Workers, 1.0, cfg.Shards),
 		waiters: engine.NewWaitList(),
 		scratch: make([]float32, part.MaxUnitLen()),
 		iter:    make([]int64, cfg.Workers),
@@ -482,7 +481,6 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	if cfg.Aggregators > 0 {
 		c.agg = newAggTier(c)
 	}
-	c.state.OnMerge = cfg.OnMerge
 	// The flight recorder rides the same event stream as the trace sink.
 	// The typed-nil check matters: a nil *FlightRecorder in a Tracer
 	// interface would survive Tee's nil filter.
@@ -491,7 +489,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		tr = obs.Tee(cfg.Flight, cfg.Trace)
 	}
 	c.probe = obs.NewProbe(tr, cfg.Metrics, k.Now)
-	c.state.Probe = c.probe
+	c.adopt(engine.NewStateSharded(policy, part, cfg.Workers, 1.0, cfg.Shards))
 	c.series.Name = fmt.Sprintf("%s-%d", cfg.Strategy, cfg.Threshold)
 	for w := 0; w < cfg.Workers; w++ {
 		c.rep = append(c.rep, engine.NewReplica(wl.Model(w), part, cfg.LR, cfg.Momentum))
@@ -499,6 +497,17 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		c.meters = append(c.meters, energy.NewMeter(energy.PaperModel()))
 	}
 	return c
+}
+
+// adopt makes st — fresh, or recovered from the checkpoint store — the
+// server state the drivers act on: the probe traces it and Config.OnMerge
+// joins its observer chain as a filter on merges.
+func (c *cluster) adopt(st *engine.State) {
+	if c.cfg.OnMerge != nil {
+		st.Observe(engine.Merges(c.cfg.OnMerge))
+	}
+	st.Probe = c.probe
+	c.state = st
 }
 
 // newLink makes device dev of ch a link whose events carry id. Its loss model
@@ -529,10 +538,10 @@ func (c *cluster) computeSecondsFor(w int) float64 {
 	return base * c.cfg.ComputeSkew[w]
 }
 
-// deliverPush moves worker w's unit u at local iteration n into the server
-// state (Algo. 2 lines 2–6: shrink-to-attached averaging and version
-// stamping live in engine.State.Merge).
-func (c *cluster) deliverPush(w, u int, n int64) {
+// deliverPush moves worker w's unit u at local iteration n, sent by w's
+// push plan seq, into the server state (Algo. 2 lines 2–6: shrink-to-attached
+// averaging and version stamping live in engine.State.Merge).
+func (c *cluster) deliverPush(w, u int, n, seq int64) {
 	payload := c.rep[w].EncodeUnit(u)
 	vals := c.scratch[:payload.N]
 	compress.Decode(payload, vals)
@@ -540,7 +549,7 @@ func (c *cluster) deliverPush(w, u int, n int64) {
 		// Edge tier: the row lands at w's aggregator, which coalesces and
 		// forwards it (with w's stamp) over its own uplink. enqueue copies
 		// vals — c.scratch is reused by the next decode.
-		c.agg.enqueue(w, u, vals, n)
+		c.agg.enqueue(u, vals, engine.Stamp{Worker: w, Iter: n, Seq: seq})
 	} else {
 		c.state.Merge(w, u, vals, n)
 	}

@@ -16,10 +16,10 @@ import (
 // Semantics:
 //   - With Config.Durable set, every server-state transition (merge, drain,
 //     restore, detach/attach, time observation, loss folding) reaches the
-//     store's WAL through engine.State.Journal, and a full snapshot rotates
-//     in every SnapshotEverySeconds of virtual time. The checkpoint payload
-//     carries the worker-side resume state: per-worker iteration counters
-//     and model replicas.
+//     store's WAL (the store observes the engine.State), and a full
+//     snapshot rotates in every SnapshotEverySeconds of virtual time. The
+//     checkpoint payload carries the worker-side resume state: per-worker
+//     iteration counters and model replicas.
 //   - A servercrash fault crashes the store (unsynced WAL bytes are lost —
 //     the fidelity of that loss is the store's SyncEvery knob) and, when the
 //     downtime or recovery rate is non-zero, takes every link down so
@@ -92,9 +92,7 @@ func (c *cluster) recoverState() (*durable.RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec.OnMerge = c.cfg.OnMerge
-	rec.Probe = c.probe
-	c.state = rec
+	c.adopt(rec)
 	c.recovery.Recoveries++
 	c.recovery.ReplayedRecords += info.ReplayedRecords
 	c.recovery.ReplayedBytes += info.ReplayedBytes
@@ -193,11 +191,8 @@ func (c *cluster) restartServer() {
 		}
 		for u, n := range c.rep[w].PushIter {
 			if n > c.state.Versions.Get(w, u) && !(c.agg != nil && c.agg.holds(w, u, n)) {
-				un := c.part.Unit(u)
-				zero := c.scratch[:un.Len]
-				for i := range zero {
-					zero[i] = 0
-				}
+				zero := c.scratch[:c.part.Unit(u).Len]
+				clear(zero)
 				c.state.Merge(w, u, zero, n)
 				c.recovery.RowsLost++
 			}

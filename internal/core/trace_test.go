@@ -184,3 +184,37 @@ func TestTraceDisabledRunsUnchanged(t *testing.T) {
 		t.Fatalf("tracing perturbed the run: %+v vs %+v", plain, traced)
 	}
 }
+
+// TestMergeSeqMatchesPlan holds the (Worker, Iter, Seq) contract on
+// obs.Event.Seq: every Merge event carries the Seq of the PushPlanned event
+// that sent its row. A row parked in an edge aggregator merges after its
+// robot has planned again, so the seq has to ride the row's stamp.
+func TestMergeSeqMatchesPlan(t *testing.T) {
+	for _, aggs := range []int{0, 2} {
+		cfg := testConfig(ROG, 4)
+		cfg.Workers, cfg.Aggregators = 8, aggs
+		type push struct {
+			w int
+			n int64
+		}
+		planned := map[push]int64{}
+		merges, wrong := 0, 0
+		cfg.Trace = tracerFunc(func(e obs.Event) {
+			switch e.Kind {
+			case obs.KindPushPlanned:
+				planned[push{e.Worker, e.Iter}] = e.Seq
+			case obs.KindMerge:
+				merges++
+				if seq, ok := planned[push{e.Worker, e.Iter}]; !ok || seq != e.Seq {
+					wrong++
+				}
+			}
+		})
+		if _, err := Run(cfg, newTestWorkload(cfg.Workers, 11)); err != nil {
+			t.Fatal(err)
+		}
+		if merges == 0 || wrong != 0 {
+			t.Fatalf("aggregators=%d: %d of %d Merge events carry a Seq other than their plan's", aggs, wrong, merges)
+		}
+	}
+}

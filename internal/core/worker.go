@@ -134,6 +134,10 @@ func (c *cluster) send(l link, n int64, dir obs.Dir, plan engine.Plan, ap atp.Pl
 // back when it ends.
 func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
 	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
+	if dir == obs.DirPush {
+		c.planSeq[w]++
+	}
+	seq := c.planSeq[w] // a pull completes the push plan's iteration
 	var deliver func(u int)
 	if dir == obs.DirPull {
 		c.down[w].Hold(c.state, plan.Units)
@@ -143,16 +147,14 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 			}
 		}
 	} else {
-		c.planSeq[w]++
 		// Seed the engine state's per-worker plan seq so the Merge events this
 		// push produces carry the same correlation id (no-op when tracing is
-		// off).
-		c.state.NotePushSeq(w, c.planSeq[w])
-		c.probe.PushPlanned(w, n, c.planSeq[w], len(ap.Units), plan.Must,
+		// off); a row an aggregator parks carries it in its stamp instead.
+		c.state.NotePushSeq(w, seq)
+		c.probe.PushPlanned(w, n, seq, len(ap.Units), plan.Must,
 			c.part.NumUnits()-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
-		deliver = func(u int) { c.deliverPush(w, u, n) }
+		deliver = func(u int) { c.deliverPush(w, u, n, seq) }
 	}
-	seq := c.planSeq[w] // a pull completes the push plan's iteration
 	c.send(c.links[w], n, dir, plan, ap, deliver, func(delivered int, mtaTime, elapsed float64) {
 		if dir == obs.DirPull {
 			c.down[w].Release(c.state)

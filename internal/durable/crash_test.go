@@ -37,13 +37,13 @@ func TestRecoverAtEveryWALOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops[:preOps] {
-		o.apply(live)
+		live.Apply(o)
 	}
 	if err := st.Checkpoint(live, []byte("anchor")); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range ops[preOps:] {
-		o.apply(live)
+		live.Apply(o)
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestRecoverAtEveryWALOffset(t *testing.T) {
 	post := ops[preOps:]
 	bounds := make([]int, len(post)+1)
 	for i, o := range post {
-		bounds[i+1] = bounds[i] + o.recLen()
+		bounds[i+1] = bounds[i] + recLen(o)
 	}
 	const wal = "ckpt/wal-00000001"
 	walSize := fs.Size(wal)
@@ -153,7 +153,7 @@ func TestCrashFaultSweep(t *testing.T) {
 		}
 		applied := 0
 		for i, o := range ops {
-			o.apply(live)
+			live.Apply(o)
 			applied = i + 1
 			if i == 20 {
 				// Mid-run checkpoint so the fault can land inside rotation.
@@ -260,7 +260,7 @@ func TestSeededFaultRecovery(t *testing.T) {
 		}
 		applied := 0
 		for i, o := range ops {
-			o.apply(live)
+			live.Apply(o)
 			applied = i + 1
 			if st.Err() != nil {
 				break

@@ -71,9 +71,6 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Dead reports whether the scheduled fault has fired.
-func (f *FaultFS) Dead() bool { return f.dead }
-
 // Crash implements Crasher by delegating to the inner filesystem (so a
 // FaultFS over a MemFS composes both crash models).
 func (f *FaultFS) Crash() {

@@ -13,7 +13,7 @@ import (
 func FuzzSnapshotDecode(f *testing.F) {
 	state, part := newTestState(f, 2)
 	for _, o := range genOps(f, 21, 15, 2) {
-		o.apply(state)
+		state.Apply(o)
 	}
 	valid := encodeSnapshot(state, 3, 7, []byte("resume payload"))
 	f.Add([]byte{})
@@ -64,15 +64,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 // Whatever the input, replay must not panic, must consume monotonically
 // (used + torn == len(input)), must never fabricate records beyond what
 // the bytes could encode, and applying the decoded records to a real
-// state must stay in-bounds (applyRecord's validation is part of the
+// state must stay in-bounds (State.Apply's validation is part of the
 // recovery surface).
 func FuzzWALReplay(f *testing.F) {
 	const workers = 2
 	ops := genOps(f, 33, 12, workers)
 	var valid []byte
 	for _, o := range ops {
-		r := Record{Kind: o.kind, Worker: int32(o.w), Unit: int32(o.u), Iter: o.iter, Aux: o.sec, Vals: o.vals}
-		valid = appendRecord(valid, r)
+		valid = appendRecord(valid, recordOf(o))
 	}
 	f.Add([]byte{})
 	f.Add(valid)
@@ -113,10 +112,10 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		// Applying whatever decoded onto a real state must never index out
-		// of bounds or panic; applyRecord rejects shape-mismatched records.
+		// of bounds or panic; Apply rejects shape-mismatched records.
 		state, _ := newTestState(t, workers)
 		for _, r := range recs {
-			if !applyRecord(state, part, r) {
+			if !state.Apply(r.transition()) {
 				break
 			}
 		}

@@ -5,31 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-)
 
-// WAL record kinds — one per engine.State transition the journal observes.
-const (
-	// RecMerge is one merged row: worker/unit/iter plus the decoded
-	// gradient values folded into every averaged copy.
-	RecMerge uint8 = iota + 1
-	// RecDrain zeroes one worker's averaged copy of a unit (its contents
-	// left the server inside a pull or resync transmission).
-	RecDrain
-	// RecRestore folds values back into a worker's averaged copy (an
-	// undelivered pull conserving its mass).
-	RecRestore
-	// RecDetach removes a worker from membership.
-	RecDetach
-	// RecAttach re-admits a worker (re-baselining is deterministic, so
-	// only the event is logged).
-	RecAttach
-	// RecObserve is one MTA-time tracker report (Aux carries seconds).
-	RecObserve
-	// RecLoss is one loss-channel accounting update: Worker carries the
-	// folded-row count, Unit the retransmitted-row count, Aux the bytes.
-	RecLoss
-
-	recKindMax = RecLoss
+	"rog/internal/engine"
 )
 
 // Fixed layout: kind(1) worker(4) unit(4) iter(8) aux(8) n(4), then n
@@ -40,8 +17,10 @@ const (
 	recordMinSize    = recordHeaderSize + recordCRCSize
 )
 
-// Record is one WAL entry. The roglint:wire marker holds its fields to
-// fixed-width integers and keyed construction (see internal/analysis).
+// Record is one WAL entry: an engine.Transition at fixed widths (Kind is
+// the engine.Kind value; what each kind's fields carry is stated there).
+// The roglint:wire marker holds its fields to fixed-width integers and
+// keyed construction (see internal/analysis).
 //
 //roglint:wire
 type Record struct {
@@ -51,6 +30,18 @@ type Record struct {
 	Iter   int64
 	Aux    float64
 	Vals   []float32
+}
+
+const recKindMax = uint8(engine.KindLoss)
+
+// recordOf is t at wire widths; Vals stays borrowed.
+func recordOf(t engine.Transition) Record {
+	return Record{Kind: uint8(t.Kind), Worker: int32(t.Worker), Unit: int32(t.Unit), Iter: t.Iter, Aux: t.Aux, Vals: t.Vals}
+}
+
+// transition is the value r was logged from.
+func (r Record) transition() engine.Transition {
+	return engine.Transition{Kind: engine.Kind(r.Kind), Worker: int(r.Worker), Unit: int(r.Unit), Iter: r.Iter, Aux: r.Aux, Vals: r.Vals}
 }
 
 // encodedLen returns the on-disk size of the record.

@@ -3,6 +3,7 @@ package durable
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,10 +15,11 @@ import (
 
 // Store is the crash-consistent checkpoint store for one parameter
 // server: an atomic model snapshot (temp-file + rename) plus a
-// write-ahead log of every state transition applied since (the
-// engine.Journal hooks). Recovery loads the latest valid snapshot and
-// replays its WAL up to the first torn record, so the recovered state is
-// exactly the pre-crash state as of the last synced append.
+// write-ahead log of every state transition applied since (the store
+// observes the state: engine.State.Observe). Recovery loads the latest
+// valid snapshot and replays its WAL up to the first torn record, so the
+// recovered state is exactly the pre-crash state as of the last synced
+// append.
 //
 // On disk a checkpoint is a pair: snap-N holds the snapshot, wal-N the
 // transitions applied after it. Checkpoint writes snap-(N+1) atomically,
@@ -47,7 +49,7 @@ type Store struct {
 	seq       uint64 // sequence of the live snapshot/WAL pair
 	maxSeq    uint64 // highest sequence seen on disk (collision avoidance)
 	haveState bool   // a snapshot exists on disk
-	gen       uint64 // journal generation: stale handles are ignored
+	gen       uint64 // journal generation: appends pinned to an older one are ignored
 	wal       File
 	walBuf    []byte
 	unsynced  int
@@ -128,7 +130,7 @@ func (st *Store) Crash() {
 	}
 	st.down = true
 	st.wal = nil
-	st.gen++ // ghost journal handles from the dead server go stale
+	st.gen++ // the dead server's journal observer goes stale
 	st.err = nil
 }
 
@@ -147,7 +149,7 @@ func (st *Store) Begin(state *engine.State, payload []byte) error {
 		return err
 	}
 	st.haveState = true
-	state.Journal = &journalHandle{st: st, gen: st.gen}
+	state.Observe(journal{st: st, gen: st.gen}.observe)
 	return nil
 }
 
@@ -268,7 +270,8 @@ func (st *Store) RecoverSharded(policy engine.Policy, part *rowsync.Partition, w
 	// Newest first: an older pair is only consulted if the newest snapshot
 	// itself is invalid (it was published atomically, so that means
 	// external corruption, not a crash).
-	sortDesc(seqs)
+	slices.Sort(seqs)
+	slices.Reverse(seqs)
 	var firstErr error
 	for _, seq := range seqs {
 		// Recovery rebuilds a State that nothing else can reach yet — its
@@ -295,7 +298,7 @@ func (st *Store) RecoverSharded(policy engine.Policy, part *rowsync.Partition, w
 		}
 		st.haveState = true
 		st.gen++
-		state.Journal = &journalHandle{st: st, gen: st.gen}
+		state.Observe(journal{st: st, gen: st.gen}.observe)
 		st.Probe.RecoveryReplay(info.ReplayedRecords, info.SnapshotBytes+info.ReplayedBytes, info.Epoch)
 		return state, info, nil
 	}
@@ -319,11 +322,7 @@ func (st *Store) recoverFrom(seq uint64, policy engine.Policy, part *rowsync.Par
 		return nil, nil, fmt.Errorf("durable: checkpoint shape %d workers × %d units, run has %d × %d",
 			snap.workers, snap.units, workers, part.NumUnits())
 	}
-	maxVals := 0
 	for u := 0; u < part.NumUnits(); u++ {
-		if n := part.Unit(u).Len; n > maxVals {
-			maxVals = n
-		}
 		if snap.unitLens[u] != part.Unit(u).Len {
 			return nil, nil, fmt.Errorf("durable: checkpoint unit %d holds %d values, run partition has %d",
 				u, snap.unitLens[u], part.Unit(u).Len)
@@ -331,7 +330,7 @@ func (st *Store) recoverFrom(seq uint64, policy engine.Policy, part *rowsync.Par
 	}
 
 	state := engine.NewStateSharded(policy, part, workers, initialBudget, shards)
-	state.RestoreVersions(snap.versions, snap.active, snap.min)
+	state.Versions = rowsync.RestoreVersionStoreSharded(snap.versions, snap.active, snap.min, state.ShardMap())
 	copy(state.RowIter, snap.rowIter)
 	state.Churn = snap.churn
 	state.Loss = snap.loss
@@ -363,10 +362,10 @@ func (st *Store) recoverFrom(seq uint64, policy engine.Policy, part *rowsync.Par
 		info.TornBytes = len(walRaw)
 		return state, info, nil
 	}
-	recs, used, torn := replayWAL(walRaw[walHeaderSize:], maxVals)
+	recs, used, torn := replayWAL(walRaw[walHeaderSize:], part.MaxUnitLen())
 	info.TornBytes = torn
 	for _, r := range recs {
-		if !applyRecord(state, part, r) {
+		if !state.Apply(r.transition()) {
 			// A CRC-valid record that still fails shape validation marks the
 			// point where log and state diverged; nothing after it can be
 			// trusted, so the rest of the log counts as torn.
@@ -379,50 +378,21 @@ func (st *Store) recoverFrom(seq uint64, policy engine.Policy, part *rowsync.Par
 	return state, info, nil
 }
 
-// applyRecord replays one journaled transition onto state; false means
-// the record does not fit the run shape.
-func applyRecord(state *engine.State, part *rowsync.Partition, r Record) bool {
-	w, u := int(r.Worker), int(r.Unit)
-	switch r.Kind {
-	case RecMerge:
-		if w < 0 || w >= state.Versions.Workers() || u < 0 || u >= part.NumUnits() || len(r.Vals) != part.Unit(u).Len {
-			return false
-		}
-		state.Merge(w, u, r.Vals, r.Iter)
-	case RecDrain:
-		if w < 0 || w >= state.Versions.Workers() || u < 0 || u >= part.NumUnits() {
-			return false
-		}
-		state.DrainUnit(w, u)
-	case RecRestore:
-		if w < 0 || w >= state.Versions.Workers() || u < 0 || u >= part.NumUnits() || len(r.Vals) != part.Unit(u).Len {
-			return false
-		}
-		state.RestoreUnit(w, u, r.Vals)
-	case RecDetach:
-		if w < 0 || w >= state.Versions.Workers() {
-			return false
-		}
-		state.Detach(w)
-	case RecAttach:
-		if w < 0 || w >= state.Versions.Workers() {
-			return false
-		}
-		state.Attach(w)
-	case RecObserve:
-		if w < 0 || w >= state.Versions.Workers() {
-			return false
-		}
-		state.Tracker.Observe(w, r.Aux)
-	case RecLoss:
-		state.ObserveLoss(w, u, r.Aux)
-	default:
-		return false
-	}
-	return true
+// journal is the store's end of one server incarnation's log: Begin and
+// Recover register its observe on the state's observer chain (Recover
+// before it hands the state out, so there the log is the chain's first
+// reader). The generation pins it to that incarnation: after Crash or
+// Recover the store's generation moves on and appends through it become
+// no-ops, so a ghost handler finishing its merge on a dead server cannot
+// contaminate the next incarnation's log.
+type journal struct {
+	st  *Store
+	gen uint64
 }
 
-// append logs one record; called by journalHandle with its generation.
+func (j journal) observe(t engine.Transition) { j.st.append(j.gen, recordOf(t)) }
+
+// append logs one record for the journal of generation gen.
 // Appends from stale generations (handlers of an already-crashed server)
 // and poisoned or down stores are dropped — the log must never contain a
 // transition the recovered state did not apply.
@@ -485,59 +455,4 @@ func parseSeq(name, prefix string) (uint64, bool) {
 		return 0, false
 	}
 	return seq, true
-}
-
-// sortDesc orders seqs highest-first (tiny n; avoids importing sort for a
-// comparator of uint64s).
-func sortDesc(seqs []uint64) {
-	for i := 1; i < len(seqs); i++ {
-		for j := i; j > 0 && seqs[j] > seqs[j-1]; j-- {
-			seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-		}
-	}
-}
-
-// journalHandle adapts a Store generation to engine.Journal. The
-// generation pins it to one server incarnation: after Crash or Recover
-// the store's generation moves on and appends through this handle become
-// no-ops, so a ghost handler finishing its merge on a dead server cannot
-// contaminate the next incarnation's log.
-type journalHandle struct {
-	st  *Store
-	gen uint64
-}
-
-// JournalMerge implements engine.Journal.
-func (j *journalHandle) JournalMerge(worker, unit int, iter int64, vals []float32) {
-	j.st.append(j.gen, Record{Kind: RecMerge, Worker: int32(worker), Unit: int32(unit), Iter: iter, Vals: vals})
-}
-
-// JournalDrain implements engine.Journal.
-func (j *journalHandle) JournalDrain(worker, unit int) {
-	j.st.append(j.gen, Record{Kind: RecDrain, Worker: int32(worker), Unit: int32(unit)})
-}
-
-// JournalRestore implements engine.Journal.
-func (j *journalHandle) JournalRestore(worker, unit int, vals []float32) {
-	j.st.append(j.gen, Record{Kind: RecRestore, Worker: int32(worker), Unit: int32(unit), Vals: vals})
-}
-
-// JournalDetach implements engine.Journal.
-func (j *journalHandle) JournalDetach(worker int) {
-	j.st.append(j.gen, Record{Kind: RecDetach, Worker: int32(worker)})
-}
-
-// JournalAttach implements engine.Journal.
-func (j *journalHandle) JournalAttach(worker int) {
-	j.st.append(j.gen, Record{Kind: RecAttach, Worker: int32(worker)})
-}
-
-// JournalObserve implements engine.Journal.
-func (j *journalHandle) JournalObserve(worker int, seconds float64) {
-	j.st.append(j.gen, Record{Kind: RecObserve, Worker: int32(worker), Aux: seconds})
-}
-
-// JournalLoss implements engine.Journal.
-func (j *journalHandle) JournalLoss(folded, retransmitted int, retransmitBytes float64) {
-	j.st.append(j.gen, Record{Kind: RecLoss, Worker: int32(folded), Unit: int32(retransmitted), Aux: retransmitBytes})
 }

@@ -34,41 +34,14 @@ func newTestState(t testing.TB, workers int) (*engine.State, *rowsync.Partition)
 	return engine.NewStateSharded(pol, part, workers, 1.0, 1), part
 }
 
-// op is one scripted state transition. Each op journals exactly one WAL
-// record when applied to a store-attached state (the generator arranges
-// that no op is a dedup or membership no-op).
-type op struct {
-	kind            uint8 // Rec* constant
-	w, u            int
-	iter            int64
-	vals            []float32
-	sec             float64
-	folded, retrans int
-	bytes           float64
-}
-
-func (o op) apply(s *engine.State) {
-	switch o.kind {
-	case RecMerge:
-		s.Merge(o.w, o.u, o.vals, o.iter)
-	case RecDrain:
-		s.DrainUnit(o.w, o.u)
-	case RecRestore:
-		s.RestoreUnit(o.w, o.u, o.vals)
-	case RecDetach:
-		s.Detach(o.w)
-	case RecAttach:
-		s.Attach(o.w)
-	case RecObserve:
-		s.ObservePush(o.w, o.iter, o.sec, o.sec, true)
-	case RecLoss:
-		s.ObserveLoss(o.folded, o.retrans, o.bytes)
-	}
-}
+// op is one scripted state transition, applied with State.Apply. Each op
+// journals exactly one WAL record when applied to a store-attached state
+// (the generator arranges that no op is a dedup or membership no-op).
+type op = engine.Transition
 
 // recLen is the WAL footprint the op's single record will take.
-func (o op) recLen() int {
-	return Record{Vals: o.vals}.encodedLen()
+func recLen(o op) int {
+	return recordOf(o).encodedLen()
 }
 
 // genOps scripts n transitions from seed. It applies each op to a scratch
@@ -90,7 +63,9 @@ func genOps(t testing.TB, seed uint64, n, workers int) []op {
 	}
 	ops := make([]op, 0, n)
 	emit := func(o op) {
-		o.apply(scratch)
+		if !scratch.Apply(o) {
+			t.Fatalf("generated op %+v does not fit the run shape", o)
+		}
 		ops = append(ops, o)
 	}
 	for len(ops) < n {
@@ -105,27 +80,26 @@ func genOps(t testing.TB, seed uint64, n, workers int) []op {
 				w, u = minRow(scratch, workers, units)
 				iter = scratch.Versions.Get(w, u) + 1
 			}
-			emit(op{kind: RecMerge, w: w, u: u, iter: iter, vals: mkVals(u)})
+			emit(op{Kind: engine.KindMerge, Worker: w, Unit: u, Iter: iter, Vals: mkVals(u)})
 		case r < 70:
-			emit(op{kind: RecDrain, w: w, u: u})
+			emit(op{Kind: engine.KindDrain, Worker: w, Unit: u})
 		case r < 80:
-			emit(op{kind: RecRestore, w: w, u: u, vals: mkVals(u)})
+			emit(op{Kind: engine.KindRestore, Worker: w, Unit: u, Vals: mkVals(u)})
 		case r < 85:
 			// Detach an attached worker, but never the last one (the frozen
 			// minimum would make later merges unclampable).
 			if scratch.Versions.IsActive(w) && scratch.Versions.ActiveWorkers() > 1 {
-				emit(op{kind: RecDetach, w: w})
+				emit(op{Kind: engine.KindDetach, Worker: w})
 			}
 		case r < 90:
 			if !scratch.Versions.IsActive(w) {
-				emit(op{kind: RecAttach, w: w})
+				emit(op{Kind: engine.KindAttach, Worker: w})
 			}
 		case r < 95:
-			emit(op{kind: RecObserve, w: w, iter: scratch.Versions.Get(w, 0) + 1,
-				sec: 0.05 + float64(splitmix64(&rng)%100)/250})
+			emit(op{Kind: engine.KindObserve, Worker: w, Aux: 0.05 + float64(splitmix64(&rng)%100)/250})
 		default:
-			emit(op{kind: RecLoss, folded: int(splitmix64(&rng) % 5), retrans: int(splitmix64(&rng) % 3),
-				bytes: float64(splitmix64(&rng) % 4096)})
+			emit(op{Kind: engine.KindLoss, Worker: int(splitmix64(&rng) % 5), Unit: int(splitmix64(&rng) % 3),
+				Aux: float64(splitmix64(&rng) % 4096)})
 		}
 	}
 	return ops
@@ -153,7 +127,7 @@ func refState(t testing.TB, workers int, ops []op, m int) *engine.State {
 	t.Helper()
 	s, _ := newTestState(t, workers)
 	for _, o := range ops[:m] {
-		o.apply(s)
+		s.Apply(o)
 	}
 	return s
 }
@@ -224,13 +198,13 @@ func TestStoreRoundtripAndEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops[:25] {
-		o.apply(live)
+		live.Apply(o)
 	}
 	if err := st.Checkpoint(live, []byte("mid")); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range ops[25:] {
-		o.apply(live)
+		live.Apply(o)
 	}
 
 	rec, info, err := st.Recover(pol, part, workers, 1.0)
@@ -332,7 +306,7 @@ func TestRecoverIgnoresInvalidNewerSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops {
-		o.apply(live)
+		live.Apply(o)
 	}
 	// A garbage file squatting on a newer sequence (external corruption —
 	// the store itself never publishes a torn snapshot).
@@ -352,9 +326,9 @@ func TestRecoverIgnoresInvalidNewerSnapshot(t *testing.T) {
 	}
 }
 
-// TestJournalGenerationGuard: a journal handle captured before a crash (a
-// ghost handler of the dead server) must not contaminate the recovered
-// incarnation's WAL.
+// TestJournalGenerationGuard: the journal observer registered before a
+// crash (a ghost handler of the dead server still drives that state) must
+// not contaminate the recovered incarnation's WAL.
 func TestJournalGenerationGuard(t *testing.T) {
 	const workers = 2
 	pol, part := testShape(t, workers)
@@ -369,7 +343,7 @@ func TestJournalGenerationGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops {
-		o.apply(live)
+		live.Apply(o)
 	}
 	st.Crash()
 	rec, _, err := st.Recover(pol, part, workers, 1.0)
@@ -381,14 +355,16 @@ func TestJournalGenerationGuard(t *testing.T) {
 	if before < 0 {
 		t.Fatalf("anchor WAL missing; files: %v", fsNames(t, fs))
 	}
-	// The ghost: the pre-crash state still holds the old-generation handle.
-	// A drain always journals, so only the generation guard can drop it.
-	live.DrainUnit(0, 0)
+	// The ghost: the pre-crash state still carries the old-generation
+	// observer. A drain always journals, so only the generation guard can
+	// drop it.
+	drain := op{Kind: engine.KindDrain}
+	live.Apply(drain)
 	if got := fs.Size(walName); got != before {
 		t.Fatalf("ghost journal append reached the new WAL (%d -> %d bytes)", before, got)
 	}
 	// The recovered incarnation's appends do land.
-	rec.DrainUnit(0, 0)
+	rec.Apply(drain)
 	if got := fs.Size(walName); got <= before {
 		t.Fatal("recovered state's journal append was dropped")
 	}
@@ -427,13 +403,13 @@ func TestStoreProbeCountersAndPairing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops[:20] {
-		o.apply(live)
+		live.Apply(o)
 	}
 	if err := st.Checkpoint(live, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range ops[20:] {
-		o.apply(live)
+		live.Apply(o)
 	}
 	st.Crash()
 	if _, _, err := st.Recover(pol, part, workers, 1.0); err != nil {
@@ -495,7 +471,7 @@ func TestStickyErrorPoisonsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ops {
-		o.apply(live)
+		live.Apply(o)
 	}
 	if st.Err() == nil {
 		t.Fatal("dropped sync did not poison the store")

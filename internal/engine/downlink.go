@@ -97,6 +97,6 @@ func (d *Downlink) Restore(s *State, payloads ...compress.Payload) {
 	for _, p := range payloads {
 		vals := d.scratch[:p.N]
 		compress.Decode(p, vals)
-		s.RestoreUnit(d.worker, p.Row, vals)
+		s.restoreUnit(d.worker, p.Row, vals)
 	}
 }

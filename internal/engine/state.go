@@ -69,11 +69,9 @@ type State struct {
 	Churn   metrics.ChurnStats // guarded by mu; per-shard duplicate counts fold in via ChurnSnapshot
 	Loss    metrics.LossStats  // guarded by mu
 
-	// OnMerge, when set, observes every merged row (worker, unit, stamped
-	// version) — the hook the simnet↔livenet parity tests record with. It
-	// runs under the owning shard's lock and must not call back into the
-	// State.
-	OnMerge func(worker, unit int, iter int64)
+	// observers is the chain every applied transition is handed to (see
+	// Observe); appended to before the state is shared, read-only after.
+	observers []func(Transition)
 
 	// Probe, when set, receives structured trace events and feeds the
 	// runtime counters (merges with staleness lag, gate checks, MTA budget
@@ -81,10 +79,10 @@ type State struct {
 	Probe *obs.Probe
 
 	// pushSeq[w] is worker w's latest push-plan sequence number, noted by
-	// the driver before that push's rows merge so every Merge event
-	// carries its originating plan's correlation ID. Entry w is written by
-	// the goroutine carrying worker w's push and read on that same push's
-	// merge path, so no lock is needed.
+	// the driver before that push's rows merge; Merge and MergeBatch read it
+	// once, into the stamp their rows carry. Entry w is written by the
+	// goroutine carrying worker w's push and read by that same push's
+	// merge call, so no lock is needed.
 	pushSeq []int64
 
 	// lastRelease records the most recent merge (or detach) that advanced
@@ -93,21 +91,6 @@ type State struct {
 	// disabled path stays allocation-free; a single atomic pointer swap
 	// keeps the three fields torn-read-safe against concurrent gate exits.
 	lastRelease atomic.Pointer[obs.Blocker]
-
-	// Journal, when set, receives every durable transition (see Journal) —
-	// the write-ahead log the crash-recovery store replays. Handles are
-	// internally synchronized; records from different shards commute under
-	// replay.
-	Journal Journal
-
-	// RowSink, when set, observes every merged row's averaged contribution:
-	// vals scaled by scale is exactly the mass the merge folded into
-	// each worker's averaged copy, and iter is the highest version the
-	// merge stamped. The serving tier's weight shadow consumes this stream.
-	// It runs under the owning shard's lock, after the version stamp, and
-	// must not call back into the State (reading the lock-free
-	// Versions.Min() is fine).
-	RowSink func(unit int, vals []float32, scale float32, iter int64)
 }
 
 // stateShard is the independently lockable slice of server state owning
@@ -215,24 +198,29 @@ func (s *State) MergeBatch(worker int, units []int, vals [][]float32, iter int64
 	if len(units) == 0 {
 		return false
 	}
+	st := Stamp{Worker: worker, Iter: iter, Seq: s.pushSeq[worker]}
 	before := s.Versions.Min()
 	for i := 0; i < len(units); {
 		sh := s.shards[s.sm.ShardOf(units[i])]
 		sh.mu.Lock()
 		for i < len(units) && units[i] >= sh.lo && units[i] < sh.hi {
-			s.mergeUnitLocked(sh, units[i], vals[i], Stamp{worker, iter})
+			s.mergeUnitLocked(sh, units[i], vals[i], st)
 			i++
 		}
 		sh.mu.Unlock()
 	}
 	// The batch is one causal push; its last unit stands for it.
-	return s.released(before, Stamp{worker, iter}, units[len(units)-1])
+	return s.released(before, st, units[len(units)-1])
 }
 
-// Stamp is one originating-worker iteration carried by a merged row.
+// Stamp is one originating-worker iteration carried by a merged row. Seq,
+// the sequence number of the push plan that sent the row, is only the
+// correlation id of its Merge event: a row parked in an edge aggregator
+// lands after its robot has planned again, so it brings its own.
 type Stamp struct {
 	Worker int
 	Iter   int64
+	Seq    int64
 }
 
 // MergeCombined folds one edge-aggregated row: vals is the element-wise
@@ -256,49 +244,35 @@ func (s *State) MergeCombined(unit int, vals []float32, stamps []Stamp) bool {
 // mergeUnitLocked is the one merge body: vals lands once, carried by the
 // first stamp that advances its worker's version of unit (returned, with
 // whether there was one); every further live stamp only advances its own
-// worker's version. Stamps that advance nothing are duplicates. The caller
-// holds the lock of the shard owning unit.
+// worker's version, and is observed as a merge of a zero row so that a
+// replay lands the mass once too. Stamps that advance nothing are
+// duplicates. The caller holds the lock of the shard owning unit.
 func (s *State) mergeUnitLocked(sh *stateShard, unit int, vals []float32, stamps ...Stamp) (first Stamp, live bool) {
-	var (
-		inv     float32
-		maxIter int64
-		zero    []float32
-	)
+	var zero []float32
 	for _, st := range stamps {
 		if st.Iter <= s.Versions.Get(st.Worker, unit) {
 			sh.dups++
 			continue
 		}
+		row, scale := zero, float32(0)
 		if !live {
 			first, live = st, true
-			if s.Journal != nil {
-				s.Journal.JournalMerge(st.Worker, unit, st.Iter, vals)
-			}
 			// Average over the attached team; the shard lock pins membership
 			// (written only under all shard locks).
 			active := s.Versions.ActiveWorkers()
 			if active == 0 {
 				active = s.workers
 			}
-			inv = 1 / float32(active)
+			row, scale = vals, 1/float32(active)
 			for w := range s.Acc {
-				s.Acc[w].AddUnit(unit, vals, inv)
+				s.Acc[w].AddUnit(unit, vals, scale)
 			}
-		} else if s.Journal != nil {
-			// Replay equivalence: the first live stamp carried the combined
-			// mass, the rest re-stamp with zero rows.
-			if zero == nil {
-				zero = make([]float32, len(vals))
-			}
-			s.Journal.JournalMerge(st.Worker, unit, st.Iter, zero)
+		} else if zero == nil && len(s.observers) > 0 {
+			zero = make([]float32, len(vals))
+			row = zero
 		}
-		s.stampLocked(sh, st.Worker, unit, st.Iter)
-		if st.Iter > maxIter {
-			maxIter = st.Iter
-		}
-	}
-	if live && s.RowSink != nil {
-		s.RowSink(unit, vals, inv, maxIter)
+		s.stampLocked(sh, unit, st)
+		s.emit(KindMerge, st.Worker, unit, st.Iter, float64(scale), row)
 	}
 	return first, live
 }
@@ -314,30 +288,27 @@ func (s *State) released(before int64, by Stamp, unit int) bool {
 	return adv
 }
 
-// stampLocked advances worker's version of unit to iter and fires the
-// observation hooks. Caller holds the unit's shard lock and has already
-// established iter > the stamped version.
-func (s *State) stampLocked(sh *stateShard, worker, unit int, iter int64) {
-	s.Versions.Update(worker, unit, iter)
-	if iter > s.RowIter[unit] {
-		s.RowIter[unit] = iter
+// stampLocked advances st.Worker's version of unit to st.Iter and traces
+// the merge. Caller holds the unit's shard lock and has already
+// established st.Iter > the stamped version.
+func (s *State) stampLocked(sh *stateShard, unit int, st Stamp) {
+	s.Versions.Update(st.Worker, unit, st.Iter)
+	if st.Iter > s.RowIter[unit] {
+		s.RowIter[unit] = st.Iter
 	}
 	// Lag is this row's stamped version ahead of the global minimum — the
 	// live staleness spread RSP bounds. Min() is lock-free (cached shard
 	// minima), and the lead is maximal now: recording the running maximum
 	// here is exactly MaxAhead without ever holding all shard locks.
-	lag := iter - s.Versions.Min()
+	lag := st.Iter - s.Versions.Min()
 	if lag < 0 {
 		lag = 0
 	}
 	if lag > sh.maxLead {
 		sh.maxLead = lag
 	}
-	if s.OnMerge != nil {
-		s.OnMerge(worker, unit, iter)
-	}
 	if s.Probe != nil {
-		s.Probe.Merge(worker, unit, iter, s.pushSeq[worker], iter, lag)
+		s.Probe.Merge(st.Worker, unit, st.Iter, st.Seq, st.Iter, lag)
 	}
 }
 
@@ -370,8 +341,8 @@ func (s *State) CanAdvance(iter int64) bool {
 }
 
 // NotePushSeq records worker w's current push-plan sequence number so the
-// Merge events its rows produce carry the plan's correlation ID. Entry w
-// is only touched by the goroutine carrying w's push (see pushSeq).
+// Merge events of rows it merges directly carry the plan's correlation ID.
+// Entry w is only touched by the goroutine carrying w's push (see pushSeq).
 func (s *State) NotePushSeq(w int, seq int64) {
 	if s.Probe == nil || w < 0 || w >= len(s.pushSeq) {
 		return
@@ -457,13 +428,11 @@ func (s *State) ObservePush(worker int, iter int64, mtaTime, elapsed float64, sp
 	s.mu.Unlock()
 }
 
-// observeTimeLocked records one tracker report, journaling the exact value
-// so replay reproduces the budget bit-for-bit. Caller holds s.mu.
+// observeTimeLocked records one tracker report; the exact value is the
+// transition, so replay reproduces the budget bit-for-bit. Caller holds s.mu.
 func (s *State) observeTimeLocked(worker int, seconds float64) {
-	if s.Journal != nil {
-		s.Journal.JournalObserve(worker, seconds)
-	}
 	s.Tracker.Observe(worker, seconds)
+	s.emit(KindObserve, worker, 0, 0, seconds, nil)
 }
 
 // Budget returns the MTA tracker's current per-push time budget.
@@ -480,12 +449,10 @@ func (s *State) Budget() float64 {
 // rows that had to be retransmitted, with the repeat bytes they cost.
 func (s *State) ObserveLoss(folded, retransmitted int, retransmitBytes float64) {
 	s.mu.Lock()
-	if s.Journal != nil {
-		s.Journal.JournalLoss(folded, retransmitted, retransmitBytes)
-	}
 	s.Loss.RowsLostFolded += folded
 	s.Loss.RowsRetransmitted += retransmitted
 	s.Loss.RetransmitBytes += retransmitBytes
+	s.emit(KindLoss, folded, retransmitted, 0, retransmitBytes, nil)
 	s.mu.Unlock()
 }
 
@@ -499,11 +466,9 @@ func (s *State) Detach(worker int) {
 	if !s.Versions.IsActive(worker) {
 		return
 	}
-	if s.Journal != nil {
-		s.Journal.JournalDetach(worker)
-	}
 	s.Versions.Detach(worker)
 	s.Churn.Disconnects++
+	s.emit(KindDetach, worker, 0, 0, 0, nil)
 	if s.Probe != nil {
 		// A detach can release the gate without any merge: the departing
 		// worker's rows stop pinning the minimum. Unit -1 marks the
@@ -519,11 +484,9 @@ func (s *State) Attach(worker int) int64 {
 	defer s.mu.Unlock()
 	s.lockShardsLocked()
 	defer s.unlockShardsLocked()
-	if s.Journal != nil {
-		s.Journal.JournalAttach(worker)
-	}
 	base := s.Versions.Attach(worker)
 	s.Churn.Reconnects++
+	s.emit(KindAttach, worker, 0, 0, 0, nil)
 	return base
 }
 
@@ -553,35 +516,22 @@ func (s *State) MaxAhead() int64 {
 	return s.Versions.MaxAhead()
 }
 
-// DrainUnit zeroes worker's averaged copy of unit. Live pulls drain through
-// Downlink (encode-then-drain under one lock hold); this is the bare
-// transition, kept for the WAL replay of the drains they journaled.
-func (s *State) DrainUnit(worker, unit int) {
-	sh := s.shards[s.sm.ShardOf(unit)]
-	sh.mu.Lock()
-	s.drainUnitLocked(worker, unit)
-	sh.mu.Unlock()
-}
-
-// drainUnitLocked journals and zeroes; caller holds the unit's shard lock.
+// drainUnitLocked zeroes worker's averaged copy of unit — the transition
+// under Downlink's encode-then-drain; caller holds the unit's shard lock.
 func (s *State) drainUnitLocked(worker, unit int) {
-	if s.Journal != nil {
-		s.Journal.JournalDrain(worker, unit)
-	}
 	s.Acc[worker].ZeroUnit(unit)
+	s.emit(KindDrain, worker, unit, 0, 0, nil)
 }
 
-// RestoreUnit folds vals back into worker's averaged copy — the undo of a
+// restoreUnit folds vals back into worker's averaged copy — the undo of a
 // drain whose transmission never made it out, conserving gradient mass.
-// Journaled for the same reason the drain is: a pulled copy must stay
+// A transition for the same reason the drain is: a pulled copy must stay
 // drained, and a restored one restored, across a server crash.
-func (s *State) RestoreUnit(worker, unit int, vals []float32) {
+func (s *State) restoreUnit(worker, unit int, vals []float32) {
 	sh := s.shards[s.sm.ShardOf(unit)]
 	sh.mu.Lock()
-	if s.Journal != nil {
-		s.Journal.JournalRestore(worker, unit, vals)
-	}
 	s.Acc[worker].AddUnit(unit, vals, 1)
+	s.emit(KindRestore, worker, unit, 0, 0, vals)
 	sh.mu.Unlock()
 }
 
@@ -625,11 +575,4 @@ func (s *State) AddRowsResynced(n int) {
 	s.mu.Lock()
 	s.Churn.RowsResynced += n
 	s.mu.Unlock()
-}
-
-// RestoreVersions replaces the version store with one rebuilt from
-// checkpointed state, sharded identically. Recovery-time only: the state
-// must not be shared yet.
-func (s *State) RestoreVersions(v [][]int64, active []bool, frozenMin int64) {
-	s.Versions = rowsync.RestoreVersionStoreSharded(v, active, frozenMin, s.sm)
 }

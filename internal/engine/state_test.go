@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"rog/internal/nn"
@@ -45,11 +47,16 @@ func TestMergeShrinkToAttachedAveraging(t *testing.T) {
 }
 
 // TestMergeVersionStampsAndHook checks monotone version stamping, the
-// per-unit freshness iterator, and the OnMerge observation hook.
+// per-unit freshness iterator, and the observer chain's view of a merge.
 func TestMergeVersionStampsAndHook(t *testing.T) {
 	s, part := testState(t, 2)
 	var log [][3]int64
-	s.OnMerge = func(w, u int, it int64) { log = append(log, [3]int64{int64(w), int64(u), it}) }
+	s.Observe(func(tr Transition) {
+		if tr.Kind != KindMerge || tr.Aux != 0.5 || len(tr.Vals) != part.Unit(1).Len {
+			t.Errorf("observed %+v, want a merge of a whole row scaled 1/2", tr)
+		}
+		log = append(log, [3]int64{int64(tr.Worker), int64(tr.Unit), tr.Iter})
+	})
 	vals := make([]float32, part.Unit(1).Len)
 	for i := range vals {
 		vals[i] = 2
@@ -131,19 +138,61 @@ func TestDetachAttachBacklog(t *testing.T) {
 // guard and skip the hot path); the version-count map churns one key per
 // merge without growing, so any allocation the guard sees would come from
 // the instrumentation itself.
+//
+// The observer chain is held to the same guard: handing a transition to a
+// registered observer builds a value on the stack, nothing more.
 func TestMergeWithoutProbeDoesNotAllocate(t *testing.T) {
+	for _, observers := range []int{0, 1} {
+		s, part := testState(t, 3)
+		var seen int
+		for i := 0; i < observers; i++ {
+			s.Observe(func(tr Transition) { seen += len(tr.Vals) })
+		}
+		vals := make([]float32, part.Unit(0).Len)
+		s.Merge(0, 0, vals, 1) // warm up version state
+		it := int64(1)
+		allocs := testing.AllocsPerRun(200, func() {
+			it++
+			s.Merge(0, 0, vals, it)
+			s.CanAdvance(1)
+			s.ObservePush(0, 1, 0.5, 0.5, true)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d observers: nil-probe hot path allocated %.1f times per run, want 0", observers, allocs)
+		}
+		if (seen > 0) != (observers > 0) {
+			t.Fatalf("%d observers saw %d values", observers, seen)
+		}
+	}
+}
+
+// TestObserversRunInRegistrationOrder: every transition reaches every
+// observer, first-registered first — what lets the durable store (Recover
+// registers before it hands the state out) log a transition before any
+// later reader acts on it.
+func TestObserversRunInRegistrationOrder(t *testing.T) {
 	s, part := testState(t, 3)
+	var calls []string
+	for _, name := range []string{"first", "second"} {
+		s.Observe(func(tr Transition) { calls = append(calls, fmt.Sprintf("%s:%d", name, tr.Kind)) })
+	}
 	vals := make([]float32, part.Unit(0).Len)
-	s.Merge(0, 0, vals, 1) // warm up version state
-	it := int64(1)
-	allocs := testing.AllocsPerRun(200, func() {
-		it++
-		s.Merge(0, 0, vals, it)
-		s.CanAdvance(1)
-		s.ObservePush(0, 1, 0.5, 0.5, true)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-probe hot path allocated %.1f times per run, want 0", allocs)
+	d := NewDownlink(1, part)
+	s.Merge(0, 0, vals, 1)
+	s.Merge(0, 0, vals, 1) // duplicate: applies nothing, emits nothing
+	d.Hold(s, []int{0})
+	d.Release(s)
+	s.Detach(2)
+	s.Detach(2) // idempotent: applies nothing, emits nothing
+	s.Attach(2)
+	s.ObservePush(0, 1, 0.5, 0.5, true)
+	s.ObserveLoss(1, 2, 3)
+	var want []string
+	for _, k := range []Kind{KindMerge, KindDrain, KindRestore, KindDetach, KindAttach, KindObserve, KindLoss} {
+		want = append(want, fmt.Sprintf("first:%d", k), fmt.Sprintf("second:%d", k))
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("observer calls = %v\nwant %v", calls, want)
 	}
 }
 

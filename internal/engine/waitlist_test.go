@@ -173,6 +173,10 @@ func TestWaitListConcurrentWakeWait(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+	// A waker that claimed an entry before its gate opened puts it back
+	// after Len read zero above; with the wakers gone, one more pass is
+	// the whole remainder.
+	wl.Wake()
 
 	for w := 0; w < workers; w++ {
 		if n := resumed[w].Load(); n != 1 {

@@ -74,7 +74,7 @@ const (
 // serveTraining is the scripted training side of a serve run: a tiny MLP,
 // its row partition, the sharded State, and the merge schedule on the
 // kernel. The gradient stream is a deterministic function of the seed
-// alone, so attaching a Publisher (whose RowSink runs inside merges but
+// alone, so attaching a Publisher (whose observer runs inside merges but
 // adds no events and writes no training state) cannot perturb it — the
 // bit-identity test in serve_test.go holds the trainer to that.
 type serveTraining struct {

@@ -44,7 +44,7 @@ func TestServeCellWaitForFreshParks(t *testing.T) {
 // TestServeTrainingUnperturbed is the observer-effect gate: attaching the
 // full serving tier (publisher, server, clients) to a training run must
 // leave the training side bit-identical — same state digest, same traced
-// training events — as the same-seed train-only run. The RowSink absorbs
+// training events — as the same-seed train-only run. The observer absorbs
 // under the shard lock but schedules nothing and writes no training state,
 // so virtual time and merge order cannot shift.
 func TestServeTrainingUnperturbed(t *testing.T) {

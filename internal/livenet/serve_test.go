@@ -26,7 +26,7 @@ func (c serveWallClock) After(d float64, fn func()) {
 
 // TestServingTierRidesLiveTraining attaches the inference tier to a real
 // socket training run: the Publisher hooks the live server's merge stream
-// through State().RowSink, an inference Server answers over TCP while the
+// through State().Observe, an inference Server answers over TCP while the
 // workers train over pipes, and the replies must advance monotonically
 // through the published versions without perturbing training.
 func TestServingTierRidesLiveTraining(t *testing.T) {
@@ -38,7 +38,7 @@ func TestServingTierRidesLiveTraining(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 
-	// Hook the serving tier in before the first connection, like OnMerge.
+	// Hook the serving tier in before the first connection.
 	pub := serve.NewPublisher(srv.State(), part, proto.Params(), 0.05)
 	scratch := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(1))
 	scratch.CopyParamsFrom(proto)

@@ -44,8 +44,8 @@ type ServerConfig struct {
 	IdleTimeout time.Duration
 	// OnMerge, when set, observes every row merged into the server state
 	// (worker, unit, stamped version) — instrumentation for the
-	// simnet↔livenet parity tests. Called under the owning shard's lock;
-	// it must not call back into the server or its state.
+	// simnet↔livenet parity tests. It joins the state's observer chain as a
+	// filter on merges, under that contract (engine.State.Observe).
 	OnMerge func(worker, unit int, iter int64)
 	// Trace, when set, receives structured events for every merge, gate
 	// stall and membership change, timestamped in seconds since NewServer.
@@ -55,21 +55,14 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// DebugAddr, when non-empty, serves the Metrics snapshot as JSON over
 	// HTTP on this listen address ("127.0.0.1:0" picks a free port; see
-	// DebugAddr() for the bound address). Empty disables the endpoint.
+	// DebugAddr() for the bound address), with net/http/pprof mounted under
+	// /debug/pprof/ on the same listener. Empty disables the endpoint.
 	DebugAddr string
-	// DebugPprof additionally mounts net/http/pprof under /debug/pprof/ on
-	// the DebugAddr listener — opt-in runtime profiling for live servers.
-	// Ignored when DebugAddr is empty.
-	DebugPprof bool
 	// Flight, when set, retains the last-N events per worker and dumps the
-	// tail when a detach storm hits (see DetachStormCount/Window) — the
-	// crash flight recorder. It sees the same event stream as Trace.
+	// tail when a detach storm hits (detachStormCount detaches within
+	// detachStormWindow) — the crash flight recorder. It sees the same
+	// event stream as Trace.
 	Flight *obs.FlightRecorder
-	// DetachStormCount is the number of detaches within DetachStormWindow
-	// that triggers a flight dump (default 3). Only meaningful with Flight.
-	DetachStormCount int
-	// DetachStormWindow is the detach-storm detection window (default 10s).
-	DetachStormWindow time.Duration
 	// Durable, when set, makes the server crash-consistent: every state
 	// transition is journaled to the store's WAL, Checkpoint() rotates full
 	// snapshots, and a NewServer over a store that already holds state
@@ -174,12 +167,6 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		}
 		cfg.Policy = pol
 	}
-	if cfg.DetachStormCount <= 0 {
-		cfg.DetachStormCount = 3
-	}
-	if cfg.DetachStormWindow <= 0 {
-		cfg.DetachStormWindow = 10 * time.Second
-	}
 	s := &Server{
 		cfg:     cfg,
 		part:    part,
@@ -208,7 +195,9 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("livenet: begin checkpoint store: %w", err)
 		}
 	}
-	s.state.OnMerge = cfg.OnMerge
+	if cfg.OnMerge != nil {
+		s.state.Observe(engine.Merges(cfg.OnMerge))
+	}
 	// Event timestamps are seconds since server start: monotone (time.Since
 	// uses the monotonic clock) and comparable to the simnet's virtual-time
 	// origin, so the same aggregation reads both.
@@ -233,15 +222,13 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		s.debug = ln
 		mux := http.NewServeMux()
 		mux.Handle("/", obs.DebugHandler(cfg.Metrics))
-		if cfg.DebugPprof {
-			// Explicit mounts rather than the DefaultServeMux side effect,
-			// so pprof is exposed only when asked for and only here.
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
+		// Explicit mounts rather than the DefaultServeMux side effect, so
+		// pprof is exposed only here.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			// Serve returns when Close tears the listener down; that exit
 			// path is the expected shutdown, not an error to surface.
@@ -323,10 +310,10 @@ func (s *Server) Churn() metrics.ChurnStats {
 	return s.state.ChurnSnapshot()
 }
 
-// State exposes the engine state so sidecars can hook its merge stream —
-// the serving tier's Publisher attaches through State().RowSink. The
-// pointer is set once in NewServer and internally locked; set hooks
-// before the first HandleConn, exactly as with OnMerge.
+// State exposes the engine state so sidecars can observe its transitions —
+// the serving tier's Publisher registers through State().Observe. The
+// pointer is set once in NewServer and internally locked; register before
+// the first HandleConn.
 func (s *Server) State() *engine.State {
 	return s.state
 }
@@ -489,9 +476,15 @@ func (s *Server) detach(worker int, cause string) {
 	s.cond.Broadcast()
 }
 
+// A detach storm is detachStormCount detaches within detachStormWindow.
+const (
+	detachStormCount  = 3
+	detachStormWindow = 10 * time.Second
+)
+
 // noteDetachLocked records one detach for storm detection and dumps the
-// flight recorder when DetachStormCount detaches landed within
-// DetachStormWindow — a fleet-wide connectivity event worth a postmortem
+// flight recorder when detachStormCount detaches landed within
+// detachStormWindow — a fleet-wide connectivity event worth a postmortem
 // tail. The recent-detach list resets after a dump so one storm yields one
 // dump. Must hold s.mu.
 func (s *Server) noteDetachLocked() {
@@ -501,15 +494,15 @@ func (s *Server) noteDetachLocked() {
 	now := time.Now()
 	keep := s.detachTimes[:0]
 	for _, t := range s.detachTimes {
-		if now.Sub(t) <= s.cfg.DetachStormWindow {
+		if now.Sub(t) <= detachStormWindow {
 			keep = append(keep, t)
 		}
 	}
 	s.detachTimes = append(keep, now)
-	if len(s.detachTimes) >= s.cfg.DetachStormCount {
+	if len(s.detachTimes) >= detachStormCount {
 		// Best-effort diagnostics; a sink failure must not affect serving.
 		_ = s.cfg.Flight.Dump(fmt.Sprintf("detach storm: %d detaches within %v",
-			len(s.detachTimes), s.cfg.DetachStormWindow))
+			len(s.detachTimes), detachStormWindow))
 		s.detachTimes = s.detachTimes[:0]
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +218,19 @@ func TestDebugEndpointServesSnapshot(t *testing.T) {
 	}
 	if snap.Counters["rows_merged"] != 3 {
 		t.Fatalf("snapshot counters = %v, want rows_merged=3", snap.Counters)
+	}
+
+	// The pprof mounts come with the listener.
+	prof, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatalf("GET pprof cmdline: %v", err)
+	}
+	defer prof.Body.Close()
+	cmdline, err := io.ReadAll(prof.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.StatusCode != http.StatusOK || !bytes.Contains(cmdline, []byte(os.Args[0])) {
+		t.Fatalf("pprof cmdline = %d %q, want 200 and this binary's name", prof.StatusCode, cmdline)
 	}
 }

@@ -72,16 +72,6 @@ func NewVersionStoreSharded(workers, units int, sm *ShardMap) *VersionStore {
 	return vs
 }
 
-// RestoreVersionStore rebuilds an unsharded VersionStore from checkpointed
-// state. See RestoreVersionStoreSharded.
-func RestoreVersionStore(v [][]int64, active []bool, frozenMin int64) *VersionStore {
-	units := 0
-	if len(v) > 0 {
-		units = len(v[0])
-	}
-	return RestoreVersionStoreSharded(v, active, frozenMin, NewShardMap(units, 1))
-}
-
 // RestoreVersionStoreSharded rebuilds a VersionStore from checkpointed
 // state: the version matrix and membership flags are adopted as-is and the
 // count index is reconstructed per shard from the active workers' entries.

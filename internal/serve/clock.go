@@ -4,10 +4,10 @@
 //
 // The pieces, in data-flow order:
 //
-//   - Publisher shadows the training stream as model weights (State.RowSink
-//     feeds it every merged row's averaged contribution) and publishes
-//     immutable copy-on-write Snapshots whenever the global row-version
-//     minimum advances. Publication takes per-shard locks only — there is
+//   - Publisher shadows the training stream as model weights (an observer
+//     on State's transition chain, it takes every merged row's averaged
+//     contribution) and publishes immutable copy-on-write Snapshots whenever
+//     the global row-version minimum advances. Publication takes per-shard locks only — there is
 //     no WithAllLocked barrier anywhere on the serving path.
 //   - Server batches concurrent requests into one nn forward pass per
 //     snapshot, and enforces the bounded-staleness read gate: a request may

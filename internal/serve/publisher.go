@@ -11,9 +11,9 @@ import (
 )
 
 // Publisher maintains the serving tier's weight shadow and publishes
-// immutable Snapshots of it. It consumes the training State's merge stream
-// through the RowSink hook: every merged row's averaged contribution
-// (vals · scale) is applied as one momentum-free SGD step to the shadow,
+// immutable Snapshots of it. It observes the training State's transition
+// stream (engine.State.Observe): every merged row's averaged contribution
+// (Vals · Aux) is applied as one momentum-free SGD step to the shadow,
 // `row -= lr · scale · vals`, under the owning publisher shard's lock.
 // Whenever the global row-version minimum has advanced past the published
 // version, the shadow is snapshotted copy-on-write: each shard marks its
@@ -65,11 +65,11 @@ type pubShard struct {
 }
 
 // NewPublisher builds the weight shadow from the pretrained parameters in
-// init (the architecture part was built from), hooks itself into st's
-// merge stream, and publishes the initial snapshot at version 0. lr is the
-// SGD step applied to each absorbed averaged row.
+// init (the architecture part was built from), registers itself on st's
+// observer chain, and publishes the initial snapshot at version 0. lr is
+// the SGD step applied to each absorbed averaged row.
 //
-// Call before training merges begin: NewPublisher sets st.RowSink.
+// Call before training merges begin (see engine.State.Observe).
 func NewPublisher(st *engine.State, part *rowsync.Partition, init []*tensor.Matrix, lr float64) *Publisher {
 	sm := st.ShardMap()
 	p := &Publisher{
@@ -89,7 +89,7 @@ func NewPublisher(st *engine.State, part *rowsync.Partition, init []*tensor.Matr
 		}
 		p.shards = append(p.shards, sh)
 	}
-	st.RowSink = p.absorb
+	st.Observe(p.absorb)
 	p.publish(0)
 	return p
 }
@@ -109,13 +109,19 @@ func (p *Publisher) Publishes() int64 { return p.publishes.Load() }
 // fresher snapshot.
 func (p *Publisher) Parked() int { return p.waiters.Len() }
 
-// absorb is the RowSink: it folds one merged row's averaged contribution
-// into the shadow and publishes when the global minimum has moved past the
-// published version. It runs under the owning stateShard's lock.
-func (p *Publisher) absorb(unit int, vals []float32, scale float32, _ int64) {
-	sh := p.shards[p.sm.ShardOf(unit)]
+// absorb is the state observer: it folds one merged row's averaged
+// contribution into the shadow and publishes when the global minimum has
+// moved past the published version. It runs under the owning stateShard's
+// lock. A combined row's further stamps land a zero row at scale 0 — no
+// step, but the minimum may have moved; no other kind of transition touches
+// the shadow.
+func (p *Publisher) absorb(t engine.Transition) {
+	if t.Kind != engine.KindMerge {
+		return
+	}
+	sh := p.shards[p.sm.ShardOf(t.Unit)]
 	sh.mu.Lock()
-	i := unit - sh.lo
+	i := t.Unit - sh.lo
 	row := sh.rows[i]
 	if sh.shared[i] {
 		// Copy-on-write: the row is captured in a snapshot; writing it in
@@ -124,8 +130,8 @@ func (p *Publisher) absorb(unit int, vals []float32, scale float32, _ int64) {
 		sh.rows[i] = row
 		sh.shared[i] = false
 	}
-	step := p.lr * scale
-	for j, v := range vals {
+	step := p.lr * float32(t.Aux)
+	for j, v := range t.Vals {
 		row[j] -= step * v
 	}
 	sh.mu.Unlock()

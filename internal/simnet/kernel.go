@@ -125,9 +125,3 @@ func (k *Kernel) peek() *Timer {
 	}
 	return &Timer{at: math.Inf(1)}
 }
-
-// Pending reports whether any events remain queued.
-func (k *Kernel) Pending() bool { return k.peek().at != math.Inf(1) }
-
-// NextEventTime returns the time of the next queued event (+Inf if none).
-func (k *Kernel) NextEventTime() float64 { return k.peek().at }
