@@ -14,26 +14,23 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
 	"rog/internal/harness"
+	"rog/internal/obs"
 )
 
 // options is the parsed command line.
 type options struct {
-	exp, jsonPath, drift   string
-	all, full, list        bool
-	seeds                  int
-	cpuProfile, memProfile string
+	exp, jsonPath, drift string
+	all, full, list      bool
+	seeds                int
 }
 
 // mode decides what one invocation does — "list", "all", "drift", "json",
@@ -95,37 +92,6 @@ func seedIDs() (ids []string) {
 	return ids
 }
 
-// startProfiles begins a CPU profile into cpuPath and returns the function
-// that ends it and writes the allocation profile to memPath; either path may
-// be empty. A run that fails (exit 1) never reaches stop and leaves neither.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close() // nothing was written; the start error is the one to report
-			return nil, err
-		}
-	}
-	return func() error {
-		var err error
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			err = cpu.Close()
-		}
-		if memPath != "" && err == nil {
-			var buf bytes.Buffer
-			runtime.GC() // so the profile counts what the run allocated up to its end
-			if err = pprof.Lookup("allocs").WriteTo(&buf, 0); err == nil {
-				err = os.WriteFile(memPath, buf.Bytes(), 0o644)
-			}
-		}
-		return err
-	}, nil
-}
-
 func main() {
 	var o options
 	flag.StringVar(&o.exp, "exp", "", "experiment id to run (see -list)")
@@ -135,8 +101,7 @@ func main() {
 	flag.IntVar(&o.seeds, "seeds", 1, "replicate -exp ("+strings.Join(seedIDs(), ", ")+") across N seeds and report mean±std")
 	flag.StringVar(&o.jsonPath, "json", "", "write a machine-readable report of -exp ("+strings.Join(harness.JSONExperimentIDs(), ", ")+") to this file")
 	flag.StringVar(&o.drift, "drift", "", "rerun the experiment recorded in this BENCH_*.json snapshot and list every leaf that differs (exit 1 if any does)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run to this file")
+	prof := obs.ProfileFlags()
 	flag.Parse()
 
 	// Refuse stray positional arguments (a mistyped flag would otherwise
@@ -152,7 +117,7 @@ func main() {
 	if o.full {
 		scale = harness.Full
 	}
-	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		fail(err)
 	}

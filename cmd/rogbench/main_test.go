@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rog/internal/harness"
+	"rog/internal/obs"
 )
 
 // TestMode pins the mode decision: every flag either takes effect or the
@@ -42,12 +43,12 @@ func TestMode(t *testing.T) {
 	}
 }
 
-// TestProfilesWritten runs a small workload build between startProfiles and
+// TestProfilesWritten runs a small workload build between obs.StartProfiles and
 // its stop function and expects both profile files to exist, non-empty.
 func TestProfilesWritten(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	stop, err := startProfiles(cpu, mem)
+	stop, err := obs.StartProfiles(cpu, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

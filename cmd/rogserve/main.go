@@ -7,6 +7,9 @@
 //	rogserve -listen 127.0.0.1:7070    # train in-process, serve snapshots over TCP
 //	rogserve -connect 127.0.0.1:7070 -n 10 -min-version 3
 //
+// Every mode takes -cpuprofile/-memprofile (go tool pprof -top <file>); a
+// -listen server runs until interrupted and writes them then.
+//
 // The listen mode trains the same synthetic workload the harness sweep
 // uses (a 6-input, 4-class MLP under the ROG policy) on the wall clock and
 // answers serve-protocol requests while training runs; the connect mode is
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -29,6 +33,7 @@ import (
 	"rog/internal/engine"
 	"rog/internal/lossnet"
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/serve"
 	"rog/internal/tensor"
@@ -65,6 +70,7 @@ func main() {
 		retries  = flag.Int("retries", 5, "connect: attempts per request before giving up")
 
 		seed = flag.Uint64("seed", 1, "seed for the model, gradients and client inputs")
+		prof = obs.ProfileFlags()
 	)
 	flag.Parse()
 
@@ -85,6 +91,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
+		os.Exit(1)
+	}
 	switch {
 	case *demo:
 		scale := rog.QuickScale
@@ -104,15 +115,28 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rogserve: -listen needs workers >= 2, threshold >= 2 and period > 0")
 			os.Exit(2)
 		}
-		if err := runServer(*listen, *workers, *threshold, *shards, *lr, *period, *window, *maxBatch, *rounds, *seed); err != nil {
+		// The server runs until killed: an interrupt is the end of its run.
+		interrupt := make(chan os.Signal, 1)
+		signal.Notify(interrupt, os.Interrupt)
+		failed := make(chan error, 1)
+		go func() {
+			failed <- runServer(*listen, *workers, *threshold, *shards, *lr, *period, *window, *maxBatch, *rounds, *seed)
+		}()
+		select {
+		case err := <-failed:
 			fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
 			os.Exit(1)
+		case <-interrupt:
 		}
 	default:
 		if err := runClient(*connect, *n, *minV, *inputCSV, *loss, *timeout, *retries, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
 			os.Exit(1)
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -12,6 +12,7 @@
 //	rogtrain -strategy rog -checkpoint-dir ckpt -resume
 //	rogtrain -strategy rog -workers 64 -shards 8 -aggregators 4
 //	rogtrain -workers 8 -aggregators 2 -faults "crash:1@60+40,servercrash@90+15" -loss 0.05 -checkpoint-dir ckpt
+//	rogtrain -strategy rog -cpuprofile cpu.prof -memprofile mem.prof   # then: go tool pprof -top cpu.prof
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"rog"
 	"rog/internal/harness"
+	"rog/internal/obs"
 )
 
 func main() {
@@ -47,6 +49,7 @@ func main() {
 		aggs      = flag.Int("aggregators", 0, "route pushes through this many edge aggregators (0 = direct to the root server)")
 	)
 	flag.StringVar(faultSpec, "fault", "", "alias for -faults")
+	prof := obs.ProfileFlags()
 	flag.Parse()
 
 	// A stray positional argument usually means a mistyped flag (e.g.
@@ -191,6 +194,11 @@ func main() {
 		}
 		cfg.Trace = tracer
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
+		os.Exit(1)
+	}
 	metric := "trajectory error"
 	if *paradigm == "cruda" {
 		metric = "accuracy"
@@ -212,6 +220,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trace written to %s (%s)\n", *tracePath, *traceFmt)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "rogtrain: %v\n", err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("\n%s on %s (%s, %d workers, %.0f virtual minutes)\n",

@@ -5,15 +5,22 @@
 // sends with wall-clock deadlines, RSP staleness control on a parameter
 // server — between goroutine workers connected over TCP loopback. It is
 // the in-process analogue of deploying the paper's system on a robot team.
+//
+// It is also the binary to profile the socket runtime with:
+//
+//	go run ./examples/livetrain -iters 20000 -cpuprofile cpu.prof -memprofile mem.prof
+//	go tool pprof -top cpu.prof
 package main
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"sync"
 
 	"rog/internal/livenet"
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
 )
@@ -21,12 +28,19 @@ import (
 const (
 	workers   = 3
 	threshold = 4
-	iters     = 60
 	classes   = 5
 	dim       = 8
 )
 
 func main() {
+	iters := flag.Int("iters", 60, "iterations per worker")
+	prof := obs.ProfileFlags()
+	flag.Parse()
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		panic(err)
+	}
+
 	// Shared synthetic task.
 	r := tensor.NewRNG(42)
 	centroids := make([][]float32, classes)
@@ -101,7 +115,7 @@ func main() {
 			defer wg.Done()
 			defer conn.Close()
 			rr := tensor.NewRNG(uint64(id)*13 + 5)
-			for k := 0; k < iters; k++ {
+			for k := 0; k < *iters; k++ {
 				err := w.RunIteration(func() {
 					x, y := batch(rr, 24)
 					_, g := nn.SoftmaxCrossEntropy(models[id].Forward(x), y)
@@ -121,6 +135,9 @@ func main() {
 	wg.Wait()
 	srv.Close()
 	serverWG.Wait()
+	if err := stopProfiles(); err != nil {
+		panic(err)
+	}
 
 	for id, m := range models {
 		fmt.Printf("worker %d final accuracy: %.3f\n", id, nn.Accuracy(m.Forward(evalX), evalY))

@@ -47,22 +47,27 @@ func RowWireSize(n int) int { return wireHeader + (n+7)/8 }
 // time.
 type Codec struct {
 	residual [][]float32
+	comp     []float64 // Encode's compensated row, reused by every call
 }
 
 // NewCodec creates a codec for a model whose rows have the given lengths.
 func NewCodec(rowLens []int) *Codec {
 	res := make([][]float32, len(rowLens))
+	longest := 0
 	for i, n := range rowLens {
 		res[i] = make([]float32, n)
+		longest = max(longest, n)
 	}
-	return &Codec{residual: res}
+	return &Codec{residual: res, comp: make([]float64, longest)}
 }
 
 // NumRows returns the number of rows the codec tracks.
 func (c *Codec) NumRows() int { return len(c.residual) }
 
 // Encode quantizes row g (global row index rowID), folding in and updating
-// the error-feedback residual. g itself is not modified.
+// the error-feedback residual. g itself is not modified. The payload's Bits
+// are a fresh slice, its one allocation: two payloads of one row can be
+// alive at once (a pull in flight and the rejoin backlog that overlaps it).
 func (c *Codec) Encode(rowID int, g []float32) Payload {
 	res := c.residual[rowID]
 	if len(g) != len(res) {
@@ -73,7 +78,7 @@ func (c *Codec) Encode(rowID int, g []float32) Payload {
 	// reconstruction (the original 1-bit SGD formulation).
 	var posSum, negSum float64
 	var posCnt, negCnt int
-	comp := make([]float64, n)
+	comp := c.comp[:n]
 	for i, v := range g {
 		x := float64(v) + float64(res[i])
 		comp[i] = x
@@ -146,16 +151,21 @@ func (c *Codec) ResidualNorm(rowID int) float64 {
 
 // Marshal serializes the payload for transports that need raw bytes.
 func (p Payload) Marshal() []byte {
-	buf := make([]byte, payloadHeader+len(p.Bits))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(p.Row))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(p.N))
-	binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(p.PosScale))
-	binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(p.NegScale))
-	copy(buf[payloadHeader:], p.Bits)
-	return buf
+	return p.AppendTo(make([]byte, 0, payloadHeader+len(p.Bits)))
 }
 
-// Unmarshal parses a payload previously produced by Marshal.
+// AppendTo appends the payload's Marshal form to dst, so a sender can
+// serialize straight into its frame buffer.
+func (p Payload) AppendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Row))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.N))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p.PosScale))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p.NegScale))
+	return append(dst, p.Bits...)
+}
+
+// Unmarshal parses a payload previously produced by Marshal. The payload's
+// Bits alias buf: decode it (or copy them) before buf is reused.
 func Unmarshal(buf []byte) (Payload, error) {
 	if len(buf) < payloadHeader {
 		return Payload{}, fmt.Errorf("compress: payload too short (%d bytes)", len(buf))
@@ -165,13 +175,11 @@ func Unmarshal(buf []byte) (Payload, error) {
 		N:        int(binary.LittleEndian.Uint32(buf[4:])),
 		PosScale: math.Float32frombits(binary.LittleEndian.Uint32(buf[8:])),
 		NegScale: math.Float32frombits(binary.LittleEndian.Uint32(buf[12:])),
+		Bits:     buf[payloadHeader:],
 	}
-	want := (p.N + 7) / 8
-	if len(buf) != payloadHeader+want {
-		return Payload{}, fmt.Errorf("compress: payload body %d bytes, want %d", len(buf)-payloadHeader, want)
+	if want := (p.N + 7) / 8; len(p.Bits) != want {
+		return Payload{}, fmt.Errorf("compress: payload body %d bytes, want %d", len(p.Bits), want)
 	}
-	p.Bits = make([]byte, want)
-	copy(p.Bits, buf[payloadHeader:])
 	return p, nil
 }
 

@@ -172,3 +172,20 @@ func TestAllNegativeRow(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeAllocatesOnlyTheBits: the compensated row is codec-owned
+// scratch, so the payload's bit slice is Encode's one allocation.
+func TestEncodeAllocatesOnlyTheBits(t *testing.T) {
+	c := NewCodec([]int{64, 8})
+	g := make([]float32, 64)
+	for i := range g {
+		g[i] = float32(i%7) - 3
+	}
+	var p Payload
+	if allocs := testing.AllocsPerRun(100, func() { p = c.Encode(0, g) }); allocs > 1 {
+		t.Fatalf("Encode allocates %.1f times, want at most 1", allocs)
+	}
+	if p.N != 64 || len(p.Bits) != 8 {
+		t.Fatalf("payload N=%d with %d bit bytes", p.N, len(p.Bits))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"rog/internal/compress"
 	"rog/internal/nn"
 	"rog/internal/rowsync"
+	"rog/internal/tensor"
 )
 
 // Replica is the worker side of a run (Algo. 1), shared verbatim by both
@@ -22,6 +23,10 @@ type Replica struct {
 
 	part  *rowsync.Partition
 	codec *compress.Codec // uplink, with error feedback
+	// The model's parameter and gradient matrices, listed once: Params()
+	// and Grads() rebuild their slice on every call, and Apply runs per row.
+	params, grads []*tensor.Matrix
+	scratch       []float32 // Restore's decoded row
 }
 
 // NewReplica wraps model (decomposed by part) with a fresh optimizer,
@@ -34,14 +39,19 @@ func NewReplica(model *nn.Sequential, part *rowsync.Partition, lr, momentum floa
 		PushIter: make([]int64, part.NumUnits()),
 		part:     part,
 		codec:    compress.NewCodec(part.Widths()),
+		params:   model.Params(),
+		grads:    model.Grads(),
+		scratch:  make([]float32, part.MaxUnitLen()),
 	}
 }
 
 // Accumulate folds the model's freshly computed gradients into the local
 // store and clears them (Algo. 1 lines 2–3).
 func (r *Replica) Accumulate() {
-	r.Local.Accumulate(r.Model.Grads())
-	r.Model.ZeroGrads()
+	r.Local.Accumulate(r.grads)
+	for _, g := range r.grads {
+		g.Zero()
+	}
 }
 
 // PushView assembles the policy's worker-side view for iteration iter from
@@ -72,7 +82,7 @@ func (r *Replica) Stamp(u int, iter int64) { r.PushIter[u] = iter }
 // accumulator. Encode moved (value − residual) into the payload, so adding
 // the decoded value back conserves the gradient mass exactly.
 func (r *Replica) Restore(p compress.Payload) {
-	vals := make([]float32, p.N)
+	vals := r.scratch[:p.N]
 	compress.Decode(p, vals)
 	r.Local.AddUnit(p.Row, vals, 1)
 }
@@ -82,9 +92,8 @@ func (r *Replica) Restore(p compress.Payload) {
 // granularity): whole rows go through the optimizer so momentum state stays
 // per-row; a partial row takes the same step rule without momentum.
 func (r *Replica) Apply(u int, vals []float32) {
-	params := r.Model.Params()
 	un := r.part.Unit(u)
-	p := params[un.Param]
+	p := r.params[un.Param]
 	end := un.Offset + un.Len
 	for off := un.Offset; off < end; {
 		row := off / p.Cols
@@ -95,7 +104,7 @@ func (r *Replica) Apply(u int, vals []float32) {
 		}
 		src := vals[off-un.Offset : off-un.Offset+width]
 		if width == p.Cols {
-			r.Opt.ApplyRow(params, un.Param, row, src)
+			r.Opt.ApplyRow(r.params, un.Param, row, src)
 		} else {
 			lr := float32(r.Opt.LR)
 			dst := p.Data[off : off+width]

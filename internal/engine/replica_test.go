@@ -106,3 +106,22 @@ func TestReplicaApplyPartialRow(t *testing.T) {
 		t.Fatalf("element step = %v, want %v", p.Data[un.Offset], want)
 	}
 }
+
+// TestReplicaApplyDoesNotAllocate guards the per-row pull path both runtimes
+// share: the parameter list is built once, not per applied row. Whole rows
+// (momentum) and partial rows (element granularity) alike.
+func TestReplicaApplyDoesNotAllocate(t *testing.T) {
+	for _, g := range []rowsync.Granularity{rowsync.Rows, rowsync.Elements} {
+		r, part := testReplica(g, 0.9)
+		vals := make([]float32, part.MaxUnitLen())
+		pull := func() {
+			for u := 0; u < part.NumUnits(); u++ {
+				r.Apply(u, vals[:part.Unit(u).Len])
+			}
+		}
+		pull() // the optimizer builds its velocity on first use
+		if allocs := testing.AllocsPerRun(50, pull); allocs != 0 {
+			t.Fatalf("granularity %v: applying a pull allocates %.1f times, want 0", g, allocs)
+		}
+	}
+}

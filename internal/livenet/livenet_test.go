@@ -204,11 +204,11 @@ func TestProtocolRoundtrip(t *testing.T) {
 		frame []byte
 		kind  byte
 	}{
-		{"row", rowMsg(7, p), kindRow},
-		{"pushDone", pushDoneMsg(7, 1.25), kindPushDone},
-		{"pull", pullMsg(p), kindPull},
-		{"pullDone", pullDoneMsg(0.5, 3), kindPullDone},
-		{"resyncDone", resyncDoneMsg(9, 0.25, 4, 2), kindResyncDone},
+		{"row", rowMsg(nil, 7, p), kindRow},
+		{"pushDone", pushDoneMsg(nil, 7, 1.25), kindPushDone},
+		{"pull", pullMsg(nil, p), kindPull},
+		{"pullDone", pullDoneMsg(nil, 0.5, 3), kindPullDone},
+		{"resyncDone", resyncDoneMsg(nil, 9, 0.25, 4, 2), kindResyncDone},
 	} {
 		msg, err := parse(tc.frame)
 		if err != nil {
@@ -218,13 +218,13 @@ func TestProtocolRoundtrip(t *testing.T) {
 			t.Fatalf("%s: kind %q", tc.name, msg.kind)
 		}
 	}
-	if m, err := parse(pushDoneMsg(7, 1.25)); err != nil || m.iter != 7 || m.mta != 1.25 {
+	if m, err := parse(pushDoneMsg(nil, 7, 1.25)); err != nil || m.iter != 7 || m.mta != 1.25 {
 		t.Fatalf("pushDone fields: %+v %v", m, err)
 	}
-	if m, _ := parse(pullDoneMsg(0.5, 3)); m.budget != 0.5 || m.min != 3 {
+	if m, _ := parse(pullDoneMsg(nil, 0.5, 3)); m.budget != 0.5 || m.min != 3 {
 		t.Fatalf("pullDone fields: %+v", m)
 	}
-	if m, _ := parse(resyncDoneMsg(9, 0.25, 4, 2)); m.iter != 9 || m.budget != 0.25 || m.min != 4 || m.epoch != 2 {
+	if m, _ := parse(resyncDoneMsg(nil, 9, 0.25, 4, 2)); m.iter != 9 || m.budget != 0.25 || m.min != 4 || m.epoch != 2 {
 		t.Fatalf("resyncDone fields: %+v", m)
 	}
 	for _, bad := range [][]byte{{}, {'Z', 1}, {kindRow, 1}, {kindPushDone, 1, 2}, {kindResyncDone, 1}} {

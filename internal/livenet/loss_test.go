@@ -37,8 +37,6 @@ func TestLossyRowFramesBoundedStaleness(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 
-	dropRowFrames := func(b []byte) bool { return len(b) > 12 && b[12] == kindRow }
-
 	var models []*nn.Sequential
 	var ws []*Worker
 	var lossy []*lossnet.Conn
@@ -130,9 +128,7 @@ func TestLossyConnPassesControlFrames(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	lc := lossnet.WrapConn(a, lossnet.NewBernoulli(1.0, 1), func(b []byte) bool {
-		return len(b) > 12 && b[12] == kindRow
-	})
+	lc := lossnet.WrapConn(a, lossnet.NewBernoulli(1.0, 1), dropRowFrames)
 
 	got := make(chan byte, 1)
 	errs := make(chan error, 1)
@@ -147,10 +143,10 @@ func TestLossyConnPassesControlFrames(t *testing.T) {
 		got <- buf[:n][12]
 	}()
 
-	if err := transport.WriteFrame(lc, rowMsg(3, compressPayload(t))); err != nil {
+	if err := transport.WriteFrame(lc, rowMsg(nil, 3, compressPayload(t))); err != nil {
 		t.Fatalf("row write: %v", err)
 	}
-	if err := transport.WriteFrame(lc, pushDoneMsg(3, 0.001)); err != nil {
+	if err := transport.WriteFrame(lc, pushDoneMsg(nil, 3, 0.001)); err != nil {
 		t.Fatalf("control write: %v", err)
 	}
 
@@ -166,5 +162,82 @@ func TestLossyConnPassesControlFrames(t *testing.T) {
 	}
 	if d, _ := lc.Dropped(); d != 1 {
 		t.Fatalf("dropped %d frames, want exactly the row frame", d)
+	}
+}
+
+// dropRowFrames confines a lossnet.Conn's loss to row frames (frame layout:
+// 8-byte start marker, 4-byte length, body): control frames model the
+// reliable side channel a real deployment acks explicitly.
+func dropRowFrames(frame []byte) bool { return len(frame) > 12 && frame[12] == kindRow }
+
+// TestLossyConnSplitsCoalescedPush: a push leaves as one Write, and the
+// channel model is still one draw per frame. Through a rate-0.5 channel a
+// 20-row push loses some rows and keeps others (a per-Write draw would
+// swallow all twenty or none), Dropped() counts frames, the survivors arrive
+// whole and in order, and the push-done that follows always crosses.
+func TestLossyConnSplitsCoalescedPush(t *testing.T) {
+	const rows = 20
+	for seed := uint64(1); seed <= 8; seed++ {
+		a, b := net.Pipe()
+		lc := lossnet.WrapConn(a, lossnet.NewBernoulli(0.5, seed), dropRowFrames)
+
+		type result struct {
+			got  []int
+			done bool
+			err  error
+		}
+		recv := make(chan result, 1)
+		go func() {
+			var r result
+			rc := transport.NewReceiver(b)
+			for !r.done && r.err == nil {
+				frame, err := rc.Recv()
+				if err != nil {
+					r.err = err
+					break
+				}
+				msg, err := parse(frame)
+				r.err = err
+				r.done = msg.kind == kindPushDone
+				if msg.kind == kindRow {
+					r.got = append(r.got, msg.payload.Row)
+				}
+			}
+			recv <- r
+		}()
+
+		var out transport.Batch
+		p := compressPayload(t)
+		for row := 0; row < rows; row++ {
+			p.Row = row
+			out.End(rowMsg(out.Begin(), 3, p))
+		}
+		if sent, err := sendPlanned(lc, &out, 0, false, 0); err != nil || sent != rows {
+			t.Fatalf("seed %d: push sent %d rows, err %v — a lost frame must look delivered", seed, sent, err)
+		}
+		out.Reset()
+		out.End(pushDoneMsg(out.Begin(), 3, 0.001))
+		if err := sendAll(lc, &out); err != nil {
+			t.Fatalf("seed %d: push-done: %v", seed, err)
+		}
+		r := <-recv
+		a.Close()
+		b.Close()
+
+		if r.err != nil || !r.done {
+			t.Fatalf("seed %d: push-done did not arrive (err %v)", seed, r.err)
+		}
+		dropped, _ := lc.Dropped()
+		if dropped == 0 || dropped == rows {
+			t.Fatalf("seed %d: dropped %d of %d rows — the draw was per write, not per frame", seed, dropped, rows)
+		}
+		if int(dropped)+len(r.got) != rows {
+			t.Fatalf("seed %d: dropped %d + received %d != %d rows sent", seed, dropped, len(r.got), rows)
+		}
+		for i := 1; i < len(r.got); i++ {
+			if r.got[i] <= r.got[i-1] {
+				t.Fatalf("seed %d: surviving rows out of order: %v", seed, r.got)
+			}
+		}
 	}
 }

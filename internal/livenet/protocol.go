@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"rog/internal/compress"
+	"rog/internal/rowsync"
 )
 
 // Message kinds on the wire. Every frame body starts with one kind byte.
@@ -27,45 +28,37 @@ const (
 	kindResyncDone = 'Y' // server→worker: rejoin resync finished; carries the baseline iteration and MTA budget
 )
 
+// The message constructors append to dst and return it, so a sender
+// marshals straight into its transport.Batch (nil builds a fresh slice).
+
 // rowMsg encodes a gradient row pushed for iteration iter.
-func rowMsg(iter int64, p compress.Payload) []byte {
-	body := p.Marshal()
-	out := make([]byte, 1+8+len(body))
-	out[0] = kindRow
-	binary.LittleEndian.PutUint64(out[1:], uint64(iter))
-	copy(out[9:], body)
-	return out
+func rowMsg(dst []byte, iter int64, p compress.Payload) []byte {
+	dst = append(dst, kindRow)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(iter))
+	return p.AppendTo(dst)
 }
 
 // pushDoneMsg signals the end of a push and reports the worker's measured
 // MTA time in seconds.
-func pushDoneMsg(iter int64, mtaSeconds float64) []byte {
-	out := make([]byte, 1+8+8)
-	out[0] = kindPushDone
-	binary.LittleEndian.PutUint64(out[1:], uint64(iter))
-	binary.LittleEndian.PutUint64(out[9:], math.Float64bits(mtaSeconds))
-	return out
+func pushDoneMsg(dst []byte, iter int64, mtaSeconds float64) []byte {
+	dst = append(dst, kindPushDone)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(iter))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(mtaSeconds))
 }
 
 // pullMsg encodes an averaged row sent back to a worker.
-func pullMsg(p compress.Payload) []byte {
-	body := p.Marshal()
-	out := make([]byte, 1+len(body))
-	out[0] = kindPull
-	copy(out[1:], body)
-	return out
+func pullMsg(dst []byte, p compress.Payload) []byte {
+	return p.AppendTo(append(dst, kindPull))
 }
 
 // pullDoneMsg signals the end of a pull and distributes the server's
 // current MTA-time budget (the straggler's report, Algo. 4) plus the
 // global minimum row version — the Min a socket worker's next PushView
 // carries (FLOWN's scheduler and any staleness-aware push plan need it).
-func pullDoneMsg(budgetSeconds float64, min int64) []byte {
-	out := make([]byte, 1+8+8)
-	out[0] = kindPullDone
-	binary.LittleEndian.PutUint64(out[1:], math.Float64bits(budgetSeconds))
-	binary.LittleEndian.PutUint64(out[9:], uint64(min))
-	return out
+func pullDoneMsg(dst []byte, budgetSeconds float64, min int64) []byte {
+	dst = append(dst, kindPullDone)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(budgetSeconds))
+	return binary.LittleEndian.AppendUint64(dst, uint64(min))
 }
 
 // resyncDoneMsg ends a rejoin resync: the preceding kindPull frames carried
@@ -77,14 +70,12 @@ func pullDoneMsg(budgetSeconds float64, min int64) []byte {
 // increments every time the parameter server restarts from its checkpoint
 // store, so a worker can tell a plain reconnect from a reconnect across a
 // server crash.
-func resyncDoneMsg(baseline int64, budgetSeconds float64, min int64, epoch uint64) []byte {
-	out := make([]byte, 1+8+8+8+8)
-	out[0] = kindResyncDone
-	binary.LittleEndian.PutUint64(out[1:], uint64(baseline))
-	binary.LittleEndian.PutUint64(out[9:], math.Float64bits(budgetSeconds))
-	binary.LittleEndian.PutUint64(out[17:], uint64(min))
-	binary.LittleEndian.PutUint64(out[25:], epoch)
-	return out
+func resyncDoneMsg(dst []byte, baseline int64, budgetSeconds float64, min int64, epoch uint64) []byte {
+	dst = append(dst, kindResyncDone)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(baseline))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(budgetSeconds))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(min))
+	return binary.LittleEndian.AppendUint64(dst, epoch)
 }
 
 // parsed is one decoded message. The roglint:wire marker holds its fields
@@ -101,6 +92,9 @@ type parsed struct {
 	payload compress.Payload
 }
 
+// parse decodes one frame body. A row's payload aliases frame (see
+// compress.Unmarshal): over a transport.Receiver view it must be decoded
+// before the next Recv.
 func parse(frame []byte) (parsed, error) {
 	if len(frame) == 0 {
 		return parsed{}, fmt.Errorf("livenet: empty frame")
@@ -157,4 +151,16 @@ func parse(frame []byte) (parsed, error) {
 	default:
 		return parsed{}, fmt.Errorf("livenet: unknown frame kind %q", frame[0])
 	}
+}
+
+// decodeRow decodes a received row into the front of dst, after holding it
+// to the partition both ends share: a row index or length that does not fit
+// the model is a protocol error, not something to index with.
+func decodeRow(part *rowsync.Partition, p compress.Payload, dst []float32) ([]float32, error) {
+	if p.Row < 0 || p.Row >= part.NumUnits() || p.N != part.Unit(p.Row).Len {
+		return nil, fmt.Errorf("livenet: row %d of %d values does not fit the model", p.Row, p.N)
+	}
+	vals := dst[:p.N]
+	compress.Decode(p, vals)
+	return vals, nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rog/internal/atp"
-	"rog/internal/compress"
 	"rog/internal/durable"
 	"rog/internal/engine"
 	"rog/internal/metrics"
@@ -331,11 +330,14 @@ func (s *Server) HandleConn(worker int, conn net.Conn) error {
 	if worker < 0 || worker >= s.cfg.Workers {
 		return fmt.Errorf("livenet: worker %d out of range [0,%d)", worker, s.cfg.Workers)
 	}
-	if err := s.attach(worker, conn); err != nil {
+	// Every frame this connection sends — resync, pulls, control — is built
+	// in one buffer that grows to the largest plan and is then reused.
+	var out transport.Batch
+	if err := s.attach(worker, conn, &out); err != nil {
 		s.detach(worker, "resync failure")
 		return err
 	}
-	reason, err := s.serve(worker, conn)
+	reason, err := s.serve(worker, conn, &out)
 	s.detach(worker, reason.String())
 	if reason == DisconnectStall {
 		// Kill the stalled connection so a zombie peer cannot hold the
@@ -348,30 +350,47 @@ func (s *Server) HandleConn(worker int, conn net.Conn) error {
 // pushBatch buffers one in-flight push's rows between the first kindRow
 // frame and the pushDone that closes it, so the whole push merges with one
 // shard-lock acquisition per contiguous run instead of one lock per row.
+// The rows are decoded into one arena the connection reuses for every push:
+// MergeBatch only borrows vals (engine.Transition.Vals).
 type pushBatch struct {
+	iter  int64 // the stamp every buffered row carries
 	units []int
 	vals  [][]float32
-	iters []int64
+	arena []float32
 }
 
-// flushPush merges the buffered rows in arrival order, batched per run of
-// equal iteration stamps (in the strict request-response protocol a push's
-// rows all carry one stamp; the grouping keeps a malformed interleaving
-// correct rather than fast).
-func (s *Server) flushPush(worker int, b *pushBatch) {
-	for i := 0; i < len(b.units); {
-		j := i
-		for j < len(b.units) && b.iters[j] == b.iters[i] {
-			j++
-		}
-		s.state.MergeBatch(worker, b.units[i:j], b.vals[i:j], b.iters[i])
-		i = j
+// bufferRow decodes one received row into the batch. In the strict
+// request-response protocol a push's rows all carry one stamp; a row that
+// carries another flushes what is buffered first, which keeps a malformed
+// interleaving correct rather than fast.
+func (s *Server) bufferRow(worker int, b *pushBatch, msg parsed) error {
+	if msg.iter != b.iter {
+		s.flushPush(worker, b)
+		b.iter = msg.iter
 	}
-	b.units, b.vals, b.iters = b.units[:0], b.vals[:0], b.iters[:0]
+	if cap(b.arena)-len(b.arena) < msg.payload.N {
+		// Rows already decoded keep the array they are in; the push
+		// continues in a larger one, which the next push starts from.
+		b.arena = make([]float32, 0, max(2*cap(b.arena), s.part.MaxUnitLen()))
+	}
+	vals, err := decodeRow(s.part, msg.payload, b.arena[len(b.arena):cap(b.arena)])
+	if err != nil {
+		return err
+	}
+	b.arena = b.arena[:len(b.arena)+len(vals)]
+	b.units = append(b.units, msg.payload.Row)
+	b.vals = append(b.vals, vals)
+	return nil
+}
+
+// flushPush merges the buffered rows in arrival order.
+func (s *Server) flushPush(worker int, b *pushBatch) {
+	s.state.MergeBatch(worker, b.units, b.vals, b.iter)
+	b.units, b.vals, b.arena = b.units[:0], b.vals[:0], b.arena[:0]
 }
 
 // serve is the receive loop; it reports how the connection ended.
-func (s *Server) serve(worker int, conn net.Conn) (DisconnectReason, error) {
+func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (DisconnectReason, error) {
 	rc := transport.NewReceiver(conn)
 	var batch pushBatch
 	// A connection that dies mid-push still merges what arrived — the
@@ -405,11 +424,9 @@ func (s *Server) serve(worker int, conn net.Conn) (DisconnectReason, error) {
 		case kindRow:
 			// Decode outside any lock; the row merges at pushDone (or at
 			// connection end) through the batched per-shard path.
-			vals := make([]float32, msg.payload.N)
-			compress.Decode(msg.payload, vals)
-			batch.units = append(batch.units, msg.payload.Row)
-			batch.vals = append(batch.vals, vals)
-			batch.iters = append(batch.iters, msg.iter)
+			if err := s.bufferRow(worker, &batch, msg); err != nil {
+				return DisconnectError, fmt.Errorf("livenet: worker %d: %w", worker, err)
+			}
 		case kindPushDone:
 			// The push seq is this connection's correlation id: noted into
 			// the engine state before the flush so every merge this push
@@ -445,9 +462,9 @@ func (s *Server) serve(worker int, conn net.Conn) (DisconnectReason, error) {
 					s.state.AddDetachStall(time.Since(waitStart).Seconds())
 				}
 			}
-			frames, plan, budget, min := s.planPullLocked(worker, n)
+			plan, budget, min := s.planPullLocked(worker, n, out)
 			s.mu.Unlock()
-			if err := s.sendPull(worker, conn, frames, plan, budget, min); err != nil {
+			if err := s.sendPull(worker, conn, out, plan, budget, min); err != nil {
 				return DisconnectError, fmt.Errorf("livenet: worker %d pull send: %w", worker, err)
 			}
 		default:
@@ -512,7 +529,7 @@ func (s *Server) noteDetachLocked() {
 // resync must complete), then re-baselines the worker's versions so its
 // next push cannot violate monotonicity or the staleness bound. For a
 // worker that was never detached this is a no-op.
-func (s *Server) attach(worker int, conn net.Conn) error {
+func (s *Server) attach(worker int, conn net.Conn, out *transport.Batch) error {
 	if s.state.IsActive(worker) {
 		return nil
 	}
@@ -521,29 +538,28 @@ func (s *Server) attach(worker int, conn net.Conn) error {
 	// every lock.
 	s.mu.Lock()
 	payloads := s.down[worker].HoldBacklog(s.state)
-	frames := make([][]byte, len(payloads))
+	out.Reset()
 	var resyncBytes float64
-	for i, p := range payloads {
-		frames[i] = pullMsg(p)
-		resyncBytes += float64(len(frames[i]))
+	for _, p := range payloads {
+		buf := out.Begin()
+		body := len(buf)
+		buf = pullMsg(buf, p)
+		resyncBytes += float64(len(buf) - body)
+		out.End(buf)
 	}
 	baseline := s.state.Attach(worker)
 	s.state.AddRowsResynced(len(payloads))
 	s.probe.Reconnect(worker, baseline)
-	s.probe.Resync(worker, len(frames), resyncBytes)
-	budget := s.budgetFloored()
-	min := s.state.Versions.Min()
+	s.probe.Resync(worker, len(payloads), resyncBytes)
+	out.End(resyncDoneMsg(out.Begin(), baseline, s.budgetFloored(), s.state.Versions.Min(), s.Epoch()))
 	s.cond.Broadcast() // the rejoined rows may re-gate or release waiters
 	s.mu.Unlock()
 
-	sent, err := transport.SendFrames(conn, frames, time.Time{})
-	if err == nil {
-		_, err = transport.SendFrames(conn, [][]byte{resyncDoneMsg(baseline, budget, min, s.Epoch())}, time.Time{})
-	}
-	if err != nil {
+	// The backlog and the resync-done that ends it leave in one write.
+	if sent, err := out.Send(conn, 0, out.Len(), time.Time{}); err != nil {
 		// Conserve the undelivered mass; the next attach replays it.
 		s.mu.Lock()
-		s.down[worker].Restore(s.state, payloads[sent:]...)
+		s.down[worker].Restore(s.state, payloads[min(sent, len(payloads)):]...)
 		s.mu.Unlock()
 		return fmt.Errorf("livenet: worker %d resync: %w", worker, err)
 	}
@@ -561,48 +577,54 @@ func (s *Server) budgetFloored() float64 {
 
 // planPullLocked asks the policy which averaged rows to return to the
 // worker after its iteration-n push, takes them out of its server copy
-// (engine.Downlink) and frames them in plan order. Must hold s.mu.
-func (s *Server) planPullLocked(worker int, n int64) ([][]byte, engine.Plan, float64, int64) {
+// (engine.Downlink) and frames them into out in plan order. Must hold s.mu.
+func (s *Server) planPullLocked(worker int, n int64, out *transport.Batch) (engine.Plan, float64, int64) {
 	plan := s.state.PlanPull(worker, n)
 	s.down[worker].Hold(s.state, plan.Units)
-	frames := make([][]byte, len(plan.Units))
-	for i, u := range plan.Units {
-		frames[i] = pullMsg(s.down[worker].Held(u))
+	out.Reset()
+	for _, u := range plan.Units {
+		out.End(pullMsg(out.Begin(), s.down[worker].Held(u)))
 	}
-	return frames, plan, s.budgetFloored(), s.state.Versions.Min()
+	return plan, s.budgetFloored(), s.state.Versions.Min()
 }
 
 // sendPlanned is the socket form of Algo. 4's speculative transmission,
-// shared by pushes and pulls: the plan's frames go out in order — under a
-// budget-seconds deadline when the plan is speculative, with none for
-// whole-model plans — and if the deadline cuts the send short of the
-// plan's first must frames (the MTA floor and rows at the staleness bound),
-// those are completed regardless. It returns how many frames went out
-// whole; the deadline cut itself is the expected outcome, not an error.
-func sendPlanned(conn net.Conn, frames [][]byte, must int, speculative bool, budget float64) (int, error) {
+// shared by pushes and pulls: the plan's frames, one per planned unit in b,
+// go out in one write — under a budget-seconds deadline when the plan is
+// speculative, with none for whole-model plans — and if the deadline cuts
+// the send short of the plan's first must frames (the MTA floor and rows at
+// the staleness bound), those are completed regardless. It returns how many
+// frames went out whole; the deadline cut itself is the expected outcome,
+// not an error.
+func sendPlanned(conn net.Conn, b *transport.Batch, must int, speculative bool, budget float64) (int, error) {
 	deadline := time.Time{}
 	if speculative {
 		deadline = time.Now().Add(time.Duration(budget * float64(time.Second)))
 	}
-	sent, err := transport.SendFrames(conn, frames, deadline)
+	sent, err := b.Send(conn, 0, b.Len(), deadline)
 	if err == transport.ErrTimeout {
 		err = nil
 	}
 	if err == nil && sent < must {
-		var more int
-		more, err = transport.SendFrames(conn, frames[sent:must], time.Time{})
-		sent += more
+		sent, err = b.Send(conn, sent, must, time.Time{})
 	}
 	return sent, err
 }
 
-// sendPull transmits the planned rows (see sendPlanned). Rows cut off by
-// the deadline — or stranded by a connection failure — are restored to the
-// worker's accumulator (mass conserved) and ride a later pull or the rejoin
-// resync. The pull-done control frame follows on success, carrying the
-// budget and the global minimum row version for the worker's next push.
-func (s *Server) sendPull(worker int, conn net.Conn, frames [][]byte, plan engine.Plan, budget float64, min int64) error {
-	sent, err := sendPlanned(conn, frames, plan.Must, plan.Speculative, budget)
+// sendAll sends every frame of b, with no deadline.
+func sendAll(conn net.Conn, b *transport.Batch) error {
+	_, err := b.Send(conn, 0, b.Len(), time.Time{})
+	return err
+}
+
+// sendPull transmits the planned rows framed in out (see sendPlanned). Rows
+// cut off by the deadline — or stranded by a connection failure — are
+// restored to the worker's accumulator (mass conserved) and ride a later
+// pull or the rejoin resync. The pull-done control frame follows on
+// success, carrying the budget and the global minimum row version for the
+// worker's next push.
+func (s *Server) sendPull(worker int, conn net.Conn, out *transport.Batch, plan engine.Plan, budget float64, min int64) error {
+	sent, err := sendPlanned(conn, out, plan.Must, plan.Speculative, budget)
 	s.mu.Lock()
 	for _, u := range plan.Units[:sent] {
 		s.down[worker].Take(u)
@@ -612,6 +634,7 @@ func (s *Server) sendPull(worker int, conn net.Conn, frames [][]byte, plan engin
 	if err != nil {
 		return err
 	}
-	_, err = transport.SendFrames(conn, [][]byte{pullDoneMsg(budget, min)}, time.Time{})
-	return err
+	out.Reset()
+	out.End(pullDoneMsg(out.Begin(), budget, min))
+	return sendAll(conn, out)
 }

@@ -1,0 +1,241 @@
+package livenet
+
+import (
+	"bytes"
+	"math"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"rog/internal/compress"
+	"rog/internal/nn"
+	"rog/internal/rowsync"
+	"rog/internal/tensor"
+	"rog/internal/transport"
+)
+
+// crudaShaped is the benchmark's model: 32-64-64-100, 163 rows.
+func crudaShaped(seed uint64) *nn.Sequential {
+	return nn.NewClassifierMLP(32, []int{64, 64}, 100, tensor.NewRNG(seed))
+}
+
+// countingConn counts the Write calls and bytes that cross it.
+type countingConn struct {
+	net.Conn
+	writes, bytes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	c.bytes.Add(int64(len(b)))
+	return c.Conn.Write(b)
+}
+
+// TestPushIsOneWrite pins the coalesced send on both hops: a worker's push
+// of a whole CRUDA-shaped model is at most two Writes (the planned rows, the
+// push-done) and so is the server's pull that answers it, where the
+// per-row send path took one Write per row.
+func TestPushIsOneWrite(t *testing.T) {
+	const workers, iters = 2, 6
+	proto := crudaShaped(3)
+	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
+	// A one-second budget floor: no plan of this test is cut by its
+	// deadline, which would add the write that completes the floor.
+	srv, err := NewServer(part, ServerConfig{Workers: workers, Threshold: 4, MTAFloorSeconds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handlers sync.WaitGroup
+	var up, down []*countingConn
+	var ws []*Worker
+	var models []*nn.Sequential
+	for id := 0; id < workers; id++ {
+		c, s := net.Pipe()
+		up, down = append(up, &countingConn{Conn: c}), append(down, &countingConn{Conn: s})
+		handlers.Add(1)
+		go func(id int, conn net.Conn) {
+			defer handlers.Done()
+			if err := srv.HandleConn(id, conn); err != nil {
+				t.Errorf("server handler %d: %v", id, err)
+			}
+		}(id, down[id])
+		m := crudaShaped(1)
+		m.CopyParamsFrom(proto)
+		models = append(models, m)
+		ws = append(ws, NewWorker(m, part, up[id], WorkerConfig{ID: id, Workers: workers, Threshold: 4, LR: 0.01}))
+		ws[id].budget = 1 // as the first pull-done will set it
+	}
+	var wg sync.WaitGroup
+	for id := range ws {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			r := tensor.NewRNG(uint64(id) + 11)
+			for k := 0; k < iters; k++ {
+				err := ws[id].RunIteration(func() {
+					for _, g := range models[id].Grads() {
+						for i := range g.Data {
+							g.Data[i] = float32(r.Norm())
+						}
+					}
+				})
+				if err != nil {
+					t.Errorf("worker %d iter %d: %v", id, k, err)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	for id := range ws {
+		up[id].Close()
+	}
+	srv.Close()
+	handlers.Wait()
+
+	// Every row of every push went out, so the writes carried whole plans.
+	rowBytes := int64(iters * part.NumUnits() * transport.FrameOverhead)
+	for id := 0; id < workers; id++ {
+		for hop, c := range map[string]*countingConn{"push": up[id], "pull": down[id]} {
+			if n := c.writes.Load(); n > 2*iters {
+				t.Errorf("worker %d: %d Writes for %d %ses, want at most 2 each", id, n, iters, hop)
+			}
+			if c.bytes.Load() < rowBytes {
+				t.Errorf("worker %d: %ses carried %d bytes, less than %d rows' framing", id, hop, c.bytes.Load(), iters*part.NumUnits())
+			}
+		}
+	}
+}
+
+// loopReader replays data forever, a chunk at a time.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.off:min(len(l.data), l.off+1000)])
+	l.off = (l.off + n) % len(l.data)
+	return n, nil
+}
+
+// TestWorkerPullDoesNotAllocate guards the worker's per-row receive path —
+// Recv's view, parse aliasing it, the decode into the worker's scratch row
+// and Replica.Apply — over a whole pull of a CRUDA-shaped model.
+func TestWorkerPullDoesNotAllocate(t *testing.T) {
+	model := crudaShaped(1)
+	part := rowsync.NewPartition(model.Params(), rowsync.Rows)
+	codec := compress.NewCodec(part.Widths())
+	r := tensor.NewRNG(5)
+	var pull bytes.Buffer
+	frame := func(body []byte) {
+		if err := transport.WriteFrame(&pull, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := 0; u < part.NumUnits(); u++ {
+		row := make([]float32, part.Unit(u).Len)
+		for i := range row {
+			row[i] = float32(r.Norm())
+		}
+		frame(pullMsg(nil, codec.Encode(u, row)))
+	}
+	frame(pullDoneMsg(nil, 0.5, 3))
+
+	w := NewWorker(model, part, nil, WorkerConfig{ID: 0, Workers: 2, Threshold: 4, Momentum: 0.9})
+	w.rc = transport.NewReceiver(&loopReader{data: pull.Bytes()})
+	before := model.Params()[0].Data[0]
+	if err := w.pull(); err != nil { // grows the receiver's buffer and the optimizer's velocity once
+		t.Fatal(err)
+	}
+	if model.Params()[0].Data[0] == before || w.budget != 0.5 || w.minVer != 3 {
+		t.Fatal("the pull applied nothing")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := w.pull(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a %d-row pull allocates %.1f times, want 0", part.NumUnits(), allocs)
+	}
+}
+
+// FuzzParse throws arbitrary frame bodies at the protocol decoder, the way
+// FuzzRecv does one layer down. Under any input parse must not panic; a
+// frame it accepts must re-encode, through the message constructors, to the
+// very bytes it was parsed from (nothing is dropped or invented); and a
+// row's values, once decoded, must not depend on the frame any more — the
+// payload aliases the receiver's buffer only until then.
+func FuzzParse(f *testing.F) {
+	p := compress.NewCodec([]int{11}).Encode(0, []float32{1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11})
+	for _, seed := range [][]byte{
+		rowMsg(nil, 7, p), pushDoneMsg(nil, 7, 1.25), pullMsg(nil, p), pullDoneMsg(nil, 0.5, 3),
+		resyncDoneMsg(nil, 9, 0.25, 4, 2),
+		{}, {'Z', 1}, {kindRow, 1}, {kindPushDone, 1, 2}, {kindResyncDone, 1},
+		rowMsg(nil, 7, p)[:20], append(pullMsg(nil, p), 0),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		msg, err := parse(frame)
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch msg.kind {
+		case kindRow:
+			again = rowMsg(nil, msg.iter, msg.payload)
+		case kindPushDone:
+			again = pushDoneMsg(nil, msg.iter, msg.mta)
+		case kindPull:
+			again = pullMsg(nil, msg.payload)
+		case kindPullDone:
+			again = pullDoneMsg(nil, msg.budget, msg.min)
+		case kindResyncDone:
+			again = resyncDoneMsg(nil, msg.iter, msg.budget, msg.min, msg.epoch)
+		default:
+			t.Fatalf("parse accepted unknown kind %q", msg.kind)
+		}
+		if !bytes.Equal(again, frame) {
+			t.Fatalf("kind %q re-encodes to %x, parsed from %x", msg.kind, again, frame)
+		}
+		if n := msg.payload.N; n > 0 && n <= 1<<16 {
+			pristine, _ := parse(bytes.Clone(frame))
+			vals, want := make([]float32, n), make([]float32, n)
+			compress.Decode(msg.payload, vals)
+			for i := range frame {
+				frame[i] = ^frame[i] // the next Recv reuses the buffer
+			}
+			compress.Decode(pristine.payload, want)
+			for i := range vals {
+				if math.Float32bits(vals[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("value %d decoded before the frame was overwritten is %v, want %v", i, vals[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestMisfitRowIsAProtocolError: a row index or length off the wire that
+// does not fit the partition is refused, not used to slice the scratch row.
+func TestMisfitRowIsAProtocolError(t *testing.T) {
+	model := crudaShaped(1)
+	part := rowsync.NewPartition(model.Params(), rowsync.Rows)
+	dst := make([]float32, part.MaxUnitLen())
+	fit := compress.NewCodec(part.Widths()).Encode(3, make([]float32, part.Unit(3).Len))
+	if vals, err := decodeRow(part, fit, dst); err != nil || len(vals) != fit.N {
+		t.Fatalf("fitting row: %d values, err %v", len(vals), err)
+	}
+	for name, p := range map[string]compress.Payload{
+		"row past the model": {Row: part.NumUnits(), N: fit.N, Bits: fit.Bits},
+		"negative row":       {Row: -1, N: fit.N, Bits: fit.Bits},
+		"wrong length":       {Row: 3, N: fit.N + 8, Bits: append(fit.Bits, 0)},
+		"longer than any":    {Row: 3, N: 8 * len(dst), Bits: make([]byte, len(dst))},
+	} {
+		if _, err := decodeRow(part, p, dst); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -45,7 +45,11 @@ type Worker struct {
 
 	conn  net.Conn
 	rc    *transport.Receiver
-	probe *obs.Probe // nil when tracing and metrics are both off
+	out   transport.Batch // every frame this worker sends is built here
+	probe *obs.Probe      // nil when tracing and metrics are both off
+
+	payloads []compress.Payload // the push in flight, in plan order
+	vals     []float32          // one pulled row, decoded
 
 	iter    int64
 	planSeq int64   // push plans made (incl. skips) — correlation id on trace events
@@ -80,6 +84,7 @@ func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg
 		rep:    engine.NewReplica(model, part, cfg.LR, cfg.Momentum),
 		conn:   conn,
 		rc:     transport.NewReceiver(conn),
+		vals:   make([]float32, part.MaxUnitLen()),
 		budget: 2 * time.Millisecond.Seconds(),
 	}
 }
@@ -151,15 +156,16 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	w.probe.PushPlanned(w.cfg.ID, n, seq, len(ap.Units), must,
 		numUnits-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
 
-	frames := make([][]byte, len(plan.Units))
-	payloads := make([]compress.Payload, len(plan.Units))
-	for i, u := range plan.Units {
-		payloads[i] = w.rep.EncodeUnit(u)
-		frames[i] = rowMsg(n, payloads[i])
+	w.out.Reset()
+	w.payloads = w.payloads[:0]
+	for _, u := range plan.Units {
+		p := w.rep.EncodeUnit(u)
+		w.payloads = append(w.payloads, p)
+		w.out.End(rowMsg(w.out.Begin(), n, p))
 	}
 
 	start := time.Now()
-	sent, sendErr := sendPlanned(w.conn, frames, must, plan.Speculative, w.budget)
+	sent, sendErr := sendPlanned(w.conn, &w.out, must, plan.Speculative, w.budget)
 	elapsed := time.Since(start).Seconds()
 	w.probe.RowsSent(w.cfg.ID, n, seq, obs.DirPush, sent, ap.Prefix[sent], elapsed, plan.Speculative)
 	mtaTime := elapsed
@@ -177,15 +183,16 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 		if i < sent {
 			w.rep.Stamp(u, n)
 		} else {
-			w.rep.Restore(payloads[i])
+			w.rep.Restore(w.payloads[i])
 		}
 	}
 	if sendErr != nil {
 		return false, fmt.Errorf("livenet: worker %d push: %w", w.cfg.ID, sendErr)
 	}
 	w.cfg.Policy.ObservePush(w.cfg.ID, n, elapsed)
-	_, err = transport.SendFrames(w.conn, [][]byte{pushDoneMsg(n, mtaTime)}, time.Time{})
-	return false, err
+	w.out.Reset()
+	w.out.End(pushDoneMsg(w.out.Begin(), n, mtaTime))
+	return false, sendAll(w.conn, &w.out)
 }
 
 // recvAveraged applies averaged rows to the model (Algo. 1
@@ -205,8 +212,10 @@ func (w *Worker) recvAveraged(phase string, done byte) (parsed, error) {
 		}
 		switch msg.kind {
 		case kindPull:
-			vals := make([]float32, msg.payload.N)
-			compress.Decode(msg.payload, vals)
+			vals, err := decodeRow(w.part, msg.payload, w.vals)
+			if err != nil {
+				return parsed{}, err
+			}
 			w.rep.Apply(msg.payload.Row, vals)
 		case done:
 			if msg.budget > 0 {

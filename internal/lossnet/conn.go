@@ -4,17 +4,21 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rog/internal/transport"
 )
 
-// Conn wraps a net.Conn and drops whole Write calls according to a loss
-// model — the stream-transport injection point. transport.WriteFrame emits
-// each frame as a single Write, so one dropped Write is one cleanly lost
-// frame: the receiver's marker scan never sees it and the stream stays
-// parseable (a dropped *fragment* would instead be resynced past as
-// garbage, which Receiver also survives, but frame-granular loss is the
-// channel model being reproduced here).
+// Conn wraps a net.Conn and drops whole frames according to a loss model —
+// the stream-transport injection point. A sender puts a whole plan's frames
+// into one Write (transport.Batch), so Write walks the frames in its buffer
+// and asks the model once for each, in order: one draw is one cleanly lost
+// frame, the receiver's marker scan never sees it and the stream stays
+// parseable. Bytes that are not a whole frame — the tail a deadline cut, a
+// raw write — pass (or drop) as one unit: a dropped *fragment* would be
+// resynced past as garbage, which Receiver also survives, but frame-granular
+// loss is the channel model being reproduced here.
 //
-// A dropped Write still reports full success to the caller, exactly like a
+// A dropped frame still reports full success to the caller, exactly like a
 // datagram swallowed by the air: the sender learns nothing unless a higher
 // layer acks.
 type Conn struct {
@@ -22,7 +26,7 @@ type Conn struct {
 
 	mu    sync.Mutex
 	model Model
-	// Droppable gates which writes may be lost (nil = all). The livenet
+	// Droppable gates which frames may be lost (nil = all). The livenet
 	// chaos tests use it to confine loss to row frames: control frames
 	// model the reliable side channel a real deployment acks explicitly.
 	droppable func(b []byte) bool
@@ -32,29 +36,61 @@ type Conn struct {
 	droppedBytes int64
 }
 
-// WrapConn wraps c so that writes accepted by droppable (nil = all) are
-// dropped whenever model says so.
+// WrapConn wraps c so that frames accepted by droppable (nil = all) are
+// dropped whenever model says so. droppable sees one whole frame, markers
+// and length prefix included.
 func WrapConn(c net.Conn, model Model, droppable func(b []byte) bool) *Conn {
 	return &Conn{Conn: c, model: model, droppable: droppable, start: time.Now()}
 }
 
-// Write implements net.Conn, consulting the loss model per call.
+// Write implements net.Conn, consulting the loss model once per frame of b
+// and forwarding each run of surviving frames as one write. Dropped bytes
+// count as written, so a short underlying write maps back to its offset
+// in b.
 func (c *Conn) Write(b []byte) (int, error) {
-	c.mu.Lock()
-	lose := (c.droppable == nil || c.droppable(b)) && c.model.Lost(time.Since(c.start).Seconds())
-	if lose {
-		c.dropped++
-		c.droppedBytes += int64(len(b))
+	run := 0 // b[run:off] survived and is not yet forwarded
+	for off := 0; off < len(b); {
+		n := transport.FrameLen(b[off:])
+		if n == 0 {
+			n = len(b) - off
+		}
+		if c.lose(b[off : off+n]) {
+			if wrote, err := c.forward(b[run:off]); err != nil {
+				return run + wrote, err
+			}
+			run = off + n
+		}
+		off += n
 	}
-	c.mu.Unlock()
-	if lose {
-		return len(b), nil
+	wrote, err := c.forward(b[run:])
+	return run + wrote, err
+}
+
+// forward writes the survivors b to the wrapped connection.
+func (c *Conn) forward(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
 	}
 	return c.Conn.Write(b)
 }
 
-// Dropped reports how many writes (and bytes) the model swallowed.
-func (c *Conn) Dropped() (writes, bytes int64) {
+// lose draws unit's fate from the model, counting it when lost.
+func (c *Conn) lose(unit []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.droppable != nil && !c.droppable(unit) {
+		return false
+	}
+	if !c.model.Lost(time.Since(c.start).Seconds()) {
+		return false
+	}
+	c.dropped++
+	c.droppedBytes += int64(len(unit))
+	return true
+}
+
+// Dropped reports how many frames (and bytes) the model swallowed.
+func (c *Conn) Dropped() (frames, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped, c.droppedBytes

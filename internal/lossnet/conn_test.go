@@ -1,6 +1,8 @@
 package lossnet
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -25,7 +27,7 @@ func recvAll(t *testing.T, r io.Reader, out chan<- []byte) {
 			close(out)
 			return
 		}
-		out <- p
+		out <- append([]byte(nil), p...) // a Recv view dies at the next Recv
 	}
 }
 
@@ -138,5 +140,70 @@ func TestConnZeroModelPassesEverything(t *testing.T) {
 		case <-deadline:
 			t.Fatal("timed out")
 		}
+	}
+}
+
+// roomConn accepts room bytes in all, then fails the write it cuts short.
+type roomConn struct {
+	net.Conn
+	room   int
+	got    bytes.Buffer
+	writes int
+}
+
+var errNoRoom = errors.New("no room")
+
+func (c *roomConn) Write(b []byte) (int, error) {
+	c.writes++
+	n := min(len(b), c.room)
+	c.room -= n
+	c.got.Write(b[:n])
+	if n < len(b) {
+		return n, errNoRoom
+	}
+	return n, nil
+}
+
+// TestConnSplitsCoalescedWrite drives one buffer of six frames — C R C C R
+// C, rows always lost — through Write: the survivors are forwarded in runs
+// (one write per run, not per frame), and when the wire takes only part of
+// a run the count returned is an offset into the caller's buffer, dropped
+// frames included, so a sender mapping it back to whole frames
+// (transport.Batch.Send) counts a lost frame as sent and the cut one as not.
+func TestConnSplitsCoalescedWrite(t *testing.T) {
+	var wire bytes.Buffer
+	frame := func(p string) int { return transport.FrameOverhead + len(p) }
+	for _, p := range []string{"C0", "Rrow1", "C2", "C3", "Rrow4", "C5"} {
+		if err := transport.WriteFrame(&wire, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := wire.Bytes()
+	rowOnly := func(f []byte) bool { return len(f) > 12 && f[12] == 'R' }
+
+	whole := &roomConn{room: len(buf)}
+	lossy := WrapConn(whole, NewBernoulli(1.0, 1), rowOnly)
+	if n, err := lossy.Write(buf); n != len(buf) || err != nil {
+		t.Fatalf("Write = %d, %v; want all %d bytes", n, err, len(buf))
+	}
+	if whole.writes != 3 {
+		t.Fatalf("%d underlying writes for the runs C0 | C2 C3 | C5, want 3", whole.writes)
+	}
+	if d, db := lossy.Dropped(); d != 2 || db != int64(2*frame("Rrow1")) {
+		t.Fatalf("Dropped() = %d frames, %d bytes; want the 2 row frames", d, db)
+	}
+	rc := transport.NewReceiver(&whole.got)
+	for _, want := range []string{"C0", "C2", "C3", "C5"} {
+		if p, err := rc.Recv(); err != nil || string(p) != want {
+			t.Fatalf("survivor %q, err %v; want %q", p, err, want)
+		}
+	}
+
+	// The wire takes C0, C2 and 5 bytes of C3.
+	cut := &roomConn{room: 2*frame("C0") + 5}
+	lossy = WrapConn(cut, NewBernoulli(1.0, 1), rowOnly)
+	n, err := lossy.Write(buf)
+	if want := 2*frame("C0") + frame("Rrow1") + 5; n != want || !errors.Is(err, errNoRoom) {
+		t.Fatalf("cut Write = %d, %v; want offset %d (the dropped row counted as written) and the wire's error", n, err, want)
 	}
 }
