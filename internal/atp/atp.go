@@ -11,8 +11,9 @@
 package atp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mode distinguishes the two ends of a synchronization (Algo. 3 lines 3–6):
@@ -48,6 +49,23 @@ type RowInfo struct {
 // Rank returns the unit IDs sorted by descending importance (Algo. 3).
 // rows is not modified. Ties break by ascending ID for determinism.
 func Rank(rows []RowInfo, mode Mode, c Coefficients) []int {
+	return new(Ranker).Rank(rows, mode, c)
+}
+
+// Ranker is Rank sorting in scratch it keeps between calls: once warm it
+// allocates nothing. The returned slice is valid until its next Rank.
+type Ranker struct {
+	scored []scored
+	out    []int
+}
+
+type scored struct {
+	id int
+	j  float64
+}
+
+// Rank is the package-level Rank into rk's scratch.
+func (rk *Ranker) Rank(rows []RowInfo, mode Mode, c Coefficients) []int {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -60,30 +78,31 @@ func Rank(rows []RowInfo, mode Mode, c Coefficients) []int {
 			maxIter = r.Iter
 		}
 	}
-	type scored struct {
-		id int
-		j  float64
-	}
-	s := make([]scored, len(rows))
-	for i, r := range rows {
+	s := slices.Grow(rk.scored[:0], len(rows))
+	for _, r := range rows {
 		var staleTerm float64
 		if mode == Worker {
 			staleTerm = float64(maxIter - r.Iter)
 		} else {
 			staleTerm = float64(r.Iter - minIter)
 		}
-		s[i] = scored{id: r.ID, j: c.F1*r.MeanAbs + c.F2*staleTerm}
+		s = append(s, scored{id: r.ID, j: c.F1*r.MeanAbs + c.F2*staleTerm})
 	}
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].j != s[b].j {
-			return s[a].j > s[b].j
+	// IDs are distinct, so (j, id) is a total order: no stable sort needed.
+	slices.SortFunc(s, func(a, b scored) int {
+		switch {
+		case a.j == b.j:
+			return cmp.Compare(a.id, b.id)
+		case a.j > b.j:
+			return -1
 		}
-		return s[a].id < s[b].id
+		return 1
 	})
-	out := make([]int, len(s))
-	for i, v := range s {
-		out[i] = v.id
+	out := slices.Grow(rk.out[:0], len(rows))
+	for _, v := range s {
+		out = append(out, v.id)
 	}
+	rk.scored, rk.out = s, out
 	return out
 }
 

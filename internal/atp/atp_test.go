@@ -2,6 +2,9 @@ package atp
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +141,70 @@ func TestRankOrderInvariant(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("rank depends on input order: %v vs %v", a, b)
 		}
+	}
+}
+
+// refRank is Rank as it was before it sorted in a Ranker's scratch: fresh
+// slices and sort.Slice. The reference the Ranker is checked against.
+func refRank(rows []RowInfo, mode Mode, c Coefficients) []int {
+	minIter, maxIter := rows[0].Iter, rows[0].Iter
+	for _, r := range rows[1:] {
+		minIter, maxIter = min(minIter, r.Iter), max(maxIter, r.Iter)
+	}
+	s := make([]scored, len(rows))
+	for i, r := range rows {
+		staleTerm := float64(r.Iter - minIter)
+		if mode == Worker {
+			staleTerm = float64(maxIter - r.Iter)
+		}
+		s[i] = scored{id: r.ID, j: c.F1*r.MeanAbs + c.F2*staleTerm}
+	}
+	sort.Slice(s, func(a, b int) bool {
+		if s[a].j != s[b].j {
+			return s[a].j > s[b].j
+		}
+		return s[a].id < s[b].id
+	})
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = v.id
+	}
+	return out
+}
+
+// TestRankerMatchesReference ranks seeded random row sets — heavy with
+// ties, at sizes on both sides of every cutoff the sort switches strategy
+// at — through one warm Ranker and through the reference, in both modes.
+func TestRankerMatchesReference(t *testing.T) {
+	var rk Ranker
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 5, 12, 13, 50, 51, 163, 700} {
+		for trial := 0; trial < 20; trial++ {
+			rows := make([]RowInfo, n)
+			for i := range rows {
+				rows[i] = RowInfo{ID: i, MeanAbs: float64(r.Intn(7)) / 4, Iter: int64(r.Intn(5))}
+			}
+			for _, mode := range []Mode{Worker, Server} {
+				got, want := rk.Rank(rows, mode, DefaultCoefficients()), refRank(rows, mode, DefaultCoefficients())
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d trial %d mode %d:\n got  %v\n want %v", n, trial, mode, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRankerWarmAllocatesNothing guards the per-iteration ranking: once a
+// Ranker has sorted a plan of this size, the next costs no allocation.
+func TestRankerWarmAllocatesNothing(t *testing.T) {
+	rows := make([]RowInfo, 163) // the fleet model's unit count
+	for i := range rows {
+		rows[i] = RowInfo{ID: i, MeanAbs: float64(i*37%101) / 50, Iter: int64(i % 8)}
+	}
+	var rk Ranker
+	rk.Rank(rows, Worker, DefaultCoefficients())
+	if n := testing.AllocsPerRun(100, func() { rk.Rank(rows, Worker, DefaultCoefficients()) }); n != 0 {
+		t.Fatalf("warm Ranker.Rank: %v allocs, want 0", n)
 	}
 }
 

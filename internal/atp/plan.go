@@ -14,11 +14,21 @@ type Plan struct {
 // NewPlan builds the prefix sums for units under the given per-unit wire
 // size.
 func NewPlan(units []int, size func(u int) float64) Plan {
-	p := Plan{Units: units, Prefix: make([]float64, len(units)+1)}
-	for i, u := range units {
-		p.Prefix[i+1] = p.Prefix[i] + size(u)
+	return PlanInto(nil, units, size)
+}
+
+// PlanInto is NewPlan with the prefix sums built in prefix's storage (grown
+// when too short). The plan aliases it: the caller keeps prefix untouched
+// until the plan's transmission has ended, then passes p.Prefix back in.
+func PlanInto(prefix []float64, units []int, size func(u int) float64) Plan {
+	if cap(prefix) <= len(units) {
+		prefix = make([]float64, 0, len(units)+1)
 	}
-	return p
+	prefix = append(prefix[:0], 0)
+	for _, u := range units {
+		prefix = append(prefix, prefix[len(prefix)-1]+size(u))
+	}
+	return Plan{Units: units, Prefix: prefix}
 }
 
 // Observer sees every constructed transmission plan — the observability

@@ -49,17 +49,26 @@ type aggTier struct {
 }
 
 // aggregator is one edge node: its uplink, a coalescing queue and a busy
-// flag for its single in-flight uplink plan.
+// flag for its single in-flight uplink plan. Nothing here is keyed by a hash:
+// the queue and the rows in flight are one slot per unit, swapped at flush
+// (every row of the previous plan has merged by then), and merged rows go
+// back on a free list with their capacity.
 type aggregator struct {
 	up     link
-	queue  map[int]*aggRow // unit → pending combined row
-	order  []int           // units in first-arrival order (deterministic flush)
-	flying map[int]*aggRow // unit → row on the uplink, not yet merged
+	queue  []*aggRow // per unit: pending combined row
+	order  []int     // queued units in first-arrival order (deterministic flush)
+	flying []*aggRow // per unit: row on the uplink, not yet merged
+	plan   atp.Plan  // the flush in flight: order's other buffer, and its prefix sums
+	free   []*aggRow
 	busy   bool
 	// flowSeq counts this aggregator's uplink flushes — the correlation id on
 	// its RowsSent events. Incremented unconditionally (pure memory) so
 	// traced and untraced runs stay bit-identical.
 	flowSeq int64
+	// The flush plan's two callbacks, built once: a flush is the aggregator's
+	// state and nothing else.
+	deliver func(u int)
+	done    func(delivered int, mtaTime, elapsed float64)
 }
 
 // aggRow is a pending combined row: the element-wise sum of every queued
@@ -80,10 +89,26 @@ func newAggTier(c *cluster) *aggTier {
 	}
 	up := simnet.NewChannel(c.k, traces, c.ch.Scale)
 	t := &aggTier{c: c}
-	for a, tr := range traces {
-		l := c.newLink(up, a, -(a + 1), c.cfg.Seed*7013+uint64(a)+1, tr)
+	for i, tr := range traces {
+		l := c.newLink(up, i, -(i + 1), c.cfg.Seed*7013+uint64(i)+1, tr)
 		c.links = append(c.links, l)
-		t.aggs = append(t.aggs, &aggregator{up: l, queue: make(map[int]*aggRow)})
+		a := &aggregator{up: l, queue: make([]*aggRow, c.part.NumUnits()), flying: make([]*aggRow, c.part.NumUnits())}
+		// Each combined row merges into the root state as it lands; when all
+		// have, any workers parked on the RSP gate re-check.
+		a.deliver = func(u int) {
+			r := a.flying[u]
+			a.flying[u] = nil
+			c.state.MergeCombined(u, r.vals, r.stamps)
+			a.free = append(a.free, r)
+		}
+		a.done = func(delivered int, _, elapsed float64) {
+			// Infrastructure time, not any robot's radio: the uplink's id says so.
+			c.probe.RowsSent(a.up.id, 0, a.flowSeq, obs.DirPush, delivered, a.plan.TotalBytes(), elapsed, false)
+			a.busy = false
+			c.waiters.Wake()
+			t.flush(a)
+		}
+		t.aggs = append(t.aggs, a)
 	}
 	return t
 }
@@ -101,7 +126,12 @@ func (t *aggTier) enqueue(u int, vals []float32, st engine.Stamp) {
 	a := t.aggOf(st.Worker)
 	r := a.queue[u]
 	if r == nil {
-		r = &aggRow{vals: append([]float32(nil), vals...)}
+		if n := len(a.free); n > 0 {
+			r, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			r = new(aggRow)
+		}
+		r.vals, r.stamps = append(r.vals[:0], vals...), r.stamps[:0]
 		a.queue[u] = r
 		a.order = append(a.order, u)
 	} else {
@@ -118,7 +148,7 @@ func (t *aggTier) enqueue(u int, vals []float32, st engine.Stamp) {
 // so a server restart must not count it lost.
 func (t *aggTier) holds(w, u int, n int64) bool {
 	a := t.aggOf(w)
-	for _, r := range []*aggRow{a.queue[u], a.flying[u]} {
+	for _, r := range [...]*aggRow{a.queue[u], a.flying[u]} {
 		if r != nil && slices.ContainsFunc(r.stamps, func(st engine.Stamp) bool { return st.Worker == w && st.Iter == n }) {
 			return true
 		}
@@ -128,28 +158,15 @@ func (t *aggTier) holds(w, u int, n int64) bool {
 
 // flush sends the queue up if the aggregator is idle and has queued rows.
 // The whole queue ships as one plan (its rows were coalesced while the
-// previous one drained), whole and reliable like a BSP push; each combined
-// row merges into the root state as it lands, and when all have, any workers
-// parked on the RSP gate re-check.
+// previous one drained), whole and reliable like a BSP push.
 func (t *aggTier) flush(a *aggregator) {
 	if a.busy || len(a.order) == 0 {
 		return
 	}
-	units := slices.Clone(a.order)
-	a.flying, a.queue, a.order = a.queue, make(map[int]*aggRow, len(units)), a.order[:0]
+	units := a.order
+	a.queue, a.flying, a.order = a.flying, a.queue, a.plan.Units[:0]
 	a.busy = true
 	a.flowSeq++
-	seq := a.flowSeq
-	ap := atp.NewPlan(units, t.c.wireSize)
-	t.c.send(a.up, 0, obs.DirPush, engine.Plan{Units: units, Must: len(units)}, ap, func(u int) {
-		r := a.flying[u]
-		delete(a.flying, u)
-		t.c.state.MergeCombined(u, r.vals, r.stamps)
-	}, func(delivered int, _, elapsed float64) {
-		// Infrastructure time, not any robot's radio: the uplink's id says so.
-		t.c.probe.RowsSent(a.up.id, 0, seq, obs.DirPush, delivered, ap.TotalBytes(), elapsed, false)
-		a.busy = false
-		t.c.waiters.Wake()
-		t.flush(a)
-	})
+	a.plan = atp.PlanInto(a.plan.Prefix, units, t.c.wireSize)
+	t.c.send(a.up, 0, obs.DirPush, engine.Plan{Units: units, Must: len(units)}, a.plan, a.deliver, a.done)
 }

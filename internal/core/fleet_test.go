@@ -2,9 +2,15 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"rog/internal/engine"
 	"rog/internal/lossnet"
+	"rog/internal/trace"
 )
 
 // mergeLogRun executes one experiment with an OnMerge recorder and returns
@@ -173,5 +179,94 @@ func TestValidateShardAggregatorRules(t *testing.T) {
 	ok.Faults = mustFaults(t, "crash:1@20+25,servercrash@40+10")
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("Aggregators with Loss, Faults and Durable rejected: %v", err)
+	}
+}
+
+// TestAggregatorCycleAllocations guards the edge tier's steady state: a row
+// enqueued at an idle aggregator, flushed up the backhaul and merged at the
+// root costs what send costs any plan — the flow record, the completion
+// closure sendPlan hands it, and the two variables that closure shares with
+// the (unused, no-deadline) budget timer: 4 allocations — and nothing of the
+// tier's own. The queue slot, the combined row with its vals and stamps, the
+// plan's units and prefix sums and both flush callbacks are the aggregator's
+// and reused.
+func TestAggregatorCycleAllocations(t *testing.T) {
+	cfg := testConfig(ROG, 8)
+	cfg.Workers, cfg.Aggregators, cfg.Shards = 4, 1, 2
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(cfg, newTestWorkload(cfg.Workers, 3))
+	vals := make([]float32, c.part.Unit(0).Len)
+	iter := int64(0)
+	cycle := func() {
+		iter++
+		c.agg.enqueue(0, vals, engine.Stamp{Worker: 1, Iter: iter})
+		c.k.RunUntilIdle(1000)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n > 4 {
+		t.Fatalf("enqueue → flush → merge: %v allocs, want ≤ 4 (send's own)", n)
+	}
+	if got := c.state.Versions.Get(1, 0); got != iter {
+		t.Fatalf("cycles merged up to iteration %d, want %d", got, iter)
+	}
+}
+
+// TestFleetCellRepeatsExactly runs the fleet sweep's w64-s8-a0 cell (ROG-8,
+// 64 robots, 8 shards, no aggregators — the size at which the sync plane's
+// hash tables were found) repeatedly in one process and requires the same
+// Result and the same number of heap allocations: with no map on the per-row or
+// per-event path, nothing in a run depends on iteration order or hash seeds,
+// so the work repeats to the malloc.
+func TestFleetCellRepeatsExactly(t *testing.T) {
+	// The count is the program's only with the runtime's own helpers quiet:
+	// one P, and no collection (a cycle's workers allocate a little) while
+	// the few megabytes of a cell are counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cell := func() (*Result, uint64) {
+		cfg := Config{
+			Strategy: ROG, Workers: 64, Threshold: 8, Shards: 8,
+			Env: trace.Outdoor, Seed: 33,
+			ComputeSeconds: 1, PaperModelBytes: 5e4, LR: 0.02, Momentum: 0.9,
+			MaxVirtualSeconds: 20, CheckpointEvery: 50,
+		}
+		wl := newTestWorkload(cfg.Workers, 5)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg, wl)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m1.Mallocs - m0.Mallocs
+	}
+	// The runtime's own allocations land in the count now and then (one or
+	// two objects, about one run in three hundred), only ever on top of the
+	// program's: so the program's count is the smallest seen, and it is exact
+	// if a second run reaches it.
+	ref, _ := cell() // also warms lazily initialized runtime and package state
+	var counts []uint64
+	exact := false
+	for run := 0; run < 6 && !exact; run++ {
+		res, mallocs := cell()
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("the same cell produced two results:\n%+v\n%+v", ref, res)
+		}
+		counts = append(counts, mallocs)
+		lowest, n := slices.Min(counts), 0
+		for _, c := range counts {
+			if c == lowest {
+				n++
+			}
+		}
+		exact = n >= 2 || raceEnabled
+	}
+	if ref.Iterations < 3 || ref.MaxStaleness > 8 {
+		t.Fatalf("cell did not run as a fleet cell should: %d iterations, staleness %d", ref.Iterations, ref.MaxStaleness)
+	}
+	if !exact {
+		t.Fatalf("the same cell never allocated the same number of objects twice: %v", counts)
 	}
 }

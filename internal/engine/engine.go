@@ -43,6 +43,8 @@ type PushView struct {
 	Rows   []atp.RowInfo
 	Min    int64
 	Budget float64
+	// Scratch, when the view's builder lends one, is where the policy ranks.
+	Scratch *PlanScratch
 }
 
 // PullView is the server-side state a pull decision sees: Rows[u] carries
@@ -54,6 +56,29 @@ type PullView struct {
 	Iter   int64
 	Rows   []atp.RowInfo
 	Min    int64
+	// Scratch: as PushView's.
+	Scratch *PlanScratch
+}
+
+// PlanScratch is the working storage of one planning call: the view's rows,
+// their normalized copy, the ranking, the rows a push plan does not force. It
+// belongs to whoever builds the views — a Replica for its pushes, the State
+// (under its lock) for pulls — never to the policy, which plans for every
+// worker. Nothing in it outlives the call: a plan's Units are allocated,
+// because a transmission can outlast its holder's next plan (a crash abandons
+// an iteration whose flows still complete).
+type PlanScratch struct {
+	rows, norm []atp.RowInfo
+	ranker     atp.Ranker
+	rest       []int
+}
+
+// orNew is s, or a throwaway scratch for a view that lent none.
+func (s *PlanScratch) orNew() *PlanScratch {
+	if s == nil {
+		return new(PlanScratch)
+	}
+	return s
 }
 
 // Policy is one synchronization strategy, transport-free. A policy
@@ -127,13 +152,12 @@ func allUnits(n int) Plan {
 	return Plan{Units: units, Must: n}
 }
 
-// normalized scales a copy of rows so the mean of MeanAbs is 1, putting
-// the f1 magnitude term on the same O(1) scale as the staleness term for
-// any model (keeps the paper's f1=f2=1 meaningful). Rows with zero total
-// mass pass through unscaled.
-func normalized(rows []atp.RowInfo) []atp.RowInfo {
-	out := make([]atp.RowInfo, len(rows))
-	copy(out, rows)
+// normalized copies rows into dst's storage, scaled so the mean of MeanAbs
+// is 1: that puts the f1 magnitude term on the same O(1) scale as the
+// staleness term for any model (keeps the paper's f1=f2=1 meaningful).
+// Rows with zero total mass pass through unscaled.
+func normalized(dst, rows []atp.RowInfo) []atp.RowInfo {
+	out := append(dst[:0], rows...)
 	var meanSum float64
 	for _, r := range out {
 		meanSum += r.MeanAbs

@@ -194,7 +194,7 @@ func TestDSSPAdaptsWithinBounds(t *testing.T) {
 // mean 1 without touching order, and passes zero-mass row sets through.
 func TestNormalizedPreservesRanking(t *testing.T) {
 	rows := pushRows([]float64{4, 2, 6}, make([]int64, 3))
-	out := normalized(rows)
+	out := normalized(nil, rows)
 	var sum float64
 	for _, r := range out {
 		sum += r.MeanAbs
@@ -208,7 +208,7 @@ func TestNormalizedPreservesRanking(t *testing.T) {
 	if rows[0].MeanAbs != 4 {
 		t.Fatal("normalized mutated its input")
 	}
-	zero := normalized(pushRows([]float64{0, 0}, make([]int64, 2)))
+	zero := normalized(nil, pushRows([]float64{0, 0}, make([]int64, 2)))
 	if zero[0].MeanAbs != 0 || zero[1].MeanAbs != 0 {
 		t.Fatal("zero-mass rows must pass through")
 	}

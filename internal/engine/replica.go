@@ -26,7 +26,8 @@ type Replica struct {
 	// The model's parameter and gradient matrices, listed once: Params()
 	// and Grads() rebuild their slice on every call, and Apply runs per row.
 	params, grads []*tensor.Matrix
-	scratch       []float32 // Restore's decoded row
+	scratch       []float32   // Restore's decoded row
+	plan          PlanScratch // lent to the policy with every PushView
 }
 
 // NewReplica wraps model (decomposed by part) with a fresh optimizer,
@@ -58,11 +59,12 @@ func (r *Replica) Accumulate() {
 // the runtime's latest knowledge of the global minimum row version and the
 // MTA-time budget.
 func (r *Replica) PushView(worker int, iter, min int64, budget float64) PushView {
-	rows := make([]atp.RowInfo, len(r.PushIter))
-	for u := range rows {
-		rows[u] = atp.RowInfo{ID: u, MeanAbs: r.Local.MeanAbs(u), Iter: r.PushIter[u]}
+	rows := r.plan.rows[:0]
+	for u, it := range r.PushIter {
+		rows = append(rows, atp.RowInfo{ID: u, MeanAbs: r.Local.MeanAbs(u), Iter: it})
 	}
-	return PushView{Worker: worker, Iter: iter, Rows: rows, Min: min, Budget: budget}
+	r.plan.rows = rows
+	return PushView{Worker: worker, Iter: iter, Rows: rows, Min: min, Budget: budget, Scratch: &r.plan}
 }
 
 // EncodeUnit compresses unit u's accumulated gradient for the uplink and

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"rog/internal/atp"
 )
@@ -33,24 +34,20 @@ func (*rog) Name() string { return "rog" }
 // reach the threshold to the front — they transmit this iteration, budget
 // or not. The MTA floor (Algo. 4) lower-bounds the mandatory prefix.
 func (r *rog) PlanPush(v PushView) Plan {
-	ranked := atp.Rank(normalized(v.Rows), atp.Worker, r.coeff)
-	var forced, rest []int
+	s := v.Scratch.orNew()
+	s.norm = normalized(s.norm, v.Rows)
+	ranked := s.ranker.Rank(s.norm, atp.Worker, r.coeff)
+	plan, rest := make([]int, 0, len(ranked)), s.rest[:0]
 	for _, u := range ranked {
 		if v.Iter-v.Rows[u].Iter >= r.threshold-1 {
-			forced = append(forced, u)
+			plan = append(plan, u)
 		} else {
 			rest = append(rest, u)
 		}
 	}
-	plan := append(forced, rest...)
-	must := r.mtaCount
-	if len(forced) > must {
-		must = len(forced)
-	}
-	if must > len(plan) {
-		must = len(plan)
-	}
-	return Plan{Units: plan, Must: must, Speculative: true}
+	forced := len(plan)
+	s.rest, plan = rest, append(plan, rest...)
+	return Plan{Units: plan, Must: min(max(r.mtaCount, forced), len(plan)), Speculative: true}
 }
 
 // CanAdvance is the RSP server-side gate (Algo. 2 lines 7–9): a worker at
@@ -63,18 +60,16 @@ func (r *rog) CanAdvance(iter, min int64) bool { return iter-min < r.threshold }
 // so freshness is pure gain) and sends them speculatively under the same
 // MTA budget.
 func (r *rog) PlanPull(v PullView) Plan {
-	rows := make([]atp.RowInfo, 0, len(v.Rows))
+	s := v.Scratch.orNew()
+	rows := s.norm[:0]
 	for _, row := range v.Rows {
 		if row.MeanAbs != 0 {
 			rows = append(rows, row)
 		}
 	}
-	plan := atp.Rank(normalized(rows), atp.Server, r.coeff)
-	must := r.mtaCount
-	if must > len(plan) {
-		must = len(plan)
-	}
-	return Plan{Units: plan, Must: must, Speculative: true}
+	s.norm = normalized(rows, rows)
+	plan := slices.Clone(s.ranker.Rank(s.norm, atp.Server, r.coeff))
+	return Plan{Units: plan, Must: min(r.mtaCount, len(plan)), Speculative: true}
 }
 
 func (*rog) ObservePush(worker int, iter int64, seconds float64) {}

@@ -57,7 +57,7 @@ type State struct {
 
 	// Acc[w] is worker w's averaged-gradient copy ḡ^s; detached workers'
 	// copies keep accumulating the backlog their rejoin resync replays.
-	// Unit data (and the dirty sets) are guarded by stateShard.mu — the
+	// Unit data (and the dirty flags) are guarded by stateShard.mu — the
 	// unit's owning shard; the slice itself is set once at construction.
 	Acc      []*rowsync.GradStore
 	Versions *rowsync.VersionStore
@@ -66,6 +66,7 @@ type State struct {
 	// metric. Entries are guarded by stateShard.mu (unit u's owning shard).
 	RowIter []int64
 	Tracker *atp.TimeTracker   // guarded by mu
+	pull    PlanScratch        // guarded by mu; lent to the policy with every PullView
 	Churn   metrics.ChurnStats // guarded by mu; per-shard duplicate counts fold in via ChurnSnapshot
 	Loss    metrics.LossStats  // guarded by mu
 
@@ -390,19 +391,21 @@ func (s *State) MinBlocker() obs.Blocker {
 func (s *State) PlanPull(worker int, iter int64) Plan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := make([]atp.RowInfo, s.part.NumUnits())
+	rows := s.pull.rows[:0]
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for u := sh.lo; u < sh.hi; u++ {
-			rows[u] = atp.RowInfo{ID: u, MeanAbs: s.Acc[worker].MeanAbs(u), Iter: s.RowIter[u]}
+			rows = append(rows, atp.RowInfo{ID: u, MeanAbs: s.Acc[worker].MeanAbs(u), Iter: s.RowIter[u]})
 		}
 		sh.mu.Unlock()
 	}
+	s.pull.rows = rows
 	return s.policy.PlanPull(PullView{
-		Worker: worker,
-		Iter:   iter,
-		Rows:   rows,
-		Min:    s.Versions.Min(),
+		Worker:  worker,
+		Iter:    iter,
+		Rows:    rows,
+		Min:     s.Versions.Min(),
+		Scratch: &s.pull,
 	})
 }
 

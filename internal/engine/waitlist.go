@@ -1,7 +1,9 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -20,31 +22,56 @@ import (
 // lists; it must not re-park its own worker — a false return already keeps
 // it parked.
 type WaitList struct {
-	mu       sync.Mutex
-	pending  map[int]func() bool // worker → "try to resume; true if resumed"; guarded by mu
-	parkedAt map[int]float64     // worker → virtual time it parked; guarded by mu
-	// dropped tombstones workers whose Drop raced with an in-flight
+	mu sync.Mutex
+	// waiters is sorted by key — small sets: worker indices in simnet, the
+	// requests currently gated in serve — so Wake retries in index order by
+	// walking it, with no map and no sort. Guarded by mu.
+	waiters []waiter
+}
+
+// waiter is one key's slot. It is parked while retry is non-nil; a slot
+// also stays, unparked, while a TryResume claim runs its retry (so the
+// restore costs no insert) and as a drop's tombstone.
+type waiter struct {
+	key   int
+	retry func() bool // "try to resume; true if resumed"
+	at    float64     // virtual time it parked
+	// dropped tombstones a key whose Drop may have raced with an in-flight
 	// TryResume claim: the claim's restore must not resurrect the entry.
-	// Cleared by the next Park (a fresh park supersedes the drop) or by the
-	// in-flight claim when it completes. Guarded by mu.
-	dropped map[int]bool
+	// Cleared by the next Park or by that claim when it completes.
+	dropped bool
 }
 
 // NewWaitList creates an empty wait list.
-func NewWaitList() *WaitList {
-	return &WaitList{
-		pending:  make(map[int]func() bool),
-		parkedAt: make(map[int]float64),
-		dropped:  make(map[int]bool),
+func NewWaitList() *WaitList { return &WaitList{} }
+
+// find returns the position of the first slot whose key is not below key,
+// and whether that slot is key's own. hint is where the caller last saw that
+// position (0: no idea) — a Wake's lookups are checks, not searches. Caller
+// holds mu.
+func (wl *WaitList) find(key, hint int) (int, bool) {
+	ws := wl.waiters
+	i := hint
+	if i > len(ws) || (i > 0 && ws[i-1].key >= key) || (i < len(ws) && ws[i].key < key) {
+		i, _ = slices.BinarySearchFunc(ws, key, func(e waiter, k int) int { return cmp.Compare(e.key, k) })
 	}
+	return i, i < len(ws) && ws[i].key == key
+}
+
+// slot returns the position of key's slot, inserting an empty one if it has
+// none. Caller holds mu; the position is good until the lock is released.
+func (wl *WaitList) slot(key, hint int) int {
+	i, ok := wl.find(key, hint)
+	if !ok {
+		wl.waiters = slices.Insert(wl.waiters, i, waiter{key: key})
+	}
+	return i
 }
 
 // Park registers worker w's retry closure, stamped with the current time.
 func (wl *WaitList) Park(w int, now float64, retry func() bool) {
 	wl.mu.Lock()
-	wl.pending[w] = retry
-	wl.parkedAt[w] = now
-	delete(wl.dropped, w)
+	wl.waiters[wl.slot(w, 0)] = waiter{key: w, retry: retry, at: now}
 	wl.mu.Unlock()
 }
 
@@ -55,20 +82,15 @@ func (wl *WaitList) Park(w int, now float64, retry func() bool) {
 // would be resurrected the moment the retry returned false.
 func (wl *WaitList) Drop(w int) {
 	wl.mu.Lock()
-	wl.dropLocked(w)
-	wl.dropped[w] = true
+	wl.waiters[wl.slot(w, 0)] = waiter{key: w, dropped: true}
 	wl.mu.Unlock()
-}
-
-func (wl *WaitList) dropLocked(w int) {
-	delete(wl.pending, w)
-	delete(wl.parkedAt, w)
 }
 
 // Parked reports whether worker w is currently parked.
 func (wl *WaitList) Parked(w int) bool {
 	wl.mu.Lock()
-	_, ok := wl.pending[w]
+	i, ok := wl.find(w, 0)
+	ok = ok && wl.waiters[i].retry != nil
 	wl.mu.Unlock()
 	return ok
 }
@@ -76,7 +98,12 @@ func (wl *WaitList) Parked(w int) bool {
 // Len reports how many workers are parked.
 func (wl *WaitList) Len() int {
 	wl.mu.Lock()
-	n := len(wl.pending)
+	n := 0
+	for i := range wl.waiters {
+		if wl.waiters[i].retry != nil {
+			n++
+		}
+	}
 	wl.mu.Unlock()
 	return n
 }
@@ -89,27 +116,36 @@ func (wl *WaitList) Len() int {
 // once (the entry is claimed before the retry fires and restored if the
 // predicate still holds).
 func (wl *WaitList) TryResume(w int, now float64, stall *float64) bool {
+	return wl.tryResume(w, 0, now, stall)
+}
+
+// tryResume is TryResume given where w's slot was last seen.
+func (wl *WaitList) tryResume(w, hint int, now float64, stall *float64) bool {
 	wl.mu.Lock()
-	retry, ok := wl.pending[w]
-	if !ok {
+	i, ok := wl.find(w, hint)
+	if !ok || wl.waiters[i].retry == nil {
 		wl.mu.Unlock()
 		return false
 	}
-	at := wl.parkedAt[w]
-	wl.dropLocked(w)
+	retry, at := wl.waiters[i].retry, wl.waiters[i].at
+	wl.waiters[i].retry = nil // claimed
 	wl.mu.Unlock()
 	ok = retry()
 	wl.mu.Lock()
-	wasDropped := wl.dropped[w]
-	delete(wl.dropped, w)
-	if !ok && !wasDropped {
+	i = wl.slot(w, i) // slots may have moved while the retry ran
+	e := &wl.waiters[i]
+	wasDropped := e.dropped
+	e.dropped = false
+	switch {
+	case e.retry != nil:
+		// Re-parked while the retry ran: the fresh park stands.
+	case !ok && !wasDropped:
 		// Still blocked: restore the entry with its original park stamp so a
 		// later churn-attributed wake charges the full wait. A drop that
 		// landed while the retry ran wins instead — the worker is gone.
-		if _, reparked := wl.pending[w]; !reparked {
-			wl.pending[w] = retry
-			wl.parkedAt[w] = at
-		}
+		e.retry, e.at = retry, at
+	default:
+		wl.waiters = slices.Delete(wl.waiters, i, i+1)
 	}
 	wl.mu.Unlock()
 	if ok && stall != nil {
@@ -125,14 +161,22 @@ func (wl *WaitList) Wake() { wl.WakeAttributing(0, nil) }
 // WakeAttributing is Wake with churn accounting: when stall is non-nil,
 // each resumed worker adds its time-parked to *stall.
 func (wl *WaitList) WakeAttributing(now float64, stall *float64) {
+	// The cursor is a key (retries run unlocked; slots come and go under
+	// them), the position it was found at the hint.
+	for i, w, ok := wl.nextParked(math.MinInt, 0); ok; i, w, ok = wl.nextParked(w+1, i+1) {
+		wl.tryResume(w, i, now, stall)
+	}
+}
+
+// nextParked returns the position and key of the first parked slot whose
+// key is not below from.
+func (wl *WaitList) nextParked(from, hint int) (int, int, bool) {
 	wl.mu.Lock()
-	workers := make([]int, 0, len(wl.pending))
-	for w := range wl.pending {
-		workers = append(workers, w)
+	defer wl.mu.Unlock()
+	for i, _ := wl.find(from, hint); i < len(wl.waiters); i++ {
+		if wl.waiters[i].retry != nil {
+			return i, wl.waiters[i].key, true
+		}
 	}
-	wl.mu.Unlock()
-	sort.Ints(workers)
-	for _, w := range workers {
-		wl.TryResume(w, now, stall)
-	}
+	return 0, 0, false
 }

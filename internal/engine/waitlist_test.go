@@ -2,9 +2,13 @@ package engine
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"rog/internal/tensor"
 )
 
 // TestWaitListWakeOrderDeterministic parks workers in scrambled order and
@@ -251,5 +255,173 @@ func TestWaitListConcurrentParkDrop(t *testing.T) {
 	}
 	if wl.Len() != 0 {
 		t.Fatalf("%d entries left parked", wl.Len())
+	}
+}
+
+// refWaitList is the wait list as it was before it became a sorted slice —
+// three maps and a sort per wake — kept here as the reference model the
+// slice is checked against (single-threaded: the model has no lock).
+type refWaitList struct {
+	pending  map[int]func() bool
+	parkedAt map[int]float64
+	dropped  map[int]bool
+}
+
+func newRefWaitList() *refWaitList {
+	return &refWaitList{pending: map[int]func() bool{}, parkedAt: map[int]float64{}, dropped: map[int]bool{}}
+}
+
+func (wl *refWaitList) Park(w int, now float64, retry func() bool) {
+	wl.pending[w], wl.parkedAt[w] = retry, now
+	delete(wl.dropped, w)
+}
+
+func (wl *refWaitList) Drop(w int) {
+	delete(wl.pending, w)
+	delete(wl.parkedAt, w)
+	wl.dropped[w] = true
+}
+
+func (wl *refWaitList) TryResume(w int, now float64, stall *float64) bool {
+	retry, ok := wl.pending[w]
+	if !ok {
+		return false
+	}
+	at := wl.parkedAt[w]
+	delete(wl.pending, w)
+	delete(wl.parkedAt, w)
+	ok = retry()
+	wasDropped := wl.dropped[w]
+	delete(wl.dropped, w)
+	if !ok && !wasDropped {
+		if _, reparked := wl.pending[w]; !reparked {
+			wl.pending[w], wl.parkedAt[w] = retry, at
+		}
+	}
+	if ok && stall != nil {
+		*stall += now - at
+	}
+	return ok
+}
+
+func (wl *refWaitList) WakeAttributing(now float64, stall *float64) {
+	workers := make([]int, 0, len(wl.pending))
+	for w := range wl.pending {
+		workers = append(workers, w)
+	}
+	sort.Ints(workers)
+	for _, w := range workers {
+		wl.TryResume(w, now, stall)
+	}
+}
+
+// TestWaitListMatchesReferenceModel drives the wait list and the reference
+// model with one seeded random script of Park, Drop, TryResume and Wake —
+// plain and stall-attributing — over a small key space (so re-parks, drops
+// of absent keys and tombstones left by a drop all occur) and requires the
+// same resume sequence, the same attributed stall, bit for bit, and the same
+// parked set after every step. A retry here does what the runtimes' do — it
+// evaluates a predicate, sometimes dropping or re-parking its own key the
+// way a racing crash or a retry loop would — but parks no other key: a wake
+// walks the live list where the model snapshots it, and only a retry that
+// parked a stranger mid-wake could tell the two apart.
+func TestWaitListMatchesReferenceModel(t *testing.T) {
+	type list interface {
+		Park(w int, now float64, retry func() bool)
+		Drop(w int)
+		TryResume(w int, now float64, stall *float64) bool
+		WakeAttributing(now float64, stall *float64)
+	}
+	const keys = 12
+	for seed := uint64(1); seed <= 20; seed++ {
+		wl, ref := NewWaitList(), newRefWaitList()
+		var (
+			ready      [keys]bool // the predicate each retry evaluates
+			selfDrop   [keys]bool // the retry drops its own key mid-claim
+			selfRepark [keys]bool // the retry re-parks its own key mid-claim
+			gotOrder   []int
+			wantOrder  []int
+			gotStall   float64
+			wantStall  float64
+			now        float64
+		)
+		retryFor := func(l list, order *[]int, w int) func() bool {
+			var retry func() bool
+			retry = func() bool {
+				if selfDrop[w] {
+					l.Drop(w)
+				}
+				if selfRepark[w] {
+					l.Park(w, now+0.25, retry)
+				}
+				if ready[w] {
+					*order = append(*order, w)
+				}
+				return ready[w]
+			}
+			return retry
+		}
+		r := tensor.NewRNG(seed)
+		for step := 0; step < 3000; step++ {
+			now += r.Float64()
+			w := r.Intn(keys)
+			both := func(f func(l list, order *[]int, stall *float64)) {
+				f(wl, &gotOrder, &gotStall)
+				f(ref, &wantOrder, &wantStall)
+			}
+			switch op := r.Intn(12); {
+			case op < 4:
+				both(func(l list, order *[]int, _ *float64) { l.Park(w, now, retryFor(l, order, w)) })
+			case op < 5:
+				both(func(l list, _ *[]int, _ *float64) { l.Drop(w) })
+			case op < 7:
+				ready[w] = !ready[w]
+			case op < 8:
+				selfDrop[w], selfRepark[w] = r.Intn(3) == 0, r.Intn(3) == 0
+			case op < 9:
+				both(func(l list, _ *[]int, stall *float64) { l.TryResume(w, now, stall) })
+			case op < 10:
+				both(func(l list, _ *[]int, _ *float64) { l.TryResume(w, now, nil) })
+			case op < 11:
+				both(func(l list, _ *[]int, stall *float64) { l.WakeAttributing(now, stall) })
+			default:
+				both(func(l list, _ *[]int, _ *float64) { l.WakeAttributing(0, nil) })
+			}
+			if !slices.Equal(gotOrder, wantOrder) {
+				t.Fatalf("seed %d step %d: resume order diverged:\n got  %v\n want %v", seed, step, gotOrder, wantOrder)
+			}
+			if gotStall != wantStall {
+				t.Fatalf("seed %d step %d: attributed stall %v, model %v", seed, step, gotStall, wantStall)
+			}
+			if wl.Len() != len(ref.pending) {
+				t.Fatalf("seed %d step %d: %d parked, model %d", seed, step, wl.Len(), len(ref.pending))
+			}
+			for k := 0; k < keys; k++ {
+				if _, want := ref.pending[k]; wl.Parked(k) != want {
+					t.Fatalf("seed %d step %d: key %d parked=%v, model %v", seed, step, k, !want, want)
+				}
+			}
+		}
+		if len(gotOrder) < 100 || gotStall == 0 {
+			t.Fatalf("seed %d: script exercised too little (%d resumes, stall %v)", seed, len(gotOrder), gotStall)
+		}
+	}
+}
+
+// TestWaitListWakeAllocatesNothing guards the gate's hot path at fleet
+// size: a wake that finds 64 workers parked and none resumable claims,
+// retries and restores each in place — no snapshot slice, no sort, no map.
+func TestWaitListWakeAllocatesNothing(t *testing.T) {
+	wl := NewWaitList()
+	blocked := func() bool { return false }
+	for w := 63; w >= 0; w-- {
+		wl.Park(w, float64(w), blocked)
+	}
+	var stall float64
+	if n := testing.AllocsPerRun(100, func() { wl.WakeAttributing(100, &stall) }); n != 0 {
+		t.Fatalf("Wake over 64 blocked workers: %v allocs, want 0", n)
+	}
+	if wl.Len() != 64 || stall != 0 {
+		t.Fatalf("blocked wake changed the list: %d parked, stall %v", wl.Len(), stall)
 	}
 }

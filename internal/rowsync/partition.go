@@ -7,7 +7,6 @@ package rowsync
 
 import (
 	"fmt"
-	"sort"
 
 	"rog/internal/compress"
 	"rog/internal/tensor"
@@ -143,18 +142,20 @@ func (p *Partition) IndexOverhead() int {
 // the server keeps one per worker for averaged, not-yet-pulled gradients
 // (the per-worker copies of Fig. 5).
 //
-// A sharded store (NewGradStoreSharded) additionally tracks which units
-// hold unconsumed mass, one dirty set per shard so concurrent writers
-// under different shard locks never share a map. That makes Backlog —
-// the rejoin resync listing — proportional to the backlog size instead of
-// an O(units) mean-abs scan. Worker-local stores skip the tracking: they
-// Accumulate over the whole model every iteration, so a dirty set would
-// always be full.
+// A sharded store (NewGradStoreSharded) additionally flags which units may
+// hold unconsumed mass, so Backlog — the rejoin resync listing — runs the
+// mean-abs scan over the flagged units only. The flags are one bool per
+// unit: a merge fans every row out to all W per-worker stores, so the mark
+// is on the per-row path W times over and must cost a store, not a hash.
+// A unit belongs to exactly one shard, so writers under different shard
+// locks write different bytes of the one slice and need nothing else
+// between them (the -race stage runs TestGradStoreShardWritersShareFlags
+// on exactly that). Worker-local stores skip the tracking: they Accumulate
+// over the whole model every iteration, so every flag would always be set.
 type GradStore struct {
 	part  *Partition
 	data  [][]float32
-	sm    *ShardMap
-	dirty []map[int]struct{} // per shard, units with possibly nonzero mass
+	dirty []bool // per unit: possibly nonzero mass (nil = untracked)
 }
 
 // NewGradStore allocates a zeroed store for the partition with no dirty
@@ -167,19 +168,15 @@ func NewGradStore(p *Partition) *GradStore {
 	return g
 }
 
-// NewGradStoreSharded allocates a zeroed store whose dirty-unit tracking is
-// split along sm's shard ranges. Each shard's set is guarded by whatever
-// lock the caller uses for that shard's units.
+// NewGradStoreSharded allocates a zeroed store with dirty-unit tracking for
+// use under sm's shard locks: unit u's data and flag are guarded by
+// whatever lock the caller uses for u's shard.
 func NewGradStoreSharded(p *Partition, sm *ShardMap) *GradStore {
 	g := NewGradStore(p)
 	if sm.NumUnits() != p.NumUnits() {
 		panic(fmt.Sprintf("rowsync: shard map covers %d units, partition has %d", sm.NumUnits(), p.NumUnits()))
 	}
-	g.sm = sm
-	g.dirty = make([]map[int]struct{}, sm.NumShards())
-	for s := range g.dirty {
-		g.dirty[s] = make(map[int]struct{})
-	}
+	g.dirty = make([]bool, p.NumUnits())
 	return g
 }
 
@@ -194,7 +191,7 @@ func (g *GradStore) Accumulate(grads []*tensor.Matrix) {
 			dst[i] += v
 		}
 		if g.dirty != nil {
-			g.dirty[g.sm.ShardOf(u)][u] = struct{}{}
+			g.dirty[u] = true
 		}
 	}
 }
@@ -209,7 +206,7 @@ func (g *GradStore) AddUnit(u int, vals []float32, scale float32) {
 		dst[i] += v * scale
 	}
 	if g.dirty != nil {
-		g.dirty[g.sm.ShardOf(u)][u] = struct{}{}
+		g.dirty[u] = true
 	}
 }
 
@@ -218,41 +215,31 @@ func (g *GradStore) Unit(u int) []float32 { return g.data[u] }
 
 // ZeroUnit clears unit u (after it has been transmitted, Algo. 1 line 10).
 func (g *GradStore) ZeroUnit(u int) {
-	for i := range g.data[u] {
-		g.data[u][i] = 0
-	}
+	clear(g.data[u])
 	if g.dirty != nil {
-		delete(g.dirty[g.sm.ShardOf(u)], u)
+		g.dirty[u] = false
 	}
 }
 
 // Backlog returns the units with nonzero accumulated mass, ascending. On a
-// sharded store it walks the dirty sets (pruning entries whose mass
-// cancelled back to zero) so the cost is proportional to the number of
-// dirty units; an untracked store falls back to the full mean-abs scan.
-// The caller must hold every shard lock of a sharded store.
+// sharded store it runs the mean-abs scan over the flagged units only
+// (unflagging those whose mass cancelled back to zero); an untracked store
+// scans every unit. The caller must hold every shard lock of a sharded
+// store.
 func (g *GradStore) Backlog() []int {
 	var units []int
-	if g.dirty == nil {
-		for u := 0; u < g.NumUnits(); u++ {
-			if g.MeanAbs(u) != 0 {
-				units = append(units, u)
-			}
+	for u := range g.data {
+		if g.dirty != nil && !g.dirty[u] {
+			continue
 		}
-		return units
-	}
-	for s := range g.dirty {
-		for u := range g.dirty[s] {
-			if g.MeanAbs(u) != 0 {
-				units = append(units, u)
-			} else {
-				// Additions cancelled out exactly; the unit carries no
-				// mass a rejoin would need.
-				delete(g.dirty[s], u)
-			}
+		if g.MeanAbs(u) != 0 {
+			units = append(units, u)
+		} else if g.dirty != nil {
+			// Additions cancelled out exactly; the unit carries no mass a
+			// rejoin would need.
+			g.dirty[u] = false
 		}
 	}
-	sort.Ints(units)
 	return units
 }
 

@@ -1,6 +1,12 @@
 package rowsync
 
-import "testing"
+import (
+	"slices"
+	"sync"
+	"testing"
+
+	"rog/internal/tensor"
+)
 
 // TestShardMapBalancedContiguous checks the map's two structural
 // invariants: shard ranges are contiguous, cover every unit exactly once,
@@ -146,7 +152,7 @@ func TestVersionStoreShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestGradStoreShardedBacklogTracksDirtyUnits checks the satellite fix:
-// the sharded store's Backlog comes from the per-worker dirty sets and
+// the sharded store's Backlog comes from the per-unit dirty flags and
 // must equal the full-scan answer of the unsharded store.
 func TestGradStoreShardedBacklogTracksDirtyUnits(t *testing.T) {
 	p := NewPartition(testModel(), Rows)
@@ -174,7 +180,7 @@ func TestGradStoreShardedBacklogTracksDirtyUnits(t *testing.T) {
 			t.Fatalf("backlog %v, want %v", got, want)
 		}
 	}
-	// Draining a unit clears it from the dirty set.
+	// Draining a unit clears its flag.
 	g.ZeroUnit(0)
 	ref.ZeroUnit(0)
 	got, want = g.Backlog(), ref.Backlog()
@@ -189,5 +195,109 @@ func TestGradStoreShardedBacklogTracksDirtyUnits(t *testing.T) {
 	g.AddUnit(2, vals, 1)
 	if bl := g.Backlog(); len(bl) != 0 {
 		t.Fatalf("cancelled unit still in backlog: %v", bl)
+	}
+}
+
+// TestGradStoreBacklogMatchesFullScan is the dirty flags' differential test:
+// a seeded random sequence of AddUnit, Accumulate and ZeroUnit — with exact
+// cancellations, the case the flags must prune — lands on a sharded store
+// and on an untracked one, and after every step the tracked Backlog equals
+// the untracked store's full mean-abs scan, ascending.
+func TestGradStoreBacklogMatchesFullScan(t *testing.T) {
+	p := NewPartition(testModel(), Rows)
+	r := tensor.NewRNG(77)
+	for _, shards := range []int{1, 3, p.NumUnits()} {
+		g := NewGradStoreSharded(p, NewShardMap(p.NumUnits(), shards))
+		ref := NewGradStore(p)
+		for step := 0; step < 2000; step++ {
+			u := r.Intn(p.NumUnits())
+			switch op := r.Intn(10); {
+			case op < 5:
+				vals := make([]float32, p.Unit(u).Len)
+				for i := range vals {
+					vals[i] = float32(r.Intn(5) - 2) // small integers: sums cancel exactly
+				}
+				g.AddUnit(u, vals, 1)
+				ref.AddUnit(u, vals, 1)
+			case op < 7:
+				// Exact cancellation: add the unit's own negation.
+				neg := append([]float32(nil), ref.Unit(u)...)
+				g.AddUnit(u, neg, -1)
+				ref.AddUnit(u, neg, -1)
+			case op < 9:
+				g.ZeroUnit(u)
+				ref.ZeroUnit(u)
+			default:
+				grads := testModel()
+				for _, m := range grads {
+					for i := range m.Data {
+						m.Data[i] = float32(r.Intn(3) - 1)
+					}
+				}
+				g.Accumulate(grads)
+				ref.Accumulate(grads)
+			}
+			if got, want := g.Backlog(), ref.Backlog(); !slices.Equal(got, want) {
+				t.Fatalf("shards=%d step %d: backlog %v, full scan %v", shards, step, got, want)
+			}
+		}
+	}
+}
+
+// TestGradStoreShardWritersShareFlags exercises the sharing argument in the
+// GradStore comment under -race: one goroutine per shard hammers AddUnit
+// and ZeroUnit on its own unit range of one sharded store (no locks — each
+// stands for a writer holding its shard's lock). Different units are
+// different data rows and different flag bytes, so the detector must stay
+// quiet and every range must end exactly as a sequential replay leaves it.
+func TestGradStoreShardWritersShareFlags(t *testing.T) {
+	p := NewPartition(testModel(), Rows)
+	sm := NewShardMap(p.NumUnits(), 4)
+	g := NewGradStoreSharded(p, sm)
+	var wg sync.WaitGroup
+	for s := 0; s < sm.NumShards(); s++ {
+		lo, hi := sm.Range(s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 500; round++ {
+				for u := lo; u < hi; u++ {
+					vals := make([]float32, p.Unit(u).Len)
+					for i := range vals {
+						vals[i] = 1
+					}
+					g.AddUnit(u, vals, 1)
+					if (round+u)%3 == 0 {
+						g.ZeroUnit(u)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Round 499 is the last: a unit zeroed in it ends empty, the others
+	// carry what they gathered since their last zero.
+	var want []int
+	for u := 0; u < p.NumUnits(); u++ {
+		if (499+u)%3 != 0 {
+			want = append(want, u)
+		}
+	}
+	if got := g.Backlog(); !slices.Equal(got, want) {
+		t.Fatalf("backlog after concurrent shard writers = %v, want %v", got, want)
+	}
+}
+
+// TestGradStoreAddUnitAllocatesNothing guards the merge fan-out: marking a
+// unit dirty on a sharded store is a store into a flag, not a map insert.
+func TestGradStoreAddUnitAllocatesNothing(t *testing.T) {
+	p := NewPartition(testModel(), Rows)
+	g := NewGradStoreSharded(p, NewShardMap(p.NumUnits(), 3))
+	vals := make([]float32, p.Unit(1).Len)
+	if n := testing.AllocsPerRun(100, func() {
+		g.AddUnit(1, vals, 0.5)
+		g.ZeroUnit(1)
+	}); n != 0 {
+		t.Fatalf("AddUnit+ZeroUnit on a sharded store: %v allocs, want 0", n)
 	}
 }

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"rog/internal/trace"
 )
@@ -19,6 +21,10 @@ import (
 // Flows are drained continuously; the channel recomputes rates at every
 // flow arrival/finish/cancel and at every trace sample boundary, so byte
 // integrals are exact for piecewise-constant traces.
+//
+// Determinism: the active flows are kept in start order, and that order is
+// part of the contract — flows that drain at the same instant complete by
+// device index, and within one device in the order they were started.
 type Channel struct {
 	k     *Kernel
 	links []*trace.Trace
@@ -26,9 +32,13 @@ type Channel struct {
 	// comm:compute ratio of the paper while using a smaller model.
 	Scale float64
 
-	flows      map[*Flow]struct{}
+	flows []*Flow // active, in start order
+	// lit counts the flows competing for airtime (a flow on a dark link does
+	// not), kept in step with flows, down and serverDown.
+	lit        int
 	lastUpdate float64
-	recheck    *Timer
+	recheck    *Timer  // the channel's one timer and its only handle: re-armed in place
+	finished   []*Flow // onRecheck's scratch
 	// down marks links in blackout (capacity forced to 0 Mbps), the
 	// fault-injection model of a robot driving behind a thick wall or out
 	// of range. Flows on a downed link stall in place and resume when the
@@ -49,6 +59,7 @@ type Flow struct {
 	remaining  float64 // bytes
 	sent       float64 // bytes
 	onComplete func()
+	active     bool // in the channel's flow list
 	done       bool
 	cancelled  bool
 }
@@ -66,17 +77,19 @@ func NewChannel(k *Kernel, links []*trace.Trace, scale float64) *Channel {
 	if scale <= 0 {
 		panic("simnet: non-positive channel scale")
 	}
-	return &Channel{
+	c := &Channel{
 		k:          k,
 		links:      links,
 		Scale:      scale,
-		flows:      make(map[*Flow]struct{}),
 		lastUpdate: k.Now(),
 		down:       make([]bool, len(links)),
 	}
+	c.recheck = newTimer(c.onRecheck)
+	return c
 }
 
-// bytesPerSec returns the current drain rate of flow f given n active flows.
+// bytesPerSec returns the current drain rate of flow f given n contending
+// flows.
 func (c *Channel) bytesPerSec(f *Flow, at float64, n int) float64 {
 	if n == 0 || c.dark(f.Device) {
 		return 0
@@ -89,16 +102,14 @@ func (c *Channel) bytesPerSec(f *Flow, at float64, n int) float64 {
 // out, or the server at its far end is down.
 func (c *Channel) dark(device int) bool { return c.serverDown || c.down[device] }
 
-// contending returns the number of flows competing for airtime: flows on a
-// dark link transmit nothing and do not contend.
-func (c *Channel) contending() int {
-	n := 0
-	for f := range c.flows {
+// relight recounts lit after a link or the server changed state.
+func (c *Channel) relight() {
+	c.lit = 0
+	for _, f := range c.flows {
 		if !c.dark(f.Device) {
-			n++
+			c.lit++
 		}
 	}
-	return n
 }
 
 // advance drains all active flows from lastUpdate to now using the rates
@@ -110,9 +121,8 @@ func (c *Channel) advance(now float64) {
 		c.lastUpdate = now
 		return
 	}
-	n := c.contending()
-	for f := range c.flows {
-		rate := c.bytesPerSec(f, c.lastUpdate, n)
+	for _, f := range c.flows {
+		rate := c.bytesPerSec(f, c.lastUpdate, c.lit)
 		drained := rate * dt
 		if drained > f.remaining {
 			drained = f.remaining
@@ -133,8 +143,11 @@ func (c *Channel) StartFlow(device int, bytes float64, onComplete func()) *Flow 
 		panic("simnet: negative flow size")
 	}
 	c.advance(c.k.Now())
-	f := &Flow{Device: device, remaining: bytes, onComplete: onComplete}
-	c.flows[f] = struct{}{}
+	f := &Flow{Device: device, remaining: bytes, onComplete: onComplete, active: true}
+	c.flows = append(c.flows, f)
+	if !c.dark(device) {
+		c.lit++
+	}
 	if bytes == 0 {
 		// Complete immediately but asynchronously, preserving event order.
 		c.k.After(0, func() { c.finish(f) })
@@ -149,19 +162,32 @@ func (c *Channel) StartFlow(device int, bytes float64, onComplete func()) *Flow 
 // caller decides what the delivered bytes amount to).
 func (c *Channel) Cancel(f *Flow) float64 {
 	c.advance(c.k.Now())
-	if _, ok := c.flows[f]; ok {
-		delete(c.flows, f)
+	if c.remove(f) {
 		f.cancelled = true
 		c.schedule()
 	}
 	return f.sent
 }
 
+// remove takes f out of the flow list, keeping the others in start order;
+// false when it already left (completed or cancelled).
+func (c *Channel) remove(f *Flow) bool {
+	if !f.active {
+		return false
+	}
+	f.active = false
+	i := slices.Index(c.flows, f)
+	c.flows = slices.Delete(c.flows, i, i+1)
+	if !c.dark(f.Device) {
+		c.lit--
+	}
+	return true
+}
+
 func (c *Channel) finish(f *Flow) {
-	if _, ok := c.flows[f]; !ok {
+	if !c.remove(f) {
 		return
 	}
-	delete(c.flows, f)
 	f.done = true
 	f.remaining = 0
 	if f.onComplete != nil {
@@ -172,82 +198,65 @@ func (c *Channel) finish(f *Flow) {
 // schedule (re)arms the recheck timer for the earliest of: next trace
 // boundary, earliest projected flow completion.
 func (c *Channel) schedule() {
-	if c.recheck != nil {
-		c.recheck.Stop()
-		c.recheck = nil
-	}
-	if len(c.flows) == 0 {
-		return
-	}
 	now := c.k.Now()
 	next := math.Inf(1)
-	// Trace boundaries of links with active flows (a dark link has no
-	// boundary worth waking for — its rate is pinned at zero until it is lit
-	// again, and SetLinkDown/SetServerDown reschedule then).
-	for f := range c.flows {
-		if c.dark(f.Device) {
-			continue
+	for _, f := range c.flows {
+		// Trace boundaries of links with active flows (a dark link has no
+		// boundary worth waking for — its rate is pinned at zero until it is
+		// lit again, and SetLinkDown/SetServerDown reschedule then).
+		if !c.dark(f.Device) {
+			if b := c.links[f.Device].NextBoundary(now); b < next {
+				next = b
+			}
 		}
-		if b := c.links[f.Device].NextBoundary(now); b < next {
-			next = b
-		}
-	}
-	// Projected completions under current rates.
-	n := c.contending()
-	for f := range c.flows {
+		// Projected completions under current rates.
 		if f.remaining <= 1e-6 {
 			// Already drained (a rate change landed exactly on the
 			// completion instant): complete it on the next recheck now.
 			next = now
 			continue
 		}
-		rate := c.bytesPerSec(f, now, n)
+		rate := c.bytesPerSec(f, now, c.lit)
 		if rate <= 0 {
 			continue
 		}
-		eta := now + f.remaining/rate
-		if eta < next {
+		if eta := now + f.remaining/rate; eta < next {
 			next = eta
 		}
 	}
 	if math.IsInf(next, 1) {
-		// All links at zero capacity with no future boundary (constant
-		// zero trace) — nothing will ever progress; leave unscheduled.
+		// No flows, or all links at zero capacity with no future boundary
+		// (constant zero trace) — nothing will ever progress; leave unarmed.
+		c.recheck.Stop()
 		return
 	}
-	c.recheck = c.k.At(next, c.onRecheck)
+	c.k.reset(c.recheck, next)
 }
 
 func (c *Channel) onRecheck() {
-	c.recheck = nil
-	c.advance(c.k.Now())
+	now := c.k.Now()
+	c.advance(now)
 	// Complete everything that drained, tolerating float residue: a flow
 	// whose remainder would clear within a nanosecond at its current rate
 	// is done. (Without the rate-relative epsilon, an eta that rounds to
 	// the current timestamp would reschedule at the same instant forever.)
-	n := c.contending()
-	var finished []*Flow
-	for f := range c.flows {
-		eps := 1e-6 + c.bytesPerSec(f, c.k.Now(), n)*1e-9
+	finished := c.finished[:0]
+	for _, f := range c.flows {
+		eps := 1e-6 + c.bytesPerSec(f, now, c.lit)*1e-9
 		if f.remaining <= eps {
 			finished = append(finished, f)
 		}
 	}
-	// Deterministic completion order: by device index then pointer-free
-	// insertion order is unavailable, so sort by device; ties are broken
-	// by remaining (all ~0) and are semantically concurrent anyway.
-	for i := 0; i < len(finished); i++ {
-		for j := i + 1; j < len(finished); j++ {
-			if finished[j].Device < finished[i].Device {
-				finished[i], finished[j] = finished[j], finished[i]
-			}
-		}
-	}
+	// Completion order: by device, start order within one (the sort is
+	// stable over the flow list's order).
+	slices.SortStableFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.Device, b.Device) })
 	for _, f := range finished {
 		f.sent += f.remaining
 		f.remaining = 0
 		c.finish(f)
 	}
+	clear(finished)
+	c.finished = finished
 	c.schedule()
 }
 
@@ -264,6 +273,7 @@ func (c *Channel) SetLinkDown(device int, down bool) {
 	}
 	c.advance(c.k.Now())
 	c.down[device] = down
+	c.relight()
 	c.schedule()
 }
 
@@ -276,6 +286,7 @@ func (c *Channel) SetServerDown(down bool) {
 	}
 	c.advance(c.k.Now())
 	c.serverDown = down
+	c.relight()
 	c.schedule()
 }
 

@@ -26,6 +26,7 @@ type Timer struct {
 	seq       int64
 	fn        func()
 	cancelled bool
+	index     int // position in the kernel's queue; -1 when not queued
 }
 
 // Stop cancels the timer if it has not fired yet.
@@ -40,14 +41,22 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*Timer)) }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *eventQueue) Push(x interface{}) {
+	t := x.(*Timer)
+	t.index = len(*q)
+	*q = append(*q, t)
+}
 func (q *eventQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
 	*q = old[:n-1]
+	t.index = -1
 	return t
 }
 
@@ -59,13 +68,29 @@ func (k *Kernel) Now() float64 { return k.now }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t float64, fn func()) *Timer {
+	tm := newTimer(fn)
+	k.reset(tm, t)
+	return tm
+}
+
+// newTimer returns an unarmed timer for fn.
+func newTimer(fn func()) *Timer { return &Timer{fn: fn, index: -1} }
+
+// reset re-arms tm — pending, stopped or fired — for absolute virtual time t,
+// ordered among same-instant events as a fresh At would be. Only for the
+// holder of tm's one handle (the channel's recheck): a stale Stop through
+// another, meant for the earlier arming, would cancel this one.
+func (k *Kernel) reset(tm *Timer, t float64) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	tm := &Timer{at: t, seq: k.seq, fn: fn}
-	heap.Push(&k.pq, tm)
-	return tm
+	tm.at, tm.seq, tm.cancelled = t, k.seq, false
+	if tm.index >= 0 {
+		heap.Fix(&k.pq, tm.index)
+	} else {
+		heap.Push(&k.pq, tm)
+	}
 }
 
 // After schedules fn d seconds from now (d < 0 is treated as 0).

@@ -20,7 +20,8 @@
 # engine it executes, the simnet drivers and version store that share
 # engine.State with it, the wire transport, the lossnet datagram
 # transport, the durable checkpoint store and the serving tier's
-# snapshot publisher, the nn substrate and, in -short mode, the harness whose
+# snapshot publisher, the nn substrate, the simnet kernel and channel and the
+# atp ranker that engine and core drive and, in -short mode, the harness whose
 # workload memo and Evaluate fan-out share builds across goroutines) again
 # under -race, plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
@@ -60,7 +61,8 @@ run_race() {
 	go test -race ./internal/livenet/... ./internal/engine/... \
 		./internal/rowsync/... ./internal/core/... ./internal/transport/... \
 		./internal/lossnet/... ./internal/durable/... ./internal/obs/... \
-		./internal/serve/... ./internal/nn/...
+		./internal/serve/... ./internal/nn/... ./internal/simnet/... \
+		./internal/atp/...
 	# The workload memo and Evaluate's scoring goroutines; -short leaves the
 	# registry sweep (minutes under the race detector) to the plain test stage.
 	go test -race -short ./internal/harness/...
