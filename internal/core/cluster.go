@@ -376,9 +376,10 @@ type cluster struct {
 	state  *engine.State
 
 	rep []*engine.Replica // per-robot worker half: model, optimizer, g′, push stamps, uplink codec
-	// down is the server's pull half per worker (downlink codec, pull in
-	// flight); it lives here so both survive a recovered state swap.
-	down []*engine.Downlink
+	// peer is the server's half per worker (push-plan seq, gate stall, downlink
+	// codec, pull in flight); it lives here so all of it survives a recovered
+	// state swap.
+	peer []*engine.Peer
 
 	// waiters parks workers the staleness gate holds back. It lives here,
 	// not in the engine state, so parked gates survive a recovered state swap.
@@ -390,12 +391,6 @@ type cluster struct {
 
 	iter   []int64 // completed iterations per worker
 	halted []bool
-	// planSeq[w] counts worker w's push plans (including skips) — the
-	// correlation id threaded through PushPlanned/RowsSent/Stall*/Merge so
-	// the critical-path analyzer can tie a stall to the plan that parked it.
-	// Incremented unconditionally (pure memory), so traced and untraced runs
-	// stay bit-identical.
-	planSeq []int64
 
 	// robots is the per-worker loop state (CPU, radio, the iteration between
 	// them); crashed marks the workers a fault has taken out (churn counters
@@ -471,7 +466,6 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		scratch: make([]float32, part.MaxUnitLen()),
 		iter:    make([]int64, cfg.Workers),
 		halted:  make([]bool, cfg.Workers),
-		planSeq: make([]int64, cfg.Workers),
 		robots:  make([]robot, cfg.Workers),
 		crashed: make([]bool, cfg.Workers),
 	}
@@ -493,7 +487,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	c.series.Name = fmt.Sprintf("%s-%d", cfg.Strategy, cfg.Threshold)
 	for w := 0; w < cfg.Workers; w++ {
 		c.rep = append(c.rep, engine.NewReplica(wl.Model(w), part, cfg.LR, cfg.Momentum))
-		c.down = append(c.down, engine.NewDownlink(w, part))
+		c.peer = append(c.peer, engine.NewPeer(w, part))
 		c.meters = append(c.meters, energy.NewMeter(energy.PaperModel()))
 	}
 	return c
@@ -551,7 +545,7 @@ func (c *cluster) deliverPush(w, u int, n, seq int64) {
 		// vals — c.scratch is reused by the next decode.
 		c.agg.enqueue(u, vals, engine.Stamp{Worker: w, Iter: n, Seq: seq})
 	} else {
-		c.state.Merge(w, u, vals, n)
+		c.peer[w].Merge(c.state, u, vals, n)
 	}
 	c.rep[w].Stamp(u, n)
 }

@@ -52,7 +52,7 @@ func (c *cluster) crashWorker(w int) {
 		return
 	}
 	c.crashed[w] = true
-	c.state.Detach(w)
+	c.peer[w].Leave(c.state)
 	c.probe.Detach(w, c.iter[w], "crash")
 	// The ghost itself must not resume; survivors it was blocking re-check
 	// their staleness predicate now, and any wait the detach releases is
@@ -78,7 +78,7 @@ func (c *cluster) rejoinWorker(w int) {
 		c.rejoins = append(c.rejoins, w)
 		return
 	}
-	base := c.state.Attach(w)
+	base, backlog := c.peer[w].Rejoin(c.state)
 	// Fast-forward the worker's counters to the baseline: its next
 	// iteration must version-stamp rows above every re-baselined entry.
 	if c.iter[w] < base {
@@ -90,7 +90,6 @@ func (c *cluster) rejoinWorker(w int) {
 	// still weak) link — all of it reliable: on a lossy channel a dropped
 	// row is sent again until it lands. Like any pull, its content is fixed
 	// now, not when the flow lands.
-	backlog := c.down[w].HoldBacklog(c.state)
 	units := make([]int, len(backlog))
 	held := make([]compress.Payload, c.part.NumUnits()) // by unit
 	for i, p := range backlog {
@@ -98,8 +97,6 @@ func (c *cluster) rejoinWorker(w int) {
 		held[p.Row] = p
 	}
 	ap := atp.NewPlan(units, c.wireSize)
-	c.state.AddRowsResynced(len(backlog))
-	c.probe.Reconnect(w, base)
 	c.probe.Resync(w, len(backlog), ap.TotalBytes())
 	c.crashed[w] = false
 	c.send(c.links[w], c.iter[w], obs.DirPull, engine.Plan{Units: units, Must: len(units)}, ap,

@@ -19,7 +19,7 @@ import (
 //   - delivered → the normal merge/apply path runs;
 //   - lost, best-effort class → nothing runs: the gradient mass stays in
 //     the sender's accumulator (push) or is folded back into the server
-//     copy when the pull ends (engine.Downlink.Release), the row's
+//     copy when the pull ends (engine.Peer.Settle), the row's
 //     pushIter/version never advances, and RSP accounting sees a row that
 //     was simply never sent. Thm. 1's staleness bound is untouched.
 //   - lost, reliable class → the unit queues for a retransmission flow

@@ -26,7 +26,7 @@ func seedServerCopy(c *cluster, from int, iter int64, val float32) {
 // count.
 func pullNow(t *testing.T, c *cluster, w int, n int64) (units []int, delivered int) {
 	t.Helper()
-	plan := c.state.PlanPull(w, n)
+	plan := c.peer[w].HoldPull(c.state, n)
 	finished := false
 	c.transmit(w, n, obs.DirPull, plan, func(d int, _, _ float64) {
 		delivered, finished = d, true

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rog/internal/obs"
+	"rog/internal/simnet"
 )
 
 // closeEnough tolerates float rounding between the streamed aggregate and
@@ -216,5 +217,50 @@ func TestMergeSeqMatchesPlan(t *testing.T) {
 		if merges == 0 || wrong != 0 {
 			t.Fatalf("aggregators=%d: %d of %d Merge events carry a Seq other than their plan's", aggs, wrong, merges)
 		}
+	}
+}
+
+// TestMergeSeqSurvivesServerCrash: the plan seq is the engine.Peer's, which is
+// the cluster's, so a push in flight across a server restart still names its
+// plan on the rows it lands in the recovered state. (With the seq kept in the
+// State, those Merge events carried none.) Every append is synced here, so
+// the restart re-stamps nothing and every Merge has a plan to match.
+func TestMergeSeqSurvivesServerCrash(t *testing.T) {
+	cfg, _, _ := durableConfig(t, ROG, 4)
+	faults, err := simnet.ParseFaultSchedule("servercrash@25+5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = faults
+	type push struct {
+		w int
+		n int64
+	}
+	planned := map[push]int64{}
+	restarted, after, wrong := false, 0, 0
+	cfg.Trace = tracerFunc(func(e obs.Event) {
+		switch e.Kind {
+		case obs.KindPushPlanned:
+			planned[push{e.Worker, e.Iter}] = e.Seq
+		case obs.KindReconnect:
+			restarted = restarted || e.Worker == -1
+		case obs.KindMerge:
+			if restarted {
+				after++
+			}
+			if seq, ok := planned[push{e.Worker, e.Iter}]; !ok || seq != e.Seq {
+				wrong++
+			}
+		}
+	})
+	res, err := Run(cfg, newTestWorkload(3, 33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery.Recoveries != 1 || res.Recovery.RowsLost != 0 || after == 0 {
+		t.Fatalf("recovery %+v with %d merges after it: the scenario did not happen", res.Recovery, after)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d Merge events carry a Seq other than their plan's", wrong)
 	}
 }

@@ -95,8 +95,7 @@ func (c *cluster) communicate(w int) {
 	if plan.Skip {
 		// The scheduler (FLOWN) sat this one out: local gradients keep
 		// accumulating, nothing moves.
-		c.planSeq[w]++
-		c.probe.PushPlanned(w, n, c.planSeq[w], 0, 0, c.part.NumUnits(), 0, false, "skip")
+		c.probe.PushPlanned(w, n, c.peer[w].BeginPush(), 0, 0, c.part.NumUnits(), 0, false, "skip")
 		finish(0)
 		return
 	}
@@ -128,51 +127,46 @@ func (c *cluster) send(l link, n int64, dir obs.Dir, plan engine.Plan, ap atp.Pl
 }
 
 // transmit moves one plan of worker w's iteration n over its link — a push
-// (opening a new plan sequence) or the pull that completes it. A pull's rows
-// leave the server copy here, at plan time (engine.Downlink): a later merge
-// rides the worker's next pull, and what the flow does not deliver is folded
-// back when it ends.
+// (opening a new plan sequence) or the pull that completes it, whose rows
+// engine.Peer already holds: the flow takes each as it delivers it, and what
+// it does not deliver is folded back when it ends.
 func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
 	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
-	if dir == obs.DirPush {
-		c.planSeq[w]++
-	}
-	seq := c.planSeq[w] // a pull completes the push plan's iteration
+	seq := c.peer[w].Seq() // a pull completes the push plan's iteration
 	var deliver func(u int)
 	if dir == obs.DirPull {
-		c.down[w].Hold(c.state, plan.Units)
 		deliver = func(u int) {
-			if p, ok := c.down[w].Take(u); ok {
+			if p, ok := c.peer[w].Take(u); ok {
 				c.deliverPull(w, p)
 			}
 		}
 	} else {
-		// Seed the engine state's per-worker plan seq so the Merge events this
-		// push produces carry the same correlation id (no-op when tracing is
-		// off); a row an aggregator parks carries it in its stamp instead.
-		c.state.NotePushSeq(w, seq)
+		// The Merge events this push produces carry seq through the peer; a
+		// row an aggregator parks carries it in its stamp instead.
+		seq = c.peer[w].BeginPush()
 		c.probe.PushPlanned(w, n, seq, len(ap.Units), plan.Must,
 			c.part.NumUnits()-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
 		deliver = func(u int) { c.deliverPush(w, u, n, seq) }
 	}
 	c.send(c.links[w], n, dir, plan, ap, deliver, func(delivered int, mtaTime, elapsed float64) {
 		if dir == obs.DirPull {
-			c.down[w].Release(c.state)
+			c.peer[w].Settle(c.state, nil)
 		}
 		c.probe.RowsSent(w, n, seq, dir, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
 		done(delivered, mtaTime, elapsed)
 	})
 }
 
-// synchronize is the communication half of worker w's iteration n: push
-// what the policy planned, report it (ObservePush, the Fig. 8 sample), let
-// the merges re-evaluate every parked gate, wait out w's own — parked on
-// the waiter list so version advances and detaches re-check it — then pull
-// what the server plans. done gets the summed transmission seconds; a crash
-// abandons the iteration and done never fires.
+// synchronize is the communication half of worker w's iteration n, the
+// engine.Peer sequence over simnet: push what the policy planned, report it
+// (PushDone, the Fig. 8 sample), let the merges re-evaluate every parked
+// gate, wait out w's own — its Gate retried from the waiter list, so version
+// advances and detaches re-check it — then pull what the server plans. done
+// gets the summed transmission seconds; a crash abandons the iteration (the
+// waiter list drops its retry, its stall stays open) and done never fires.
 func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSec float64)) {
 	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
-		c.state.ObservePush(w, n, mtaTime, pushSec, plan.Speculative)
+		c.peer[w].PushDone(c.state, n, mtaTime, pushSec, plan.Speculative)
 		c.recordMicro(w, n, delivered)
 		c.waiters.Wake()
 
@@ -180,16 +174,16 @@ func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSe
 			if c.crashed[w] {
 				return true // abandon: the crash ends the iteration
 			}
-			if !c.state.CanAdvance(n) {
+			if !c.peer[w].Gate(c.state, n, c.k.Now()) {
 				return false
 			}
-			c.transmit(w, n, obs.DirPull, c.state.PlanPull(w, n), func(_ int, _, pullSec float64) {
+			c.transmit(w, n, obs.DirPull, c.peer[w].HoldPull(c.state, n), func(_ int, _, pullSec float64) {
 				done(pushSec + pullSec)
 			})
 			return true
 		}
 		if !pull() {
-			c.parkStalled(w, n, pull)
+			c.waiters.Park(w, c.k.Now(), pull)
 		}
 	})
 }
@@ -205,29 +199,4 @@ func (c *cluster) recordMicro(w int, n int64, delivered int) {
 		TxRate:    float64(delivered) / float64(c.part.NumUnits()),
 		Staleness: max(0, slices.Max(c.iter)-(n-1)),
 	})
-}
-
-// parkStalled parks worker w's gate predicate on the waiter list with the
-// stall interval traced: StallBegin at the park, StallEnd when the retried
-// predicate finally succeeds. A predicate dropped by a crash leaves its
-// interval open — the aggregation tolerates an unclosed stall (the run
-// ended, or membership ended it).
-func (c *cluster) parkStalled(w int, n int64, pull func() bool) {
-	start := c.k.Now()
-	if c.probe != nil {
-		// Causal attribution: StallBegin names the (worker, unit, version)
-		// currently pinning the RSP gate's version floor; StallEnd names the
-		// merge that last advanced the floor — the release that let the
-		// predicate pass.
-		seq, gate := c.planSeq[w], pull
-		c.probe.StallBegin(w, n, seq, "gate", c.state.MinBlocker())
-		pull = func() bool {
-			if !gate() {
-				return false
-			}
-			c.probe.StallEnd(w, n, seq, "gate", c.k.Now()-start, c.state.LastRelease())
-			return true
-		}
-	}
-	c.waiters.Park(w, start, pull)
 }

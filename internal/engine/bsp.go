@@ -4,7 +4,7 @@ package engine
 // iteration, and a gate equivalent to a full barrier — a worker that
 // pushed iteration n is not answered until every attached worker's rows
 // reached n. Both runtimes get the lockstep from CanAdvance alone: a pull's
-// content is fixed when the gate opens (Downlink), so replicas stay equal.
+// content is fixed when the gate opens (Peer.HoldPull), so replicas stay equal.
 type bsp struct{}
 
 func newBSP() *bsp { return &bsp{} }

@@ -55,11 +55,11 @@ func TestApplyMirrorsObserve(t *testing.T) {
 		}
 		var (
 			iter [workers]int64
-			down [workers]*Downlink
+			down [workers]*Peer
 			dups int
 		)
 		for w := range down {
-			down[w] = NewDownlink(w, part)
+			down[w] = NewPeer(w, part)
 		}
 		for step := 0; step < 600; step++ {
 			w := rng.Intn(workers)
@@ -82,15 +82,15 @@ func TestApplyMirrorsObserve(t *testing.T) {
 				a.MergeCombined(u, row(u), []Stamp{first, first, {Worker: w2, Iter: iter[w2]}})
 				dups++
 			case 3:
-				down[w].Hold(a, subset())
+				down[w].hold(a, subset())
 			case 4:
 				down[w].Take(rng.Intn(units))
 			case 5:
-				down[w].Release(a)
+				down[w].Settle(a, nil)
 			case 6:
 				if !a.IsActive(w) {
 					// Rejoin: resync the backlog, losing the tail of it.
-					tail := down[w].HoldBacklog(a)
+					tail := down[w].holdBacklog(a)
 					down[w].Restore(a, tail[len(tail)/2:]...)
 					iter[w] = max(iter[w], a.Attach(w))
 				} else if a.ActiveWorkers() > 1 {

@@ -1,0 +1,198 @@
+package engine
+
+import (
+	"rog/internal/compress"
+	"rog/internal/rowsync"
+)
+
+// Peer is the server's half of one worker's iteration (Algo. 2), shared by
+// both runtimes the way Replica is the worker's half; its methods are that
+// sequence, in order, plus the membership edges. A runtime supplies the wait
+// — what asks Gate again: a sync.Cond loop, a retry closure on the WaitList —
+// and the carry: frames or flows, and which of a pull's rows they delivered.
+//
+// A Peer belongs to the runtime and every call names the State to act on, so
+// codec residuals, a pull in flight, the plan count and an open stall survive
+// a recovered state swap. Its fields say who may touch them; the simnet
+// kernel, one goroutine, satisfies all of it trivially.
+type Peer struct {
+	worker int
+	// seq counts the worker's push plans — the correlation id on its gate
+	// stalls and on the Merge events of the rows it merges. Written and read
+	// only by the goroutine carrying this worker's push (callers must not run
+	// two for one worker), so it needs no lock — BeginPush and the merges run
+	// outside Server.mu.
+	seq int64
+
+	codec *compress.Codec // guarded by Server.mu — server→worker error feedback
+	// held[u] is unit u's payload while the pull carrying it is out (Bits
+	// == nil: not held). Indexed by unit and reused by every pull — a
+	// per-pull map here costs the fleet benchmark +20 % allocated bytes.
+	held    []compress.Payload // guarded by Server.mu
+	scratch []float32          // guarded by Server.mu
+	// The gate's edge: whether a wait is open, and since when.
+	stalled    bool    // guarded by Server.mu
+	stallBegan float64 // guarded by Server.mu
+}
+
+// NewPeer builds worker's server half for a model decomposed by part.
+func NewPeer(worker int, part *rowsync.Partition) *Peer {
+	return &Peer{
+		worker:  worker,
+		codec:   compress.NewCodec(part.Widths()),
+		held:    make([]compress.Payload, part.NumUnits()),
+		scratch: make([]float32, part.MaxUnitLen()),
+	}
+}
+
+// BeginPush opens the worker's next push plan — a skipped one included — and
+// returns its sequence number. Counted unconditionally (pure memory), so
+// traced and untraced runs stay bit-identical.
+func (p *Peer) BeginPush() int64 {
+	p.seq++
+	return p.seq
+}
+
+// Seq is the open push plan's number: the pull completing its iteration
+// carries it too.
+func (p *Peer) Seq() int64 { return p.seq }
+
+// Merge is State.Merge for a row of the open push: its Merge event names the
+// plan.
+func (p *Peer) Merge(s *State, unit int, vals []float32, iter int64) bool {
+	return s.mergeStamped(Stamp{Worker: p.worker, Iter: iter, Seq: p.seq}, []int{unit}, [][]float32{vals})
+}
+
+// MergeBatch is State.MergeBatch for the open push's rows.
+func (p *Peer) MergeBatch(s *State, units []int, vals [][]float32, iter int64) bool {
+	return s.mergeStamped(Stamp{Worker: p.worker, Iter: iter, Seq: p.seq}, units, vals)
+}
+
+// PushDone reports the completed push (State.ObservePush).
+func (p *Peer) PushDone(s *State, iter int64, mtaTime, elapsed float64, speculative bool) {
+	s.ObservePush(p.worker, iter, mtaTime, elapsed, speculative)
+}
+
+// Gate reports whether the worker may advance past iteration n (Algo. 2
+// lines 7–9) and traces a wait as one stall. It parks nobody: the runtime
+// asks again whenever a merge or a detach may have moved the minimum. The
+// first false opens the stall, naming what pins the minimum — a scan that
+// quiesces the state, so asked only with a probe; the true that ends the wait
+// closes it over now − began (the runtime's clock, in seconds; only
+// differences are used), naming the release.
+func (p *Peer) Gate(s *State, n int64, now float64) bool {
+	ok := s.CanAdvance(n)
+	switch {
+	case !ok && !p.stalled:
+		p.stalled, p.stallBegan = true, now
+		if s.Probe != nil {
+			s.Probe.StallBegin(p.worker, n, p.seq, "gate", s.minBlocker())
+		}
+	case ok && p.stalled:
+		p.stalled = false
+		s.Probe.StallEnd(p.worker, n, p.seq, "gate", now-p.stallBegan, s.lastReleased())
+	}
+	return ok
+}
+
+// HoldPull plans the pull answering the worker's iteration-n push and takes
+// its rows out of the averaged copy, so a pull's content is fixed when it is
+// planned: a row merged afterwards waits for the next one. The runtime
+// carries the payloads (Held, Take) and settles the pull.
+func (p *Peer) HoldPull(s *State, n int64) Plan {
+	plan := s.PlanPull(p.worker, n)
+	p.hold(s, plan.Units)
+	return plan
+}
+
+// hold encodes then drains units under each owning shard lock, so no merge
+// lands between the copy leaving and the zero. A pull still out (its worker
+// crashed mid-flow and rejoined before the flow ended) is settled first.
+func (p *Peer) hold(s *State, units []int) {
+	p.Settle(s, nil)
+	for _, u := range units {
+		sh := s.shards[s.sm.ShardOf(u)]
+		sh.mu.Lock()
+		p.held[u] = p.codec.Encode(u, s.Acc[p.worker].Unit(u))
+		s.drainUnitLocked(p.worker, u)
+		sh.mu.Unlock()
+	}
+}
+
+// Held returns unit u's payload without settling it (the socket server
+// frames a pull before it knows what the send will deliver).
+func (p *Peer) Held(u int) compress.Payload { return p.held[u] }
+
+// Take settles unit u as delivered and returns its payload; false when the
+// pull in flight does not hold u.
+func (p *Peer) Take(u int) (compress.Payload, bool) {
+	pl := p.held[u]
+	p.held[u] = compress.Payload{}
+	return pl, pl.Bits != nil
+}
+
+// Settle ends the pull in flight: delivered went out whole (beyond what the
+// runtime already took), and every unit still held — a budget cut, a
+// best-effort loss, a broken connection — folds back into the worker's
+// averaged copy.
+func (p *Peer) Settle(s *State, delivered []int) {
+	for _, u := range delivered {
+		p.Take(u)
+	}
+	for u := range p.held {
+		if pl, ok := p.Take(u); ok {
+			p.Restore(s, pl)
+		}
+	}
+}
+
+// Rejoin re-admits the detached worker and returns its baseline iteration
+// and the resync to carry to it, in one fixed order: membership first, so the
+// staleness bound holds from this instant, then the backlog leaves its copy
+// and is counted, then the Reconnect event. What the carry fails to deliver
+// goes back through Restore.
+func (p *Peer) Rejoin(s *State) (base int64, backlog []compress.Payload) {
+	base = s.Attach(p.worker)
+	backlog = p.holdBacklog(s)
+	s.addRowsResynced(len(backlog))
+	s.Probe.Reconnect(p.worker, base)
+	return base, backlog
+}
+
+// holdBacklog is hold for the rejoin resync: every unit with mass
+// accumulated while the worker was away, ascending, state quiesced. The
+// payloads are the caller's (a resync can overlap the crashed worker's
+// undelivered pull, so they skip the held slots).
+func (p *Peer) holdBacklog(s *State) []compress.Payload {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lockShardsLocked()
+	defer s.unlockShardsLocked()
+	units := s.Acc[p.worker].Backlog()
+	payloads := make([]compress.Payload, len(units))
+	for i, u := range units {
+		payloads[i] = p.codec.Encode(u, s.Acc[p.worker].Unit(u))
+		s.drainUnitLocked(p.worker, u)
+	}
+	return payloads
+}
+
+// Restore folds undelivered payloads back into the worker's averaged copy.
+// Encode moved (value − residual) into each, so adding the decoded value
+// back conserves the gradient mass exactly.
+func (p *Peer) Restore(s *State, payloads ...compress.Payload) {
+	for _, pl := range payloads {
+		vals := p.scratch[:pl.N]
+		compress.Decode(pl, vals)
+		s.restoreUnit(p.worker, pl.Row, vals)
+	}
+}
+
+// Leave removes the worker from membership (State.Detach) and abandons its
+// open stall: the wait ended with no release. The Detach event is the
+// runtime's — detection knows the cause and the iteration to name — and a
+// pull in flight stays held until the runtime settles it.
+func (p *Peer) Leave(s *State) {
+	s.Detach(p.worker)
+	p.stalled = false
+}

@@ -16,8 +16,8 @@ import (
 // (shrink-to-attached averaging) and the membership bookkeeping, but parks
 // nobody: a gated worker waits in its runtime (the simnet cluster's
 // WaitList, the socket server's sync.Cond), which re-evaluates CanAdvance
-// after every merge and detach. Replica is the matching worker side;
-// Downlink takes a pull's rows out of the averaged copies.
+// after every merge and detach. Peer sequences one worker's iteration over
+// this state; Replica is the matching worker side.
 //
 // Concurrency: the state is sharded by contiguous unit ranges (the
 // ShardMap shared with the version store and the per-worker accumulators).
@@ -79,13 +79,6 @@ type State struct {
 	// utilization). nil — the default — costs one pointer check per site.
 	Probe *obs.Probe
 
-	// pushSeq[w] is worker w's latest push-plan sequence number, noted by
-	// the driver before that push's rows merge; Merge and MergeBatch read it
-	// once, into the stamp their rows carry. Entry w is written by the
-	// goroutine carrying worker w's push and read by that same push's
-	// merge call, so no lock is needed.
-	pushSeq []int64
-
 	// lastRelease records the most recent merge (or detach) that advanced
 	// the global minimum — the causal releaser a closing staleness gate
 	// attributes its stall to. Written only when Probe is set, so the
@@ -121,7 +114,6 @@ func NewStateSharded(policy Policy, part *rowsync.Partition, workers int, initia
 		Versions: rowsync.NewVersionStoreSharded(workers, part.NumUnits(), sm),
 		RowIter:  make([]int64, part.NumUnits()),
 		Tracker:  atp.NewTimeTracker(workers, initialBudget),
-		pushSeq:  make([]int64, workers),
 	}
 	for i := 0; i < workers; i++ {
 		s.Acc = append(s.Acc, rowsync.NewGradStoreSharded(part, sm))
@@ -196,10 +188,15 @@ func (s *State) Merge(worker, unit int, vals []float32, iter int64) bool {
 // contiguous run instead of once per row. It reports whether the global
 // minimum advanced across the whole batch.
 func (s *State) MergeBatch(worker int, units []int, vals [][]float32, iter int64) bool {
+	return s.mergeStamped(Stamp{Worker: worker, Iter: iter}, units, vals)
+}
+
+// mergeStamped is MergeBatch under a stamp the caller built: a Peer's carries
+// its open push plan's Seq, the exported entries carry none.
+func (s *State) mergeStamped(st Stamp, units []int, vals [][]float32) bool {
 	if len(units) == 0 {
 		return false
 	}
-	st := Stamp{Worker: worker, Iter: iter, Seq: s.pushSeq[worker]}
 	before := s.Versions.Min()
 	for i := 0; i < len(units); {
 		sh := s.shards[s.sm.ShardOf(units[i])]
@@ -341,33 +338,23 @@ func (s *State) CanAdvance(iter int64) bool {
 	return ok
 }
 
-// NotePushSeq records worker w's current push-plan sequence number so the
-// Merge events of rows it merges directly carry the plan's correlation ID.
-// Entry w is only touched by the goroutine carrying w's push (see pushSeq).
-func (s *State) NotePushSeq(w int, seq int64) {
-	if s.Probe == nil || w < 0 || w >= len(s.pushSeq) {
-		return
-	}
-	s.pushSeq[w] = seq
-}
-
-// LastRelease returns the most recent merge or detach that advanced the
+// lastReleased returns the most recent merge or detach that advanced the
 // global minimum — the blocker a just-released staleness gate charges its
 // stall to. NoBlocker before any release (or with the probe disabled).
-func (s *State) LastRelease() obs.Blocker {
+func (s *State) lastReleased() obs.Blocker {
 	if b := s.lastRelease.Load(); b != nil {
 		return *b
 	}
 	return obs.NoBlocker()
 }
 
-// MinBlocker scans for the (worker, unit) pinning the global minimum
+// minBlocker scans for the (worker, unit) pinning the global minimum
 // version — what a gate about to park is actually waiting on. The scan is
 // deterministic (lowest unit, then lowest worker, among attached workers)
 // and quiesces the state, so it runs only on the already-blocked slow path
 // of an enabled probe; NoBlocker (with the minimum as Version) when no
 // attached entry matches.
-func (s *State) MinBlocker() obs.Blocker {
+func (s *State) minBlocker() obs.Blocker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lockShardsLocked()
@@ -520,7 +507,7 @@ func (s *State) MaxAhead() int64 {
 }
 
 // drainUnitLocked zeroes worker's averaged copy of unit — the transition
-// under Downlink's encode-then-drain; caller holds the unit's shard lock.
+// under Peer's encode-then-drain; caller holds the unit's shard lock.
 func (s *State) drainUnitLocked(worker, unit int) {
 	s.Acc[worker].ZeroUnit(unit)
 	s.emit(KindDrain, worker, unit, 0, 0, nil)
@@ -573,8 +560,8 @@ func (s *State) AddDetachStall(sec float64) {
 	s.mu.Unlock()
 }
 
-// AddRowsResynced counts n rows replayed by a rejoin resync.
-func (s *State) AddRowsResynced(n int) {
+// addRowsResynced counts n rows replayed by a rejoin resync.
+func (s *State) addRowsResynced(n int) {
 	s.mu.Lock()
 	s.Churn.RowsResynced += n
 	s.mu.Unlock()

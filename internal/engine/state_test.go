@@ -110,7 +110,7 @@ func TestDetachAttachBacklog(t *testing.T) {
 	if !s.CanAdvance(4) {
 		t.Fatal("detached worker's stale rows still pin the gate")
 	}
-	backlog := NewDownlink(2, part).HoldBacklog(s)
+	backlog := NewPeer(2, part).holdBacklog(s)
 	if len(backlog) != part.NumUnits() {
 		t.Fatalf("backlog = %d units, want every unit", len(backlog))
 	}
@@ -177,11 +177,11 @@ func TestObserversRunInRegistrationOrder(t *testing.T) {
 		s.Observe(func(tr Transition) { calls = append(calls, fmt.Sprintf("%s:%d", name, tr.Kind)) })
 	}
 	vals := make([]float32, part.Unit(0).Len)
-	d := NewDownlink(1, part)
+	d := NewPeer(1, part)
 	s.Merge(0, 0, vals, 1)
 	s.Merge(0, 0, vals, 1) // duplicate: applies nothing, emits nothing
-	d.Hold(s, []int{0})
-	d.Release(s)
+	d.hold(s, []int{0})
+	d.Settle(s, nil)
 	s.Detach(2)
 	s.Detach(2) // idempotent: applies nothing, emits nothing
 	s.Attach(2)

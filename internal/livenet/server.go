@@ -122,22 +122,21 @@ type Server struct {
 
 	// Lock order: mu → state's internal locks (State.mu → shard.mu,
 	// ascending) → the durable store's. The merge path never takes mu at
-	// all — rows batch per push and land through State.MergeBatch under
-	// the owning shard locks only; mu guards the residue below plus the
-	// gate condition variable.
-	mu          sync.Mutex
-	cond        *sync.Cond         // signals on mu; set once in NewServer
-	state       *engine.State      // internally locked; the pointer itself is set once in NewServer
-	down        []*engine.Downlink // guarded by mu — per-worker pull half: downlink codec + the rows out in an in-flight pull
-	closed      bool               // guarded by mu
-	detachEpoch int64              // guarded by mu — bumped on every detach; attributes wait time to churn
-	detachTimes []time.Time        // guarded by mu — recent detaches, for storm detection
-
-	// pushSeq[w] counts worker w's pushes — the correlation id on this
-	// connection's gate-stall and merge events. Entry w is written only by
-	// worker w's handler goroutine (callers must not run two handlers for
-	// one worker), so it needs no lock.
-	pushSeq []int64
+	// all — rows batch per push and land through Peer.MergeBatch under the
+	// owning shard locks only; mu guards the residue below plus the gate
+	// condition variable.
+	mu    sync.Mutex
+	cond  *sync.Cond    // signals on mu; set once in NewServer
+	state *engine.State // internally locked; the pointer itself is set once in NewServer
+	// peers[w] is worker w's server half (engine.Peer); the slice is set once
+	// in NewServer. Each Peer's fields name their own guard: the push-plan
+	// seq belongs to w's handler goroutine, which counts and merges a push
+	// without mu; the pull in flight and the gate's stall edge are touched
+	// only with mu held.
+	peers       []*engine.Peer
+	closed      bool        // guarded by mu
+	detachEpoch int64       // guarded by mu — bumped on every detach; attributes wait time to churn
+	detachTimes []time.Time // guarded by mu — recent detaches, for storm detection
 }
 
 // NewServer creates a server for a model decomposed by part. It returns an
@@ -167,10 +166,9 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		cfg.Policy = pol
 	}
 	s := &Server{
-		cfg:     cfg,
-		part:    part,
-		state:   engine.NewStateSharded(cfg.Policy, part, cfg.Workers, cfg.MTAFloorSeconds, cfg.Shards),
-		pushSeq: make([]int64, cfg.Workers),
+		cfg:   cfg,
+		part:  part,
+		state: engine.NewStateSharded(cfg.Policy, part, cfg.Workers, cfg.MTAFloorSeconds, cfg.Shards),
 	}
 	if cfg.Durable != nil {
 		if cfg.Durable.HasState() {
@@ -211,7 +209,7 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	s.state.Probe = s.probe
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
-		s.down = append(s.down, engine.NewDownlink(i, part))
+		s.peers = append(s.peers, engine.NewPeer(i, part))
 	}
 	if cfg.DebugAddr != "" {
 		ln, err := net.Listen("tcp", cfg.DebugAddr)
@@ -351,7 +349,7 @@ func (s *Server) HandleConn(worker int, conn net.Conn) error {
 // frame and the pushDone that closes it, so the whole push merges with one
 // shard-lock acquisition per contiguous run instead of one lock per row.
 // The rows are decoded into one arena the connection reuses for every push:
-// MergeBatch only borrows vals (engine.Transition.Vals).
+// the merge only borrows vals (engine.Transition.Vals).
 type pushBatch struct {
 	iter  int64 // the stamp every buffered row carries
 	units []int
@@ -385,7 +383,7 @@ func (s *Server) bufferRow(worker int, b *pushBatch, msg parsed) error {
 
 // flushPush merges the buffered rows in arrival order.
 func (s *Server) flushPush(worker int, b *pushBatch) {
-	s.state.MergeBatch(worker, b.units, b.vals, b.iter)
+	s.peers[worker].MergeBatch(s.state, b.units, b.vals, b.iter)
 	b.units, b.vals, b.arena = b.units[:0], b.vals[:0], b.arena[:0]
 }
 
@@ -428,41 +426,34 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 				return DisconnectError, fmt.Errorf("livenet: worker %d: %w", worker, err)
 			}
 		case kindPushDone:
-			// The push seq is this connection's correlation id: noted into
-			// the engine state before the flush so every merge this push
-			// produces carries it, and stamped on the gate-stall events
-			// below. Incremented unconditionally (pure memory) so traced
-			// and untraced servers behave identically.
-			s.pushSeq[worker]++
-			seq := s.pushSeq[worker]
-			s.state.NotePushSeq(worker, seq)
+			// The engine.Peer sequence over sockets. The push is counted here,
+			// before the flush, so every merge it produces carries its seq.
+			peer, n := s.peers[worker], msg.iter
+			peer.BeginPush()
 			s.flushPush(worker, &batch)
-			n := msg.iter
-			s.state.ObservePush(worker, n, msg.mta, msg.mta, true)
+			peer.PushDone(s.state, n, msg.mta, msg.mta, true)
 			s.mu.Lock()
 			// The flushed merges may release other workers' parked gates.
 			s.cond.Broadcast()
-			// The staleness gate: serve the pull only when the policy lets
-			// the worker advance past iteration n. Min() spans attached
-			// workers only, so a departed teammate cannot park this loop
-			// forever; the wait time a detach releases is accounted as
-			// churn-attributable stall.
-			if !s.closed && !s.state.CanAdvance(n) {
-				epoch := s.detachEpoch
-				waitStart := time.Now()
-				// Causal attribution: StallBegin names the (worker, unit,
-				// version) pinning the gate's version floor; StallEnd names
-				// the merge that last advanced it — the release.
-				s.probe.StallBegin(worker, n, seq, "gate", s.state.MinBlocker())
-				for !s.closed && !s.state.CanAdvance(n) {
-					s.cond.Wait()
-				}
-				s.probe.StallEnd(worker, n, seq, "gate", time.Since(waitStart).Seconds(), s.state.LastRelease())
-				if s.detachEpoch != epoch {
-					s.state.AddDetachStall(time.Since(waitStart).Seconds())
-				}
+			// The wait: serve the pull only when the gate lets the worker
+			// advance past iteration n. Min() spans attached workers only, so a
+			// departed teammate cannot park this loop forever; the wait time a
+			// detach releases is accounted as churn-attributable stall.
+			epoch, waitStart := s.detachEpoch, time.Now()
+			for !s.closed && !peer.Gate(s.state, n, time.Since(waitStart).Seconds()) {
+				s.cond.Wait()
 			}
-			plan, budget, min := s.planPullLocked(worker, n, out)
+			if s.detachEpoch != epoch {
+				s.state.AddDetachStall(time.Since(waitStart).Seconds())
+			}
+			// The pull's rows leave the server copy now, at plan time; the
+			// carry frames them in plan order and sends outside the lock.
+			plan := peer.HoldPull(s.state, n)
+			out.Reset()
+			for _, u := range plan.Units {
+				out.End(pullMsg(out.Begin(), peer.Held(u)))
+			}
+			budget, min := s.budgetFloored(), s.state.Versions.Min()
 			s.mu.Unlock()
 			if err := s.sendPull(worker, conn, out, plan, budget, min); err != nil {
 				return DisconnectError, fmt.Errorf("livenet: worker %d pull send: %w", worker, err)
@@ -483,13 +474,13 @@ func (s *Server) detach(worker int, cause string) {
 	if !s.state.IsActive(worker) {
 		return
 	}
-	s.state.Detach(worker)
+	s.peers[worker].Leave(s.state)
 	s.probe.Detach(worker, s.state.Versions.Min(), cause)
 	s.detachEpoch++
 	s.noteDetachLocked()
 	// Pull rows cut off mid-flight are still held; fold their mass back
 	// into the accumulator so nothing is lost across the disconnect.
-	s.down[worker].Release(s.state)
+	s.peers[worker].Settle(s.state, nil)
 	s.cond.Broadcast()
 }
 
@@ -524,11 +515,11 @@ func (s *Server) noteDetachLocked() {
 	}
 }
 
-// attach re-admits a previously detached worker: it replays every averaged
-// row accumulated during the absence over conn (no deadline — the rejoin
-// resync must complete), then re-baselines the worker's versions so its
-// next push cannot violate monotonicity or the staleness bound. For a
-// worker that was never detached this is a no-op.
+// attach re-admits a previously detached worker (engine.Peer.Rejoin): its
+// versions are re-baselined, so its next push cannot violate monotonicity or
+// the staleness bound, and every averaged row accumulated during the absence
+// is replayed over conn (no deadline — the rejoin resync must complete). For
+// a worker that was never detached this is a no-op.
 func (s *Server) attach(worker int, conn net.Conn, out *transport.Batch) error {
 	if s.state.IsActive(worker) {
 		return nil
@@ -537,7 +528,7 @@ func (s *Server) attach(worker int, conn net.Conn, out *transport.Batch) error {
 	// can slip mass in between the copy leaving and the zero); send outside
 	// every lock.
 	s.mu.Lock()
-	payloads := s.down[worker].HoldBacklog(s.state)
+	baseline, payloads := s.peers[worker].Rejoin(s.state)
 	out.Reset()
 	var resyncBytes float64
 	for _, p := range payloads {
@@ -547,9 +538,6 @@ func (s *Server) attach(worker int, conn net.Conn, out *transport.Batch) error {
 		resyncBytes += float64(len(buf) - body)
 		out.End(buf)
 	}
-	baseline := s.state.Attach(worker)
-	s.state.AddRowsResynced(len(payloads))
-	s.probe.Reconnect(worker, baseline)
 	s.probe.Resync(worker, len(payloads), resyncBytes)
 	out.End(resyncDoneMsg(out.Begin(), baseline, s.budgetFloored(), s.state.Versions.Min(), s.Epoch()))
 	s.cond.Broadcast() // the rejoined rows may re-gate or release waiters
@@ -559,7 +547,7 @@ func (s *Server) attach(worker int, conn net.Conn, out *transport.Batch) error {
 	if sent, err := out.Send(conn, 0, out.Len(), time.Time{}); err != nil {
 		// Conserve the undelivered mass; the next attach replays it.
 		s.mu.Lock()
-		s.down[worker].Restore(s.state, payloads[min(sent, len(payloads)):]...)
+		s.peers[worker].Restore(s.state, payloads[min(sent, len(payloads)):]...)
 		s.mu.Unlock()
 		return fmt.Errorf("livenet: worker %d resync: %w", worker, err)
 	}
@@ -573,19 +561,6 @@ func (s *Server) budgetFloored() float64 {
 		budget = s.cfg.MTAFloorSeconds
 	}
 	return budget
-}
-
-// planPullLocked asks the policy which averaged rows to return to the
-// worker after its iteration-n push, takes them out of its server copy
-// (engine.Downlink) and frames them into out in plan order. Must hold s.mu.
-func (s *Server) planPullLocked(worker int, n int64, out *transport.Batch) (engine.Plan, float64, int64) {
-	plan := s.state.PlanPull(worker, n)
-	s.down[worker].Hold(s.state, plan.Units)
-	out.Reset()
-	for _, u := range plan.Units {
-		out.End(pullMsg(out.Begin(), s.down[worker].Held(u)))
-	}
-	return plan, s.budgetFloored(), s.state.Versions.Min()
 }
 
 // sendPlanned is the socket form of Algo. 4's speculative transmission,
@@ -626,10 +601,7 @@ func sendAll(conn net.Conn, b *transport.Batch) error {
 func (s *Server) sendPull(worker int, conn net.Conn, out *transport.Batch, plan engine.Plan, budget float64, min int64) error {
 	sent, err := sendPlanned(conn, out, plan.Must, plan.Speculative, budget)
 	s.mu.Lock()
-	for _, u := range plan.Units[:sent] {
-		s.down[worker].Take(u)
-	}
-	s.down[worker].Release(s.state)
+	s.peers[worker].Settle(s.state, plan.Units[:sent])
 	s.mu.Unlock()
 	if err != nil {
 		return err

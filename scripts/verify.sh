@@ -23,7 +23,7 @@
 # snapshot publisher, the nn substrate, the simnet kernel and channel and the
 # atp ranker that engine and core drive and, in -short mode, the harness whose
 # workload memo and Evaluate fan-out share builds across goroutines) again
-# under -race, plus the lossnet burst tests
+# under -race (engine and livenet three times), plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little). `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
@@ -32,8 +32,8 @@
 # clock is deterministic: a moved number arrives with a re-saved snapshot
 # and a CHANGES.md line, or not at all); `verify.sh bench-drift` (= `make
 # bench-drift`) runs it alone.
-# The bench-build stage right after build vets and builds the nested bench/
-# module, which root `go build ./...` does not see.
+# The bench-build stage right after build vets, builds and tests the nested
+# bench/ module, which root `go build ./...` and `go test ./...` do not see.
 # Each stage reports its wall time.
 set -eu
 
@@ -58,8 +58,10 @@ check_fmt() {
 }
 
 run_race() {
-	go test -race ./internal/livenet/... ./internal/engine/... \
-		./internal/rowsync/... ./internal/core/... ./internal/transport/... \
+	# engine.Peer's gate edge and push seq cross the Server.mu boundary; three
+	# runs, since one schedule proves little.
+	go test -race -count=3 ./internal/engine/... ./internal/livenet/...
+	go test -race ./internal/rowsync/... ./internal/core/... ./internal/transport/... \
 		./internal/lossnet/... ./internal/durable/... ./internal/obs/... \
 		./internal/serve/... ./internal/nn/... ./internal/simnet/... \
 		./internal/atp/...
@@ -236,8 +238,8 @@ run_critpath_smoke() {
 run_bench_build() {
 	# bench/ is a nested module (its own go.mod, replace rog => ../): root
 	# `go build ./...` never sees it, so an engine/core/livenet API change
-	# can break the wall-clock benchmark unnoticed. Vet and build it here.
-	(cd bench && go vet . && go build -o /dev/null .)
+	# can break the wall-clock benchmark unnoticed. Vet, build and test it here.
+	(cd bench && go vet . && go build -o /dev/null . && go test .)
 }
 
 run_bench_drift() {
