@@ -8,7 +8,7 @@
 // Usage:
 //
 //	roglint ./...                 # whole module (the default)
-//	roglint ./internal/livenet    # one package
+//	roglint ./internal/livenet    # one package's findings (the whole module is still analysed)
 //	roglint -passes lockguard,errdrop ./...
 //	roglint -json ./...           # findings as a JSON array on stdout
 //	roglint -timing ./...         # per-pass wall time on stderr
@@ -63,14 +63,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if filtered, err := filterPackages(pkgs, root, modPath, flag.Args()); err != nil {
+	diags, timings, err := findings(pkgs, passes, modPath, flag.Args())
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "roglint: %v\n", err)
 		os.Exit(2)
-	} else {
-		pkgs = filtered
 	}
-
-	diags, timings := analysis.AnalyzeTimed(pkgs, passes)
 	for i := range diags {
 		if r, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
 			diags[i].Pos.Filename = r
@@ -119,15 +116,33 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// filterPackages narrows the loaded packages to the argument patterns:
-// "./..." (everything), "./dir/..." (subtree), or "./dir" (exactly one).
-// No arguments means everything.
-func filterPackages(pkgs []*analysis.Package, root, modPath string, args []string) ([]*analysis.Package, error) {
-	if len(args) == 0 {
-		return pkgs, nil
+// findings analyses every loaded package — the cross-package passes and the
+// unused-suppression check need the declarations and lock sites of the whole
+// program, whatever was asked for — and keeps the findings located in the
+// packages the argument patterns select.
+func findings(pkgs []*analysis.Package, passes []analysis.Pass, modPath string, args []string) ([]analysis.Diagnostic, []analysis.PassTiming, error) {
+	dirs, err := selectedDirs(pkgs, modPath, args)
+	if err != nil {
+		return nil, nil, err
 	}
-	var out []*analysis.Package
-	seen := map[string]bool{}
+	diags, timings := analysis.AnalyzeTimed(pkgs, passes)
+	kept := diags[:0]
+	for _, d := range diags {
+		if dirs[filepath.Dir(d.Pos.Filename)] {
+			kept = append(kept, d)
+		}
+	}
+	return kept, timings, nil
+}
+
+// selectedDirs resolves the argument patterns — "./..." (everything),
+// "./dir/..." (subtree) or "./dir" (exactly one) — to the directories of the
+// packages they select. No arguments means everything.
+func selectedDirs(pkgs []*analysis.Package, modPath string, args []string) (map[string]bool, error) {
+	if len(args) == 0 {
+		args = []string{"./..."}
+	}
+	dirs := map[string]bool{}
 	for _, arg := range args {
 		pattern := strings.TrimSuffix(strings.TrimPrefix(arg, "./"), "/")
 		subtree := false
@@ -146,15 +161,12 @@ func filterPackages(pkgs []*analysis.Package, root, modPath string, args []strin
 		for _, p := range pkgs {
 			if p.Path == want || (subtree && (pattern == "" || pattern == "." || strings.HasPrefix(p.Path, want+"/"))) {
 				matched = true
-				if !seen[p.Path] {
-					seen[p.Path] = true
-					out = append(out, p)
-				}
+				dirs[filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)] = true
 			}
 		}
 		if !matched {
 			return nil, fmt.Errorf("pattern %q matched no packages", arg)
 		}
 	}
-	return out, nil
+	return dirs, nil
 }

@@ -63,8 +63,6 @@ func DefaultPasses() []Pass {
 		NewWireframe(),
 		NewErrdrop(),
 		NewLockorder(),
-		NewAtomicmix(),
-		NewGoroleak(),
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func TestDefaultPassesSuite(t *testing.T) {
 	want := []string{
 		"lockguard", "wallclock", "maporder", "wireframe",
-		"errdrop", "lockorder", "atomicmix", "goroleak",
+		"errdrop", "lockorder",
 	}
 	passes := DefaultPasses()
 	if len(passes) != len(want) {
@@ -38,16 +38,16 @@ func TestSelectPasses(t *testing.T) {
 	}
 
 	// Selection keeps suite order regardless of spec order.
-	got, err := SelectPasses("goroleak, lockguard")
+	got, err := SelectPasses("lockorder, lockguard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name() != "lockguard" || got[1].Name() != "goroleak" {
+	if len(got) != 2 || got[0].Name() != "lockguard" || got[1].Name() != "lockorder" {
 		names := []string{}
 		for _, p := range got {
 			names = append(names, p.Name())
 		}
-		t.Fatalf("got %v, want [lockguard goroleak]", names)
+		t.Fatalf("got %v, want [lockguard lockorder]", names)
 	}
 
 	if _, err := SelectPasses("nosuchpass"); err == nil {
@@ -108,7 +108,7 @@ func TestAnalyzeSortsAndDedups(t *testing.T) {
 }
 
 // TestAnalyzeTimed checks the timing sidecar lines up with the pass
-// list, driving the full eight-pass suite over a fixture tree.
+// list, driving the full suite over a fixture tree.
 func TestAnalyzeTimed(t *testing.T) {
 	pkgs, err := Load("testdata/src/suppress", "")
 	if err != nil {

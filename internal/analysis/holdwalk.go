@@ -6,15 +6,15 @@ import (
 	"go/types"
 )
 
-// holdWalker is the shared must-hold engine behind lockguard, lockorder
-// and atomicmix. It walks a function body tracking which mutexes are
+// holdWalker is the shared must-hold engine behind lockguard and
+// lockorder. It walks a function body tracking which mutexes are
 // definitely held at each point: classify recognizes acquire/release
 // calls and names the lock they operate on, statement lists thread the
 // held map forward, and control flow merges by intersection so a hold
 // must survive every path to count. The walk is an approximation, not a
 // proof — it is keyed on lock *names* (receiver fields for lockguard,
-// Type.field labels for the type-based passes), so two instances of the
-// same struct alias to one entry. The repo's locking is coarse enough
+// Type.field labels for lockorder), so two instances of the same struct
+// alias to one entry. The repo's locking is coarse enough
 // that the approximation has not produced a false positive; fixtures pin
 // the cases where it deliberately under-claims.
 //
@@ -277,8 +277,8 @@ func isMutexOpName(name string) bool {
 // other three operations) where expr's type dereferences to a named
 // struct owning a sync.Mutex or sync.RWMutex field <mu>. It returns the
 // type-qualified label "Type.mu" and the operation — the lock identity
-// used by lockorder and atomicmix, which conflates all instances of a
-// type (adequate for a tree whose lock order is declared per type).
+// lockorder uses, which conflates all instances of a type (adequate for a
+// tree whose lock order is declared per type).
 func mutexFieldOp(pkg *Package, call *ast.CallExpr) (label, op string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !isMutexOpName(sel.Sel.Name) {

@@ -15,21 +15,19 @@ import (
 // acquires, recv.mu.Unlock() releases, defer recv.mu.Unlock() holds to
 // return, and branch/loop/switch exits merge conservatively (held only if
 // held on every non-terminating path). sync.Cond.Wait needs no modeling —
-// it reacquires its locker before returning, so a linear hold survives it
-// (the engine's WaitList — the simnet cluster's analogue of that pattern —
-// annotates its own maps and is checked like any other type).
+// it reacquires its locker before returning, so a linear hold survives it.
 //
 // Methods whose name ends in "Locked" assert that the caller holds the
 // mutex (the repo's existing convention) and are skipped. Plain functions
 // are out of scope: a constructor touching fields of a value that has not
 // escaped yet needs no lock.
 //
-// A dotted guard — "// guarded by stateShard.mu" — declares that the
-// protecting lock lives on another type entirely (the sharded engine's
-// per-unit accumulators are owned by their shard's lock, not by a State
-// sibling). Lockguard records such annotations but does not check them:
-// the receiver-scoped walk cannot see a foreign instance's lock. They
-// feed atomicmix, which tracks locks by type-qualified label.
+// Only sibling guards are machine-checked. A dotted guard — "// guarded by
+// Server.mu" on an engine.Peer field, "guarded by stateShard.mu" in
+// engine.State's prose — documents a lock that lives on another type and is
+// held by the caller; the receiver-scoped walk cannot see a foreign
+// instance's lock, so the pass skips it. What watches those fields is
+// engine.TestOneServerStep and the -race -count=3 stage of verify.sh.
 type Lockguard struct{}
 
 // NewLockguard returns the pass.
@@ -45,31 +43,12 @@ func (*Lockguard) Doc() string {
 
 var guardedByRe = regexp.MustCompile(`guarded by (\w+(?:\.\w+)?)`)
 
-// guardRef is one parsed "guarded by" annotation: the guard as written,
-// whether it is dotted (external — the lock lives on another type), and
-// the name of the struct type owning the annotated field.
-type guardRef struct {
-	mu     string
-	extern bool
-	owner  string
-}
-
-// label returns the guard as a type-qualified lock label: external
-// guards are already written that way; sibling guards qualify with the
-// owning struct's name.
-func (r guardRef) label() string {
-	if r.extern {
-		return r.mu
-	}
-	return r.owner + "." + r.mu
-}
-
-// collectGuards parses every "guarded by" annotation in the package.
-// It returns field object → guard, the named-type objects owning at
-// least one sibling-guarded field, and diagnostics for sibling guards
-// that name something that is not a field of the struct.
-func collectGuards(pkg *Package, pass string) (map[types.Object]guardRef, map[types.Object]bool, []Diagnostic) {
-	guards := map[types.Object]guardRef{}
+// collectGuards parses every sibling "guarded by" annotation in the
+// package. It returns field object → the mutex field guarding it, the
+// named-type objects owning at least one guarded field, and diagnostics
+// for guards that name something that is not a field of the struct.
+func collectGuards(pkg *Package, pass string) (guardSet, map[types.Object]bool, []Diagnostic) {
+	guards := guardSet{}
 	structOf := map[types.Object]bool{}
 	var diags []Diagnostic
 
@@ -91,11 +70,10 @@ func collectGuards(pkg *Package, pass string) (map[types.Object]guardRef, map[ty
 			}
 			for _, fld := range st.Fields.List {
 				mu := guardAnnotation(fld)
-				if mu == "" {
-					continue
+				if mu == "" || strings.Contains(mu, ".") {
+					continue // unannotated, or a dotted guard: prose, not checked
 				}
-				ref := guardRef{mu: mu, extern: strings.Contains(mu, "."), owner: ts.Name.Name}
-				if !ref.extern && !fieldNames[mu] {
+				if !fieldNames[mu] {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(fld.Pos()),
 						Pass: pass,
@@ -105,11 +83,9 @@ func collectGuards(pkg *Package, pass string) (map[types.Object]guardRef, map[ty
 				}
 				for _, name := range fld.Names {
 					if obj := pkg.Info.Defs[name]; obj != nil {
-						guards[obj] = ref
-						if !ref.extern {
-							if tobj := pkg.Info.Defs[ts.Name]; tobj != nil {
-								structOf[tobj] = true
-							}
+						guards[obj] = mu
+						if tobj := pkg.Info.Defs[ts.Name]; tobj != nil {
+							structOf[tobj] = true
 						}
 					}
 				}
@@ -123,14 +99,7 @@ func collectGuards(pkg *Package, pass string) (map[types.Object]guardRef, map[ty
 // Run implements Pass.
 func (lg *Lockguard) Run(pkg *Package) []Diagnostic {
 	guards, structOf, diags := collectGuards(pkg, lg.Name())
-	// Only sibling guards are checkable by the receiver-scoped walk.
-	sibling := guardSet{}
-	for obj, ref := range guards {
-		if !ref.extern {
-			sibling[obj] = ref.mu
-		}
-	}
-	if len(sibling) == 0 {
+	if len(guards) == 0 {
 		return diags
 	}
 
@@ -147,7 +116,7 @@ func (lg *Lockguard) Run(pkg *Package) []Diagnostic {
 			if recvType == nil || recvVar == nil || !structOf[recvType] {
 				continue
 			}
-			diags = append(diags, runGuardWalk(pkg, lg.Name(), sibling, recvVar, fn)...)
+			diags = append(diags, runGuardWalk(pkg, lg.Name(), guards, recvVar, fn)...)
 		}
 	}
 	return diags

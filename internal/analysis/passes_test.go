@@ -29,14 +29,6 @@ func TestLockorderFixture(t *testing.T) {
 	runFixture(t, "lockorder", NewLockorder())
 }
 
-func TestAtomicmixFixture(t *testing.T) {
-	runFixture(t, "atomicmix", NewAtomicmix())
-}
-
-func TestGoroleakFixture(t *testing.T) {
-	runFixture(t, "goroleak", NewGoroleak())
-}
-
 // TestSuppressions drives the suppress fixture through the full driver:
 // the honored ignore silences its finding, the unused ignore and the
 // reason-less ignore are findings themselves, and the unsuppressed

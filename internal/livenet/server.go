@@ -57,11 +57,6 @@ type ServerConfig struct {
 	// DebugAddr() for the bound address), with net/http/pprof mounted under
 	// /debug/pprof/ on the same listener. Empty disables the endpoint.
 	DebugAddr string
-	// Flight, when set, retains the last-N events per worker and dumps the
-	// tail when a detach storm hits (detachStormCount detaches within
-	// detachStormWindow) — the crash flight recorder. It sees the same
-	// event stream as Trace.
-	Flight *obs.FlightRecorder
 	// Durable, when set, makes the server crash-consistent: every state
 	// transition is journaled to the store's WAL, Checkpoint() rotates full
 	// snapshots, and a NewServer over a store that already holds state
@@ -134,9 +129,8 @@ type Server struct {
 	// without mu; the pull in flight and the gate's stall edge are touched
 	// only with mu held.
 	peers       []*engine.Peer
-	closed      bool        // guarded by mu
-	detachEpoch int64       // guarded by mu — bumped on every detach; attributes wait time to churn
-	detachTimes []time.Time // guarded by mu — recent detaches, for storm detection
+	closed      bool  // guarded by mu
+	detachEpoch int64 // guarded by mu — bumped on every detach; attributes wait time to churn
 }
 
 // NewServer creates a server for a model decomposed by part. It returns an
@@ -199,13 +193,7 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	// uses the monotonic clock) and comparable to the simnet's virtual-time
 	// origin, so the same aggregation reads both.
 	t0 := time.Now()
-	// The flight recorder rides the same event stream as the trace sink;
-	// a typed-nil *FlightRecorder must not reach the Tracer interface.
-	tr := cfg.Trace
-	if cfg.Flight != nil {
-		tr = obs.Tee(cfg.Flight, cfg.Trace)
-	}
-	s.probe = obs.NewProbe(tr, cfg.Metrics, func() float64 { return time.Since(t0).Seconds() })
+	s.probe = obs.NewProbe(cfg.Trace, cfg.Metrics, func() float64 { return time.Since(t0).Seconds() })
 	s.state.Probe = s.probe
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -477,42 +465,10 @@ func (s *Server) detach(worker int, cause string) {
 	s.peers[worker].Leave(s.state)
 	s.probe.Detach(worker, s.state.Versions.Min(), cause)
 	s.detachEpoch++
-	s.noteDetachLocked()
 	// Pull rows cut off mid-flight are still held; fold their mass back
 	// into the accumulator so nothing is lost across the disconnect.
 	s.peers[worker].Settle(s.state, nil)
 	s.cond.Broadcast()
-}
-
-// A detach storm is detachStormCount detaches within detachStormWindow.
-const (
-	detachStormCount  = 3
-	detachStormWindow = 10 * time.Second
-)
-
-// noteDetachLocked records one detach for storm detection and dumps the
-// flight recorder when detachStormCount detaches landed within
-// detachStormWindow — a fleet-wide connectivity event worth a postmortem
-// tail. The recent-detach list resets after a dump so one storm yields one
-// dump. Must hold s.mu.
-func (s *Server) noteDetachLocked() {
-	if s.cfg.Flight == nil {
-		return
-	}
-	now := time.Now()
-	keep := s.detachTimes[:0]
-	for _, t := range s.detachTimes {
-		if now.Sub(t) <= detachStormWindow {
-			keep = append(keep, t)
-		}
-	}
-	s.detachTimes = append(keep, now)
-	if len(s.detachTimes) >= detachStormCount {
-		// Best-effort diagnostics; a sink failure must not affect serving.
-		_ = s.cfg.Flight.Dump(fmt.Sprintf("detach storm: %d detaches within %v",
-			len(s.detachTimes), detachStormWindow))
-		s.detachTimes = s.detachTimes[:0]
-	}
 }
 
 // attach re-admits a previously detached worker (engine.Peer.Rejoin): its

@@ -11,8 +11,8 @@ import (
 // event is recorded into its source's ring (one ring per worker, plus one
 // shared ring for server-scoped and infrastructure events), overwriting
 // the oldest, and Dump writes the retained tail — globally ordered — to
-// the sink when something goes wrong (a server crash recovery, a livenet
-// detach storm, a lossnet abandon). The dump is JSONL in the same line
+// the sink when something goes wrong (core dumps at a servercrash; a caller
+// can on a lossnet abandon). The dump is JSONL in the same line
 // format as JSONLTracer, headed by a FlightDump event naming the trigger,
 // so ReadEvents and rogtrace parse it directly.
 //

@@ -81,7 +81,7 @@ const (
 	// Version the new recovery epoch.
 	KindRecoveryReplay
 	// KindFlightDump heads a flight-recorder dump: Cause names the trigger
-	// (servercrash recovery, a detach storm, a loss abandon) and Units
+	// (a servercrash, a caller's choice such as a loss abandon) and Units
 	// counts the retained events that follow it in the dump stream.
 	KindFlightDump
 	// KindSnapshotPublish records the serving tier publishing one immutable

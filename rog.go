@@ -245,7 +245,7 @@ func CritPathFromTrace(r io.Reader) (*CritReport, error) { return obs.CritPathFr
 
 // FlightRecorder is the bounded lock-free crash flight recorder: it
 // retains the last N events per worker and dumps the tail on crash-class
-// triggers. Set Config.Flight / ServerConfig.Flight to enable it.
+// triggers. Set Config.Flight to enable it.
 type FlightRecorder = obs.FlightRecorder
 
 // NewFlightRecorder retains perSource events for each of sources workers

@@ -1,9 +1,10 @@
 #!/bin/sh
 # verify.sh — the pre-merge gate, in order: formatting, build, vet,
 # roglint (the invariant analyzer — it runs before any test so a broken
-# invariant fails fast, prints per-pass wall time, and distinguishes a
+# invariant fails fast, prints per-pass wall time, distinguishes a
 # tree the analyzer cannot load — exit 2, a build problem — from real
-# findings), the full test suite, a trace smoke (a tiny
+# findings, and repeats itself for one package's findings alone), the full
+# test suite, a trace smoke (a tiny
 # traced simnet run piped through rogtrace — the observability pipeline
 # must stay usable end to end, not just unit-green), a critical-path
 # smoke (the same traced run through rogtrace critpath, which exits
