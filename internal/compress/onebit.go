@@ -47,7 +47,7 @@ func RowWireSize(n int) int { return wireHeader + (n+7)/8 }
 // time.
 type Codec struct {
 	residual [][]float32
-	comp     []float64 // Encode's compensated row, reused by every call
+	comp     []float64 // EncodeInto's compensated row, reused by every call
 }
 
 // NewCodec creates a codec for a model whose rows have the given lengths.
@@ -64,69 +64,87 @@ func NewCodec(rowLens []int) *Codec {
 // NumRows returns the number of rows the codec tracks.
 func (c *Codec) NumRows() int { return len(c.residual) }
 
-// Encode quantizes row g (global row index rowID), folding in and updating
-// the error-feedback residual. g itself is not modified. The payload's Bits
-// are a fresh slice, its one allocation: two payloads of one row can be
-// alive at once (a pull in flight and the rejoin backlog that overlaps it).
+// Encode is EncodeInto over a fresh bit slice, the payload's one
+// allocation, for a caller that owns no buffer of the row's lifetime.
 func (c *Codec) Encode(rowID int, g []float32) Payload {
+	return c.EncodeInto(rowID, g, make([]byte, (len(g)+7)/8))
+}
+
+// EncodeInto quantizes row g (global row index rowID), folding in and
+// updating the error-feedback residual, and packs the signs into bits, which
+// must hold (len(g)+7)/8 bytes. g itself is not modified. The payload's Bits
+// alias bits: it is valid until the caller reuses them, so a buffer belongs
+// to whoever holds the payload (engine.Replica and engine.Peer keep one per
+// unit; TestCodecMatchesReference pins the arithmetic to the branchy
+// original, engine.TestHeldPullSurvivesRejoinBacklog the ownership).
+//
+// Neither loop branches on a sign: x >= 0 becomes a 0/1 that masks each
+// sum's addend to +0 and indexes the two-entry reconstruction table. Adding
+// +0 leaves a sum that is never −0 bit-identical, so scales and residuals
+// are exactly the branchy loop's (−0 counts as positive, NaN as negative).
+func (c *Codec) EncodeInto(rowID int, g []float32, bits []byte) Payload {
 	res := c.residual[rowID]
 	if len(g) != len(res) {
 		panic(fmt.Sprintf("compress: row %d length %d != %d", rowID, len(g), len(res)))
 	}
 	n := len(g)
+	bits = bits[:(n+7)/8]
 	// Separate positive/negative means minimize L2 error of the
 	// reconstruction (the original 1-bit SGD formulation).
 	var posSum, negSum float64
-	var posCnt, negCnt int
+	posCnt := 0
 	comp := c.comp[:n]
 	for i, v := range g {
 		x := float64(v) + float64(res[i])
 		comp[i] = x
-		if x >= 0 {
-			posSum += x
-			posCnt++
-		} else {
-			negSum += -x
-			negCnt++
-		}
+		b := positive(x)
+		mask := -uint64(b)
+		posSum += math.Float64frombits(math.Float64bits(x) & mask)
+		negSum += math.Float64frombits(math.Float64bits(-x) &^ mask)
+		posCnt += int(b)
 	}
 	var posScale, negScale float64
 	if posCnt > 0 {
 		posScale = posSum / float64(posCnt)
 	}
-	if negCnt > 0 {
+	if negCnt := n - posCnt; negCnt > 0 {
 		negScale = negSum / float64(negCnt)
 	}
-	p := Payload{
-		Row:      rowID,
-		N:        n,
-		PosScale: float32(posScale),
-		NegScale: float32(negScale),
-		Bits:     make([]byte, (n+7)/8),
-	}
-	for i, x := range comp {
-		var decoded float64
-		if x >= 0 {
-			p.Bits[i/8] |= 1 << uint(i%8)
-			decoded = posScale
-		} else {
-			decoded = -negScale
+	tab := [2]float64{-negScale, posScale}
+	for k := range bits {
+		lo, hi := 8*k, min(8*k+8, n)
+		row, rres := comp[lo:hi], res[lo:hi]
+		var byt byte
+		for j, x := range row {
+			b := positive(x)
+			byt |= b << j
+			rres[j] = float32(x - tab[b&1])
 		}
-		res[i] = float32(x - decoded)
+		bits[k] = byt
 	}
-	return p
+	return Payload{Row: rowID, N: n, PosScale: float32(posScale), NegScale: float32(negScale), Bits: bits}
 }
 
-// Decode reconstructs the row into out, which must have length p.N.
+// positive is x >= 0 as 0/1; the compiler selects it without a branch.
+func positive(x float64) byte {
+	var b byte
+	if x >= 0 {
+		b = 1
+	}
+	return b
+}
+
+// Decode reconstructs the row into out, which must have length p.N: each
+// value is one of two entries, picked by its bit.
 func Decode(p Payload, out []float32) {
 	if len(out) != p.N {
 		panic(fmt.Sprintf("compress: decode into %d, want %d", len(out), p.N))
 	}
-	for i := 0; i < p.N; i++ {
-		if p.Bits[i/8]&(1<<uint(i%8)) != 0 {
-			out[i] = p.PosScale
-		} else {
-			out[i] = -p.NegScale
+	tab := [2]float32{-p.NegScale, p.PosScale}
+	for k, byt := range p.Bits[:(p.N+7)/8] {
+		row := out[8*k : min(8*k+8, p.N)]
+		for j := range row {
+			row[j] = tab[byt>>j&1]
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -171,6 +174,181 @@ func TestAllNegativeRow(t *testing.T) {
 			t.Fatalf("decode=%v want -2", v)
 		}
 	}
+}
+
+// refEncode is the branchy Encode EncodeInto replaced, verbatim but for the
+// receiver: the reference TestCodecMatchesReference holds the new loops to.
+func refEncode(c *Codec, rowID int, g []float32) Payload {
+	res := c.residual[rowID]
+	if len(g) != len(res) {
+		panic(fmt.Sprintf("compress: row %d length %d != %d", rowID, len(g), len(res)))
+	}
+	n := len(g)
+	// Separate positive/negative means minimize L2 error of the
+	// reconstruction (the original 1-bit SGD formulation).
+	var posSum, negSum float64
+	var posCnt, negCnt int
+	comp := c.comp[:n]
+	for i, v := range g {
+		x := float64(v) + float64(res[i])
+		comp[i] = x
+		if x >= 0 {
+			posSum += x
+			posCnt++
+		} else {
+			negSum += -x
+			negCnt++
+		}
+	}
+	var posScale, negScale float64
+	if posCnt > 0 {
+		posScale = posSum / float64(posCnt)
+	}
+	if negCnt > 0 {
+		negScale = negSum / float64(negCnt)
+	}
+	p := Payload{
+		Row:      rowID,
+		N:        n,
+		PosScale: float32(posScale),
+		NegScale: float32(negScale),
+		Bits:     make([]byte, (n+7)/8),
+	}
+	for i, x := range comp {
+		var decoded float64
+		if x >= 0 {
+			p.Bits[i/8] |= 1 << uint(i%8)
+			decoded = posScale
+		} else {
+			decoded = -negScale
+		}
+		res[i] = float32(x - decoded)
+	}
+	return p
+}
+
+// refDecode is the branchy Decode, verbatim.
+func refDecode(p Payload, out []float32) {
+	if len(out) != p.N {
+		panic(fmt.Sprintf("compress: decode into %d, want %d", len(out), p.N))
+	}
+	for i := 0; i < p.N; i++ {
+		if p.Bits[i/8]&(1<<uint(i%8)) != 0 {
+			out[i] = p.PosScale
+		} else {
+			out[i] = -p.NegScale
+		}
+	}
+}
+
+// refLens and refKinds span the row shapes and the inputs a sign test can
+// get wrong: partial and whole bytes, −0 (positive) and NaN (negative).
+var (
+	refLens  = []int{0, 1, 7, 8, 9, 63, 64, 65, 257, 1000}
+	refKinds = []string{"normal", "positive", "negative", "zeros", "subnormal", "inf", "nan"}
+)
+
+// refRow draws one input row of the given kind.
+func refRow(kind string, n int, r *tensor.RNG) []float32 {
+	g := make([]float32, n)
+	for i := range g {
+		v := float32(r.Norm())
+		switch kind {
+		case "positive":
+			v = float32(math.Abs(float64(v)))
+		case "negative":
+			v = -float32(math.Abs(float64(v)))
+		case "zeros":
+			v = float32(math.Copysign(0, float64(v)))
+		case "subnormal":
+			v = float32(math.Copysign(float64(math.SmallestNonzeroFloat32)*float64(1+r.Intn(1<<20)), float64(v)))
+		case "inf":
+			if r.Intn(5) == 0 {
+				v = float32(math.Inf(1 - 2*r.Intn(2)))
+			}
+		case "nan":
+			if r.Intn(5) == 0 {
+				v = float32(math.NaN())
+			}
+		}
+		g[i] = v
+	}
+	return g
+}
+
+// matchReference encodes g with both codecs and fails unless the payloads,
+// both residual rows and the decoded values agree bit for bit.
+func matchReference(t *testing.T, c, ref *Codec, row int, g []float32, bits []byte) {
+	t.Helper()
+	p, q := c.EncodeInto(row, g, bits), refEncode(ref, row, g)
+	if p.Row != q.Row || p.N != q.N || !bytes.Equal(p.Bits, q.Bits) ||
+		math.Float32bits(p.PosScale) != math.Float32bits(q.PosScale) ||
+		math.Float32bits(p.NegScale) != math.Float32bits(q.NegScale) {
+		t.Fatalf("row %d: payload %+v, reference %+v", row, p, q)
+	}
+	for i, v := range c.residual[row] {
+		if w := ref.residual[row][i]; math.Float32bits(v) != math.Float32bits(w) {
+			t.Fatalf("row %d residual[%d] = %v, reference %v", row, i, v, w)
+		}
+	}
+	got, want := make([]float32, p.N), make([]float32, q.N)
+	Decode(p, got)
+	refDecode(q, want)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("row %d decoded[%d] = %v, reference %v", row, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCodecMatchesReference holds the branch-free codec to the branchy one
+// it replaced: every row length and input kind, 50 chained encodes a row so
+// the residual feeds back, compared bit for bit. A "zeros" row starts from a
+// residual of −0, so −0 + −0 reaches the sign test.
+func TestCodecMatchesReference(t *testing.T) {
+	for _, kind := range refKinds {
+		c, ref := NewCodec(refLens), NewCodec(refLens)
+		r := tensor.NewRNG(11)
+		for row, n := range refLens {
+			if kind == "zeros" {
+				for i := range c.residual[row] {
+					c.residual[row][i] = float32(math.Copysign(0, -1))
+					ref.residual[row][i] = c.residual[row][i]
+				}
+			}
+			bits := make([]byte, (n+7)/8)
+			for step := 0; step < 50; step++ {
+				matchReference(t, c, ref, row, refRow(kind, n, r), bits)
+			}
+		}
+	}
+}
+
+// FuzzEncodeMatchesReference is TestCodecMatchesReference over arbitrary
+// float32 bit patterns: the input is a row of little-endian float32s, encoded
+// three times in a chain.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	r := tensor.NewRNG(5)
+	for _, kind := range refKinds {
+		for _, n := range refLens {
+			var seed []byte
+			for _, v := range refRow(kind, n, r) {
+				seed = binary.LittleEndian.AppendUint32(seed, math.Float32bits(v))
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := make([]float32, len(data)/4)
+		for i := range g {
+			g[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		c, ref := NewCodec([]int{len(g)}), NewCodec([]int{len(g)})
+		bits := make([]byte, (len(g)+7)/8)
+		for step := 0; step < 3; step++ {
+			matchReference(t, c, ref, 0, g, bits)
+		}
+	})
 }
 
 // TestEncodeAllocatesOnlyTheBits: the compensated row is codec-owned

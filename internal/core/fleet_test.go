@@ -213,6 +213,30 @@ func TestAggregatorCycleAllocations(t *testing.T) {
 	}
 }
 
+// TestDeliverPushDoesNotAllocate guards the simulator's per-row push path
+// without aggregators: encoding a robot's unit into its Replica's bits,
+// decoding it into the cluster's scratch and merging it through the Peer
+// allocates nothing, for every unit of a push.
+func TestDeliverPushDoesNotAllocate(t *testing.T) {
+	cfg := testConfig(ROG, 8)
+	c := newCluster(cfg, newTestWorkload(cfg.Workers, 3))
+	iter := int64(0)
+	push := func() {
+		iter++
+		for u := 0; u < c.part.NumUnits(); u++ {
+			c.rep[1].Local.Unit(u)[0] = float32(iter % 3)
+			c.deliverPush(1, u, iter, iter)
+		}
+	}
+	push()
+	if n := testing.AllocsPerRun(50, push); n != 0 {
+		t.Fatalf("delivering a %d-row push allocates %v times, want 0", c.part.NumUnits(), n)
+	}
+	if got := c.state.Versions.Get(1, 0); got != iter {
+		t.Fatalf("pushes merged up to iteration %d, want %d", got, iter)
+	}
+}
+
 // TestFleetCellRepeatsExactly runs the fleet sweep's w64-s8-a0 cell (ROG-8,
 // 64 robots, 8 shards, no aggregators — the size at which the sync plane's
 // hash tables were found) repeatedly in one process and requires the same

@@ -29,6 +29,7 @@ type Peer struct {
 	// == nil: not held). Indexed by unit and reused by every pull — a
 	// per-pull map here costs the fleet benchmark +20 % allocated bytes.
 	held    []compress.Payload // guarded by Server.mu
+	bits    [][]byte           // guarded by Server.mu — per unit: held's sign bits
 	scratch []float32          // guarded by Server.mu
 	// The gate's edge: whether a wait is open, and since when.
 	stalled    bool    // guarded by Server.mu
@@ -41,6 +42,7 @@ func NewPeer(worker int, part *rowsync.Partition) *Peer {
 		worker:  worker,
 		codec:   compress.NewCodec(part.Widths()),
 		held:    make([]compress.Payload, part.NumUnits()),
+		bits:    unitBits(part),
 		scratch: make([]float32, part.MaxUnitLen()),
 	}
 }
@@ -107,24 +109,29 @@ func (p *Peer) HoldPull(s *State, n int64) Plan {
 
 // hold encodes then drains units under each owning shard lock, so no merge
 // lands between the copy leaving and the zero. A pull still out (its worker
-// crashed mid-flow and rejoined before the flow ended) is settled first.
+// crashed mid-flow and rejoined before the flow ended) is settled first —
+// which is also what frees the per-unit bits the encodes overwrite.
 func (p *Peer) hold(s *State, units []int) {
 	p.Settle(s, nil)
 	for _, u := range units {
 		sh := s.shards[s.sm.ShardOf(u)]
 		sh.mu.Lock()
-		p.held[u] = p.codec.Encode(u, s.Acc[p.worker].Unit(u))
+		p.held[u] = p.codec.EncodeInto(u, s.Acc[p.worker].Unit(u), p.bits[u])
 		s.drainUnitLocked(p.worker, u)
 		sh.mu.Unlock()
 	}
 }
 
 // Held returns unit u's payload without settling it (the socket server
-// frames a pull before it knows what the send will deliver).
+// frames a pull before it knows what the send will deliver). Its Bits are
+// the Peer's and stay put until the next hold encodes u, which settles the
+// pull first (TestHeldPullSurvivesRejoinBacklog).
 func (p *Peer) Held(u int) compress.Payload { return p.held[u] }
 
 // Take settles unit u as delivered and returns its payload; false when the
-// pull in flight does not hold u.
+// pull in flight does not hold u. Like Held's, the payload is valid until the
+// next hold: decode it before planning this worker's next pull (simnet
+// decodes at delivery).
 func (p *Peer) Take(u int) (compress.Payload, bool) {
 	pl := p.held[u]
 	p.held[u] = compress.Payload{}
@@ -161,8 +168,10 @@ func (p *Peer) Rejoin(s *State) (base int64, backlog []compress.Payload) {
 
 // holdBacklog is hold for the rejoin resync: every unit with mass
 // accumulated while the worker was away, ascending, state quiesced. The
-// payloads are the caller's (a resync can overlap the crashed worker's
-// undelivered pull, so they skip the held slots).
+// payloads and their Bits are the caller's, freshly allocated: a resync can
+// overlap the crashed worker's still-held pull of the same unit, and simnet's
+// flow closure keeps them past any hold (TestHeldPullSurvivesRejoinBacklog).
+// Rare, so not pooled.
 func (p *Peer) holdBacklog(s *State) []compress.Payload {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -92,9 +92,9 @@ func TestPeerHoldTakeSettle(t *testing.T) {
 // TestPeerStepWithoutAllocating pins the allocation trap the held pull was
 // built around, over the whole step: a warm BeginPush → merge → PushDone →
 // Gate → HoldPull → Settle cycle — including a cut pull that folds half its
-// rows back — must cost nothing beyond what encoding the rows and the plan's
-// own Units cost anyway (a per-pull map or slice, a stall closure or a boxed
-// stamp would show here).
+// rows back — must cost nothing beyond what the plan's own Units cost anyway
+// (a per-pull map or slice, a stall closure, a boxed stamp or a payload's
+// fresh bits would show here).
 func TestPeerStepWithoutAllocating(t *testing.T) {
 	const workers = 3
 	s, part := testState(t, workers)
@@ -103,12 +103,6 @@ func TestPeerStepWithoutAllocating(t *testing.T) {
 	for u := range vals {
 		vals[u] = make([]float32, part.Unit(u).Len)
 	}
-	ref := compress.NewCodec(part.Widths())
-	encodeOnly := testing.AllocsPerRun(50, func() {
-		for _, u := range units {
-			ref.Encode(u, vals[u])
-		}
-	})
 	planOnly := testing.AllocsPerRun(50, func() { s.PlanPull(0, 1) })
 	var peers [workers]*Peer
 	for w := range peers {
@@ -134,8 +128,62 @@ func TestPeerStepWithoutAllocating(t *testing.T) {
 		}
 	}
 	cycle() // grow the reused buffers once
-	if got, want := testing.AllocsPerRun(50, cycle), workers*(encodeOnly+planOnly); got != want {
-		t.Fatalf("a step cycle allocated %.1f times; encoding its rows and building its plans alone %.1f", got, want)
+	if got, want := testing.AllocsPerRun(50, cycle), workers*planOnly; got != want {
+		t.Fatalf("a step cycle allocated %.1f times; building its plans alone %.1f", got, want)
+	}
+}
+
+// TestHeldPullSurvivesRejoinBacklog pins the payload lifetimes: a held
+// payload's bits are the Peer's per-unit buffer, a rejoin backlog's are
+// fresh. Worker 0's pull holds unit u, the worker leaves with it still out,
+// mass of the opposite signs merges into u, and the rejoin's backlog carries
+// u again — both payloads of one unit alive at once. Each must still decode
+// to what it carried when encoded, and Settle plus the backlog's Restore must
+// put back exactly those values.
+func TestHeldPullSurvivesRejoinBacklog(t *testing.T) {
+	s, part := testState(t, 3)
+	const u = 1
+	n := part.Unit(u).Len
+	row := func(sign float32) []float32 {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = sign * float32(1+i%3) * float32(1-2*(i%2))
+		}
+		return vals
+	}
+	decoded := func(pl compress.Payload) []float32 {
+		out := make([]float32, n)
+		compress.Decode(pl, out)
+		return out
+	}
+	s.Merge(1, u, row(1), 1)
+	p := NewPeer(0, part)
+	p.hold(s, []int{u})
+	held := decoded(p.Held(u))
+
+	p.Leave(s)
+	s.Merge(1, u, row(-1), 2) // every sign flipped: overwritten bits would show
+	_, backlog := p.Rejoin(s)
+	if len(backlog) != 1 || backlog[0].Row != u {
+		t.Fatalf("rejoin backlog = %+v, want unit %d alone", backlog, u)
+	}
+	resync := decoded(backlog[0])
+	if slices.Equal(held, resync) {
+		t.Fatal("the held pull and the backlog carry the same values; the test cannot tell them apart")
+	}
+	if got := decoded(p.Held(u)); !slices.Equal(got, held) {
+		t.Fatalf("held payload decodes to %v after the backlog encode, carried %v", got, held)
+	}
+
+	p.Settle(s, nil)
+	p.Restore(s, backlog...)
+	if got := decoded(backlog[0]); !slices.Equal(got, resync) {
+		t.Fatalf("backlog payload decodes to %v after Settle, carried %v", got, resync)
+	}
+	for i, v := range s.Acc[0].Unit(u) {
+		if want := held[i] + resync[i]; v != want {
+			t.Fatalf("unit %d[%d] = %g after Settle and Restore, want the held %g plus the backlog %g", u, i, v, held[i], resync[i])
+		}
 	}
 }
 

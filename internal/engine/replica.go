@@ -28,6 +28,23 @@ type Replica struct {
 	params, grads []*tensor.Matrix
 	scratch       []float32   // Restore's decoded row
 	plan          PlanScratch // lent to the policy with every PushView
+	bits          [][]byte    // per unit: EncodeUnit's sign bits
+}
+
+// unitBits carves one slab into a sign-bit buffer per unit of part, for the
+// holder of that unit's payloads (compress.Codec.EncodeInto).
+func unitBits(part *rowsync.Partition) [][]byte {
+	widths := part.Widths()
+	total := 0
+	for _, n := range widths {
+		total += (n + 7) / 8
+	}
+	slab, bits := make([]byte, total), make([][]byte, len(widths))
+	for u, n := range widths {
+		k := (n + 7) / 8
+		bits[u], slab = slab[:k:k], slab[k:]
+	}
+	return bits
 }
 
 // NewReplica wraps model (decomposed by part) with a fresh optimizer,
@@ -43,6 +60,7 @@ func NewReplica(model *nn.Sequential, part *rowsync.Partition, lr, momentum floa
 		params:   model.Params(),
 		grads:    model.Grads(),
 		scratch:  make([]float32, part.MaxUnitLen()),
+		bits:     unitBits(part),
 	}
 }
 
@@ -69,9 +87,12 @@ func (r *Replica) PushView(worker int, iter, min int64, budget float64) PushView
 
 // EncodeUnit compresses unit u's accumulated gradient for the uplink and
 // clears it (Algo. 1 lines 9–10). If the payload never arrives, Restore
-// gives its mass back.
+// gives its mass back. The payload's Bits are the Replica's: it is valid
+// until the next EncodeUnit(u) — livenet's push keeps a plan's payloads, one
+// per unit, only until its restore loop, simnet decodes at delivery
+// (TestReplicaEncodeUnitDoesNotAllocate).
 func (r *Replica) EncodeUnit(u int) compress.Payload {
-	p := r.codec.Encode(u, r.Local.Unit(u))
+	p := r.codec.EncodeInto(u, r.Local.Unit(u), r.bits[u])
 	r.Local.ZeroUnit(u)
 	return p
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rog/internal/nn"
@@ -35,6 +36,7 @@ func TestReplicaEncodeRestoreConservesMass(t *testing.T) {
 	if r.Local.MeanAbs(u) == 0 {
 		t.Fatal("Restore returned nothing to the accumulator")
 	}
+	first.Bits = slices.Clone(first.Bits) // the next EncodeUnit(u) reuses them
 	if again := r.EncodeUnit(u); !reflect.DeepEqual(again, first) {
 		t.Fatalf("re-encode after restore = %+v, want the original %+v", again, first)
 	}
@@ -104,6 +106,25 @@ func TestReplicaApplyPartialRow(t *testing.T) {
 	r.Apply(u, []float32{2})
 	if want := before - float32(0.1)*2; p.Data[un.Offset] != want {
 		t.Fatalf("element step = %v, want %v", p.Data[un.Offset], want)
+	}
+}
+
+// TestReplicaEncodeUnitDoesNotAllocate guards the per-row push path both
+// runtimes share: a unit's sign bits are the Replica's, reused by every
+// EncodeUnit of that unit (a payload is valid until the next one), so
+// encoding a whole push allocates nothing — at any granularity.
+func TestReplicaEncodeUnitDoesNotAllocate(t *testing.T) {
+	for _, g := range []rowsync.Granularity{rowsync.Rows, rowsync.Layers, rowsync.Elements} {
+		r, part := testReplica(g, 0)
+		push := func() {
+			for u := 0; u < part.NumUnits(); u++ {
+				r.Local.Unit(u)[0] = float32(u%3) - 1
+				r.EncodeUnit(u)
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, push); allocs != 0 {
+			t.Fatalf("granularity %v: encoding a push allocates %.1f times, want 0", g, allocs)
+		}
 	}
 }
 

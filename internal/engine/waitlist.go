@@ -25,8 +25,8 @@ type WaitList struct {
 	mu sync.Mutex
 	// waiters is sorted by key — small sets: worker indices in simnet, the
 	// requests currently gated in serve — so Wake retries in index order by
-	// walking it, with no map and no sort. Guarded by mu.
-	waiters []waiter
+	// walking it, with no map and no sort.
+	waiters []waiter // guarded by mu
 }
 
 // waiter is one key's slot. It is parked while retry is non-nil; a slot
@@ -45,11 +45,11 @@ type waiter struct {
 // NewWaitList creates an empty wait list.
 func NewWaitList() *WaitList { return &WaitList{} }
 
-// find returns the position of the first slot whose key is not below key,
-// and whether that slot is key's own. hint is where the caller last saw that
-// position (0: no idea) — a Wake's lookups are checks, not searches. Caller
-// holds mu.
-func (wl *WaitList) find(key, hint int) (int, bool) {
+// findLocked returns the position of the first slot whose key is not below
+// key, and whether that slot is key's own. hint is where the caller last saw
+// that position (0: no idea) — a Wake's lookups are checks, not searches.
+// Caller holds mu.
+func (wl *WaitList) findLocked(key, hint int) (int, bool) {
 	ws := wl.waiters
 	i := hint
 	if i > len(ws) || (i > 0 && ws[i-1].key >= key) || (i < len(ws) && ws[i].key < key) {
@@ -58,10 +58,10 @@ func (wl *WaitList) find(key, hint int) (int, bool) {
 	return i, i < len(ws) && ws[i].key == key
 }
 
-// slot returns the position of key's slot, inserting an empty one if it has
-// none. Caller holds mu; the position is good until the lock is released.
-func (wl *WaitList) slot(key, hint int) int {
-	i, ok := wl.find(key, hint)
+// slotLocked returns the position of key's slot, inserting an empty one if it
+// has none. Caller holds mu; the position is good until the lock is released.
+func (wl *WaitList) slotLocked(key, hint int) int {
+	i, ok := wl.findLocked(key, hint)
 	if !ok {
 		wl.waiters = slices.Insert(wl.waiters, i, waiter{key: key})
 	}
@@ -71,7 +71,7 @@ func (wl *WaitList) slot(key, hint int) int {
 // Park registers worker w's retry closure, stamped with the current time.
 func (wl *WaitList) Park(w int, now float64, retry func() bool) {
 	wl.mu.Lock()
-	wl.waiters[wl.slot(w, 0)] = waiter{key: w, retry: retry, at: now}
+	wl.waiters[wl.slotLocked(w, 0)] = waiter{key: w, retry: retry, at: now}
 	wl.mu.Unlock()
 }
 
@@ -82,14 +82,14 @@ func (wl *WaitList) Park(w int, now float64, retry func() bool) {
 // would be resurrected the moment the retry returned false.
 func (wl *WaitList) Drop(w int) {
 	wl.mu.Lock()
-	wl.waiters[wl.slot(w, 0)] = waiter{key: w, dropped: true}
+	wl.waiters[wl.slotLocked(w, 0)] = waiter{key: w, dropped: true}
 	wl.mu.Unlock()
 }
 
 // Parked reports whether worker w is currently parked.
 func (wl *WaitList) Parked(w int) bool {
 	wl.mu.Lock()
-	i, ok := wl.find(w, 0)
+	i, ok := wl.findLocked(w, 0)
 	ok = ok && wl.waiters[i].retry != nil
 	wl.mu.Unlock()
 	return ok
@@ -122,7 +122,7 @@ func (wl *WaitList) TryResume(w int, now float64, stall *float64) bool {
 // tryResume is TryResume given where w's slot was last seen.
 func (wl *WaitList) tryResume(w, hint int, now float64, stall *float64) bool {
 	wl.mu.Lock()
-	i, ok := wl.find(w, hint)
+	i, ok := wl.findLocked(w, hint)
 	if !ok || wl.waiters[i].retry == nil {
 		wl.mu.Unlock()
 		return false
@@ -132,7 +132,7 @@ func (wl *WaitList) tryResume(w, hint int, now float64, stall *float64) bool {
 	wl.mu.Unlock()
 	ok = retry()
 	wl.mu.Lock()
-	i = wl.slot(w, i) // slots may have moved while the retry ran
+	i = wl.slotLocked(w, i) // slots may have moved while the retry ran
 	e := &wl.waiters[i]
 	wasDropped := e.dropped
 	e.dropped = false
@@ -173,7 +173,7 @@ func (wl *WaitList) WakeAttributing(now float64, stall *float64) {
 func (wl *WaitList) nextParked(from, hint int) (int, int, bool) {
 	wl.mu.Lock()
 	defer wl.mu.Unlock()
-	for i, _ := wl.find(from, hint); i < len(wl.waiters); i++ {
+	for i, _ := wl.findLocked(from, hint); i < len(wl.waiters); i++ {
 		if wl.waiters[i].retry != nil {
 			return i, wl.waiters[i].key, true
 		}

@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rog/internal/atp"
 	"rog/internal/compress"
+	"rog/internal/engine"
 	"rog/internal/nn"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
@@ -159,6 +161,58 @@ func TestWorkerPullDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a %d-row pull allocates %.1f times, want 0", part.NumUnits(), allocs)
+	}
+}
+
+// discardConn swallows every write.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// fixedPush plans the same units for every push, all of them mandatory.
+type fixedPush struct {
+	engine.Policy
+	units []int
+}
+
+func (f fixedPush) PlanPush(engine.PushView) engine.Plan {
+	return engine.Plan{Units: f.units, Must: len(f.units)}
+}
+
+// TestWorkerPushAllocationsDoNotGrowWithRows guards the worker's per-row
+// send path — EncodeUnit into the Replica's bits, the frame marshalled into
+// the worker's batch, the restore loop — the way TestWorkerPullDoesNotAllocate
+// guards the receive path: a push of every row of a CRUDA-shaped model
+// allocates exactly what a one-row push does (the plan's own prefix sums).
+func TestWorkerPushAllocationsDoNotGrowWithRows(t *testing.T) {
+	model := crudaShaped(1)
+	part := rowsync.NewPartition(model.Params(), rowsync.Rows)
+	all := make([]int, part.NumUnits())
+	for u := range all {
+		all[u] = u
+	}
+	allocs := func(units []int) float64 {
+		pol, err := defaultPolicy(part, 2, 4, atp.DefaultCoefficients())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(model, part, discardConn{}, WorkerConfig{ID: 0, Workers: 2, Threshold: 4, Policy: fixedPush{pol, units}})
+		n := int64(0)
+		push := func() {
+			n++
+			for _, g := range model.Grads() {
+				g.Data[0] = float32(n % 3)
+			}
+			w.rep.Accumulate()
+			if _, err := w.push(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		push() // grows the batch and the payload list once
+		return testing.AllocsPerRun(20, push)
+	}
+	if one, whole := allocs(all[:1]), allocs(all); whole != one {
+		t.Fatalf("a %d-row push allocates %.1f times, a 1-row push %.1f: the per-row path allocates", len(all), whole, one)
 	}
 }
 

@@ -7,6 +7,7 @@ package rowsync
 
 import (
 	"fmt"
+	"math"
 
 	"rog/internal/compress"
 	"rog/internal/tensor"
@@ -244,7 +245,10 @@ func (g *GradStore) Backlog() []int {
 }
 
 // MeanAbs returns the mean absolute accumulated gradient of unit u — the
-// contribution term of the importance metric (Algo. 3).
+// contribution term of the importance metric (Algo. 3). math.Abs clears the
+// sign bit instead of branching on it; the sum is bit-identical to
+// subtracting the negatives (s − v = s + |v|, and a −0 adds +0 to a sum that
+// is never −0 — TestMeanAbsMatchesReference).
 func (g *GradStore) MeanAbs(u int) float64 {
 	d := g.data[u]
 	if len(d) == 0 {
@@ -252,11 +256,7 @@ func (g *GradStore) MeanAbs(u int) float64 {
 	}
 	var s float64
 	for _, v := range d {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
+		s += math.Abs(float64(v))
 	}
 	return s / float64(len(d))
 }

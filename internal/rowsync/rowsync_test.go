@@ -1,6 +1,7 @@
 package rowsync
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +136,58 @@ func TestGradStoreAccumulateAndZero(t *testing.T) {
 	}
 	if gs.MeanAbs(1) != 2 {
 		t.Fatal("ZeroUnit cleared wrong unit")
+	}
+}
+
+// refMeanAbs is the branchy MeanAbs the math.Abs loop replaced, verbatim but
+// for the receiver.
+func refMeanAbs(g *GradStore, u int) float64 {
+	d := g.data[u]
+	if len(d) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range d {
+		if v < 0 {
+			s -= float64(v)
+		} else {
+			s += float64(v)
+		}
+	}
+	return s / float64(len(d))
+}
+
+// TestMeanAbsMatchesReference holds MeanAbs to the branchy reference bit for
+// bit over the codec reference's row lengths and input kinds (compress's
+// TestCodecMatchesReference): normal, one-signed, ±0, subnormal, ±Inf, NaN.
+// Only a NaN result may differ, and only in the NaN's sign bit.
+func TestMeanAbsMatchesReference(t *testing.T) {
+	lens := []int{0, 1, 7, 8, 9, 63, 64, 65, 257, 1000}
+	params := make([]*tensor.Matrix, len(lens))
+	for i, n := range lens {
+		params[i] = tensor.New(1, n)
+	}
+	gs := NewGradStore(NewPartition(params, Layers))
+	r := tensor.NewRNG(3)
+	kinds := []func(v float64) float64{
+		func(v float64) float64 { return v },
+		math.Abs,
+		func(v float64) float64 { return -math.Abs(v) },
+		func(v float64) float64 { return math.Copysign(0, v) },
+		func(v float64) float64 { return math.Copysign(math.SmallestNonzeroFloat32*float64(1+r.Intn(1<<20)), v) },
+		func(v float64) float64 { return [5]float64{v, v, v, v, math.Inf(int(math.Copysign(1, v)))}[r.Intn(5)] },
+		func(v float64) float64 { return [5]float64{v, v, v, v, math.NaN()}[r.Intn(5)] },
+	}
+	for k, kind := range kinds {
+		for u, n := range lens {
+			for i := range gs.Unit(u) {
+				gs.Unit(u)[i] = float32(kind(r.Norm()))
+			}
+			got, want := gs.MeanAbs(u), refMeanAbs(gs, u)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("kind %d, %d values: MeanAbs = %v, reference %v", k, n, got, want)
+			}
+		}
 	}
 }
 

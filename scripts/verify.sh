@@ -4,7 +4,9 @@
 # invariant fails fast, prints per-pass wall time, distinguishes a
 # tree the analyzer cannot load — exit 2, a build problem — from real
 # findings, and repeats itself for one package's findings alone), the full
-# test suite, a trace smoke (a tiny
+# test suite, a fuzz stage (three differential fuzz targets, a fixed
+# number of inputs each; `verify.sh fuzz` = `make fuzz` runs it alone), a
+# trace smoke (a tiny
 # traced simnet run piped through rogtrace — the observability pipeline
 # must stay usable end to end, not just unit-green), a critical-path
 # smoke (the same traced run through rogtrace critpath, which exits
@@ -70,6 +72,16 @@ run_race() {
 	# registry sweep (minutes under the race detector) to the plain test stage.
 	go test -race -short ./internal/harness/...
 	go test ./internal/lossnet -run 'Burst' -count=20
+}
+
+run_fuzz() {
+	# The test stage runs every fuzz target's seed corpus only. These three —
+	# the codec against its branchy reference, the frame reader against its
+	# reference decoder, the protocol parser — also fuzz, for a fixed number of
+	# inputs rather than a duration, so the stage costs the same every run.
+	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse; do
+		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 50000x "./internal/${target%%:*}"
+	done
 }
 
 run_serve_smoke() {
@@ -272,6 +284,10 @@ bench-drift)
 	stage bench-drift run_bench_drift
 	exit
 	;;
+fuzz)
+	stage fuzz run_fuzz
+	exit
+	;;
 esac
 
 stage fmt check_fmt
@@ -280,6 +296,7 @@ stage bench-build run_bench_build
 stage vet go vet ./...
 stage lint sh scripts/lint.sh
 stage test go test ./...
+stage fuzz run_fuzz
 stage trace-smoke run_trace_smoke
 stage critpath-smoke run_critpath_smoke
 stage recover-smoke run_recover_smoke
