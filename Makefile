@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet lint lint-json test fuzz race verify bench bench-json bench-save bench-drift recover-smoke loc
+.PHONY: build fmt vet lint lint-json test kernels fuzz race verify bench bench-json bench-save bench-drift recover-smoke loc
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,9 @@ lint-json:
 
 test:
 	$(GO) test ./...
+
+kernels:
+	sh scripts/verify.sh kernels
 
 fuzz:
 	sh scripts/verify.sh fuzz

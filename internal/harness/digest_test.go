@@ -17,7 +17,8 @@ import (
 // in internal/tensor/tensor_test.go, whose NewCRUDA had no memo and whose
 // Evaluate was the serial Σ Accuracy(m.Forward(evalX))/n. A digest that
 // moves means a kernel reordered a sum, a memo hit differed from a build, or
-// the Evaluate reduction depends on scheduling.
+// the Evaluate reduction depends on scheduling. The constants are amd64
+// facts: the Go spec lets a compiler fuse acc += mv * ov, and arm64's may.
 func TestKernelDigestPerStrategy(t *testing.T) {
 	want := map[string]uint64{
 		"BSP":    0x988adb70084e0cc2,

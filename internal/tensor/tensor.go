@@ -109,15 +109,20 @@ func (m *Matrix) AXPY(a float32, x *Matrix) {
 	}
 }
 
-// The three product kernels are register-blocked: eight adjacent output
-// columns are accumulated in locals over the inner dimension, so dst is
-// loaded and stored once per block instead of once per multiply-add.
-// Blocking changes which element is worked on when, never what is added to
-// it: every output element still receives exactly the products the plain
-// triple loop gave it, in ascending k, with the same zero-skip, each folded
-// in by the one expression acc += mv * ov (a target that fuses it fuses it in
-// every copy). The results are bit-identical to the plain loops, which
-// tensor_test.go keeps as the reference.
+// The three products run through addScaledRows, which accumulates eight
+// adjacent output columns in registers over the inner dimension. Every output
+// element still receives exactly the products the plain triple loop gave it,
+// in ascending k, from the same start, with the same zero-skip, each folded in
+// by a multiply and an add rounded separately: the results are bit-identical
+// to the plain loops, which tensor_test.go keeps as the reference.
+
+// mustCover panics unless o.Data holds o's Rows×Cols elements: the one check
+// per product that lets the vector kernel read o's rows unchecked.
+func (o *Matrix) mustCover(op string) {
+	if o.Rows < 0 || o.Cols < 0 || o.Cols > 0 && len(o.Data)/o.Cols < o.Rows {
+		panic(fmt.Sprintf("tensor: %s operand %dx%d has %d elements", op, o.Rows, o.Cols, len(o.Data)))
+	}
+}
 
 // MulInto computes dst = m × o. dst must be m.Rows×o.Cols and distinct from
 // both operands.
@@ -128,6 +133,7 @@ func MulInto(dst, m, o *Matrix) {
 	if dst.Rows != m.Rows || dst.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: MulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Cols))
 	}
+	o.mustCover("MulInto")
 	dst.Zero()
 	var t terms
 	for i := 0; i < m.Rows; i++ {
@@ -150,6 +156,7 @@ func MulTransAInto(dst, m, o *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: MulTransAInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Cols, o.Cols))
 	}
+	o.mustCover("MulTransAInto")
 	dst.Zero()
 	var t terms
 	for i := 0; i < m.Cols; i++ {
@@ -187,8 +194,19 @@ func (t *terms) addProducts(di, s []float32, base, stride int, o *Matrix) {
 }
 
 // addScaledRows adds val[t] times the len(di)-wide row of data at off[t] to
-// di, for t ascending.
+// di, for t ascending; every such row must lie inside data (mustCover). Whole
+// 8-column blocks go to the vector body where the CPU has one.
 func addScaledRows(di, data []float32, off []int, val []float32) {
+	val = val[:len(off)]
+	if j := len(di) &^ 7; useAVX && j > 0 && len(off) > 0 {
+		addScaledRowsAVX(di[:j], data, off, val)
+		di, data = di[j:], data[j:]
+	}
+	addScaledRowsGo(di, data, off, val)
+}
+
+// addScaledRowsGo is addScaledRows in Go, eight columns in eight locals.
+func addScaledRowsGo(di, data []float32, off []int, val []float32) {
 	val = val[:len(off)]
 	j := 0
 	for ; j+8 <= len(di); j += 8 {
@@ -217,44 +235,38 @@ func addScaledRows(di, data []float32, off []int, val []float32) {
 	}
 }
 
-// MulTransBInto computes dst = m × oᵀ (o is used transposed).
+// MulTransBInto computes dst = m × oᵀ (o is used transposed). Panels of 32
+// rows of o by kChunk columns are packed transposed on the stack, and each row
+// of m scales one through addScaledRows: every term used (no zero-skip), each
+// element summed from +0 in ascending k.
 func MulTransBInto(dst, m, o *Matrix) {
+	const panelRows = 32 // one pass of the vector body's four accumulators
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: MulTransBInto inner dim %d vs %d", m.Cols, o.Cols))
 	}
 	if dst.Rows != m.Rows || dst.Cols != o.Rows {
 		panic(fmt.Sprintf("tensor: MulTransBInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Rows))
 	}
+	o.mustCover("MulTransBInto")
+	dst.Zero()
+	var off [kChunk]int
+	var panel [kChunk * panelRows]float32
 	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*n : (i+1)*n]
-		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		j := 0
-		for ; j+8 <= o.Rows; j += 8 {
-			ob := o.Data[j*n : (j+8)*n]
-			o0, o1, o2, o3 := ob[:n], ob[n:2*n], ob[2*n:3*n], ob[3*n:4*n]
-			o4, o5, o6, o7 := ob[4*n:5*n], ob[5*n:6*n], ob[6*n:7*n], ob[7*n:8*n]
-			var a0, a1, a2, a3, a4, a5, a6, a7 float32
-			for k, mv := range mi {
-				a0 += mv * o0[k]
-				a1 += mv * o1[k]
-				a2 += mv * o2[k]
-				a3 += mv * o3[k]
-				a4 += mv * o4[k]
-				a5 += mv * o5[k]
-				a6 += mv * o6[k]
-				a7 += mv * o7[k]
+	for j0 := 0; j0 < o.Rows; j0 += panelRows {
+		w := min(panelRows, o.Rows-j0)
+		for k0 := 0; k0 < n; k0 += kChunk {
+			kn := min(kChunk, n-k0)
+			for c := range w {
+				for k, v := range o.Row(j0 + c)[k0 : k0+kn] {
+					panel[k*w+c] = v
+				}
 			}
-			d := di[j : j+8 : j+8]
-			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
-		}
-		for ; j < o.Rows; j++ {
-			oj := o.Data[j*n : (j+1)*n]
-			var s float32
-			for k, mv := range mi {
-				s += mv * oj[k]
+			for k := range kn {
+				off[k] = k * w
 			}
-			di[j] = s
+			for i := range m.Rows {
+				addScaledRows(dst.Row(i)[j0:j0+w], panel[:kn*w], off[:kn], m.Row(i)[k0:k0+kn])
+			}
 		}
 	}
 }

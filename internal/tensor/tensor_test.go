@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -389,32 +390,38 @@ func awkward(m *Matrix, r *RNG, special bool) {
 	}
 }
 
+// products are the three product kernels with their reference loops.
+var products = []struct {
+	name      string
+	blocked   func(dst, m, o *Matrix)
+	reference func(dst, m, o *Matrix)
+	// shapes of m and o for an (outer, inner, width) product; dst is outer×width
+	shapes func(n, k, w int) (mr, mc, or, oc int)
+}{
+	{"MulInto", MulInto, refMulInto, func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
+	{"MulTransAInto", MulTransAInto, refMulTransAInto, func(n, k, w int) (int, int, int, int) { return k, n, k, w }},
+	{"MulTransBInto", MulTransBInto, refMulTransBInto, func(n, k, w int) (int, int, int, int) { return n, k, w, k }},
+}
+
 // TestBlockedKernelsBitIdentical holds the blocked kernels to the reference
-// loops bit for bit, over inner dimensions on both sides of the blocking
-// width and of the k scratch (kChunk), output widths that leave a tail, and
-// inputs whose zeros, signed zeros, infinities and NaNs make the order of
-// additions and the zero-skip visible.
+// loops bit for bit, each case once with the vector body (where the CPU has
+// one) and once with it switched off, over inner
+// dimensions on both sides of the blocking width and of the k scratch
+// (kChunk), output widths on both sides of every 32-column, 8-column and
+// tail boundary, and inputs whose zeros, signed zeros, infinities and NaNs
+// make the order of additions and the zero-skip visible.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	dims := []int{1, 7, 8, 9, 24, 64, 100, 2000}
 	if kChunk >= 2000 {
 		t.Fatalf("kChunk %d: no case has K above the scratch size", kChunk)
 	}
-	kernels := []struct {
-		name      string
-		blocked   func(dst, m, o *Matrix)
-		reference func(dst, m, o *Matrix)
-		// shapes of m, o and dst for an (outer, inner, width) product
-		shapes func(n, k, w int) (mr, mc, or, oc int)
-	}{
-		{"MulInto", MulInto, refMulInto, func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
-		{"MulTransAInto", MulTransAInto, refMulTransAInto, func(n, k, w int) (int, int, int, int) { return k, n, k, w }},
-		{"MulTransBInto", MulTransBInto, refMulTransBInto, func(n, k, w int) (int, int, int, int) { return n, k, w, k }},
-	}
+	vec := useAVX
+	defer func() { useAVX = vec }()
 	r := NewRNG(17)
-	for _, kn := range kernels {
+	for _, kn := range products {
 		for _, n := range dims {
 			for _, k := range dims {
-				for _, w := range []int{1, 7, 9, 13, 100} {
+				for _, w := range []int{1, 7, 8, 9, 15, 16, 31, 32, 33, 64, 100} {
 					if n*k*w > 2000*100*13 {
 						continue // keep the sweep in seconds; K=2000 still meets every width
 					}
@@ -424,15 +431,121 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 						awkward(m, r, special)
 						awkward(o, r, special)
 						got, want := New(n, w), New(n, w)
-						got.Fill(42) // a kernel must not depend on what dst held
-						kn.blocked(got, m, o)
 						kn.reference(want, m, o)
-						if at, ok := sameBits(got, want); !ok {
-							t.Fatalf("%s n=%d k=%d w=%d special=%v: element %d is %v (%#x), reference %v (%#x)",
-								kn.name, n, k, w, special, at, got.Data[at], math.Float32bits(got.Data[at]),
-								want.Data[at], math.Float32bits(want.Data[at]))
+						for _, useAVX = range []bool{vec, false} {
+							got.Fill(42) // a kernel must not depend on what dst held
+							kn.blocked(got, m, o)
+							if at, ok := sameBits(got, want); !ok {
+								t.Fatalf("%s avx=%v n=%d k=%d w=%d special=%v: element %d is %v (%#x), reference %v (%#x)",
+									kn.name, useAVX, n, k, w, special, at, got.Data[at], math.Float32bits(got.Data[at]),
+									want.Data[at], math.Float32bits(want.Data[at]))
+							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// drawAwkward returns a normal draw, or with probability mix/256 one of
+// ±0, a subnormal, ±Inf or NaN.
+func drawAwkward(r *RNG, mix int) float32 {
+	if r.Intn(256) >= mix {
+		return float32(r.Norm())
+	}
+	sign := uint32(r.Intn(2)) << 31
+	switch r.Intn(4) {
+	case 0:
+		return math.Float32frombits(sign) // ±0
+	case 1:
+		return math.Float32frombits(sign | uint32(1+r.Intn(1<<23-1))) // subnormal
+	case 2:
+		return math.Float32frombits(sign | 0x7f800000) // ±Inf
+	default:
+		return float32(math.NaN())
+	}
+}
+
+// FuzzAddScaledRowsMatchesGo holds addScaledRows — the vector body on every
+// whole 8-column block where the CPU has one — to addScaledRowsGo bit for
+// bit, over random widths, row offsets and term counts 0–300, with values
+// drawn from normals, ±0, subnormals, ±Inf and NaN (NaN payloads exempt, as
+// in sameBits).
+func FuzzAddScaledRowsMatchesGo(f *testing.F) {
+	f.Add(uint64(1), uint8(32), uint16(64), uint8(0))
+	f.Add(uint64(2), uint8(100), uint16(300), uint8(8))
+	f.Add(uint64(3), uint8(7), uint16(0), uint8(255))
+	f.Add(uint64(4), uint8(33), uint16(9), uint8(64))
+	f.Add(uint64(5), uint8(64), uint16(256), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, width uint8, terms uint16, mix uint8) {
+		r := NewRNG(seed)
+		w, nt := int(width)%129, int(terms)%301
+		data := make([]float32, w+1+r.Intn(256))
+		for i := range data {
+			data[i] = drawAwkward(r, int(mix))
+		}
+		off, val := make([]int, nt), make([]float32, nt)
+		for i := range off {
+			off[i] = r.Intn(len(data) - w + 1)
+			val[i] = drawAwkward(r, int(mix))
+		}
+		got := make([]float32, w)
+		for i := range got {
+			got[i] = drawAwkward(r, int(mix))
+		}
+		want := append([]float32(nil), got...)
+		addScaledRows(got, data, off, val)
+		addScaledRowsGo(want, data, off, val)
+		if at, ok := sameBits(NewFrom(1, w, got), NewFrom(1, w, want)); !ok {
+			t.Fatalf("w=%d terms=%d: column %d is %v (%#x), Go body %v (%#x)", w, nt, at,
+				got[at], math.Float32bits(got[at]), want[at], math.Float32bits(want[at]))
+		}
+	})
+}
+
+// TestKernelsDoNotAllocate: the products' scratch — terms, and
+// MulTransBInto's packed panel — lives on the stack.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	r := NewRNG(3)
+	for _, s := range []struct{ n, k, w int }{{24, 64, 64}, {2000, 64, 100}, {8, 2000, 16}} {
+		for _, kn := range products {
+			mr, mc, or, oc := kn.shapes(s.n, s.k, s.w)
+			m, o, dst := New(mr, mc), New(or, oc), New(s.n, s.w)
+			m.FillNormal(r, 1)
+			o.FillNormal(r, 1)
+			if a := testing.AllocsPerRun(3, func() { kn.blocked(dst, m, o) }); a != 0 {
+				t.Errorf("%s %dx%dx%d allocates %v times a call", kn.name, s.n, s.k, s.w, a)
+			}
+		}
+	}
+}
+
+// TestProductsPanicBeforeReading: a product whose o.Data is shorter than
+// o.Rows×o.Cols panics, on both paths, with its own message before any
+// arithmetic — the vector body would read one element past the slice without
+// faulting — and a dst of the wrong shape still panics.
+func TestProductsPanicBeforeReading(t *testing.T) {
+	message := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	vec := useAVX
+	defer func() { useAVX = vec }()
+	for _, useAVX = range []bool{vec, false} {
+		for _, kn := range products {
+			mr, mc, or, oc := kn.shapes(2, 3, 32)
+			m, o := New(mr, mc), New(or, oc)
+			m.Fill(1)
+			o.Fill(1)
+			short := &Matrix{Rows: or, Cols: oc, Data: o.Data[:len(o.Data)-1]}
+			for what, f := range map[string]func(){
+				"short o":     func() { kn.blocked(New(2, 32), m, short) },
+				"dst too big": func() { kn.blocked(New(3, 32), m, o) },
+			} {
+				if msg := message(f); !strings.Contains(msg, kn.name) {
+					t.Errorf("%s avx=%v, %s: panic %q, want one naming the product", kn.name, useAVX, what, msg)
 				}
 			}
 		}

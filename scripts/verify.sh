@@ -4,9 +4,11 @@
 # invariant fails fast, prints per-pass wall time, distinguishes a
 # tree the analyzer cannot load — exit 2, a build problem — from real
 # findings, and repeats itself for one package's findings alone), the full
-# test suite, a fuzz stage (three differential fuzz targets, a fixed
-# number of inputs each; `verify.sh fuzz` = `make fuzz` runs it alone), a
-# trace smoke (a tiny
+# test suite, a kernels stage (the tensor package vetted for arm64, where only
+# the Go body exists, and its bit-identity tests rerun at GOAMD64=v3;
+# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (four
+# differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
+# `make fuzz` runs it alone), a trace smoke (a tiny
 # traced simnet run piped through rogtrace — the observability pipeline
 # must stay usable end to end, not just unit-green), a critical-path
 # smoke (the same traced run through rogtrace critpath, which exits
@@ -74,12 +76,23 @@ run_race() {
 	go test ./internal/lossnet -run 'Burst' -count=20
 }
 
+run_kernels() {
+	# The Go body of addScaledRows is the only one off amd64: it must build
+	# there (the vet stage's asmdecl has checked the .s frame offsets on amd64).
+	GOARCH=arm64 go vet ./internal/tensor
+	# The assembly never fuses a multiply-add; no toolchain fuses the Go loop
+	# at amd64.v3 today. The day one does, the bodies stop matching here.
+	GOAMD64=v3 go test -count=1 -run 'BitIdentical|Digest' ./internal/tensor ./internal/harness
+}
+
 run_fuzz() {
-	# The test stage runs every fuzz target's seed corpus only. These three —
+	# The test stage runs every fuzz target's seed corpus only. These four —
 	# the codec against its branchy reference, the frame reader against its
-	# reference decoder, the protocol parser — also fuzz, for a fixed number of
-	# inputs rather than a duration, so the stage costs the same every run.
-	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse; do
+	# reference decoder, the protocol parser, the vector kernel against its Go
+	# body — also fuzz, for a fixed number of inputs rather than a duration, so
+	# the stage costs the same every run.
+	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse \
+		tensor:FuzzAddScaledRowsMatchesGo; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 50000x "./internal/${target%%:*}"
 	done
 }
@@ -288,6 +301,10 @@ fuzz)
 	stage fuzz run_fuzz
 	exit
 	;;
+kernels)
+	stage kernels run_kernels
+	exit
+	;;
 esac
 
 stage fmt check_fmt
@@ -296,6 +313,7 @@ stage bench-build run_bench_build
 stage vet go vet ./...
 stage lint sh scripts/lint.sh
 stage test go test ./...
+stage kernels run_kernels
 stage fuzz run_fuzz
 stage trace-smoke run_trace_smoke
 stage critpath-smoke run_critpath_smoke
