@@ -1,7 +1,7 @@
-// Flight-recorder fixture: the crash dump and the runtime vitals are the
-// two new obs surfaces that tempt a wall-clock read. The dump header must
-// reuse the event's virtual timestamp, and the vitals come from package
-// runtime — which is fine; only package time is banned here.
+// Fixture for the two obs shapes that tempt a wall-clock read: a header
+// written over a retained event tail must reuse the events' virtual
+// timestamp, and the vitals come from package runtime — which is fine; only
+// package time is banned here.
 package obs
 
 import (
@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// entry mimics a retained flight event: stamped once, at emission, by the
+// entry mimics a retained event: stamped once, at emission, by the
 // injected clock.
 type entry struct {
 	at float64

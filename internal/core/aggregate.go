@@ -61,10 +61,6 @@ type aggregator struct {
 	plan   atp.Plan  // the flush in flight: order's other buffer, and its prefix sums
 	free   []*aggRow
 	busy   bool
-	// flowSeq counts this aggregator's uplink flushes — the correlation id on
-	// its RowsSent events. Incremented unconditionally (pure memory) so
-	// traced and untraced runs stay bit-identical.
-	flowSeq int64
 	// The flush plan's two callbacks, built once: a flush is the aggregator's
 	// state and nothing else.
 	deliver func(u int)
@@ -103,7 +99,7 @@ func newAggTier(c *cluster) *aggTier {
 		}
 		a.done = func(delivered int, _, elapsed float64) {
 			// Infrastructure time, not any robot's radio: the uplink's id says so.
-			c.probe.RowsSent(a.up.id, 0, a.flowSeq, obs.DirPush, delivered, a.plan.TotalBytes(), elapsed, false)
+			c.probe.RowsSent(a.up.id, 0, obs.DirPush, delivered, a.plan.TotalBytes(), elapsed, false)
 			a.busy = false
 			c.waiters.Wake()
 			t.flush(a)
@@ -120,8 +116,8 @@ func (t *aggTier) aggOf(w int) *aggregator {
 }
 
 // enqueue accepts the decoded row for unit u that st.Worker pushed at local
-// iteration st.Iter under plan st.Seq. vals is borrowed (the cluster's
-// decode scratch) and copied here.
+// iteration st.Iter. vals is borrowed (the cluster's decode scratch) and
+// copied here.
 func (t *aggTier) enqueue(u int, vals []float32, st engine.Stamp) {
 	a := t.aggOf(st.Worker)
 	r := a.queue[u]
@@ -166,7 +162,6 @@ func (t *aggTier) flush(a *aggregator) {
 	units := a.order
 	a.queue, a.flying, a.order = a.flying, a.queue, a.plan.Units[:0]
 	a.busy = true
-	a.flowSeq++
 	a.plan = atp.PlanInto(a.plan.Prefix, units, t.c.wireSize)
 	t.c.send(a.up, 0, obs.DirPush, engine.Plan{Units: units, Must: len(units)}, a.plan, a.deliver, a.done)
 }

@@ -228,10 +228,6 @@ type Config struct {
 	// Metrics, when set, accumulates the runtime counters/gauges/histograms
 	// (rows sent, bytes on wire, staleness, stall causes, MTA budget).
 	Metrics *obs.Registry
-	// Flight, when set, retains the last-N events per worker in a bounded
-	// ring and dumps them when a servercrash recovery fires — the crash
-	// flight recorder. It sees the same event stream as Trace (teed).
-	Flight *obs.FlightRecorder
 }
 
 // Validate fills defaults and rejects nonsense.
@@ -376,9 +372,8 @@ type cluster struct {
 	state  *engine.State
 
 	rep []*engine.Replica // per-robot worker half: model, optimizer, g′, push stamps, uplink codec
-	// peer is the server's half per worker (push-plan seq, gate stall, downlink
-	// codec, pull in flight); it lives here so all of it survives a recovered
-	// state swap.
+	// peer is the server's half per worker (gate stall, downlink codec, pull
+	// in flight); it lives here so all of it survives a recovered state swap.
 	peer []*engine.Peer
 
 	// waiters parks workers the staleness gate holds back. It lives here,
@@ -475,14 +470,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	if cfg.Aggregators > 0 {
 		c.agg = newAggTier(c)
 	}
-	// The flight recorder rides the same event stream as the trace sink.
-	// The typed-nil check matters: a nil *FlightRecorder in a Tracer
-	// interface would survive Tee's nil filter.
-	tr := cfg.Trace
-	if cfg.Flight != nil {
-		tr = obs.Tee(cfg.Flight, cfg.Trace)
-	}
-	c.probe = obs.NewProbe(tr, cfg.Metrics, k.Now)
+	c.probe = obs.NewProbe(cfg.Trace, cfg.Metrics, k.Now)
 	c.adopt(engine.NewStateSharded(policy, part, cfg.Workers, 1.0, cfg.Shards))
 	c.series.Name = fmt.Sprintf("%s-%d", cfg.Strategy, cfg.Threshold)
 	for w := 0; w < cfg.Workers; w++ {
@@ -532,10 +520,10 @@ func (c *cluster) computeSecondsFor(w int) float64 {
 	return base * c.cfg.ComputeSkew[w]
 }
 
-// deliverPush moves worker w's unit u at local iteration n, sent by w's
-// push plan seq, into the server state (Algo. 2 lines 2–6: shrink-to-attached
-// averaging and version stamping live in engine.State.Merge).
-func (c *cluster) deliverPush(w, u int, n, seq int64) {
+// deliverPush moves worker w's unit u at local iteration n into the server
+// state (Algo. 2 lines 2–6: shrink-to-attached averaging and version stamping
+// live in engine.State.Merge).
+func (c *cluster) deliverPush(w, u int, n int64) {
 	payload := c.rep[w].EncodeUnit(u)
 	vals := c.scratch[:payload.N]
 	compress.Decode(payload, vals)
@@ -543,9 +531,9 @@ func (c *cluster) deliverPush(w, u int, n, seq int64) {
 		// Edge tier: the row lands at w's aggregator, which coalesces and
 		// forwards it (with w's stamp) over its own uplink. enqueue copies
 		// vals — c.scratch is reused by the next decode.
-		c.agg.enqueue(u, vals, engine.Stamp{Worker: w, Iter: n, Seq: seq})
+		c.agg.enqueue(u, vals, engine.Stamp{Worker: w, Iter: n})
 	} else {
-		c.peer[w].Merge(c.state, u, vals, n)
+		c.state.Merge(w, u, vals, n)
 	}
 	c.rep[w].Stamp(u, n)
 }

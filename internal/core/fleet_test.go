@@ -102,7 +102,7 @@ func TestAggregatedRunBoundsStaleness(t *testing.T) {
 			c := newCluster(cfg, wl2)
 			c.launch()
 			for c.k.Step() {
-				if ahead := c.state.MaxAhead(); ahead > tc.bound {
+				if ahead := c.state.Versions.MaxAhead(); ahead > tc.bound {
 					t.Fatalf("staleness bound violated mid-run: %d > %d", ahead, tc.bound)
 				}
 			}
@@ -215,7 +215,7 @@ func TestAggregatorCycleAllocations(t *testing.T) {
 
 // TestDeliverPushDoesNotAllocate guards the simulator's per-row push path
 // without aggregators: encoding a robot's unit into its Replica's bits,
-// decoding it into the cluster's scratch and merging it through the Peer
+// decoding it into the cluster's scratch and merging it into the State
 // allocates nothing, for every unit of a push.
 func TestDeliverPushDoesNotAllocate(t *testing.T) {
 	cfg := testConfig(ROG, 8)
@@ -225,7 +225,7 @@ func TestDeliverPushDoesNotAllocate(t *testing.T) {
 		iter++
 		for u := 0; u < c.part.NumUnits(); u++ {
 			c.rep[1].Local.Unit(u)[0] = float32(iter % 3)
-			c.deliverPush(1, u, iter, iter)
+			c.deliverPush(1, u, iter)
 		}
 	}
 	push()

@@ -146,10 +146,6 @@ func (c *cluster) crashServer(duration float64) {
 	if c.store != nil {
 		c.store.Crash()
 	}
-	// Flight-recorder dump at the crash instant: the retained tail is the
-	// last N events before the server died — exactly what a postmortem
-	// wants. Best-effort diagnostics; a sink failure must not kill the run.
-	_ = c.cfg.Flight.Dump(fmt.Sprintf("servercrash at t=%.3f", c.k.Now()))
 	// The server's own membership edge: the restart's Reconnect(-1) closes it.
 	c.probe.Detach(-1, int64(c.store.Epoch()), "servercrash")
 	if duration > 0 || c.cfg.RecoverySecondsPerMB > 0 {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"rog/internal/durable"
-	"rog/internal/obs"
 	"rog/internal/simnet"
 )
 
@@ -58,97 +56,6 @@ func TestServerCrashRecoversAndCompletes(t *testing.T) {
 		}
 		if st.Epoch() < 1 {
 			t.Errorf("%v: store epoch %d after a recovery", s, st.Epoch())
-		}
-	}
-}
-
-// TestServerCrashFlightDump rides the flight recorder on the servercrash
-// chaos run: the crash must produce exactly one dump whose header names the
-// trigger and whose retained tail is the pre-crash event stream in emission
-// order — the postmortem a real deployment would read.
-func TestServerCrashFlightDump(t *testing.T) {
-	cfg, st, _ := durableConfig(t, ROG, 4)
-	st.SyncEvery = 64
-	faults, err := simnet.ParseFaultSchedule("servercrash@30+10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = faults
-	cfg.MaxIterations = 25
-	cfg.MaxVirtualSeconds = 2000
-	cfg.RecoverySecondsPerMB = 0.5
-	var traceBuf, dumpBuf bytes.Buffer
-	tr := obs.NewJSONLTracer(&traceBuf)
-	cfg.Trace = tr
-	cfg.Flight = obs.NewFlightRecorder(cfg.Workers, 8, &dumpBuf)
-	res, err := Run(cfg, newTestWorkload(3, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Recovery.Recoveries != 1 {
-		t.Fatalf("recovery counters %+v, want 1 recovery", res.Recovery)
-	}
-	if got := cfg.Flight.Dumps(); got != 1 {
-		t.Fatalf("flight dumps = %d, want exactly 1 (one crash, one dump)", got)
-	}
-	var dumped []obs.Event
-	if err := obs.ReadEvents(bytes.NewReader(dumpBuf.Bytes()), func(e obs.Event) error {
-		dumped = append(dumped, e)
-		return nil
-	}); err != nil {
-		t.Fatalf("dump is not ReadEvents-parseable: %v", err)
-	}
-	if len(dumped) < 2 {
-		t.Fatalf("dump carries %d events, want a header plus a retained tail", len(dumped))
-	}
-	head := dumped[0]
-	if head.Kind != obs.KindFlightDump || !strings.Contains(head.Cause, "servercrash") {
-		t.Errorf("dump header = %+v, want a FlightDump naming the servercrash trigger", head)
-	}
-	if head.Units != len(dumped)-1 {
-		t.Errorf("header counts %d entries, dump carries %d", head.Units, len(dumped)-1)
-	}
-	// Ordering: the dump replays emission order (the global seq ticket), so
-	// virtual timestamps are nondecreasing and everything precedes the
-	// t=30 crash instant.
-	for i, e := range dumped[1:] {
-		if e.Time > 30 {
-			t.Errorf("dump entry %d at t=%.3f postdates the crash", i, e.Time)
-		}
-		if i > 0 && e.Time < dumped[i].Time {
-			t.Errorf("dump entries out of order: t=%.3f after t=%.3f", e.Time, dumped[i].Time)
-		}
-	}
-	// The dump is a true tail: each worker's dumped events are the suffix of
-	// that worker's pre-crash events in the full trace.
-	preCrash := make(map[int][]obs.Event)
-	if err := obs.ReadEvents(bytes.NewReader(traceBuf.Bytes()), func(e obs.Event) error {
-		if e.Time <= 30 {
-			preCrash[e.Worker] = append(preCrash[e.Worker], e)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	byWorker := make(map[int][]obs.Event)
-	for _, e := range dumped[1:] {
-		byWorker[e.Worker] = append(byWorker[e.Worker], e)
-	}
-	for w, tail := range byWorker {
-		if w < 0 {
-			continue // overflow ring mixes server-scoped sources
-		}
-		full := preCrash[w]
-		if len(full) < len(tail) {
-			t.Fatalf("worker %d: dump retains %d events but the trace holds %d", w, len(tail), len(full))
-		}
-		for i, e := range tail {
-			if want := full[len(full)-len(tail)+i]; e != want {
-				t.Fatalf("worker %d: dump entry %d = %+v, want trace suffix event %+v", w, i, e, want)
-			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rog/internal/obs"
-	"rog/internal/simnet"
 )
 
 // closeEnough tolerates float rounding between the streamed aggregate and
@@ -186,81 +185,69 @@ func TestTraceDisabledRunsUnchanged(t *testing.T) {
 	}
 }
 
-// TestMergeSeqMatchesPlan holds the (Worker, Iter, Seq) contract on
-// obs.Event.Seq: every Merge event carries the Seq of the PushPlanned event
-// that sent its row. A row parked in an edge aggregator merges after its
-// robot has planned again, so the seq has to ride the row's stamp.
-func TestMergeSeqMatchesPlan(t *testing.T) {
-	for _, aggs := range []int{0, 2} {
-		cfg := testConfig(ROG, 4)
-		cfg.Workers, cfg.Aggregators = 8, aggs
-		type push struct {
-			w int
-			n int64
-		}
-		planned := map[push]int64{}
-		merges, wrong := 0, 0
-		cfg.Trace = tracerFunc(func(e obs.Event) {
-			switch e.Kind {
-			case obs.KindPushPlanned:
-				planned[push{e.Worker, e.Iter}] = e.Seq
-			case obs.KindMerge:
-				merges++
-				if seq, ok := planned[push{e.Worker, e.Iter}]; !ok || seq != e.Seq {
-					wrong++
-				}
-			}
-		})
-		if _, err := Run(cfg, newTestWorkload(cfg.Workers, 11)); err != nil {
-			t.Fatal(err)
-		}
-		if merges == 0 || wrong != 0 {
-			t.Fatalf("aggregators=%d: %d of %d Merge events carry a Seq other than their plan's", aggs, wrong, merges)
-		}
-	}
-}
-
-// TestMergeSeqSurvivesServerCrash: the plan seq is the engine.Peer's, which is
-// the cluster's, so a push in flight across a server restart still names its
-// plan on the rows it lands in the recovered state. (With the seq kept in the
-// State, those Merge events carried none.) Every append is synced here, so
-// the restart re-stamps nothing and every Merge has a plan to match.
-func TestMergeSeqSurvivesServerCrash(t *testing.T) {
-	cfg, _, _ := durableConfig(t, ROG, 4)
-	faults, err := simnet.ParseFaultSchedule("servercrash@25+5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = faults
+// runMergesNamePlans runs cfg and fails t unless every Merge event's
+// (Worker, Iter) — the name a push carries in place of a sequence number — is
+// a PushPlanned that worker emitted earlier. It returns the result and the
+// number of Merge events that followed a server restart. obs.Aggregate checks
+// the other half wherever a trace is aggregated: no worker plans one
+// iteration twice.
+func runMergesNamePlans(t *testing.T, cfg Config, seed uint64) (*Result, int) {
+	t.Helper()
 	type push struct {
 		w int
 		n int64
 	}
-	planned := map[push]int64{}
-	restarted, after, wrong := false, 0, 0
+	planned := map[push]bool{}
+	restarted, merges, after, unnamed := false, 0, 0, 0
 	cfg.Trace = tracerFunc(func(e obs.Event) {
 		switch e.Kind {
 		case obs.KindPushPlanned:
-			planned[push{e.Worker, e.Iter}] = e.Seq
+			planned[push{e.Worker, e.Iter}] = true
 		case obs.KindReconnect:
 			restarted = restarted || e.Worker == -1
 		case obs.KindMerge:
+			merges++
 			if restarted {
 				after++
 			}
-			if seq, ok := planned[push{e.Worker, e.Iter}]; !ok || seq != e.Seq {
-				wrong++
+			if !planned[push{e.Worker, e.Iter}] {
+				unnamed++
 			}
 		}
 	})
-	res, err := Run(cfg, newTestWorkload(3, 33))
+	res, err := Run(cfg, newTestWorkload(cfg.Workers, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if merges == 0 || unnamed != 0 {
+		t.Fatalf("%d of %d Merge events name no earlier PushPlanned of their worker", unnamed, merges)
+	}
+	return res, after
+}
+
+// TestMergeSeqMatchesPlan: every Merge event names the push its worker
+// planned, directly and through the edge tier. A row parked in an edge
+// aggregator merges after its robot has planned again, so the name has to
+// ride the row's stamp.
+func TestMergeSeqMatchesPlan(t *testing.T) {
+	for _, aggs := range []int{0, 2} {
+		cfg := testConfig(ROG, 4)
+		cfg.Workers, cfg.Aggregators = 8, aggs
+		runMergesNamePlans(t, cfg, 11)
+	}
+}
+
+// TestMergeSeqSurvivesServerCrash: a push in flight across a server restart
+// still names its plan on the rows it lands in the recovered state. Every
+// append is synced here, so the restart re-stamps nothing and every Merge has
+// a plan to match.
+func TestMergeSeqSurvivesServerCrash(t *testing.T) {
+	cfg := testConfig(ROG, 4)
+	cfg.Workers = 3
+	cfg.Durable, cfg.SnapshotEverySeconds = memStore(t), 20
+	cfg.Faults = mustFaults(t, "servercrash@25+5")
+	res, after := runMergesNamePlans(t, cfg, 33)
 	if res.Recovery.Recoveries != 1 || res.Recovery.RowsLost != 0 || after == 0 {
 		t.Fatalf("recovery %+v with %d merges after it: the scenario did not happen", res.Recovery, after)
-	}
-	if wrong != 0 {
-		t.Fatalf("%d Merge events carry a Seq other than their plan's", wrong)
 	}
 }

@@ -95,7 +95,7 @@ func (c *cluster) communicate(w int) {
 	if plan.Skip {
 		// The scheduler (FLOWN) sat this one out: local gradients keep
 		// accumulating, nothing moves.
-		c.probe.PushPlanned(w, n, c.peer[w].BeginPush(), 0, 0, c.part.NumUnits(), 0, false, "skip")
+		c.probe.PushPlanned(w, n, 0, 0, c.part.NumUnits(), 0, false, "skip")
 		finish(0)
 		return
 	}
@@ -127,12 +127,11 @@ func (c *cluster) send(l link, n int64, dir obs.Dir, plan engine.Plan, ap atp.Pl
 }
 
 // transmit moves one plan of worker w's iteration n over its link — a push
-// (opening a new plan sequence) or the pull that completes it, whose rows
-// engine.Peer already holds: the flow takes each as it delivers it, and what
-// it does not deliver is folded back when it ends.
+// or the pull that completes it, whose rows engine.Peer already holds: the
+// flow takes each as it delivers it, and what it does not deliver is folded
+// back when it ends.
 func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
 	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
-	seq := c.peer[w].Seq() // a pull completes the push plan's iteration
 	var deliver func(u int)
 	if dir == obs.DirPull {
 		deliver = func(u int) {
@@ -141,18 +140,15 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 			}
 		}
 	} else {
-		// The Merge events this push produces carry seq through the peer; a
-		// row an aggregator parks carries it in its stamp instead.
-		seq = c.peer[w].BeginPush()
-		c.probe.PushPlanned(w, n, seq, len(ap.Units), plan.Must,
+		c.probe.PushPlanned(w, n, len(ap.Units), plan.Must,
 			c.part.NumUnits()-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
-		deliver = func(u int) { c.deliverPush(w, u, n, seq) }
+		deliver = func(u int) { c.deliverPush(w, u, n) }
 	}
 	c.send(c.links[w], n, dir, plan, ap, deliver, func(delivered int, mtaTime, elapsed float64) {
 		if dir == obs.DirPull {
 			c.peer[w].Settle(c.state, nil)
 		}
-		c.probe.RowsSent(w, n, seq, dir, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
+		c.probe.RowsSent(w, n, dir, delivered, ap.Prefix[delivered], elapsed, plan.Speculative)
 		done(delivered, mtaTime, elapsed)
 	})
 }

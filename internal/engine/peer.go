@@ -5,24 +5,19 @@ import (
 	"rog/internal/rowsync"
 )
 
-// Peer is the server's half of one worker's iteration (Algo. 2), shared by
-// both runtimes the way Replica is the worker's half; its methods are that
-// sequence, in order, plus the membership edges. A runtime supplies the wait
-// — what asks Gate again: a sync.Cond loop, a retry closure on the WaitList —
-// and the carry: frames or flows, and which of a pull's rows they delivered.
+// Peer is the server's half of one worker's iteration (Algo. 2) once its
+// push's rows have merged (State.Merge/MergeBatch), shared by both runtimes
+// the way Replica is the worker's half; its methods are that sequence, in
+// order, plus the membership edges. A runtime supplies the wait — what asks
+// Gate again: a sync.Cond loop, a retry closure on the WaitList — and the
+// carry: frames or flows, and which of a pull's rows they delivered.
 //
 // A Peer belongs to the runtime and every call names the State to act on, so
-// codec residuals, a pull in flight, the plan count and an open stall survive
-// a recovered state swap. Its fields say who may touch them; the simnet
-// kernel, one goroutine, satisfies all of it trivially.
+// codec residuals, a pull in flight and an open stall survive a recovered
+// state swap. Its fields say who may touch them; the simnet kernel, one
+// goroutine, satisfies all of it trivially.
 type Peer struct {
 	worker int
-	// seq counts the worker's push plans — the correlation id on its gate
-	// stalls and on the Merge events of the rows it merges. Written and read
-	// only by the goroutine carrying this worker's push (callers must not run
-	// two for one worker), so it needs no lock — BeginPush and the merges run
-	// outside Server.mu.
-	seq int64
 
 	codec *compress.Codec // guarded by Server.mu — server→worker error feedback
 	// held[u] is unit u's payload while the pull carrying it is out (Bits
@@ -47,29 +42,6 @@ func NewPeer(worker int, part *rowsync.Partition) *Peer {
 	}
 }
 
-// BeginPush opens the worker's next push plan — a skipped one included — and
-// returns its sequence number. Counted unconditionally (pure memory), so
-// traced and untraced runs stay bit-identical.
-func (p *Peer) BeginPush() int64 {
-	p.seq++
-	return p.seq
-}
-
-// Seq is the open push plan's number: the pull completing its iteration
-// carries it too.
-func (p *Peer) Seq() int64 { return p.seq }
-
-// Merge is State.Merge for a row of the open push: its Merge event names the
-// plan.
-func (p *Peer) Merge(s *State, unit int, vals []float32, iter int64) bool {
-	return s.mergeStamped(Stamp{Worker: p.worker, Iter: iter, Seq: p.seq}, []int{unit}, [][]float32{vals})
-}
-
-// MergeBatch is State.MergeBatch for the open push's rows.
-func (p *Peer) MergeBatch(s *State, units []int, vals [][]float32, iter int64) bool {
-	return s.mergeStamped(Stamp{Worker: p.worker, Iter: iter, Seq: p.seq}, units, vals)
-}
-
 // PushDone reports the completed push (State.ObservePush).
 func (p *Peer) PushDone(s *State, iter int64, mtaTime, elapsed float64, speculative bool) {
 	s.ObservePush(p.worker, iter, mtaTime, elapsed, speculative)
@@ -88,11 +60,11 @@ func (p *Peer) Gate(s *State, n int64, now float64) bool {
 	case !ok && !p.stalled:
 		p.stalled, p.stallBegan = true, now
 		if s.Probe != nil {
-			s.Probe.StallBegin(p.worker, n, p.seq, "gate", s.minBlocker())
+			s.Probe.StallBegin(p.worker, n, "gate", s.minBlocker())
 		}
 	case ok && p.stalled:
 		p.stalled = false
-		s.Probe.StallEnd(p.worker, n, p.seq, "gate", now-p.stallBegan, s.lastReleased())
+		s.Probe.StallEnd(p.worker, n, "gate", now-p.stallBegan, s.lastReleased())
 	}
 	return ok
 }

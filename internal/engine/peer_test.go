@@ -90,8 +90,8 @@ func TestPeerHoldTakeSettle(t *testing.T) {
 }
 
 // TestPeerStepWithoutAllocating pins the allocation trap the held pull was
-// built around, over the whole step: a warm BeginPush → merge → PushDone →
-// Gate → HoldPull → Settle cycle — including a cut pull that folds half its
+// built around, over the whole step: a warm merge → PushDone → Gate →
+// HoldPull → Settle cycle — including a cut pull that folds half its
 // rows back — must cost nothing beyond what the plan's own Units cost anyway
 // (a per-pull map or slice, a stall closure, a boxed stamp or a payload's
 // fresh bits would show here).
@@ -112,9 +112,8 @@ func TestPeerStepWithoutAllocating(t *testing.T) {
 	cycle := func() {
 		it++
 		for _, p := range peers {
-			p.BeginPush()
-			p.MergeBatch(s, units, vals, it)
-			p.Merge(s, 0, vals[0], it) // a duplicate: the single-row entry, nothing lands
+			s.MergeBatch(p.worker, units, vals, it)
+			s.Merge(p.worker, 0, vals[0], it) // a duplicate: the single-row entry, nothing lands
 			p.PushDone(s, it, 0.1, 0.1, true)
 			// A wait opens (eight iterations ahead of the team) and ends.
 			if p.Gate(s, it+8, 0) || !p.Gate(s, it, 1) {
@@ -210,10 +209,10 @@ func tracedState(t *testing.T, workers int) (*State, *eventLog) {
 	return s, log
 }
 
-// mergeAll lands every unit from worker w at iteration iter through p.
-func mergeAll(s *State, p *Peer, iter int64) {
+// mergeAll lands every unit from worker w at iteration iter.
+func mergeAll(s *State, w int, iter int64) {
 	for u := 0; u < s.part.NumUnits(); u++ {
-		p.Merge(s, u, make([]float32, s.part.Unit(u).Len), iter)
+		s.Merge(w, u, make([]float32, s.part.Unit(u).Len), iter)
 	}
 }
 
@@ -223,17 +222,15 @@ func mergeAll(s *State, p *Peer, iter int64) {
 // released it.
 func TestGateTracesOneStall(t *testing.T) {
 	s, log := tracedState(t, 2)
-	p0, p1 := NewPeer(0, s.part), NewPeer(1, s.part)
-	seq := p0.BeginPush()
-	mergeAll(s, p0, 4) // SSP-4: iteration 4 waits for the minimum to leave 0
+	p0 := NewPeer(0, s.part)
+	mergeAll(s, 0, 4) // SSP-4: iteration 4 waits for the minimum to leave 0
 	for _, now := range []float64{1.5, 2.25, 3} {
 		if p0.Gate(s, 4, now) {
 			t.Fatalf("gate open at t=%g with worker 1 at version 0", now)
 		}
 	}
 	last := s.part.NumUnits() - 1
-	p1.BeginPush()
-	mergeAll(s, p1, 1) // the last unit's merge moves the minimum
+	mergeAll(s, 1, 1) // the last unit's merge moves the minimum
 	if !p0.Gate(s, 4, 7.75) {
 		t.Fatal("gate still closed after worker 1 caught up")
 	}
@@ -245,13 +242,13 @@ func TestGateTracesOneStall(t *testing.T) {
 		t.Fatalf("%d StallBegin / %d StallEnd for one wait, want 1/1", len(begins), len(ends))
 	}
 	b, e := begins[0], ends[0]
-	if b.Worker != 0 || b.Iter != 4 || b.Seq != seq || b.Cause != "gate" || b.BlockWorker != 1 || b.BlockUnit != 0 || b.BlockVersion != 0 {
-		t.Fatalf("StallBegin = %+v, want worker 0 iter 4 seq %d blocked by worker 1's unit 0 at version 0", b, seq)
+	if b.Worker != 0 || b.Iter != 4 || b.Cause != "gate" || b.BlockWorker != 1 || b.BlockUnit != 0 || b.BlockVersion != 0 {
+		t.Fatalf("StallBegin = %+v, want worker 0 iter 4 blocked by worker 1's unit 0 at version 0", b)
 	}
 	if e.Seconds != 7.75-1.5 {
 		t.Fatalf("StallEnd seconds = %g, want now_last − now_first = %g", e.Seconds, 7.75-1.5)
 	}
-	if e.Worker != 0 || e.Iter != 4 || e.Seq != seq || e.BlockWorker != 1 || e.BlockUnit != last || e.BlockVersion != 1 {
+	if e.Worker != 0 || e.Iter != 4 || e.BlockWorker != 1 || e.BlockUnit != last || e.BlockVersion != 1 {
 		t.Fatalf("StallEnd = %+v, want the release: worker 1's merge of unit %d at version 1", e, last)
 	}
 }
@@ -262,8 +259,7 @@ func TestGateTracesOneStall(t *testing.T) {
 func TestLeaveAbandonsStall(t *testing.T) {
 	s, log := tracedState(t, 2)
 	p0 := NewPeer(0, s.part)
-	p0.BeginPush()
-	mergeAll(s, p0, 4)
+	mergeAll(s, 0, 4)
 	if p0.Gate(s, 4, 1) {
 		t.Fatal("gate open with worker 1 at version 0")
 	}
@@ -272,8 +268,7 @@ func TestLeaveAbandonsStall(t *testing.T) {
 	if base != 0 {
 		t.Fatalf("rejoin baseline = %d, want worker 1's version 0", base)
 	}
-	seq := p0.BeginPush()
-	mergeAll(s, p0, 5)
+	mergeAll(s, 0, 5)
 	if p0.Gate(s, 5, 10) {
 		t.Fatal("gate open at iteration 5 with the minimum at 0")
 	}
@@ -281,8 +276,8 @@ func TestLeaveAbandonsStall(t *testing.T) {
 		t.Fatalf("abandoned stall was closed: %+v", ends)
 	}
 	begins := log.ofKind(obs.KindStallBegin)
-	if len(begins) != 2 || begins[1].Iter != 5 || begins[1].Seq != seq {
-		t.Fatalf("StallBegins = %+v, want a fresh one for iteration 5 under seq %d", begins, seq)
+	if len(begins) != 2 || begins[1].Iter != 5 {
+		t.Fatalf("StallBegins = %+v, want a fresh one for iteration 5", begins)
 	}
 	if rc := log.ofKind(obs.KindReconnect); len(rc) != 1 || rc[0].Worker != 0 || rc[0].Iter != base {
 		t.Fatalf("Reconnect events = %+v, want one for worker 0 at its baseline", rc)
@@ -299,8 +294,7 @@ func TestLeaveAbandonsStall(t *testing.T) {
 func TestUntracedGateDoesNotQuiesce(t *testing.T) {
 	s, part := testState(t, 3)
 	p0 := NewPeer(0, part)
-	p0.BeginPush()
-	mergeAll(s, p0, 4)
+	mergeAll(s, 0, 4)
 
 	s.shards[0].mu.Lock()
 	answered := make(chan bool, 1)
@@ -323,7 +317,7 @@ func TestUntracedGateDoesNotQuiesce(t *testing.T) {
 	log := new(eventLog)
 	s.Probe = obs.NewProbe(log, nil, nil)
 	for _, w := range []int{1, 2} {
-		NewPeer(w, part).Merge(s, 0, make([]float32, part.Unit(0).Len), 1) // unit 0 leaves the minimum
+		s.Merge(w, 0, make([]float32, part.Unit(0).Len), 1) // unit 0 leaves the minimum
 	}
 	p0.Leave(s) // forget the untraced stall
 	p0.Rejoin(s)
@@ -333,32 +327,6 @@ func TestUntracedGateDoesNotQuiesce(t *testing.T) {
 	begins := log.ofKind(obs.KindStallBegin)
 	if len(begins) != 1 || begins[0].BlockWorker != 1 || begins[0].BlockUnit != 1 || begins[0].BlockVersion != 0 {
 		t.Fatalf("StallBegin = %+v, want blocked by worker 1's unit 1 at version 0", begins)
-	}
-}
-
-// TestPeerMergeCarriesPlanSeq: a row merged through the Peer names the push
-// plan open when it landed; the State's exported entries know no plan and
-// carry 0 (a recovery re-stamp, the serving benchmark's trainer).
-func TestPeerMergeCarriesPlanSeq(t *testing.T) {
-	s, log := tracedState(t, 2)
-	p := NewPeer(0, s.part)
-	row := func(u int) []float32 { return make([]float32, s.part.Unit(u).Len) }
-	p.BeginPush() // a skipped plan counts
-	seq := p.BeginPush()
-	if seq != 2 || p.Seq() != 2 {
-		t.Fatalf("second plan's seq = %d (Seq %d), want 2", seq, p.Seq())
-	}
-	p.Merge(s, 0, row(0), 1)
-	p.MergeBatch(s, []int{1, 2}, [][]float32{row(1), row(2)}, 1)
-	p.PushDone(s, 1, 0.1, 0.1, true)
-	s.MergeBatch(0, []int{3}, [][]float32{row(3)}, 1)
-	s.Merge(1, 0, row(0), 1)
-	var got []int64
-	for _, e := range log.ofKind(obs.KindMerge) {
-		got = append(got, e.Seq)
-	}
-	if want := []int64{2, 2, 2, 0, 0}; !slices.Equal(got, want) {
-		t.Fatalf("Merge event seqs = %v, want %v", got, want)
 	}
 }
 

@@ -188,15 +188,10 @@ func (s *State) Merge(worker, unit int, vals []float32, iter int64) bool {
 // contiguous run instead of once per row. It reports whether the global
 // minimum advanced across the whole batch.
 func (s *State) MergeBatch(worker int, units []int, vals [][]float32, iter int64) bool {
-	return s.mergeStamped(Stamp{Worker: worker, Iter: iter}, units, vals)
-}
-
-// mergeStamped is MergeBatch under a stamp the caller built: a Peer's carries
-// its open push plan's Seq, the exported entries carry none.
-func (s *State) mergeStamped(st Stamp, units []int, vals [][]float32) bool {
 	if len(units) == 0 {
 		return false
 	}
+	st := Stamp{Worker: worker, Iter: iter}
 	before := s.Versions.Min()
 	for i := 0; i < len(units); {
 		sh := s.shards[s.sm.ShardOf(units[i])]
@@ -211,14 +206,12 @@ func (s *State) mergeStamped(st Stamp, units []int, vals [][]float32) bool {
 	return s.released(before, st, units[len(units)-1])
 }
 
-// Stamp is one originating-worker iteration carried by a merged row. Seq,
-// the sequence number of the push plan that sent the row, is only the
-// correlation id of its Merge event: a row parked in an edge aggregator
-// lands after its robot has planned again, so it brings its own.
+// Stamp is one originating-worker iteration carried by a merged row — the
+// name of the push that sent it: iteration numbers never repeat for a worker,
+// so (Worker, Iter) names one plan.
 type Stamp struct {
 	Worker int
 	Iter   int64
-	Seq    int64
 }
 
 // MergeCombined folds one edge-aggregated row: vals is the element-wise
@@ -306,7 +299,7 @@ func (s *State) stampLocked(sh *stateShard, unit int, st Stamp) {
 		sh.maxLead = lag
 	}
 	if s.Probe != nil {
-		s.Probe.Merge(st.Worker, unit, st.Iter, st.Seq, st.Iter, lag)
+		s.Probe.Merge(st.Worker, unit, st.Iter, 0, st.Iter, lag)
 	}
 }
 
@@ -405,7 +398,7 @@ func (s *State) ObservePush(worker int, iter int64, mtaTime, elapsed float64, sp
 	if s.Probe != nil {
 		// Utilization against the budget in force when the push was
 		// planned — read before this report moves it.
-		s.Probe.BudgetUsed(worker, iter, s.Tracker.Budget(), elapsed)
+		s.Probe.BudgetUsed(s.Tracker.Budget(), elapsed)
 	}
 	if speculative {
 		if mtaTime > 0 {
@@ -494,16 +487,6 @@ func (s *State) ActiveWorkers() int {
 	n := s.Versions.ActiveWorkers()
 	s.mu.Unlock()
 	return n
-}
-
-// MaxAhead returns the largest current lead of any attached entry over the
-// global minimum, scanning the whole version matrix quiesced.
-func (s *State) MaxAhead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lockShardsLocked()
-	defer s.unlockShardsLocked()
-	return s.Versions.MaxAhead()
 }
 
 // drainUnitLocked zeroes worker's averaged copy of unit — the transition

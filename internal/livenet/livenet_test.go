@@ -13,12 +13,17 @@ import (
 )
 
 // liveCluster spins up a server goroutine per worker connection and returns
-// the workers, all over in-process pipes.
-func liveCluster(t *testing.T, workers, threshold int, seed uint64) (*Server, []*Worker, []*nn.Sequential, func()) {
+// the workers, all over in-process pipes. tune, when given, adjusts the
+// server's configuration first.
+func liveCluster(t *testing.T, workers, threshold int, seed uint64, tune ...func(*ServerConfig)) (*Server, []*Worker, []*nn.Sequential, func()) {
 	t.Helper()
 	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(seed))
 	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
-	srv, err := NewServer(part, ServerConfig{Workers: workers, Threshold: threshold})
+	cfg := ServerConfig{Workers: workers, Threshold: threshold}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	srv, err := NewServer(part, cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

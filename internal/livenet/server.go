@@ -279,10 +279,10 @@ func (s *Server) Checkpoint() error {
 	return err
 }
 
-// MaxStalenessObserved reports the largest version lead seen (for tests:
-// it must never exceed the threshold).
+// MaxStalenessObserved reports the largest version lead any merge stamped
+// over the run (for tests: it must never exceed the threshold).
 func (s *Server) MaxStalenessObserved() int64 {
-	return s.state.MaxAhead()
+	return s.state.MaxLeadObserved()
 }
 
 // ActiveWorkers reports how many workers are currently attached.
@@ -371,7 +371,7 @@ func (s *Server) bufferRow(worker int, b *pushBatch, msg parsed) error {
 
 // flushPush merges the buffered rows in arrival order.
 func (s *Server) flushPush(worker int, b *pushBatch) {
-	s.peers[worker].MergeBatch(s.state, b.units, b.vals, b.iter)
+	s.state.MergeBatch(worker, b.units, b.vals, b.iter)
 	b.units, b.vals, b.arena = b.units[:0], b.vals[:0], b.arena[:0]
 }
 
@@ -414,10 +414,8 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 				return DisconnectError, fmt.Errorf("livenet: worker %d: %w", worker, err)
 			}
 		case kindPushDone:
-			// The engine.Peer sequence over sockets. The push is counted here,
-			// before the flush, so every merge it produces carries its seq.
+			// The engine.Peer sequence over sockets.
 			peer, n := s.peers[worker], msg.iter
-			peer.BeginPush()
 			s.flushPush(worker, &batch)
 			peer.PushDone(s.state, n, msg.mta, msg.mta, true)
 			s.mu.Lock()

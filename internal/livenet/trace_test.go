@@ -182,6 +182,52 @@ func TestChaosTraceEventsPair(t *testing.T) {
 	}
 }
 
+// TestMaxStalenessIsTheTracedMaximum: the staleness a server reports is the
+// largest lead any merge stamped over the run — the largest Lag its trace
+// shows — not the lead left standing when the workers finish level, which is
+// 0 and would make every threshold assertion on it vacuous.
+func TestMaxStalenessIsTheTracedMaximum(t *testing.T) {
+	const workers, threshold, iters = 3, 4, 12
+	var buf bytes.Buffer
+	tr := obs.NewJSONLTracer(&buf)
+	srv, ws, models, cleanup := liveCluster(t, workers, threshold, 5, func(c *ServerConfig) { c.Trace = tr })
+	data := newClusterData(9)
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		wg.Add(1)
+		go func(id int, w *Worker) {
+			defer wg.Done()
+			r := tensor.NewRNG(uint64(id) + 1)
+			for k := 0; k < iters; k++ {
+				if err := w.RunIteration(func() {
+					x, y := data.batch(r, 16)
+					_, g := nn.SoftmaxCrossEntropy(models[id].Forward(x), y)
+					models[id].Backward(g)
+				}); err != nil {
+					t.Errorf("worker %d: %v", id, err)
+					return
+				}
+			}
+		}(i, w)
+	}
+	wg.Wait()
+	cleanup()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.Aggregate(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced int64
+	for _, u := range sum.Units {
+		traced = max(traced, u.MaxLag)
+	}
+	if got := srv.MaxStalenessObserved(); got != traced || got <= 0 || got > threshold {
+		t.Fatalf("MaxStalenessObserved = %d, the trace's largest merge lag %d; want them equal and in (0, %d]", got, traced, threshold)
+	}
+}
+
 // TestDebugEndpointServesSnapshot starts a server with the opt-in HTTP
 // debug endpoint and checks the live registry snapshot comes back as JSON.
 func TestDebugEndpointServesSnapshot(t *testing.T) {

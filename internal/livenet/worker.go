@@ -51,11 +51,10 @@ type Worker struct {
 	payloads []compress.Payload // the push in flight, in plan order
 	vals     []float32          // one pulled row, decoded
 
-	iter    int64
-	planSeq int64   // push plans made (incl. skips) — correlation id on trace events
-	budget  float64 // MTA-time budget from the server's last pull-done
-	minVer  int64   // global minimum row version, from the last pull-done
-	epoch   uint64  // server recovery epoch, from the last resync-done
+	iter   int64
+	budget float64 // MTA-time budget from the server's last pull-done
+	minVer int64   // global minimum row version, from the last pull-done
+	epoch  uint64  // server recovery epoch, from the last resync-done
 }
 
 // NewWorker wires a worker to its model and server connection.
@@ -142,10 +141,8 @@ func (w *Worker) RunIteration(computeGradients func()) error {
 func (w *Worker) push(n int64) (skipped bool, err error) {
 	numUnits := w.part.NumUnits()
 	plan := w.cfg.Policy.PlanPush(w.rep.PushView(w.cfg.ID, n, w.minVer, w.budget))
-	w.planSeq++
-	seq := w.planSeq
 	if plan.Skip {
-		w.probe.PushPlanned(w.cfg.ID, n, seq, 0, 0, numUnits, 0, false, "skip")
+		w.probe.PushPlanned(w.cfg.ID, n, 0, 0, numUnits, 0, false, "skip")
 		return true, nil
 	}
 	must := plan.Must
@@ -153,7 +150,7 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 		must = len(plan.Units)
 	}
 	ap := atp.NewPlanObserved(plan.Units, func(u int) float64 { return float64(w.part.WireSize(u)) }, w.probe)
-	w.probe.PushPlanned(w.cfg.ID, n, seq, len(ap.Units), must,
+	w.probe.PushPlanned(w.cfg.ID, n, len(ap.Units), must,
 		numUnits-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
 
 	w.out.Reset()
@@ -167,7 +164,7 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	start := time.Now()
 	sent, sendErr := sendPlanned(w.conn, &w.out, must, plan.Speculative, w.budget)
 	elapsed := time.Since(start).Seconds()
-	w.probe.RowsSent(w.cfg.ID, n, seq, obs.DirPush, sent, ap.Prefix[sent], elapsed, plan.Speculative)
+	w.probe.RowsSent(w.cfg.ID, n, obs.DirPush, sent, ap.Prefix[sent], elapsed, plan.Speculative)
 	mtaTime := elapsed
 	if sent > must && ap.Prefix[sent] > 0 {
 		// Everything (or more than the floor) fit in the budget: the floor's

@@ -110,10 +110,6 @@ type BurstSender struct {
 	RTO   time.Duration
 	seq   uint32
 	Stats DgramStats
-	// OnAbandon, when set, is called once per abandon notice sent — the
-	// hook a crash flight recorder hangs its dump on, so giving up on a
-	// best-effort payload leaves an event tail behind.
-	OnAbandon func()
 }
 
 // NewBurstSender sends to peer over conn.
@@ -217,9 +213,6 @@ func (s *BurstSender) SendBurst(payloads [][]byte, reliable func(i int) bool, de
 					return err
 				}
 				s.Stats.Abandons++
-				if s.OnAbandon != nil {
-					s.OnAbandon()
-				}
 			}
 		}
 		return nil

@@ -95,8 +95,9 @@ type Summary struct {
 
 	// PairErrors lists structural violations: a StallEnd without an open
 	// StallBegin on that worker, a Detach of an already-detached worker, a
-	// Reconnect of an attached one, or a CheckpointEnd without its Begin.
-	// Empty for a well-formed trace.
+	// Reconnect of an attached one, a CheckpointEnd without its Begin, or a
+	// second PushPlanned for one (worker, iteration) — the pair that names
+	// a push everywhere in the trace. Empty for a well-formed trace.
 	PairErrors []string
 
 	// OpenStalls counts StallBegin intervals never closed (a run may
@@ -147,6 +148,13 @@ func Aggregate(r io.Reader) (*Summary, error) {
 	// on the read gate at most once, so a second Begin for the same id or
 	// an End without its Begin is structural corruption.
 	readStalled := make(map[int64]bool)
+	// A worker plans each iteration's push once (a skip included), and its
+	// iteration numbers never repeat, so (worker, iteration) names a plan.
+	type push struct {
+		worker int
+		iter   int64
+	}
+	planned := make(map[push]bool)
 
 	err := ReadEvents(r, func(e Event) error {
 		s.Events[e.Kind.String()]++
@@ -166,6 +174,12 @@ func Aggregate(r io.Reader) (*Summary, error) {
 			row.Comm += e.Comm
 			row.Stall += e.Stall
 		case KindPushPlanned:
+			k := push{e.Worker, e.Iter}
+			if planned[k] {
+				s.PairErrors = append(s.PairErrors, fmt.Sprintf(
+					"worker %d: second PushPlanned for iteration %d at t=%.3f", e.Worker, e.Iter, e.Time))
+			}
+			planned[k] = true
 			s.RowsPlanned += int64(e.Units)
 			s.RowsDeferred += int64(e.Deferred)
 		case KindRowsSent:

@@ -11,18 +11,18 @@ import (
 func critTrace() []Event {
 	return []Event{
 		{Kind: KindIterStart, Time: 0, Worker: 0, Iter: 1},
-		{Kind: KindPushPlanned, Time: 2, Worker: 0, Iter: 1, Seq: 1, Units: 4, Bytes: 4000},
-		{Kind: KindRowsSent, Time: 2.5, Worker: 0, Iter: 1, Seq: 1, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPush},
-		{Kind: KindStallBegin, Time: 2.5, Worker: 0, Iter: 1, Seq: 1, Cause: "gate", BlockWorker: 1, BlockUnit: 3, BlockVersion: 0},
-		{Kind: KindMerge, Time: 3.5, Worker: 1, Iter: 1, Seq: 1, Unit: 3, Version: 1},
-		{Kind: KindStallEnd, Time: 3.5, Worker: 0, Iter: 1, Seq: 1, Cause: "gate", Seconds: 1, BlockWorker: 1, BlockUnit: 3, BlockVersion: 1},
-		{Kind: KindRowsSent, Time: 4, Worker: 0, Iter: 1, Seq: 1, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPull},
+		{Kind: KindPushPlanned, Time: 2, Worker: 0, Iter: 1, Units: 4, Bytes: 4000},
+		{Kind: KindRowsSent, Time: 2.5, Worker: 0, Iter: 1, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPush},
+		{Kind: KindStallBegin, Time: 2.5, Worker: 0, Iter: 1, Cause: "gate", BlockWorker: 1, BlockUnit: 3, BlockVersion: 0},
+		{Kind: KindMerge, Time: 3.5, Worker: 1, Iter: 1, Unit: 3, Version: 1},
+		{Kind: KindStallEnd, Time: 3.5, Worker: 0, Iter: 1, Cause: "gate", Seconds: 1, BlockWorker: 1, BlockUnit: 3, BlockVersion: 1},
+		{Kind: KindRowsSent, Time: 4, Worker: 0, Iter: 1, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPull},
 		{Kind: KindIterEnd, Time: 4, Worker: 0, Iter: 1, Compute: 2, Comm: 1, Stall: 1},
 
 		{Kind: KindIterStart, Time: 4, Worker: 0, Iter: 2},
-		{Kind: KindPushPlanned, Time: 6, Worker: 0, Iter: 2, Seq: 2, Units: 4, Bytes: 4000},
-		{Kind: KindRowsSent, Time: 6.5, Worker: 0, Iter: 2, Seq: 2, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPush},
-		{Kind: KindRowsSent, Time: 7, Worker: 0, Iter: 2, Seq: 2, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPull},
+		{Kind: KindPushPlanned, Time: 6, Worker: 0, Iter: 2, Units: 4, Bytes: 4000},
+		{Kind: KindRowsSent, Time: 6.5, Worker: 0, Iter: 2, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPush},
+		{Kind: KindRowsSent, Time: 7, Worker: 0, Iter: 2, Units: 4, Bytes: 4000, Seconds: 0.5, Dir: DirPull},
 		{Kind: KindIterEnd, Time: 7.5, Worker: 0, Iter: 2, Compute: 2, Comm: 1, Stall: 0},
 	}
 }

@@ -45,8 +45,7 @@ func (t *JSONLTracer) Emit(e Event) {
 }
 
 // appendEvent renders one event as a JSONL line (trailing newline
-// included). Shared by the live tracer and the flight-recorder dump so
-// both streams parse with ReadEvents.
+// included), the format ReadEvents parses.
 func appendEvent(b []byte, e Event) []byte {
 	b = append(b, `{"ev":"`...)
 	b = append(b, e.Kind.String()...)

@@ -80,10 +80,6 @@ const (
 	// carries the WAL records replayed, Bytes the snapshot+WAL bytes read,
 	// Version the new recovery epoch.
 	KindRecoveryReplay
-	// KindFlightDump heads a flight-recorder dump: Cause names the trigger
-	// (a servercrash, a caller's choice such as a loss abandon) and Units
-	// counts the retained events that follow it in the dump stream.
-	KindFlightDump
 	// KindSnapshotPublish records the serving tier publishing one immutable
 	// model snapshot: Version is the training version it captures (the
 	// global row minimum at publish), Seq the publish sequence number, and
@@ -124,7 +120,6 @@ var kindNames = [...]string{
 	KindCheckpointEnd:   "CheckpointEnd",
 	KindWALAppend:       "WALAppend",
 	KindRecoveryReplay:  "RecoveryReplay",
-	KindFlightDump:      "FlightDump",
 	KindSnapshotPublish: "SnapshotPublish",
 	KindRequestEnqueue:  "RequestEnqueue",
 	KindRequestServe:    "RequestServe",
@@ -201,10 +196,10 @@ type Event struct {
 	Spec  bool   // speculative transmission
 	Cause string // stall/detach cause, or "skip" for a sat-out push
 
-	// Seq is the per-worker push-plan sequence number, the causal
-	// correlation ID: a PushPlanned, its RowsSent transmissions, the
-	// Merges it produced server-side and any stall it resolved all carry
-	// the same (Worker, Iter, Seq) triple.
+	// Seq is the serving tier's id: the publish sequence number
+	// (SnapshotPublish) or the request id (Request*, ReadStall*). A push
+	// needs none: (Worker, Iter) names it on its PushPlanned, RowsSent,
+	// Merge and stall events alike.
 	Seq int64
 
 	// BlockWorker/BlockUnit/BlockVersion attribute a StallBegin/StallEnd
@@ -237,6 +232,35 @@ func NoBlocker() Blocker { return Blocker{Worker: -1, Unit: -1} }
 // may copy freely.
 type Tracer interface {
 	Emit(Event)
+}
+
+// Tee fans every event out to each non-nil tracer, in order. It returns
+// nil when nothing remains and the sole survivor unwrapped, so wiring code
+// can compose optional tracers without case analysis.
+func Tee(tracers ...Tracer) Tracer {
+	live := make([]Tracer, 0, len(tracers))
+	for _, t := range tracers {
+		if t != nil {
+			live = append(live, t)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	default:
+		return teeTracer(live)
+	}
+}
+
+type teeTracer []Tracer
+
+// Emit implements Tracer.
+func (t teeTracer) Emit(e Event) {
+	for _, tr := range t {
+		tr.Emit(e)
+	}
 }
 
 // Probe binds an optional Tracer, an optional Registry and a clock into
@@ -301,16 +325,15 @@ func (p *Probe) IterEnd(w int, n int64, compute, comm, stall float64) {
 	}
 }
 
-// PushPlanned records a push plan: units scheduled, the MTA floor, units
-// deferred, total planned wire bytes. seq is the per-worker plan sequence
-// number correlating this plan with its transmissions and merges. cause is
-// "" normally and "skip" when the policy sat the iteration out (units is
+// PushPlanned records worker w's push plan for iteration n: units
+// scheduled, the MTA floor, units deferred, total planned wire bytes. cause
+// is "" normally and "skip" when the policy sat the iteration out (units is
 // then 0).
-func (p *Probe) PushPlanned(w int, n, seq int64, units, must, deferred int, bytes float64, spec bool, cause string) {
+func (p *Probe) PushPlanned(w int, n int64, units, must, deferred int, bytes float64, spec bool, cause string) {
 	if p == nil {
 		return
 	}
-	p.emit(Event{Kind: KindPushPlanned, Worker: w, Iter: n, Seq: seq,
+	p.emit(Event{Kind: KindPushPlanned, Worker: w, Iter: n,
 		Units: units, Must: must, Deferred: deferred, Bytes: bytes, Spec: spec, Cause: cause})
 	if p.reg != nil {
 		p.reg.Counter("rows_planned").Add(int64(units))
@@ -318,13 +341,12 @@ func (p *Probe) PushPlanned(w int, n, seq int64, units, must, deferred int, byte
 	}
 }
 
-// RowsSent records one completed transmission for worker w's iteration n,
-// under plan sequence seq.
-func (p *Probe) RowsSent(w int, n, seq int64, dir Dir, units int, bytes, seconds float64, spec bool) {
+// RowsSent records one completed transmission for worker w's iteration n.
+func (p *Probe) RowsSent(w int, n int64, dir Dir, units int, bytes, seconds float64, spec bool) {
 	if p == nil {
 		return
 	}
-	p.emit(Event{Kind: KindRowsSent, Worker: w, Iter: n, Seq: seq,
+	p.emit(Event{Kind: KindRowsSent, Worker: w, Iter: n,
 		Units: units, Bytes: bytes, Seconds: seconds, Dir: dir, Spec: spec})
 	if p.reg != nil {
 		if dir == DirPull {
@@ -339,22 +361,22 @@ func (p *Probe) RowsSent(w int, n, seq int64, dir Dir, units int, bytes, seconds
 // StallBegin marks worker w blocking during iteration n for cause. blk
 // names the (worker, unit, version) currently pinning the minimum the gate
 // waits on (NoBlocker when unknown).
-func (p *Probe) StallBegin(w int, n, seq int64, cause string, blk Blocker) {
+func (p *Probe) StallBegin(w int, n int64, cause string, blk Blocker) {
 	if p == nil {
 		return
 	}
-	p.emit(Event{Kind: KindStallBegin, Worker: w, Iter: n, Seq: seq, Cause: cause,
+	p.emit(Event{Kind: KindStallBegin, Worker: w, Iter: n, Cause: cause,
 		BlockWorker: blk.Worker, BlockUnit: blk.Unit, BlockVersion: blk.Version})
 }
 
 // StallEnd closes the matching StallBegin with the stalled duration. blk
 // names the merge (unit -1 for a detach) whose minimum advance released
 // the gate.
-func (p *Probe) StallEnd(w int, n, seq int64, cause string, seconds float64, blk Blocker) {
+func (p *Probe) StallEnd(w int, n int64, cause string, seconds float64, blk Blocker) {
 	if p == nil {
 		return
 	}
-	p.emit(Event{Kind: KindStallEnd, Worker: w, Iter: n, Seq: seq, Cause: cause, Seconds: seconds,
+	p.emit(Event{Kind: KindStallEnd, Worker: w, Iter: n, Cause: cause, Seconds: seconds,
 		BlockWorker: blk.Worker, BlockUnit: blk.Unit, BlockVersion: blk.Version})
 	if p.reg != nil {
 		p.reg.FloatCounter("stall_seconds/" + cause).Add(seconds)
@@ -363,9 +385,8 @@ func (p *Probe) StallEnd(w int, n, seq int64, cause string, seconds float64, blk
 }
 
 // Merge records one row merged into the server state: unit u stamped at
-// version, lagging the global minimum by lag iterations. seq is the plan
-// sequence of the push that carried the row (0 when unknown, e.g. a
-// recovery re-stamp).
+// version, lagging the global minimum by lag iterations. seq lands in
+// Event.Seq; the engine passes 0, since (w, n) already names the push.
 func (p *Probe) Merge(w, u int, n, seq, version, lag int64) {
 	if p == nil {
 		return
@@ -393,15 +414,13 @@ func (p *Probe) GateCheck(ok bool) {
 
 // BudgetUsed records one observed push against the MTA-time budget in
 // force when it was planned: utilization is elapsed/budget.
-func (p *Probe) BudgetUsed(w int, n int64, budget, elapsed float64) {
+func (p *Probe) BudgetUsed(budget, elapsed float64) {
 	if p == nil || p.reg == nil {
 		return
 	}
 	p.reg.FloatCounter("mta_budget_seconds").Add(budget)
 	p.reg.FloatCounter("mta_used_seconds").Add(elapsed)
 	p.reg.Gauge("mta_budget_last").Set(budget)
-	_ = w
-	_ = n
 }
 
 // Detach records worker w leaving membership during iteration n.

@@ -16,7 +16,7 @@ type collectTracer struct {
 func (c *collectTracer) Emit(e Event) { c.events = append(c.events, e) }
 
 func TestKindStringRoundTrip(t *testing.T) {
-	for k := KindIterStart; k <= KindFlightDump; k++ {
+	for k := KindIterStart; k <= KindReadStallEnd; k++ {
 		name := k.String()
 		if name == "Unknown" {
 			t.Fatalf("kind %d has no name", k)
@@ -34,13 +34,13 @@ func TestNilProbeIsSafe(t *testing.T) {
 	var p *Probe
 	p.IterStart(0, 1)
 	p.IterEnd(0, 1, 1, 2, 3)
-	p.PushPlanned(0, 1, 1, 3, 1, 2, 100, true, "")
-	p.RowsSent(0, 1, 1, DirPush, 3, 100, 0.5, true)
-	p.StallBegin(0, 1, 1, "gate", NoBlocker())
-	p.StallEnd(0, 1, 1, "gate", 0.25, NoBlocker())
+	p.PushPlanned(0, 1, 3, 1, 2, 100, true, "")
+	p.RowsSent(0, 1, DirPush, 3, 100, 0.5, true)
+	p.StallBegin(0, 1, "gate", NoBlocker())
+	p.StallEnd(0, 1, "gate", 0.25, NoBlocker())
 	p.Merge(0, 2, 1, 1, 1, 0)
 	p.GateCheck(false)
-	p.BudgetUsed(0, 1, 1, 0.5)
+	p.BudgetUsed(1, 0.5)
 	p.Detach(0, 1, "crash")
 	p.Reconnect(0, 1)
 	p.Resync(0, 3, 100)
@@ -60,10 +60,10 @@ func TestNilProbeAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.IterStart(1, 7)
 		p.Merge(1, 3, 7, 7, 7, 2)
-		p.RowsSent(1, 7, 7, DirPush, 5, 1e4, 0.3, true)
+		p.RowsSent(1, 7, DirPush, 5, 1e4, 0.3, true)
 		p.GateCheck(true)
-		p.StallBegin(1, 7, 7, "gate", Blocker{Worker: 2, Unit: 3, Version: 5})
-		p.StallEnd(1, 7, 7, "gate", 0.1, Blocker{Worker: 2, Unit: 3, Version: 6})
+		p.StallBegin(1, 7, "gate", Blocker{Worker: 2, Unit: 3, Version: 5})
+		p.StallEnd(1, 7, "gate", 0.1, Blocker{Worker: 2, Unit: 3, Version: 6})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled probe allocated %.1f times per run, want 0", allocs)
@@ -92,13 +92,13 @@ func TestProbeStampsClock(t *testing.T) {
 func sampleEvents() []Event {
 	return []Event{
 		{Kind: KindIterStart, Time: 0, Worker: 0, Iter: 1},
-		{Kind: KindPushPlanned, Time: 2.64, Worker: 0, Iter: 1, Seq: 1, Units: 5, Must: 2, Deferred: 1, Bytes: 5000, Spec: true},
-		{Kind: KindRowsSent, Time: 3.1, Worker: 0, Iter: 1, Seq: 1, Units: 4, Bytes: 4000, Seconds: 0.46, Dir: DirPush, Spec: true},
-		{Kind: KindMerge, Time: 3.1, Worker: 0, Iter: 1, Seq: 1, Unit: 0, Version: 1, Lag: 0},
-		{Kind: KindMerge, Time: 3.1, Worker: 0, Iter: 1, Seq: 1, Unit: 3, Version: 1, Lag: 2},
-		{Kind: KindStallBegin, Time: 3.2, Worker: 0, Iter: 1, Seq: 1, Cause: "gate", BlockWorker: 1, BlockUnit: 3, BlockVersion: 1},
-		{Kind: KindStallEnd, Time: 4.0, Worker: 0, Iter: 1, Seq: 1, Cause: "gate", Seconds: 0.8, BlockWorker: 1, BlockUnit: 3, BlockVersion: 2},
-		{Kind: KindRowsSent, Time: 4.4, Worker: 0, Iter: 1, Seq: 1, Units: 6, Bytes: 6000, Seconds: 0.4, Dir: DirPull, Spec: true},
+		{Kind: KindPushPlanned, Time: 2.64, Worker: 0, Iter: 1, Units: 5, Must: 2, Deferred: 1, Bytes: 5000, Spec: true},
+		{Kind: KindRowsSent, Time: 3.1, Worker: 0, Iter: 1, Units: 4, Bytes: 4000, Seconds: 0.46, Dir: DirPush, Spec: true},
+		{Kind: KindMerge, Time: 3.1, Worker: 0, Iter: 1, Unit: 0, Version: 1, Lag: 0},
+		{Kind: KindMerge, Time: 3.1, Worker: 0, Iter: 1, Unit: 3, Version: 1, Lag: 2},
+		{Kind: KindStallBegin, Time: 3.2, Worker: 0, Iter: 1, Cause: "gate", BlockWorker: 1, BlockUnit: 3, BlockVersion: 1},
+		{Kind: KindStallEnd, Time: 4.0, Worker: 0, Iter: 1, Cause: "gate", Seconds: 0.8, BlockWorker: 1, BlockUnit: 3, BlockVersion: 2},
+		{Kind: KindRowsSent, Time: 4.4, Worker: 0, Iter: 1, Units: 6, Bytes: 6000, Seconds: 0.4, Dir: DirPull, Spec: true},
 		{Kind: KindIterEnd, Time: 4.4, Worker: 0, Iter: 1, Compute: 2.64, Comm: 0.86, Stall: 0.9},
 		{Kind: KindDetach, Time: 5.0, Worker: 1, Iter: 2, Cause: "crash"},
 		{Kind: KindReconnect, Time: 7.0, Worker: 1, Iter: 3, Version: 3},
@@ -274,14 +274,14 @@ func TestProbeFeedsRegistry(t *testing.T) {
 	r := NewRegistry()
 	p := NewProbe(nil, r, nil)
 	p.IterEnd(0, 1, 2, 1, 0.5)
-	p.PushPlanned(0, 1, 1, 5, 2, 3, 5000, true, "")
-	p.RowsSent(0, 1, 1, DirPush, 4, 4000, 0.4, true)
-	p.RowsSent(0, 1, 1, DirPull, 6, 6000, 0.6, true)
-	p.StallEnd(0, 1, 1, "gate", 0.8, Blocker{Worker: 1, Unit: 2, Version: 1})
+	p.PushPlanned(0, 1, 5, 2, 3, 5000, true, "")
+	p.RowsSent(0, 1, DirPush, 4, 4000, 0.4, true)
+	p.RowsSent(0, 1, DirPull, 6, 6000, 0.6, true)
+	p.StallEnd(0, 1, "gate", 0.8, Blocker{Worker: 1, Unit: 2, Version: 1})
 	p.Merge(0, 2, 1, 1, 1, 3)
 	p.GateCheck(false)
 	p.GateCheck(true)
-	p.BudgetUsed(0, 1, 1.0, 0.4)
+	p.BudgetUsed(1.0, 0.4)
 	p.Detach(1, 2, "crash")
 	p.Reconnect(1, 3)
 	p.Resync(1, 8, 8000)
@@ -383,6 +383,9 @@ func TestAggregatePairingViolations(t *testing.T) {
 	tr.Emit(Event{Kind: KindDetach, Time: 3, Worker: 2, Iter: 1, Cause: "crash"})
 	tr.Emit(Event{Kind: KindDetach, Time: 4, Worker: 2, Iter: 1, Cause: "crash"})
 	tr.Emit(Event{Kind: KindStallBegin, Time: 5, Worker: 3, Iter: 1, Cause: "gate"})
+	tr.Emit(Event{Kind: KindPushPlanned, Time: 6, Worker: 3, Iter: 2, Units: 1})
+	tr.Emit(Event{Kind: KindPushPlanned, Time: 7, Worker: 2, Iter: 2, Cause: "skip"}) // another worker's plan
+	tr.Emit(Event{Kind: KindPushPlanned, Time: 8, Worker: 3, Iter: 2, Units: 1})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +393,32 @@ func TestAggregatePairingViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.PairErrors) != 3 {
-		t.Fatalf("pair errors = %v, want 3", s.PairErrors)
+	if len(s.PairErrors) != 4 {
+		t.Fatalf("pair errors = %v, want 4", s.PairErrors)
+	}
+	if want := "worker 3: second PushPlanned for iteration 2 at t=8.000"; s.PairErrors[3] != want {
+		t.Errorf("pair error %q, want %q", s.PairErrors[3], want)
 	}
 	if s.OpenStalls != 1 {
 		t.Errorf("open stalls = %d, want 1", s.OpenStalls)
+	}
+}
+
+func TestTee(t *testing.T) {
+	a, b := &collectTracer{}, &collectTracer{}
+	if Tee(nil, nil) != nil {
+		t.Error("Tee of nothing should be nil")
+	}
+	if got := Tee(nil, a); got != Tracer(a) {
+		t.Error("Tee of one tracer should unwrap it")
+	}
+	tee := Tee(a, b)
+	tee.Emit(Event{Kind: KindIterStart, Worker: 2, Iter: 5})
+	if len(a.events) != 1 || len(b.events) != 1 {
+		t.Fatalf("fan-out reached %d/%d tracers, want 1/1", len(a.events), len(b.events))
+	}
+	if a.events[0] != b.events[0] {
+		t.Error("tracers saw different events")
 	}
 }
 
@@ -412,7 +436,7 @@ func BenchmarkJSONLEmit(b *testing.B) {
 	p := NewProbe(tr, nil, func() float64 { return 1.5 })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.RowsSent(1, int64(i), int64(i), DirPush, 5, 1e4, 0.3, true)
+		p.RowsSent(1, int64(i), DirPush, 5, 1e4, 0.3, true)
 	}
 }
 

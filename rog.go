@@ -243,17 +243,6 @@ func NewCritPath() *CritPath { return obs.NewCritPath() }
 // critical-path segments (what `rogtrace critpath` prints).
 func CritPathFromTrace(r io.Reader) (*CritReport, error) { return obs.CritPathFromReader(r) }
 
-// FlightRecorder is the bounded lock-free crash flight recorder: it
-// retains the last N events per worker and dumps the tail on crash-class
-// triggers. Set Config.Flight to enable it.
-type FlightRecorder = obs.FlightRecorder
-
-// NewFlightRecorder retains perSource events for each of sources workers
-// (plus a shared overflow ring); Dump writes JSONL to sink.
-func NewFlightRecorder(sources, perSource int, sink io.Writer) *FlightRecorder {
-	return obs.NewFlightRecorder(sources, perSource, sink)
-}
-
 // TeeTracers fans one event stream out to several tracers (nil entries
 // are dropped; nil is returned when none remain).
 func TeeTracers(tracers ...Tracer) Tracer { return obs.Tee(tracers...) }

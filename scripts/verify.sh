@@ -9,8 +9,9 @@
 # `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (four
 # differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
 # `make fuzz` runs it alone), a trace smoke (a tiny
-# traced simnet run piped through rogtrace — the observability pipeline
-# must stay usable end to end, not just unit-green), a critical-path
+# traced simnet run, and a FLOWN run whose plans skip, piped through
+# rogtrace — the observability pipeline must stay usable end to end, not just
+# unit-green), a critical-path
 # smoke (the same traced run through rogtrace critpath, which exits
 # non-zero unless ≥99% of every worker's wall time decomposes and the
 # gate stalls attribute), a crash-recovery
@@ -38,8 +39,8 @@
 # and a CHANGES.md line, or not at all); `verify.sh bench-drift` (= `make
 # bench-drift`) runs it alone.
 # The bench-build stage right after build vets, builds and tests the nested
-# bench/ module, which root `go build ./...` and `go test ./...` do not see.
-# Each stage reports its wall time.
+# bench/ module, which root `go build ./...` and `go test ./...` do not see;
+# `verify.sh bench-build` runs it alone. Each stage reports its wall time.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,8 +64,8 @@ check_fmt() {
 }
 
 run_race() {
-	# engine.Peer's gate edge and push seq cross the Server.mu boundary; three
-	# runs, since one schedule proves little.
+	# engine.Peer's gate edge and the sharded merges cross the Server.mu
+	# boundary; three runs, since one schedule proves little.
 	go test -race -count=3 ./internal/engine/... ./internal/livenet/...
 	go test -race ./internal/rowsync/... ./internal/core/... ./internal/transport/... \
 		./internal/lossnet/... ./internal/durable/... ./internal/obs/... \
@@ -216,7 +217,10 @@ run_trace_smoke() {
 	tmp=$(mktemp -d)
 	go run ./cmd/rogtrain -paradigm crimp -strategy rog -threshold 4 \
 		-minutes 2 -trace "$tmp/run.jsonl" >/dev/null
-	out=$(go run ./cmd/rogtrace "$tmp/run.jsonl") || {
+	# FLOWN skips plans (cause="skip"), which no gauntlet cell runs: its
+	# trace must pass the same pairing rules, one plan per (worker, iter).
+	go run ./cmd/rogtrain -strategy flown -minutes 2 -trace "$tmp/flown.jsonl" >/dev/null
+	out=$(go run ./cmd/rogtrace "$tmp/run.jsonl") && go run ./cmd/rogtrace "$tmp/flown.jsonl" >/dev/null || {
 		rm -rf "$tmp"
 		echo "trace smoke: rogtrace failed on a fresh trace" >&2
 		return 1
@@ -295,6 +299,10 @@ race)
 	;;
 bench-drift)
 	stage bench-drift run_bench_drift
+	exit
+	;;
+bench-build)
+	stage bench-build run_bench_build
 	exit
 	;;
 fuzz)
