@@ -73,3 +73,22 @@ func BenchmarkGridMapForwardBackward(b *testing.B) {
 		m.Backward(d)
 	}
 }
+
+// BenchmarkEvaluateReplica is one replica of the CRUDA checkpoint
+// validation: the forward-only pass of the 32→64→64→100 classifier over 2000
+// samples, then Accuracy.
+func BenchmarkEvaluateReplica(b *testing.B) {
+	r := tensor.NewRNG(4)
+	m := NewClassifierMLP(32, []int{64, 64}, 100, r)
+	x := tensor.New(2000, 32)
+	x.FillNormal(r, 1)
+	y := make([]int, x.Rows)
+	for i := range y {
+		y[i] = i % 100
+	}
+	var inf Inference
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Accuracy(inf.Forward(m, x), y)
+	}
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"rog/internal/tensor"
@@ -20,6 +21,22 @@ func TestInferenceMatchesForward(t *testing.T) {
 		"implicit": {NewImplicitMapMLP(6, []int{64, 64}, 1, r), 2},
 		"gridmap":  {NewGridMap(24, 8, []int{16}, 1, r), 2},
 	}
+	// A -0 bias on a unit whose weights are all zero, and a NaN weight row,
+	// whose NaNs the fused rectifier must pass on as ReLU.Forward does.
+	odd := NewClassifierMLP(8, []int{16, 16}, 4, r)
+	first, second := odd.Layers[0].(*Linear), odd.Layers[2].(*Linear)
+	for k := 0; k < first.W.Rows; k++ {
+		first.W.Set(k, 3, 0)
+	}
+	first.B.Data[3] = float32(math.Copysign(0, -1))
+	second.B.Data[5] = float32(math.Copysign(0, -1))
+	for j := range first.W.Row(2) {
+		first.W.Row(2)[j] = float32(math.NaN())
+	}
+	models["odd"] = struct {
+		m  *Sequential
+		in int
+	}{odd, 8}
 	var inf Inference
 	for _, batch := range []int{24, 1, 200, 7} {
 		for name, c := range models {
@@ -27,7 +44,7 @@ func TestInferenceMatchesForward(t *testing.T) {
 			x.FillUniform(r, -1, 1)
 			keep := x.Clone()
 			got := inf.Forward(c.m, x)
-			if want := c.m.Forward(x); !got.Equal(want) {
+			if want := c.m.Forward(x); !sameBits(got, want) {
 				t.Fatalf("%s batch %d: forward-only output differs from Forward", name, batch)
 			}
 			if !x.Equal(keep) {
@@ -35,6 +52,21 @@ func TestInferenceMatchesForward(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameBits is Equal on the bit patterns, so it tells -0 from +0, except that
+// any two NaNs match (Equal calls no two NaNs equal).
+func sameBits(a, b *tensor.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		w := b.Data[i]
+		if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestInferenceCopiesBeforeRectifying: a model that opens with a ReLU must

@@ -69,23 +69,18 @@ func sized(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// affineInto computes dst = x·W + b: the one body the training pass and the
-// forward-only pass (Inference) share, so the two cannot round differently.
-func (l *Linear) affineInto(dst, x *tensor.Matrix) {
-	tensor.MulInto(dst, x, l.W)
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j, b := range l.B.Data {
-			row[j] += b
-		}
-	}
+// affineInto computes dst = x·W + b, rectified as ReLU.Forward rectifies when
+// relu is set: the one body the training pass and the forward-only pass
+// (Inference) share, so the two cannot round differently.
+func (l *Linear) affineInto(dst, x *tensor.Matrix, relu bool) {
+	tensor.AffineInto(dst, x, l.W, l.B.Data, relu)
 }
 
 // Forward computes x·W + b for a batch.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
 	out := tensor.New(x.Rows, l.W.Cols)
-	l.affineInto(out, x)
+	l.affineInto(out, x, false)
 	return out
 }
 

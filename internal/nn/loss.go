@@ -65,21 +65,17 @@ func MSE(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
 	return loss / (2 * n), grad
 }
 
-// Argmax returns the index of the largest value in each row of m.
-func Argmax(m *tensor.Matrix) []int {
-	out := make([]int, m.Rows)
-	for i := range out {
-		out[i] = argmaxRow(m.Row(i))
-	}
-	return out
-}
-
-// argmaxRow returns the index of the first largest value of row.
+// argmaxRow returns the index of the first largest value of row (0 for an
+// empty row; a NaN wins only at index 0). The maximum so far stays in a
+// register rather than being reloaded through its index.
 func argmaxRow(row []float32) int {
-	best := 0
+	if len(row) == 0 {
+		return 0
+	}
+	best, top := 0, row[0]
 	for j, v := range row {
-		if v > row[best] {
-			best = j
+		if v > top {
+			best, top = j, v
 		}
 	}
 	return best

@@ -171,8 +171,10 @@ func TestAccuracyAndArgmax(t *testing.T) {
 		9, 0, 0,
 		0, 0, 3,
 	})
-	if got := Argmax(logits); got[0] != 1 || got[1] != 0 || got[2] != 2 {
-		t.Fatalf("argmax=%v", got)
+	for i, want := range []int{1, 0, 2} {
+		if got := argmaxRow(logits.Row(i)); got != want {
+			t.Fatalf("argmax of row %d = %d, want %d", i, got, want)
+		}
 	}
 	acc := Accuracy(logits, []int{1, 0, 0})
 	if math.Abs(acc-2.0/3.0) > 1e-9 {
@@ -180,6 +182,43 @@ func TestAccuracyAndArgmax(t *testing.T) {
 	}
 	if Accuracy(tensor.New(0, 3), nil) != 0 {
 		t.Fatal("empty accuracy should be 0")
+	}
+}
+
+// refArgmaxRow is argmaxRow as it was written before it kept the maximum in a
+// register, kept verbatim as the reference.
+func refArgmaxRow(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
+}
+
+// TestArgmaxMatchesReference holds argmaxRow to the reference over lengths
+// 0–130 filled with ties, ±0, ±Inf and NaN at index 0 and elsewhere.
+func TestArgmaxMatchesReference(t *testing.T) {
+	r := tensor.NewRNG(8)
+	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	pool := []float32{0, negZero, 1, 1, -1, inf, -inf, nan, 2, 2}
+	for n := 0; n <= 130; n++ {
+		for trial := 0; trial < 20; trial++ {
+			row := make([]float32, n)
+			for j := range row {
+				row[j] = pool[r.Intn(len(pool))]
+				if trial%4 == 0 {
+					row[j] = float32(r.Intn(3)) // many ties
+				}
+			}
+			if n > 0 && trial%5 == 1 {
+				row[0] = nan
+			}
+			if got, want := argmaxRow(row), refArgmaxRow(row); got != want {
+				t.Fatalf("len %d %v: argmaxRow %d, reference %d", n, row, got, want)
+			}
+		}
 	}
 }
 

@@ -109,12 +109,14 @@ func (m *Matrix) AXPY(a float32, x *Matrix) {
 	}
 }
 
-// The three products run through addScaledRows, which accumulates eight
-// adjacent output columns in registers over the inner dimension. Every output
-// element still receives exactly the products the plain triple loop gave it,
-// in ascending k, from the same start, with the same zero-skip, each folded in
-// by a multiply and an add rounded separately: the results are bit-identical
-// to the plain loops, which tensor_test.go keeps as the reference.
+// The products and the affine map run through addScaledRows, which sums one
+// output row's products in registers, eight adjacent columns a register, and
+// stores it once. Every output element still receives exactly the products
+// the plain triple loop gave it, in ascending k, from the same +0, with the
+// same zero-skip, each folded in by a multiply and an add rounded separately,
+// then one rounded + b[j] and, for a rectified layer, max(v, 0): the results
+// are bit-identical to the plain loops, which tensor_test.go keeps as the
+// reference.
 
 // mustCover panics unless o.Data holds o's Rows×Cols elements: the one check
 // per product that lets the vector kernel read o's rows unchecked.
@@ -126,18 +128,30 @@ func (o *Matrix) mustCover(op string) {
 
 // MulInto computes dst = m × o. dst must be m.Rows×o.Cols and distinct from
 // both operands.
-func MulInto(dst, m, o *Matrix) {
+func MulInto(dst, m, o *Matrix) { affineInto("MulInto", dst, m, o, nil, false) }
+
+// AffineInto computes dst = m × o + bias and, when relu is set, replaces
+// every element v by max(v, 0) (NaN stays NaN, -0 becomes +0). bias is nil
+// for none or holds o.Cols values; dst must be m.Rows×o.Cols and distinct
+// from the operands.
+func AffineInto(dst, m, o *Matrix, bias []float32, relu bool) {
+	if bias != nil && len(bias) != o.Cols {
+		panic(fmt.Sprintf("tensor: AffineInto bias has %d values, want %d", len(bias), o.Cols))
+	}
+	affineInto("AffineInto", dst, m, o, bias, relu)
+}
+
+func affineInto(op string, dst, m, o *Matrix, bias []float32, relu bool) {
 	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("tensor: MulInto inner dim %d vs %d", m.Cols, o.Rows))
+		panic(fmt.Sprintf("tensor: %s inner dim %d vs %d", op, m.Cols, o.Rows))
 	}
 	if dst.Rows != m.Rows || dst.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: MulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Cols))
+		panic(fmt.Sprintf("tensor: %s dst %dx%d want %dx%d", op, dst.Rows, dst.Cols, m.Rows, o.Cols))
 	}
-	o.mustCover("MulInto")
-	dst.Zero()
+	o.mustCover(op)
 	var t terms
 	for i := 0; i < m.Rows; i++ {
-		t.addProducts(dst.Row(i), m.Data, i*m.Cols, 1, o)
+		t.addProducts(dst.Row(i), m.Data, i*m.Cols, 1, o, bias, relu)
 	}
 }
 
@@ -157,10 +171,9 @@ func MulTransAInto(dst, m, o *Matrix) {
 		panic(fmt.Sprintf("tensor: MulTransAInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Cols, o.Cols))
 	}
 	o.mustCover("MulTransAInto")
-	dst.Zero()
 	var t terms
 	for i := 0; i < m.Cols; i++ {
-		t.addProducts(dst.Row(i), m.Data, i, m.Cols, o)
+		t.addProducts(dst.Row(i), m.Data, i, m.Cols, o, nil, false)
 	}
 }
 
@@ -174,40 +187,78 @@ type terms struct {
 	val [kChunk]float32
 }
 
-// addProducts adds Σₖ s[base+k·stride] · (row k of o) to di, k ascending,
-// zero multipliers skipped. The skip is decided once per term, while the
-// terms are compacted into t, not once per term and column block; an inner
-// dimension above kChunk goes chunk by chunk, the sums passing through di
-// in between, which a float32 store and load leave unchanged.
-func (t *terms) addProducts(di, s []float32, base, stride int, o *Matrix) {
-	for k0 := 0; k0 < o.Rows; k0 += kChunk {
-		nz := 0
-		for k := k0; k < min(k0+kChunk, o.Rows); k++ {
-			mv := s[base+k*stride]
-			t.off[nz], t.val[nz] = k*o.Cols, mv
-			if mv != 0 { // only now is the store kept: no branch to mispredict
-				nz++
-			}
+// addProducts sets di to Σₖ s[base+k·stride] · (row k of o), k ascending,
+// zero multipliers skipped, then applies bias and relu as addScaledRows
+// does. The skip is decided once per term, while the terms are compacted
+// into t, not once per term and column block; an inner dimension above
+// kChunk goes chunk by chunk, the sums passing through di in between, which
+// a float32 store and load leave unchanged.
+func (t *terms) addProducts(di, s []float32, base, stride int, o *Matrix, bias []float32, relu bool) {
+	rows, cols := o.Rows, o.Cols
+	for k0 := 0; ; k0 += kChunk {
+		nz := t.compact(s, base+k0*stride, stride, k0*cols, cols, min(kChunk, rows-k0))
+		if k0+kChunk >= rows {
+			addScaledRows(di, o.Data, t.off[:nz], t.val[:nz], bias, k0 > 0, relu)
+			return
 		}
-		addScaledRows(di, o.Data, t.off[:nz], t.val[:nz])
+		addScaledRows(di, o.Data, t.off[:nz], t.val[:nz], nil, k0 > 0, false)
 	}
 }
 
-// addScaledRows adds val[t] times the len(di)-wide row of data at off[t] to
-// di, for t ascending; every such row must lie inside data (mustCover). Whole
-// 8-column blocks go to the vector body where the CPU has one.
-func addScaledRows(di, data []float32, off []int, val []float32) {
-	val = val[:len(off)]
-	if j := len(di) &^ 7; useAVX && j > 0 && len(off) > 0 {
-		addScaledRowsAVX(di[:j], data, off, val)
-		di, data = di[j:], data[j:]
+// compact stores the kn terms s[at], s[at+stride], … with their row offsets
+// off, off+cols, … into t, keeps the non-zero ones and returns how many it
+// kept. The assembly loop runs wherever the vector body does.
+func (t *terms) compact(s []float32, at, stride, off, cols, kn int) int {
+	if kn > 0 {
+		_ = s[at+(kn-1)*stride] // the one check: the assembly reads s unchecked
 	}
-	addScaledRowsGo(di, data, off, val)
+	if useAVX {
+		return compactAVX(&t.off, &t.val, s, at, stride, off, cols, kn)
+	}
+	return t.compactGo(s, at, stride, off, cols, kn)
+}
+
+// compactGo is compact in Go. Inlined into its caller it would keep nz on the
+// stack, a store and a reload on every term's dependency chain.
+//
+//go:noinline
+func (t *terms) compactGo(s []float32, at, stride, off, cols, kn int) int {
+	nz := uint(0)
+	for range kn {
+		mv := s[at]
+		t.off[nz%kChunk], t.val[nz%kChunk] = off, mv
+		if mv != 0 { // only now is the store kept: a CMOV, no branch to mispredict
+			nz++
+		}
+		at += stride
+		off += cols
+	}
+	return int(nz)
+}
+
+// addScaledRows sets di to the sum of val[t] times the len(di)-wide row of
+// data at off[t], for t ascending, from +0 (or, with acc, from di); every
+// such row must lie inside data (mustCover). Then bias, when non-empty, is
+// added (one rounded add per element) and, with relu, each v becomes
+// max(v, 0). The vector body runs it where the CPU has one.
+func addScaledRows(di, data []float32, off []int, val, bias []float32, acc, relu bool) {
+	val = val[:len(off)]
+	if len(bias) > 0 {
+		bias = bias[:len(di)]
+	}
+	if useAVX {
+		addScaledRowsAVX(di, data, off, val, bias, acc, relu)
+		return
+	}
+	addScaledRowsGo(di, data, off, val, bias, acc, relu)
 }
 
 // addScaledRowsGo is addScaledRows in Go, eight columns in eight locals.
-func addScaledRowsGo(di, data []float32, off []int, val []float32) {
+func addScaledRowsGo(di, data []float32, off []int, val, bias []float32, acc, relu bool) {
 	val = val[:len(off)]
+	if !acc {
+		clear(di)
+	}
 	j := 0
 	for ; j+8 <= len(di); j += 8 {
 		d := di[j : j+8 : j+8]
@@ -233,6 +284,17 @@ func addScaledRowsGo(di, data []float32, off []int, val []float32) {
 		}
 		di[j] = a
 	}
+	if len(bias) > 0 {
+		bias = bias[:len(di)]
+		for j := range di {
+			di[j] += bias[j]
+		}
+	}
+	if relu {
+		for j, v := range di {
+			di[j] = max(v, 0)
+		}
+	}
 }
 
 // MulTransBInto computes dst = m × oᵀ (o is used transposed). Panels of 32
@@ -248,13 +310,12 @@ func MulTransBInto(dst, m, o *Matrix) {
 		panic(fmt.Sprintf("tensor: MulTransBInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, o.Rows))
 	}
 	o.mustCover("MulTransBInto")
-	dst.Zero()
 	var off [kChunk]int
 	var panel [kChunk * panelRows]float32
 	n := m.Cols
 	for j0 := 0; j0 < o.Rows; j0 += panelRows {
 		w := min(panelRows, o.Rows-j0)
-		for k0 := 0; k0 < n; k0 += kChunk {
+		for k0 := 0; k0 == 0 || k0 < n; k0 += kChunk { // once even for n = 0: it sets dst
 			kn := min(kChunk, n-k0)
 			for c := range w {
 				for k, v := range o.Row(j0 + c)[k0 : k0+kn] {
@@ -265,7 +326,7 @@ func MulTransBInto(dst, m, o *Matrix) {
 				off[k] = k * w
 			}
 			for i := range m.Rows {
-				addScaledRows(dst.Row(i)[j0:j0+w], panel[:kn*w], off[:kn], m.Row(i)[k0:k0+kn])
+				addScaledRows(dst.Row(i)[j0:j0+w], panel[:kn*w], off[:kn], m.Row(i)[k0:k0+kn], nil, k0 > 0, false)
 			}
 		}
 	}

@@ -390,26 +390,78 @@ func awkward(m *Matrix, r *RNG, special bool) {
 	}
 }
 
-// products are the three product kernels with their reference loops.
+// refEpilogue is the affine map's tail as Linear and ReLU were written before
+// it moved into the kernel: one rounded + b[j], then max(v, 0).
+func refEpilogue(di, bias []float32, relu bool) {
+	for j, b := range bias {
+		di[j] += b
+	}
+	if relu {
+		for j, v := range di {
+			di[j] = max(v, 0)
+		}
+	}
+}
+
+func refAffineInto(relu bool) func(dst, m, o *Matrix, bias []float32) {
+	return func(dst, m, o *Matrix, bias []float32) {
+		refMulInto(dst, m, o)
+		for i := 0; i < dst.Rows; i++ {
+			refEpilogue(dst.Row(i), bias, relu)
+		}
+	}
+}
+
+func affine(relu bool) func(dst, m, o *Matrix, bias []float32) {
+	return func(dst, m, o *Matrix, bias []float32) { AffineInto(dst, m, o, bias, relu) }
+}
+
+// product drops the bias argument of a product that takes none.
+func product(f func(dst, m, o *Matrix)) func(dst, m, o *Matrix, bias []float32) {
+	return func(dst, m, o *Matrix, _ []float32) { f(dst, m, o) }
+}
+
+// products are the kernels with their reference loops; the name up to any
+// "(" is the one their panics carry.
 var products = []struct {
 	name      string
-	blocked   func(dst, m, o *Matrix)
-	reference func(dst, m, o *Matrix)
+	blocked   func(dst, m, o *Matrix, bias []float32)
+	reference func(dst, m, o *Matrix, bias []float32)
 	// shapes of m and o for an (outer, inner, width) product; dst is outer×width
 	shapes func(n, k, w int) (mr, mc, or, oc int)
 }{
-	{"MulInto", MulInto, refMulInto, func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
-	{"MulTransAInto", MulTransAInto, refMulTransAInto, func(n, k, w int) (int, int, int, int) { return k, n, k, w }},
-	{"MulTransBInto", MulTransBInto, refMulTransBInto, func(n, k, w int) (int, int, int, int) { return n, k, w, k }},
+	{"MulInto", product(MulInto), product(refMulInto), func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
+	{"AffineInto(bias)", affine(false), refAffineInto(false), func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
+	{"AffineInto(bias,relu)", affine(true), refAffineInto(true), func(n, k, w int) (int, int, int, int) { return n, k, k, w }},
+	{"MulTransAInto", product(MulTransAInto), product(refMulTransAInto), func(n, k, w int) (int, int, int, int) { return k, n, k, w }},
+	{"MulTransBInto", product(MulTransBInto), product(refMulTransBInto), func(n, k, w int) (int, int, int, int) { return n, k, w, k }},
+}
+
+// awkwardBias returns w biases: normal draws, with ±0, ±Inf and NaN among
+// them when w allows.
+func awkwardBias(r *RNG, w int) []float32 {
+	b := make([]float32, w)
+	for j := range b {
+		b[j] = float32(r.Norm())
+	}
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	for j, v := range []float32{0, negZero, inf, -inf, float32(math.NaN())} {
+		if w > 0 {
+			b[(j*7+r.Intn(w))%w] = v
+		}
+	}
+	return b
 }
 
 // TestBlockedKernelsBitIdentical holds the blocked kernels to the reference
 // loops bit for bit, each case once with the vector body (where the CPU has
 // one) and once with it switched off, over inner
 // dimensions on both sides of the blocking width and of the k scratch
-// (kChunk), output widths on both sides of every 32-column, 8-column and
-// tail boundary, and inputs whose zeros, signed zeros, infinities and NaNs
-// make the order of additions and the zero-skip visible.
+// (kChunk), output widths on both sides of every 32-column and 8-column
+// boundary (widths 1–7 and 100 end in a masked block), and inputs and
+// biases whose zeros, signed zeros, infinities and NaNs make the order of
+// additions, the zero-skip and the rectifier's NaN rule visible (a sum from
+// +0 is never -0; FuzzAddScaledRowsMatchesGo rectifies one kept from di).
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	dims := []int{1, 7, 8, 9, 24, 64, 100, 2000}
 	if kChunk >= 2000 {
@@ -430,11 +482,12 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 						m, o := New(mr, mc), New(or, oc)
 						awkward(m, r, special)
 						awkward(o, r, special)
+						bias := awkwardBias(r, w)
 						got, want := New(n, w), New(n, w)
-						kn.reference(want, m, o)
+						kn.reference(want, m, o, bias)
 						for _, useAVX = range []bool{vec, false} {
 							got.Fill(42) // a kernel must not depend on what dst held
-							kn.blocked(got, m, o)
+							kn.blocked(got, m, o, bias)
 							if at, ok := sameBits(got, want); !ok {
 								t.Fatalf("%s avx=%v n=%d k=%d w=%d special=%v: element %d is %v (%#x), reference %v (%#x)",
 									kn.name, useAVX, n, k, w, special, at, got.Data[at], math.Float32bits(got.Data[at]),
@@ -467,45 +520,94 @@ func drawAwkward(r *RNG, mix int) float32 {
 	}
 }
 
-// FuzzAddScaledRowsMatchesGo holds addScaledRows — the vector body on every
-// whole 8-column block where the CPU has one — to addScaledRowsGo bit for
-// bit, over random widths, row offsets and term counts 0–300, with values
-// drawn from normals, ±0, subnormals, ±Inf and NaN (NaN payloads exempt, as
-// in sameBits).
+// FuzzAddScaledRowsMatchesGo holds addScaledRows — the vector body where the
+// CPU has one — to addScaledRowsGo bit for bit, over random widths, row
+// offsets and term counts 0–300, from +0 or from di, with and without a bias
+// and the rectifier, with values drawn from normals, ±0, subnormals, ±Inf and
+// NaN (NaN payloads exempt, as in sameBits).
 func FuzzAddScaledRowsMatchesGo(f *testing.F) {
 	f.Add(uint64(1), uint8(32), uint16(64), uint8(0))
 	f.Add(uint64(2), uint8(100), uint16(300), uint8(8))
 	f.Add(uint64(3), uint8(7), uint16(0), uint8(255))
 	f.Add(uint64(4), uint8(33), uint16(9), uint8(64))
 	f.Add(uint64(5), uint8(64), uint16(256), uint8(2))
+	f.Add(uint64(11), uint8(40), uint16(0), uint8(255)) // rectifies a -0 kept from di
 	f.Fuzz(func(t *testing.T, seed uint64, width uint8, terms uint16, mix uint8) {
 		r := NewRNG(seed)
 		w, nt := int(width)%129, int(terms)%301
-		data := make([]float32, w+1+r.Intn(256))
-		for i := range data {
-			data[i] = drawAwkward(r, int(mix))
+		draw := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = drawAwkward(r, int(mix))
+			}
+			return v
 		}
-		off, val := make([]int, nt), make([]float32, nt)
+		data := draw(w + 1 + r.Intn(256))
+		off, val := make([]int, nt), draw(nt)
 		for i := range off {
 			off[i] = r.Intn(len(data) - w + 1)
-			val[i] = drawAwkward(r, int(mix))
 		}
-		got := make([]float32, w)
-		for i := range got {
-			got[i] = drawAwkward(r, int(mix))
-		}
+		got, bias, acc, relu := draw(w), draw(w*r.Intn(2)), r.Intn(2) == 1, r.Intn(2) == 1
 		want := append([]float32(nil), got...)
-		addScaledRows(got, data, off, val)
-		addScaledRowsGo(want, data, off, val)
+		addScaledRows(got, data, off, val, bias, acc, relu)
+		addScaledRowsGo(want, data, off, val, bias, acc, relu)
 		if at, ok := sameBits(NewFrom(1, w, got), NewFrom(1, w, want)); !ok {
-			t.Fatalf("w=%d terms=%d: column %d is %v (%#x), Go body %v (%#x)", w, nt, at,
-				got[at], math.Float32bits(got[at]), want[at], math.Float32bits(want[at]))
+			t.Fatalf("w=%d terms=%d acc=%v relu=%v bias=%v: column %d is %v (%#x), Go body %v (%#x)", w, nt, acc, relu, len(bias) > 0,
+				at, got[at], math.Float32bits(got[at]), want[at], math.Float32bits(want[at]))
+		}
+	})
+}
+
+// FuzzRowPassMatchesReference holds one output row of the affine map — the
+// compaction of a strided multiplier row, the vector body, the bias and the
+// rectifier — to the reference: refMulInto's loop on that row, then
+// refEpilogue. Widths 0–128, inner dimensions 0–300 (past kChunk, so the sums
+// pass through the row), strides 1–8, a zero density of zeros/256 among the
+// multipliers, values from drawAwkward.
+func FuzzRowPassMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(100), uint16(64), uint8(0), uint8(128), uint8(0), true)
+	f.Add(uint64(2), uint8(64), uint16(300), uint8(63), uint8(0), uint8(16), false)
+	f.Add(uint64(3), uint8(5), uint16(0), uint8(2), uint8(255), uint8(255), true)
+	f.Add(uint64(4), uint8(0), uint16(17), uint8(7), uint8(64), uint8(32), true)
+	f.Fuzz(func(t *testing.T, seed uint64, width uint8, inner uint16, stride, zeros, mix uint8, relu bool) {
+		r := NewRNG(seed)
+		w, k, st := int(width)%129, int(inner)%301, 1+int(stride)%8
+		o := New(k, w)
+		for i := range o.Data {
+			o.Data[i] = drawAwkward(r, int(mix))
+		}
+		base := r.Intn(8)
+		s := make([]float32, base+k*st)
+		for i := range s {
+			if s[i] = drawAwkward(r, int(mix)); r.Intn(256) < int(zeros) {
+				s[i] = 0
+			}
+		}
+		var bias []float32
+		for range w * r.Intn(2) {
+			bias = append(bias, drawAwkward(r, int(mix)))
+		}
+		got, want := New(1, w), New(1, w)
+		got.Fill(42)
+		var tm terms
+		tm.addProducts(got.Data, s, base, st, o, bias, relu)
+		for kk := range k {
+			if mv := s[base+kk*st]; mv != 0 {
+				for j, ov := range o.Row(kk) {
+					want.Data[j] += mv * ov
+				}
+			}
+		}
+		refEpilogue(want.Data, bias, relu)
+		if at, ok := sameBits(got, want); !ok {
+			t.Fatalf("w=%d k=%d stride=%d relu=%v bias=%v: column %d is %v (%#x), reference %v (%#x)", w, k, st, relu,
+				bias != nil, at, got.Data[at], math.Float32bits(got.Data[at]), want.Data[at], math.Float32bits(want.Data[at]))
 		}
 	})
 }
 
 // TestKernelsDoNotAllocate: the products' scratch — terms, and
-// MulTransBInto's packed panel — lives on the stack.
+// MulTransBInto's packed panel — lives on the stack, the affine form's too.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := NewRNG(3)
 	for _, s := range []struct{ n, k, w int }{{24, 64, 64}, {2000, 64, 100}, {8, 2000, 16}} {
@@ -514,7 +616,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			m, o, dst := New(mr, mc), New(or, oc), New(s.n, s.w)
 			m.FillNormal(r, 1)
 			o.FillNormal(r, 1)
-			if a := testing.AllocsPerRun(3, func() { kn.blocked(dst, m, o) }); a != 0 {
+			bias := make([]float32, s.w)
+			if a := testing.AllocsPerRun(3, func() { kn.blocked(dst, m, o, bias) }); a != 0 {
 				t.Errorf("%s %dx%dx%d allocates %v times a call", kn.name, s.n, s.k, s.w, a)
 			}
 		}
@@ -524,7 +627,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 // TestProductsPanicBeforeReading: a product whose o.Data is shorter than
 // o.Rows×o.Cols panics, on both paths, with its own message before any
 // arithmetic — the vector body would read one element past the slice without
-// faulting — and a dst of the wrong shape still panics.
+// faulting — and a dst of the wrong shape, or a bias of the wrong length,
+// still panics.
 func TestProductsPanicBeforeReading(t *testing.T) {
 	message := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -539,12 +643,18 @@ func TestProductsPanicBeforeReading(t *testing.T) {
 			m, o := New(mr, mc), New(or, oc)
 			m.Fill(1)
 			o.Fill(1)
+			bias := make([]float32, 32)
 			short := &Matrix{Rows: or, Cols: oc, Data: o.Data[:len(o.Data)-1]}
-			for what, f := range map[string]func(){
-				"short o":     func() { kn.blocked(New(2, 32), m, short) },
-				"dst too big": func() { kn.blocked(New(3, 32), m, o) },
-			} {
-				if msg := message(f); !strings.Contains(msg, kn.name) {
+			cases := map[string]func(){
+				"short o":     func() { kn.blocked(New(2, 32), m, short, bias) },
+				"dst too big": func() { kn.blocked(New(3, 32), m, o, bias) },
+			}
+			op, _, _ := strings.Cut(kn.name, "(")
+			if op == "AffineInto" {
+				cases["short bias"] = func() { kn.blocked(New(2, 32), m, o, bias[:31]) }
+			}
+			for what, f := range cases {
+				if msg := message(f); !strings.Contains(msg, op) {
 					t.Errorf("%s avx=%v, %s: panic %q, want one naming the product", kn.name, useAVX, what, msg)
 				}
 			}
@@ -592,6 +702,41 @@ func BenchmarkKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", s.name, kn.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					kn.f(dst, m, o)
+				}
+			})
+		}
+	}
+	// The three layers of one CRUDA Evaluate replica (32→64→64→100 on 2000
+	// samples): the first takes the dense eval batch, the others rectified
+	// activations.
+	for _, s := range []struct {
+		name         string
+		n, k, w      int
+		sparse, relu bool
+	}{
+		{"affine2000x32x64relu", 2000, 32, 64, false, true},
+		{"affine2000x64x64relu", 2000, 64, 64, true, true},
+		{"affine2000x64x100", 2000, 64, 100, true, false},
+	} {
+		m, o, dst := New(s.n, s.k), New(s.k, s.w), New(s.n, s.w)
+		m.FillNormal(r, 1)
+		o.FillNormal(r, 1)
+		if s.sparse {
+			for i, v := range m.Data {
+				m.Data[i] = max(v, 0)
+			}
+		}
+		bias := make([]float32, s.w)
+		for j := range bias {
+			bias[j] = float32(r.Norm())
+		}
+		for _, kn := range []struct {
+			name string
+			f    func(dst, m, o *Matrix, bias []float32)
+		}{{"Affine", affine(s.relu)}, {"refAffine", refAffineInto(s.relu)}} {
+			b.Run(s.name+"/"+kn.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kn.f(dst, m, o, bias)
 				}
 			})
 		}
