@@ -57,8 +57,10 @@ type State struct {
 
 	// Acc[w] is worker w's averaged-gradient copy ḡ^s; detached workers'
 	// copies keep accumulating the backlog their rejoin resync replays.
-	// Unit data (and the dirty flags) are guarded by stateShard.mu — the
-	// unit's owning shard; the slice itself is set once at construction.
+	// rowsync.NewGradStores lays the W copies out unit-major, so a merge
+	// adds its row into all of them in one rowsync.AddUnitAll pass. Unit data (and
+	// the dirty flags) are guarded by stateShard.mu — the unit's owning
+	// shard; the slice itself is set once at construction.
 	Acc      []*rowsync.GradStore
 	Versions *rowsync.VersionStore
 	// RowIter[u] is the latest iteration (any worker) whose gradients
@@ -73,6 +75,9 @@ type State struct {
 	// observers is the chain every applied transition is handed to (see
 	// Observe); appended to before the state is shared, read-only after.
 	observers []func(Transition)
+	// zero is MaxUnitLen zeros, never written: the row a combined merge's
+	// further live stamps are observed with.
+	zero []float32
 
 	// Probe, when set, receives structured trace events and feeds the
 	// runtime counters (merges with staleness lag, gate checks, MTA budget
@@ -95,8 +100,9 @@ type stateShard struct {
 	lo, hi int // unit range [lo, hi)
 
 	mu      sync.Mutex
-	dups    int64 // guarded by mu; duplicate pushes dropped in this range
-	maxLead int64 // guarded by mu; largest stamped lead over Min() observed
+	dups    int64                    // guarded by mu; duplicate pushes dropped in this range
+	maxLead int64                    // guarded by mu; largest stamped lead over Min() observed
+	tile    [rowsync.FanTile]float32 // guarded by mu; AddUnitAll's scratch for this range's rows
 }
 
 // NewStateSharded builds the server state for one run, split into shards
@@ -114,9 +120,8 @@ func NewStateSharded(policy Policy, part *rowsync.Partition, workers int, initia
 		Versions: rowsync.NewVersionStoreSharded(workers, part.NumUnits(), sm),
 		RowIter:  make([]int64, part.NumUnits()),
 		Tracker:  atp.NewTimeTracker(workers, initialBudget),
-	}
-	for i := 0; i < workers; i++ {
-		s.Acc = append(s.Acc, rowsync.NewGradStoreSharded(part, sm))
+		Acc:      rowsync.NewGradStores(part, sm, workers),
+		zero:     make([]float32, part.MaxUnitLen()),
 	}
 	for i := 0; i < sm.NumShards(); i++ {
 		lo, hi := sm.Range(i)
@@ -239,13 +244,12 @@ func (s *State) MergeCombined(unit int, vals []float32, stamps []Stamp) bool {
 // replay lands the mass once too. Stamps that advance nothing are
 // duplicates. The caller holds the lock of the shard owning unit.
 func (s *State) mergeUnitLocked(sh *stateShard, unit int, vals []float32, stamps ...Stamp) (first Stamp, live bool) {
-	var zero []float32
 	for _, st := range stamps {
 		if st.Iter <= s.Versions.Get(st.Worker, unit) {
 			sh.dups++
 			continue
 		}
-		row, scale := zero, float32(0)
+		row, scale := vals, float32(0)
 		if !live {
 			first, live = st, true
 			// Average over the attached team; the shard lock pins membership
@@ -254,13 +258,10 @@ func (s *State) mergeUnitLocked(sh *stateShard, unit int, vals []float32, stamps
 			if active == 0 {
 				active = s.workers
 			}
-			row, scale = vals, 1/float32(active)
-			for w := range s.Acc {
-				s.Acc[w].AddUnit(unit, vals, scale)
-			}
-		} else if zero == nil && len(s.observers) > 0 {
-			zero = make([]float32, len(vals))
-			row = zero
+			scale = 1 / float32(active)
+			rowsync.AddUnitAll(s.Acc, unit, vals, scale, &sh.tile)
+		} else {
+			row = s.zero[:len(vals)]
 		}
 		s.stampLocked(sh, unit, st)
 		s.emit(KindMerge, st.Worker, unit, st.Iter, float64(scale), row)

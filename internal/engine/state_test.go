@@ -166,6 +166,78 @@ func TestMergeWithoutProbeDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestMergeCombinedDoesNotAllocate: a combined row's second live stamp is
+// observed as a merge of a zero row, and that row is the State's own, not one
+// allocated per merge.
+func TestMergeCombinedDoesNotAllocate(t *testing.T) {
+	s, part := testState(t, 3)
+	var zeros, rows int
+	s.Observe(func(tr Transition) {
+		if tr.Kind == KindMerge && tr.Aux == 0 {
+			zeros++
+			if len(tr.Vals) != part.Unit(0).Len || slices.ContainsFunc(tr.Vals, func(v float32) bool { return v != 0 }) {
+				t.Errorf("second stamp observed with %v, want %d zeros", tr.Vals, part.Unit(0).Len)
+			}
+		}
+		rows++
+	})
+	vals := make([]float32, part.Unit(0).Len)
+	for i := range vals {
+		vals[i] = 1
+	}
+	stamps := []Stamp{{Worker: 0}, {Worker: 1}}
+	allocs := testing.AllocsPerRun(200, func() {
+		stamps[0].Iter++
+		stamps[1].Iter++
+		s.MergeCombined(0, vals, stamps)
+	})
+	if allocs != 0 {
+		t.Fatalf("MergeCombined with two live stamps and an observer allocated %.1f times per run, want 0", allocs)
+	}
+	if zeros == 0 || rows != 2*zeros {
+		t.Fatalf("observed %d merges, %d of them zero rows; want every second stamp a zero row", rows, zeros)
+	}
+}
+
+// BenchmarkMergeFanout times a whole-model push into the server state —
+// every row added into all W per-worker copies — per row, for the fleet
+// experiment's 6-8-4 model at W = 64 and 256 and CRUDA's 32-64-64-100 at
+// W = 4.
+func BenchmarkMergeFanout(b *testing.B) {
+	for _, c := range []struct {
+		name             string
+		in, out, workers int
+		hidden           []int
+	}{
+		{"fleet/W64", 6, 4, 64, []int{8}},
+		{"fleet/W256", 6, 4, 256, []int{8}},
+		{"cruda/W4", 32, 100, 4, []int{64, 64}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := tensor.NewRNG(1)
+			part := rowsync.NewPartition(nn.NewClassifierMLP(c.in, c.hidden, c.out, r).Params(), rowsync.Rows)
+			pol, err := New("ssp", Params{Workers: c.workers, Threshold: 4, NumUnits: part.NumUnits()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewStateSharded(pol, part, c.workers, 1.0, 1)
+			units, vals := make([]int, part.NumUnits()), make([][]float32, part.NumUnits())
+			for u := range units {
+				units[u], vals[u] = u, make([]float32, part.Unit(u).Len)
+				for i := range vals[u] {
+					vals[u][i] = float32(r.Norm())
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MergeBatch(0, units, vals, int64(i+1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(units)), "ns/row")
+		})
+	}
+}
+
 // TestObserversRunInRegistrationOrder: every transition reaches every
 // observer, first-registered first — what lets the durable store (Recover
 // registers before it hands the state out) log a transition before any

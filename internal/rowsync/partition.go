@@ -143,20 +143,32 @@ func (p *Partition) IndexOverhead() int {
 // the server keeps one per worker for averaged, not-yet-pulled gradients
 // (the per-worker copies of Fig. 5).
 //
-// A sharded store (NewGradStoreSharded) additionally flags which units may
+// The server's W stores come from one NewGradStores call and are laid out
+// unit-major: unit u's W copies lie side by side in one span, worker w's at
+// [w·len(u), (w+1)·len(u)), and each store's unit is a capped view into it,
+// so AddUnitAll — a merge adding its row into every copy — is one long
+// y += a·x instead of W short ones. These stores also flag which units may
 // hold unconsumed mass, so Backlog — the rejoin resync listing — runs the
-// mean-abs scan over the flagged units only. The flags are one bool per
-// unit: a merge fans every row out to all W per-worker stores, so the mark
-// is on the per-row path W times over and must cost a store, not a hash.
-// A unit belongs to exactly one shard, so writers under different shard
-// locks write different bytes of the one slice and need nothing else
-// between them (the -race stage runs TestGradStoreShardWritersShareFlags
-// on exactly that). Worker-local stores skip the tracking: they Accumulate
-// over the whole model every iteration, so every flag would always be set.
+// mean-abs scan over the flagged units only. The flags are unit-major too,
+// (unit u, worker w) at u·W + w, so a fan-out marks W adjacent bytes with one
+// copy. A unit belongs to exactly one shard, so writers under different
+// shard locks write different floats and bytes and need nothing else between
+// them (the -race stage runs TestGradStoreShardWritersShareFlags on exactly
+// that). Worker-local stores (NewGradStore) skip the tracking: they
+// Accumulate over the whole model every iteration, so every flag would
+// always be set.
 type GradStore struct {
-	part  *Partition
-	data  [][]float32
-	dirty []bool // per unit: possibly nonzero mass (nil = untracked)
+	part *Partition
+	data [][]float32
+	slab *slab // shared by the stores of one NewGradStores call; nil = untracked
+	w    int   // this store's worker within slab
+}
+
+// slab is what the stores of one NewGradStores call share.
+type slab struct {
+	spans [][]float32 // per unit: its W copies
+	dirty []bool      // per (unit u, worker w) at u·W + w: possibly nonzero mass
+	set   []bool      // W trues, copied over a unit's flags by a fan-out
 }
 
 // NewGradStore allocates a zeroed store for the partition with no dirty
@@ -169,16 +181,64 @@ func NewGradStore(p *Partition) *GradStore {
 	return g
 }
 
-// NewGradStoreSharded allocates a zeroed store with dirty-unit tracking for
-// use under sm's shard locks: unit u's data and flag are guarded by
-// whatever lock the caller uses for u's shard.
-func NewGradStoreSharded(p *Partition, sm *ShardMap) *GradStore {
-	g := NewGradStore(p)
+// NewGradStores allocates workers zeroed stores, unit-major and with
+// dirty-unit tracking, for use under sm's shard locks: unit u's data and
+// flags, in every store, are guarded by whatever lock the caller uses for
+// u's shard.
+func NewGradStores(p *Partition, sm *ShardMap, workers int) []*GradStore {
 	if sm.NumUnits() != p.NumUnits() {
 		panic(fmt.Sprintf("rowsync: shard map covers %d units, partition has %d", sm.NumUnits(), p.NumUnits()))
 	}
-	g.dirty = make([]bool, p.NumUnits())
-	return g
+	sl := &slab{spans: make([][]float32, p.NumUnits()), dirty: make([]bool, p.NumUnits()*workers), set: make([]bool, workers)}
+	stores := make([]*GradStore, workers)
+	for w := range stores {
+		sl.set[w] = true
+		stores[w] = &GradStore{part: p, data: make([][]float32, p.NumUnits()), slab: sl, w: w}
+	}
+	for u, un := range p.units {
+		sl.spans[u] = make([]float32, workers*un.Len)
+		for w, g := range stores {
+			g.data[u] = sl.spans[u][w*un.Len : (w+1)*un.Len : (w+1)*un.Len]
+		}
+	}
+	return stores
+}
+
+// FanTile is the length of the scratch a fan-out tiles a narrow row into.
+const FanTile = 256
+
+// AddUnitAll adds vals, scaled by scale, into unit u of every store in
+// stores — one NewGradStores result, whole — element for element what
+// AddUnit on each of them gives. A row narrower than the vector body's
+// 32-column pass is first repeated across tile, the caller's scratch, and
+// u's span is walked against that; a wider row goes copy by copy against
+// itself. The caller holds u's shard lock, which guards tile too.
+func AddUnitAll(stores []*GradStore, u int, vals []float32, scale float32, tile *[FanTile]float32) {
+	sl, n := stores[0].slab, len(vals)
+	if sl == nil || len(stores) != len(sl.set) || n*len(stores) != len(sl.spans[u]) {
+		panic(fmt.Sprintf("rowsync: AddUnitAll of a %d-wide row into unit %d of %d stores: a different width, or not one NewGradStores result", n, u, len(stores)))
+	}
+	span, src := sl.spans[u], vals
+	if n > 0 && n < 32 {
+		src = tile[:min(len(span), FanTile/n*n)]
+		copy(src, vals)
+		for have := n; have < len(src); have *= 2 {
+			copy(src[have:], src[:have])
+		}
+	}
+	for at := 0; at < len(span); at += len(src) {
+		chunk := span[at:min(at+len(src), len(span))]
+		tensor.AXPY(chunk, src[:len(chunk)], scale)
+	}
+	copy(sl.dirty[u*len(sl.set):], sl.set)
+}
+
+// setDirty records whether unit u may hold mass; an untracked store keeps
+// no flags.
+func (g *GradStore) setDirty(u int, dirty bool) {
+	if g.slab != nil {
+		g.slab.dirty[u*len(g.slab.set)+g.w] = dirty
+	}
 }
 
 // Accumulate adds a gradient snapshot (matrices matching the partition's
@@ -191,9 +251,7 @@ func (g *GradStore) Accumulate(grads []*tensor.Matrix) {
 		for i, v := range src {
 			dst[i] += v
 		}
-		if g.dirty != nil {
-			g.dirty[u] = true
-		}
+		g.setDirty(u, true)
 	}
 }
 
@@ -203,12 +261,8 @@ func (g *GradStore) AddUnit(u int, vals []float32, scale float32) {
 	if len(vals) != len(dst) {
 		panic(fmt.Sprintf("rowsync: AddUnit %d width %d != %d", u, len(vals), len(dst)))
 	}
-	for i, v := range vals {
-		dst[i] += v * scale
-	}
-	if g.dirty != nil {
-		g.dirty[u] = true
-	}
+	tensor.AXPY(dst, vals, scale)
+	g.setDirty(u, true)
 }
 
 // Unit returns the accumulated gradient of unit u (a live view).
@@ -217,28 +271,26 @@ func (g *GradStore) Unit(u int) []float32 { return g.data[u] }
 // ZeroUnit clears unit u (after it has been transmitted, Algo. 1 line 10).
 func (g *GradStore) ZeroUnit(u int) {
 	clear(g.data[u])
-	if g.dirty != nil {
-		g.dirty[u] = false
-	}
+	g.setDirty(u, false)
 }
 
 // Backlog returns the units with nonzero accumulated mass, ascending. On a
-// sharded store it runs the mean-abs scan over the flagged units only
+// tracked store it runs the mean-abs scan over the flagged units only
 // (unflagging those whose mass cancelled back to zero); an untracked store
-// scans every unit. The caller must hold every shard lock of a sharded
+// scans every unit. The caller must hold every shard lock of a tracked
 // store.
 func (g *GradStore) Backlog() []int {
 	var units []int
 	for u := range g.data {
-		if g.dirty != nil && !g.dirty[u] {
+		if g.slab != nil && !g.slab.dirty[u*len(g.slab.set)+g.w] {
 			continue
 		}
 		if g.MeanAbs(u) != 0 {
 			units = append(units, u)
-		} else if g.dirty != nil {
+		} else {
 			// Additions cancelled out exactly; the unit carries no mass a
 			// rejoin would need.
-			g.dirty[u] = false
+			g.setDirty(u, false)
 		}
 	}
 	return units

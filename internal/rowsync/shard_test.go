@@ -1,6 +1,7 @@
 package rowsync
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -157,7 +158,7 @@ func TestVersionStoreShardedMatchesUnsharded(t *testing.T) {
 func TestGradStoreShardedBacklogTracksDirtyUnits(t *testing.T) {
 	p := NewPartition(testModel(), Rows)
 	sm := NewShardMap(p.NumUnits(), 3)
-	g := NewGradStoreSharded(p, sm)
+	g := NewGradStores(p, sm, 1)[0]
 	ref := NewGradStore(p)
 
 	add := func(u int, v float32) {
@@ -207,7 +208,7 @@ func TestGradStoreBacklogMatchesFullScan(t *testing.T) {
 	p := NewPartition(testModel(), Rows)
 	r := tensor.NewRNG(77)
 	for _, shards := range []int{1, 3, p.NumUnits()} {
-		g := NewGradStoreSharded(p, NewShardMap(p.NumUnits(), shards))
+		g := NewGradStores(p, NewShardMap(p.NumUnits(), shards), 1)[0]
 		ref := NewGradStore(p)
 		for step := 0; step < 2000; step++ {
 			u := r.Intn(p.NumUnits())
@@ -245,59 +246,143 @@ func TestGradStoreBacklogMatchesFullScan(t *testing.T) {
 }
 
 // TestGradStoreShardWritersShareFlags exercises the sharing argument in the
-// GradStore comment under -race: one goroutine per shard hammers AddUnit
-// and ZeroUnit on its own unit range of one sharded store (no locks — each
-// stands for a writer holding its shard's lock). Different units are
-// different data rows and different flag bytes, so the detector must stay
-// quiet and every range must end exactly as a sequential replay leaves it.
+// GradStore comment under -race: one goroutine per shard hammers its own
+// unit range of one NewGradStores result (no locks — each stands for a writer
+// holding its shard's lock) with AddUnit and ZeroUnit on one store and, with
+// W > 1, fan-outs into all of them and per-worker ZeroUnit. Different units
+// are different floats and flag bytes, so the detector must stay
+// quiet and every store must end exactly as a sequential replay leaves it.
 func TestGradStoreShardWritersShareFlags(t *testing.T) {
 	p := NewPartition(testModel(), Rows)
 	sm := NewShardMap(p.NumUnits(), 4)
-	g := NewGradStoreSharded(p, sm)
-	var wg sync.WaitGroup
-	for s := 0; s < sm.NumShards(); s++ {
-		lo, hi := sm.Range(s)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	for _, workers := range []int{1, 4} {
+		// script applies one writer's rounds over [lo, hi) to stores.
+		script := func(stores []*GradStore, lo, hi int, tile *[FanTile]float32) {
 			for round := 0; round < 500; round++ {
 				for u := lo; u < hi; u++ {
 					vals := make([]float32, p.Unit(u).Len)
 					for i := range vals {
 						vals[i] = 1
 					}
-					g.AddUnit(u, vals, 1)
+					if workers == 1 {
+						stores[0].AddUnit(u, vals, 1)
+					} else {
+						AddUnitAll(stores, u, vals, 1, tile)
+					}
 					if (round+u)%3 == 0 {
-						g.ZeroUnit(u)
+						stores[(round+u)%workers].ZeroUnit(u)
 					}
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	// Round 499 is the last: a unit zeroed in it ends empty, the others
-	// carry what they gathered since their last zero.
-	var want []int
-	for u := 0; u < p.NumUnits(); u++ {
-		if (499+u)%3 != 0 {
-			want = append(want, u)
 		}
-	}
-	if got := g.Backlog(); !slices.Equal(got, want) {
-		t.Fatalf("backlog after concurrent shard writers = %v, want %v", got, want)
+		conc, serial := NewGradStores(p, sm, workers), NewGradStores(p, sm, workers)
+		var wg sync.WaitGroup
+		for s := 0; s < sm.NumShards(); s++ {
+			lo, hi := sm.Range(s)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				script(conc, lo, hi, new([FanTile]float32))
+			}()
+		}
+		wg.Wait()
+		script(serial, 0, p.NumUnits(), new([FanTile]float32))
+		for w := range conc {
+			if got, want := conc[w].Backlog(), serial[w].Backlog(); !slices.Equal(got, want) || len(want) == 0 {
+				t.Fatalf("W=%d: worker %d backlog after concurrent shard writers = %v, sequential replay %v", workers, w, got, want)
+			}
+			for u := 0; u < p.NumUnits(); u++ {
+				if !slices.Equal(conc[w].Unit(u), serial[w].Unit(u)) {
+					t.Fatalf("W=%d: worker %d unit %d = %v, sequential replay %v", workers, w, u, conc[w].Unit(u), serial[w].Unit(u))
+				}
+			}
+		}
 	}
 }
 
 // TestGradStoreAddUnitAllocatesNothing guards the merge fan-out: marking a
-// unit dirty on a sharded store is a store into a flag, not a map insert.
+// unit dirty on a tracked store is a store into a flag, not a map insert,
+// and a fan-out tiles narrow rows in the caller's scratch.
 func TestGradStoreAddUnitAllocatesNothing(t *testing.T) {
 	p := NewPartition(testModel(), Rows)
-	g := NewGradStoreSharded(p, NewShardMap(p.NumUnits(), 3))
+	stores := NewGradStores(p, NewShardMap(p.NumUnits(), 3), 64)
+	g := stores[5]
 	vals := make([]float32, p.Unit(1).Len)
+	wide := make([]float32, 40)
+	wideStores := NewGradStores(NewPartition([]*tensor.Matrix{tensor.New(2, 40)}, Rows), NewShardMap(2, 1), 64)
+	var tile [FanTile]float32
 	if n := testing.AllocsPerRun(100, func() {
 		g.AddUnit(1, vals, 0.5)
 		g.ZeroUnit(1)
+		AddUnitAll(stores, 1, vals, 0.5, &tile)
+		AddUnitAll(wideStores, 1, wide, 0.5, &tile)
 	}); n != 0 {
-		t.Fatalf("AddUnit+ZeroUnit on a sharded store: %v allocs, want 0", n)
+		t.Fatalf("AddUnit+ZeroUnit+AddUnitAll on tracked stores: %v allocs, want 0", n)
 	}
+}
+
+// FuzzFanOutMatchesAddUnit holds AddUnitAll to the scalar loop AddUnit once
+// was, run on every worker's copy, over widths 0–130 (both sides of the
+// tiling threshold and of the tile), W 1–300, scales 1/3, 1/256, −1 or a
+// normal draw, and accumulators and rows with ±0, subnormals, ±Inf and NaN
+// mixed in at mix/256. A neighbouring unit must stay untouched, and every
+// store's Backlog must list the unit. Two NaNs match whatever their payloads
+// (a NaN sum meeting a NaN product keeps the operand the compiler's register
+// choice puts first).
+func FuzzFanOutMatchesAddUnit(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint16(256), uint8(0))
+	f.Add(uint64(2), uint8(6), uint16(64), uint8(32))
+	f.Add(uint64(3), uint8(8), uint16(255), uint8(255))
+	f.Add(uint64(4), uint8(64), uint16(4), uint8(16))
+	f.Add(uint64(5), uint8(100), uint16(4), uint8(0))
+	f.Add(uint64(6), uint8(0), uint16(7), uint8(0))
+	f.Add(uint64(7), uint8(31), uint16(299), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, width uint8, workers uint16, mix uint8) {
+		r := tensor.NewRNG(seed)
+		n, w := int(width)%131, 1+int(workers)%300
+		draw := func() float32 {
+			if r.Intn(256) >= int(mix) {
+				return float32(r.Norm())
+			}
+			sign := uint32(r.Intn(2)) << 31
+			return math.Float32frombits(sign | [4]uint32{0, uint32(1 + r.Intn(1<<23-1)), 0x7f800000, 0x7fc00000}[r.Intn(4)])
+		}
+		p := NewPartition([]*tensor.Matrix{tensor.New(1, n), tensor.New(1, 3)}, Layers)
+		stores := NewGradStores(p, NewShardMap(2, 2), w)
+		want := make([][]float32, w)
+		for c, g := range stores {
+			for i := range g.Unit(0) {
+				g.Unit(0)[i] = draw()
+			}
+			want[c] = append([]float32(nil), g.Unit(0)...)
+		}
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = draw()
+		}
+		scale := [4]float32{1.0 / 3, 1.0 / 256, -1, float32(r.Norm())}[r.Intn(4)]
+		var tile [FanTile]float32
+		AddUnitAll(stores, 0, vals, scale, &tile)
+		for c, g := range stores {
+			for i, v := range vals {
+				want[c][i] += v * scale
+			}
+			for i, got := range g.Unit(0) {
+				if math.Float32bits(got) != math.Float32bits(want[c][i]) && !(got != got && want[c][i] != want[c][i]) {
+					t.Fatalf("width %d W=%d scale %v: worker %d element %d is %v (%#x), per-worker loop %v (%#x)",
+						n, w, scale, c, i, got, math.Float32bits(got), want[c][i], math.Float32bits(want[c][i]))
+				}
+			}
+			if slices.ContainsFunc(g.Unit(1), func(v float32) bool { return v != 0 }) {
+				t.Fatalf("width %d W=%d: worker %d's neighbouring unit moved: %v", n, w, c, g.Unit(1))
+			}
+			var backlog []int
+			if slices.ContainsFunc(want[c], func(v float32) bool { return v != 0 }) {
+				backlog = []int{0}
+			}
+			if bl := g.Backlog(); !slices.Equal(bl, backlog) {
+				t.Fatalf("width %d W=%d: worker %d backlog %v, want %v", n, w, c, bl, backlog)
+			}
+		}
+	})
 }

@@ -101,14 +101,6 @@ func (m *Matrix) Scale(s float32) {
 	}
 }
 
-// AXPY computes m += a*x element-wise.
-func (m *Matrix) AXPY(a float32, x *Matrix) {
-	m.mustSameShape(x, "AXPY")
-	for i, v := range x.Data {
-		m.Data[i] += a * v
-	}
-}
-
 // The products and the affine map run through addScaledRows, which sums one
 // output row's products in registers, eight adjacent columns a register, and
 // stores it once. Every output element still receives exactly the products
@@ -295,6 +287,18 @@ func addScaledRowsGo(di, data []float32, off []int, val, bias []float32, acc, re
 			di[j] = max(v, 0)
 		}
 	}
+}
+
+// AXPY computes y[i] += a·x[i]: addScaledRows with the one term a, so each
+// element is y[i] + float32(a·x[i]), the product and the sum each rounded,
+// never fused — what the loop `y[i] += x[i] * a` gives. len(x) must equal
+// len(y).
+func AXPY(y, x []float32, a float32) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("tensor: AXPY length %d vs %d", len(x), len(y)))
+	}
+	off, val := [1]int{}, [1]float32{a}
+	addScaledRows(y, x, off[:], val[:], nil, true, false)
 }
 
 // MulTransBInto computes dst = m × oᵀ (o is used transposed). Panels of 32

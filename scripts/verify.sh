@@ -6,7 +6,7 @@
 # findings, and repeats itself for one package's findings alone), the full
 # test suite, a kernels stage (the tensor package vetted for arm64, where only
 # the Go body exists, and its bit-identity tests rerun at GOAMD64=v3;
-# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (five
+# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (six
 # differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
 # `make fuzz` runs it alone), a trace smoke (a tiny
 # traced simnet run, and a FLOWN run whose plans skip, piped through
@@ -83,20 +83,23 @@ run_kernels() {
 	GOARCH=arm64 go vet ./internal/tensor
 	# The assembly never fuses a multiply-add; no toolchain fuses the Go loop
 	# at amd64.v3 today. The day one does, the bodies stop matching here. The
-	# nn tests hold the fused Linear+ReLU and argmax to their references.
-	GOAMD64=v3 go test -count=1 -run 'BitIdentical|Digest|NotAllocate|ArgmaxMatchesReference|InferenceMatchesForward' \
+	# nn tests hold the fused Linear+ReLU and argmax to their references, the
+	# fan-out test the merge's AXPY passes to the scalar AddUnit loop.
+	GOAMD64=v3 go test -count=1 -run 'BitIdentical|Digest|NotAllocate|ArgmaxMatchesReference|InferenceMatchesForward|FanOutMatchesPerWorkerAddUnit' \
 		./internal/tensor ./internal/nn ./internal/harness
 }
 
 run_fuzz() {
-	# The test stage runs every fuzz target's seed corpus only. These five —
+	# The test stage runs every fuzz target's seed corpus only. These six —
 	# the codec against its branchy reference, the frame reader against its
 	# reference decoder, the protocol parser, the vector kernel against its Go
 	# body, the affine row pass (compaction, bias, rectifier) against the plain
-	# loops — also fuzz, for a fixed number of inputs rather than a duration,
-	# so the stage costs the same every run.
+	# loops, the merge fan-out against a per-worker AddUnit loop — also fuzz,
+	# for a fixed number of inputs rather than a duration, so the stage costs
+	# the same every run.
 	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse \
-		tensor:FuzzAddScaledRowsMatchesGo tensor:FuzzRowPassMatchesReference; do
+		tensor:FuzzAddScaledRowsMatchesGo tensor:FuzzRowPassMatchesReference \
+		rowsync:FuzzFanOutMatchesAddUnit; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 50000x "./internal/${target%%:*}"
 	done
 }
