@@ -404,6 +404,7 @@ type cluster struct {
 	// it, when it crashed, accumulated recovery counters, and the first
 	// unrecoverable error (surfaced by Run).
 	store      *durable.Store
+	payload    []byte // resumePayload's buffer, reused by every checkpoint
 	serverDown bool
 	rejoins    []int
 	crashTime  float64

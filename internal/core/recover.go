@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -218,30 +217,24 @@ const resumePayloadVersion = 1
 
 // resumePayload encodes the worker-side state a process restart cannot
 // rebuild from the server journal: per-worker iteration counters and the
-// model replicas themselves.
+// model replicas themselves, each length-prefixed. It encodes into the
+// cluster's payload buffer, overwriting the previous payload: the store may
+// keep no reference to it, and does not — encodeSnapshot copies it.
 func (c *cluster) resumePayload() []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], resumePayloadVersion)
-	buf.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(c.cfg.Workers))
-	buf.Write(u32[:])
-	var i64 [8]byte
+	b := c.payload[:0]
+	b = binary.LittleEndian.AppendUint32(b, resumePayloadVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.cfg.Workers))
 	for w := 0; w < c.cfg.Workers; w++ {
-		binary.LittleEndian.PutUint64(i64[:], uint64(c.iter[w]))
-		buf.Write(i64[:])
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.iter[w]))
 	}
 	for w := 0; w < c.cfg.Workers; w++ {
-		var mb bytes.Buffer
-		if err := c.wl.Model(w).SaveParams(&mb); err != nil {
-			// Buffer writes cannot fail; a failure here is a model bug.
-			panic(err)
-		}
-		binary.LittleEndian.PutUint32(u32[:], uint32(mb.Len()))
-		buf.Write(u32[:])
-		buf.Write(mb.Bytes())
+		at := len(b)
+		b = append(b, 0, 0, 0, 0) // the model's length, patched below
+		b = c.wl.Model(w).AppendParams(b)
+		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
-	return buf.Bytes()
+	c.payload = b
+	return b
 }
 
 // applyResumePayload restores what resumePayload saved.
@@ -276,7 +269,7 @@ func (c *cluster) applyResumePayload(p []byte) error {
 		if n < 0 || len(p) < off+n {
 			return bad("truncated model blob")
 		}
-		if err := c.wl.Model(w).LoadParams(bytes.NewReader(p[off : off+n])); err != nil {
+		if err := c.wl.Model(w).DecodeParams(p[off : off+n]); err != nil {
 			return fmt.Errorf("core: resume payload: worker %d model: %w", w, err)
 		}
 		off += n

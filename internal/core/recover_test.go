@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"rog/internal/durable"
+	"rog/internal/nn"
 	"rog/internal/simnet"
 )
 
@@ -170,5 +175,86 @@ func TestValidateDurableRules(t *testing.T) {
 	cfg.RecoverySecondsPerMB = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative RecoverySecondsPerMB accepted")
+	}
+}
+
+// resumePayloadReference is resumePayload as it stood before the cluster
+// kept a payload buffer: a bytes.Buffer, and a fresh checkpoint per model
+// (nn's tests hold AppendParams to the binary.Write encoder). The reused
+// buffer must keep producing exactly its bytes.
+func resumePayloadReference(c *cluster) []byte {
+	var buf bytes.Buffer
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], resumePayloadVersion)
+	buf.Write(u32[:])
+	binary.LittleEndian.PutUint32(u32[:], uint32(c.cfg.Workers))
+	buf.Write(u32[:])
+	var i64 [8]byte
+	for w := 0; w < c.cfg.Workers; w++ {
+		binary.LittleEndian.PutUint64(i64[:], uint64(c.iter[w]))
+		buf.Write(i64[:])
+	}
+	for w := 0; w < c.cfg.Workers; w++ {
+		mb := c.wl.Model(w).AppendParams(nil)
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(mb)))
+		buf.Write(u32[:])
+		buf.Write(mb)
+	}
+	return buf.Bytes()
+}
+
+// modelBits lists a model's weights as bit patterns, so −0 and NaN
+// payloads compare exactly.
+func modelBits(m *nn.Sequential) []uint32 {
+	var out []uint32
+	for _, p := range m.Params() {
+		for _, v := range p.Data {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out
+}
+
+// TestResumePayloadMatchesReference: the reused-buffer payload equals the
+// bytes.Buffer encoder's on models holding −0, ±Inf and NaN weights, call
+// after call, costs no allocation once its buffer has grown, and
+// applyResumePayload restores the counters and every weight bit.
+func TestResumePayloadMatchesReference(t *testing.T) {
+	special := []float32{
+		float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00002),
+	}
+	c := newCluster(testConfig(ROG, 4), newTestWorkload(3, 31))
+	for w := 0; w < c.cfg.Workers; w++ {
+		for i, p := range c.wl.Model(w).Params() {
+			copy(p.Data[i%2:], special)
+		}
+		c.iter[w] = int64(100*w + 7)
+	}
+	if got, want := c.resumePayload(), resumePayloadReference(c); !bytes.Equal(got, want) {
+		t.Fatal("resumePayload differs from the bytes.Buffer encoder")
+	}
+	// The second payload overwrites the first in place and must still match.
+	c.iter[1] = 1 << 40
+	c.wl.Model(2).Params()[0].Data[3] = float32(math.NaN())
+	got := c.resumePayload()
+	if want := resumePayloadReference(c); !bytes.Equal(got, want) {
+		t.Fatal("resumePayload differs from the reference after the state moved")
+	}
+	if n := testing.AllocsPerRun(20, func() { c.resumePayload() }); n != 0 {
+		t.Fatalf("resumePayload allocates %v times after its first call, want 0", n)
+	}
+
+	d := newCluster(testConfig(ROG, 4), newTestWorkload(3, 77))
+	if err := d.applyResumePayload(got); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < c.cfg.Workers; w++ {
+		if d.iter[w] != c.iter[w] {
+			t.Fatalf("worker %d: restored iteration %d, saved %d", w, d.iter[w], c.iter[w])
+		}
+		if !slices.Equal(modelBits(d.wl.Model(w)), modelBits(c.wl.Model(w))) {
+			t.Fatalf("worker %d: restored weights differ in their bits", w)
+		}
 	}
 }

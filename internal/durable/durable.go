@@ -13,10 +13,13 @@
 // the classic atomic-publish sequence — so a crash mid-checkpoint leaves
 // the previous snapshot intact.
 //
-// The package is clock-free and allocation-conscious: appends reuse one
-// encode buffer and the deterministic simnet drivers can journal through
-// an in-memory filesystem (MemFS) whose Crash method models exactly what a
-// power cut preserves — the synced prefix of every file.
+// The package is clock-free, and the deterministic simnet drivers can
+// journal through an in-memory filesystem (MemFS) whose Crash method models
+// exactly what a power cut preserves — the synced prefix of every file. A
+// MemFS file is a list of fixed-size pages, all full but the last, so a
+// write copies each byte once and no earlier byte is ever moved; a snapshot
+// is encoded into one buffer of its exact length, and recovery reads a
+// MemFS file into one buffer of the file's length.
 package durable
 
 import (

@@ -22,9 +22,63 @@ type MemFS struct {
 	files map[string]*memFile
 }
 
+// memPageSize is the unit a MemFS file grows by. A write copies its bytes
+// once, into the tail page and then into fresh pages: no earlier byte is
+// ever moved again, however large the file grows.
+const memPageSize = 64 << 10
+
+// memFile is a list of pages, each of capacity memPageSize; every page but
+// the last is full, so byte i lives at pages[i/memPageSize][i%memPageSize].
 type memFile struct {
-	data   []byte
+	pages  [][]byte
+	size   int
 	synced int // bytes guaranteed to survive a crash
+}
+
+// write appends p, filling the tail page before starting a new one.
+func (f *memFile) write(p []byte) {
+	f.size += len(p)
+	for len(p) > 0 {
+		last := len(f.pages) - 1
+		if last < 0 || len(f.pages[last]) == memPageSize {
+			f.pages = append(f.pages, make([]byte, 0, memPageSize))
+			last++
+		}
+		n := min(len(p), memPageSize-len(f.pages[last]))
+		f.pages[last] = append(f.pages[last], p[:n]...) // within capacity: no move
+		p = p[n:]
+	}
+}
+
+// truncate cuts the file to n <= size bytes: whole pages past n are
+// dropped and the page holding byte n-1 is trimmed.
+func (f *memFile) truncate(n int) {
+	keep := (n + memPageSize - 1) / memPageSize
+	clear(f.pages[keep:])
+	f.pages = f.pages[:keep]
+	if keep > 0 {
+		f.pages[keep-1] = f.pages[keep-1][:n-(keep-1)*memPageSize]
+	}
+	f.size = n
+}
+
+// readAt copies the bytes from off on into p, across page edges.
+func (f *memFile) readAt(p []byte, off int) int {
+	n := 0
+	for n < len(p) && off < f.size {
+		c := copy(p[n:], f.pages[off/memPageSize][off%memPageSize:])
+		n += c
+		off += c
+	}
+	return n
+}
+
+func (f *memFile) clone() *memFile {
+	c := &memFile{pages: make([][]byte, len(f.pages)), size: f.size, synced: f.synced}
+	for i, pg := range f.pages {
+		c.pages[i] = append(make([]byte, 0, memPageSize), pg...)
+	}
+	return c
 }
 
 // NewMemFS creates an empty in-memory filesystem.
@@ -37,7 +91,7 @@ func (m *MemFS) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, f := range m.files {
-		f.data = f.data[:f.synced]
+		f.truncate(f.synced)
 	}
 }
 
@@ -48,7 +102,7 @@ func (m *MemFS) Clone() *MemFS {
 	defer m.mu.Unlock()
 	c := NewMemFS()
 	for name, f := range m.files {
-		c.files[name] = &memFile{data: append([]byte(nil), f.data...), synced: f.synced}
+		c.files[name] = f.clone()
 	}
 	return c
 }
@@ -62,10 +116,8 @@ func (m *MemFS) Truncate(name string, n int) error {
 	if !ok {
 		return fmt.Errorf("durable: memfs truncate %q: no such file", name)
 	}
-	if n > len(f.data) {
-		n = len(f.data)
-	}
-	f.data = f.data[:n]
+	n = min(n, f.size)
+	f.truncate(n)
 	f.synced = n
 	return nil
 }
@@ -78,7 +130,7 @@ func (m *MemFS) Size(name string) int {
 	if !ok {
 		return -1
 	}
-	return len(f.data)
+	return f.size
 }
 
 // MkdirAll implements FS (directories are implicit in the flat namespace).
@@ -159,10 +211,10 @@ type memHandle struct {
 func (h *memHandle) Read(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if h.off >= len(h.f.data) {
+	if h.off >= h.f.size {
 		return 0, io.EOF
 	}
-	n := copy(p, h.f.data[h.off:])
+	n := h.f.readAt(p, h.off)
 	h.off += n
 	return n, nil
 }
@@ -170,15 +222,23 @@ func (h *memHandle) Read(p []byte) (int, error) {
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	h.f.data = append(h.f.data, p...)
+	h.f.write(p)
 	return len(p), nil
 }
 
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	h.f.synced = len(h.f.data)
+	h.f.synced = h.f.size
 	return nil
+}
+
+// len reports the file's current length: Store.readFile sizes its buffer
+// by it.
+func (h *memHandle) len() int {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	return h.f.size
 }
 
 func (h *memHandle) Close() error { return nil }

@@ -46,11 +46,21 @@ type snapshot struct {
 	payload        []byte
 }
 
-// encodeSnapshot serializes the durable projection of state.
+// encodeSnapshot serializes the durable projection of state into one
+// allocation of exactly the snapshot's length. It copies payload, so the
+// caller may reuse payload's memory once it returns.
 func encodeSnapshot(s *engine.State, epoch, seq uint64, payload []byte) []byte {
 	vs := s.Versions
 	workers, units := vs.Workers(), vs.Units()
-	b := make([]byte, 0, 1024)
+	values := 0
+	for u := 0; u < units; u++ {
+		values += len(s.Acc[0].Unit(u))
+	}
+	size := 4 + 4 + 8 + 8 + 4 + 4 + 8 + // magic … min
+		workers + 5*8 + 3*8 + // active, churn, loss
+		8*workers + 8*units + 8*workers*units + 4*units + // reports … unitLens
+		4*workers*values + 4 + len(payload) + 4 // acc, payload, crc
+	b := make([]byte, 0, size)
 	b = append(b, snapMagic...)
 	b = binary.LittleEndian.AppendUint32(b, snapVersion)
 	b = binary.LittleEndian.AppendUint64(b, epoch)

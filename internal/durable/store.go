@@ -425,13 +425,20 @@ func (st *Store) syncEvery() int {
 	return st.SyncEvery
 }
 
-// readFile slurps one store file.
+// readFile slurps one store file: a MemFS file into one buffer of its
+// length, any other through io.ReadAll.
 func (st *Store) readFile(name string) ([]byte, error) {
 	f, err := st.fs.Open(st.path(name))
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	var data []byte
+	if h, ok := f.(*memHandle); ok {
+		data = make([]byte, h.len())
+		_, err = io.ReadFull(f, data)
+	} else {
+		data, err = io.ReadAll(f)
+	}
 	_ = f.Close() // read-only handle: nothing a close error could lose
 	if err != nil {
 		return nil, fmt.Errorf("durable: read %s: %w", name, err)

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -478,5 +479,59 @@ func TestStickyErrorPoisonsStore(t *testing.T) {
 	}
 	if err := st.Checkpoint(live, nil); err == nil {
 		t.Fatal("checkpoint on a poisoned store succeeded")
+	}
+}
+
+// TestEncodeSnapshotAllocatesOnce: the snapshot encoder sizes its buffer
+// exactly, so it allocates once and leaves no spare capacity.
+func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
+	state, _ := newTestState(t, 3)
+	for _, o := range genOps(t, 13, 40, 3) {
+		state.Apply(o)
+	}
+	payload := []byte("resume payload")
+	if b := encodeSnapshot(state, 2, 5, payload); cap(b) != len(b) {
+		t.Fatalf("snapshot buffer has cap %d for %d bytes", cap(b), len(b))
+	}
+	if n := testing.AllocsPerRun(20, func() { encodeSnapshot(state, 2, 5, payload) }); n != 1 {
+		t.Fatalf("encodeSnapshot allocates %v times, want 1", n)
+	}
+}
+
+// TestWALAppendAllocatesPerPageOnly: journaling a record onto a MemFS WAL
+// copies it into the tail page; only starting a new page allocates, so the
+// bytes allocated per record stay near its length (a file regrown as one
+// slice re-copies what it holds and allocates several times that).
+func TestWALAppendAllocatesPerPageOnly(t *testing.T) {
+	const perRun = 20000
+	st, err := Open(NewMemFS(), "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _ := newTestState(t, 2)
+	if err := st.Begin(live, nil); err != nil {
+		t.Fatal(err)
+	}
+	ops := genOps(t, 17, 1, 2)
+	rec := recordOf(ops[0])
+	n := testing.AllocsPerRun(5, func() {
+		for i := 0; i < perRun; i++ {
+			st.append(st.gen, rec)
+		}
+	})
+	if perRecord := n / perRun; perRecord >= 0.01 {
+		t.Fatalf("WAL append allocates %.4f times per record, want < 0.01", perRecord)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < perRun; i++ {
+		st.append(st.gen, rec)
+	}
+	runtime.ReadMemStats(&after)
+	if perRecord := float64(after.TotalAlloc-before.TotalAlloc) / perRun; perRecord > 2*float64(rec.encodedLen()) {
+		t.Fatalf("WAL append allocates %.0f bytes per %d-byte record", perRecord, rec.encodedLen())
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

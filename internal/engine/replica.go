@@ -23,12 +23,12 @@ type Replica struct {
 
 	part  *rowsync.Partition
 	codec *compress.Codec // uplink, with error feedback
-	// The model's parameter and gradient matrices, listed once: Params()
-	// and Grads() rebuild their slice on every call, and Apply runs per row.
-	params, grads []*tensor.Matrix
-	scratch       []float32   // Restore's decoded row
-	plan          PlanScratch // lent to the policy with every PushView
-	bits          [][]byte    // per unit: EncodeUnit's sign bits
+	// The model's gradient matrices, listed once: Grads() rebuilds its
+	// slice on every call.
+	grads   []*tensor.Matrix
+	scratch []float32   // Restore's decoded row
+	plan    PlanScratch // lent to the policy with every PushView
+	bits    [][]byte    // per unit: EncodeUnit's sign bits
 }
 
 // unitBits carves one slab into a sign-bit buffer per unit of part, for the
@@ -57,7 +57,6 @@ func NewReplica(model *nn.Sequential, part *rowsync.Partition, lr, momentum floa
 		PushIter: make([]int64, part.NumUnits()),
 		part:     part,
 		codec:    compress.NewCodec(part.Widths()),
-		params:   model.Params(),
 		grads:    model.Grads(),
 		scratch:  make([]float32, part.MaxUnitLen()),
 		bits:     unitBits(part),
@@ -116,7 +115,8 @@ func (r *Replica) Restore(p compress.Payload) {
 // per-row; a partial row takes the same step rule without momentum.
 func (r *Replica) Apply(u int, vals []float32) {
 	un := r.part.Unit(u)
-	p := r.params[un.Param]
+	params := r.Model.Params()
+	p := params[un.Param]
 	end := un.Offset + un.Len
 	for off := un.Offset; off < end; {
 		row := off / p.Cols
@@ -127,7 +127,7 @@ func (r *Replica) Apply(u int, vals []float32) {
 		}
 		src := vals[off-un.Offset : off-un.Offset+width]
 		if width == p.Cols {
-			r.Opt.ApplyRow(r.params, un.Param, row, src)
+			r.Opt.ApplyRow(params, un.Param, row, src)
 		} else {
 			lr := float32(r.Opt.LR)
 			dst := p.Data[off : off+width]

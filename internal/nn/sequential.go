@@ -1,17 +1,27 @@
 package nn
 
-import "rog/internal/tensor"
+import (
+	"slices"
+
+	"rog/internal/tensor"
+)
 
 // Sequential chains layers. It is the model type used throughout the repo:
 // the distributed layers address its parameters as a flat, ordered list of
-// matrices whose rows are the synchronization unit.
+// matrices whose rows are the synchronization unit. Build one with
+// NewSequential.
 type Sequential struct {
 	Layers []Layer
+	params []*tensor.Matrix // Params, listed once by NewSequential
 }
 
 // NewSequential builds a model from the given layers.
 func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers}
+	var params []*tensor.Matrix
+	for _, l := range layers {
+		params = append(params, l.Params()...)
+	}
+	return &Sequential{Layers: layers, params: slices.Clip(params)}
 }
 
 // Forward runs the batch through every layer.
@@ -30,13 +40,11 @@ func (s *Sequential) Backward(dout *tensor.Matrix) {
 	}
 }
 
-// Params returns all parameter matrices in layer order.
+// Params returns all parameter matrices in layer order. The list is built
+// once, by NewSequential, and shared by every caller: read it, do not
+// modify it.
 func (s *Sequential) Params() []*tensor.Matrix {
-	var out []*tensor.Matrix
-	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
+	return s.params
 }
 
 // Grads returns all gradient matrices, matching Params element-for-element.

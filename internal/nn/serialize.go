@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,54 +16,70 @@ var checkpointMagic = [4]byte{'R', 'O', 'G', 'M'}
 
 const checkpointVersion = 1
 
-// SaveParams writes every parameter matrix of the model to w.
-func (s *Sequential) SaveParams(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
+// AppendParams appends the model's checkpoint to dst, growing it at most
+// once to the checkpoint's exact size.
+func (s *Sequential) AppendParams(dst []byte) []byte {
 	params := s.Params()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(checkpointVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
+	n := len(checkpointMagic) + 4 + 4
 	for _, p := range params {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Rows)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Cols)); err != nil {
-			return err
-		}
+		n += 4 + 4 + 4*len(p.Data)
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, checkpointMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, checkpointVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(params)))
+	for _, p := range params {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Rows))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Cols))
 		for _, v := range p.Data {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(v)); err != nil {
-				return err
-			}
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
 	}
-	return bw.Flush()
+	return dst
 }
 
-// LoadParams reads a checkpoint written by SaveParams into the model. The
-// architecture must match exactly.
-func (s *Sequential) LoadParams(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+// DecodeParams reads a checkpoint written by AppendParams from the head of
+// b into the model; bytes past it are ignored. The architecture must match
+// exactly. A short b fails as a reader would: io.EOF when it ends on a
+// field boundary, io.ErrUnexpectedEOF inside a field.
+func (s *Sequential) DecodeParams(b []byte) error {
+	take := func(n int) ([]byte, error) {
+		switch {
+		case len(b) >= n:
+			out := b[:n]
+			b = b[n:]
+			return out, nil
+		case len(b) == 0:
+			return nil, io.EOF
+		}
+		b = nil
+		return nil, io.ErrUnexpectedEOF
+	}
+	u32 := func() (uint32, error) {
+		f, err := take(4)
+		if err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint32(f), nil
+	}
+	magic, err := take(len(checkpointMagic))
+	if err != nil {
 		return fmt.Errorf("nn: reading checkpoint magic: %w", err)
 	}
-	if magic != checkpointMagic {
+	if [4]byte(magic) != checkpointMagic {
 		return fmt.Errorf("nn: not a ROG model checkpoint")
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	version, err := u32()
+	if err != nil {
 		return err
 	}
 	if version != checkpointVersion {
 		return fmt.Errorf("nn: unsupported checkpoint version %d", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	count, err := u32()
+	if err != nil {
 		return err
 	}
 	params := s.Params()
@@ -72,23 +87,24 @@ func (s *Sequential) LoadParams(r io.Reader) error {
 		return fmt.Errorf("nn: checkpoint has %d matrices, model has %d", count, len(params))
 	}
 	for i, p := range params {
-		var rows, cols uint32
-		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
+		rows, err := u32()
+		if err != nil {
 			return err
 		}
-		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
+		cols, err := u32()
+		if err != nil {
 			return err
 		}
 		if int(rows) != p.Rows || int(cols) != p.Cols {
 			return fmt.Errorf("nn: matrix %d is %dx%d in checkpoint, %dx%d in model",
 				i, rows, cols, p.Rows, p.Cols)
 		}
-		buf := make([]byte, 4*rows*cols)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		data, err := take(4 * len(p.Data))
+		if err != nil {
 			return fmt.Errorf("nn: matrix %d data: %w", i, err)
 		}
 		for j := range p.Data {
-			p.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+			p.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
 		}
 	}
 	return nil
