@@ -209,7 +209,7 @@ func runServer(addr string, workers, threshold, shards int, lr, period, window f
 		for range time.Tick(2 * time.Second) {
 			s := srv.Stats()
 			fmt.Printf("  version %-4d snapshots %-4d served %-6d batches %-5d parked %d\n",
-				pub.Version(), s.Publishes, s.Served, s.Batches, pub.Parked())
+				pub.Version(), s.Publishes, s.Served, s.Batches, s.Parked)
 		}
 	}()
 	return srv.Serve(ln)

@@ -31,24 +31,6 @@ func PlanInto(prefix []float64, units []int, size func(u int) float64) Plan {
 	return Plan{Units: units, Prefix: prefix}
 }
 
-// Observer sees every constructed transmission plan — the observability
-// hook both runtimes feed their metrics registry through. Implementations
-// must tolerate being invoked via a typed-nil pointer inside a non-nil
-// interface (the disabled-probe configuration).
-type Observer interface {
-	ObservePlan(units int, totalBytes float64)
-}
-
-// NewPlanObserved is NewPlan plus an observation of the built plan's size.
-// o may be nil (or a nil typed pointer whose method is nil-receiver safe).
-func NewPlanObserved(units []int, size func(u int) float64, o Observer) Plan {
-	p := NewPlan(units, size)
-	if o != nil {
-		o.ObservePlan(len(p.Units), p.TotalBytes())
-	}
-	return p
-}
-
 // TotalBytes is the wire size of the whole plan.
 func (p Plan) TotalBytes() float64 { return p.Prefix[len(p.Units)] }
 

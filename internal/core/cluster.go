@@ -376,9 +376,10 @@ type cluster struct {
 	// in flight); it lives here so all of it survives a recovered state swap.
 	peer []*engine.Peer
 
-	// waiters parks workers the staleness gate holds back. It lives here,
-	// not in the engine state, so parked gates survive a recovered state swap.
-	waiters *engine.WaitList
+	// gates parks workers the staleness gate holds back, one slot each. It
+	// lives here, not in the engine state, so parked gates survive a
+	// recovered state swap.
+	gates gateSlots
 
 	meters []*energy.Meter
 	comp   metrics.CompositionRecorder
@@ -458,7 +459,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		ch:      simnet.NewChannel(k, links, scale),
 		part:    part,
 		policy:  policy,
-		waiters: engine.NewWaitList(),
+		gates:   make(gateSlots, cfg.Workers),
 		scratch: make([]float32, part.MaxUnitLen()),
 		iter:    make([]int64, cfg.Workers),
 		halted:  make([]bool, cfg.Workers),

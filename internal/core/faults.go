@@ -57,9 +57,9 @@ func (c *cluster) crashWorker(w int) {
 	// The ghost itself must not resume; survivors it was blocking re-check
 	// their staleness predicate now, and any wait the detach releases is
 	// churn-attributable stall.
-	c.waiters.Drop(w)
+	c.gates.drop(w)
 	var stall float64
-	c.waiters.WakeAttributing(c.k.Now(), &stall)
+	c.gates.wake(c.k.Now(), &stall)
 	if stall != 0 {
 		c.state.AddDetachStall(stall)
 	}

@@ -84,7 +84,7 @@ func (c *cluster) setupDurable() error {
 
 // recoverState rebuilds the engine state from the checkpoint store and
 // swaps it under the running cluster. The driver loops read c.state at
-// call time, so parked gate predicates (on the cluster's own waiter list)
+// call time, so parked gate predicates (in the cluster's own gate slots)
 // and in-flight flow completions pick the swap up transparently.
 func (c *cluster) recoverState() (*durable.RecoveryInfo, error) {
 	rec, info, err := c.store.RecoverSharded(c.policy, c.part, c.cfg.Workers, 1.0, c.cfg.Shards)
@@ -200,7 +200,7 @@ func (c *cluster) restartServer() {
 	finish := func() {
 		c.serverDown = false
 		c.setServerDown(false)
-		c.waiters.Wake()
+		c.gates.wake(0, nil)
 		for _, w := range c.rejoins {
 			c.rejoinWorker(w)
 		}

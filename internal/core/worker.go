@@ -14,7 +14,7 @@ import (
 // push → staleness gate → plan → pull, with every decision — what to
 // transmit, whether to skip, when to advance — delegated to the engine
 // policy. The loop owns only simnet mechanics: the robot's CPU and radio,
-// flows, timers, the waiter list and the energy/stall accounting.
+// flows, timers, the gate slots and the energy/stall accounting.
 
 func (c *cluster) wireSize(u int) float64 { return float64(c.part.WireSize(u)) }
 
@@ -131,7 +131,8 @@ func (c *cluster) send(l link, n int64, dir obs.Dir, plan engine.Plan, ap atp.Pl
 // flow takes each as it delivers it, and what it does not deliver is folded
 // back when it ends.
 func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done func(delivered int, mtaTime, elapsed float64)) {
-	ap := atp.NewPlanObserved(plan.Units, c.wireSize, c.probe)
+	ap := atp.NewPlan(plan.Units, c.wireSize)
+	c.probe.ObservePlan(len(ap.Units), ap.TotalBytes())
 	var deliver func(u int)
 	if dir == obs.DirPull {
 		deliver = func(u int) {
@@ -156,15 +157,15 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 // synchronize is the communication half of worker w's iteration n, the
 // engine.Peer sequence over simnet: push what the policy planned, report it
 // (PushDone, the Fig. 8 sample), let the merges re-evaluate every parked
-// gate, wait out w's own — its Gate retried from the waiter list, so version
+// gate, wait out w's own — its Gate retried from w's gate slot, so version
 // advances and detaches re-check it — then pull what the server plans. done
 // gets the summed transmission seconds; a crash abandons the iteration (the
-// waiter list drops its retry, its stall stays open) and done never fires.
+// slot drops its retry, its stall stays open) and done never fires.
 func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSec float64)) {
 	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
 		c.peer[w].PushDone(c.state, n, mtaTime, pushSec, plan.Speculative)
 		c.recordMicro(w, n, delivered)
-		c.waiters.Wake()
+		c.gates.wake(0, nil)
 
 		pull := func() bool {
 			if c.crashed[w] {
@@ -179,7 +180,7 @@ func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSe
 			return true
 		}
 		if !pull() {
-			c.waiters.Park(w, c.k.Now(), pull)
+			c.gates.park(w, c.k.Now(), pull)
 		}
 	})
 }

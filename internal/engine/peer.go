@@ -9,7 +9,7 @@ import (
 // push's rows have merged (State.Merge/MergeBatch), shared by both runtimes
 // the way Replica is the worker's half; its methods are that sequence, in
 // order, plus the membership edges. A runtime supplies the wait — what asks
-// Gate again: a sync.Cond loop, a retry closure on the WaitList — and the
+// Gate again: a sync.Cond loop, a retry closure in a gate slot — and the
 // carry: frames or flows, and which of a pull's rows they delivered.
 //
 // A Peer belongs to the runtime and every call names the State to act on, so

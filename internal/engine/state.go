@@ -14,8 +14,8 @@ import (
 // runtimes: per-worker averaged-gradient copies, row versions, the MTA-time
 // tracker and the churn counters. It owns the merge semantics
 // (shrink-to-attached averaging) and the membership bookkeeping, but parks
-// nobody: a gated worker waits in its runtime (the simnet cluster's
-// WaitList, the socket server's sync.Cond), which re-evaluates CanAdvance
+// nobody: a gated worker waits in its runtime (its gate slot on the simnet
+// cluster, the socket server's sync.Cond), which re-evaluates CanAdvance
 // after every merge and detach. Peer sequences one worker's iteration over
 // this state; Replica is the matching worker side.
 //

@@ -149,7 +149,8 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	if must > len(plan.Units) {
 		must = len(plan.Units)
 	}
-	ap := atp.NewPlanObserved(plan.Units, func(u int) float64 { return float64(w.part.WireSize(u)) }, w.probe)
+	ap := atp.NewPlan(plan.Units, func(u int) float64 { return float64(w.part.WireSize(u)) })
+	w.probe.ObservePlan(len(ap.Units), ap.TotalBytes())
 	w.probe.PushPlanned(w.cfg.ID, n, len(ap.Units), must,
 		numUnits-len(ap.Units), ap.TotalBytes(), plan.Speculative, "")
 

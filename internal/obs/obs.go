@@ -599,8 +599,8 @@ func (p *Probe) ReadStallEnd(id, version int64, seconds float64) {
 	}
 }
 
-// ObservePlan implements the atp plan-construction observer: every built
-// transmission plan reports its size here.
+// ObservePlan counts one built transmission plan (an atp.Plan) and its
+// size; both runtimes call it right after atp.NewPlan.
 func (p *Probe) ObservePlan(units int, totalBytes float64) {
 	if p == nil || p.reg == nil {
 		return

@@ -11,8 +11,8 @@
 //     no WithAllLocked barrier anywhere on the serving path.
 //   - Server batches concurrent requests into one nn forward pass per
 //     snapshot, and enforces the bounded-staleness read gate: a request may
-//     demand `version ≥ v_min` and parks on a WaitList until a fresh-enough
-//     snapshot lands — the RSP staleness bound applied to reads.
+//     demand `version ≥ v_min` and parks on the Publisher's read gate until a
+//     fresh-enough snapshot lands — the RSP staleness bound applied to reads.
 //   - The wire layer (frame.go, conn.go) exposes the same Server over
 //     sockets with a fixed-width request/reply frame riding the transport
 //     package's marker framing, so the lossnet channel wrapper drops whole

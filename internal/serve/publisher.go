@@ -24,9 +24,11 @@ import (
 // The snapshot path extends the engine's machine-checked lock order:
 // absorb runs under one stateShard lock and reaches pubMu, then each
 // publisher shard in ascending order; nothing under pubMu or a pubShard
-// lock ever reaches back into the State (Versions.Min() is lock-free).
+// lock ever reaches back into the State (Versions.Min() is lock-free). The
+// read gate's release runs in the same publish, after pubMu is let go.
 //
 //roglint:lockorder stateShard.mu < Publisher.pubMu < pubShard.mu
+//roglint:lockorder stateShard.mu < Publisher.gateMu
 type Publisher struct {
 	st   *engine.State
 	part *rowsync.Partition
@@ -44,13 +46,15 @@ type Publisher struct {
 	cur       atomic.Pointer[Snapshot]
 	publishes atomic.Int64
 
-	// waiters holds the read-gate retries of requests demanding a version
-	// not yet published; every publication wakes them. Its own lock is
-	// taken with no other lock held by this package... except under a
-	// stateShard lock when a publish runs inside absorb, which the engine's
-	// WaitList permits (retry closures run unlocked and take only leaf
-	// locks of their own).
-	waiters *engine.WaitList
+	gateMu sync.Mutex
+	gated  []gatedReq // guarded by gateMu; the read gate, in park order
+}
+
+// gatedReq is one request parked on the read gate: the version it demands
+// and what admits it once a snapshot that fresh is published.
+type gatedReq struct {
+	minVersion int64
+	resume     func()
 }
 
 // pubShard is one independently lockable slice of the weight shadow,
@@ -72,13 +76,7 @@ type pubShard struct {
 // Call before training merges begin (see engine.State.Observe).
 func NewPublisher(st *engine.State, part *rowsync.Partition, init []*tensor.Matrix, lr float64) *Publisher {
 	sm := st.ShardMap()
-	p := &Publisher{
-		st:      st,
-		part:    part,
-		sm:      sm,
-		lr:      float32(lr),
-		waiters: engine.NewWaitList(),
-	}
+	p := &Publisher{st: st, part: part, sm: sm, lr: float32(lr)}
 	for i := 0; i < sm.NumShards(); i++ {
 		lo, hi := sm.Range(i)
 		sh := &pubShard{lo: lo, hi: hi}
@@ -105,9 +103,50 @@ func (p *Publisher) Version() int64 { return p.cur.Load().Version() }
 // initial version-0 one).
 func (p *Publisher) Publishes() int64 { return p.publishes.Load() }
 
-// Parked reports how many read-gate retries are currently waiting for a
-// fresher snapshot.
-func (p *Publisher) Parked() int { return p.waiters.Len() }
+// Parked reports how many requests are currently waiting on the read gate
+// for a fresher snapshot.
+func (p *Publisher) Parked() int {
+	p.gateMu.Lock()
+	defer p.gateMu.Unlock()
+	return len(p.gated)
+}
+
+// await runs resume once a snapshot at version ≥ min is published: now if
+// one already is, else from the publication that satisfies it. The version
+// is read under gateMu, which publish takes only after swapping its
+// snapshot in, so no publication can slip between the check and the park.
+func (p *Publisher) await(min int64, resume func()) {
+	p.gateMu.Lock()
+	if p.Version() >= min {
+		p.gateMu.Unlock()
+		resume()
+		return
+	}
+	p.gated = append(p.gated, gatedReq{min, resume})
+	p.gateMu.Unlock()
+}
+
+// release admits every parked request the published version satisfies, in
+// park order, running their resumes with no serve lock held.
+func (p *Publisher) release() {
+	p.gateMu.Lock()
+	v := p.Version()
+	var ready []gatedReq
+	kept := p.gated[:0]
+	for _, g := range p.gated {
+		if g.minVersion <= v {
+			ready = append(ready, g)
+		} else {
+			kept = append(kept, g)
+		}
+	}
+	clear(p.gated[len(kept):])
+	p.gated = kept
+	p.gateMu.Unlock()
+	for _, g := range ready {
+		g.resume()
+	}
+}
 
 // absorb is the state observer: it folds one merged row's averaged
 // contribution into the shadow and publishes when the global minimum has
@@ -168,7 +207,7 @@ func (p *Publisher) publish(min int64) {
 	p.publishes.Add(1)
 	p.Probe.SnapshotPublish(min, seq, len(rows))
 	// In-flight requests keep the snapshot they were batched against; the
-	// swap above only redirects future reads. Wake the read gate last so
+	// swap above only redirects future reads. Release the read gate last so
 	// resumed requests see the fresh snapshot.
-	p.waiters.Wake()
+	p.release()
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rog/internal/engine"
@@ -206,6 +207,85 @@ func TestReadGateParksUntilFreshSnapshot(t *testing.T) {
 	}
 	if r.pub.Parked() != 0 {
 		t.Fatalf("parked = %d after serve, want 0", r.pub.Parked())
+	}
+}
+
+// TestReadGateNeverLosesAWakeup is meant for -race: submitters keep
+// demanding one version past the published one while a trainer merges a
+// round, so parks race the publication that satisfies them. After each
+// round every request submitted so far must have been answered, and none
+// may be left parked; at the end each was answered exactly once, at or above
+// its floor. A Submit that checks the version before taking the gate's lock
+// can park a request the racing publication has already passed over — it is
+// then never answered.
+func TestReadGateNeverLosesAWakeup(t *testing.T) {
+	const (
+		rounds     = 100
+		submitters = 4
+	)
+	r := newRig(t, 2, 2, Config{MaxBatch: 1})
+	type request struct {
+		floor   int64
+		answers atomic.Int32
+	}
+	var (
+		ids      atomic.Int64
+		answered atomic.Int64
+		reqs     [submitters][]*request
+	)
+	input := []float32{0.1, 0.2, 0.3, 0.4}
+	for round := int64(1); round <= rounds; round++ {
+		var started, done sync.WaitGroup
+		for s := range reqs {
+			started.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				first := true
+				for {
+					v := r.pub.Version()
+					if v >= round {
+						break
+					}
+					q := &request{floor: v + 1}
+					reqs[s] = append(reqs[s], q)
+					err := r.srv.Submit(Request{ID: ids.Add(1), MinVersion: q.floor, Input: input}, func(rep Reply) {
+						if rep.Version < q.floor {
+							t.Errorf("request answered at version %d below its floor %d", rep.Version, q.floor)
+						}
+						q.answers.Add(1)
+						answered.Add(1)
+					})
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if first {
+						started.Done()
+						first = false
+					}
+				}
+				if first {
+					started.Done()
+				}
+			}()
+		}
+		started.Wait() // every submitter is in its loop: the publish races them
+		r.mergeRound(round)
+		done.Wait()
+		if n := r.pub.Parked(); n != 0 {
+			t.Fatalf("round %d: %d requests still parked after version %d published", round, n, r.pub.Version())
+		}
+		if got, want := answered.Load(), ids.Load(); got != want {
+			t.Fatalf("round %d: %d of %d requests answered", round, got, want)
+		}
+	}
+	for s := range reqs {
+		for _, q := range reqs[s] {
+			if n := q.answers.Load(); n != 1 {
+				t.Fatalf("a request with floor %d was answered %d times", q.floor, n)
+			}
+		}
 	}
 }
 

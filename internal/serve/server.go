@@ -49,7 +49,7 @@ type Config struct {
 // Server answers inference requests from the Publisher's snapshots. It
 // coalesces concurrent calls into one forward pass per snapshot (the
 // batcher), and parks requests whose staleness floor outruns the published
-// version on the publisher's WaitList until a fresh-enough snapshot lands.
+// version on the publisher's read gate until a fresh-enough snapshot lands.
 //
 // Submit is safe for concurrent use when the injected Clock is; the
 // scratch replica behind the forward pass is serialized by fwdMu.
@@ -71,7 +71,6 @@ type Server struct {
 	fwdMu   sync.Mutex
 	lastSeq int64 // guarded by fwdMu; snapshot seq materialized in model
 
-	parkKey atomic.Int64 // read-gate park keys (never reused)
 	served  atomic.Int64
 	batches atomic.Int64
 }
@@ -128,21 +127,10 @@ func (s *Server) Submit(req Request, done func(Reply)) error {
 		return nil
 	}
 	s.probe.ReadStallBegin(req.ID, req.MinVersion, cur.Version())
-	key := int(s.parkKey.Add(1))
-	s.pub.waiters.Park(key, now, func() bool {
-		snap := s.pub.Current()
-		if snap.Version() < req.MinVersion {
-			return false
-		}
-		s.probe.ReadStallEnd(req.ID, snap.Version(), s.clock.Now()-pr.enq)
+	s.pub.await(req.MinVersion, func() {
+		s.probe.ReadStallEnd(req.ID, s.pub.Version(), s.clock.Now()-pr.enq)
 		s.enqueue(pr)
-		return true
 	})
-	// Close the check-then-park window: a publication that raced between
-	// the version check and the Park would have found nothing to wake, so
-	// re-evaluate immediately — the lost-wakeup-free pattern the engine's
-	// staleness gates use.
-	s.pub.waiters.TryResume(key, now, nil)
 	return nil
 }
 

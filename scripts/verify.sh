@@ -31,7 +31,8 @@
 # workload memo and Evaluate fan-out share builds across goroutines) again
 # under -race (engine and livenet three times), plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
-# green run proves little). `verify.sh race` runs that stage alone — it is
+# green run proves little), and serve's read-gate tests twenty times under
+# -race. `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
 # stage reruns the newest BENCH_<n>.json snapshot of every experiment that
 # has one and fails the gate if any leaf of a report differs (the virtual
@@ -75,6 +76,8 @@ run_race() {
 	# registry sweep (minutes under the race detector) to the plain test stage.
 	go test -race -short ./internal/harness/...
 	go test ./internal/lossnet -run 'Burst' -count=20
+	# A lost read-gate wakeup shows only when a park races a publish.
+	go test -race -run ReadGate -count=20 ./internal/serve
 }
 
 run_kernels() {
