@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"rog/internal/transport"
 )
@@ -16,11 +17,34 @@ import (
 // completion order; the request id pairs them. A clean peer close returns
 // nil; the first read, decode or reply-write error otherwise.
 //
+// Requests decode into one connection-owned feature buffer (Submit keeps no
+// reference to it) and replies are framed into one connection-owned Batch,
+// so a steady stream of calls allocates nothing.
+//
 // The caller owns the connection and closes it after ServeConn returns.
 func (s *Server) ServeConn(conn net.Conn) error {
 	rc := transport.NewReceiver(conn)
-	var wmu sync.Mutex // serializes reply writes; guards werr
-	var werr error
+	var (
+		wmu  sync.Mutex      // serializes reply writes; guards werr and wb
+		werr error           // first reply-write error; the read loop surfaces it
+		wb   transport.Batch // reply framing scratch
+		in   []float32       // request feature scratch
+	)
+	reply := func(rep Reply) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if werr != nil {
+			return
+		}
+		wb.Reset()
+		wb.End(appendReply(wb.Begin(), ReplyFrame{
+			ID:      uint64(rep.ID),
+			Version: rep.Version,
+			Seq:     uint64(rep.Seq),
+			Output:  rep.Output,
+		}))
+		_, werr = wb.Send(conn, 0, 1, time.Time{})
+	}
 	for {
 		wmu.Lock()
 		failed := werr
@@ -35,28 +59,16 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			}
 			return err
 		}
-		req, err := DecodeRequest(payload)
+		req, err := decodeRequestInto(payload, in)
 		if err != nil {
 			return err
 		}
+		in = req.Input
 		err = s.Submit(Request{
 			ID:         int64(req.ID),
 			MinVersion: req.MinVersion,
 			Input:      req.Input,
-		}, func(rep Reply) {
-			buf := EncodeReply(ReplyFrame{
-				ID:      uint64(rep.ID),
-				Version: rep.Version,
-				Seq:     uint64(rep.Seq),
-				Output:  rep.Output,
-			})
-			wmu.Lock()
-			if werr == nil {
-				// First write error sticks; the read loop surfaces it.
-				werr = transport.WriteFrame(conn, buf)
-			}
-			wmu.Unlock()
-		})
+		}, reply)
 		if err != nil {
 			return err
 		}
@@ -88,7 +100,9 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	rc     *transport.Receiver
-	nextID uint64
+	nextID uint64          // guarded by mu
+	wb     transport.Batch // guarded by mu; request framing scratch
+	out    []float32       // guarded by mu; the last reply's output
 }
 
 // NewClient wraps an established connection.
@@ -100,13 +114,16 @@ func NewClient(conn net.Conn) *Client {
 // reply. Replies for other ids (stale answers outliving a lossy exchange)
 // are skipped. Deadlines and retries are the caller's: set them on the
 // underlying connection when the channel may drop frames.
+//
+// The reply's Output is the client's buffer, valid until the next Do.
 func (c *Client) Do(input []float32, minVersion int64) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	buf := EncodeRequest(RequestFrame{ID: id, MinVersion: minVersion, Input: input})
-	if err := transport.WriteFrame(c.conn, buf); err != nil {
+	c.wb.Reset()
+	c.wb.End(appendRequest(c.wb.Begin(), RequestFrame{ID: id, MinVersion: minVersion, Input: input}))
+	if _, err := c.wb.Send(c.conn, 0, 1, time.Time{}); err != nil {
 		return Reply{}, fmt.Errorf("serve: client send: %w", err)
 	}
 	for {
@@ -114,10 +131,11 @@ func (c *Client) Do(input []float32, minVersion int64) (Reply, error) {
 		if err != nil {
 			return Reply{}, fmt.Errorf("serve: client recv: %w", err)
 		}
-		rep, err := DecodeReply(payload)
+		rep, err := decodeReplyInto(payload, c.out)
 		if err != nil {
 			return Reply{}, err
 		}
+		c.out = rep.Output
 		if rep.ID != id {
 			continue
 		}

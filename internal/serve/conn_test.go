@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,53 @@ func TestServeConnRoundTrip(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("ServeConn: %v", err)
+	}
+}
+
+// TestServeRoundTripAllocs guards the socket request path end to end: at
+// window 0 a Client.Do against ServeConn decodes into the client's and the
+// connection's scratch, is served from a pooled flush buffer and is framed
+// into connection-owned batches, so a steady stream of calls allocates
+// nothing. The bound leaves room for sync.Pool refilling after a GC.
+func TestServeRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	r := newRig(t, 2, 2, Config{Clock: newWallClock()})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = r.srv.Serve(l) }()
+	defer func() { _ = l.Close() }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(conn)
+	defer func() { _ = cl.Close() }()
+	input := []float32{0.1, 0.2, 0.3, 0.4}
+	do := func() {
+		rep, err := cl.Do(input, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Output) != r.outDim {
+			t.Fatalf("reply carried %d outputs, want %d", len(rep.Output), r.outDim)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		do() // grow every buffer on both ends once
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		do()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Fatalf("a round trip allocates %.3f times, want ≤ 0.05", per)
 	}
 }
 

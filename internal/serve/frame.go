@@ -41,17 +41,24 @@ type ReplyFrame struct {
 
 // EncodeRequest serializes the frame.
 func EncodeRequest(f RequestFrame) []byte {
-	buf := make([]byte, 0, 1+8+8+4+4*len(f.Input))
+	return appendRequest(make([]byte, 0, 1+8+8+4+4*len(f.Input)), f)
+}
+
+// appendRequest appends the frame's encoding to buf.
+func appendRequest(buf []byte, f RequestFrame) []byte {
 	buf = append(buf, kindRequest)
 	buf = binary.LittleEndian.AppendUint64(buf, f.ID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.MinVersion))
-	buf = appendVector(buf, f.Input)
-	return buf
+	return appendVector(buf, f.Input)
 }
 
 // DecodeRequest parses a request payload, rejecting truncated, oversized
 // and trailing-garbage encodings.
-func DecodeRequest(b []byte) (RequestFrame, error) {
+func DecodeRequest(b []byte) (RequestFrame, error) { return decodeRequestInto(b, nil) }
+
+// decodeRequestInto is DecodeRequest with the input decoded into dst's
+// memory when it has the capacity: the frame's Input aliases dst then.
+func decodeRequestInto(b []byte, dst []float32) (RequestFrame, error) {
 	if len(b) < 1+8+8+4 {
 		return RequestFrame{}, fmt.Errorf("serve: request frame truncated at %d bytes", len(b))
 	}
@@ -62,7 +69,7 @@ func DecodeRequest(b []byte) (RequestFrame, error) {
 		ID:         binary.LittleEndian.Uint64(b[1:]),
 		MinVersion: int64(binary.LittleEndian.Uint64(b[9:])),
 	}
-	vec, err := decodeVector(b[17:])
+	vec, err := decodeVectorInto(b[17:], dst)
 	if err != nil {
 		return RequestFrame{}, fmt.Errorf("serve: request %d: %w", f.ID, err)
 	}
@@ -72,18 +79,25 @@ func DecodeRequest(b []byte) (RequestFrame, error) {
 
 // EncodeReply serializes the frame.
 func EncodeReply(f ReplyFrame) []byte {
-	buf := make([]byte, 0, 1+8+8+8+4+4*len(f.Output))
+	return appendReply(make([]byte, 0, 1+8+8+8+4+4*len(f.Output)), f)
+}
+
+// appendReply appends the frame's encoding to buf.
+func appendReply(buf []byte, f ReplyFrame) []byte {
 	buf = append(buf, kindReply)
 	buf = binary.LittleEndian.AppendUint64(buf, f.ID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Version))
 	buf = binary.LittleEndian.AppendUint64(buf, f.Seq)
-	buf = appendVector(buf, f.Output)
-	return buf
+	return appendVector(buf, f.Output)
 }
 
 // DecodeReply parses a reply payload with the same strictness as
 // DecodeRequest.
-func DecodeReply(b []byte) (ReplyFrame, error) {
+func DecodeReply(b []byte) (ReplyFrame, error) { return decodeReplyInto(b, nil) }
+
+// decodeReplyInto is DecodeReply with the output decoded into dst's memory
+// when it has the capacity: the frame's Output aliases dst then.
+func decodeReplyInto(b []byte, dst []float32) (ReplyFrame, error) {
 	if len(b) < 1+8+8+8+4 {
 		return ReplyFrame{}, fmt.Errorf("serve: reply frame truncated at %d bytes", len(b))
 	}
@@ -95,7 +109,7 @@ func DecodeReply(b []byte) (ReplyFrame, error) {
 		Version: int64(binary.LittleEndian.Uint64(b[9:])),
 		Seq:     binary.LittleEndian.Uint64(b[17:]),
 	}
-	vec, err := decodeVector(b[25:])
+	vec, err := decodeVectorInto(b[25:], dst)
 	if err != nil {
 		return ReplyFrame{}, fmt.Errorf("serve: reply %d: %w", f.ID, err)
 	}
@@ -112,8 +126,9 @@ func appendVector(buf []byte, v []float32) []byte {
 	return buf
 }
 
-// decodeVector parses a length-prefixed float32 vector occupying all of b.
-func decodeVector(b []byte) ([]float32, error) {
+// decodeVectorInto parses a length-prefixed float32 vector occupying all of
+// b into dst, allocating only when dst is too small.
+func decodeVectorInto(b []byte, dst []float32) ([]float32, error) {
 	n := int(binary.LittleEndian.Uint32(b))
 	if n > MaxVectorLen {
 		return nil, fmt.Errorf("vector length %d exceeds max %d", n, MaxVectorLen)
@@ -121,7 +136,10 @@ func decodeVector(b []byte) ([]float32, error) {
 	if len(b) != 4+4*n {
 		return nil, fmt.Errorf("vector of %d floats needs %d payload bytes, have %d", n, 4+4*n, len(b))
 	}
-	v := make([]float32, n)
+	if cap(dst) < n {
+		dst = make([]float32, n)
+	}
+	v := dst[:n]
 	for i := range v {
 		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4+4*i:]))
 	}

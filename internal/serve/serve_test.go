@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +131,7 @@ func TestServerBatchesWindow(t *testing.T) {
 	input := []float32{0.1, 0.2, 0.3, 0.4}
 	for i := 0; i < 5; i++ {
 		if err := r.srv.Submit(Request{ID: int64(i + 1), Input: input}, func(rep Reply) {
+			rep.Output = append([]float32(nil), rep.Output...) // valid only until done returns
 			replies = append(replies, rep)
 		}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -312,15 +315,36 @@ func TestCloseFlushesQueued(t *testing.T) {
 	}
 }
 
+// reference is the forward pass of input through a model holding exactly
+// the current snapshot's rows.
+func (r *rig) reference(input []float32) []float32 {
+	ref := nn.NewClassifierMLP(4, []int{6}, 3, tensor.NewRNG(99))
+	r.pub.Current().Materialize(r.part, ref.Params())
+	return ref.Forward(tensor.NewFrom(1, 4, append([]float32(nil), input...))).Data
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestServedMatchesMaterializedForward pins the serving math: a reply must
 // equal a forward pass through a model holding exactly the snapshot's rows.
 func TestServedMatchesMaterializedForward(t *testing.T) {
 	r := newRig(t, 2, 2, Config{})
 	r.mergeRound(1)
 	input := []float32{0.3, -0.1, 0.7, 0.2}
-	var got *Reply
+	var got []float32
 	if err := r.srv.Submit(Request{ID: 1, MinVersion: 1, Input: input}, func(rep Reply) {
-		got = &rep
+		got = append([]float32(nil), rep.Output...) // valid only until done returns
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +352,143 @@ func TestServedMatchesMaterializedForward(t *testing.T) {
 	if got == nil {
 		t.Fatal("no reply")
 	}
-	ref := nn.NewClassifierMLP(4, []int{6}, 3, tensor.NewRNG(99))
-	r.pub.Current().Materialize(r.part, ref.Params())
-	want := ref.Forward(tensor.NewFrom(1, 4, append([]float32(nil), input...)))
-	for i, v := range got.Output {
-		if v != want.Data[i] {
-			t.Fatalf("output[%d] = %v, want %v", i, v, want.Data[i])
+	if want := r.reference(input); !sameBits(got, want) {
+		t.Fatalf("output %v, want %v", got, want)
+	}
+}
+
+// TestSubmitDoesNotRetainInput: a request that waits — for its batching
+// window, or parked on the read gate — must be answered from the features it
+// was submitted with, even when the caller reuses the slice the moment
+// Submit returns.
+func TestSubmitDoesNotRetainInput(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		window     float64
+		minVersion int64
+	}{
+		{"queued", 0.01, 0},
+		{"parked", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2, 2, Config{WindowSeconds: tc.window})
+			features := []float32{0.3, -0.1, 0.7, 0.2}
+			input := append([]float32(nil), features...)
+			var got []float32
+			if err := r.srv.Submit(Request{ID: 1, MinVersion: tc.minVersion, Input: input}, func(rep Reply) {
+				got = append([]float32(nil), rep.Output...)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range input {
+				input[i] = 99
+			}
+			r.mergeRound(1)
+			r.k.RunUntilIdle(100)
+			if got == nil {
+				t.Fatal("no reply")
+			}
+			if want := r.reference(features); !sameBits(got, want) {
+				t.Fatalf("reply %v, want the forward pass of the submitted features %v", got, want)
+			}
+		})
+	}
+}
+
+// TestReadGateReleaseIsOneBatch: the requests one publication releases are
+// resumed inside the training merge that published, so they must not be
+// served there — even at window 0 they wait for the flush the Clock runs,
+// and that one flush serves them together.
+func TestReadGateReleaseIsOneBatch(t *testing.T) {
+	r := newRig(t, 2, 2, Config{})
+	served := 0
+	for i := 0; i < 2; i++ {
+		if err := r.srv.Submit(Request{ID: int64(i + 1), MinVersion: 1, Input: []float32{1, 0, 0, 1}}, func(rep Reply) {
+			if rep.Version < 1 {
+				t.Errorf("request %d served at version %d below its floor 1", rep.ID, rep.Version)
+			}
+			served++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.pub.Parked(); n != 2 {
+		t.Fatalf("parked = %d, want 2", n)
+	}
+	r.mergeRound(1)
+	if served != 0 {
+		t.Fatalf("%d requests served inside the merge that released them", served)
+	}
+	if n := r.pub.Parked(); n != 0 {
+		t.Fatalf("parked = %d after the release, want 0", n)
+	}
+	r.k.RunUntilIdle(100)
+	if served != 2 {
+		t.Fatalf("served %d, want 2", served)
+	}
+	if st := r.srv.Stats(); st.Batches != 1 {
+		t.Fatalf("one release ran %d forward passes, want 1", st.Batches)
+	}
+}
+
+// TestSubmitFlushAllocs guards the in-process request path: at window 0 a
+// directly admitted request is appended to a pooled flush buffer, run
+// through the forward pass and answered on the submitting goroutine, with no
+// allocation once the pool and the activations have grown.
+func TestSubmitFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	r := newRig(t, 2, 2, Config{MaxBatch: 4})
+	input := []float32{0.1, 0.2, 0.3, 0.4}
+	var sink float32
+	done := func(rep Reply) { sink += rep.Output[0] }
+	submit := func() {
+		if err := r.srv.Submit(Request{ID: 1, Input: input}, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, submit); allocs != 0 {
+		t.Fatalf("Submit+flush allocates %.1f times per request, want 0", allocs)
+	}
+	if st := r.srv.Stats(); st.Served != st.Batches {
+		t.Fatalf("%d requests in %d forward passes: window 0 must serve each on its submitter", st.Served, st.Batches)
+	}
+}
+
+// TestSubmitRacingCloseIsServedOrRejected is meant for -race: submitters
+// race Close with a window that never elapses during the test, so only
+// Close's final flush can serve a request. Every Submit must either be
+// refused or have been answered by the time Close returns — a Submit that
+// checks `closed` and appends in two critical sections can slip its request
+// in after that flush, where nothing ever serves it.
+func TestSubmitRacingCloseIsServedOrRejected(t *testing.T) {
+	const (
+		rounds     = 100
+		submitters = 4
+	)
+	input := []float32{0.1, 0.2, 0.3, 0.4}
+	for round := 0; round < rounds; round++ {
+		r := newRig(t, 2, 2, Config{WindowSeconds: 100, Clock: newWallClock()})
+		var accepted, answered atomic.Int64
+		var wg sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r.srv.Submit(Request{Input: input}, func(Reply) { answered.Add(1) }) == nil {
+					accepted.Add(1)
+				}
+			}()
+		}
+		for accepted.Load() < submitters {
+			runtime.Gosched()
+		}
+		r.srv.Close()
+		atClose := answered.Load()
+		wg.Wait()
+		if got := accepted.Load(); got != atClose {
+			t.Fatalf("round %d: %d submits accepted, %d answered when Close returned", round, got, atClose)
 		}
 	}
 }

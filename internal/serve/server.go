@@ -26,15 +26,20 @@ type Reply struct {
 	ID      int64
 	Version int64
 	Seq     int64
-	Output  []float32
+	// Output is a view of the batch's pooled output memory, valid only
+	// until the done callback it was passed to returns; copy it to keep it.
+	Output []float32
 }
 
 // Config parameterizes a Server.
 type Config struct {
 	// WindowSeconds is the batching window: the first request entering an
 	// empty queue arms a timer this far out, and everything queued when it
-	// fires is served in one forward pass. 0 serves each arrival instantly
-	// (batching only what raced in together).
+	// fires is served in one forward pass. At 0 a request admitted by Submit
+	// is served on the goroutine that submitted it, with whatever raced in
+	// beside it; requests the read gate releases still wait for a flush the
+	// Clock runs (or for MaxBatch), so one publication's releases form one
+	// batch.
 	WindowSeconds float64
 	// MaxBatch flushes early when the queue reaches this depth (0 = no
 	// cap; the window alone decides).
@@ -64,9 +69,9 @@ type Server struct {
 	probe  *obs.Probe
 
 	qmu       sync.Mutex
-	queue     []pendingReq // guarded by qmu
-	scheduled bool         // guarded by qmu; a flush timer is armed
-	closed    bool         // guarded by qmu
+	queue     *flushBuf // guarded by qmu; nil while no request is queued
+	scheduled bool      // guarded by qmu; a flush timer is armed
+	closed    bool      // guarded by qmu
 
 	fwdMu   sync.Mutex
 	lastSeq int64 // guarded by fwdMu; snapshot seq materialized in model
@@ -76,12 +81,25 @@ type Server struct {
 }
 
 // pendingReq is one queued request with its completion callback and
-// enqueue time (for the latency the RequestServe event carries).
+// enqueue time (for the latency the RequestServe event carries); its
+// features are its row of the flush buffer's input.
 type pendingReq struct {
-	req  Request
+	id   int64
 	enq  float64
 	done func(Reply)
 }
+
+// flushBuf is the queue and the memory its flush runs in: enqueueing a
+// request appends its features to x as the next row, the forward pass reads
+// x, and flush copies the logits into out. Buffers are pooled, so a steady
+// stream of flushes allocates nothing.
+type flushBuf struct {
+	reqs []pendingReq
+	x    tensor.Matrix // x.Data is the feature slab, one row per request
+	out  []float32
+}
+
+var flushBufs = sync.Pool{New: func() any { return new(flushBuf) }}
 
 // NewServer builds a server over pub. model is a scratch replica of the
 // served architecture — the server materializes snapshots into it, so the
@@ -104,54 +122,75 @@ func NewServer(pub *Publisher, model *nn.Sequential, inDim int, cfg Config) *Ser
 func (s *Server) Publisher() *Publisher { return s.pub }
 
 // Submit enqueues one request; done runs with the reply once it has been
-// served (possibly before Submit returns, when the request fills a batch).
-// A request demanding a version beyond the published snapshot parks on the
-// read gate and is enqueued by the publication that satisfies it.
+// served (possibly before Submit returns: at window 0, or when the request
+// fills a batch). A request demanding a version beyond the published
+// snapshot parks on the read gate and is enqueued by the publication that
+// satisfies it. Submit does not retain req.Input after it returns.
 func (s *Server) Submit(req Request, done func(Reply)) error {
 	if len(req.Input) != s.inDim {
 		return fmt.Errorf("serve: request %d: input width %d, model expects %d",
 			req.ID, len(req.Input), s.inDim)
 	}
 	s.qmu.Lock()
-	closed := s.closed
-	s.qmu.Unlock()
-	if closed {
+	if s.closed {
+		s.qmu.Unlock()
 		return fmt.Errorf("serve: request %d: server closed", req.ID)
 	}
 	now := s.clock.Now()
-	cur := s.pub.Current()
-	s.probe.RequestEnqueue(req.ID, req.MinVersion, cur.Version())
-	pr := pendingReq{req: req, enq: now, done: done}
-	if cur.Version() >= req.MinVersion {
-		s.enqueue(pr)
+	cur := s.pub.Version()
+	s.probe.RequestEnqueue(req.ID, req.MinVersion, cur)
+	if cur >= req.MinVersion {
+		// The closed check and the append share one critical section, so
+		// Close's final flush serves every request it did not reject.
+		flush, arm := s.pushLocked(req.ID, req.Input, now, done, s.window == 0)
+		s.qmu.Unlock()
+		s.schedule(flush, arm)
 		return nil
 	}
-	s.probe.ReadStallBegin(req.ID, req.MinVersion, cur.Version())
+	s.qmu.Unlock()
+	// The gate may release the request long after Submit returns: it keeps
+	// its own copy of the features.
+	input := append([]float32(nil), req.Input...)
+	s.probe.ReadStallBegin(req.ID, req.MinVersion, cur)
 	s.pub.await(req.MinVersion, func() {
-		s.probe.ReadStallEnd(req.ID, s.pub.Version(), s.clock.Now()-pr.enq)
-		s.enqueue(pr)
+		s.probe.ReadStallEnd(req.ID, s.pub.Version(), s.clock.Now()-now)
+		// This runs inside the training merge that published, under a
+		// stateShard lock: unless the request fills a batch, the forward
+		// pass is left to a flush the Clock runs, which also serves what the
+		// same publication releases as one batch.
+		s.qmu.Lock()
+		flush, arm := s.pushLocked(req.ID, input, now, done, false)
+		s.qmu.Unlock()
+		s.schedule(flush, arm)
 	})
 	return nil
 }
 
-// enqueue adds one admitted request to the batch queue and arranges the
-// flush that will serve it.
-func (s *Server) enqueue(pr pendingReq) {
-	s.qmu.Lock()
-	s.queue = append(s.queue, pr)
-	depth := len(s.queue)
-	arm := !s.scheduled
-	if arm {
-		s.scheduled = true
+// pushLocked appends one admitted request to the queue and reports how the
+// flush that serves it is arranged: run at once (the request fills a batch,
+// or now is set), or on the window's timer, which arm says to start.
+func (s *Server) pushLocked(id int64, input []float32, enq float64, done func(Reply), now bool) (flush, arm bool) {
+	if s.queue == nil {
+		s.queue = flushBufs.Get().(*flushBuf)
 	}
-	s.qmu.Unlock()
-	if s.maxB > 0 && depth >= s.maxB {
-		// Early flush clears `scheduled`; an already-armed timer fires on
-		// an empty queue and no-ops.
+	b := s.queue
+	b.reqs = append(b.reqs, pendingReq{id: id, enq: enq, done: done})
+	b.x.Data = append(b.x.Data, input...)
+	if now || s.maxB > 0 && len(b.reqs) >= s.maxB {
+		// The flush clears `scheduled`; an already-armed timer fires on an
+		// empty queue and no-ops.
+		return true, false
+	}
+	arm = !s.scheduled
+	s.scheduled = true
+	return false, arm
+}
+
+// schedule carries out what pushLocked asked for, with qmu released.
+func (s *Server) schedule(flush, arm bool) {
+	if flush {
 		s.flush()
-		return
-	}
-	if arm {
+	} else if arm {
 		s.clock.After(s.window, s.flush)
 	}
 }
@@ -161,39 +200,42 @@ func (s *Server) enqueue(pr pendingReq) {
 // — the atomic hot-swap only redirects requests enqueued later.
 func (s *Server) flush() {
 	s.qmu.Lock()
-	batch := s.queue
+	b := s.queue
 	s.queue = nil
 	s.scheduled = false
 	s.qmu.Unlock()
-	if len(batch) == 0 {
+	if b == nil {
 		return
 	}
+	n := len(b.reqs)
 	snap := s.pub.Current()
 	s.fwdMu.Lock()
 	if s.lastSeq != snap.Seq() {
 		snap.Materialize(s.pub.part, s.model.Params())
 		s.lastSeq = snap.Seq()
 	}
-	x := tensor.New(len(batch), s.inDim)
-	for i, pr := range batch {
-		copy(x.Row(i), pr.req.Input)
-	}
+	b.x.Rows, b.x.Cols = n, s.inDim
 	// The forward-only pass answers from buffers the next flush overwrites,
 	// so the replies' copy is taken before the lock goes.
-	out := s.infer.Forward(s.model, x).Clone()
+	y := s.infer.Forward(s.model, &b.x)
+	b.out = append(b.out[:0], y.Data...)
+	cols := y.Cols
 	s.fwdMu.Unlock()
 	s.batches.Add(1)
 	now := s.clock.Now()
-	for i, pr := range batch {
+	for i, pr := range b.reqs {
 		s.served.Add(1)
-		s.probe.RequestServe(pr.req.ID, snap.Version(), len(batch), now-pr.enq)
+		s.probe.RequestServe(pr.id, snap.Version(), n, now-pr.enq)
 		pr.done(Reply{
-			ID:      pr.req.ID,
+			ID:      pr.id,
 			Version: snap.Version(),
 			Seq:     snap.Seq(),
-			Output:  out.Data[i*out.Cols : (i+1)*out.Cols : (i+1)*out.Cols],
+			Output:  b.out[i*cols : (i+1)*cols : (i+1)*cols],
 		})
 	}
+	clear(b.reqs)
+	b.reqs, b.x.Data = b.reqs[:0], b.x.Data[:0]
+	flushBufs.Put(b)
 }
 
 // Close rejects future submits and serves whatever is already queued.

@@ -6,7 +6,7 @@
 # findings, and repeats itself for one package's findings alone), the full
 # test suite, a kernels stage (the tensor package vetted for arm64, where only
 # the Go body exists, and its bit-identity tests rerun at GOAMD64=v3;
-# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (seven
+# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (eight
 # differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
 # `make fuzz` runs it alone), a trace smoke (a tiny
 # traced simnet run, and a FLOWN run whose plans skip, piped through
@@ -93,16 +93,18 @@ run_kernels() {
 }
 
 run_fuzz() {
-	# The test stage runs every fuzz target's seed corpus only. These seven —
+	# The test stage runs every fuzz target's seed corpus only. These eight —
 	# the codec against its branchy reference, the frame reader against its
 	# reference decoder, the protocol parser, the vector kernel against its Go
 	# body, the affine row pass (compaction, bias, rectifier) against the plain
 	# loops, the merge fan-out against a per-worker AddUnit loop, the paged
-	# in-memory file against a flat slice — also fuzz, for a fixed number of
-	# inputs rather than a duration, so the stage costs the same every run.
+	# in-memory file against a flat slice, the serve frames' scratch decoders
+	# against the allocating ones — also fuzz, for a fixed number of inputs
+	# rather than a duration, so the stage costs the same every run.
 	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse \
 		tensor:FuzzAddScaledRowsMatchesGo tensor:FuzzRowPassMatchesReference \
-		rowsync:FuzzFanOutMatchesAddUnit durable:FuzzMemFSMatchesFlat; do
+		rowsync:FuzzFanOutMatchesAddUnit durable:FuzzMemFSMatchesFlat \
+		serve:FuzzServeFrameDecode; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 50000x "./internal/${target%%:*}"
 	done
 }
