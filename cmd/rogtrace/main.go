@@ -1,13 +1,15 @@
-// Command rogtrace aggregates a JSONL event trace written by rogtrain
-// -trace (or any obs.JSONLTracer) into the run's composition, transmission
-// and staleness tables — the offline counterpart of the live metrics
-// registry.
+// Command rogtrace reads a JSONL event trace written by rogtrain -trace (or
+// any obs.JSONLTracer) through the trace analyser and prints the run's
+// composition, transmission and staleness tables — the offline counterpart
+// of the live metrics registry. It exits non-zero when the trace is
+// structurally broken.
 //
-// The critpath subcommand instead runs the causal critical-path analyzer:
-// each worker's wall time decomposed into compute / comm / gate-stall /
-// merge segments, the top blocking (worker, unit) pairs, and the stall
-// duration quantiles. It exits non-zero when the decomposition covers less
-// than 99% of any worker's wall time or the trace is structurally broken.
+// The critpath subcommand prints the same pass's critical-path view
+// instead: each worker's wall time decomposed into compute / comm /
+// gate-stall / merge segments, the top blocking (worker, unit) pairs, and
+// the stall duration quantiles. It exits non-zero when the decomposition
+// covers less than 99% of any worker's wall time or the trace is
+// structurally broken.
 //
 // Usage:
 //
@@ -54,23 +56,20 @@ func main() {
 		defer f.Close()
 		in = f
 	}
+	cp, err := rog.ReadTrace(in)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rogtrace: %v\n", err)
+		os.Exit(1)
+	}
 	if critpath {
-		rep, err := rog.CritPathFromTrace(in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rogtrace: %v\n", err)
-			os.Exit(1)
-		}
+		rep := cp.Report()
 		printCritPath(rep)
 		if len(rep.Errors) > 0 || rep.MinCoverage() < 0.99 {
 			os.Exit(1)
 		}
 		return
 	}
-	sum, err := rog.AggregateTrace(in)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rogtrace: %v\n", err)
-		os.Exit(1)
-	}
+	sum := cp.Summary()
 	printSummary(sum)
 	if len(sum.PairErrors) > 0 {
 		os.Exit(1)

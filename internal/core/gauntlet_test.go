@@ -128,11 +128,11 @@ func TestRejoinWaitsForServerRestart(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := obs.Aggregate(&buf)
+		an, err := obs.ReadTrace(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, res, sum
+		return c, res, an.Summary()
 	}
 	c, res, sum := run()
 	if res.Churn.Disconnects != 1 || res.Churn.Reconnects != 1 || res.Churn.RowsResynced == 0 {
@@ -267,16 +267,18 @@ func gauntletCell(t *testing.T, name string, cfg Config, bound int64, churns int
 	if churns > 0 && !c.state.IsActive(1) {
 		t.Errorf("%s: worker 1 rejoined but ends detached", name)
 	}
-	sum, err := obs.Aggregate(&buf)
+	// The analyser fed live and one fed the cell's JSONL must agree on
+	// both views: the file reader is lossless.
+	fromFile, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(sum.PairErrors) != 0 || sum.RowsLostRetrans != sum.RowsRetransmitted {
-		t.Errorf("%s: trace pairing %v, %d rows lost to retransmission, %d retransmitted",
-			name, sum.PairErrors, sum.RowsLostRetrans, sum.RowsRetransmitted)
+	sum, rep := cp.Summary(), cp.Report()
+	if !reflect.DeepEqual(sum, fromFile.Summary()) || !reflect.DeepEqual(rep, fromFile.Report()) {
+		t.Errorf("%s: the analyser read from JSONL disagrees with the live one", name)
 	}
-	if errs := cp.Report().Errors; len(errs) != 0 {
-		t.Errorf("%s: critpath: %v", name, errs)
+	if len(sum.PairErrors) != 0 {
+		t.Errorf("%s: trace pairing %v", name, sum.PairErrors)
 	}
 	again, err := Run(withStore(cfg), newTestWorkload(4, 61))
 	if err != nil {

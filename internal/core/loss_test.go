@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rog/internal/lossnet"
@@ -127,7 +128,7 @@ func traceLossyRun(t *testing.T, rel lossnet.Reliability) []byte {
 	tr := obs.NewJSONLTracer(&buf)
 	cfg := lossConfig(ROG, 4, rel)
 	cfg.Trace = tr
-	if _, err := Run(cfg, newTestWorkload(3, 6)); err != nil {
+	if _, err := Run(cfg, newTestWorkload(4, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -176,10 +177,11 @@ func TestLossTracePairing(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := obs.Aggregate(&buf)
+		an, err := obs.ReadTrace(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sum := an.Summary()
 		for _, pe := range sum.PairErrors {
 			t.Errorf("%s: pair error: %s", name, pe)
 		}
@@ -232,5 +234,60 @@ func TestLossConfigValidate(t *testing.T) {
 	cfg.Loss = lossnet.Spec{Kind: "trace"}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("trace loss without traces accepted")
+	}
+}
+
+// TestLossyCritPathCoverageExact holds the critical path of a lossy depth-0
+// run to its definition: a RowsSent's seconds already include the
+// transmission's retransmission rounds, so a worker's comm is exactly the
+// summed RowsSent seconds of its finished iterations and its coverage is
+// 1, never more — directly and through edge aggregators.
+func TestLossyCritPathCoverageExact(t *testing.T) {
+	for _, st := range []struct {
+		s   Strategy
+		thr int
+	}{{ROG, 4}, {BSP, 0}} {
+		for _, aggs := range []int{0, 2} {
+			name := fmt.Sprintf("%v aggs=%d", st.s, aggs)
+			cfg := testConfig(st.s, st.thr)
+			cfg.Workers, cfg.Aggregators = 4, aggs
+			var err error
+			if cfg.Loss, err = lossnet.ParseSpec("iid:0.05"); err != nil {
+				t.Fatal(err)
+			}
+			type key struct {
+				w int
+				n int64
+			}
+			open, sent := map[key]float64{}, map[int]float64{}
+			cp := obs.NewCritPath()
+			cfg.Trace = obs.Tee(cp, tracerFunc(func(e obs.Event) {
+				switch k := (key{e.Worker, e.Iter}); e.Kind {
+				case obs.KindRowsSent:
+					open[k] += e.Seconds
+				case obs.KindIterEnd:
+					sent[e.Worker] += open[k]
+					delete(open, k)
+				}
+			}))
+			if _, err := Run(cfg, newTestWorkload(4, 6)); err != nil {
+				t.Fatal(err)
+			}
+			rep := cp.Report()
+			if len(rep.Errors) != 0 {
+				t.Fatalf("%s: %v", name, rep.Errors)
+			}
+			if cp.Summary().RetransmitSeconds == 0 {
+				t.Fatalf("%s: nothing retransmitted", name)
+			}
+			for _, w := range rep.Workers {
+				if w.Coverage < 0.99 || w.Coverage > 1+1e-9 {
+					t.Errorf("%s: worker %d coverage %g, want [0.99, 1]", name, w.Worker, w.Coverage)
+				}
+				if !closeEnough(w.CommSeconds, sent[w.Worker]) {
+					t.Errorf("%s: worker %d comm %gs, RowsSent %gs", name, w.Worker, w.CommSeconds, sent[w.Worker])
+				}
+			}
+		}
 	}
 }

@@ -34,10 +34,11 @@ func TestTraceAggregationMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, err := obs.Aggregate(&buf)
+	an, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := an.Summary()
 	if len(sum.PairErrors) != 0 {
 		t.Fatalf("pairing violations: %v", sum.PairErrors)
 	}
@@ -141,10 +142,11 @@ func TestTraceChurnEventsMatchCounters(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := obs.Aggregate(&buf)
+	an, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := an.Summary()
 	if len(sum.PairErrors) != 0 {
 		t.Fatalf("pairing violations: %v", sum.PairErrors)
 	}

@@ -238,18 +238,6 @@ func PartitionPachinko(samples []Sample, n int, classes, superclass int, alpha f
 	return out
 }
 
-// PartitionEqual splits samples into n near-equal contiguous shards after a
-// deterministic shuffle (the paper's "equally divided without overlap").
-func PartitionEqual(samples []Sample, n int, seed uint64) [][]Sample {
-	r := tensor.NewRNG(seed)
-	perm := r.Perm(len(samples))
-	out := make([][]Sample, n)
-	for i, pi := range perm {
-		out[i%n] = append(out[i%n], samples[pi])
-	}
-	return out
-}
-
 // gamma draws a Gamma(alpha, 1) variate (Marsaglia-Tsang for alpha>=1,
 // boosted for alpha<1). Used for Dirichlet draws.
 func gamma(r *tensor.RNG, alpha float64) float64 {

@@ -146,16 +146,6 @@ func TestPartitionPachinkoIsNonIID(t *testing.T) {
 	}
 }
 
-func TestPartitionEqualBalanced(t *testing.T) {
-	d := smallCRUDA()
-	shards := PartitionEqual(d.Train, 4, 5)
-	for _, s := range shards {
-		if len(s) != 50 {
-			t.Fatalf("unbalanced equal partition: %d", len(s))
-		}
-	}
-}
-
 func TestShardBatchShape(t *testing.T) {
 	d := smallCRUDA()
 	sh := NewShard(d.Train, 1)

@@ -436,10 +436,11 @@ func TestStoreProbeCountersAndPairing(t *testing.T) {
 			snap.Counters["recovery_replayed_records"], len(ops)-20)
 	}
 
-	sum, err := obs.Aggregate(strings.NewReader(trace.String()))
+	an, err := obs.ReadTrace(strings.NewReader(trace.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := an.Summary()
 	if len(sum.PairErrors) != 0 {
 		t.Fatalf("pairing violations: %v", sum.PairErrors)
 	}

@@ -91,6 +91,3 @@ func (m *Meter) Joules() float64 {
 	}
 	return j
 }
-
-// JoulesIn returns the energy spent in one state.
-func (m *Meter) JoulesIn(s State) float64 { return m.model.Watts[s] * m.seconds[s] }

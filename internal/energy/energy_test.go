@@ -30,9 +30,6 @@ func TestMeterIntegration(t *testing.T) {
 	if m.Seconds(Stall) != 7 || m.TotalSeconds() != 21 {
 		t.Fatalf("residency wrong: stall=%v total=%v", m.Seconds(Stall), m.TotalSeconds())
 	}
-	if math.Abs(m.JoulesIn(Compute)-133.5) > 1e-9 {
-		t.Fatalf("JoulesIn=%v", m.JoulesIn(Compute))
-	}
 }
 
 func TestMeterNegativePanics(t *testing.T) {

@@ -95,9 +95,10 @@ func structured(title string, o EndToEndOptions) *Report {
 }
 
 // runStructured executes the lineup once and fills rep's systems from it,
-// riding the critical-path analyzer on each system's event stream: the
-// simnet is bit-identical traced or untraced, so the decomposition is free
-// of observer effects. The results come back for the text rendering.
+// riding the trace analyser on each system's event stream: the simnet is
+// bit-identical traced or untraced, so the decomposition is free of
+// observer effects. A system whose trace is structurally broken fails the
+// run. The results come back for the text rendering.
 func runStructured(o EndToEndOptions, rep *Report) ([]*core.Result, error) {
 	crit := make(map[string]*obs.CritPath)
 	o.MakeTrace = func(label string) obs.Tracer {
@@ -110,7 +111,12 @@ func runStructured(o EndToEndOptions, rep *Report) ([]*core.Result, error) {
 	}
 	rep.fill(results)
 	for i := range rep.Systems {
-		rep.Systems[i].CritPath = crit[rep.Systems[i].Label].Report()
+		sys := &rep.Systems[i]
+		sys.CritPath = crit[sys.Label].Report()
+		if errs := sys.CritPath.Errors; len(errs) > 0 {
+			return nil, fmt.Errorf("harness: %s, %s: %d structural trace error(s), first: %s",
+				rep.Title, sys.Label, len(errs), errs[0])
+		}
 	}
 	return results, nil
 }

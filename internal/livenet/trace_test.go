@@ -145,10 +145,11 @@ func TestChaosTraceEventsPair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, err := obs.Aggregate(&buf)
+	an, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := an.Summary()
 	if len(sum.PairErrors) != 0 {
 		t.Fatalf("pairing violations in live trace: %v", sum.PairErrors)
 	}
@@ -215,10 +216,11 @@ func TestMaxStalenessIsTheTracedMaximum(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := obs.Aggregate(&buf)
+	an, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := an.Summary()
 	var traced int64
 	for _, u := range sum.Units {
 		traced = max(traced, u.MaxLag)

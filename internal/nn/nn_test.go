@@ -286,30 +286,6 @@ func TestApplyRowEquivalentToStep(t *testing.T) {
 	}
 }
 
-func TestSnapshotGradsZeroesOriginals(t *testing.T) {
-	r := tensor.NewRNG(8)
-	model := NewClassifierMLP(3, []int{4}, 2, r)
-	x := tensor.New(2, 3)
-	x.FillNormal(r, 1)
-	_, d := SoftmaxCrossEntropy(model.Forward(x), []int{0, 1})
-	model.Backward(d)
-	snap := model.SnapshotGrads()
-	var any bool
-	for _, g := range snap {
-		if g.SumAbs() > 0 {
-			any = true
-		}
-	}
-	if !any {
-		t.Fatal("snapshot contained no gradient signal")
-	}
-	for _, g := range model.Grads() {
-		if g.SumAbs() != 0 {
-			t.Fatal("original gradients not zeroed")
-		}
-	}
-}
-
 func TestNumRowsAndParams(t *testing.T) {
 	r := tensor.NewRNG(1)
 	m := NewClassifierMLP(10, []int{20}, 5, r)

@@ -93,16 +93,3 @@ func (s *Sequential) CopyParamsFrom(src *Sequential) {
 		p.CopyFrom(sp[i])
 	}
 }
-
-// SnapshotGrads deep-copies the current gradients and zeroes the originals,
-// returning the copies. This is what a training iteration hands to the
-// synchronization layer.
-func (s *Sequential) SnapshotGrads() []*tensor.Matrix {
-	grads := s.Grads()
-	out := make([]*tensor.Matrix, len(grads))
-	for i, g := range grads {
-		out[i] = g.Clone()
-		g.Zero()
-	}
-	return out
-}

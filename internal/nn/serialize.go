@@ -109,18 +109,3 @@ func (s *Sequential) DecodeParams(b []byte) error {
 	}
 	return nil
 }
-
-// SameArchitecture reports whether two models have identical parameter
-// shapes (and so can exchange checkpoints and gradient rows).
-func SameArchitecture(a, b *Sequential) bool {
-	pa, pb := a.Params(), b.Params()
-	if len(pa) != len(pb) {
-		return false
-	}
-	for i := range pa {
-		if pa[i].Rows != pb[i].Rows || pa[i].Cols != pb[i].Cols {
-			return false
-		}
-	}
-	return true
-}

@@ -279,16 +279,3 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatalf("wrong version accepted: %v", err)
 	}
 }
-
-func TestSameArchitecture(t *testing.T) {
-	r := tensor.NewRNG(5)
-	a := NewClassifierMLP(4, []int{8}, 3, r)
-	b := NewClassifierMLP(4, []int{8}, 3, tensor.NewRNG(9))
-	c := NewClassifierMLP(4, []int{7}, 3, r)
-	if !SameArchitecture(a, b) {
-		t.Fatal("identical architectures reported different")
-	}
-	if SameArchitecture(a, c) {
-		t.Fatal("different architectures reported same")
-	}
-}

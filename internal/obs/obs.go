@@ -286,14 +286,6 @@ func NewProbe(t Tracer, r *Registry, now func() float64) *Probe {
 	return &Probe{tracer: t, reg: r, now: now}
 }
 
-// Registry returns the probe's registry (nil when metrics are off).
-func (p *Probe) Registry() *Registry {
-	if p == nil {
-		return nil
-	}
-	return p.reg
-}
-
 // emit stamps the event with the probe's clock and hands it to the tracer.
 func (p *Probe) emit(e Event) {
 	if p.tracer == nil {

@@ -45,9 +45,6 @@ func TestNilProbeIsSafe(t *testing.T) {
 	p.Reconnect(0, 1)
 	p.Resync(0, 3, 100)
 	p.ObservePlan(3, 100)
-	if p.Registry() != nil {
-		t.Error("nil probe should have nil registry")
-	}
 	if NewProbe(nil, nil, nil) != nil {
 		t.Error("NewProbe with nothing enabled must return nil")
 	}
@@ -331,15 +328,17 @@ func TestAggregate(t *testing.T) {
 	}
 	// A second worker-iteration of the same iteration number, to exercise
 	// per-iteration averaging.
+	tr.Emit(Event{Kind: KindIterStart, Time: 1.0, Worker: 1, Iter: 1})
 	tr.Emit(Event{Kind: KindIterEnd, Time: 5.0, Worker: 1, Iter: 1, Compute: 2.64, Comm: 1.0, Stall: 0.1})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := Aggregate(bytes.NewReader(buf.Bytes()))
+	an, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := an.Summary()
 	if len(s.PairErrors) != 0 {
 		t.Fatalf("unexpected pair errors: %v", s.PairErrors)
 	}
@@ -389,10 +388,11 @@ func TestAggregatePairingViolations(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Aggregate(bytes.NewReader(buf.Bytes()))
+	an, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := an.Summary()
 	if len(s.PairErrors) != 4 {
 		t.Fatalf("pair errors = %v, want 4", s.PairErrors)
 	}

@@ -78,6 +78,21 @@ func (h *Histogram) Observe(v float64) {
 	h.n.Add(1)
 }
 
+// snapshot freezes the histogram, quantiles filled.
+func (h *Histogram) snapshot() HistSnapshot {
+	hs := HistSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: make([]int64, len(h.counts)),
+		Sum:    h.sum.Value(),
+		Count:  h.n.Load(),
+	}
+	for i := range h.counts {
+		hs.Counts[i] = h.counts[i].Load()
+	}
+	hs.fillQuantiles()
+	return hs
+}
+
 // HistSnapshot is a histogram's frozen state. P50/P95/P99 are the
 // interpolated quantile estimates (see Quantile), filled by
 // Registry.Snapshot so the debug endpoint serves them directly.
@@ -250,17 +265,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		hs := HistSnapshot{
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]int64, len(h.counts)),
-			Sum:    h.sum.Value(),
-			Count:  h.n.Load(),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		hs.fillQuantiles()
-		s.Histograms[name] = hs
+		s.Histograms[name] = h.snapshot()
 	}
 	return s
 }

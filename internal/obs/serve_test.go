@@ -26,10 +26,11 @@ func TestAggregateServingEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Aggregate(bytes.NewReader(buf.Bytes()))
+	an, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := an.Summary()
 	if len(s.PairErrors) != 0 {
 		t.Fatalf("unexpected pair errors: %v", s.PairErrors)
 	}
@@ -65,10 +66,11 @@ func TestAggregateReadStallPairingViolations(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Aggregate(bytes.NewReader(buf.Bytes()))
+	an, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := an.Summary()
 	if len(s.PairErrors) != 2 {
 		t.Fatalf("pair errors = %v, want 2", s.PairErrors)
 	}

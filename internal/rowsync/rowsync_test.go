@@ -234,21 +234,6 @@ func TestVersionStoreMinTracking(t *testing.T) {
 	}
 }
 
-func TestVersionStoreStalePredicate(t *testing.T) {
-	vs := NewVersionStore(2, 2)
-	vs.Update(0, 0, 4)
-	// min is 0; threshold 4: worker0/unit0 is 4 ahead → must wait.
-	if !vs.Stale(0, 0, 4) {
-		t.Fatal("should be stale at threshold 4")
-	}
-	if vs.Stale(0, 0, 5) {
-		t.Fatal("should not be stale at threshold 5")
-	}
-	if vs.Stale(1, 0, 4) {
-		t.Fatal("lagging worker should never be stale")
-	}
-}
-
 func TestVersionStoreMonotonicPanics(t *testing.T) {
 	vs := NewVersionStore(1, 1)
 	vs.Update(0, 0, 3)

@@ -236,13 +236,6 @@ func (vs *VersionStore) Min() int64 {
 	return min
 }
 
-// Stale reports whether worker r's unit i is too far *ahead* of the
-// global minimum for threshold t — the condition in Algo. 2 lines 8–9
-// (v_i^r − min(V) ≥ t) under which non-stragglers must wait.
-func (vs *VersionStore) Stale(worker, unit int, t int64) bool {
-	return vs.v[worker][unit]-vs.Min() >= t
-}
-
 // MaxAhead returns the largest lead of any attached worker's entry over the
 // global minimum — the divergence RSP bounds by the threshold. The caller
 // must hold every shard lock.

@@ -118,9 +118,6 @@ func NewServer(pub *Publisher, model *nn.Sequential, inDim int, cfg Config) *Ser
 	}
 }
 
-// Publisher returns the snapshot source the server reads from.
-func (s *Server) Publisher() *Publisher { return s.pub }
-
 // Submit enqueues one request; done runs with the reply once it has been
 // served (possibly before Submit returns: at window 0, or when the request
 // fills a batch). A request demanding a version beyond the published

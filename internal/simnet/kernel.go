@@ -115,21 +115,6 @@ func (k *Kernel) Step() bool {
 	return false
 }
 
-// RunUntil fires events until virtual time would exceed t; the clock ends
-// at exactly t (or later event times are left queued).
-func (k *Kernel) RunUntil(t float64) {
-	for k.pq.Len() > 0 {
-		next := k.peek()
-		if next.at > t {
-			break
-		}
-		k.Step()
-	}
-	if k.now < t {
-		k.now = t
-	}
-}
-
 // RunUntilIdle fires all events until the queue is empty. maxEvents bounds
 // runaway simulations; it panics if exceeded.
 func (k *Kernel) RunUntilIdle(maxEvents int) {

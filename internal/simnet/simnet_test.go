@@ -51,20 +51,6 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	k.At(5, func() { fired = true })
-	k.RunUntil(3)
-	if fired || k.Now() != 3 {
-		t.Fatalf("fired=%v now=%v", fired, k.Now())
-	}
-	k.RunUntil(6)
-	if !fired {
-		t.Fatal("event at 5 not fired by RunUntil(6)")
-	}
-}
-
 func TestKernelPastEventClamped(t *testing.T) {
 	k := NewKernel()
 	k.At(5, func() {})

@@ -371,19 +371,6 @@ func (m *Matrix) MeanAbs() float64 {
 	return m.SumAbs() / float64(len(m.Data))
 }
 
-// RowMeanAbs returns the mean absolute value of row i.
-func (m *Matrix) RowMeanAbs(i int) float64 {
-	row := m.Row(i)
-	if len(row) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range row {
-		s += math.Abs(float64(v))
-	}
-	return s / float64(len(row))
-}
-
 // Norm2 returns the Frobenius norm of m.
 func (m *Matrix) Norm2() float64 {
 	var s float64
@@ -391,20 +378,6 @@ func (m *Matrix) Norm2() float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Matrix) MaxAbs() float32 {
-	var mx float32
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }
 
 // Equal reports whether m and o have identical shape and elements.

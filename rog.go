@@ -202,7 +202,8 @@ type TraceEvent = obs.Event
 // Config.Metrics to enable collection.
 type Registry = obs.Registry
 
-// TraceSummary is the aggregation of a JSONL trace (what rogtrace prints).
+// TraceSummary is a trace's stream totals (what rogtrace prints): a
+// CritPath's Summary.
 type TraceSummary = obs.Summary
 
 // NewJSONLTracer writes one JSON object per event to w; Close flushes.
@@ -215,14 +216,11 @@ func NewChromeTracer(w io.Writer) *obs.ChromeTracer { return obs.NewChromeTracer
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// AggregateTrace folds a JSONL event stream into per-iteration, per-unit
-// and per-cause summaries.
-func AggregateTrace(r io.Reader) (*TraceSummary, error) { return obs.Aggregate(r) }
-
 // CritReport is the critical-path decomposition of a traced run: each
 // worker's wall time split into compute / comm / gate-stall / merge
 // segments, plus the top blocking (worker, unit) pairs and the stall
-// duration distribution. Produced by CritPathFromTrace or rog.CritPath.
+// duration distribution (what `rogtrace critpath` prints): a CritPath's
+// Report.
 type CritReport = obs.CritReport
 
 // WorkerPath is one worker's critical-path row in a CritReport.
@@ -232,16 +230,16 @@ type WorkerPath = obs.WorkerPath
 // by the stall seconds its merges released.
 type BlockerRow = obs.BlockerRow
 
-// CritPath streams trace events into a critical-path decomposition; feed
-// it as a Tracer (or tee it next to a JSONL sink) and call Report.
+// CritPath is the trace analyser: it checks that a trace's events pair up
+// and accounts them for two views, Summary and Report. Feed it as a Tracer
+// (or tee it next to a JSONL sink), or read a stored trace with ReadTrace.
 type CritPath = obs.CritPath
 
-// NewCritPath creates an empty streaming critical-path analyzer.
+// NewCritPath creates an empty trace analyser.
 func NewCritPath() *CritPath { return obs.NewCritPath() }
 
-// CritPathFromTrace decomposes a recorded JSONL trace into per-worker
-// critical-path segments (what `rogtrace critpath` prints).
-func CritPathFromTrace(r io.Reader) (*CritReport, error) { return obs.CritPathFromReader(r) }
+// ReadTrace runs a fresh trace analyser over a recorded JSONL trace.
+func ReadTrace(r io.Reader) (*CritPath, error) { return obs.ReadTrace(r) }
 
 // TeeTracers fans one event stream out to several tracers (nil entries
 // are dropped; nil is returned when none remain).

@@ -8,13 +8,11 @@
 # the Go body exists, and its bit-identity tests rerun at GOAMD64=v3;
 # `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (eight
 # differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
-# `make fuzz` runs it alone), a trace smoke (a tiny
-# traced simnet run, and a FLOWN run whose plans skip, piped through
-# rogtrace — the observability pipeline must stay usable end to end, not just
-# unit-green), a critical-path
-# smoke (the same traced run through rogtrace critpath, which exits
-# non-zero unless ≥99% of every worker's wall time decomposes and the
-# gate stalls attribute), a crash-recovery
+# `make fuzz` runs it alone), a trace smoke (a tiny traced simnet run, a
+# FLOWN run whose plans skip and a lossy run, each read in both rogtrace
+# views: no structural error, ≥99% of every worker's wall time decomposed,
+# and the gate stalls attributed — the observability pipeline must stay
+# usable end to end, not just unit-green), a crash-recovery
 # smoke (a run whose parameter server is killed and recovered from its
 # checkpoint store, then resumed by a fresh process, then one composed run —
 # aggregators, loss, a robot crash and a server crash together — whose
@@ -226,51 +224,46 @@ run_recover_smoke() {
 
 run_trace_smoke() {
 	tmp=$(mktemp -d)
+	# Three traces, each generated once and read in both rogtrace views: a
+	# gated RSP run; a FLOWN run, whose plans skip (cause="skip"), which no
+	# gauntlet cell runs, and must pair too, one plan per (worker, iter); and
+	# a lossy run, whose comm segments must not count retransmission rounds
+	# twice. Each view's exit code IS the assertion: rogtrace exits non-zero
+	# on a structural error, rogtrace critpath also when any worker's
+	# decomposition covers <99% of its wall time.
 	go run ./cmd/rogtrain -paradigm crimp -strategy rog -threshold 4 \
-		-minutes 2 -trace "$tmp/run.jsonl" >/dev/null
-	# FLOWN skips plans (cause="skip"), which no gauntlet cell runs: its
-	# trace must pass the same pairing rules, one plan per (worker, iter).
-	go run ./cmd/rogtrain -strategy flown -minutes 2 -trace "$tmp/flown.jsonl" >/dev/null
-	out=$(go run ./cmd/rogtrace "$tmp/run.jsonl") && go run ./cmd/rogtrace "$tmp/flown.jsonl" >/dev/null || {
+		-minutes 2 -trace "$tmp/run.jsonl" >/dev/null &&
+		go run ./cmd/rogtrain -strategy flown -minutes 2 -trace "$tmp/flown.jsonl" >/dev/null &&
+		go run ./cmd/rogtrain -strategy rog -threshold 4 -minutes 3 -loss 0.05 \
+			-trace "$tmp/loss.jsonl" >/dev/null &&
+		go build -o "$tmp/rogtrace" ./cmd/rogtrace || {
 		rm -rf "$tmp"
-		echo "trace smoke: rogtrace failed on a fresh trace" >&2
+		echo "trace smoke: a traced run failed" >&2
 		return 1
 	}
+	for t in run flown loss; do
+		"$tmp/rogtrace" "$tmp/$t.jsonl" >"$tmp/$t.agg" &&
+			"$tmp/rogtrace" critpath "$tmp/$t.jsonl" >"$tmp/$t.crit" || {
+			cat "$tmp/$t.agg" "$tmp/$t.crit" >&2
+			rm -rf "$tmp"
+			echo "trace smoke: the $t trace is broken or its decomposition incomplete" >&2
+			return 1
+		}
+	done
+	agg=$(cat "$tmp/run.agg")
+	crit=$(cat "$tmp/run.crit")
 	rm -rf "$tmp"
-	case "$out" in
+	case "$agg" in
 	*"avg iteration"*) ;;
 	*)
-		echo "trace smoke: rogtrace aggregate missing the composition summary" >&2
+		echo "trace smoke: rogtrace missing the composition summary" >&2
 		return 1
 		;;
 	esac
-}
-
-run_critpath_smoke() {
-	tmp=$(mktemp -d)
-	go run ./cmd/rogtrain -paradigm crimp -strategy rog -threshold 4 \
-		-minutes 2 -trace "$tmp/run.jsonl" >/dev/null
-	# rogtrace critpath exits non-zero when any worker's decomposition
-	# covers <99% of its wall time or the trace is structurally broken —
-	# that exit code IS the assertion.
-	out=$(go run ./cmd/rogtrace critpath "$tmp/run.jsonl") || {
-		echo "$out" >&2
-		rm -rf "$tmp"
-		echo "critpath smoke: decomposition incomplete or trace broken" >&2
-		return 1
-	}
-	rm -rf "$tmp"
-	case "$out" in
-	*"critical path"*) ;;
+	case "$crit" in
+	*"critical path"*"top blockers"*) ;;
 	*)
-		echo "critpath smoke: rogtrace critpath missing the per-worker table" >&2
-		return 1
-		;;
-	esac
-	case "$out" in
-	*"top blockers"*) ;;
-	*)
-		echo "critpath smoke: no stall attribution in a gated RSP run" >&2
+		echo "trace smoke: rogtrace critpath missing the per-worker table or the stall attribution of a gated RSP run" >&2
 		return 1
 		;;
 	esac
@@ -335,7 +328,6 @@ stage test go test ./...
 stage kernels run_kernels
 stage fuzz run_fuzz
 stage trace-smoke run_trace_smoke
-stage critpath-smoke run_critpath_smoke
 stage recover-smoke run_recover_smoke
 stage serve-smoke run_serve_smoke
 stage race run_race
