@@ -8,9 +8,13 @@
 //	rogbench -exp fig7 -full      # paper scale (60 virtual minutes)
 //	rogbench -all                 # every experiment, quick scale
 //	rogbench -exp fig1 -json BENCH_fig1.json   # machine-readable report
-//	rogbench -exp fig1 -seeds 5   # mean±std across seeds
+//	rogbench -exp fig1 -seeds 5   # mean±std per system across seeds 1..5
+//	rogbench -exp fig9batch -seeds 3   # the same for every cell of a sweep
 //	rogbench -drift BENCH_6.json  # rerun a snapshot; exit 1 if any leaf moved
 //	rogbench -exp fig1 -cpuprofile cpu.prof -memprofile mem.prof   # then: go tool pprof -top cpu.prof
+//
+// -json and -seeds take any experiment whose report has systems: every one
+// that trains, that is all but fig3 and table1–3.
 package main
 
 import (
@@ -18,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 	"time"
 
 	"rog/internal/harness"
@@ -82,24 +84,14 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// seedIDs lists the plain comparisons, the experiments -seeds replicates.
-func seedIDs() (ids []string) {
-	for _, e := range harness.Registry() {
-		if e.Options != nil {
-			ids = append(ids, e.ID)
-		}
-	}
-	return ids
-}
-
 func main() {
 	var o options
 	flag.StringVar(&o.exp, "exp", "", "experiment id to run (see -list)")
 	flag.BoolVar(&o.all, "all", false, "run every experiment")
 	flag.BoolVar(&o.full, "full", false, "run at paper scale (60 virtual minutes per system)")
 	flag.BoolVar(&o.list, "list", false, "list available experiments")
-	flag.IntVar(&o.seeds, "seeds", 1, "replicate -exp ("+strings.Join(seedIDs(), ", ")+") across N seeds and report mean±std")
-	flag.StringVar(&o.jsonPath, "json", "", "write a machine-readable report of -exp ("+strings.Join(harness.JSONExperimentIDs(), ", ")+") to this file")
+	flag.IntVar(&o.seeds, "seeds", 1, "rerun -exp at seeds 1..N and report mean±std per system (any experiment whose report has systems: all but fig3 and table1-3)")
+	flag.StringVar(&o.jsonPath, "json", "", "write -exp's machine-readable report to this file (any experiment whose report has systems: all but fig3 and table1-3)")
 	flag.StringVar(&o.drift, "drift", "", "rerun the experiment recorded in this BENCH_*.json snapshot and list every leaf that differs (exit 1 if any does)")
 	prof := obs.ProfileFlags()
 	flag.Parse()
@@ -153,19 +145,15 @@ func find(id string) harness.Experiment {
 	return e
 }
 
-// runSeeds replicates a plain comparison's lineup across seeds 1..n.
+// runSeeds runs an experiment at seeds 1..n and summarises its systems.
 func runSeeds(e harness.Experiment, scale harness.Scale, n int) {
-	if e.Options == nil {
-		usage("-seeds replicates a plain comparison (%s), not %q", strings.Join(seedIDs(), ", "), e.ID)
-	}
-	opts := *e.Options
-	opts.Scale = scale
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = uint64(i + 1)
-	}
 	start := time.Now()
-	sums, err := harness.RunEndToEndSeeds(opts, seedList)
+	reps := make([]*harness.Report, n)
+	for i := range reps {
+		scale.Seed = uint64(i + 1)
+		reps[i] = runSystems(e, scale, "-seeds")
+	}
+	sums, err := harness.SummarizeSeeds(reps)
 	if err != nil {
 		fail(err)
 	}
@@ -220,16 +208,23 @@ func runDrift(path string) {
 	}
 }
 
-// writeJSON runs one experiment and writes its structured report.
-func writeJSON(e harness.Experiment, scale harness.Scale, path string) {
-	if ids := harness.JSONExperimentIDs(); !slices.Contains(ids, e.ID) {
-		usage("experiment %q has no JSON report (want %s)", e.ID, strings.Join(ids, ", "))
-	}
-	start := time.Now()
+// runSystems runs one experiment for a flag that reads its systems, and
+// refuses an experiment that has none.
+func runSystems(e harness.Experiment, scale harness.Scale, flagName string) *harness.Report {
 	rep, err := e.Run(scale)
 	if err != nil {
 		fail(err)
 	}
+	if len(rep.Systems) == 0 {
+		usage("%s needs an experiment whose report has systems; %q trains nothing and renders text only", flagName, e.ID)
+	}
+	return rep
+}
+
+// writeJSON runs one experiment and writes its structured report.
+func writeJSON(e harness.Experiment, scale harness.Scale, path string) {
+	start := time.Now()
+	rep := runSystems(e, scale, "-json")
 	f, err := os.Create(path)
 	if err != nil {
 		fail(err)

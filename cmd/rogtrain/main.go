@@ -155,10 +155,10 @@ func main() {
 	// The run every harness experiment starts from, at paper-scale workload
 	// sizes, for the requested duration.
 	o := harness.EndToEndOptions{
-		Paradigm: *paradigm, Env: e, Workers: *workers, Seed: *seed, Scale: harness.Full,
+		Paradigm: *paradigm, Env: e, Workers: *workers, Scale: harness.Full,
 		Faults: faults, Loss: loss, Reliability: reliability,
 	}
-	o.Scale.VirtualSeconds, o.Scale.CheckpointEvery = *minutes*60, 10
+	o.Scale.VirtualSeconds, o.Scale.CheckpointEvery, o.Scale.Seed = *minutes*60, 10, *seed
 	cfg := o.Config(harness.SystemSpec{Strategy: strat, Threshold: *threshold})
 	cfg.Shards, cfg.Aggregators = *shards, *aggs
 	if *ckptDir != "" {

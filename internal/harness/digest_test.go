@@ -29,11 +29,11 @@ func TestKernelDigestPerStrategy(t *testing.T) {
 		"ROG-20": 0xa07c34a679e5ab24,
 	}
 	o := EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Outdoor, Workers: 3, Seed: 5,
-		Scale: Scale{Name: "digest", VirtualSeconds: 160, CheckpointEvery: 4, PretrainIters: 40},
+		Paradigm: "cruda", Env: trace.Outdoor, Workers: 3,
+		Scale: Scale{Name: "digest", VirtualSeconds: 160, CheckpointEvery: 4, PretrainIters: 40, Seed: 5},
 	}
 	for _, sys := range PaperSystems() {
-		res, err := run(o.Config(sys), o.NewWorkload())
+		res, _, err := run(o.Config(sys), o.NewWorkload())
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Label(), err)
 		}

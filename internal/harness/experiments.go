@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rog/internal/core"
-	"rog/internal/durable"
 	"rog/internal/lossnet"
 	"rog/internal/obs"
 	"rog/internal/simnet"
@@ -22,6 +21,9 @@ type Scale struct {
 	ObsPerBot       int // CRIMP trajectory length
 	TestObs         int // CRIMP held-out poses
 	MicroSeconds    float64
+	// Seed derives every stream of a run: data, initialisation, channel
+	// traces. Quick and Full use 1, the seed of every recorded report.
+	Seed uint64
 }
 
 // Quick is the benchmark scale: the same experiments at ~1/10 duration.
@@ -33,6 +35,7 @@ var Quick = Scale{
 	ObsPerBot:       80,
 	TestObs:         6,
 	MicroSeconds:    240,
+	Seed:            1,
 }
 
 // Full is the paper scale: 60 minutes of virtual training per system.
@@ -44,6 +47,7 @@ var Full = Scale{
 	ObsPerBot:       120,
 	TestObs:         8,
 	MicroSeconds:    240,
+	Seed:            1,
 }
 
 // SystemSpec identifies one compared system.
@@ -81,14 +85,12 @@ func SensitivitySystems() []SystemSpec {
 
 // EndToEndOptions configures one end-to-end comparison run.
 type EndToEndOptions struct {
-	Paradigm    string // "cruda" or "crimp"
-	Env         trace.Env
-	Workers     int
-	BatchScale  int
-	Seed        uint64
-	Scale       Scale
-	Systems     []SystemSpec
-	RecordMicro bool
+	Paradigm   string // "cruda" or "crimp"
+	Env        trace.Env
+	Workers    int
+	BatchScale int
+	Scale      Scale
+	Systems    []SystemSpec
 	// ConvMLP (CRUDA) / GridMap (CRIMP) select the architecture-faithful
 	// model variants for the ext-convmlp / ext-gridmap experiments.
 	ConvMLP bool
@@ -101,17 +103,6 @@ type EndToEndOptions struct {
 	// (selective: only the Must prefix retransmits; all: everything does).
 	Loss        lossnet.Spec
 	Reliability lossnet.Reliability
-	// Checkpoint gives every system run its own fresh in-memory durable
-	// store, enabling servercrash faults; the remaining knobs pass through
-	// to the durability layer (zero values keep the core defaults).
-	Checkpoint           bool
-	SnapshotEverySeconds float64
-	RecoverySecondsPerMB float64
-	WALSyncEvery         int
-	// MakeTrace, when set, builds a tracer for each system run (label is
-	// the system's Label()); a nil return leaves that run untraced. The
-	// structured reports hang the streaming critical-path analyzer on it.
-	MakeTrace func(label string) obs.Tracer
 }
 
 // paradigmConfig returns the per-paradigm timing constants: compute time
@@ -131,7 +122,7 @@ func (o EndToEndOptions) NewWorkload() core.Workload {
 	if o.Paradigm == "crimp" {
 		opts := DefaultCRIMPOptions()
 		opts.Workers = o.Workers
-		opts.Seed = o.Seed
+		opts.Seed = o.Scale.Seed
 		opts.ObsPerBot = o.Scale.ObsPerBot
 		opts.TestObs = o.Scale.TestObs
 		opts.UseGridMap = o.GridMap
@@ -139,7 +130,7 @@ func (o EndToEndOptions) NewWorkload() core.Workload {
 	}
 	opts := DefaultCRUDAOptions()
 	opts.Workers = o.Workers
-	opts.Seed = o.Seed
+	opts.Seed = o.Scale.Seed
 	opts.PretrainIters = o.Scale.PretrainIters
 	opts.UseConvMLP = o.ConvMLP
 	if o.BatchScale > 1 {
@@ -157,7 +148,7 @@ func (o EndToEndOptions) Config(sys SystemSpec) core.Config {
 		Workers:           o.Workers,
 		Threshold:         sys.Threshold,
 		Env:               o.Env,
-		Seed:              o.Seed,
+		Seed:              o.Scale.Seed,
 		ComputeSeconds:    computeSec,
 		BatchScale:        float64(max(1, o.BatchScale)),
 		PaperModelBytes:   paperBytes,
@@ -166,7 +157,6 @@ func (o EndToEndOptions) Config(sys SystemSpec) core.Config {
 		LRDecayIters:      600,
 		MaxVirtualSeconds: o.Scale.VirtualSeconds,
 		CheckpointEvery:   o.Scale.CheckpointEvery,
-		RecordMicro:       o.RecordMicro,
 		Faults:            o.Faults,
 		Loss:              o.Loss,
 		Reliability:       o.Reliability,
@@ -176,58 +166,57 @@ func (o EndToEndOptions) Config(sys SystemSpec) core.Config {
 // RunEndToEnd executes every system on an identical workload and network
 // seed, returning one Result per system in input order.
 func RunEndToEnd(o EndToEndOptions) ([]*core.Result, error) {
+	results, _, err := runLineup(o)
+	return results, err
+}
+
+// runLineup is RunEndToEnd with each system's critical-path report beside
+// its result.
+func runLineup(o EndToEndOptions) ([]*core.Result, []*obs.CritReport, error) {
 	if o.Workers == 0 {
 		o.Workers = 4
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.Scale.Seed == 0 {
+		o.Scale.Seed = 1
 	}
 	if len(o.Systems) == 0 {
 		o.Systems = PaperSystems()
 	}
-	var out []*core.Result
+	var results []*core.Result
+	var crits []*obs.CritReport
 	for _, sys := range o.Systems {
-		wl := o.NewWorkload()
-		cfg := o.Config(sys)
-		if o.MakeTrace != nil {
-			cfg.Trace = o.MakeTrace(sys.Label())
-		}
-		if o.Checkpoint {
-			st, err := durable.Open(durable.NewMemFS(), "ckpt")
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s: %w", sys.Label(), err)
-			}
-			if o.WALSyncEvery > 0 {
-				st.SyncEvery = o.WALSyncEvery
-			}
-			cfg.Durable = st
-			cfg.SnapshotEverySeconds = o.SnapshotEverySeconds
-			cfg.RecoverySecondsPerMB = o.RecoverySecondsPerMB
-		}
-		res, err := run(cfg, wl)
+		res, crit, err := run(o.Config(sys), o.NewWorkload())
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", sys.Label(), err)
+			return nil, nil, fmt.Errorf("harness: %s: %w", sys.Label(), err)
 		}
-		out = append(out, res)
+		results, crits = append(results, res), append(crits, crit)
 	}
-	return out, nil
+	return results, crits, nil
 }
 
 // run is core.Run under the harness-owned invariants, so every cell of every
-// experiment is held to them: no merge, direct or forwarded through an
-// aggregator, may lead the slowest worker by more than the strategy's
-// staleness bound (the threshold; 1 for BSP's barrier).
-func run(cfg core.Config, wl core.Workload) (*core.Result, error) {
+// experiment is held to them: the trace analyser, teed onto cfg.Trace (the
+// simnet is bit-identical traced or untraced), finds no pairing error, and
+// no merge, direct or through an aggregator, leads the slowest worker by
+// more than the staleness bound (the threshold; 1 for BSP's barrier). The
+// analyser's critical-path report comes back beside the result.
+func run(cfg core.Config, wl core.Workload) (*core.Result, *obs.CritReport, error) {
+	crit := obs.NewCritPath()
+	cfg.Trace = obs.Tee(cfg.Trace, crit)
 	res, err := core.Run(cfg, wl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	rep := crit.Report()
+	if errs := rep.Errors; len(errs) > 0 {
+		return nil, nil, fmt.Errorf("%d structural trace error(s), first: %s", len(errs), errs[0])
 	}
 	bound := int64(cfg.Threshold)
 	if cfg.Strategy == core.BSP {
 		bound = 1
 	}
 	if res.MaxStaleness > bound {
-		return nil, fmt.Errorf("staleness bound violated: max lead %d > %d", res.MaxStaleness, bound)
+		return nil, nil, fmt.Errorf("staleness bound violated: max lead %d > %d", res.MaxStaleness, bound)
 	}
-	return res, nil
+	return res, rep, nil
 }

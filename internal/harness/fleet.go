@@ -94,11 +94,15 @@ func (fw *fleetWorkload) Increasing() bool { return false }
 
 const fleetThreshold = 8
 
+// fleetSeeds derives a fleet run's channel and workload seeds from the
+// scale's; seed 1 gives the 33 and 5 of every recorded fleet report.
+func fleetSeeds(seed uint64) (env, workload uint64) { return 32 + seed, 4 + seed }
+
 // fleetConfig builds one cell's run. The model is tiny, so PaperModelBytes
 // is set low (aggressively compressed rows) — otherwise a 256-robot fleet
 // sharing one channel would not finish an iteration inside the budget and
 // the sweep would measure only contention.
-func fleetConfig(cell fleetCell, seconds float64) core.Config {
+func fleetConfig(cell fleetCell, seconds float64, seed uint64) core.Config {
 	return core.Config{
 		Strategy:          core.ROG,
 		Workers:           cell.workers,
@@ -106,7 +110,7 @@ func fleetConfig(cell fleetCell, seconds float64) core.Config {
 		Shards:            cell.shards,
 		Aggregators:       cell.aggregators,
 		Env:               trace.Outdoor,
-		Seed:              33,
+		Seed:              seed,
 		ComputeSeconds:    1.0,
 		PaperModelBytes:   5e4,
 		LR:                0.02,
@@ -116,11 +120,12 @@ func fleetConfig(cell fleetCell, seconds float64) core.Config {
 	}
 }
 
-// runFleetCell executes one cell under the harness invariants: run fails it
-// if any merge, direct or forwarded through an aggregator, exceeded the
-// staleness threshold.
-func runFleetCell(cell fleetCell, seconds float64) (*core.Result, error) {
-	res, err := run(fleetConfig(cell, seconds), newFleetWorkload(cell.workers, 5))
+// runFleetCell executes one cell at the scale seed under the harness
+// invariants: run fails it if any merge, direct or forwarded through an
+// aggregator, exceeded the staleness threshold.
+func runFleetCell(cell fleetCell, seconds float64, seed uint64) (*core.Result, error) {
+	env, workload := fleetSeeds(seed)
+	res, _, err := run(fleetConfig(cell, seconds, env), newFleetWorkload(cell.workers, workload))
 	if err != nil {
 		return nil, fmt.Errorf("harness: fleet %s: %w", cell.label(), err)
 	}
@@ -136,13 +141,14 @@ func runFleet(s Scale) (*Report, error) {
 		Paradigm: "synthetic", Env: "outdoor", Metric: "parameter drift",
 	}
 	var results []*core.Result
+	var labels []string
 	var rows [][]string
 	for _, cell := range fleetCells() {
-		res, err := runFleetCell(cell, s.VirtualSeconds/7) // the per-cell budget
+		res, err := runFleetCell(cell, s.VirtualSeconds/7, s.Seed) // the per-cell budget
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, res)
+		results, labels = append(results, res), append(labels, cell.label())
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", cell.workers),
 			fmt.Sprintf("%d", cell.shards),
@@ -153,10 +159,7 @@ func runFleet(s Scale) (*Report, error) {
 			fmt.Sprintf("%d", res.MaxStaleness),
 		})
 	}
-	rep.fill(results)
-	for i, cell := range fleetCells() {
-		rep.Systems[i].Label = cell.label()
-	}
+	rep.fill(results, labels...)
 	var b strings.Builder
 	b.WriteString("== Fleet scaling: sharded server × edge aggregation (synthetic workload, ROG-8) ==\n\n")
 	b.WriteString(metrics.FormatTable(

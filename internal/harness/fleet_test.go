@@ -6,7 +6,7 @@ import "testing"
 // 8 shards, 4 edge aggregators — at a reduced budget and checks the RSP
 // bound held for every merge (runFleetCell errors on a violation).
 func TestFleetCellLargeBoundsStaleness(t *testing.T) {
-	res, err := runFleetCell(fleetCell{workers: 256, shards: 8, aggregators: 4}, 40)
+	res, err := runFleetCell(fleetCell{workers: 256, shards: 8, aggregators: 4}, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ var tinyScale = Scale{
 	ObsPerBot:       40,
 	TestObs:         4,
 	MicroSeconds:    60,
+	Seed:            1,
 }
 
 func tinyCRUDAOptions() CRUDAOptions {

@@ -15,9 +15,9 @@ import (
 // `rogbench -json` writes and `-drift` compares — per-system composition,
 // energy, time/energy-to-target, churn/loss/recovery counters, the
 // critical-path decomposition and the complete checkpoint series — so
-// plotting and regression tooling never scrape the text tables. Tables,
-// ablations and the sensitivity sweeps have bespoke shapes and fill only
-// Text.
+// plotting and regression tooling never scrape the text tables. Every
+// experiment that trains fills Systems, one uniquely labelled entry per run;
+// fig3 and the tables fill only Text.
 type Report struct {
 	Text string `json:"-"`
 
@@ -83,9 +83,9 @@ type RecoveryReport struct {
 	IterationsLost int `json:"iterations_lost"`
 }
 
-// structured is a structured experiment's report header for a CRUDA or
-// CRIMP lineup: the paradigm fixes the quality axis.
-func structured(title string, o EndToEndOptions) *Report {
+// newReport is the report header for a CRUDA or CRIMP run: the paradigm
+// fixes the quality axis.
+func newReport(title string, o EndToEndOptions) *Report {
 	rep := &Report{Title: title, Paradigm: o.Paradigm, Env: o.Env.String(),
 		Metric: "accuracy", Increasing: true}
 	if o.Paradigm == "crimp" {
@@ -94,38 +94,28 @@ func structured(title string, o EndToEndOptions) *Report {
 	return rep
 }
 
-// runStructured executes the lineup once and fills rep's systems from it,
-// riding the trace analyser on each system's event stream: the simnet is
-// bit-identical traced or untraced, so the decomposition is free of
-// observer effects. A system whose trace is structurally broken fails the
-// run. The results come back for the text rendering.
-func runStructured(o EndToEndOptions, rep *Report) ([]*core.Result, error) {
-	crit := make(map[string]*obs.CritPath)
-	o.MakeTrace = func(label string) obs.Tracer {
-		crit[label] = obs.NewCritPath()
-		return crit[label]
-	}
-	results, err := RunEndToEnd(o)
+// lineup runs o's lineup once into a report titled title, each system with
+// the critical-path decomposition the analyser read off its event stream.
+// The results come back for the text rendering.
+func lineup(title string, o EndToEndOptions) (*Report, []*core.Result, error) {
+	results, crits, err := runLineup(o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rep := newReport(title, o)
 	rep.fill(results)
 	for i := range rep.Systems {
-		sys := &rep.Systems[i]
-		sys.CritPath = crit[sys.Label].Report()
-		if errs := sys.CritPath.Errors; len(errs) > 0 {
-			return nil, fmt.Errorf("harness: %s, %s: %d structural trace error(s), first: %s",
-				rep.Title, sys.Label, len(errs), errs[0])
-		}
+		rep.Systems[i].CritPath = crits[i]
 	}
-	return results, nil
+	return rep, results, nil
 }
 
 // fill derives the per-system entries and the common target from the raw
-// results; callers relabel sweep cells and attach their own blocks.
-func (rep *Report) fill(results []*core.Result) {
+// results, labelled by labels where given (sweep cells) and by their system
+// otherwise; callers attach their own blocks.
+func (rep *Report) fill(results []*core.Result, labels ...string) {
 	rep.Target = commonTarget(results, rep.Increasing)
-	for _, r := range results {
+	for i, r := range results {
 		sr := SystemReport{
 			Label:          r.Label(),
 			Strategy:       r.Strategy.String(),
@@ -145,6 +135,9 @@ func (rep *Report) fill(results []*core.Result) {
 		}
 		if j, ok := r.Series.EnergyToReach(rep.Target, rep.Increasing); ok {
 			sr.JoulesToTarget = &j
+		}
+		if i < len(labels) {
+			sr.Label = labels[i]
 		}
 		rep.Systems = append(rep.Systems, sr)
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"rog/internal/core"
+	"rog/internal/durable"
 	"rog/internal/metrics"
 	"rog/internal/simnet"
-	"rog/internal/trace"
 )
 
 // This file is the ext-recovery experiment: the parameter server is killed
@@ -31,31 +31,35 @@ func runExtRecovery(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Outdoor, Scale: s,
-		Systems: []SystemSpec{{core.ROG, 4}},
-	}
-	results, err := RunEndToEnd(o)
+	o, sys := rog4(s), SystemSpec{core.ROG, 4}
+	baseline, _, err := run(o.Config(sys), o.NewWorkload())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: ROG-4: %w", err)
 	}
-	baseline := results[0]
-	rep := structured("Extension: crash-consistent checkpointing — interval vs recovery cost", o)
+	results := []*core.Result{baseline}
+	rep := newReport("Extension: crash-consistent checkpointing — interval vs recovery cost", o)
 	rep.Faults = spec
-	o.Faults, o.Checkpoint, o.RecoverySecondsPerMB = faults, true, 0.5
+	o.Faults = faults
 	var cells []RecoveryReport
 	for _, interval := range []float64{t / 16, t / 4} {
 		for _, sync := range []int{1, 64} {
-			o.SnapshotEverySeconds, o.WALSyncEvery = interval, sync
-			rs, err := RunEndToEnd(o)
+			// Each faulted run checkpoints into its own in-memory store.
+			st, err := durable.Open(durable.NewMemFS(), "ckpt")
 			if err != nil {
 				return nil, err
 			}
+			st.SyncEvery = sync
+			cfg := o.Config(sys)
+			cfg.Durable, cfg.SnapshotEverySeconds, cfg.RecoverySecondsPerMB = st, interval, 0.5
+			res, _, err := run(cfg, o.NewWorkload())
+			if err != nil {
+				return nil, fmt.Errorf("harness: ROG-4: %w", err)
+			}
 			// The outage priced in training iterations against the
 			// baseline (clamped: a lucky run can finish at parity).
-			lost := max(0, baseline.Iterations-rs[0].Iterations)
-			results = append(results, rs[0])
-			cells = append(cells, RecoveryReport{interval, sync, rs[0].Recovery, lost})
+			lost := max(0, baseline.Iterations-res.Iterations)
+			results = append(results, res)
+			cells = append(cells, RecoveryReport{interval, sync, res.Recovery, lost})
 		}
 	}
 	rep.fill(results)

@@ -22,14 +22,7 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	// Options is set on the plain end-to-end comparisons: the lineup Run
-	// executes under banner, and what `rogbench -seeds` replicates. Every
-	// other experiment brings its own run.
-	Options *EndToEndOptions
-	banner  string
-	run     func(Scale) (*Report, error)
-	// structured marks the experiments whose Report carries the JSON view.
-	structured bool
+	run   func(Scale) (*Report, error)
 }
 
 // Registry lists every experiment, in paper order.
@@ -37,12 +30,12 @@ func Registry() []Experiment {
 	small := SensitivitySystems()
 	return []Experiment{
 		{ID: "fig1", Title: "CRUDA outdoors: time composition, statistical efficiency, accuracy vs time, energy (Fig. 1)",
-			banner: "Fig. 1: CRUDA, outdoors", Options: &EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor}, structured: true},
+			run: compare("Fig. 1: CRUDA, outdoors", EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor})},
 		{ID: "fig3", Title: "Bandwidth instability of robotic IoT networks (Fig. 3)", run: runFig3},
 		{ID: "fig6", Title: "CRUDA indoors: end-to-end comparison (Fig. 6)",
-			banner: "Fig. 6: CRUDA, indoors", Options: &EndToEndOptions{Paradigm: "cruda", Env: trace.Indoor}, structured: true},
+			run: compare("Fig. 6: CRUDA, indoors", EndToEndOptions{Paradigm: "cruda", Env: trace.Indoor})},
 		{ID: "fig7", Title: "CRIMP outdoors: trajectory error and energy (Fig. 7)",
-			banner: "Fig. 7: CRIMP, outdoors", Options: &EndToEndOptions{Paradigm: "crimp", Env: trace.Outdoor}, structured: true},
+			run: compare("Fig. 7: CRIMP, outdoors", EndToEndOptions{Paradigm: "crimp", Env: trace.Outdoor})},
 		{ID: "fig8", Title: "Micro-event analysis: bandwidth vs transmission rate vs staleness (Fig. 8)", run: runFig8},
 		{ID: "fig9batch", Title: "Sensitivity to batch size x1/x2/x4 (Fig. 9 left)", run: runFig9Batch},
 		{ID: "fig9workers", Title: "Sensitivity to worker count 4/6/8 (Fig. 9 right)", run: runFig9Workers},
@@ -53,26 +46,26 @@ func Registry() []Experiment {
 		{ID: "ablation-granularity", Title: "Granularity ablation: rows vs layers vs elements (Sec. III-A)", run: runAblationGranularity},
 		{ID: "ablation-importance", Title: "Importance-metric ablation: magnitude vs staleness terms (Algo. 3)", run: runAblationImportance},
 		{ID: "ablation-speculative", Title: "Speculative transmission vs per-row timeout checks (Sec. III-A)", run: runAblationSpeculative},
-		{ID: "churn", Title: "Robustness: accuracy vs time under worker crash, rejoin, and blackout (membership churn)", run: runChurn, structured: true},
-		{ID: "ext-loss", Title: "Extension: bursty packet loss × selective reliability (lossnet channel)", run: runExtLoss, structured: true},
-		{ID: "ext-recovery", Title: "Extension: crash-consistent checkpointing — snapshot interval vs recovery cost (servercrash)", run: runExtRecovery, structured: true},
+		{ID: "churn", Title: "Robustness: accuracy vs time under worker crash, rejoin, and blackout (membership churn)", run: runChurn},
+		{ID: "ext-loss", Title: "Extension: bursty packet loss × selective reliability (lossnet channel)", run: runExtLoss},
+		{ID: "ext-recovery", Title: "Extension: crash-consistent checkpointing — snapshot interval vs recovery cost (servercrash)", run: runExtRecovery},
 		{ID: "ext-pipeline", Title: "Future-work extension: pipelined computation and communication (Sec. VI-D)", run: runExtPipeline},
 		// DSSP is the dynamic-staleness baseline after Zhao et al.: its
 		// threshold adapts inside [2, Threshold] from the observed iteration
 		// spread. The lineup isolates what dynamic staleness alone buys over
 		// fixed SSP, and what row granularity (ROG) adds at the same cap.
 		{ID: "ext-dssp", Title: "Extension: dynamic-staleness SSP (Zhao et al.) vs fixed SSP and ROG",
-			banner: "Extension: dynamic-staleness SSP (DSSP) vs fixed SSP and ROG, CRUDA outdoors",
-			Options: &EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor,
-				Systems: []SystemSpec{{core.SSP, 4}, {core.SSP, 20}, {core.DSSP, 20}, {core.ROG, 20}}}},
-		{ID: "fleet", Title: "Fleet scaling: sharded parameter service × edge aggregation, up to 256 robots", run: runFleet, structured: true},
-		{ID: "serve", Title: "Inference tier: bounded-staleness serving over versioned snapshots — latency × staleness sweep", run: runServe, structured: true},
+			run: compare("Extension: dynamic-staleness SSP (DSSP) vs fixed SSP and ROG, CRUDA outdoors",
+				EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor,
+					Systems: []SystemSpec{{core.SSP, 4}, {core.SSP, 20}, {core.DSSP, 20}, {core.ROG, 20}}})},
+		{ID: "fleet", Title: "Fleet scaling: sharded parameter service × edge aggregation, up to 256 robots", run: runFleet},
+		{ID: "serve", Title: "Inference tier: bounded-staleness serving over versioned snapshots — latency × staleness sweep", run: runServe},
 		{ID: "ext-convmlp", Title: "Architecture-faithful CRUDA: ConvMLP stem + MLP head on synthetic images",
-			banner:  "Extension: ConvMLP (conv stem + MLP head) on image CRUDA, outdoors",
-			Options: &EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Systems: small, ConvMLP: true}},
+			run: compare("Extension: ConvMLP (conv stem + MLP head) on image CRUDA, outdoors",
+				EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Systems: small, ConvMLP: true})},
 		{ID: "ext-gridmap", Title: "Architecture-faithful CRIMP: NICE-SLAM-style feature-grid map",
-			banner:  "Extension: NICE-SLAM-style feature-grid map on CRIMP, outdoors",
-			Options: &EndToEndOptions{Paradigm: "crimp", Env: trace.Outdoor, Systems: small, GridMap: true}},
+			run: compare("Extension: NICE-SLAM-style feature-grid map on CRIMP, outdoors",
+				EndToEndOptions{Paradigm: "crimp", Env: trace.Outdoor, Systems: small, GridMap: true})},
 	}
 }
 
@@ -86,25 +79,12 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// JSONExperimentIDs lists the ids whose report has a structured view, in
-// registry order.
-func JSONExperimentIDs() []string {
-	var ids []string
-	for _, e := range Registry() {
-		if e.structured {
-			ids = append(ids, e.ID)
-		}
-	}
-	return ids
-}
-
-// Run executes the experiment once at scale s.
+// Run executes the experiment once at scale s. A zero s.Seed reads as 1.
 func (e Experiment) Run(s Scale) (*Report, error) {
-	run := e.run
-	if run == nil {
-		run = e.compare
+	if s.Seed == 0 {
+		s.Seed = 1
 	}
-	rep, err := run(s)
+	rep, err := e.run(s)
 	if err != nil {
 		return nil, err
 	}
@@ -112,40 +92,35 @@ func (e Experiment) Run(s Scale) (*Report, error) {
 	return rep, nil
 }
 
-// compare runs a plain comparison: the lineup in Options, rendered as the
-// four panels every end-to-end figure shares.
-func (e Experiment) compare(s Scale) (*Report, error) {
-	o := *e.Options
-	o.Scale = s
-	rep := structured(e.banner, o)
-	var results []*core.Result
-	var err error
-	if e.structured {
-		results, err = runStructured(o, rep)
-	} else {
-		results, err = RunEndToEnd(o)
+// compare is a plain comparison: the lineup in opts, rendered under banner
+// as the four panels every end-to-end figure shares.
+func compare(banner string, opts EndToEndOptions) func(Scale) (*Report, error) {
+	return func(s Scale) (*Report, error) {
+		o := opts
+		o.Scale = s
+		rep, results, err := lineup(banner, o)
+		if err != nil {
+			return nil, err
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "== %s ==\n\n", banner)
+		b.WriteString("-- average time composition of a training iteration --\n")
+		b.WriteString(CompositionTable(results))
+		b.WriteString("\n-- statistical efficiency (quality vs iteration) --\n")
+		b.WriteString(SeriesByIteration(results, iterStep(results)))
+		b.WriteString("\n-- quality vs wall-clock time --\n")
+		b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
+		b.WriteString("\n-- energy consumption --\n")
+		b.WriteString(EnergyTable(results, rep.Increasing))
+		if sum := Summary(results, rep.Increasing); sum != "" {
+			b.WriteString("\n" + sum + "\n")
+		}
+		rep.Text = b.String()
+		return rep, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n\n", e.banner)
-	b.WriteString("-- average time composition of a training iteration --\n")
-	b.WriteString(CompositionTable(results))
-	b.WriteString("\n-- statistical efficiency (quality vs iteration) --\n")
-	b.WriteString(SeriesByIteration(results, iterStep(results)))
-	b.WriteString("\n-- quality vs wall-clock time --\n")
-	b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
-	b.WriteString("\n-- energy consumption --\n")
-	b.WriteString(EnergyTable(results, rep.Increasing))
-	if sum := Summary(results, rep.Increasing); sum != "" {
-		b.WriteString("\n" + sum + "\n")
-	}
-	rep.Text = b.String()
-	return rep, nil
 }
 
-// text wraps a rendering that has no structured view.
+// text wraps a rendering that trains nothing, so has no systems.
 func text(b *strings.Builder) (*Report, error) { return &Report{Text: b.String()}, nil }
 
 func iterStep(results []*core.Result) int {
@@ -181,19 +156,18 @@ func runFig3(Scale) (*Report, error) {
 }
 
 func runFig8(s Scale) (*Report, error) {
-	results, err := RunEndToEnd(EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Outdoor,
-		Scale:       Scale{Name: "micro", VirtualSeconds: s.MicroSeconds, CheckpointEvery: 50, PretrainIters: s.PretrainIters},
-		Systems:     []SystemSpec{{core.ROG, 4}},
-		RecordMicro: true,
-	})
+	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Workers: 4,
+		Scale: Scale{Name: "micro", VirtualSeconds: s.MicroSeconds, CheckpointEvery: 50, PretrainIters: s.PretrainIters, Seed: s.Seed}}
+	cfg := o.Config(SystemSpec{core.ROG, 4})
+	cfg.RecordMicro = true
+	res, _, err := run(cfg, o.NewWorkload())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: ROG-4: %w", err)
 	}
-	var b strings.Builder
-	b.WriteString("== Fig. 8: real-time bandwidth vs ROG transmission rate vs staleness (worker 1) ==\n\n")
-	b.WriteString(MicroTable(results[0].Micro, 40))
-	return text(&b)
+	rep := newReport("Fig. 8: real-time bandwidth vs ROG transmission rate vs staleness (worker 1)", o)
+	rep.fill([]*core.Result{res})
+	rep.Text = "== " + rep.Title + " ==\n\n" + MicroTable(res.Micro, 40)
+	return rep, nil
 }
 
 func runFig9Batch(s Scale) (*Report, error) {
@@ -206,40 +180,54 @@ func runFig9Workers(s Scale) (*Report, error) {
 		[]int{4, 6, 8}, func(o *EndToEndOptions, n int) { o.Workers = n })
 }
 
-// runFig9 sweeps one knob of the reduced lineup over values.
+// runFig9 sweeps one knob of the reduced lineup over values. A cell is
+// labelled by its system and its heading: "ROG-4 batch x2", "BSP 6 workers".
 func runFig9(s Scale, banner, heading string, values []int, set func(*EndToEndOptions, int)) (*Report, error) {
+	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Systems: SensitivitySystems()}
+	rep := newReport(strings.Trim(banner, "= "), o)
 	var b strings.Builder
 	b.WriteString(banner + "\n\n")
+	var all []*core.Result
+	var labels []string
 	for _, v := range values {
-		o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Systems: SensitivitySystems()}
-		set(&o, v)
-		results, err := RunEndToEnd(o)
+		oo := o
+		set(&oo, v)
+		results, err := RunEndToEnd(oo)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&b, heading, v)
+		cell := fmt.Sprintf(heading, v)
+		for _, r := range results {
+			labels = append(labels, r.Label()+" "+strings.Trim(cell, "- \n"))
+		}
+		all = append(all, results...)
+		b.WriteString(cell)
 		b.WriteString(CompositionTable(results))
 		b.WriteString(EnergyTable(results, true))
 		b.WriteString("\n")
 	}
-	return text(&b)
+	rep.fill(all, labels...)
+	rep.Text = b.String()
+	return rep, nil
 }
 
 func runFig10(s Scale) (*Report, error) {
-	systems := []SystemSpec{{core.ROG, 4}, {core.ROG, 20}, {core.ROG, 30}, {core.ROG, 40}}
-	results, err := RunEndToEnd(EndToEndOptions{
-		Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Systems: systems,
-	})
+	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s,
+		Systems: []SystemSpec{{core.ROG, 4}, {core.ROG, 20}, {core.ROG, 30}, {core.ROG, 40}}}
+	rep := newReport("Fig. 10: ROG threshold sensitivity", o)
+	results, err := RunEndToEnd(o)
 	if err != nil {
 		return nil, err
 	}
+	rep.fill(results)
 	var b strings.Builder
 	b.WriteString("== Fig. 10: ROG threshold sensitivity ==\n\n")
 	b.WriteString("-- accuracy vs wall-clock time --\n")
 	b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
 	b.WriteString("\n-- statistical efficiency --\n")
 	b.WriteString(SeriesByIteration(results, iterStep(results)))
-	return text(&b)
+	rep.Text = b.String()
+	return rep, nil
 }
 
 func runTable1(Scale) (*Report, error) {
@@ -303,35 +291,56 @@ func ablationScale(s Scale) Scale {
 	return s
 }
 
-// rog4CRUDA is the run the ablations and the pipeline extension each vary
-// one knob of: ROG-4 on CRUDA outdoors, four robots, seed 1, with a fresh
-// workload.
-func rog4CRUDA(s Scale) (core.Config, core.Workload) {
-	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Seed: 1, Workers: 4}
-	return o.Config(SystemSpec{core.ROG, 4}), o.NewWorkload()
+// rog4 is the run the ablations and the pipeline extension each vary one
+// knob of: ROG-4 on CRUDA outdoors, four robots.
+func rog4(s Scale) EndToEndOptions {
+	return EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Workers: 4}
+}
+
+// rog4Variants runs rog4 once per named variant, each on a fresh workload
+// with vary applied to its config. The report has one system per variant,
+// labelled "ROG-4 <name>".
+func rog4Variants(s Scale, title string, names []string, vary func(i int, cfg *core.Config)) (*Report, []*core.Result, error) {
+	o := rog4(s)
+	rep := newReport(title, o)
+	var results []*core.Result
+	var labels []string
+	for i, name := range names {
+		cfg := o.Config(SystemSpec{core.ROG, 4})
+		vary(i, &cfg)
+		labels = append(labels, "ROG-4 "+name)
+		res, _, err := run(cfg, o.NewWorkload())
+		if err != nil {
+			return nil, nil, fmt.Errorf("harness: %s: %w", labels[i], err)
+		}
+		results = append(results, res)
+	}
+	rep.fill(results, labels...)
+	return rep, results, nil
 }
 
 func runAblationGranularity(s Scale) (*Report, error) {
+	grans := []rowsync.Granularity{rowsync.Layers, rowsync.Rows, rowsync.Elements}
+	names := []string{"layers", "rows", "elements"}
 	s = ablationScale(s)
-	var b strings.Builder
-	b.WriteString("== Ablation: synchronization granularity (ROG-4, CRUDA outdoors) ==\n\n")
-	var rows [][]string
 	// All granularities run on the same channel: scale it to the row
 	// partition's wire size, so finer granularity genuinely pays its
 	// index overhead (Sec. III-A's management-cost argument).
-	_, refWL := rog4CRUDA(s)
-	refBytes := float64(rowsync.NewPartition(refWL.Model(0).Params(), rowsync.Rows).TotalWireSize())
-	for _, g := range []rowsync.Granularity{rowsync.Layers, rowsync.Rows, rowsync.Elements} {
-		cfg, wl := rog4CRUDA(s)
-		cfg.ScaleReferenceBytes = refBytes
-		cfg.Granularity = g
-		res, err := run(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
-		part := rowsync.NewPartition(wl.Model(0).Params(), g)
+	params := rog4(s).NewWorkload().Model(0).Params()
+	refBytes := float64(rowsync.NewPartition(params, rowsync.Rows).TotalWireSize())
+	rep, results, err := rog4Variants(s, "Ablation: synchronization granularity (ROG-4, CRUDA outdoors)",
+		names, func(i int, cfg *core.Config) {
+			cfg.ScaleReferenceBytes = refBytes
+			cfg.Granularity = grans[i]
+		})
+	if err != nil {
+		return nil, err
+	}
+	var rows [][]string
+	for i, res := range results {
+		part := rowsync.NewPartition(params, grans[i])
 		rows = append(rows, []string{
-			g.String(),
+			names[i],
 			fmt.Sprintf("%d", part.NumUnits()),
 			fmt.Sprintf("%.1f%%", 100*float64(part.IndexOverhead())/float64(part.TotalWireSize())),
 			fmt.Sprintf("%.2f", res.Composition.Stall),
@@ -339,74 +348,57 @@ func runAblationGranularity(s Scale) (*Report, error) {
 			fmt.Sprintf("%.4f", res.FinalValue),
 		})
 	}
-	b.WriteString(metrics.FormatTable(
+	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
 		[]string{"granularity", "units", "index overhead", "stall(s)", "iterations", "final acc"},
 		rows,
-	))
-	b.WriteString("\nrows trade index overhead against scheduling flexibility (Sec. III-A)\n")
-	return text(&b)
+	) + "\nrows trade index overhead against scheduling flexibility (Sec. III-A)\n"
+	return rep, nil
 }
 
 func runAblationImportance(s Scale) (*Report, error) {
-	s = ablationScale(s)
-	var b strings.Builder
-	b.WriteString("== Ablation: importance-metric terms (ROG-4, CRUDA outdoors) ==\n\n")
-	variants := []struct {
-		name string
-		c    atp.Coefficients
-	}{
-		{"magnitude only (f2=0)", atp.Coefficients{F1: 1, F2: 0}},
-		{"staleness only (f1=0)", atp.Coefficients{F1: 0, F2: 1}},
-		{"both (paper)", atp.Coefficients{F1: 1, F2: 1}},
+	names := []string{"magnitude only (f2=0)", "staleness only (f1=0)", "both (paper)"}
+	coeffs := []atp.Coefficients{{F1: 1, F2: 0}, {F1: 0, F2: 1}, {F1: 1, F2: 1}}
+	rep, results, err := rog4Variants(ablationScale(s), "Ablation: importance-metric terms (ROG-4, CRUDA outdoors)",
+		names, func(i int, cfg *core.Config) { cfg.Coeff = coeffs[i] })
+	if err != nil {
+		return nil, err
 	}
 	var rows [][]string
-	for _, v := range variants {
-		cfg, wl := rog4CRUDA(s)
-		cfg.Coeff = v.c
-		res, err := run(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		rows = append(rows, []string{
-			v.name,
+			names[i],
 			fmt.Sprintf("%.2f", res.Composition.Stall),
 			fmt.Sprintf("%d", res.Iterations),
 			fmt.Sprintf("%.4f", res.FinalValue),
 		})
 	}
-	b.WriteString(metrics.FormatTable([]string{"variant", "stall(s)", "iterations", "final acc"}, rows))
-	return text(&b)
+	rep.Text = "== " + rep.Title + " ==\n\n" +
+		metrics.FormatTable([]string{"variant", "stall(s)", "iterations", "final acc"}, rows)
+	return rep, nil
 }
 
 func runExtPipeline(s Scale) (*Report, error) {
-	var b strings.Builder
-	b.WriteString("== Extension: pipelined compute/communication (ROG-4, CRUDA outdoors) ==\n\n")
+	names := []string{"sequential (paper)", "pipelined (future work)"}
+	rep, results, err := rog4Variants(s, "Extension: pipelined compute/communication (ROG-4, CRUDA outdoors)",
+		names, func(i int, cfg *core.Config) { cfg.Pipeline = i == 1 })
+	if err != nil {
+		return nil, err
+	}
 	var rows [][]string
-	for _, pipe := range []bool{false, true} {
-		cfg, wl := rog4CRUDA(s)
-		cfg.Pipeline = pipe
-		res, err := run(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
-		name := "sequential (paper)"
-		if pipe {
-			name = "pipelined (future work)"
-		}
+	for i, res := range results {
 		rows = append(rows, []string{
-			name,
+			names[i],
 			fmt.Sprintf("%d", res.Iterations),
 			fmt.Sprintf("%.2f", res.Composition.Total()),
 			fmt.Sprintf("%.4f", res.FinalValue),
 			fmt.Sprintf("%.0f", res.TotalJoules),
 		})
 	}
-	b.WriteString(metrics.FormatTable(
+	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
 		[]string{"variant", "iterations", "iter span(s)", "final acc", "total J"},
 		rows,
-	))
-	b.WriteString("\noverlapping hides communication behind the next iteration's compute\n")
-	return text(&b)
+	) + "\noverlapping hides communication behind the next iteration's compute\n"
+	return rep, nil
 }
 
 // runChurn is the robustness experiment: the same crash/rejoin/blackout
@@ -423,12 +415,11 @@ func runChurn(s Scale) (*Report, error) {
 	}
 	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s,
 		Systems: SensitivitySystems(), Faults: faults}
-	rep := structured("Robustness: membership churn", o)
-	rep.Faults = spec
-	results, err := runStructured(o, rep)
+	rep, results, err := lineup("Robustness: membership churn", o)
 	if err != nil {
 		return nil, err
 	}
+	rep.Faults = spec
 	for i, r := range results {
 		rep.Systems[i].Churn = &r.Churn
 	}
@@ -469,7 +460,7 @@ func runExtLoss(s Scale) (*Report, error) {
 		{"ROG-4 all-reliable", SystemSpec{core.ROG, 4}, lossnet.AllReliable},
 	}
 	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s}
-	rep := structured("Extension: packet loss × selective reliability", o)
+	rep := newReport("Extension: packet loss × selective reliability", o)
 	var b strings.Builder
 	b.WriteString("== Extension: packet loss × selective reliability (CRUDA outdoors) ==\n\n")
 	var all []*core.Result
@@ -494,46 +485,35 @@ func runExtLoss(s Scale) (*Report, error) {
 	}
 	b.WriteString("selective reliability retransmits only the Must prefix (MTA floor + RSP-forced rows);\n")
 	b.WriteString("best-effort losses fold back into the local accumulator and ride the next push\n")
-	rep.fill(all)
+	rep.fill(all, cells...)
 	for i, r := range all {
-		rep.Systems[i].Label, rep.Systems[i].Loss = cells[i], &r.Loss
+		rep.Systems[i].Loss = &r.Loss
 	}
 	rep.Text = b.String()
 	return rep, nil
 }
 
 func runAblationSpeculative(s Scale) (*Report, error) {
-	s = ablationScale(s)
-	var b strings.Builder
-	b.WriteString("== Ablation: speculative transmission vs per-row timeout checks (ROG-4) ==\n\n")
-	variants := []struct {
-		name  string
-		check float64
-	}{
-		{"speculative (paper)", 0},
-		{"per-row check 5ms", 0.005},
-		{"per-row check 20ms", 0.020},
+	names := []string{"speculative (paper)", "per-row check 5ms", "per-row check 20ms"}
+	checks := []float64{0, 0.005, 0.020}
+	rep, results, err := rog4Variants(ablationScale(s), "Ablation: speculative transmission vs per-row timeout checks (ROG-4)",
+		names, func(i int, cfg *core.Config) { cfg.PerUnitCheckSeconds = checks[i] })
+	if err != nil {
+		return nil, err
 	}
 	var rows [][]string
-	for _, v := range variants {
-		cfg, wl := rog4CRUDA(s)
-		cfg.PerUnitCheckSeconds = v.check
-		res, err := run(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		rows = append(rows, []string{
-			v.name,
+			names[i],
 			fmt.Sprintf("%.2f", res.Composition.Comm),
 			fmt.Sprintf("%.2f", res.Composition.Total()),
 			fmt.Sprintf("%d", res.Iterations),
 			fmt.Sprintf("%.4f", res.FinalValue),
 		})
 	}
-	b.WriteString(metrics.FormatTable(
+	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
 		[]string{"variant", "comm(s)", "iter total(s)", "iterations", "final acc"},
 		rows,
-	))
-	b.WriteString("\ninserting judgements between rows wastes airtime the speculative design reclaims\n")
-	return text(&b)
+	) + "\ninserting judgements between rows wastes airtime the speculative design reclaims\n"
+	return rep, nil
 }

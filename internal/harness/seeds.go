@@ -21,47 +21,51 @@ type SeedSummary struct {
 	MeanJoules float64
 }
 
-// RunEndToEndSeeds repeats an end-to-end comparison across seeds and
-// aggregates per system. The Systems and everything else in o are held
-// fixed; o.Seed is overridden by each seed in turn.
-func RunEndToEndSeeds(o EndToEndOptions, seeds []uint64) ([]SeedSummary, error) {
-	if len(seeds) == 0 {
+// SummarizeSeeds folds one experiment's reports, one per seed, into a
+// summary per system. Systems pair by label, in whatever order a report
+// lists them; the summaries follow the first report's order. Every label
+// must appear once in every report, so each mean spans the same seeds.
+func SummarizeSeeds(reps []*Report) ([]SeedSummary, error) {
+	if len(reps) == 0 {
 		return nil, fmt.Errorf("harness: no seeds given")
 	}
-	if len(o.Systems) == 0 {
-		o.Systems = PaperSystems()
+	sums := make([]SeedSummary, len(reps[0].Systems))
+	finals := make([][]float64, len(sums))
+	at := make(map[string]int, len(sums))
+	for i, sys := range reps[0].Systems {
+		sums[i].Label, at[sys.Label] = sys.Label, i
 	}
-	sums := make([]SeedSummary, len(o.Systems))
-	finals := make([][]float64, len(o.Systems))
-	for _, seed := range seeds {
-		oo := o
-		oo.Seed = seed
-		results, err := RunEndToEnd(oo)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			sums[i].Label = r.Label()
-			sums[i].Seeds++
-			sums[i].MeanFinal += r.FinalValue
-			sums[i].MeanStall += r.StallFrac
-			sums[i].MeanIters += float64(r.Iterations)
-			sums[i].MeanJoules += r.TotalJoules
-			finals[i] = append(finals[i], r.FinalValue)
+	for _, rep := range reps {
+		for _, sys := range rep.Systems {
+			i, ok := at[sys.Label]
+			if !ok {
+				return nil, fmt.Errorf("harness: %s: system %q is not in the first seed's report", rep.Experiment, sys.Label)
+			}
+			s := &sums[i]
+			s.Seeds++
+			s.MeanFinal += sys.FinalValue
+			s.MeanStall += sys.StallFrac
+			s.MeanIters += float64(sys.Iterations)
+			s.MeanJoules += sys.TotalJoules
+			finals[i] = append(finals[i], sys.FinalValue)
 		}
 	}
-	n := float64(len(seeds))
+	n := float64(len(reps))
 	for i := range sums {
-		sums[i].MeanFinal /= n
-		sums[i].MeanStall /= n
-		sums[i].MeanIters /= n
-		sums[i].MeanJoules /= n
+		s := &sums[i]
+		if s.Seeds != len(reps) {
+			return nil, fmt.Errorf("harness: system %q appears %d times in %d seeds' reports", s.Label, s.Seeds, len(reps))
+		}
+		s.MeanFinal /= n
+		s.MeanStall /= n
+		s.MeanIters /= n
+		s.MeanJoules /= n
 		var varAcc float64
 		for _, v := range finals[i] {
-			d := v - sums[i].MeanFinal
+			d := v - s.MeanFinal
 			varAcc += d * d
 		}
-		sums[i].StdFinal = math.Sqrt(varAcc / n)
+		s.StdFinal = math.Sqrt(varAcc / n)
 	}
 	return sums, nil
 }

@@ -310,6 +310,9 @@ type ServeCellReport struct {
 	MaxObservedStaleness int64 `json:"max_observed_staleness"`
 }
 
+// serveSeed is a serve run's seed at scale seed s: 1 gives the recorded 11.
+func serveSeed(seed uint64) uint64 { return 10 + seed }
+
 // runServe runs the sweep once; the structured view has one entry per cell,
 // labelled "c8-w0.10-b2" style, with the full serving metrics attached, and
 // the text table is rendered from the same cell reports.
@@ -321,7 +324,7 @@ func runServe(s Scale) (*Report, error) {
 	seconds := s.VirtualSeconds / 7 // the per-cell budget
 	var rows [][]string
 	for _, cell := range serveCells() {
-		run, err := runServeCell(cell, seconds, 11, nil)
+		run, err := runServeCell(cell, seconds, serveSeed(s.Seed), nil)
 		if err != nil {
 			return nil, err
 		}

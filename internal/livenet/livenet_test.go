@@ -8,8 +8,10 @@ import (
 
 	"rog/internal/compress"
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
+	"rog/internal/transport"
 )
 
 // liveCluster spins up a server goroutine per worker connection and returns
@@ -210,7 +212,7 @@ func TestProtocolRoundtrip(t *testing.T) {
 		kind  byte
 	}{
 		{"row", rowMsg(nil, 7, p), kindRow},
-		{"pushDone", pushDoneMsg(nil, 7, 1.25), kindPushDone},
+		{"pushDone", pushDoneMsg(nil, 7, 1.25, 2.5, true), kindPushDone},
 		{"pull", pullMsg(nil, p), kindPull},
 		{"pullDone", pullDoneMsg(nil, 0.5, 3), kindPullDone},
 		{"resyncDone", resyncDoneMsg(nil, 9, 0.25, 4, 2), kindResyncDone},
@@ -223,7 +225,8 @@ func TestProtocolRoundtrip(t *testing.T) {
 			t.Fatalf("%s: kind %q", tc.name, msg.kind)
 		}
 	}
-	if m, err := parse(pushDoneMsg(nil, 7, 1.25)); err != nil || m.iter != 7 || m.mta != 1.25 {
+	if m, err := parse(pushDoneMsg(nil, 7, 1.25, 2.5, true)); err != nil || m.iter != 7 || m.mta != 1.25 ||
+		m.elapsed != 2.5 || !m.spec {
 		t.Fatalf("pushDone fields: %+v %v", m, err)
 	}
 	if m, _ := parse(pullDoneMsg(nil, 0.5, 3)); m.budget != 0.5 || m.min != 3 {
@@ -232,10 +235,52 @@ func TestProtocolRoundtrip(t *testing.T) {
 	if m, _ := parse(resyncDoneMsg(nil, 9, 0.25, 4, 2)); m.iter != 9 || m.budget != 0.25 || m.min != 4 || m.epoch != 2 {
 		t.Fatalf("resyncDone fields: %+v", m)
 	}
-	for _, bad := range [][]byte{{}, {'Z', 1}, {kindRow, 1}, {kindPushDone, 1, 2}, {kindResyncDone, 1}} {
+	badSpec := pushDoneMsg(nil, 7, 1.25, 2.5, true)
+	badSpec[len(badSpec)-1] = 2
+	for _, bad := range [][]byte{{}, {'Z', 1}, {kindRow, 1}, {kindPushDone, 1, 2}, badSpec, {kindResyncDone, 1}} {
 		if _, err := parse(bad); err == nil {
 			t.Fatalf("bad frame %v accepted", bad)
 		}
+	}
+}
+
+// TestPushDoneReportsElapsedBudgetUse: mta_used_seconds is documented as
+// elapsed/budget, so the server must add each push's elapsed time to it, as
+// simnet does — not the MTA time, which the push-done frame also carries.
+// The frames here report MTA times an eighth of their elapsed times.
+func TestPushDoneReportsElapsedBudgetUse(t *testing.T) {
+	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(3))
+	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
+	reg := obs.NewRegistry()
+	srv, err := NewServer(part, ServerConfig{Workers: 2, Threshold: 8, Metrics: reg})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	c, s := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.HandleConn(0, s) }()
+	rc := transport.NewReceiver(c)
+	var want float64
+	for n, elapsed := range []float64{0.5, 0.25, 0.125} {
+		if err := transport.WriteFrame(c, pushDoneMsg(nil, int64(n+1), elapsed/8, elapsed, true)); err != nil {
+			t.Fatalf("push-done write: %v", err)
+		}
+		want += elapsed
+		for { // the pull answering it: rows, then its done frame
+			frame, err := rc.Recv()
+			if err != nil {
+				t.Fatalf("pull read: %v", err)
+			}
+			if frame[0] == kindPullDone {
+				break
+			}
+		}
+	}
+	c.Close()
+	<-done
+	if got := reg.Snapshot().Floats["mta_used_seconds"]; got != want {
+		t.Fatalf("mta_used_seconds = %g, want %g, the summed elapsed time", got, want)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestLossyConnPassesControlFrames(t *testing.T) {
 	if err := transport.WriteFrame(lc, rowMsg(nil, 3, compressPayload(t))); err != nil {
 		t.Fatalf("row write: %v", err)
 	}
-	if err := transport.WriteFrame(lc, pushDoneMsg(nil, 3, 0.001)); err != nil {
+	if err := transport.WriteFrame(lc, pushDoneMsg(nil, 3, 0.001, 0.001, true)); err != nil {
 		t.Fatalf("control write: %v", err)
 	}
 
@@ -216,7 +216,7 @@ func TestLossyConnSplitsCoalescedPush(t *testing.T) {
 			t.Fatalf("seed %d: push sent %d rows, err %v — a lost frame must look delivered", seed, sent, err)
 		}
 		out.Reset()
-		out.End(pushDoneMsg(out.Begin(), 3, 0.001))
+		out.End(pushDoneMsg(out.Begin(), 3, 0.001, 0.001, true))
 		if err := sendAll(lc, &out); err != nil {
 			t.Fatalf("seed %d: push-done: %v", seed, err)
 		}

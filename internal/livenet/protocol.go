@@ -22,7 +22,7 @@ import (
 // Message kinds on the wire. Every frame body starts with one kind byte.
 const (
 	kindRow        = 'R' // worker→server: one row of gradients for iteration n
-	kindPushDone   = 'D' // worker→server: push finished; carries measured MTA time
+	kindPushDone   = 'D' // worker→server: push finished; carries measured MTA and elapsed time, speculative bit
 	kindPull       = 'P' // server→worker: one averaged row
 	kindPullDone   = 'E' // server→worker: pull finished; carries new MTA budget
 	kindResyncDone = 'Y' // server→worker: rejoin resync finished; carries the baseline iteration and MTA budget
@@ -38,12 +38,18 @@ func rowMsg(dst []byte, iter int64, p compress.Payload) []byte {
 	return p.AppendTo(dst)
 }
 
-// pushDoneMsg signals the end of a push and reports the worker's measured
-// MTA time in seconds.
-func pushDoneMsg(dst []byte, iter int64, mtaSeconds float64) []byte {
+// pushDoneMsg signals the end of a push and reports what engine.Peer.PushDone
+// takes: the measured MTA and elapsed seconds and whether the plan was speculative.
+func pushDoneMsg(dst []byte, iter int64, mtaSeconds, elapsedSeconds float64, speculative bool) []byte {
 	dst = append(dst, kindPushDone)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(iter))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(mtaSeconds))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(mtaSeconds))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(elapsedSeconds))
+	var spec byte
+	if speculative {
+		spec = 1
+	}
+	return append(dst, spec)
 }
 
 // pullMsg encodes an averaged row sent back to a worker.
@@ -86,6 +92,8 @@ type parsed struct {
 	kind    byte
 	iter    int64
 	mta     float64 // kindPushDone
+	elapsed float64 // kindPushDone
+	spec    bool    // kindPushDone: the push's plan was speculative
 	budget  float64 // kindPullDone, kindResyncDone
 	min     int64   // kindPullDone, kindResyncDone: global minimum row version
 	epoch   uint64  // kindResyncDone: server recovery epoch
@@ -114,13 +122,15 @@ func parse(frame []byte) (parsed, error) {
 			payload: p,
 		}, nil
 	case kindPushDone:
-		if len(frame) != 17 {
+		if len(frame) != 26 || frame[25] > 1 {
 			return parsed{}, fmt.Errorf("livenet: bad push-done frame")
 		}
 		return parsed{
-			kind: kindPushDone,
-			iter: int64(binary.LittleEndian.Uint64(frame[1:])),
-			mta:  math.Float64frombits(binary.LittleEndian.Uint64(frame[9:])),
+			kind:    kindPushDone,
+			iter:    int64(binary.LittleEndian.Uint64(frame[1:])),
+			mta:     math.Float64frombits(binary.LittleEndian.Uint64(frame[9:])),
+			elapsed: math.Float64frombits(binary.LittleEndian.Uint64(frame[17:])),
+			spec:    frame[25] == 1,
 		}, nil
 	case kindPull:
 		p, err := compress.Unmarshal(frame[1:])

@@ -417,7 +417,7 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 			// The engine.Peer sequence over sockets.
 			peer, n := s.peers[worker], msg.iter
 			s.flushPush(worker, &batch)
-			peer.PushDone(s.state, n, msg.mta, msg.mta, true)
+			peer.PushDone(s.state, n, msg.mta, msg.elapsed, msg.spec)
 			s.mu.Lock()
 			// The flushed merges may release other workers' parked gates.
 			s.cond.Broadcast()

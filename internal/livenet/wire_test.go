@@ -225,7 +225,7 @@ func TestWorkerPushAllocationsDoNotGrowWithRows(t *testing.T) {
 func FuzzParse(f *testing.F) {
 	p := compress.NewCodec([]int{11}).Encode(0, []float32{1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11})
 	for _, seed := range [][]byte{
-		rowMsg(nil, 7, p), pushDoneMsg(nil, 7, 1.25), pullMsg(nil, p), pullDoneMsg(nil, 0.5, 3),
+		rowMsg(nil, 7, p), pushDoneMsg(nil, 7, 1.25, 2.5, true), pullMsg(nil, p), pullDoneMsg(nil, 0.5, 3),
 		resyncDoneMsg(nil, 9, 0.25, 4, 2),
 		{}, {'Z', 1}, {kindRow, 1}, {kindPushDone, 1, 2}, {kindResyncDone, 1},
 		rowMsg(nil, 7, p)[:20], append(pullMsg(nil, p), 0),
@@ -242,7 +242,7 @@ func FuzzParse(f *testing.F) {
 		case kindRow:
 			again = rowMsg(nil, msg.iter, msg.payload)
 		case kindPushDone:
-			again = pushDoneMsg(nil, msg.iter, msg.mta)
+			again = pushDoneMsg(nil, msg.iter, msg.mta, msg.elapsed, msg.spec)
 		case kindPull:
 			again = pullMsg(nil, msg.payload)
 		case kindPullDone:

@@ -189,7 +189,7 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	}
 	w.cfg.Policy.ObservePush(w.cfg.ID, n, elapsed)
 	w.out.Reset()
-	w.out.End(pushDoneMsg(w.out.Begin(), n, mtaTime))
+	w.out.End(pushDoneMsg(w.out.Begin(), n, mtaTime, elapsed, plan.Speculative))
 	return false, sendAll(w.conn, &w.out)
 }
 

@@ -30,10 +30,12 @@ import (
 
 // Frame markers. The sequences are long enough (8 bytes) that a collision
 // with payload data is vanishingly unlikely, mirroring the paper's "several
-// unique bytes at both the beginning and the ending".
+// unique bytes at both the beginning and the ending". No suffix of the end
+// marker is a prefix of the start marker, so a frame cut inside its end
+// marker is never completed by the next frame's first bytes.
 var (
 	startMarker = []byte{0xF0, 0x9F, 0xA6, 0xBE, 0x52, 0x4F, 0x47, 0x21}
-	endMarker   = []byte{0x21, 0x47, 0x4F, 0x52, 0xBE, 0xA6, 0x9F, 0xF0}
+	endMarker   = []byte{0x21, 0x47, 0x4F, 0x52, 0xBE, 0xA6, 0x9F, 0xE0}
 )
 
 // MaxFrameSize bounds a frame body; larger length prefixes are treated as

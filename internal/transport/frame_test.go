@@ -54,22 +54,25 @@ func TestRecvSkipsLeadingGarbage(t *testing.T) {
 
 func TestRecvSkipsAbandonedPartialFrame(t *testing.T) {
 	// Simulate the paper's discarded speculative transmission: a frame is
-	// cut off mid-payload, then a fresh complete frame follows.
+	// cut off mid-payload or inside its end marker, then a fresh complete
+	// frame follows. Cut one byte short, the frame used to take the fresh
+	// frame's first byte as its last and leave it without a start marker.
 	var full bytes.Buffer
 	if err := WriteFrame(&full, bytes.Repeat([]byte{0xAB}, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	cut := full.Bytes()[:300] // start marker + length + partial payload
-
-	var stream bytes.Buffer
-	stream.Write(cut)
-	if err := WriteFrame(&stream, []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	rc := NewReceiver(&stream)
-	got, err := rc.Recv()
-	if err != nil || string(got) != "fresh" {
-		t.Fatalf("got %q err %v (skipped=%d)", got, err, rc.Skipped)
+	for _, short := range []int{full.Len() - 300, 8, 7, 6, 5, 4, 3, 2, 1} {
+		cut := full.Bytes()[:full.Len()-short]
+		var stream bytes.Buffer
+		stream.Write(cut)
+		if err := WriteFrame(&stream, []byte("fresh")); err != nil {
+			t.Fatal(err)
+		}
+		rc := NewReceiver(&stream)
+		got, err := rc.Recv()
+		if err != nil || string(got) != "fresh" {
+			t.Fatalf("cut %d bytes short: got %d bytes, err %v (skipped=%d)", short, len(got), err, rc.Skipped)
+		}
 	}
 }
 

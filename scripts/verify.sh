@@ -78,6 +78,50 @@ run_race() {
 	go test -race -run ReadGate -count=20 ./internal/serve
 }
 
+run_test() {
+	# The suite runs once, through -json for each test's elapsed time. awk
+	# prints what the plain run shows — every package's line and the output
+	# of each failed test — and then the ten slowest tests. A subtest counts
+	# as a test: a parent whose subtests run in parallel reports 0 s itself.
+	tmp=$(mktemp)
+	rc=0
+	go test -json ./... >"$tmp" || rc=$?
+	awk '
+	function str(key) {
+		if (!match($0, "\"" key "\":\"[^\"]*\"")) return ""
+		return substr($0, RSTART + length(key) + 4, RLENGTH - length(key) - 5)
+	}
+	NR == FNR {
+		action = str("Action")
+		if (action == "fail") failed[str("Package") " " str("Test")] = 1
+		if ((action == "pass" || action == "fail") && str("Test") != "" &&
+			match($0, /"Elapsed":[0-9.]+/))
+			printf "%9.2fs  %s %s\n", substr($0, RSTART + 10, RLENGTH - 10), str("Package"), str("Test") | slowest
+		next
+	}
+	index($0, "\"Output\":\"") {
+		test = str("Test")
+		if (test != "" && !failed[str("Package") " " test]) next
+		out = substr($0, index($0, "\"Output\":\"") + 10)
+		sub(/"}$/, "", out)
+		sub(/\\n$/, "", out)
+		gsub(/\\t/, "\t", out)
+		gsub(/\\u003c/, "<", out)
+		gsub(/\\u003e/, ">", out)
+		gsub(/\\u0026/, "\\&", out)
+		gsub(/\\"/, "\"", out)
+		gsub(/\\\\/, "\\", out)
+		if (out !~ /^(=== |PASS$)/) print out
+	}
+	END {
+		print "   ten slowest tests:"
+		fflush()
+		close(slowest)
+	}' slowest='sort -rn | head -10' "$tmp" "$tmp"
+	rm -f "$tmp"
+	return $rc
+}
+
 run_kernels() {
 	# The Go body of addScaledRows is the only one off amd64: it must build
 	# there (the vet stage's asmdecl has checked the .s frame offsets on amd64).
@@ -324,7 +368,7 @@ stage build go build ./...
 stage bench-build run_bench_build
 stage vet go vet ./...
 stage lint sh scripts/lint.sh
-stage test go test ./...
+stage test run_test
 stage kernels run_kernels
 stage fuzz run_fuzz
 stage trace-smoke run_trace_smoke
