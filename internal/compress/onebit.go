@@ -78,10 +78,14 @@ func (c *Codec) Encode(rowID int, g []float32) Payload {
 // unit; TestCodecMatchesReference pins the arithmetic to the branchy
 // original, engine.TestHeldPullSurvivesRejoinBacklog the ownership).
 //
-// Neither loop branches on a sign: x >= 0 becomes a 0/1 that masks each
-// sum's addend to +0 and indexes the two-entry reconstruction table. Adding
-// +0 leaves a sum that is never −0 bit-identical, so scales and residuals
-// are exactly the branchy loop's (−0 counts as positive, NaN as negative).
+// The row's whole bytes go through the vector body where there is one
+// (compensateAVX, residualAVX), the tail byte and every row without it
+// through the loops below; the two sums run on across the seam in index
+// order. Neither loop branches on a sign: x >= 0 becomes a 0/1 that masks
+// each sum's addend to +0 and indexes the two-entry reconstruction table.
+// Adding +0 leaves a sum that is never −0 bit-identical, so scales and
+// residuals are exactly the branchy loop's (−0 counts as positive, NaN as
+// negative), and add fixes which NaN a sum carries.
 func (c *Codec) EncodeInto(rowID int, g []float32, bits []byte) Payload {
 	res := c.residual[rowID]
 	if len(g) != len(res) {
@@ -89,18 +93,24 @@ func (c *Codec) EncodeInto(rowID int, g []float32, bits []byte) Payload {
 	}
 	n := len(g)
 	bits = bits[:(n+7)/8]
+	comp := c.comp[:n]
 	// Separate positive/negative means minimize L2 error of the
 	// reconstruction (the original 1-bit SGD formulation).
 	var posSum, negSum float64
-	posCnt := 0
-	comp := c.comp[:n]
-	for i, v := range g {
-		x := float64(v) + float64(res[i])
+	posCnt, v := 0, 0
+	if useAVX && n >= 8 {
+		v = n &^ 7
+		posSum, negSum, posCnt = compensateAVX(comp[:v], g, res, bits)
+	}
+	for i := v; i < n; i++ {
+		x := add(float64(g[i]), float64(res[i]))
 		comp[i] = x
 		b := positive(x)
 		mask := -uint64(b)
+		// posSum needs no add: a NaN x masks its addend to +0, and sums of
+		// values >= 0 never make a NaN.
 		posSum += math.Float64frombits(math.Float64bits(x) & mask)
-		negSum += math.Float64frombits(math.Float64bits(-x) &^ mask)
+		negSum = add(negSum, math.Float64frombits(math.Float64bits(-x)&^mask))
 		posCnt += int(b)
 	}
 	var posScale, negScale float64
@@ -110,8 +120,11 @@ func (c *Codec) EncodeInto(rowID int, g []float32, bits []byte) Payload {
 	if negCnt := n - posCnt; negCnt > 0 {
 		negScale = negSum / float64(negCnt)
 	}
+	if v > 0 {
+		residualAVX(comp[:v], res, posScale, -negScale)
+	}
 	tab := [2]float64{-negScale, posScale}
-	for k := range bits {
+	for k := v / 8; k < len(bits); k++ {
 		lo, hi := 8*k, min(8*k+8, n)
 		row, rres := comp[lo:hi], res[lo:hi]
 		var byt byte
@@ -134,15 +147,35 @@ func positive(x float64) byte {
 	return b
 }
 
+// add is a + b where a NaN a is the result whatever b is: the NaN rule of
+// x86's first source, which the compiler may otherwise hand to b by
+// commuting the sum. Every NaN here is quiet (it came through a float32
+// conversion or an operation), so a NaN's payload depends on the input
+// alone, the same in the vector body, the Go body and any build of either.
+func add(a, b float64) float64 {
+	if a != a {
+		return a
+	}
+	return a + b
+}
+
 // Decode reconstructs the row into out, which must have length p.N: each
-// value is one of two entries, picked by its bit.
+// value is one of two entries, picked by its bit. The row's whole bytes go
+// through the vector body where there is one, the tail byte through the loop.
 func Decode(p Payload, out []float32) {
 	if len(out) != p.N {
 		panic(fmt.Sprintf("compress: decode into %d, want %d", len(out), p.N))
 	}
-	tab := [2]float32{-p.NegScale, p.PosScale}
-	for k, byt := range p.Bits[:(p.N+7)/8] {
-		row := out[8*k : min(8*k+8, p.N)]
+	bits := p.Bits[:(p.N+7)/8]
+	neg, pos := -p.NegScale, p.PosScale
+	v := 0
+	if useAVX && p.N >= 8 {
+		v = p.N &^ 7
+		decodeAVX(out[:v], bits, pos, neg)
+	}
+	tab := [2]float32{neg, pos}
+	for k := v / 8; k < len(bits); k++ {
+		row, byt := out[8*k:min(8*k+8, p.N)], bits[k]
 		for j := range row {
 			row[j] = tab[byt>>j&1]
 		}

@@ -177,7 +177,9 @@ func TestAllNegativeRow(t *testing.T) {
 }
 
 // refEncode is the branchy Encode EncodeInto replaced, verbatim but for the
-// receiver: the reference TestCodecMatchesReference holds the new loops to.
+// receiver and add, which pins the payload of a NaN sum to the first NaN
+// (without it the compiler decides, and -fuzz builds decide differently):
+// the reference TestCodecMatchesReference holds both bodies to.
 func refEncode(c *Codec, rowID int, g []float32) Payload {
 	res := c.residual[rowID]
 	if len(g) != len(res) {
@@ -190,13 +192,13 @@ func refEncode(c *Codec, rowID int, g []float32) Payload {
 	var posCnt, negCnt int
 	comp := c.comp[:n]
 	for i, v := range g {
-		x := float64(v) + float64(res[i])
+		x := add(float64(v), float64(res[i]))
 		comp[i] = x
 		if x >= 0 {
-			posSum += x
+			posSum = add(posSum, x)
 			posCnt++
 		} else {
-			negSum += -x
+			negSum = add(negSum, -x)
 			negCnt++
 		}
 	}
@@ -277,8 +279,9 @@ func refRow(kind string, n int, r *tensor.RNG) []float32 {
 }
 
 // matchReference encodes g with both codecs and fails unless the payloads,
-// both residual rows and the decoded values agree bit for bit.
-func matchReference(t *testing.T, c, ref *Codec, row int, g []float32, bits []byte) {
+// both residual rows and the decoded values agree bit for bit, and returns
+// the payload.
+func matchReference(t *testing.T, c, ref *Codec, row int, g []float32, bits []byte) Payload {
 	t.Helper()
 	p, q := c.EncodeInto(row, g, bits), refEncode(ref, row, g)
 	if p.Row != q.Row || p.N != q.N || !bytes.Equal(p.Bits, q.Bits) ||
@@ -299,13 +302,28 @@ func matchReference(t *testing.T, c, ref *Codec, row int, g []float32, bits []by
 			t.Fatalf("row %d decoded[%d] = %v, reference %v", row, i, got[i], want[i])
 		}
 	}
+	return p
 }
 
-// TestCodecMatchesReference holds the branch-free codec to the branchy one
-// it replaced: every row length and input kind, 50 chained encodes a row so
-// the residual feeds back, compared bit for bit. A "zeros" row starts from a
-// residual of −0, so −0 + −0 reaches the sign test.
+// bothBodies runs f with the vector body (where the CPU has one) and then
+// with the Go body, and restores the gate.
+func bothBodies(f func()) {
+	vec := useAVX
+	defer func() { useAVX = vec }()
+	for _, useAVX = range []bool{vec, false} {
+		f()
+	}
+}
+
+// TestCodecMatchesReference holds both bodies of the branch-free codec to
+// the branchy one it replaced: every row length and input kind, 50 chained
+// encodes a row so the residual feeds back, compared bit for bit. A "zeros"
+// row starts from a residual of −0, so −0 + −0 reaches the sign test.
 func TestCodecMatchesReference(t *testing.T) {
+	bothBodies(func() { codecMatchesReference(t) })
+}
+
+func codecMatchesReference(t *testing.T) {
 	for _, kind := range refKinds {
 		c, ref := NewCodec(refLens), NewCodec(refLens)
 		r := tensor.NewRNG(11)
@@ -326,7 +344,7 @@ func TestCodecMatchesReference(t *testing.T) {
 
 // FuzzEncodeMatchesReference is TestCodecMatchesReference over arbitrary
 // float32 bit patterns: the input is a row of little-endian float32s, encoded
-// three times in a chain.
+// three times in a chain, on both bodies.
 func FuzzEncodeMatchesReference(f *testing.F) {
 	r := tensor.NewRNG(5)
 	for _, kind := range refKinds {
@@ -343,10 +361,67 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		for i := range g {
 			g[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-		c, ref := NewCodec([]int{len(g)}), NewCodec([]int{len(g)})
-		bits := make([]byte, (len(g)+7)/8)
-		for step := 0; step < 3; step++ {
-			matchReference(t, c, ref, 0, g, bits)
+		bothBodies(func() {
+			c, ref := NewCodec([]int{len(g)}), NewCodec([]int{len(g)})
+			bits := make([]byte, (len(g)+7)/8)
+			for step := 0; step < 3; step++ {
+				matchReference(t, c, ref, 0, g, bits)
+			}
+		})
+	})
+}
+
+// TestNaNPayloadsFollowTheInput: rows of NaNs with distinct payloads, some of
+// them negative, long enough to cross the seam between the vector body and
+// the Go tail or not, and new payloads every step, so each compensation
+// adds an input NaN to a different residual NaN. Every NaN counts as
+// negative, so the negative sum takes the first input NaN and keeps it:
+// NegScale is that NaN negated, and the chained encodes match the reference
+// bit for bit on both bodies.
+func TestNaNPayloadsFollowTheInput(t *testing.T) {
+	for _, n := range []int{2, 8, 9, 24} {
+		bothBodies(func() {
+			c, ref := NewCodec([]int{n}), NewCodec([]int{n})
+			bits := make([]byte, (n+7)/8)
+			for step := range 3 {
+				g := make([]float32, n)
+				for i := range g {
+					b := uint32(0x7fc00000) | uint32(step+1)<<16 | uint32(i+1)<<7 | uint32(n)
+					if i%3 == 1 {
+						b |= 1 << 31
+					}
+					g[i] = math.Float32frombits(b)
+				}
+				p := matchReference(t, c, ref, 0, g, bits)
+				if got, want := math.Float32bits(p.NegScale), math.Float32bits(g[0])^1<<31; got != want {
+					t.Fatalf("n=%d avx=%v step %d: NegScale %#x, want the first NaN negated %#x", n, useAVX, step, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeEveryBytePattern decodes every sign byte, in a row of 256 whole
+// bytes and a 3-value tail, into an out that holds garbage: each value must
+// be the scale its bit picks, on both bodies.
+func TestDecodeEveryBytePattern(t *testing.T) {
+	n := 256*8 + 3
+	p := Payload{N: n, PosScale: 1.5, NegScale: 2.25, Bits: make([]byte, (n+7)/8)}
+	for i := range p.Bits {
+		p.Bits[i] = byte(i * 167) // a permutation of the 256 patterns, then one more
+	}
+	want := make([]float32, n)
+	refDecode(p, want)
+	bothBodies(func() {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = float32(math.NaN())
+		}
+		Decode(p, out)
+		for i := range out {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("avx=%v: out[%d] = %v (byte %#02x), want %v", useAVX, i, out[i], p.Bits[i/8], want[i])
+			}
 		}
 	})
 }
@@ -365,5 +440,34 @@ func TestEncodeAllocatesOnlyTheBits(t *testing.T) {
 	}
 	if p.N != 64 || len(p.Bits) != 8 {
 		t.Fatalf("payload N=%d with %d bit bytes", p.N, len(p.Bits))
+	}
+}
+
+// BenchmarkCodec times EncodeInto and Decode of a 64- and a 1024-wide row on
+// each body: go test ./internal/compress -run '^$' -bench Codec.
+func BenchmarkCodec(b *testing.B) {
+	vec := useAVX
+	defer func() { useAVX = vec }()
+	for _, n := range []int{4, 8, 64, 1024} {
+		g := refRow("normal", n, tensor.NewRNG(1))
+		c := NewCodec([]int{n})
+		bits, out := make([]byte, (n+7)/8), make([]float32, n)
+		for _, useAVX = range []bool{vec, false} {
+			body := map[bool]string{true: "avx", false: "go"}[useAVX]
+			b.Run(fmt.Sprintf("encode/%s/n=%d", body, n), func(b *testing.B) {
+				for range b.N {
+					c.EncodeInto(0, g, bits)
+				}
+			})
+			p := c.EncodeInto(0, g, bits)
+			b.Run(fmt.Sprintf("decode/%s/n=%d", body, n), func(b *testing.B) {
+				for range b.N {
+					Decode(p, out)
+				}
+			})
+			if !vec {
+				break
+			}
+		}
 	}
 }

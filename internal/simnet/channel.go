@@ -48,6 +48,16 @@ type Channel struct {
 	// state of its own: a restart cannot end a blackout early, and a blackout
 	// lifting cannot reach a dead server.
 	serverDown bool
+	// samples caches each device's last trace read (solo).
+	samples []sample
+}
+
+// sample is a link's trace value At(t) and the raw sample index int(t/Dt)
+// it was read at — all of t that At depends on.
+type sample struct {
+	idx  int
+	mbps float64
+	ok   bool
 }
 
 // Flow is one in-flight transmission.
@@ -83,6 +93,7 @@ func NewChannel(k *Kernel, links []*trace.Trace, scale float64) *Channel {
 		Scale:      scale,
 		lastUpdate: k.Now(),
 		down:       make([]bool, len(links)),
+		samples:    make([]sample, len(links)),
 	}
 	c.recheck = newTimer(c.onRecheck)
 	return c
@@ -94,8 +105,21 @@ func (c *Channel) bytesPerSec(f *Flow, at float64, n int) float64 {
 	if n == 0 || c.dark(f.Device) {
 		return 0
 	}
-	mbps := c.links[f.Device].At(at) * c.Scale / float64(n)
+	mbps := c.solo(f.Device, at) * c.Scale / float64(n)
 	return mbps * 1e6 / 8
+}
+
+// solo is links[device].At(t), read from the trace once per sample: the
+// channel's per-flow loops ask for every flow at every event, and At's
+// modulo and its load from a long sample slice were the fleet simulator's
+// top row. The key is At's own index, so the value is At's bit for bit,
+// rounding included.
+func (c *Channel) solo(device int, t float64) float64 {
+	tr, s := c.links[device], &c.samples[device]
+	if idx := int(t / tr.Dt); !s.ok || idx != s.idx {
+		*s = sample{idx: idx, mbps: tr.At(t), ok: true}
+	}
+	return s.mbps
 }
 
 // dark reports whether nothing can drain on the device's link: it is blacked
@@ -200,12 +224,17 @@ func (c *Channel) finish(f *Flow) {
 func (c *Channel) schedule() {
 	now := c.k.Now()
 	next := math.Inf(1)
+	dt, b := math.NaN(), 0.0 // b is NextBoundary(now) of a trace sampled every dt
 	for _, f := range c.flows {
 		// Trace boundaries of links with active flows (a dark link has no
 		// boundary worth waking for — its rate is pinned at zero until it is
-		// lit again, and SetLinkDown/SetServerDown reschedule then).
+		// lit again, and SetLinkDown/SetServerDown reschedule then). The
+		// boundary depends on the sample period alone: one per distinct Dt.
 		if !c.dark(f.Device) {
-			if b := c.links[f.Device].NextBoundary(now); b < next {
+			if tr := c.links[f.Device]; tr.Dt != dt {
+				dt, b = tr.Dt, tr.NextBoundary(now)
+			}
+			if b < next {
 				next = b
 			}
 		}
@@ -302,7 +331,7 @@ func (c *Channel) LinkMbps(device int) float64 {
 	if c.dark(device) {
 		return 0
 	}
-	return c.links[device].At(c.k.Now()) * c.Scale
+	return c.solo(device, c.k.Now()) * c.Scale
 }
 
 // NumDevices returns the number of links the channel manages.

@@ -88,14 +88,16 @@ func TestChannelMatchesBruteForceIntegration(t *testing.T) {
 		for d := range s.links {
 			s.links[d] = trace.GenerateEnv(trace.Outdoor, 60, r.Uint64()%10000)
 			if big {
-				// A sample period that is exact in binary. With the generator's
+				// Sample periods that are exact in binary. With the generator's
 				// 0.1 s, a few percent of boundary instants b = i·Dt divide back
 				// to i−1 and Trace.At reads the previous sample for that whole
 				// interval; the reference, stepping through the interval, does
 				// not, and over a hundred flows' worth of events the two drift
 				// apart by more than the tolerance below. That rounding is
 				// Trace.At's, as old as the channel, and not under test here.
-				s.links[d].Dt = 0.125
+				// Two periods whose grids do not nest, interleaved over the
+				// devices: a schedule pass must find each one's next boundary.
+				s.links[d].Dt = []float64{0.125, 0.1875}[d%2]
 			}
 		}
 		for i := 0; i < nFlows; i++ {

@@ -1,9 +1,8 @@
 package tensor
 
-var useAVX = hasAVX() // read once; tests switch it off to run the Go body here
+import "rog/internal/cpuid"
 
-// hasAVX reports CPUID's AVX and OSXSAVE bits and XCR0's XMM and YMM bits.
-func hasAVX() bool
+var useAVX = cpuid.AVX // tests switch it off to run the Go body here
 
 // addScaledRowsAVX is addScaledRowsGo with one YMM register per 8-column
 // block: it starts from +0 (or loads di), then per term VBROADCASTSS val[t],

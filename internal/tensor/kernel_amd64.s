@@ -1,25 +1,5 @@
 #include "textflag.h"
 
-// func hasAVX() bool
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV               // XCR0 into DX:AX
-	ANDL $6, AX          // XMM (bit 1) and YMM (bit 2) state saved
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // lanes<>+4(8−n) is a VMASKMOVPS mask selecting the first n of 8 lanes.
 DATA lanes<>+0(SB)/8, $-1
 DATA lanes<>+8(SB)/8, $-1

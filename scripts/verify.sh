@@ -4,17 +4,17 @@
 # invariant fails fast, prints per-pass wall time, distinguishes a
 # tree the analyzer cannot load — exit 2, a build problem — from real
 # findings, and repeats itself for one package's findings alone), the full
-# test suite, a kernels stage (the tensor package vetted for arm64, where only
-# the Go body exists, and its bit-identity tests rerun at GOAMD64=v3;
-# `verify.sh kernels` = `make kernels` runs it alone), a fuzz stage (eight
-# differential fuzz targets, a fixed number of inputs each; `verify.sh fuzz` =
-# `make fuzz` runs it alone), a trace smoke (a tiny traced simnet run, a
-# FLOWN run whose plans skip and a lossy run, each read in both rogtrace
-# views: no structural error, ≥99% of every worker's wall time decomposed,
-# and the gate stalls attributed — the observability pipeline must stay
-# usable end to end, not just unit-green), a crash-recovery
-# smoke (a run whose parameter server is killed and recovered from its
-# checkpoint store, then resumed by a fresh process, then one composed run —
+# test suite, a kernels stage (the tensor and codec packages vetted for arm64,
+# where only the Go bodies exist, and their bit-identity tests rerun at
+# GOAMD64=v3; `verify.sh kernels` = `make kernels` runs it alone), a fuzz
+# stage (eight differential fuzz targets, a fixed number of inputs each;
+# `verify.sh fuzz` = `make fuzz` runs it alone), a trace smoke (a tiny
+# traced simnet run, a FLOWN run whose plans skip and a lossy run, each read
+# in both rogtrace views: no structural error, ≥99% of every worker's wall
+# time decomposed, and the gate stalls attributed — the observability
+# pipeline must stay usable end to end, not just unit-green), a
+# crash-recovery smoke (a run whose parameter server is killed and recovered
+# from its checkpoint store, then resumed by a fresh process, then one composed run —
 # aggregators, loss, a robot crash and a server crash together — whose
 # trace must be well-formed), a serve smoke (a
 # rogserve -listen process training in the background while a gated
@@ -123,20 +123,22 @@ run_test() {
 }
 
 run_kernels() {
-	# The Go body of addScaledRows is the only one off amd64: it must build
-	# there (the vet stage's asmdecl has checked the .s frame offsets on amd64).
-	GOARCH=arm64 go vet ./internal/tensor
+	# The Go bodies of addScaledRows and the row codec are the only ones off
+	# amd64: they must build there (the vet stage's asmdecl has checked the .s
+	# frame offsets on amd64).
+	GOARCH=arm64 go vet ./internal/tensor ./internal/compress
 	# The assembly never fuses a multiply-add; no toolchain fuses the Go loop
 	# at amd64.v3 today. The day one does, the bodies stop matching here. The
 	# nn tests hold the fused Linear+ReLU and argmax to their references, the
-	# fan-out test the merge's AXPY passes to the scalar AddUnit loop.
-	GOAMD64=v3 go test -count=1 -run 'BitIdentical|Digest|NotAllocate|ArgmaxMatchesReference|InferenceMatchesForward|FanOutMatchesPerWorkerAddUnit' \
-		./internal/tensor ./internal/nn ./internal/harness
+	# fan-out test the merge's AXPY passes to the scalar AddUnit loop, the
+	# codec tests both codec bodies to the branchy reference.
+	GOAMD64=v3 go test -count=1 -run 'BitIdentical|Digest|NotAllocate|ArgmaxMatchesReference|InferenceMatchesForward|FanOutMatchesPerWorkerAddUnit|CodecMatchesReference|EncodeMatchesReference|NaNPayloads|EveryBytePattern|AllocatesOnlyTheBits' \
+		./internal/tensor ./internal/nn ./internal/harness ./internal/compress
 }
 
 run_fuzz() {
 	# The test stage runs every fuzz target's seed corpus only. These eight —
-	# the codec against its branchy reference, the frame reader against its
+	# both codec bodies against the branchy reference, the frame reader against its
 	# reference decoder, the protocol parser, the vector kernel against its Go
 	# body, the affine row pass (compaction, bias, rectifier) against the plain
 	# loops, the merge fan-out against a per-worker AddUnit loop, the paged
