@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"rog/internal/analysis"
 )
@@ -63,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, timings, err := findings(pkgs, passes, modPath, flag.Args())
+	diags, timings, err := analysis.AnalyzeSelected(pkgs, passes, modPath, flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "roglint: %v\n", err)
 		os.Exit(2)
@@ -114,59 +113,4 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// findings analyses every loaded package — the cross-package passes and the
-// unused-suppression check need the declarations and lock sites of the whole
-// program, whatever was asked for — and keeps the findings located in the
-// packages the argument patterns select.
-func findings(pkgs []*analysis.Package, passes []analysis.Pass, modPath string, args []string) ([]analysis.Diagnostic, []analysis.PassTiming, error) {
-	dirs, err := selectedDirs(pkgs, modPath, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	diags, timings := analysis.AnalyzeTimed(pkgs, passes)
-	kept := diags[:0]
-	for _, d := range diags {
-		if dirs[filepath.Dir(d.Pos.Filename)] {
-			kept = append(kept, d)
-		}
-	}
-	return kept, timings, nil
-}
-
-// selectedDirs resolves the argument patterns — "./..." (everything),
-// "./dir/..." (subtree) or "./dir" (exactly one) — to the directories of the
-// packages they select. No arguments means everything.
-func selectedDirs(pkgs []*analysis.Package, modPath string, args []string) (map[string]bool, error) {
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	dirs := map[string]bool{}
-	for _, arg := range args {
-		pattern := strings.TrimSuffix(strings.TrimPrefix(arg, "./"), "/")
-		subtree := false
-		if rest, ok := strings.CutSuffix(pattern, "/..."); ok {
-			subtree = true
-			pattern = rest
-		} else if pattern == "..." {
-			subtree = true
-			pattern = ""
-		}
-		want := modPath
-		if pattern != "" && pattern != "." {
-			want = modPath + "/" + filepath.ToSlash(pattern)
-		}
-		matched := false
-		for _, p := range pkgs {
-			if p.Path == want || (subtree && (pattern == "" || pattern == "." || strings.HasPrefix(p.Path, want+"/"))) {
-				matched = true
-				dirs[filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)] = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("pattern %q matched no packages", arg)
-		}
-	}
-	return dirs, nil
 }

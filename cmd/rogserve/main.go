@@ -1,13 +1,13 @@
 // Command rogserve runs the inference tier: it serves bounded-staleness
 // predictions from versioned snapshots of a training run.
 //
-// Three modes:
+// Two modes:
 //
-//	rogserve -demo              # simnet load sweep (the harness "serve" experiment)
 //	rogserve -listen 127.0.0.1:7070    # train in-process, serve snapshots over TCP
 //	rogserve -connect 127.0.0.1:7070 -n 10 -min-version 3
 //
-// Every mode takes -cpuprofile/-memprofile (go tool pprof -top <file>); a
+// The simnet load sweep is the harness "serve" experiment: rogbench -exp
+// serve [-full]. Both modes take -cpuprofile/-memprofile (go tool pprof -top <file>); a
 // -listen server runs until interrupted and writes them then.
 //
 // The listen mode trains the same synthetic workload the harness sweep
@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"rog"
 	"rog/internal/atp"
 	"rog/internal/engine"
 	"rog/internal/lossnet"
@@ -48,8 +47,6 @@ const (
 
 func main() {
 	var (
-		demo    = flag.Bool("demo", false, "run the simnet load sweep (the harness serve experiment) and exit")
-		full    = flag.Bool("full", false, "with -demo: paper scale instead of quick")
 		listen  = flag.String("listen", "", "train in-process and serve snapshots on this TCP address")
 		connect = flag.String("connect", "", "send inference requests to a rogserve -listen instance")
 
@@ -79,14 +76,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	modes := 0
-	for _, on := range []bool{*demo, *listen != "", *connect != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "rogserve: pick exactly one of -demo, -listen or -connect")
+	if (*listen == "") == (*connect == "") {
+		fmt.Fprintln(os.Stderr, "rogserve: pick exactly one of -listen or -connect")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -97,19 +88,6 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
-	case *demo:
-		scale := rog.QuickScale
-		if *full {
-			scale = rog.FullScale
-		}
-		start := time.Now()
-		out, err := rog.RunExperiment("serve", scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rogserve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out.Text)
-		fmt.Printf("[serve sweep completed in %.1fs wall clock, scale=%s]\n", time.Since(start).Seconds(), scale.Name)
 	case *listen != "":
 		if *workers < 2 || *threshold < 2 || *period <= 0 {
 			fmt.Fprintln(os.Stderr, "rogserve: -listen needs workers >= 2, threshold >= 2 and period > 0")

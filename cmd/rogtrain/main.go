@@ -48,7 +48,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "split the server state into this many unit-range shards (0 = 1, the single-lock server)")
 		aggs      = flag.Int("aggregators", 0, "route pushes through this many edge aggregators (0 = direct to the root server)")
 	)
-	flag.StringVar(faultSpec, "fault", "", "alias for -faults")
 	prof := obs.ProfileFlags()
 	flag.Parse()
 

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"path"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -219,6 +221,41 @@ func AnalyzeTimed(pkgs []*Package, passes []Pass) ([]Diagnostic, []PassTiming) {
 		out = append(out, d)
 	}
 	return out, timings
+}
+
+// AnalyzeSelected is AnalyzeTimed over every loaded package, keeping the
+// findings located in the packages the patterns select: "./..." (all, the
+// default), "./dir/..." (a subtree) or "./dir" (exactly one). The whole
+// program is analysed whatever is selected: the cross-package passes and
+// the unused-suppression check need every declaration and lock site. A
+// pattern that matches no package is an error.
+func AnalyzeSelected(pkgs []*Package, passes []Pass, modPath string, patterns []string) ([]Diagnostic, []PassTiming, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	dirs := map[string]bool{}
+	for _, arg := range patterns {
+		pattern, subtree := strings.CutSuffix(strings.TrimPrefix(arg, "./"), "...")
+		want := path.Join(modPath, filepath.ToSlash(pattern))
+		matched := false
+		for _, p := range pkgs {
+			if p.Path == want || subtree && strings.HasPrefix(p.Path, want+"/") {
+				matched = true
+				dirs[filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)] = true
+			}
+		}
+		if !matched {
+			return nil, nil, fmt.Errorf("pattern %q matched no packages", arg)
+		}
+	}
+	diags, timings := AnalyzeTimed(pkgs, passes)
+	kept := diags[:0]
+	for _, d := range diags {
+		if dirs[filepath.Dir(d.Pos.Filename)] {
+			kept = append(kept, d)
+		}
+	}
+	return kept, timings, nil
 }
 
 // jsonFinding is the -json wire shape for one finding.

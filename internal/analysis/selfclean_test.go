@@ -43,6 +43,42 @@ func TestModuleSelfClean(t *testing.T) {
 	}
 }
 
+// TestSubsetRunSeesWholeProgram pins what a package argument of roglint
+// means: it selects findings, not what is analysed. durable's one lockorder
+// suppression answers a declaration in engine/state.go; a run that loaded
+// durable alone reported it as matching nothing.
+func TestSubsetRunSeesWholeProgram(t *testing.T) {
+	pkgs, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const modPath = "rog"
+	diags, _, err := AnalyzeSelected(pkgs, DefaultPasses(), modPath, []string{"./internal/durable"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("roglint ./internal/durable on the clean tree: %s", d)
+	}
+	// The filter keeps what is in the package and nothing else.
+	diags, _, err = AnalyzeSelected(pkgs, []Pass{perPackage{}}, modPath, []string{"./internal/durable"})
+	if err != nil || len(diags) != 1 || diags[0].Msg != modPath+"/internal/durable" {
+		t.Errorf("one finding per package, filtered to durable: got %v (err %v)", diags, err)
+	}
+	if _, _, err := AnalyzeSelected(pkgs, nil, modPath, []string{"./internal/nosuch"}); err == nil {
+		t.Error("a pattern matching no package was accepted")
+	}
+}
+
+// perPackage reports every package once, at its first file.
+type perPackage struct{}
+
+func (perPackage) Name() string { return "perpackage" }
+func (perPackage) Doc() string  { return "one finding per package" }
+func (perPackage) Run(pkg *Package) []Diagnostic {
+	return []Diagnostic{{Pos: pkg.Fset.Position(pkg.Files[0].Pos()), Pass: "perpackage", Msg: pkg.Path}}
+}
+
 // TestPassesHaveTraffic fails when a pass is left with nothing to read: a
 // renamed package silently empties a scope list, and a pass whose last
 // annotation is gone should go with it rather than linger.

@@ -123,12 +123,6 @@ type Config struct {
 	// capacities are scaled down by localWireSize/PaperModelBytes,
 	// preserving the paper's comm:compute ratio.
 	PaperModelBytes float64
-	// ScaleReferenceBytes overrides the local wire size used for that
-	// channel scaling (0 = use this run's own partition size). The
-	// granularity ablation needs it: comparing rows vs elements only makes
-	// sense on the *same* channel, not one rescaled to each granularity's
-	// inflated wire size.
-	ScaleReferenceBytes float64
 
 	LR       float64
 	Momentum float64
@@ -433,13 +427,15 @@ func newCluster(cfg Config, wl Workload) *cluster {
 	}
 	params := wl.Model(0).Params()
 	part := rowsync.NewPartition(params, cfg.Granularity)
-	// Scale the channel so our small model transmits in the same time the
-	// paper's compressed model would on the real link.
-	ref := cfg.ScaleReferenceBytes
-	if ref <= 0 {
-		ref = float64(part.TotalWireSize())
+	// Scale the channel so our small model's row partition transmits in the
+	// same time the paper's compressed model would on the real link. Every
+	// granularity runs on that one channel, so a finer one genuinely pays
+	// its index overhead (Sec. III-A's management-cost argument).
+	rows := part
+	if cfg.Granularity != rowsync.Rows {
+		rows = rowsync.NewPartition(params, rowsync.Rows)
 	}
-	scale := ref / cfg.PaperModelBytes
+	scale := float64(rows.TotalWireSize()) / cfg.PaperModelBytes
 
 	policy, err := engine.New(cfg.policyName(), engine.Params{
 		Workers:   cfg.Workers,

@@ -33,7 +33,10 @@ type Report struct {
 	Increasing bool   `json:"increasing"`
 	// Target is the common quality level used for the time/energy-to-target
 	// columns: the loosest best-over-series value across systems, so every
-	// system can reach it (same rule as the text tables).
+	// system can reach it (same rule as the text tables). A sweep compares
+	// cells only within a group, as its text prints one table per group:
+	// each cell then carries its group's target, and this one is the
+	// loosest of them, the level every cell reached.
 	Target  float64        `json:"quality_target"`
 	Systems []SystemReport `json:"systems"`
 }
@@ -53,6 +56,9 @@ type SystemReport struct {
 	ComputeSeconds float64 `json:"compute_seconds"`
 	CommSeconds    float64 `json:"comm_seconds"`
 	StallSeconds   float64 `json:"stall_seconds"`
+	// Target is the group's target in a sweep (nil elsewhere: the
+	// report's Target).
+	Target *float64 `json:"quality_target,omitempty"`
 	// SecondsToTarget / JoulesToTarget are nil when the system never
 	// reached the common target.
 	SecondsToTarget *float64 `json:"seconds_to_target,omitempty"`
@@ -115,6 +121,26 @@ func lineup(title string, o EndToEndOptions) (*Report, []*core.Result, error) {
 // otherwise; callers attach their own blocks.
 func (rep *Report) fill(results []*core.Result, labels ...string) {
 	rep.Target = commonTarget(results, rep.Increasing)
+	rep.add(results, labels, nil)
+}
+
+// fillGroup appends one group of a sweep's cells, each paired with the
+// group's own target and carrying it, and loosens Target to cover it.
+func (rep *Report) fillGroup(results []*core.Result, labels []string) {
+	target := commonTarget(results, rep.Increasing)
+	if len(rep.Systems) == 0 || rep.Increasing == (target < rep.Target) {
+		rep.Target = target
+	}
+	rep.add(results, labels, &target)
+}
+
+// add appends one SystemReport per result, paired with group's target when
+// it is set and with the report's otherwise.
+func (rep *Report) add(results []*core.Result, labels []string, group *float64) {
+	target := rep.Target
+	if group != nil {
+		target = *group
+	}
 	for i, r := range results {
 		sr := SystemReport{
 			Label:          r.Label(),
@@ -129,11 +155,12 @@ func (rep *Report) fill(results []*core.Result, labels ...string) {
 			CommSeconds:    r.Composition.Comm,
 			StallSeconds:   r.Composition.Stall,
 			Series:         r.Series.Points,
+			Target:         group,
 		}
-		if sec, ok := r.Series.TimeToReach(rep.Target, rep.Increasing); ok {
+		if sec, ok := r.Series.TimeToReach(target, rep.Increasing); ok {
 			sr.SecondsToTarget = &sec
 		}
-		if j, ok := r.Series.EnergyToReach(rep.Target, rep.Increasing); ok {
+		if j, ok := r.Series.EnergyToReach(target, rep.Increasing); ok {
 			sr.JoulesToTarget = &j
 		}
 		if i < len(labels) {

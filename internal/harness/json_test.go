@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -122,5 +123,50 @@ func TestRunJSONReportExtRecovery(t *testing.T) {
 	back := roundTrip(t, rep)
 	if back.Systems[1].Recovery == nil || *back.Systems[1].Recovery != *rep.Systems[1].Recovery {
 		t.Fatalf("round-trip changed the recovery block: %+v", back.Systems[1].Recovery)
+	}
+}
+
+// TestFig9JSONPairsAsTheText holds fig9batch's JSON to its text: every
+// cell's joules_to_target equals the J-to-target its group's energy table
+// prints, and its quality_target the target that table names. A sweep
+// pairs cells only within a group (one batch size).
+func TestFig9JSONPairsAsTheText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the fig9batch sweep is skipped in -short mode")
+	}
+	rep := runTiny(t, "fig9batch")
+	cells := map[string]SystemReport{}
+	for _, s := range rep.Systems {
+		cells[s.Label] = s
+	}
+	var group, target string
+	checked, energy := 0, false
+	for _, line := range strings.Split(rep.Text, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "-- "):
+			group, energy = strings.Trim(line, "- "), false
+		case strings.HasPrefix(line, "energy to reach "):
+			target, energy = f[len(f)-1], true
+		case energy && len(f) >= 5 && f[0] != "system" && !strings.HasPrefix(f[0], "-"):
+			s, ok := cells[f[0]+" "+group]
+			if !ok {
+				t.Fatalf("text row %q has no JSON cell %q", line, f[0]+" "+group)
+			}
+			if s.Target == nil || fmt.Sprintf("%.4f", *s.Target) != target {
+				t.Errorf("%s: JSON target %v, text table's %s", s.Label, s.Target, target)
+			}
+			json := "not reached"
+			if s.JoulesToTarget != nil {
+				json = fmt.Sprintf("%.0f", *s.JoulesToTarget)
+			}
+			if text := strings.Join(f[2:len(f)-2], " "); json != text {
+				t.Errorf("%s: JSON joules_to_target %s, text %s", s.Label, json, text)
+			}
+			checked++
+		}
+	}
+	if checked != len(rep.Systems) {
+		t.Fatalf("checked %d text cells, the JSON has %d", checked, len(rep.Systems))
 	}
 }

@@ -187,8 +187,6 @@ func runFig9(s Scale, banner, heading string, values []int, set func(*EndToEndOp
 	rep := newReport(strings.Trim(banner, "= "), o)
 	var b strings.Builder
 	b.WriteString(banner + "\n\n")
-	var all []*core.Result
-	var labels []string
 	for _, v := range values {
 		oo := o
 		set(&oo, v)
@@ -197,16 +195,16 @@ func runFig9(s Scale, banner, heading string, values []int, set func(*EndToEndOp
 			return nil, err
 		}
 		cell := fmt.Sprintf(heading, v)
+		var labels []string
 		for _, r := range results {
 			labels = append(labels, r.Label()+" "+strings.Trim(cell, "- \n"))
 		}
-		all = append(all, results...)
+		rep.fillGroup(results, labels)
 		b.WriteString(cell)
 		b.WriteString(CompositionTable(results))
 		b.WriteString(EnergyTable(results, true))
 		b.WriteString("\n")
 	}
-	rep.fill(all, labels...)
 	rep.Text = b.String()
 	return rep, nil
 }
@@ -323,19 +321,14 @@ func runAblationGranularity(s Scale) (*Report, error) {
 	grans := []rowsync.Granularity{rowsync.Layers, rowsync.Rows, rowsync.Elements}
 	names := []string{"layers", "rows", "elements"}
 	s = ablationScale(s)
-	// All granularities run on the same channel: scale it to the row
-	// partition's wire size, so finer granularity genuinely pays its
-	// index overhead (Sec. III-A's management-cost argument).
-	params := rog4(s).NewWorkload().Model(0).Params()
-	refBytes := float64(rowsync.NewPartition(params, rowsync.Rows).TotalWireSize())
+	// All granularities run on one channel: core scales it to the row
+	// partition's wire size.
 	rep, results, err := rog4Variants(s, "Ablation: synchronization granularity (ROG-4, CRUDA outdoors)",
-		names, func(i int, cfg *core.Config) {
-			cfg.ScaleReferenceBytes = refBytes
-			cfg.Granularity = grans[i]
-		})
+		names, func(i int, cfg *core.Config) { cfg.Granularity = grans[i] })
 	if err != nil {
 		return nil, err
 	}
+	params := rog4(s).NewWorkload().Model(0).Params()
 	var rows [][]string
 	for i, res := range results {
 		part := rowsync.NewPartition(params, grans[i])

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rog/internal/atp"
 	"rog/internal/compress"
@@ -290,6 +291,43 @@ func TestMisfitRowIsAProtocolError(t *testing.T) {
 	} {
 		if _, err := decodeRow(part, p, dst); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestCutPushRowNeverHoldsBackPushDone cuts a speculative push of one
+// 300-value row at every byte and follows it only with the push-done, over
+// a net.Pipe that stays open: the row's missing tail never comes, and with
+// IdleTimeout at its default of 0 nothing else would end the wait. The
+// receiver must hand over the push-done instead; the read deadline fails a
+// receiver that waits.
+func TestCutPushRowNeverHoldsBackPushDone(t *testing.T) {
+	vals := make([]float32, 300)
+	for i := range vals {
+		vals[i] = float32(i%7) - 3
+	}
+	var row, done bytes.Buffer
+	if err := transport.WriteFrame(&row, rowMsg(nil, 5, compress.NewCodec([]int{len(vals)}).Encode(0, vals))); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteFrame(&done, pushDoneMsg(nil, 5, 0.25, 0.5, true)); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < row.Len(); cut++ {
+		c, s := net.Pipe()
+		go c.Write(append(row.Bytes()[:cut:cut], done.Bytes()...))
+		if err := s.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := transport.NewReceiver(s).Recv()
+		var msg parsed
+		if err == nil {
+			msg, err = parse(frame)
+		}
+		c.Close()
+		s.Close()
+		if err != nil || msg.kind != kindPushDone || msg.iter != 5 {
+			t.Fatalf("row cut after %d of %d bytes: got kind %q iter %d, err %v; want the push-done", cut, row.Len(), msg.kind, msg.iter, err)
 		}
 	}
 }

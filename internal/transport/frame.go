@@ -210,13 +210,16 @@ const minRead = 4 << 10
 // spare capacity and Recv returns views of it, so a steady stream is
 // received without allocating. Parsing out of the buffered backlog is also
 // what recovers a truncated frame whose claimed length swallowed the next
-// frame's bytes: when the end marker check fails, the scan restarts one byte
-// past the false start marker and finds the next real frame inside the
-// already-buffered bytes.
+// frame's bytes: once a whole frame sits inside the claimed extent, or the
+// end marker check fails, the scan restarts one byte past the false start
+// marker and finds the next real frame inside the already-buffered bytes.
+// So a cut frame never waits for its missing tail: what follows it is
+// delivered as soon as it has arrived whole.
 type Receiver struct {
 	r      io.Reader
 	buf    []byte
 	rd, wr int // buf[rd:wr] is the backlog not yet parsed
+	scan   int // buf[rd+headerLen:rd+scan] starts no frame nested in the one claimed at rd
 	eof    bool
 	// Skipped counts bytes discarded during resynchronization; useful for
 	// tests and diagnostics.
@@ -268,6 +271,13 @@ func (rc *Receiver) Recv() ([]byte, error) {
 			continue
 		}
 		total := headerLen + n + len(endMarker)
+		if rc.nested(win, total) {
+			// A whole frame lies inside this one's claimed extent: this
+			// frame was cut, and newer frames follow where its tail should
+			// be. Waiting for the tail could wait forever.
+			rc.skip(1)
+			continue
+		}
 		if len(win) < total {
 			if rc.eof {
 				// Stream ended mid-frame: the frame is unrecoverable, but a
@@ -287,15 +297,56 @@ func (rc *Receiver) Recv() ([]byte, error) {
 			rc.skip(1)
 			continue
 		}
-		rc.rd += total
+		rc.rd, rc.scan = rc.rd+total, 0
 		return win[headerLen : headerLen+n : headerLen+n], nil
 	}
 }
 
+// nested reports whether a whole frame starts past the header of the frame
+// claimed at the head of win, total bytes long, and ends no later than it
+// does. A genuine body holding a whole frame is the same coincidence the
+// 8-byte markers rule out, so the claimed frame was cut. rc.scan remembers
+// how far the search got, so a frame arriving over many reads is searched
+// once; the search stops at a nested start marker whose frame could still
+// fit but is not all buffered yet. The answer depends only on the bytes,
+// not on how reads chunk them: once the claimed frame is all buffered, no
+// nested frame is left undecided.
+func (rc *Receiver) nested(win []byte, total int) bool {
+	// A nested frame starts past the header and ends no later than total.
+	last := min(len(win), total-FrameOverhead+1)
+	for rc.scan = max(rc.scan, headerLen); rc.scan < last; rc.scan++ {
+		j := bytes.IndexByte(win[rc.scan:last], startMarker[0])
+		if j < 0 {
+			rc.scan = last
+			return false
+		}
+		rc.scan += j
+		if len(win) < rc.scan+headerLen {
+			return false // its marker or length has not arrived yet
+		}
+		if !bytes.HasPrefix(win[rc.scan:], startMarker) {
+			continue
+		}
+		n := int(binary.LittleEndian.Uint32(win[rc.scan+len(startMarker):]))
+		if end := rc.scan + FrameOverhead + n; n <= MaxFrameSize && end <= total {
+			if len(win) < end {
+				return false // it may yet end inside the claim
+			}
+			if bytes.Equal(win[end-len(endMarker):end], endMarker) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // skip discards n backlog bytes as resynchronization loss.
 func (rc *Receiver) skip(n int) {
-	rc.rd += n
-	rc.Skipped += n
+	if n > 0 {
+		rc.rd += n
+		rc.Skipped += n
+		rc.scan = 0
+	}
 }
 
 // fill reads more bytes from the underlying stream into the buffer's spare

@@ -9,7 +9,8 @@ import (
 )
 
 // refDecode is the reference the Receiver is held to: the copy-everything
-// algorithm it replaced, run over the whole input at once. It returns every
+// algorithm it replaced, run over the whole input at once, plus the rule that
+// a frame holding a whole frame past its header was cut. It returns every
 // recoverable payload (copied) and the bytes resynchronization discarded.
 func refDecode(data []byte) (frames [][]byte, skipped int) {
 	for buf := data; ; {
@@ -25,14 +26,56 @@ func refDecode(data []byte) (frames [][]byte, skipped int) {
 		}
 		n := int(binary.LittleEndian.Uint32(buf[len(startMarker):]))
 		total := FrameOverhead + n
-		if n > MaxFrameSize || len(buf) < total || !bytes.Equal(buf[total-len(endMarker):total], endMarker) {
-			buf = buf[1:] // corrupt length, truncated or abandoned: rescan one byte on
+		if n > MaxFrameSize || len(buf) < total || !bytes.Equal(buf[total-len(endMarker):total], endMarker) || holdsFrame(buf[:total]) {
+			buf = buf[1:] // corrupt length, truncated, abandoned or cut: rescan one byte on
 			skipped++
 			continue
 		}
 		frames = append(frames, bytes.Clone(buf[headerLen:headerLen+n]))
 		buf = buf[total:]
 	}
+}
+
+// holdsFrame reports whether a whole frame starts past frame's header and
+// ends inside it.
+func holdsFrame(frame []byte) bool {
+	for j := headerLen; j < len(frame); j++ {
+		if FrameLen(frame[j:]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// cutStream scripts a stream of whole and cut frames from data. Each frame
+// takes a control byte c and then up to c&63 payload bytes; a frame whose c
+// is 0xC0 or more is cut after as many of its bytes as the next byte says,
+// modulo its length. Payload bytes never equal a marker's first byte, so no
+// marker appears but the frames' own. It returns the stream and the payloads
+// of the whole frames after the last cut one.
+func cutStream(data []byte) (stream []byte, tail [][]byte) {
+	var b Batch
+	for len(data) > 0 {
+		c := data[0]
+		n := min(int(c&63), len(data)-1)
+		payload := bytes.Clone(data[1 : 1+n])
+		data = data[1+n:]
+		for i, v := range payload {
+			if v == startMarker[0] || v == endMarker[0] {
+				payload[i] = 0
+			}
+		}
+		b.Reset()
+		b.Append(payload)
+		if c < 0xC0 || len(data) == 0 {
+			stream = append(stream, b.buf...)
+			tail = append(tail, payload)
+			continue
+		}
+		stream = append(stream, b.buf[:int(data[0])%len(b.buf)]...)
+		data, tail = data[1:], tail[:0]
+	}
+	return stream, tail
 }
 
 // FuzzRecv throws arbitrary byte streams at the resynchronizing receiver.
@@ -48,7 +91,10 @@ func refDecode(data []byte) (frames [][]byte, skipped int) {
 //   - however the bytes are chunked by the reader (1 at a time, 7 at a time,
 //     all at once), the payload sequence and Skipped equal refDecode's;
 //   - a well-formed frame appended after the garbage guarantees at least
-//     one frame is recovered — resync must always find its way back.
+//     one frame is recovered — resync must always find its way back;
+//   - read as a cutStream script, every whole frame after the last cut one
+//     arrives, in order, however the reads chunk the stream: a cut frame
+//     never holds back what follows it.
 func FuzzRecv(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteFrame(&valid, []byte("speculative row payload")); err != nil {
@@ -65,6 +111,10 @@ func FuzzRecv(f *testing.F) {
 	f.Add(append([]byte("garbage prefix \xF0\x9F\xA6"), valid.Bytes()...))
 	f.Add(append(append([]byte(nil), valid.Bytes()...), valid.Bytes()...))
 	f.Add(append([]byte(nil), startMarker...)) // bare marker, nothing behind it
+	// As cutStream scripts: a 40-byte frame cut after 30 bytes, then two
+	// whole ones; a whole frame, then one cut inside its header.
+	f.Add(append(append([]byte{0xE8}, bytes.Repeat([]byte{7}, 40)...), 30, 3, 'a', 'b', 'c', 0, 0x42, 'x', 'y'))
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 0xC4, 9, 9, 9, 9, 10})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rc := NewReceiver(bytes.NewReader(data))
@@ -110,6 +160,30 @@ func FuzzRecv(f *testing.F) {
 			}
 			if rc.Skipped != wantSkipped {
 				t.Fatalf("%s reads: skipped %d, reference decoder %d", name, rc.Skipped, wantSkipped)
+			}
+		}
+
+		stream, tail := cutStream(data)
+		for name, r := range map[string]io.Reader{
+			"1 byte":  iotest.OneByteReader(bytes.NewReader(stream)),
+			"7 bytes": &chunkReader{r: bytes.NewReader(stream), n: 7},
+			"at once": bytes.NewReader(stream),
+		} {
+			var got [][]byte
+			for rc := NewReceiver(r); ; {
+				p, err := rc.Recv()
+				if err != nil {
+					break
+				}
+				got = append(got, bytes.Clone(p))
+			}
+			if len(got) < len(tail) {
+				t.Fatalf("%s reads: %d frames arrived, but %d whole frames follow the last cut one", name, len(got), len(tail))
+			}
+			for i, p := range got[len(got)-len(tail):] {
+				if !bytes.Equal(p, tail[i]) {
+					t.Fatalf("%s reads: whole frame %d after the last cut is %x, want %x", name, i, p, tail[i])
+				}
 			}
 		}
 
