@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet lint lint-json test kernels fuzz race verify bench bench-json bench-save bench-drift recover-smoke loc
+.PHONY: build fmt vet lint lint-json test kernels fuzz race verify bench bench-json bench-save bench-drift recover-smoke loc textdiff
 
 build:
 	$(GO) build ./...
@@ -64,3 +64,8 @@ bench-drift:
 # `make loc BASE=<git-ref>` prints that commit's, the tree's and the delta.
 loc:
 	sh scripts/loc.sh $(BASE)
+
+# textdiff checks that every rogbench text and -json report is byte-identical
+# to the commit BASE's: `make textdiff BASE=<git-ref>`.
+textdiff:
+	sh scripts/textdiff.sh $(BASE)

@@ -111,11 +111,6 @@ type Config struct {
 	// heterogeneous teams (the paper's robots vs laptops). nil means a
 	// homogeneous team. Must have Workers entries when set.
 	ComputeSkew []float64
-	// DynamicBatching equalizes compute time across a skewed team by
-	// resizing per-device batches, as the paper does with [49] ("all the
-	// involved devices spend equal time computing"): every device computes
-	// for the team-mean time instead of its own skewed time.
-	DynamicBatching bool
 
 	// PaperModelBytes is the compressed model size whose transmission
 	// behaviour the channel is scaled to reproduce (2.1 MB for CRUDA,
@@ -210,11 +205,6 @@ type Config struct {
 	CheckpointEvery   int     // evaluate every N worker-0 iterations
 
 	RecordMicro bool // collect Fig. 8 micro-event samples for worker 1
-
-	// OnMerge, when set, observes every row merged into the server state
-	// (worker, unit, stamped version) — instrumentation for the
-	// simnet↔livenet parity tests.
-	OnMerge func(worker, unit int, iter int64)
 
 	// Trace, when set, receives every structured runtime event with
 	// virtual-time timestamps (obs.NewJSONLTracer / obs.NewChromeTracer).
@@ -480,12 +470,8 @@ func newCluster(cfg Config, wl Workload) *cluster {
 }
 
 // adopt makes st — fresh, or recovered from the checkpoint store — the
-// server state the drivers act on: the probe traces it and Config.OnMerge
-// joins its observer chain as a filter on merges.
+// server state the drivers act on, traced by the probe.
 func (c *cluster) adopt(st *engine.State) {
-	if c.cfg.OnMerge != nil {
-		st.Observe(engine.Merges(c.cfg.OnMerge))
-	}
 	st.Probe = c.probe
 	c.state = st
 }
@@ -500,20 +486,11 @@ func (c *cluster) newLink(ch *simnet.Channel, dev, id int, seed uint64, tr *trac
 }
 
 // computeSecondsFor is one iteration's virtual compute time for worker w,
-// honoring heterogeneity and dynamic batching.
+// honoring heterogeneity.
 func (c *cluster) computeSecondsFor(w int) float64 {
 	base := c.cfg.ComputeSeconds * c.cfg.BatchScale
 	if c.cfg.ComputeSkew == nil {
 		return base
-	}
-	if c.cfg.DynamicBatching {
-		// Dynamic batching resizes each device's batch so everyone
-		// computes for the team mean.
-		var sum float64
-		for _, s := range c.cfg.ComputeSkew {
-			sum += s
-		}
-		return base * sum / float64(len(c.cfg.ComputeSkew))
 	}
 	return base * c.cfg.ComputeSkew[w]
 }

@@ -10,18 +10,28 @@ import (
 
 	"rog/internal/engine"
 	"rog/internal/lossnet"
+	"rog/internal/obs"
 	"rog/internal/trace"
 )
 
-// mergeLogRun executes one experiment with an OnMerge recorder and returns
-// the ordered merge log plus the trained workload (for parameter
-// comparison).
+// mergeTracer hands f the (worker, unit, stamped version) of every
+// KindMerge event a run traces: its merge sequence, in order.
+func mergeTracer(f func(worker, unit int, iter int64)) obs.Tracer {
+	return tracerFunc(func(e obs.Event) {
+		if e.Kind == obs.KindMerge {
+			f(e.Worker, e.Unit, e.Version)
+		}
+	})
+}
+
+// mergeLogRun executes one experiment with a merge tracer and returns the
+// ordered merge log plus the trained workload (for parameter comparison).
 func mergeLogRun(t *testing.T, cfg Config, seed uint64) ([]string, *testWorkload) {
 	t.Helper()
 	var log []string
-	cfg.OnMerge = func(w, u int, it int64) {
+	cfg.Trace = mergeTracer(func(w, u int, it int64) {
 		log = append(log, fmt.Sprintf("w%d u%d i%d", w, u, it))
-	}
+	})
 	wl := newTestWorkload(cfg.Workers, seed)
 	if _, err := Run(cfg, wl); err != nil {
 		t.Fatal(err)

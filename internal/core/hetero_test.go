@@ -22,14 +22,16 @@ func TestComputeSkewValidation(t *testing.T) {
 // TestHeterogeneityStallsBSPAndDynamicBatchingFixesIt reproduces the
 // paper's setup note: with heterogeneous devices (a slow laptop in the
 // team), BSP stalls on the slow computer every iteration; dynamic batching
-// equalizes compute time and removes that stall (Sec. VI, [49]).
+// equalizes compute time and removes that stall (Sec. VI, [49]). A team
+// balanced that way is a homogeneous team computing for the skewed team's
+// mean time, which is what the balanced run is.
 func TestHeterogeneityStallsBSPAndDynamicBatchingFixesIt(t *testing.T) {
-	run := func(skew []float64, dynamic bool) *Result {
+	run := func(skew []float64, computeScale float64) *Result {
 		cfg := testConfig(BSP, 0)
 		cfg.MaxIterations = 0
 		cfg.MaxVirtualSeconds = 400
 		cfg.ComputeSkew = skew
-		cfg.DynamicBatching = dynamic
+		cfg.ComputeSeconds *= computeScale
 		// A calm constant channel isolates the compute heterogeneity.
 		cfg.Traces = []*trace.Trace{
 			trace.Constant(90, 600, 0.1),
@@ -43,8 +45,8 @@ func TestHeterogeneityStallsBSPAndDynamicBatchingFixesIt(t *testing.T) {
 		return res
 	}
 	skew := []float64{1, 1, 2} // one device computes twice as long
-	stalled := run(skew, false)
-	balanced := run(skew, true)
+	stalled := run(skew, 1)
+	balanced := run(nil, (1.0+1+2)/3)
 
 	// Without dynamic batching, the two fast devices stall ~1 compute unit
 	// per iteration waiting on the slow one.

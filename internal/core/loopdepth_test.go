@@ -11,7 +11,7 @@ import (
 
 // TestLoopDepthBitIdentical pins the one worker loop to what the two loops
 // it replaced (the async and the pipelined one) produced: an FNV-1a digest over the
-// OnMerge sequence, the Result numbers an experiment reports and every
+// traced merge sequence, the Result numbers an experiment reports and every
 // replica's final weights. The
 // constants were recorded at the parent of the merge (commit e37c562) with
 // this same function; a change that moves one moved the virtual clock.
@@ -48,11 +48,11 @@ func TestLoopDepthBitIdentical(t *testing.T) {
 		if tc.tweak != nil {
 			tc.tweak(&cfg)
 		}
-		cfg.OnMerge = func(worker, unit int, iter int64) {
+		cfg.Trace = mergeTracer(func(worker, unit int, iter int64) {
 			put(uint64(worker))
 			put(uint64(unit))
 			put(uint64(iter))
-		}
+		})
 		wl := newTestWorkload(3, 41)
 		res, err := Run(cfg, wl)
 		if err != nil {

@@ -52,23 +52,13 @@ type Transition struct {
 // must not call back into the State (the lock-free Versions.Min() is fine)
 // or keep Vals. Applying the observed values, in order, to a State built
 // alike reproduces this one bit for bit (Apply) — the write-ahead log,
-// the serving tier's weight shadow and the parity tests' merge recorders
-// are all readers of this one stream.
+// the serving tier's weight shadow and livenet's ServerConfig.OnMerge are
+// all readers of this one stream.
 //
 // Register before the state is shared: the chain itself is not locked.
 // An empty chain costs one length check per transition and builds no value.
 func (s *State) Observe(f func(Transition)) {
 	s.observers = append(s.observers, f)
-}
-
-// Merges adapts f, a recorder of (worker, unit, stamped version) — both
-// runtimes' Config.OnMerge — to the chain: it sees the merges, nothing else.
-func Merges(f func(worker, unit int, iter int64)) func(Transition) {
-	return func(t Transition) {
-		if t.Kind == KindMerge {
-			f(t.Worker, t.Unit, t.Iter)
-		}
-	}
 }
 
 // emit hands one applied transition to the chain; the caller holds the

@@ -56,12 +56,10 @@ type SystemSpec struct {
 	Threshold int
 }
 
-// Label renders "SSP-4" style names.
+// Label renders "SSP-4" style names: the label core.Result.Label gives a
+// run of the system.
 func (s SystemSpec) Label() string {
-	if s.Strategy == core.BSP || s.Strategy == core.FLOWN {
-		return s.Strategy.String()
-	}
-	return fmt.Sprintf("%s-%d", s.Strategy, s.Threshold)
+	return (&core.Result{Strategy: s.Strategy, Threshold: s.Threshold}).Label()
 }
 
 // PaperSystems is the lineup of Figs. 1/6/7: BSP, SSP-4, SSP-20, FLOWN,

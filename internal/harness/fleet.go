@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rog/internal/core"
-	"rog/internal/metrics"
 	"rog/internal/nn"
 	"rog/internal/tensor"
 	"rog/internal/trace"
@@ -142,30 +141,25 @@ func runFleet(s Scale) (*Report, error) {
 	}
 	var results []*core.Result
 	var labels []string
-	var rows [][]string
+	cells := map[string]fleetCell{}
 	for _, cell := range fleetCells() {
 		res, err := runFleetCell(cell, s.VirtualSeconds/7, s.Seed) // the per-cell budget
 		if err != nil {
 			return nil, err
 		}
 		results, labels = append(results, res), append(labels, cell.label())
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", cell.workers),
-			fmt.Sprintf("%d", cell.shards),
-			fmt.Sprintf("%d", cell.aggregators),
-			fmt.Sprintf("%d", res.Iterations),
-			fmt.Sprintf("%.2f", res.Composition.Total()),
-			fmt.Sprintf("%.0f%%", 100*res.StallFrac),
-			fmt.Sprintf("%d", res.MaxStaleness),
-		})
+		cells[cell.label()] = cell
 	}
 	rep.fill(results, labels...)
 	var b strings.Builder
 	b.WriteString("== Fleet scaling: sharded server × edge aggregation (synthetic workload, ROG-8) ==\n\n")
-	b.WriteString(metrics.FormatTable(
-		[]string{"robots", "shards", "aggregators", "iterations", "iter span(s)", "stall", "max staleness"},
-		rows,
-	))
+	b.WriteString(table(rep.Systems,
+		col("robots", "%d", func(s SystemReport) any { return cells[s.Label].workers }),
+		col("shards", "%d", func(s SystemReport) any { return cells[s.Label].shards }),
+		col("aggregators", "%d", func(s SystemReport) any { return cells[s.Label].aggregators }),
+		iterationsCol, iterTotalCol.as("iter span(s)"),
+		col("stall", "%.0f%%", func(s SystemReport) any { return 100 * s.StallFrac }),
+		col("max staleness", "%d", func(s SystemReport) any { return s.MaxStaleness })))
 	fmt.Fprintf(&b, "\nevery merge obeyed the RSP bound (threshold %d), including rows forwarded through the edge tier\n",
 		fleetThreshold)
 	rep.Text = b.String()

@@ -121,17 +121,18 @@ func TestRunEndToEndSmoke(t *testing.T) {
 		t.Fatalf("ROG throughput %d <= BSP %d", rog.Iterations, bsp.Iterations)
 	}
 	// Renderers produce non-empty aligned tables.
+	rep := filled(true, results...)
 	for name, s := range map[string]string{
-		"composition": CompositionTable(results),
-		"byTime":      SeriesByTime(results, 30),
-		"byIter":      SeriesByIteration(results, 5),
-		"energy":      EnergyTable(results, true),
+		"composition": compositionTable(rep.Systems),
+		"byTime":      seriesByTime(rep.Systems, 30),
+		"byIter":      seriesByIteration(rep.Systems, 5),
+		"energy":      energyTable(rep.Systems, rep.Target, true),
 	} {
 		if !strings.Contains(s, "ROG-4") || !strings.Contains(s, "BSP") {
 			t.Fatalf("%s table missing systems:\n%s", name, s)
 		}
 	}
-	if Summary(results, true) == "" {
+	if summary(rep.Systems, true) == "" {
 		t.Fatal("empty summary")
 	}
 }

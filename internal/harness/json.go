@@ -16,8 +16,8 @@ import (
 // energy, time/energy-to-target, churn/loss/recovery counters, the
 // critical-path decomposition and the complete checkpoint series — so
 // plotting and regression tooling never scrape the text tables. Every
-// experiment that trains fills Systems, one uniquely labelled entry per run;
-// fig3 and the tables fill only Text.
+// experiment that trains fills Systems, one uniquely labelled entry per run,
+// and renders Text from them; fig3 and the tables fill only Text.
 type Report struct {
 	Text string `json:"-"`
 
@@ -33,9 +33,9 @@ type Report struct {
 	Increasing bool   `json:"increasing"`
 	// Target is the common quality level used for the time/energy-to-target
 	// columns: the loosest best-over-series value across systems, so every
-	// system can reach it (same rule as the text tables). A sweep compares
-	// cells only within a group, as its text prints one table per group:
-	// each cell then carries its group's target, and this one is the
+	// system can reach it; the text's energy tables print it. A sweep
+	// compares cells only within a group, as its text prints one table per
+	// group: each cell then carries its group's target, and this one is the
 	// loosest of them, the level every cell reached.
 	Target  float64        `json:"quality_target"`
 	Systems []SystemReport `json:"systems"`
@@ -101,48 +101,71 @@ func newReport(title string, o EndToEndOptions) *Report {
 }
 
 // lineup runs o's lineup once into a report titled title, each system with
-// the critical-path decomposition the analyser read off its event stream.
-// The results come back for the text rendering.
-func lineup(title string, o EndToEndOptions) (*Report, []*core.Result, error) {
+// the critical-path decomposition the analyser read off its event stream
+// and, when o injects faults, the churn counters they caused.
+func lineup(title string, o EndToEndOptions) (*Report, error) {
 	results, crits, err := runLineup(o)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep := newReport(title, o)
 	rep.fill(results)
-	for i := range rep.Systems {
+	for i, r := range results {
 		rep.Systems[i].CritPath = crits[i]
+		if len(o.Faults) > 0 {
+			rep.Systems[i].Churn = &r.Churn
+		}
 	}
-	return rep, results, nil
+	return rep, nil
 }
 
 // fill derives the per-system entries and the common target from the raw
 // results, labelled by labels where given (sweep cells) and by their system
 // otherwise; callers attach their own blocks.
 func (rep *Report) fill(results []*core.Result, labels ...string) {
-	rep.Target = commonTarget(results, rep.Increasing)
-	rep.add(results, labels, nil)
+	rep.Target = rep.add(results, labels, false)
 }
 
 // fillGroup appends one group of a sweep's cells, each paired with the
 // group's own target and carrying it, and loosens Target to cover it.
 func (rep *Report) fillGroup(results []*core.Result, labels []string) {
-	target := commonTarget(results, rep.Increasing)
-	if len(rep.Systems) == 0 || rep.Increasing == (target < rep.Target) {
+	first := len(rep.Systems) == 0
+	if target := rep.add(results, labels, true); first || rep.Increasing == (target < rep.Target) {
 		rep.Target = target
 	}
-	rep.add(results, labels, &target)
 }
 
-// add appends one SystemReport per result, paired with group's target when
-// it is set and with the report's otherwise.
-func (rep *Report) add(results []*core.Result, labels []string, group *float64) {
-	target := rep.Target
-	if group != nil {
-		target = *group
+// add appends one SystemReport per result and pairs each with the results'
+// common target, which it returns: the one place a target and the seconds
+// and joules to it are computed. A group's cells also carry the target.
+func (rep *Report) add(results []*core.Result, labels []string, group bool) float64 {
+	systems := systemReports(results)
+	for i := range labels {
+		systems[i].Label = labels[i]
 	}
+	target := commonTarget(systems, rep.Increasing)
+	for i := range systems {
+		s := &systems[i]
+		if sec, ok := series(*s).TimeToReach(target, rep.Increasing); ok {
+			s.SecondsToTarget = &sec
+		}
+		if j, ok := series(*s).EnergyToReach(target, rep.Increasing); ok {
+			s.JoulesToTarget = &j
+		}
+		if group {
+			s.Target = &target
+		}
+	}
+	rep.Systems = append(rep.Systems, systems...)
+	return target
+}
+
+// systemReports is the Result → SystemReport step, labelled by system: all
+// a report keeps of each run before its target pairing.
+func systemReports(results []*core.Result) []SystemReport {
+	systems := make([]SystemReport, len(results))
 	for i, r := range results {
-		sr := SystemReport{
+		systems[i] = SystemReport{
 			Label:          r.Label(),
 			Strategy:       r.Strategy.String(),
 			Threshold:      r.Threshold,
@@ -155,19 +178,9 @@ func (rep *Report) add(results []*core.Result, labels []string, group *float64) 
 			CommSeconds:    r.Composition.Comm,
 			StallSeconds:   r.Composition.Stall,
 			Series:         r.Series.Points,
-			Target:         group,
 		}
-		if sec, ok := r.Series.TimeToReach(target, rep.Increasing); ok {
-			sr.SecondsToTarget = &sec
-		}
-		if j, ok := r.Series.EnergyToReach(target, rep.Increasing); ok {
-			sr.JoulesToTarget = &j
-		}
-		if i < len(labels) {
-			sr.Label = labels[i]
-		}
-		rep.Systems = append(rep.Systems, sr)
 	}
+	return systems
 }
 
 // WriteJSON serializes the structured view, indented for direct human

@@ -6,7 +6,6 @@ import (
 
 	"rog/internal/core"
 	"rog/internal/durable"
-	"rog/internal/metrics"
 	"rog/internal/simnet"
 )
 
@@ -64,33 +63,26 @@ func runExtRecovery(s Scale) (*Report, error) {
 	}
 	rep.fill(results)
 	rep.Systems[0].Label = "ROG-4 uninterrupted"
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Extension: crash-consistent checkpointing (ROG-4, CRUDA outdoors, faults %s) ==\n\n", spec)
-	fmt.Fprintf(&b, "uninterrupted baseline: %d iterations, final acc %.4f\n\n",
-		baseline.Iterations, baseline.FinalValue)
-	rows := make([][]string, 0, len(cells))
 	for i := range cells {
 		rec, sr := &cells[i], &rep.Systems[i+1]
 		sr.Label = fmt.Sprintf("ROG-4 ckpt=%.0fs sync=%d", rec.CheckpointEverySeconds, rec.WALSyncEvery)
 		sr.Recovery = rec
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", rec.CheckpointEverySeconds),
-			fmt.Sprintf("%d", rec.WALSyncEvery),
-			fmt.Sprintf("%.0f", rec.SnapshotBytes/1e3),
-			fmt.Sprintf("%.0f", rec.ReplayedBytes/1e3),
-			fmt.Sprintf("%d", rec.ReplayedRecords),
-			fmt.Sprintf("%d", rec.RowsLost),
-			fmt.Sprintf("%.1f", rec.DowntimeSeconds),
-			fmt.Sprintf("%d", sr.Iterations),
-			fmt.Sprintf("%d", rec.IterationsLost),
-			fmt.Sprintf("%.4f", sr.FinalValue),
-		})
 	}
-	b.WriteString(metrics.FormatTable(
-		[]string{"ckpt every(s)", "WAL sync", "snap KB", "replay KB", "replay recs",
-			"rows lost", "downtime(s)", "iterations", "iters lost", "final acc"},
-		rows,
-	))
+	var b strings.Builder
+	fmt.Fprintf(&b, "== Extension: crash-consistent checkpointing (ROG-4, CRUDA outdoors, faults %s) ==\n\n", spec)
+	fmt.Fprintf(&b, "uninterrupted baseline: %d iterations, final acc %.4f\n\n",
+		rep.Systems[0].Iterations, rep.Systems[0].FinalValue)
+	b.WriteString(table(rep.Systems[1:],
+		col("ckpt every(s)", "%.0f", func(s SystemReport) any { return s.Recovery.CheckpointEverySeconds }),
+		col("WAL sync", "%d", func(s SystemReport) any { return s.Recovery.WALSyncEvery }),
+		col("snap KB", "%.0f", func(s SystemReport) any { return s.Recovery.SnapshotBytes / 1e3 }),
+		col("replay KB", "%.0f", func(s SystemReport) any { return s.Recovery.ReplayedBytes / 1e3 }),
+		col("replay recs", "%d", func(s SystemReport) any { return s.Recovery.ReplayedRecords }),
+		col("rows lost", "%d", func(s SystemReport) any { return s.Recovery.RowsLost }),
+		col("downtime(s)", "%.1f", func(s SystemReport) any { return s.Recovery.DowntimeSeconds }),
+		iterationsCol,
+		col("iters lost", "%d", func(s SystemReport) any { return s.Recovery.IterationsLost }),
+		finalCol.as("final acc")))
 	b.WriteString("\nshorter intervals shrink the WAL replayed at recovery; lazy WAL syncs trade\n")
 	b.WriteString("fsync cost for rows lost from the unsynced tail (zero-mass re-stamped on restart)\n")
 	rep.Text = b.String()

@@ -98,21 +98,22 @@ func compare(banner string, opts EndToEndOptions) func(Scale) (*Report, error) {
 	return func(s Scale) (*Report, error) {
 		o := opts
 		o.Scale = s
-		rep, results, err := lineup(banner, o)
+		rep, err := lineup(banner, o)
 		if err != nil {
 			return nil, err
 		}
+		sys := rep.Systems
 		var b strings.Builder
 		fmt.Fprintf(&b, "== %s ==\n\n", banner)
 		b.WriteString("-- average time composition of a training iteration --\n")
-		b.WriteString(CompositionTable(results))
+		b.WriteString(compositionTable(sys))
 		b.WriteString("\n-- statistical efficiency (quality vs iteration) --\n")
-		b.WriteString(SeriesByIteration(results, iterStep(results)))
+		b.WriteString(seriesByIteration(sys, iterStep(sys)))
 		b.WriteString("\n-- quality vs wall-clock time --\n")
-		b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
+		b.WriteString(seriesByTime(sys, s.VirtualSeconds/8))
 		b.WriteString("\n-- energy consumption --\n")
-		b.WriteString(EnergyTable(results, rep.Increasing))
-		if sum := Summary(results, rep.Increasing); sum != "" {
+		b.WriteString(energyTable(sys, rep.Target, rep.Increasing))
+		if sum := summary(sys, rep.Increasing); sum != "" {
 			b.WriteString("\n" + sum + "\n")
 		}
 		rep.Text = b.String()
@@ -122,16 +123,6 @@ func compare(banner string, opts EndToEndOptions) func(Scale) (*Report, error) {
 
 // text wraps a rendering that trains nothing, so has no systems.
 func text(b *strings.Builder) (*Report, error) { return &Report{Text: b.String()}, nil }
-
-func iterStep(results []*core.Result) int {
-	end := 0
-	for _, r := range results {
-		if it := r.Series.Last().Iter; it > end {
-			end = it
-		}
-	}
-	return max(1, end/8)
-}
 
 func runFig3(Scale) (*Report, error) {
 	var b strings.Builder
@@ -166,7 +157,7 @@ func runFig8(s Scale) (*Report, error) {
 	}
 	rep := newReport("Fig. 8: real-time bandwidth vs ROG transmission rate vs staleness (worker 1)", o)
 	rep.fill([]*core.Result{res})
-	rep.Text = "== " + rep.Title + " ==\n\n" + MicroTable(res.Micro, 40)
+	rep.Text = "== " + rep.Title + " ==\n\n" + microTable(res.Micro, 40)
 	return rep, nil
 }
 
@@ -181,10 +172,15 @@ func runFig9Workers(s Scale) (*Report, error) {
 }
 
 // runFig9 sweeps one knob of the reduced lineup over values. A cell is
-// labelled by its system and its heading: "ROG-4 batch x2", "BSP 6 workers".
+// labelled by its system and its heading, "ROG-4 batch x2", "BSP 6 workers";
+// under the heading its rows read by system alone.
 func runFig9(s Scale, banner, heading string, values []int, set func(*EndToEndOptions, int)) (*Report, error) {
 	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s, Systems: SensitivitySystems()}
 	rep := newReport(strings.Trim(banner, "= "), o)
+	names := make([]string, len(o.Systems))
+	for i, sys := range o.Systems {
+		names[i] = sys.Label()
+	}
 	var b strings.Builder
 	b.WriteString(banner + "\n\n")
 	for _, v := range values {
@@ -195,14 +191,15 @@ func runFig9(s Scale, banner, heading string, values []int, set func(*EndToEndOp
 			return nil, err
 		}
 		cell := fmt.Sprintf(heading, v)
-		var labels []string
-		for _, r := range results {
-			labels = append(labels, r.Label()+" "+strings.Trim(cell, "- \n"))
+		labels := make([]string, len(names))
+		for i, name := range names {
+			labels[i] = name + " " + strings.Trim(cell, "- \n")
 		}
 		rep.fillGroup(results, labels)
+		group := named(rep.Systems[len(rep.Systems)-len(names):], names)
 		b.WriteString(cell)
-		b.WriteString(CompositionTable(results))
-		b.WriteString(EnergyTable(results, true))
+		b.WriteString(compositionTable(group))
+		b.WriteString(energyTable(group, *group[0].Target, rep.Increasing))
 		b.WriteString("\n")
 	}
 	rep.Text = b.String()
@@ -221,9 +218,9 @@ func runFig10(s Scale) (*Report, error) {
 	var b strings.Builder
 	b.WriteString("== Fig. 10: ROG threshold sensitivity ==\n\n")
 	b.WriteString("-- accuracy vs wall-clock time --\n")
-	b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
+	b.WriteString(seriesByTime(rep.Systems, s.VirtualSeconds/8))
 	b.WriteString("\n-- statistical efficiency --\n")
-	b.WriteString(SeriesByIteration(results, iterStep(results)))
+	b.WriteString(seriesByIteration(rep.Systems, iterStep(rep.Systems)))
 	rep.Text = b.String()
 	return rep, nil
 }
@@ -231,22 +228,17 @@ func runFig10(s Scale) (*Report, error) {
 func runTable1(Scale) (*Report, error) {
 	var b strings.Builder
 	b.WriteString("== Table I: MTA values under different thresholds ==\n\n")
-	table := atp.MTATable()
-	ths := make([]int, 0, len(table))
-	for t := range table {
+	mta := atp.MTATable()
+	ths := make([]int, 0, len(mta))
+	for t := range mta {
 		ths = append(ths, t)
 	}
 	sort.Ints(ths)
 	paper := map[int]float64{2: 0.5, 3: 0.38, 4: 0.32, 5: 0.28, 6: 0.25, 7: 0.22, 8: 0.2}
-	rows := make([][]string, 0, len(ths))
-	for _, t := range ths {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", t),
-			fmt.Sprintf("%.2f", table[t]),
-			fmt.Sprintf("%.2f", paper[t]),
-		})
-	}
-	b.WriteString(metrics.FormatTable([]string{"threshold", "MTA (computed)", "MTA (paper)"}, rows))
+	b.WriteString(table(ths,
+		col("threshold", "%d", func(t int) any { return t }),
+		col("MTA (computed)", "%.2f", func(t int) any { return mta[t] }),
+		col("MTA (paper)", "%.2f", func(t int) any { return paper[t] })))
 	return text(&b)
 }
 
@@ -297,8 +289,9 @@ func rog4(s Scale) EndToEndOptions {
 
 // rog4Variants runs rog4 once per named variant, each on a fresh workload
 // with vary applied to its config. The report has one system per variant,
-// labelled "ROG-4 <name>".
-func rog4Variants(s Scale, title string, names []string, vary func(i int, cfg *core.Config)) (*Report, []*core.Result, error) {
+// labelled "ROG-4 <name>", and beside it those systems named <name>, as
+// the variant tables print them.
+func rog4Variants(s Scale, title string, names []string, vary func(i int, cfg *core.Config)) (*Report, []SystemReport, error) {
 	o := rog4(s)
 	rep := newReport(title, o)
 	var results []*core.Result
@@ -314,8 +307,11 @@ func rog4Variants(s Scale, title string, names []string, vary func(i int, cfg *c
 		results = append(results, res)
 	}
 	rep.fill(results, labels...)
-	return rep, results, nil
+	return rep, named(rep.Systems, names), nil
 }
+
+// variantCol names a variant table's rows.
+var variantCol = systemCol.as("variant")
 
 func runAblationGranularity(s Scale) (*Report, error) {
 	grans := []rowsync.Granularity{rowsync.Layers, rowsync.Rows, rowsync.Elements}
@@ -323,27 +319,24 @@ func runAblationGranularity(s Scale) (*Report, error) {
 	s = ablationScale(s)
 	// All granularities run on one channel: core scales it to the row
 	// partition's wire size.
-	rep, results, err := rog4Variants(s, "Ablation: synchronization granularity (ROG-4, CRUDA outdoors)",
+	rep, variants, err := rog4Variants(s, "Ablation: synchronization granularity (ROG-4, CRUDA outdoors)",
 		names, func(i int, cfg *core.Config) { cfg.Granularity = grans[i] })
 	if err != nil {
 		return nil, err
 	}
+	// The partition columns come from the model, not the runs.
 	params := rog4(s).NewWorkload().Model(0).Params()
-	var rows [][]string
-	for i, res := range results {
-		part := rowsync.NewPartition(params, grans[i])
-		rows = append(rows, []string{
-			names[i],
-			fmt.Sprintf("%d", part.NumUnits()),
-			fmt.Sprintf("%.1f%%", 100*float64(part.IndexOverhead())/float64(part.TotalWireSize())),
-			fmt.Sprintf("%.2f", res.Composition.Stall),
-			fmt.Sprintf("%d", res.Iterations),
-			fmt.Sprintf("%.4f", res.FinalValue),
-		})
+	parts := map[string]*rowsync.Partition{}
+	for i, name := range names {
+		parts[name] = rowsync.NewPartition(params, grans[i])
 	}
-	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
-		[]string{"granularity", "units", "index overhead", "stall(s)", "iterations", "final acc"},
-		rows,
+	rep.Text = "== " + rep.Title + " ==\n\n" + table(variants, variantCol.as("granularity"),
+		col("units", "%d", func(s SystemReport) any { return parts[s.Label].NumUnits() }),
+		col("index overhead", "%.1f%%", func(s SystemReport) any {
+			p := parts[s.Label]
+			return 100 * float64(p.IndexOverhead()) / float64(p.TotalWireSize())
+		}),
+		stallCol, iterationsCol, finalCol.as("final acc"),
 	) + "\nrows trade index overhead against scheduling flexibility (Sec. III-A)\n"
 	return rep, nil
 }
@@ -351,46 +344,26 @@ func runAblationGranularity(s Scale) (*Report, error) {
 func runAblationImportance(s Scale) (*Report, error) {
 	names := []string{"magnitude only (f2=0)", "staleness only (f1=0)", "both (paper)"}
 	coeffs := []atp.Coefficients{{F1: 1, F2: 0}, {F1: 0, F2: 1}, {F1: 1, F2: 1}}
-	rep, results, err := rog4Variants(ablationScale(s), "Ablation: importance-metric terms (ROG-4, CRUDA outdoors)",
+	rep, variants, err := rog4Variants(ablationScale(s), "Ablation: importance-metric terms (ROG-4, CRUDA outdoors)",
 		names, func(i int, cfg *core.Config) { cfg.Coeff = coeffs[i] })
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
-	for i, res := range results {
-		rows = append(rows, []string{
-			names[i],
-			fmt.Sprintf("%.2f", res.Composition.Stall),
-			fmt.Sprintf("%d", res.Iterations),
-			fmt.Sprintf("%.4f", res.FinalValue),
-		})
-	}
 	rep.Text = "== " + rep.Title + " ==\n\n" +
-		metrics.FormatTable([]string{"variant", "stall(s)", "iterations", "final acc"}, rows)
+		table(variants, variantCol, stallCol, iterationsCol, finalCol.as("final acc"))
 	return rep, nil
 }
 
 func runExtPipeline(s Scale) (*Report, error) {
 	names := []string{"sequential (paper)", "pipelined (future work)"}
-	rep, results, err := rog4Variants(s, "Extension: pipelined compute/communication (ROG-4, CRUDA outdoors)",
+	rep, variants, err := rog4Variants(s, "Extension: pipelined compute/communication (ROG-4, CRUDA outdoors)",
 		names, func(i int, cfg *core.Config) { cfg.Pipeline = i == 1 })
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
-	for i, res := range results {
-		rows = append(rows, []string{
-			names[i],
-			fmt.Sprintf("%d", res.Iterations),
-			fmt.Sprintf("%.2f", res.Composition.Total()),
-			fmt.Sprintf("%.4f", res.FinalValue),
-			fmt.Sprintf("%.0f", res.TotalJoules),
-		})
-	}
-	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
-		[]string{"variant", "iterations", "iter span(s)", "final acc", "total J"},
-		rows,
-	) + "\noverlapping hides communication behind the next iteration's compute\n"
+	rep.Text = "== " + rep.Title + " ==\n\n" +
+		table(variants, variantCol, iterationsCol, iterTotalCol.as("iter span(s)"), finalCol.as("final acc"), totalJCol) +
+		"\noverlapping hides communication behind the next iteration's compute\n"
 	return rep, nil
 }
 
@@ -408,23 +381,20 @@ func runChurn(s Scale) (*Report, error) {
 	}
 	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s,
 		Systems: SensitivitySystems(), Faults: faults}
-	rep, results, err := lineup("Robustness: membership churn", o)
+	rep, err := lineup("Robustness: membership churn", o)
 	if err != nil {
 		return nil, err
 	}
 	rep.Faults = spec
-	for i, r := range results {
-		rep.Systems[i].Churn = &r.Churn
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Robustness: membership churn (CRUDA outdoors, faults %s) ==\n\n", spec)
 	b.WriteString("-- accuracy vs wall-clock time --\n")
-	b.WriteString(SeriesByTime(results, s.VirtualSeconds/8))
+	b.WriteString(seriesByTime(rep.Systems, s.VirtualSeconds/8))
 	b.WriteString("\n-- average time composition of a training iteration --\n")
-	b.WriteString(CompositionTable(results))
+	b.WriteString(compositionTable(rep.Systems))
 	b.WriteString("\n-- membership churn --\n")
-	b.WriteString(ChurnTable(results))
-	if sum := Summary(results, true); sum != "" {
+	b.WriteString(churnTable(rep.Systems))
+	if sum := summary(rep.Systems, rep.Increasing); sum != "" {
 		b.WriteString("\n" + sum + "\n")
 	}
 	b.WriteString("\ncrashed rows stop pinning the staleness minimum; the rejoin replays the accumulated averaged rows\n")
@@ -454,13 +424,10 @@ func runExtLoss(s Scale) (*Report, error) {
 	}
 	o := EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor, Scale: s}
 	rep := newReport("Extension: packet loss × selective reliability", o)
-	var b strings.Builder
-	b.WriteString("== Extension: packet loss × selective reliability (CRUDA outdoors) ==\n\n")
+	rates := []float64{0.02, 0.05}
 	var all []*core.Result
-	var labels, cells []string // text rows (per rate) / structured entries
-	for _, rate := range []float64{0.02, 0.05} {
-		fmt.Fprintf(&b, "-- Gilbert–Elliott %.0f%% mean loss, %d-packet mean bursts --\n",
-			100*rate, lossnet.DefaultBurst)
+	var cells []string
+	for _, rate := range rates {
 		o.Loss = lossnet.Spec{Kind: "ge", Rate: rate}
 		for _, m := range modes {
 			o.Systems, o.Reliability = []SystemSpec{m.sys}, m.rel
@@ -468,20 +435,28 @@ func runExtLoss(s Scale) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			labels = append(labels, m.label)
 			all = append(all, rs[0])
 			cells = append(cells, fmt.Sprintf("%s %s %s", m.sys.Label(), o.Loss, m.rel))
 		}
-		n := len(all) - len(modes)
-		b.WriteString(LossTable(labels[n:], all[n:]))
-		b.WriteString("\n")
 	}
-	b.WriteString("selective reliability retransmits only the Must prefix (MTA floor + RSP-forced rows);\n")
-	b.WriteString("best-effort losses fold back into the local accumulator and ride the next push\n")
 	rep.fill(all, cells...)
 	for i, r := range all {
 		rep.Systems[i].Loss = &r.Loss
 	}
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.label
+	}
+	var b strings.Builder
+	b.WriteString("== Extension: packet loss × selective reliability (CRUDA outdoors) ==\n\n")
+	for k, rate := range rates {
+		fmt.Fprintf(&b, "-- Gilbert–Elliott %.0f%% mean loss, %d-packet mean bursts --\n",
+			100*rate, lossnet.DefaultBurst)
+		b.WriteString(lossTable(named(rep.Systems[k*len(modes):(k+1)*len(modes)], names)))
+		b.WriteString("\n")
+	}
+	b.WriteString("selective reliability retransmits only the Must prefix (MTA floor + RSP-forced rows);\n")
+	b.WriteString("best-effort losses fold back into the local accumulator and ride the next push\n")
 	rep.Text = b.String()
 	return rep, nil
 }
@@ -489,24 +464,13 @@ func runExtLoss(s Scale) (*Report, error) {
 func runAblationSpeculative(s Scale) (*Report, error) {
 	names := []string{"speculative (paper)", "per-row check 5ms", "per-row check 20ms"}
 	checks := []float64{0, 0.005, 0.020}
-	rep, results, err := rog4Variants(ablationScale(s), "Ablation: speculative transmission vs per-row timeout checks (ROG-4)",
+	rep, variants, err := rog4Variants(ablationScale(s), "Ablation: speculative transmission vs per-row timeout checks (ROG-4)",
 		names, func(i int, cfg *core.Config) { cfg.PerUnitCheckSeconds = checks[i] })
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
-	for i, res := range results {
-		rows = append(rows, []string{
-			names[i],
-			fmt.Sprintf("%.2f", res.Composition.Comm),
-			fmt.Sprintf("%.2f", res.Composition.Total()),
-			fmt.Sprintf("%d", res.Iterations),
-			fmt.Sprintf("%.4f", res.FinalValue),
-		})
-	}
-	rep.Text = "== " + rep.Title + " ==\n\n" + metrics.FormatTable(
-		[]string{"variant", "comm(s)", "iter total(s)", "iterations", "final acc"},
-		rows,
-	) + "\ninserting judgements between rows wastes airtime the speculative design reclaims\n"
+	rep.Text = "== " + rep.Title + " ==\n\n" +
+		table(variants, variantCol, commCol, iterTotalCol, iterationsCol, finalCol.as("final acc")) +
+		"\ninserting judgements between rows wastes airtime the speculative design reclaims\n"
 	return rep, nil
 }

@@ -27,12 +27,21 @@ func fakeResult(strategy core.Strategy, threshold int, values []float64, energyS
 	return r
 }
 
+// filled is the report fill makes of results on a metric that is
+// increasing or not: the systems and target every renderer reads.
+func filled(increasing bool, results ...*core.Result) *Report {
+	rep := &Report{Increasing: increasing}
+	rep.fill(results)
+	return rep
+}
+
 func TestEnergyTableCommonTarget(t *testing.T) {
 	// System A peaks at 0.7, B at 0.6 → common target 0.6. A reaches 0.6
 	// at its second checkpoint (energy 200), B at its last (energy 300).
 	a := fakeResult(core.ROG, 4, []float64{0.5, 0.65, 0.7}, 100)
 	b := fakeResult(core.BSP, 0, []float64{0.4, 0.5, 0.6}, 100)
-	out := EnergyTable([]*core.Result{a, b}, true)
+	rep := filled(true, a, b)
+	out := energyTable(rep.Systems, rep.Target, true)
 	if !strings.Contains(out, "0.6000") {
 		t.Fatalf("target not 0.6:\n%s", out)
 	}
@@ -44,7 +53,8 @@ func TestEnergyTableCommonTarget(t *testing.T) {
 func TestEnergyTableDecreasingMetric(t *testing.T) {
 	a := fakeResult(core.ROG, 4, []float64{2.0, 0.8, 0.3}, 100)
 	b := fakeResult(core.SSP, 20, []float64{2.0, 1.2, 0.5}, 100)
-	out := EnergyTable([]*core.Result{a, b}, false)
+	rep := filled(false, a, b)
+	out := energyTable(rep.Systems, rep.Target, false)
 	// Common target is the loosest best: 0.5 (b's best). a reaches ≤0.5
 	// at its third checkpoint.
 	if !strings.Contains(out, "error = 0.5000") {
@@ -58,7 +68,7 @@ func TestEnergyTableNotReached(t *testing.T) {
 	b := fakeResult(core.BSP, 0, []float64{0.1, 0.2}, 100)
 	// Common target = 0.2 (B's best): both reach it. Use Summary instead
 	// to confirm it does not crash with disjoint ranges.
-	if s := Summary([]*core.Result{a, b}, true); !strings.Contains(s, "ROG") {
+	if s := summary(filled(true, a, b).Systems, true); !strings.Contains(s, "ROG") {
 		t.Fatalf("summary: %s", s)
 	}
 }
@@ -66,11 +76,11 @@ func TestEnergyTableNotReached(t *testing.T) {
 func TestSummaryContainsGainAndEnergy(t *testing.T) {
 	rog := fakeResult(core.ROG, 4, []float64{0.5, 0.7, 0.8}, 50)
 	bsp := fakeResult(core.BSP, 0, []float64{0.4, 0.6, 0.7}, 100)
-	s := Summary([]*core.Result{rog, bsp}, true)
+	s := summary(filled(true, rog, bsp).Systems, true)
 	if !strings.Contains(s, "gain") || !strings.Contains(s, "energy") {
 		t.Fatalf("summary incomplete: %s", s)
 	}
-	if Summary([]*core.Result{bsp}, true) != "" {
+	if summary(filled(true, bsp).Systems, true) != "" {
 		t.Fatal("summary without ROG should be empty")
 	}
 }
@@ -80,12 +90,12 @@ func TestMicroTableStride(t *testing.T) {
 	for i := range samples {
 		samples[i] = core.MicroSample{Time: float64(i), LinkMbps: 50, TxRate: 0.5, Staleness: 1}
 	}
-	out := MicroTable(samples, 10)
+	out := microTable(samples, 10)
 	lines := strings.Count(out, "\n")
 	if lines > 14 { // header + separator + ~10 rows
 		t.Fatalf("stride failed, %d lines:\n%s", lines, out)
 	}
-	full := MicroTable(samples[:5], 0)
+	full := microTable(samples[:5], 0)
 	if strings.Count(full, "\n") != 7 {
 		t.Fatalf("unstrided table wrong:\n%s", full)
 	}
@@ -106,10 +116,10 @@ func TestSeriesTablesHandleShortRuns(t *testing.T) {
 	if SeriesByTime([]*core.Result{r}, 30) == "" {
 		t.Fatal("empty time series table")
 	}
-	if SeriesByIteration([]*core.Result{r}, 5) == "" {
+	if seriesByIteration(systemReports([]*core.Result{r}), 5) == "" {
 		t.Fatal("empty iteration series table")
 	}
-	if SeriesByTime(nil, 30) != "" || SeriesByIteration(nil, 5) != "" {
+	if SeriesByTime(nil, 30) != "" || seriesByIteration(nil, 5) != "" {
 		t.Fatal("nil results should render empty")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"rog/internal/core"
-	"rog/internal/metrics"
 )
 
 // SeedSummary aggregates one system's results across experiment seeds —
@@ -72,21 +71,13 @@ func SummarizeSeeds(reps []*Report) ([]SeedSummary, error) {
 
 // SeedSummaryTable renders the aggregate as an aligned table.
 func SeedSummaryTable(sums []SeedSummary) string {
-	rows := make([][]string, 0, len(sums))
-	for _, s := range sums {
-		rows = append(rows, []string{
-			s.Label,
-			fmt.Sprintf("%.4f", s.MeanFinal),
-			fmt.Sprintf("%.4f", s.StdFinal),
-			fmt.Sprintf("%.1f%%", 100*s.MeanStall),
-			fmt.Sprintf("%.0f", s.MeanIters),
-			fmt.Sprintf("%.0f", s.MeanJoules),
-		})
-	}
-	return metrics.FormatTable(
-		[]string{"system", "mean final", "std", "mean stall", "mean iters", "mean J"},
-		rows,
-	)
+	return table(sums,
+		column[SeedSummary]{"system", func(s SeedSummary) string { return s.Label }},
+		col("mean final", "%.4f", func(s SeedSummary) any { return s.MeanFinal }),
+		col("std", "%.4f", func(s SeedSummary) any { return s.StdFinal }),
+		col("mean stall", "%.1f%%", func(s SeedSummary) any { return 100 * s.MeanStall }),
+		col("mean iters", "%.0f", func(s SeedSummary) any { return s.MeanIters }),
+		col("mean J", "%.0f", func(s SeedSummary) any { return s.MeanJoules }))
 }
 
 // WriteSeriesCSV streams every result's checkpoint series as long-format

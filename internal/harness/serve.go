@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"rog/internal/engine"
-	"rog/internal/metrics"
 	"rog/internal/nn"
 	"rog/internal/obs"
 	"rog/internal/rowsync"
@@ -322,7 +321,6 @@ func runServe(s Scale) (*Report, error) {
 		Paradigm: "synthetic", Env: "simnet", Metric: "p95 latency (s)",
 	}
 	seconds := s.VirtualSeconds / 7 // the per-cell budget
-	var rows [][]string
 	for _, cell := range serveCells() {
 		run, err := runServeCell(cell, seconds, serveSeed(s.Seed), nil)
 		if err != nil {
@@ -333,28 +331,24 @@ func runServe(s Scale) (*Report, error) {
 			Label: cell.label(), Strategy: "rog", Threshold: serveThreshold,
 			Iterations: int(c.TrainRounds), FinalValue: c.P95Seconds, Serve: c,
 		})
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", c.Clients),
-			fmt.Sprintf("%.0f", c.WindowSeconds*1e3),
-			fmt.Sprintf("%d", c.StalenessBound),
-			fmt.Sprintf("%d", c.FreshnessLead),
-			fmt.Sprintf("%d", c.Requests),
-			fmt.Sprintf("%.1f", c.ThroughputRPS),
-			fmt.Sprintf("%.1f", c.P50Seconds*1e3),
-			fmt.Sprintf("%.1f", c.P95Seconds*1e3),
-			fmt.Sprintf("%.1f", c.P99Seconds*1e3),
-			fmt.Sprintf("%d", c.Snapshots),
-			fmt.Sprintf("%d", c.ReadStalls),
-			fmt.Sprintf("%d/%d", c.MaxObservedStaleness, c.StalenessBound),
-		})
 	}
 	var b strings.Builder
 	b.WriteString("== Inference tier: bounded-staleness serving over versioned snapshots ==\n\n")
-	b.WriteString(metrics.FormatTable(
-		[]string{"clients", "window(ms)", "bound", "lead", "served", "req/s",
-			"p50(ms)", "p95(ms)", "p99(ms)", "snapshots", "read stalls", "staleness max/bound"},
-		rows,
-	))
+	b.WriteString(table(rep.Systems,
+		col("clients", "%d", func(s SystemReport) any { return s.Serve.Clients }),
+		col("window(ms)", "%.0f", func(s SystemReport) any { return s.Serve.WindowSeconds * 1e3 }),
+		col("bound", "%d", func(s SystemReport) any { return s.Serve.StalenessBound }),
+		col("lead", "%d", func(s SystemReport) any { return s.Serve.FreshnessLead }),
+		col("served", "%d", func(s SystemReport) any { return s.Serve.Requests }),
+		col("req/s", "%.1f", func(s SystemReport) any { return s.Serve.ThroughputRPS }),
+		col("p50(ms)", "%.1f", func(s SystemReport) any { return s.Serve.P50Seconds * 1e3 }),
+		col("p95(ms)", "%.1f", func(s SystemReport) any { return s.Serve.P95Seconds * 1e3 }),
+		col("p99(ms)", "%.1f", func(s SystemReport) any { return s.Serve.P99Seconds * 1e3 }),
+		col("snapshots", "%d", func(s SystemReport) any { return s.Serve.Snapshots }),
+		col("read stalls", "%d", func(s SystemReport) any { return s.Serve.ReadStalls }),
+		column[SystemReport]{"staleness max/bound", func(s SystemReport) string {
+			return fmt.Sprintf("%d/%d", s.Serve.MaxObservedStaleness, s.Serve.StalenessBound)
+		}}))
 	fmt.Fprintf(&b, "\nevery request was answered from a snapshot within its staleness bound (%d training rounds per cell);\n",
 		int64(seconds/servePeriod))
 	b.WriteString("requests demanding unseen versions parked on the read gate and resumed on the satisfying publish\n")

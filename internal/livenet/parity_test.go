@@ -9,6 +9,7 @@ import (
 	"rog/internal/core"
 	"rog/internal/engine"
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
 	"rog/internal/trace"
@@ -24,6 +25,21 @@ import (
 // parameters (the two runtimes' replicas diverge — pulls apply at different
 // wall instants) and no speculative cuts (tiny model, generous budgets), so
 // every planned row is delivered on both sides.
+
+// mergeTracer hands f the (worker, unit, stamped version) of every
+// KindMerge event a simnet run traces: the same sequence the socket
+// server's OnMerge observes.
+func mergeTracer(f func(worker, unit int, iter int64)) obs.Tracer {
+	return tracerFunc(func(e obs.Event) {
+		if e.Kind == obs.KindMerge {
+			f(e.Worker, e.Unit, e.Version)
+		}
+	})
+}
+
+type tracerFunc func(obs.Event)
+
+func (f tracerFunc) Emit(e obs.Event) { f(e) }
 
 type mergeEvent struct {
 	unit int
@@ -94,9 +110,9 @@ func simnetMergeLog(t *testing.T, strategy core.Strategy) ([][]mergeEvent, int) 
 		PaperModelBytes: 1.0,
 		LR:              0.1,
 		MaxIterations:   parityIters,
-		OnMerge: func(w, u int, iter int64) {
+		Trace: mergeTracer(func(w, u int, iter int64) {
 			logs[w] = append(logs[w], mergeEvent{u, iter})
-		},
+		}),
 	}
 	res, err := core.Run(cfg, newParityWorkload(parityWorkers))
 	if err != nil {
@@ -282,11 +298,11 @@ func TestParityLayersMomentumWeights(t *testing.T) {
 		LR:              0.1,
 		Momentum:        momentum,
 		MaxIterations:   parityIters,
-		OnMerge: func(w, u int, iter int64) {
+		Trace: mergeTracer(func(w, u int, iter int64) {
 			if u == 0 {
 				pushOrder[iter-1] = append(pushOrder[iter-1], w)
 			}
-		},
+		}),
 	}, wl)
 	if err != nil {
 		t.Fatalf("simnet run: %v", err)

@@ -186,8 +186,12 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("livenet: begin checkpoint store: %w", err)
 		}
 	}
-	if cfg.OnMerge != nil {
-		s.state.Observe(engine.Merges(cfg.OnMerge))
+	if f := cfg.OnMerge; f != nil {
+		s.state.Observe(func(t engine.Transition) {
+			if t.Kind == engine.KindMerge {
+				f(t.Worker, t.Unit, t.Iter)
+			}
+		})
 	}
 	// Event timestamps are seconds since server start: monotone (time.Since
 	// uses the monotonic clock) and comparable to the simnet's virtual-time

@@ -301,6 +301,12 @@ func TestMisfitRowIsAProtocolError(t *testing.T) {
 // IdleTimeout at its default of 0 nothing else would end the wait. The
 // receiver must hand over the push-done instead; the read deadline fails a
 // receiver that waits.
+//
+// Each cut joins what it started before the next: the writer, and the
+// deadline's timer, which would otherwise fire a second later as a fresh
+// goroutine inside a later test — under -count, inside the allocation
+// window of TestWorkerPushAllocationsDoNotGrowWithRows, which counts the
+// whole process.
 func TestCutPushRowNeverHoldsBackPushDone(t *testing.T) {
 	vals := make([]float32, 300)
 	for i := range vals {
@@ -315,7 +321,11 @@ func TestCutPushRowNeverHoldsBackPushDone(t *testing.T) {
 	}
 	for cut := 0; cut < row.Len(); cut++ {
 		c, s := net.Pipe()
-		go c.Write(append(row.Bytes()[:cut:cut], done.Bytes()...))
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			c.Write(append(row.Bytes()[:cut:cut], done.Bytes()...))
+		}()
 		if err := s.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
 			t.Fatal(err)
 		}
@@ -324,8 +334,14 @@ func TestCutPushRowNeverHoldsBackPushDone(t *testing.T) {
 		if err == nil {
 			msg, err = parse(frame)
 		}
+		// Clearing the deadline stops its timer, or waits out a timer that
+		// already fired.
+		if derr := s.SetReadDeadline(time.Time{}); derr != nil {
+			t.Fatal(derr)
+		}
 		c.Close()
 		s.Close()
+		<-wrote
 		if err != nil || msg.kind != kindPushDone || msg.iter != 5 {
 			t.Fatalf("row cut after %d of %d bytes: got kind %q iter %d, err %v; want the push-done", cut, row.Len(), msg.kind, msg.iter, err)
 		}
