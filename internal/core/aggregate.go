@@ -83,7 +83,7 @@ func newAggTier(c *cluster) *aggTier {
 	for a := range traces {
 		traces[a] = trace.GenerateEnv(c.cfg.Env, 300, c.cfg.Seed*7919+uint64(a)+1)
 	}
-	up := simnet.NewChannel(c.k, traces, c.ch.Scale)
+	up := simnet.NewChannel(c.k, traces, c.ch.Scale())
 	t := &aggTier{c: c}
 	for i, tr := range traces {
 		l := c.newLink(up, i, -(i + 1), c.cfg.Seed*7013+uint64(i)+1, tr)
@@ -101,7 +101,7 @@ func newAggTier(c *cluster) *aggTier {
 			// Infrastructure time, not any robot's radio: the uplink's id says so.
 			c.probe.RowsSent(a.up.id, 0, obs.DirPush, delivered, a.plan.TotalBytes(), elapsed, false)
 			a.busy = false
-			c.gates.wake(0, nil)
+			c.gates.wake(c.state, 0, nil)
 			t.flush(a)
 		}
 		t.aggs = append(t.aggs, a)

@@ -1,12 +1,22 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
 
+	"rog/internal/engine"
+	"rog/internal/nn"
+	"rog/internal/rowsync"
 	"rog/internal/tensor"
 )
+
+// admitAll is a frontier no iteration reaches: every parked robot is retried.
+type admitAll struct{}
+
+func (admitAll) Frontier() int64 { return math.MaxInt64 }
 
 // parkedCount reports how many robots are parked on g.
 func parkedCount(g gateSlots) int {
@@ -26,12 +36,12 @@ func TestGateWakeOrderDeterministic(t *testing.T) {
 	g := make(gateSlots, 4)
 	var order []int
 	for _, w := range []int{3, 0, 2, 1} {
-		g.park(w, 10, func() bool {
+		g.park(w, 10, 0, func() bool {
 			order = append(order, w)
 			return true
 		})
 	}
-	g.wake(0, nil)
+	g.wake(admitAll{}, 0, nil)
 	if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
 		t.Fatalf("wake order = %v, want %v", order, want)
 	}
@@ -46,14 +56,14 @@ func TestGateRetryKeepsBlockedRobots(t *testing.T) {
 	g := make(gateSlots, 3)
 	resumed := map[int]bool{}
 	for w, ok := range []bool{true, false, true} {
-		g.park(w, float64(w), func() bool {
+		g.park(w, float64(w), 0, func() bool {
 			if ok {
 				resumed[w] = true
 			}
 			return ok
 		})
 	}
-	g.wake(0, nil)
+	g.wake(admitAll{}, 0, nil)
 	if !resumed[0] || !resumed[2] || resumed[1] {
 		t.Fatalf("resumed = %v, want robots 0 and 2 only", resumed)
 	}
@@ -61,8 +71,8 @@ func TestGateRetryKeepsBlockedRobots(t *testing.T) {
 		t.Fatalf("robot 1 should remain parked at t=1 (at %v, %d parked)", g[1].at, parkedCount(g))
 	}
 	// A later wake that succeeds releases it.
-	g.park(1, 1, func() bool { return true })
-	g.wake(0, nil)
+	g.park(1, 1, 0, func() bool { return true })
+	g.wake(admitAll{}, 0, nil)
 	if parkedCount(g) != 0 {
 		t.Fatal("robot 1 never released")
 	}
@@ -73,9 +83,9 @@ func TestGateRetryKeepsBlockedRobots(t *testing.T) {
 func TestGateDropPreventsGhostResume(t *testing.T) {
 	g := make(gateSlots, 6)
 	ran := false
-	g.park(5, 0, func() bool { ran = true; return true })
+	g.park(5, 0, 0, func() bool { ran = true; return true })
 	g.drop(5)
-	g.wake(0, nil)
+	g.wake(admitAll{}, 0, nil)
 	if ran {
 		t.Fatal("dropped robot's retry ran — a ghost resumed")
 	}
@@ -90,12 +100,12 @@ func TestGateDropPreventsGhostResume(t *testing.T) {
 func TestGateStallAttribution(t *testing.T) {
 	g := make(gateSlots, 4)
 	// Robot 1 parked at t=10, robot 2 at t=30; the detach wakes at t=50.
-	g.park(1, 10, func() bool { return true })
-	g.park(2, 30, func() bool { return true })
+	g.park(1, 10, 0, func() bool { return true })
+	g.park(2, 30, 0, func() bool { return true })
 	// Robot 3 stays blocked: no stall is attributed for it.
-	g.park(3, 0, func() bool { return false })
+	g.park(3, 0, 0, func() bool { return false })
 	var stall float64
-	g.wake(50, &stall)
+	g.wake(admitAll{}, 50, &stall)
 	if want := (50.0 - 10) + (50 - 30); stall != want {
 		t.Fatalf("attributed stall = %v, want %v", stall, want)
 	}
@@ -103,8 +113,8 @@ func TestGateStallAttribution(t *testing.T) {
 		t.Fatal("blocked robot should remain parked")
 	}
 	// A wake without a counter attributes nothing.
-	g.park(3, 0, func() bool { return true })
-	g.wake(70, nil)
+	g.park(3, 0, 0, func() bool { return true })
+	g.wake(admitAll{}, 70, nil)
 	if stall != 60 {
 		t.Fatalf("plain wake changed attribution: %v", stall)
 	}
@@ -115,10 +125,10 @@ func TestGateStallAttribution(t *testing.T) {
 func TestGateReparkOverwrites(t *testing.T) {
 	g := make(gateSlots, 8)
 	hits := 0
-	g.park(7, 1, func() bool { hits += 100; return true })
-	g.park(7, 2, func() bool { hits++; return true })
+	g.park(7, 1, 0, func() bool { hits += 100; return true })
+	g.park(7, 2, 0, func() bool { hits++; return true })
 	var stall float64
-	g.wake(5, &stall)
+	g.wake(admitAll{}, 5, &stall)
 	if hits != 1 {
 		t.Fatalf("stale closure ran (hits=%d)", hits)
 	}
@@ -139,7 +149,7 @@ func newRefGate() *refGate {
 	return &refGate{pending: map[int]func() bool{}, parkedAt: map[int]float64{}}
 }
 
-func (g *refGate) park(w int, now float64, retry func() bool) {
+func (g *refGate) park(w int, now float64, _ int64, retry func() bool) {
 	g.pending[w], g.parkedAt[w] = retry, now
 }
 
@@ -148,7 +158,7 @@ func (g *refGate) drop(w int) {
 	delete(g.parkedAt, w)
 }
 
-func (g *refGate) wake(now float64, stall *float64) {
+func (g *refGate) wake(_ frontier, now float64, stall *float64) {
 	workers := make([]int, 0, len(g.pending))
 	for w := range g.pending {
 		workers = append(workers, w)
@@ -171,9 +181,9 @@ func (g *refGate) wake(now float64, stall *float64) {
 // bit for bit, and the same parked set and stamps after every step.
 func TestGateMatchesReferenceModel(t *testing.T) {
 	type gate interface {
-		park(w int, now float64, retry func() bool)
+		park(w int, now float64, iter int64, retry func() bool)
 		drop(w int)
-		wake(now float64, stall *float64)
+		wake(f frontier, now float64, stall *float64)
 	}
 	const robots = 12
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -204,15 +214,15 @@ func TestGateMatchesReferenceModel(t *testing.T) {
 			w := r.Intn(robots)
 			switch op := r.Intn(10); {
 			case op < 4:
-				both(func(g gate, order *[]int, _ *float64) { g.park(w, now, retryFor(order, w)) })
+				both(func(g gate, order *[]int, _ *float64) { g.park(w, now, 0, retryFor(order, w)) })
 			case op < 5:
 				both(func(g gate, _ *[]int, _ *float64) { g.drop(w) })
 			case op < 7:
 				ready[w] = !ready[w]
 			case op < 9:
-				both(func(g gate, _ *[]int, stall *float64) { g.wake(now, stall) })
+				both(func(g gate, _ *[]int, stall *float64) { g.wake(admitAll{}, now, stall) })
 			default:
-				both(func(g gate, _ *[]int, _ *float64) { g.wake(0, nil) })
+				both(func(g gate, _ *[]int, _ *float64) { g.wake(admitAll{}, 0, nil) })
 			}
 			if !slices.Equal(gotOrder, wantOrder) {
 				t.Fatalf("seed %d step %d: resume order diverged:\n got  %v\n want %v", seed, step, gotOrder, wantOrder)
@@ -242,13 +252,360 @@ func TestGateWakeAllocatesNothing(t *testing.T) {
 	g := make(gateSlots, robots)
 	blocked := func() bool { return false }
 	for w := robots - 1; w >= 0; w-- {
-		g.park(w, float64(w), blocked)
+		g.park(w, float64(w), 0, blocked)
 	}
 	var stall float64
-	if n := testing.AllocsPerRun(100, func() { g.wake(1000, &stall) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { g.wake(admitAll{}, 1000, &stall) }); n != 0 {
 		t.Fatalf("wake over %d blocked robots: %v allocs, want 0", robots, n)
 	}
 	if parkedCount(g) != robots || stall != 0 {
 		t.Fatalf("blocked wake changed the slots: %d parked, stall %v", parkedCount(g), stall)
+	}
+}
+
+// wakeAll is the wake before it skipped gates: every parked robot retried,
+// in index order. It is the reference the skipping wake is held to.
+func (g gateSlots) wakeAll(now float64, stall *float64) {
+	for w := range g {
+		s := g[w]
+		if s.retry == nil {
+			continue
+		}
+		g[w] = gateSlot{}
+		if s.retry() {
+			if stall != nil {
+				*stall += now - s.at
+			}
+		} else if g[w].retry == nil {
+			g[w] = s
+		}
+	}
+}
+
+// gateRig runs the simnet gate over a real engine.State, as synchronize does
+// without the links: a robot pushes its next iteration (every unit merges),
+// the merges wake the parked gates, and the robot takes its own gate,
+// parking on a false. A released robot plans its pull (Peer.HoldPull), which
+// is where DSSP moves its bound. wake is the wake under test.
+type gateRig struct {
+	st      *engine.State
+	part    *rowsync.Partition
+	peers   []*engine.Peer
+	slots   gateSlots
+	iter    []int64
+	crashed []bool
+	vals    []float32
+	now     float64
+	wake    func(r *gateRig, stall *float64)
+
+	released []int   // robots, in release order
+	stall    float64 // released by crashes
+	waking   bool
+	wasted   int   // retries a wake ran that failed
+	lastMin  int64 // memoWake's memory
+}
+
+// gatePart is the rigs' model: a tiny MLP, one unit per row.
+func gatePart() *rowsync.Partition {
+	proto := nn.NewClassifierMLP(3, []int{4}, 2, tensor.NewRNG(1))
+	return rowsync.NewPartition(proto.Params(), rowsync.Rows)
+}
+
+// gatePolicy builds the named policy for the rigs at staleness bound 4.
+func gatePolicy(t *testing.T, name string, robots int) engine.Policy {
+	t.Helper()
+	pol, err := engine.New(name, engine.Params{Workers: robots, Threshold: 4, NumUnits: gatePart().NumUnits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
+func newGateRig(pol engine.Policy, robots int, wake func(r *gateRig, stall *float64)) *gateRig {
+	part := gatePart()
+	r := &gateRig{
+		st:      engine.NewStateSharded(pol, part, robots, 1, 1),
+		part:    part,
+		slots:   make(gateSlots, robots),
+		iter:    make([]int64, robots),
+		crashed: make([]bool, robots),
+		vals:    make([]float32, part.MaxUnitLen()),
+		wake:    wake,
+		lastMin: -1,
+	}
+	for w := 0; w < robots; w++ {
+		r.peers = append(r.peers, engine.NewPeer(w, part))
+	}
+	for i := range r.vals {
+		r.vals[i] = float32(i%5) - 2
+	}
+	return r
+}
+
+func skipWake(r *gateRig, stall *float64) { r.slots.wake(r.st, r.now, stall) }
+func allWake(r *gateRig, stall *float64)  { r.slots.wakeAll(r.now, stall) }
+
+// memoWake is the shortcut a wake must not take: it remembers the minimum
+// and skips every wake that finds it unchanged.
+func memoWake(r *gateRig, stall *float64) {
+	if m := r.st.Versions.Min(); m != r.lastMin {
+		r.lastMin = m
+		r.slots.wakeAll(r.now, stall)
+	}
+}
+
+func (r *gateRig) retry(w int, n int64) func() bool {
+	return func() bool {
+		if !r.peers[w].Gate(r.st, n, r.now) {
+			if r.waking {
+				r.wasted++
+			}
+			return false
+		}
+		r.released = append(r.released, w)
+		r.peers[w].HoldPull(r.st, n)
+		return true
+	}
+}
+
+func (r *gateRig) doWake(stall *float64) {
+	r.waking = true
+	r.wake(r, stall)
+	r.waking = false
+}
+
+// push runs robot w's next iteration up to its gate.
+func (r *gateRig) push(w int) {
+	r.iter[w]++
+	n := r.iter[w]
+	for u := 0; u < r.part.NumUnits(); u++ {
+		r.st.Merge(w, u, r.vals[:r.part.Unit(u).Len], n)
+	}
+	r.doWake(nil)
+	if retry := r.retry(w, n); !retry() {
+		r.slots.park(w, r.now, n, retry)
+	}
+}
+
+// crash detaches robot w, drops its slot and charges what the detach
+// releases to r.stall, as crashWorker does.
+func (r *gateRig) crash(w int) {
+	r.crashed[w] = true
+	r.peers[w].Leave(r.st)
+	r.slots.drop(w)
+	r.doWake(&r.stall)
+}
+
+// free lists the robots that may push: alive and not parked.
+func (r *gateRig) free() []int {
+	var out []int
+	for w, s := range r.slots {
+		if !r.crashed[w] && s.retry == nil {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// alive lists the robots that have not crashed.
+func (r *gateRig) alive() []int {
+	var out []int
+	for w, c := range r.crashed {
+		if !c {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// slowest is the robot of ws with the lowest iteration, the lowest index
+// among equals.
+func (r *gateRig) slowest(ws []int) int {
+	best := ws[0]
+	for _, w := range ws[1:] {
+		if r.iter[w] < r.iter[best] {
+			best = w
+		}
+	}
+	return best
+}
+
+// sameAs reports where r and ref differ: releases, stall, or parked slots.
+func (r *gateRig) sameAs(ref *gateRig) error {
+	if !slices.Equal(r.released, ref.released) {
+		return fmt.Errorf("released %v, reference %v", r.released, ref.released)
+	}
+	if r.stall != ref.stall {
+		return fmt.Errorf("stall %v, reference %v", r.stall, ref.stall)
+	}
+	for w, s := range r.slots {
+		if q := ref.slots[w]; (s.retry == nil) != (q.retry == nil) || s.at != q.at || s.iter != q.iter {
+			return fmt.Errorf("robot %d parked=%v at %v iter %d, reference parked=%v at %v iter %d",
+				w, s.retry != nil, s.at, s.iter, q.retry != nil, q.at, q.iter)
+		}
+	}
+	return nil
+}
+
+// TestGateWakeMatchesRetryEveryone drives the skipping wake and the
+// retry-everyone reference over two real engine states, for every policy,
+// with one seeded script of pushes and crashes across 12 robots, and
+// requires the same releases in the same order, the same crash-released
+// stall, bit for bit, and the same parked slots after every step. The
+// skipping wake must run no retry that fails: it retries exactly the gates
+// its bound admits.
+func TestGateWakeMatchesRetryEveryone(t *testing.T) {
+	const robots = 12
+	for _, policy := range engine.Names() {
+		for seed := uint64(1); seed <= 4; seed++ {
+			got := newGateRig(gatePolicy(t, policy, robots), robots, skipWake)
+			ref := newGateRig(gatePolicy(t, policy, robots), robots, allWake)
+			r := tensor.NewRNG(seed)
+			crashes := 0
+			for step := 0; step < 600; step++ {
+				dt := r.Float64()
+				got.now += dt
+				ref.now += dt
+				if r.Intn(60) == 0 && crashes < 3 {
+					if w := got.slowest(got.alive()); !got.crashed[w] {
+						crashes++
+						got.crash(w)
+						ref.crash(w)
+					}
+				} else {
+					free := got.free()
+					w := free[r.Intn(len(free))]
+					if r.Intn(2) == 0 {
+						w = got.slowest(free) // runs of these keep the team in step
+					}
+					got.push(w)
+					ref.push(w)
+				}
+				if err := got.sameAs(ref); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", policy, seed, step, err)
+				}
+				if got.wasted != 0 {
+					t.Fatalf("%s seed %d step %d: the skipping wake ran %d retries that failed", policy, seed, step, got.wasted)
+				}
+			}
+			if len(ref.released) < 100 || ref.wasted == 0 {
+				t.Fatalf("%s seed %d: script exercised too little (%d releases, %d failed reference retries)",
+					policy, seed, len(ref.released), ref.wasted)
+			}
+		}
+	}
+}
+
+// steeredBound is SSP at a bound the test sets, and which robot loosen's
+// pull plan raises by one: a controller that, unlike DSSP's, can open the
+// gate for a robot already waiting on it. (DSSP cannot: its bound sits at
+// its ceiling whenever a robot is parked, since the parked robot's lead
+// keeps the spread it adapts on at least the ceiling less one.)
+type steeredBound struct {
+	engine.Policy
+	bound  int64
+	loosen int
+}
+
+func (s *steeredBound) Bound() int64 { return s.bound }
+
+func (s *steeredBound) PlanPull(v engine.PullView) engine.Plan {
+	if v.Worker == s.loosen {
+		s.bound++
+	}
+	return s.Policy.PlanPull(v)
+}
+
+// TestGateWakeReadsLiveBound parks one robot at the frontier and another
+// one iteration past it; robot 2's push then advances the minimum, which
+// admits the first, and the first's pull plan loosens the bound, which
+// admits the second. Parked above the first, the second is released in the
+// same wake, so the frontier must be read again after a release. Parked
+// below it, the second is skipped and must be released by the next wake,
+// which finds the minimum unchanged, so nothing about the minimum may be
+// remembered from one wake to the next: memoWake, which skips a wake at an
+// unchanged minimum, must fail that case. Both must match the
+// retry-everyone reference, and the skipping wake must run no retry that
+// fails.
+func TestGateWakeReadsLiveBound(t *testing.T) {
+	// run parks robot first at the frontier and robot second one past it,
+	// then has robot 2 advance the minimum and robot first push once more.
+	run := func(first, second int, wake func(r *gateRig, stall *float64)) (*gateRig, error) {
+		pol := &steeredBound{Policy: gatePolicy(t, "ssp", 3), bound: 3, loosen: -1}
+		r := newGateRig(pol, 3, wake)
+		for _, w := range []int{0, 1, 2, second, second} {
+			r.push(w) // versions 1 but second's 3, at bound 3: all released
+		}
+		pol.bound = 2
+		r.push(first)  // at 2
+		r.push(first)  // at 3: parked, the frontier is 1 + 2
+		r.push(second) // at 4: parked one past it
+		if r.slots[first].iter != 3 || r.slots[second].iter != 4 {
+			return r, fmt.Errorf("parked %+v, want robot %d at 3 and robot %d at 4", r.slots, first, second)
+		}
+		pol.loosen = first
+		r.push(2) // minimum 2: first released, bound 3
+		if r.slots[first].retry != nil || pol.bound != 3 {
+			return r, fmt.Errorf("after the minimum moved: slots %+v, bound %d; want robot %d released at bound 3", r.slots, pol.bound, first)
+		}
+		min := r.st.Versions.Min()
+		r.push(first) // the minimum stays
+		if r.st.Versions.Min() != min {
+			return r, fmt.Errorf("the minimum moved from %d to %d", min, r.st.Versions.Min())
+		}
+		if r.slots[second].retry != nil {
+			return r, fmt.Errorf("robot %d still parked at %d, frontier %d", second, r.slots[second].iter, r.st.Frontier())
+		}
+		return r, nil
+	}
+	for _, c := range []struct{ first, second int }{{0, 1}, {1, 0}} {
+		ref, err := run(c.first, c.second, allWake)
+		if err != nil {
+			t.Fatalf("%v reference: %v", c, err)
+		}
+		got, err := run(c.first, c.second, skipWake)
+		if err != nil {
+			t.Fatalf("%v skipping wake: %v", c, err)
+		}
+		if err := got.sameAs(ref); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if got.wasted != 0 || ref.wasted == 0 {
+			t.Fatalf("%v failed retries: %d skipping, %d reference; want none and some", c, got.wasted, ref.wasted)
+		}
+	}
+	if _, err := run(1, 0, memoWake); err == nil {
+		t.Fatal("a wake that remembers the minimum passed: the scenario does not test the live bound")
+	}
+}
+
+// BenchmarkGateWake times one wake over a fleet's gate: 256 robots on an
+// SSP-4 state at minimum 0, 64 of them parked at iteration 4, which the gate
+// holds back — the wake that follows a push that moved nothing. "skip" is
+// the wake; "retry-all" the retry-everyone reference, one blocked gate
+// check per parked robot.
+func BenchmarkGateWake(b *testing.B) {
+	const robots, parked = 256, 64
+	for _, c := range []struct {
+		name string
+		wake func(r *gateRig, stall *float64)
+	}{{"skip", skipWake}, {"retry-all", allWake}} {
+		b.Run(c.name, func(b *testing.B) {
+			pol, err := engine.New("ssp", engine.Params{Workers: robots, Threshold: 4, NumUnits: gatePart().NumUnits()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := newGateRig(pol, robots, c.wake)
+			for w := 0; w < robots; w += robots / parked {
+				r.slots.park(w, 0, 4, r.retry(w, 4))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.doWake(nil)
+			}
+			if len(r.released) != 0 {
+				b.Fatalf("%d robots released", len(r.released))
+			}
+		})
 	}
 }

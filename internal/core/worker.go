@@ -156,16 +156,17 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 
 // synchronize is the communication half of worker w's iteration n, the
 // engine.Peer sequence over simnet: push what the policy planned, report it
-// (PushDone, the Fig. 8 sample), let the merges re-evaluate every parked
-// gate, wait out w's own — its Gate retried from w's gate slot, so version
-// advances and detaches re-check it — then pull what the server plans. done
-// gets the summed transmission seconds; a crash abandons the iteration (the
-// slot drops its retry, its stall stays open) and done never fires.
+// (PushDone, the Fig. 8 sample), let the merges retry every parked gate
+// they can open, wait out w's own — its Gate retried from w's gate slot, so
+// version advances and detaches re-check it — then pull what the server
+// plans. done gets the summed transmission seconds; a crash abandons the
+// iteration (the slot drops its retry, its stall stays open) and done never
+// fires.
 func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSec float64)) {
 	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
 		c.peer[w].PushDone(c.state, n, mtaTime, pushSec, plan.Speculative)
 		c.recordMicro(w, n, delivered)
-		c.gates.wake(0, nil)
+		c.gates.wake(c.state, 0, nil)
 
 		pull := func() bool {
 			if c.crashed[w] {
@@ -180,7 +181,7 @@ func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSe
 			return true
 		}
 		if !pull() {
-			c.gates.park(w, c.k.Now(), pull)
+			c.gates.park(w, c.k.Now(), n, pull)
 		}
 	})
 }
@@ -192,7 +193,7 @@ func (c *cluster) recordMicro(w int, n int64, delivered int) {
 	}
 	c.micro = append(c.micro, MicroSample{
 		Time:      c.k.Now(),
-		LinkMbps:  c.ch.LinkMbps(w) / c.ch.Scale, // un-scaled trace value
+		LinkMbps:  c.ch.LinkMbps(w) / c.ch.Scale(), // un-scaled trace value
 		TxRate:    float64(delivered) / float64(c.part.NumUnits()),
 		Staleness: max(0, slices.Max(c.iter)-(n-1)),
 	})

@@ -33,11 +33,12 @@ func (*dssp) Name() string { return "dssp" }
 
 func (*dssp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 
-// CanAdvance gates on the *current* dynamic threshold. It is a pure read:
-// adaptation happens only in PlanPull, which every runtime calls exactly
-// once per worker-iteration, so both transports see the same threshold
-// sequence for the same event order.
-func (d *dssp) CanAdvance(iter, min int64) bool { return iter-min < d.cur }
+// Bound is the *current* dynamic threshold. It is a pure read: adaptation
+// happens only in PlanPull, which every runtime calls exactly once per
+// worker-iteration, so both transports see the same threshold sequence for
+// the same event order. A PlanPull can move it in the middle of a wake, so
+// a gate reads it live and never remembers it.
+func (d *dssp) Bound() int64 { return d.cur }
 
 // PlanPull returns the whole model (SSP-style) and runs one controller
 // step: measure the team's iteration spread; if workers are pressing the
@@ -66,6 +67,3 @@ func (d *dssp) PlanPull(v PullView) Plan {
 }
 
 func (*dssp) ObservePush(worker int, iter int64, seconds float64) {}
-
-// CurrentThreshold exposes the adapted gate (tests and diagnostics).
-func (d *dssp) CurrentThreshold() int64 { return d.cur }

@@ -7,10 +7,10 @@
 // A Policy is pure decision logic over views of worker/server state; it
 // owns no clock, no links and no membership. The runtimes own those: they
 // build the views, transmit what the plans say, gate workers on
-// CanAdvance, and fold delivered rows through State.Merge (which also owns
-// the shrink-to-attached averaging and churn counters). Adding a strategy
-// is one Policy implementation in one file; both transports pick it up
-// through the registry.
+// State.CanAdvance, and fold delivered rows through State.Merge (which also
+// owns the shrink-to-attached averaging and churn counters). Adding a
+// strategy is one Policy implementation in one file; both transports pick it
+// up through the registry.
 package engine
 
 import (
@@ -84,17 +84,18 @@ func (s *PlanScratch) orNew() *PlanScratch {
 // Policy is one synchronization strategy, transport-free. A policy
 // instance serves one run; implementations may keep per-run state but must
 // mutate it only in PlanPush, PlanPull and ObservePush — each called at
-// most once per worker-iteration by every runtime. CanAdvance must be a
-// pure predicate: the socket runtime re-evaluates it arbitrarily often
-// inside a condition-variable loop.
+// most once per worker-iteration by every runtime. Bound must be a pure
+// read: the socket runtime re-evaluates the gate arbitrarily often inside a
+// condition-variable loop.
 type Policy interface {
 	// Name is the registry name ("ssp", "rog", ...).
 	Name() string
 	// PlanPush decides what worker v.Worker transmits for iteration v.Iter.
 	PlanPush(v PushView) Plan
-	// CanAdvance reports whether a worker at iteration iter may proceed
-	// past the staleness gate given the global minimum row version.
-	CanAdvance(iter, min int64) bool
+	// Bound is the staleness gate's width: a worker at iteration iter may
+	// proceed while iter − min < Bound(), min the global minimum row
+	// version (State.CanAdvance applies it).
+	Bound() int64
 	// PlanPull decides which averaged rows the server returns to the
 	// worker after iteration v.Iter's push.
 	PlanPull(v PullView) Plan

@@ -57,7 +57,7 @@ func (f *flown) PlanPush(v PushView) Plan {
 	return allUnits(len(v.Rows))
 }
 
-func (f *flown) CanAdvance(iter, min int64) bool { return iter-min < f.threshold }
+func (f *flown) Bound() int64 { return f.threshold }
 
 func (*flown) PlanPull(v PullView) Plan { return allUnits(len(v.Rows)) }
 

@@ -50,8 +50,8 @@ func TestGates(t *testing.T) {
 	}
 	for _, c := range cases {
 		p, _ := New(c.name, params(4, 4, 8))
-		if got := p.CanAdvance(c.iter, c.min); got != c.want {
-			t.Errorf("%s.CanAdvance(%d,%d) = %v, want %v", c.name, c.iter, c.min, got, c.want)
+		if got := c.iter-c.min < p.Bound(); got != c.want {
+			t.Errorf("%s: gate at iter %d, min %d (bound %d) = %v, want %v", c.name, c.iter, c.min, p.Bound(), got, c.want)
 		}
 	}
 }
@@ -158,8 +158,8 @@ func TestFLOWNSkipsInsidePeriod(t *testing.T) {
 func TestDSSPAdaptsWithinBounds(t *testing.T) {
 	pol, _ := New("dssp", params(3, 6, 4))
 	d := pol.(*dssp)
-	if d.CurrentThreshold() != 6 {
-		t.Fatalf("initial threshold = %d, want the configured bound", d.CurrentThreshold())
+	if d.Bound() != 6 {
+		t.Fatalf("initial threshold = %d, want the configured bound", d.Bound())
 	}
 	rows := make([]atp.RowInfo, 4)
 
@@ -169,11 +169,8 @@ func TestDSSPAdaptsWithinBounds(t *testing.T) {
 			d.PlanPull(PullView{Worker: w, Iter: it, Rows: rows})
 		}
 	}
-	if got := d.CurrentThreshold(); got != 2 {
+	if got := d.Bound(); got != 2 {
 		t.Fatalf("lockstep team: threshold = %d, want the floor 2", got)
-	}
-	if d.CanAdvance(4, 1) {
-		t.Fatal("tightened gate did not block a 3-iteration lead")
 	}
 
 	// A straggler pressing the gate loosens it back toward the bound.
@@ -182,11 +179,8 @@ func TestDSSPAdaptsWithinBounds(t *testing.T) {
 		d.PlanPull(PullView{Worker: 1, Iter: it, Rows: rows})
 		// worker 2 stays at iteration 20: spread grows with it.
 	}
-	if got := d.CurrentThreshold(); got != 6 {
+	if got := d.Bound(); got != 6 {
 		t.Fatalf("straggling team: threshold = %d, want back at the bound 6", got)
-	}
-	if !d.CanAdvance(4, 1) {
-		t.Fatal("loosened gate still blocks a 3-iteration lead")
 	}
 }
 

@@ -50,10 +50,10 @@ func (r *rog) PlanPush(v PushView) Plan {
 	return Plan{Units: plan, Must: min(max(r.mtaCount, forced), len(plan)), Speculative: true}
 }
 
-// CanAdvance is the RSP server-side gate (Algo. 2 lines 7–9): a worker at
+// Bound is the RSP server-side gate (Algo. 2 lines 7–9): a worker at
 // iteration n is served only while it is not ≥ threshold ahead of the
 // slowest row anywhere.
-func (r *rog) CanAdvance(iter, min int64) bool { return iter-min < r.threshold }
+func (r *rog) Bound() int64 { return r.threshold }
 
 // PlanPull ranks the rows with accumulated mass server-mode (Algo. 2
 // lines 10–13: fresher rows first — pulls cannot trip the staleness bound,

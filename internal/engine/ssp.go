@@ -15,7 +15,7 @@ func (*ssp) Name() string { return "ssp" }
 
 func (*ssp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 
-func (s *ssp) CanAdvance(iter, min int64) bool { return iter-min < s.threshold }
+func (s *ssp) Bound() int64 { return s.threshold }
 
 func (*ssp) PlanPull(v PullView) Plan { return allUnits(len(v.Rows)) }
 

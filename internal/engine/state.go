@@ -323,13 +323,25 @@ func (s *State) MaxLeadObserved() int64 {
 }
 
 // CanAdvance applies the policy's staleness gate at the current global
-// minimum row version.
+// minimum row version: iter − min < Bound(), i.e. iter < Frontier(). It is
+// the one gate rule; a runtime that skips a check it knows would fail reads
+// the same Frontier.
 func (s *State) CanAdvance(iter int64) bool {
-	s.mu.Lock()
-	ok := s.policy.CanAdvance(iter, s.Versions.Min())
-	s.mu.Unlock()
+	ok := iter < s.Frontier()
 	s.Probe.GateCheck(ok)
 	return ok
+}
+
+// Frontier is the first iteration the staleness gate holds back now: the
+// global minimum row version plus the policy's bound, read under one lock.
+// It moves only when the minimum advances or the policy's bound changes
+// (DSSP's PlanPull), so it is exact until the caller's next merge, detach
+// or pull plan.
+func (s *State) Frontier() int64 {
+	s.mu.Lock()
+	f := s.Versions.Min() + s.policy.Bound()
+	s.mu.Unlock()
+	return f
 }
 
 // lastReleased returns the most recent merge or detach that advanced the

@@ -112,8 +112,10 @@ func (r DisconnectReason) String() string {
 type Server struct {
 	cfg   ServerConfig
 	part  *rowsync.Partition
-	probe *obs.Probe   // nil when tracing and metrics are both off
-	debug net.Listener // nil unless cfg.DebugAddr was set
+	probe *obs.Probe // nil when tracing and metrics are both off
+	// The debug endpoint and its listener; nil unless cfg.DebugAddr was set.
+	debug   *http.Server
+	debugLn net.Listener
 
 	// Lock order: mu → state's internal locks (State.mu → shard.mu,
 	// ascending) → the durable store's. The merge path never takes mu at
@@ -208,7 +210,6 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("livenet: debug endpoint: %w", err)
 		}
-		s.debug = ln
 		mux := http.NewServeMux()
 		mux.Handle("/", obs.DebugHandler(cfg.Metrics))
 		// Explicit mounts rather than the DefaultServeMux side effect, so
@@ -218,10 +219,12 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		srv := &http.Server{Handler: mux}
+		s.debug, s.debugLn = srv, ln
 		go func() {
-			// Serve returns when Close tears the listener down; that exit
+			// Serve returns when Close shuts the endpoint down; that exit
 			// path is the expected shutdown, not an error to surface.
-			_ = http.Serve(ln, mux)
+			_ = srv.Serve(ln)
 		}()
 	}
 	return s, nil
@@ -236,14 +239,15 @@ func defaultPolicy(part *rowsync.Partition, workers, threshold int, coeff atp.Co
 // DebugAddr reports the bound address of the metrics debug endpoint, or ""
 // when cfg.DebugAddr was empty.
 func (s *Server) DebugAddr() string {
-	if s.debug == nil {
+	if s.debugLn == nil {
 		return ""
 	}
-	return s.debug.Addr().String()
+	return s.debugLn.Addr().String()
 }
 
 // Close wakes any goroutine blocked on the staleness condition so handlers
-// can drain after their peers disconnect.
+// can drain after their peers disconnect, and shuts the debug endpoint down:
+// its listener and every connection it still serves.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true

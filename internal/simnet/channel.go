@@ -20,7 +20,9 @@ import (
 //
 // Flows are drained continuously; the channel recomputes rates at every
 // flow arrival/finish/cancel and at every trace sample boundary, so byte
-// integrals are exact for piecewise-constant traces.
+// integrals are exact for piecewise-constant traces. The recheck timer is
+// armed once per event however many changes the event made (schedule,
+// Kernel.Step), and the flows' rates once per (time, lit) pair.
 //
 // Determinism: the active flows are kept in start order, and that order is
 // part of the contract — flows that drain at the same instant complete by
@@ -28,9 +30,7 @@ import (
 type Channel struct {
 	k     *Kernel
 	links []*trace.Trace
-	// Scale multiplies all link capacities; experiments use it to keep the
-	// comm:compute ratio of the paper while using a smaller model.
-	Scale float64
+	scale float64 // see Scale; fixed at construction, so no cached rate depends on it
 
 	flows []*Flow // active, in start order
 	// lit counts the flows competing for airtime (a flow on a dark link does
@@ -39,6 +39,19 @@ type Channel struct {
 	lastUpdate float64
 	recheck    *Timer  // the channel's one timer and its only handle: re-armed in place
 	finished   []*Flow // onRecheck's scratch
+	// The last schedule's view, which arm works from: the sequence number it
+	// reserved, lit, and how many flows were listed. Between a schedule and
+	// the end of its event the flows change only by zero-byte starts, which
+	// append without a schedule (a zero-byte completion, which removes one
+	// without a schedule, is the first thing its own event does), so the
+	// flows that schedule saw are flows[:armFlows].
+	pending          bool // on the kernel's pending list
+	armSeq           int64
+	armLit, armFlows int
+	// Every listed flow's rate is bytesPerSec at time rateAt with rateLit
+	// flows lit; rateAt is NaN when the rates are stale (see rates).
+	rateAt  float64
+	rateLit int
 	// down marks links in blackout (capacity forced to 0 Mbps), the
 	// fault-injection model of a robot driving behind a thick wall or out
 	// of range. Flows on a downed link stall in place and resume when the
@@ -72,6 +85,7 @@ type Flow struct {
 	active     bool // in the channel's flow list
 	done       bool
 	cancelled  bool
+	rate       float64 // bytes/s at the channel's (rateAt, rateLit); see Channel.rates
 }
 
 // Sent returns the bytes fully delivered so far (advanced lazily; callers
@@ -90,8 +104,9 @@ func NewChannel(k *Kernel, links []*trace.Trace, scale float64) *Channel {
 	c := &Channel{
 		k:          k,
 		links:      links,
-		Scale:      scale,
+		scale:      scale,
 		lastUpdate: k.Now(),
+		rateAt:     math.NaN(),
 		down:       make([]bool, len(links)),
 		samples:    make([]sample, len(links)),
 	}
@@ -99,14 +114,34 @@ func NewChannel(k *Kernel, links []*trace.Trace, scale float64) *Channel {
 	return c
 }
 
+// Scale multiplies all link capacities; experiments use it to keep the
+// comm:compute ratio of the paper while using a smaller model.
+func (c *Channel) Scale() float64 { return c.scale }
+
 // bytesPerSec returns the current drain rate of flow f given n contending
 // flows.
 func (c *Channel) bytesPerSec(f *Flow, at float64, n int) float64 {
 	if n == 0 || c.dark(f.Device) {
 		return 0
 	}
-	mbps := c.solo(f.Device, at) * c.Scale / float64(n)
+	mbps := c.solo(f.Device, at) * c.scale / float64(n)
 	return mbps * 1e6 / 8
+}
+
+// rates sets every listed flow's rate to bytesPerSec(f, at, n), unless the
+// rates already hold for (at, n): an event's advance reuses the rates the
+// previous event's arm computed at the same time and lit, and its arm the
+// ones its completion scan computed. The other inputs are the links'
+// darkness, on whose change relight marks the rates stale, and the scale,
+// which never changes; a new flow gets its rate at the rates' (at, n).
+func (c *Channel) rates(at float64, n int) {
+	if at == c.rateAt && n == c.rateLit {
+		return
+	}
+	for _, f := range c.flows {
+		f.rate = c.bytesPerSec(f, at, n)
+	}
+	c.rateAt, c.rateLit = at, n
 }
 
 // solo is links[device].At(t), read from the trace once per sample: the
@@ -126,9 +161,10 @@ func (c *Channel) solo(device int, t float64) float64 {
 // out, or the server at its far end is down.
 func (c *Channel) dark(device int) bool { return c.serverDown || c.down[device] }
 
-// relight recounts lit after a link or the server changed state.
+// relight recounts lit after a link or the server changed state, and marks
+// the rates stale: the same lit can now mean other links.
 func (c *Channel) relight() {
-	c.lit = 0
+	c.lit, c.rateAt = 0, math.NaN()
 	for _, f := range c.flows {
 		if !c.dark(f.Device) {
 			c.lit++
@@ -145,9 +181,9 @@ func (c *Channel) advance(now float64) {
 		c.lastUpdate = now
 		return
 	}
+	c.rates(c.lastUpdate, c.lit)
 	for _, f := range c.flows {
-		rate := c.bytesPerSec(f, c.lastUpdate, c.lit)
-		drained := rate * dt
+		drained := f.rate * dt
 		if drained > f.remaining {
 			drained = f.remaining
 		}
@@ -168,6 +204,9 @@ func (c *Channel) StartFlow(device int, bytes float64, onComplete func()) *Flow 
 	}
 	c.advance(c.k.Now())
 	f := &Flow{Device: device, remaining: bytes, onComplete: onComplete, active: true}
+	if !math.IsNaN(c.rateAt) {
+		f.rate = c.bytesPerSec(f, c.rateAt, c.rateLit)
+	}
 	c.flows = append(c.flows, f)
 	if !c.dark(device) {
 		c.lit++
@@ -219,13 +258,29 @@ func (c *Channel) finish(f *Flow) {
 	}
 }
 
-// schedule (re)arms the recheck timer for the earliest of: next trace
-// boundary, earliest projected flow completion.
+// schedule asks for the recheck timer to be re-armed for the channel as it
+// is now. It reserves the kernel's next sequence number — the recheck's
+// place among same-instant events, as if armed here — and records lit and
+// the flow count; the kernel runs arm once, before its next event, however
+// many times this event asked.
 func (c *Channel) schedule() {
+	c.armSeq, c.armLit, c.armFlows = c.k.reserve(), c.lit, len(c.flows)
+	if !c.pending {
+		c.pending = true
+		c.k.pending = append(c.k.pending, c)
+	}
+}
+
+// arm (re)arms the recheck timer, at the last schedule's sequence number,
+// for the earliest of: next trace boundary, earliest projected flow
+// completion, over the flows and contention that schedule saw.
+func (c *Channel) arm() {
+	c.pending = false
 	now := c.k.Now()
 	next := math.Inf(1)
 	dt, b := math.NaN(), 0.0 // b is NextBoundary(now) of a trace sampled every dt
-	for _, f := range c.flows {
+	c.rates(now, c.armLit)
+	for _, f := range c.flows[:c.armFlows] {
 		// Trace boundaries of links with active flows (a dark link has no
 		// boundary worth waking for — its rate is pinned at zero until it is
 		// lit again, and SetLinkDown/SetServerDown reschedule then). The
@@ -245,11 +300,10 @@ func (c *Channel) schedule() {
 			next = now
 			continue
 		}
-		rate := c.bytesPerSec(f, now, c.lit)
-		if rate <= 0 {
+		if f.rate <= 0 {
 			continue
 		}
-		if eta := now + f.remaining/rate; eta < next {
+		if eta := now + f.remaining/f.rate; eta < next {
 			next = eta
 		}
 	}
@@ -259,7 +313,7 @@ func (c *Channel) schedule() {
 		c.recheck.Stop()
 		return
 	}
-	c.k.reset(c.recheck, next)
+	c.k.arm(c.recheck, next, c.armSeq)
 }
 
 func (c *Channel) onRecheck() {
@@ -270,8 +324,9 @@ func (c *Channel) onRecheck() {
 	// is done. (Without the rate-relative epsilon, an eta that rounds to
 	// the current timestamp would reschedule at the same instant forever.)
 	finished := c.finished[:0]
+	c.rates(now, c.lit)
 	for _, f := range c.flows {
-		eps := 1e-6 + c.bytesPerSec(f, now, c.lit)*1e-9
+		eps := 1e-6 + f.rate*1e-9
 		if f.remaining <= eps {
 			finished = append(finished, f)
 		}
@@ -331,7 +386,7 @@ func (c *Channel) LinkMbps(device int) float64 {
 	if c.dark(device) {
 		return 0
 	}
-	return c.solo(device, c.k.Now()) * c.Scale
+	return c.solo(device, c.k.Now()) * c.scale
 }
 
 // NumDevices returns the number of links the channel manages.

@@ -7,10 +7,7 @@
 // seconds and is reproducible bit-for-bit given a seed.
 package simnet
 
-import (
-	"container/heap"
-	"math"
-)
+import "container/heap"
 
 // Kernel is a deterministic discrete-event scheduler over virtual time
 // (seconds as float64). Events at the same instant fire in scheduling order.
@@ -18,6 +15,11 @@ type Kernel struct {
 	now float64
 	pq  eventQueue
 	seq int64
+	// pending lists the channels that asked during this event for their
+	// recheck to be re-armed (Channel.schedule); Step arms each once before
+	// it pops. Their order does not matter: each arms at the sequence number
+	// it reserved.
+	pending []*Channel
 }
 
 // Timer is a handle to a scheduled event; Stop cancels it.
@@ -69,23 +71,29 @@ func (k *Kernel) Now() float64 { return k.now }
 // At schedules fn at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t float64, fn func()) *Timer {
 	tm := newTimer(fn)
-	k.reset(tm, t)
+	k.arm(tm, t, k.reserve())
 	return tm
 }
 
 // newTimer returns an unarmed timer for fn.
 func newTimer(fn func()) *Timer { return &Timer{fn: fn, index: -1} }
 
-// reset re-arms tm — pending, stopped or fired — for absolute virtual time t,
-// ordered among same-instant events as a fresh At would be. Only for the
-// holder of tm's one handle (the channel's recheck): a stale Stop through
-// another, meant for the earlier arming, would cancel this one.
-func (k *Kernel) reset(tm *Timer, t float64) {
+// reserve takes the next sequence number: the place among same-instant
+// events of a timer armed now, or later with it (a channel's recheck).
+func (k *Kernel) reserve() int64 {
+	k.seq++
+	return k.seq
+}
+
+// arm (re-)queues tm — pending, stopped or fired — for absolute virtual time
+// t at sequence number seq. Only for the holder of tm's one handle (the
+// channel's recheck): a stale Stop through another, meant for the earlier
+// arming, would cancel this one.
+func (k *Kernel) arm(tm *Timer, t float64, seq int64) {
 	if t < k.now {
 		t = k.now
 	}
-	k.seq++
-	tm.at, tm.seq, tm.cancelled = t, k.seq, false
+	tm.at, tm.seq, tm.cancelled = t, seq, false
 	if tm.index >= 0 {
 		heap.Fix(&k.pq, tm.index)
 	} else {
@@ -102,7 +110,13 @@ func (k *Kernel) After(d float64, fn func()) *Timer {
 }
 
 // Step fires the next pending event; it reports false when none remain.
+// The channels' rechecks asked for since the last event are armed first.
 func (k *Kernel) Step() bool {
+	for i, c := range k.pending {
+		c.arm()
+		k.pending[i] = nil
+	}
+	k.pending = k.pending[:0]
 	for k.pq.Len() > 0 {
 		tm := heap.Pop(&k.pq).(*Timer)
 		if tm.cancelled {
@@ -123,15 +137,4 @@ func (k *Kernel) RunUntilIdle(maxEvents int) {
 			panic("simnet: RunUntilIdle exceeded event budget")
 		}
 	}
-}
-
-func (k *Kernel) peek() *Timer {
-	for k.pq.Len() > 0 {
-		if k.pq[0].cancelled {
-			heap.Pop(&k.pq)
-			continue
-		}
-		return k.pq[0]
-	}
-	return &Timer{at: math.Inf(1)}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -11,16 +12,20 @@ import (
 
 // refSchedule is one flow schedule for the brute-force reference: flow i
 // starts at starts[i] on devices[i] with sizes[i] bytes and is cancelled at
-// cancels[i] (negative = never); device darkDev's link is blacked out over
-// [darkFrom, darkTo) (darkDev negative = no blackout).
+// cancels[i] (negative = never); each blackout darkens one device's link
+// over [from, to).
 type refSchedule struct {
-	links            []*trace.Trace
-	starts           []float64
-	devices          []int
-	sizes            []float64
-	cancels          []float64
-	darkDev          int
-	darkFrom, darkTo float64
+	links   []*trace.Trace
+	starts  []float64
+	devices []int
+	sizes   []float64
+	cancels []float64
+	dark    []blackout
+}
+
+type blackout struct {
+	dev      int
+	from, to float64
 }
 
 // referenceCompletionTimes integrates the fluid-flow model by brute force
@@ -41,7 +46,12 @@ func referenceCompletionTimes(s refSchedule, dt float64) []float64 {
 			return done[i] < 0 && s.starts[i] <= now && (s.cancels[i] < 0 || now < s.cancels[i])
 		}
 		lit := func(i int) bool {
-			return s.devices[i] != s.darkDev || now < s.darkFrom || now >= s.darkTo
+			for _, b := range s.dark {
+				if s.devices[i] == b.dev && now >= b.from && now < b.to {
+					return false
+				}
+			}
+			return true
 		}
 		active, pending := 0, false
 		for i := 0; i < n; i++ {
@@ -75,16 +85,24 @@ func referenceCompletionTimes(s refSchedule, dt float64) []float64 {
 // air at once, a dozen of them cancelled in flight and one link blacked out
 // for two seconds — the flow list's ordered removal, the contention count
 // kept across cancels and blackouts, and the merged schedule pass all sit
-// under this.
+// under this. Every trial also hands one link's blackout to another in a
+// single event (SetLinkDown twice, the contention count unchanged when the
+// two links carry as many flows), and starts zero-byte flows in the same
+// event as others, after their schedule: the rates the channel keeps from
+// one event to the next, and the contention its recheck is armed with, must
+// follow both. The zero-byte flows must complete at the instant they start.
 func TestChannelMatchesBruteForceIntegration(t *testing.T) {
 	r := tensor.NewRNG(2024)
 	for trial := 0; trial < 10; trial++ {
+		// The blackouts and zero-byte flows draw from their own stream, so the
+		// flow schedules are the ones the tolerance below was set on.
+		rx := tensor.NewRNG(uint64(7000 + trial))
 		big := trial >= 8
 		nDev, nFlows := 2+r.Intn(3), 2+r.Intn(4)
 		if big {
 			nDev, nFlows = 8, 64+r.Intn(33)
 		}
-		s := refSchedule{links: make([]*trace.Trace, nDev), darkDev: -1}
+		s := refSchedule{links: make([]*trace.Trace, nDev)}
 		for d := range s.links {
 			s.links[d] = trace.GenerateEnv(trace.Outdoor, 60, r.Uint64()%10000)
 			if big {
@@ -115,8 +133,15 @@ func TestChannelMatchesBruteForceIntegration(t *testing.T) {
 			s.sizes = append(s.sizes, size)
 			s.cancels = append(s.cancels, cancel)
 		}
+		// Device 0's blackout hands over to device 1's at mid, in one event.
+		from := rx.Float64() * 4
 		if big {
-			s.darkDev, s.darkFrom, s.darkTo = 1, 1.0, 3.0
+			from = 0.5 + rx.Float64()*0.5
+		}
+		mid := from + 0.3 + rx.Float64()
+		s.dark = append(s.dark, blackout{0, from, mid}, blackout{1, mid, mid + 0.3 + rx.Float64()})
+		if big {
+			s.dark = append(s.dark, blackout{2, 1.0, 3.0})
 		}
 
 		// Event-driven run.
@@ -126,22 +151,37 @@ func TestChannelMatchesBruteForceIntegration(t *testing.T) {
 		for i := range got {
 			got[i] = -1
 		}
-		peak := 0
+		peak, zeros := 0, 0
 		for i := 0; i < nFlows; i++ {
-			i := i
+			i, zero := i, i == 0 || rx.Intn(3) == 0
 			k.At(s.starts[i], func() {
 				f := ch.StartFlow(s.devices[i], s.sizes[i], func() { got[i] = k.Now() })
 				peak = max(peak, ch.ActiveFlows())
 				if s.cancels[i] >= 0 {
 					k.At(s.cancels[i], func() { ch.Cancel(f) })
 				}
+				if zero {
+					start := k.Now()
+					ch.StartFlow((i+1)%len(s.links), 0, func() {
+						if k.Now() != start {
+							t.Errorf("trial %d: zero-byte flow started at %v completed at %v", trial, start, k.Now())
+						}
+						zeros++
+					})
+				}
 			})
 		}
-		if s.darkDev >= 0 {
-			k.At(s.darkFrom, func() { ch.SetLinkDown(s.darkDev, true) })
-			k.At(s.darkTo, func() { ch.SetLinkDown(s.darkDev, false) })
+		k.At(s.dark[0].from, func() { ch.SetLinkDown(0, true) })
+		k.At(mid, func() { ch.SetLinkDown(0, false); ch.SetLinkDown(1, true) })
+		k.At(s.dark[1].to, func() { ch.SetLinkDown(1, false) })
+		for _, b := range s.dark[2:] {
+			k.At(b.from, func() { ch.SetLinkDown(b.dev, true) })
+			k.At(b.to, func() { ch.SetLinkDown(b.dev, false) })
 		}
 		k.RunUntilIdle(50_000_000)
+		if zeros == 0 {
+			t.Fatalf("trial %d: no zero-byte flow completed", trial)
+		}
 		if big && peak < 64 {
 			t.Fatalf("trial %d: only %d flows were ever concurrent, want ≥ 64", trial, peak)
 		}
@@ -215,5 +255,133 @@ func TestChannelSteadyStateAllocations(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(50, cycle); n != 2 {
 		t.Fatalf("two flows start to finish: %v allocs, want 2 (the Flow records)", n)
+	}
+}
+
+// TestChannelArmsOncePerEventAtReservedSeq pins where the recheck lands
+// among same-instant events. However many schedules an event makes, the
+// channel is armed once, before the kernel's next event, at the sequence
+// number its last schedule reserved, and over the flows and contention that
+// schedule saw. Here the last schedule finds a drained zero-byte flow, so the
+// recheck is due at once. It must fire after the event's first After(0)
+// (reserved before that schedule) and before the next (reserved after it).
+// It also completes the zero-byte flow started after the schedule, ahead of
+// that flow's own completion event; the event ends with an After(0).
+func TestChannelArmsOncePerEventAtReservedSeq(t *testing.T) {
+	k := NewKernel()
+	ch := NewChannel(k, []*trace.Trace{flat(8), flat(8)}, 1)
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	k.At(1, func() {
+		ch.StartFlow(0, 0, log("zero")) // completes in its own event, first
+		ch.StartFlow(0, 1e5, log("flow"))
+		k.After(0, log("mark1"))
+		ch.StartFlow(1, 2e5, log("flow2")) // the last schedule: zero is drained, due now
+		k.After(0, log("mark2"))
+		ch.StartFlow(1, 0, log("late-zero")) // unseen by the arm, completed by the recheck
+		k.After(0, log("end"))
+	})
+	k.Step()
+	if len(k.pending) != 1 || !ch.pending {
+		t.Fatalf("after an event with two schedules: %d channels pending, want the one", len(k.pending))
+	}
+	k.RunUntilIdle(1000)
+	want := []string{"zero", "mark1", "late-zero", "mark2", "end", "flow", "flow2"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("event order %v, want %v", order, want)
+	}
+
+	// A zero-byte flow started after the last schedule neither makes the
+	// recheck due at once nor takes a share of the airtime it is armed with:
+	// the flow's completion is armed at its own rate, on a trace with no
+	// boundary to correct it.
+	k = NewKernel()
+	steady := trace.Constant(8, 3600, 1000)
+	ch = NewChannel(k, []*trace.Trace{steady, steady}, 1)
+	order, done := nil, -1.0
+	k.At(1, func() {
+		ch.StartFlow(0, 1e5, func() { done = k.Now() })
+		k.After(0, log("mark"))
+		ch.StartFlow(1, 0, log("late-zero"))
+	})
+	k.RunUntilIdle(1000)
+	if want := []string{"mark", "late-zero"}; !slices.Equal(order, want) {
+		t.Fatalf("event order %v, want %v", order, want)
+	}
+	if want := 1 + 1e5/(8*1e6/8); done != want {
+		t.Fatalf("flow completed at %v, want %v: armed at a share it never had", done, want)
+	}
+}
+
+// TestChannelRatesFollowDarkHandover darkens one link and lights another in
+// one event, at the instant and with the contention count the previous
+// event's arm computed its rates for. The kept rates must not survive the
+// handover: the flow on the newly dark link stands still, and the other
+// runs alone.
+func TestChannelRatesFollowDarkHandover(t *testing.T) {
+	k := NewKernel()
+	ch := NewChannel(k, []*trace.Trace{flat(8), flat(8)}, 1)
+	done := []float64{-1, -1}
+	for d := range done {
+		ch.StartFlow(d, 1e6, func() { done[d] = k.Now() })
+	}
+	k.At(1, func() { ch.SetLinkDown(1, true) }) // rates at (1, one lit): device 0 alone
+	k.At(1, func() { ch.SetLinkDown(1, false); ch.SetLinkDown(0, true) })
+	k.RunUntilIdle(1000)
+	// Half of each flow went over [0, 1) at 4 Mbps; device 1 then sends the
+	// other half alone at 8 Mbps, and device 0 stays dark.
+	if done[0] != -1 || math.Abs(done[1]-1.5) > 1e-9 {
+		t.Fatalf("completions %v, want device 0 never and device 1 at 1.5", done)
+	}
+}
+
+// TestChannelFlowStartedByACompletion starts a flow from another's
+// completion, as a robot's pull follows its push: the completion scan has
+// just computed every rate for this instant and contention count, the
+// finish and the start leave the count where it was, and the arm reuses
+// those rates, so the new flow must have its own from the start. Two flows
+// share two flat 8 Mbps links at 4 Mbps each: the first 1e5 bytes are done
+// at 0.2 s, and the 1e5 bytes started then at 0.4 s.
+func TestChannelFlowStartedByACompletion(t *testing.T) {
+	k := NewKernel()
+	ch := NewChannel(k, []*trace.Trace{flat(8), flat(8)}, 1)
+	done := -1.0
+	ch.StartFlow(1, 1e6, nil)
+	ch.StartFlow(0, 1e5, func() {
+		ch.StartFlow(0, 1e5, func() { done = k.Now() })
+	})
+	k.RunUntilIdle(1000)
+	if math.Abs(done-0.4) > 1e-9 {
+		t.Fatalf("the flow started at 0.2 s completed at %v, want 0.4", done)
+	}
+}
+
+// BenchmarkChannel runs the shared channel in steady state with n flows in
+// the air, one per device on its own fluctuating trace, each restarted with
+// a fresh size the moment it completes. An op is one kernel event (a
+// completion scan or a trace boundary, with its arm), so ns/op is the cost
+// of an event.
+func BenchmarkChannel(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			links := make([]*trace.Trace, n)
+			for d := range links {
+				links[d] = trace.GenerateEnv(trace.Outdoor, 60, uint64(d)+1)
+			}
+			k := NewKernel()
+			ch := NewChannel(k, links, 1)
+			r := tensor.NewRNG(1)
+			var start func(d int)
+			start = func(d int) { ch.StartFlow(d, (0.5+r.Float64())*1e5, func() { start(d) }) }
+			for d := range links {
+				start(d)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !k.Step() {
+					b.Fatal("the channel went idle")
+				}
+			}
+		})
 	}
 }

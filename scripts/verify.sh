@@ -39,7 +39,10 @@
 # bench-drift`) runs it alone.
 # The bench-build stage right after build vets, builds and tests the nested
 # bench/ module, which root `go build ./...` and `go test ./...` do not see;
-# `verify.sh bench-build` runs it alone. Each stage reports its wall time.
+# `verify.sh bench-build` runs it alone. The sim-bench stage after the tests
+# runs the simulator's micro-benchmarks (BenchmarkChannel, BenchmarkGateWake)
+# once each, so they keep building and running. Each stage reports its wall
+# time.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -322,6 +325,12 @@ run_bench_build() {
 	(cd bench && go vet . && go build -o /dev/null . && go test .)
 }
 
+run_sim_bench() {
+	# One iteration each: a check that they run, not a timing (for that,
+	# `go test -run '^$' -bench <name> ./internal/simnet ./internal/core`).
+	go test -run '^$' -bench '^(BenchmarkChannel|BenchmarkGateWake)$' -benchtime 1x ./internal/simnet ./internal/core
+}
+
 run_bench_drift() {
 	# The newest snapshot of each experiment: walk BENCH_<n>.json in
 	# ascending n, keyed by the report's "experiment" field, later wins.
@@ -371,6 +380,7 @@ stage bench-build run_bench_build
 stage vet go vet ./...
 stage lint sh scripts/lint.sh
 stage test run_test
+stage sim-bench run_sim_bench
 stage kernels run_kernels
 stage fuzz run_fuzz
 stage trace-smoke run_trace_smoke
