@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		paradigm  = flag.String("paradigm", "cruda", "workload: cruda or crimp")
-		strategy  = flag.String("strategy", "rog", "bsp, ssp, dssp, flown or rog")
+		strategy  = flag.String("strategy", "rog", "bsp, ssp, flown or rog")
 		threshold = flag.Int("threshold", 4, "staleness threshold")
 		env       = flag.String("env", "outdoor", "indoor or outdoor")
 		workers   = flag.Int("workers", 4, "number of robots")
@@ -140,8 +140,6 @@ func main() {
 		strat = rog.FLOWN
 	case "rog":
 		strat = rog.ROG
-	case "dssp":
-		strat = rog.DSSP
 	default:
 		fmt.Fprintf(os.Stderr, "rogtrain: unknown strategy %q\n", *strategy)
 		os.Exit(2)

@@ -101,7 +101,7 @@ func newAggTier(c *cluster) *aggTier {
 			// Infrastructure time, not any robot's radio: the uplink's id says so.
 			c.probe.RowsSent(a.up.id, 0, obs.DirPush, delivered, a.plan.TotalBytes(), elapsed, false)
 			a.busy = false
-			c.gates.wake(c.state, 0, nil)
+			c.gates.wake(c.state.Frontier(), 0, nil)
 			t.flush(a)
 		}
 		t.aggs = append(t.aggs, a)

@@ -1,6 +1,6 @@
 // Package core is the simnet runtime of the synchronization engine: it
 // executes the single-copy strategy policies from internal/engine (BSP,
-// SSP, FLOWN, ROG, DSSP) as deterministic state machines over the
+// SSP, FLOWN, ROG) as deterministic state machines over the
 // virtual-time channel while doing real SGD math on real models.
 //
 // The parameter-update discipline is the paper's: workers never apply their
@@ -43,14 +43,11 @@ const (
 	// ROG is the paper's row-granulated system: RSP staleness control with
 	// ATP adaptive row scheduling.
 	ROG
-	// DSSP is dynamic SSP (after Zhao et al.): SSP whose staleness
-	// threshold adapts at run time inside [2, Threshold].
-	DSSP
 )
 
 // strategyNames are the display names; the engine registry knows each
 // strategy by the same name in lower case.
-var strategyNames = [...]string{BSP: "BSP", SSP: "SSP", FLOWN: "FLOWN", ROG: "ROG", DSSP: "DSSP"}
+var strategyNames = [...]string{BSP: "BSP", SSP: "SSP", FLOWN: "FLOWN", ROG: "ROG"}
 
 // String names the strategy.
 func (s Strategy) String() string {
@@ -128,7 +125,7 @@ type Config struct {
 	LRDecayIters float64
 
 	Granularity rowsync.Granularity // Rows unless running the ablation
-	Coeff       atp.Coefficients    // importance-metric weights (ROG)
+	Coeff       atp.Coefficients    // importance-metric weights (ROG); zero: atp.DefaultCoefficients
 
 	// Shards splits the server state into this many contiguous unit-range
 	// shards, each behind its own lock (clamped to [1, NumUnits]; 0 means
@@ -236,9 +233,6 @@ func (c *Config) Validate() error {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.Coeff == (atp.Coefficients{}) {
-		c.Coeff = atp.DefaultCoefficients()
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10

@@ -59,7 +59,7 @@ func (c *cluster) crashWorker(w int) {
 	// churn-attributable stall.
 	c.gates.drop(w)
 	var stall float64
-	c.gates.wake(c.state, c.k.Now(), &stall)
+	c.gates.wake(c.state.Frontier(), c.k.Now(), &stall)
 	if stall != 0 {
 		c.state.AddDetachStall(stall)
 	}

@@ -14,9 +14,7 @@ import (
 )
 
 // admitAll is a frontier no iteration reaches: every parked robot is retried.
-type admitAll struct{}
-
-func (admitAll) Frontier() int64 { return math.MaxInt64 }
+const admitAll = math.MaxInt64
 
 // parkedCount reports how many robots are parked on g.
 func parkedCount(g gateSlots) int {
@@ -41,7 +39,7 @@ func TestGateWakeOrderDeterministic(t *testing.T) {
 			return true
 		})
 	}
-	g.wake(admitAll{}, 0, nil)
+	g.wake(admitAll, 0, nil)
 	if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
 		t.Fatalf("wake order = %v, want %v", order, want)
 	}
@@ -63,7 +61,7 @@ func TestGateRetryKeepsBlockedRobots(t *testing.T) {
 			return ok
 		})
 	}
-	g.wake(admitAll{}, 0, nil)
+	g.wake(admitAll, 0, nil)
 	if !resumed[0] || !resumed[2] || resumed[1] {
 		t.Fatalf("resumed = %v, want robots 0 and 2 only", resumed)
 	}
@@ -72,7 +70,7 @@ func TestGateRetryKeepsBlockedRobots(t *testing.T) {
 	}
 	// A later wake that succeeds releases it.
 	g.park(1, 1, 0, func() bool { return true })
-	g.wake(admitAll{}, 0, nil)
+	g.wake(admitAll, 0, nil)
 	if parkedCount(g) != 0 {
 		t.Fatal("robot 1 never released")
 	}
@@ -85,7 +83,7 @@ func TestGateDropPreventsGhostResume(t *testing.T) {
 	ran := false
 	g.park(5, 0, 0, func() bool { ran = true; return true })
 	g.drop(5)
-	g.wake(admitAll{}, 0, nil)
+	g.wake(admitAll, 0, nil)
 	if ran {
 		t.Fatal("dropped robot's retry ran — a ghost resumed")
 	}
@@ -105,7 +103,7 @@ func TestGateStallAttribution(t *testing.T) {
 	// Robot 3 stays blocked: no stall is attributed for it.
 	g.park(3, 0, 0, func() bool { return false })
 	var stall float64
-	g.wake(admitAll{}, 50, &stall)
+	g.wake(admitAll, 50, &stall)
 	if want := (50.0 - 10) + (50 - 30); stall != want {
 		t.Fatalf("attributed stall = %v, want %v", stall, want)
 	}
@@ -114,7 +112,7 @@ func TestGateStallAttribution(t *testing.T) {
 	}
 	// A wake without a counter attributes nothing.
 	g.park(3, 0, 0, func() bool { return true })
-	g.wake(admitAll{}, 70, nil)
+	g.wake(admitAll, 70, nil)
 	if stall != 60 {
 		t.Fatalf("plain wake changed attribution: %v", stall)
 	}
@@ -128,7 +126,7 @@ func TestGateReparkOverwrites(t *testing.T) {
 	g.park(7, 1, 0, func() bool { hits += 100; return true })
 	g.park(7, 2, 0, func() bool { hits++; return true })
 	var stall float64
-	g.wake(admitAll{}, 5, &stall)
+	g.wake(admitAll, 5, &stall)
 	if hits != 1 {
 		t.Fatalf("stale closure ran (hits=%d)", hits)
 	}
@@ -158,7 +156,7 @@ func (g *refGate) drop(w int) {
 	delete(g.parkedAt, w)
 }
 
-func (g *refGate) wake(_ frontier, now float64, stall *float64) {
+func (g *refGate) wake(_ int64, now float64, stall *float64) {
 	workers := make([]int, 0, len(g.pending))
 	for w := range g.pending {
 		workers = append(workers, w)
@@ -183,7 +181,7 @@ func TestGateMatchesReferenceModel(t *testing.T) {
 	type gate interface {
 		park(w int, now float64, iter int64, retry func() bool)
 		drop(w int)
-		wake(f frontier, now float64, stall *float64)
+		wake(front int64, now float64, stall *float64)
 	}
 	const robots = 12
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -220,9 +218,9 @@ func TestGateMatchesReferenceModel(t *testing.T) {
 			case op < 7:
 				ready[w] = !ready[w]
 			case op < 9:
-				both(func(g gate, _ *[]int, stall *float64) { g.wake(admitAll{}, now, stall) })
+				both(func(g gate, _ *[]int, stall *float64) { g.wake(admitAll, now, stall) })
 			default:
-				both(func(g gate, _ *[]int, _ *float64) { g.wake(admitAll{}, 0, nil) })
+				both(func(g gate, _ *[]int, _ *float64) { g.wake(admitAll, 0, nil) })
 			}
 			if !slices.Equal(gotOrder, wantOrder) {
 				t.Fatalf("seed %d step %d: resume order diverged:\n got  %v\n want %v", seed, step, gotOrder, wantOrder)
@@ -255,7 +253,7 @@ func TestGateWakeAllocatesNothing(t *testing.T) {
 		g.park(w, float64(w), 0, blocked)
 	}
 	var stall float64
-	if n := testing.AllocsPerRun(100, func() { g.wake(admitAll{}, 1000, &stall) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { g.wake(admitAll, 1000, &stall) }); n != 0 {
 		t.Fatalf("wake over %d blocked robots: %v allocs, want 0", robots, n)
 	}
 	if parkedCount(g) != robots || stall != 0 {
@@ -285,8 +283,8 @@ func (g gateSlots) wakeAll(now float64, stall *float64) {
 // gateRig runs the simnet gate over a real engine.State, as synchronize does
 // without the links: a robot pushes its next iteration (every unit merges),
 // the merges wake the parked gates, and the robot takes its own gate,
-// parking on a false. A released robot plans its pull (Peer.HoldPull), which
-// is where DSSP moves its bound. wake is the wake under test.
+// parking on a false. A released robot plans its pull (Peer.HoldPull). wake
+// is the wake under test.
 type gateRig struct {
 	st      *engine.State
 	part    *rowsync.Partition
@@ -301,8 +299,7 @@ type gateRig struct {
 	released []int   // robots, in release order
 	stall    float64 // released by crashes
 	waking   bool
-	wasted   int   // retries a wake ran that failed
-	lastMin  int64 // memoWake's memory
+	wasted   int // retries a wake ran that failed
 }
 
 // gatePart is the rigs' model: a tiny MLP, one unit per row.
@@ -331,7 +328,6 @@ func newGateRig(pol engine.Policy, robots int, wake func(r *gateRig, stall *floa
 		crashed: make([]bool, robots),
 		vals:    make([]float32, part.MaxUnitLen()),
 		wake:    wake,
-		lastMin: -1,
 	}
 	for w := 0; w < robots; w++ {
 		r.peers = append(r.peers, engine.NewPeer(w, part))
@@ -342,17 +338,8 @@ func newGateRig(pol engine.Policy, robots int, wake func(r *gateRig, stall *floa
 	return r
 }
 
-func skipWake(r *gateRig, stall *float64) { r.slots.wake(r.st, r.now, stall) }
+func skipWake(r *gateRig, stall *float64) { r.slots.wake(r.st.Frontier(), r.now, stall) }
 func allWake(r *gateRig, stall *float64)  { r.slots.wakeAll(r.now, stall) }
-
-// memoWake is the shortcut a wake must not take: it remembers the minimum
-// and skips every wake that finds it unchanged.
-func memoWake(r *gateRig, stall *float64) {
-	if m := r.st.Versions.Min(); m != r.lastMin {
-		r.lastMin = m
-		r.slots.wakeAll(r.now, stall)
-	}
-}
 
 func (r *gateRig) retry(w int, n int64) func() bool {
 	return func() bool {
@@ -456,7 +443,7 @@ func (r *gateRig) sameAs(ref *gateRig) error {
 // its bound admits.
 func TestGateWakeMatchesRetryEveryone(t *testing.T) {
 	const robots = 12
-	for _, policy := range engine.Names() {
+	for _, policy := range []string{"bsp", "ssp", "flown", "rog"} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			got := newGateRig(gatePolicy(t, policy, robots), robots, skipWake)
 			ref := newGateRig(gatePolicy(t, policy, robots), robots, allWake)
@@ -493,89 +480,6 @@ func TestGateWakeMatchesRetryEveryone(t *testing.T) {
 					policy, seed, len(ref.released), ref.wasted)
 			}
 		}
-	}
-}
-
-// steeredBound is SSP at a bound the test sets, and which robot loosen's
-// pull plan raises by one: a controller that, unlike DSSP's, can open the
-// gate for a robot already waiting on it. (DSSP cannot: its bound sits at
-// its ceiling whenever a robot is parked, since the parked robot's lead
-// keeps the spread it adapts on at least the ceiling less one.)
-type steeredBound struct {
-	engine.Policy
-	bound  int64
-	loosen int
-}
-
-func (s *steeredBound) Bound() int64 { return s.bound }
-
-func (s *steeredBound) PlanPull(v engine.PullView) engine.Plan {
-	if v.Worker == s.loosen {
-		s.bound++
-	}
-	return s.Policy.PlanPull(v)
-}
-
-// TestGateWakeReadsLiveBound parks one robot at the frontier and another
-// one iteration past it; robot 2's push then advances the minimum, which
-// admits the first, and the first's pull plan loosens the bound, which
-// admits the second. Parked above the first, the second is released in the
-// same wake, so the frontier must be read again after a release. Parked
-// below it, the second is skipped and must be released by the next wake,
-// which finds the minimum unchanged, so nothing about the minimum may be
-// remembered from one wake to the next: memoWake, which skips a wake at an
-// unchanged minimum, must fail that case. Both must match the
-// retry-everyone reference, and the skipping wake must run no retry that
-// fails.
-func TestGateWakeReadsLiveBound(t *testing.T) {
-	// run parks robot first at the frontier and robot second one past it,
-	// then has robot 2 advance the minimum and robot first push once more.
-	run := func(first, second int, wake func(r *gateRig, stall *float64)) (*gateRig, error) {
-		pol := &steeredBound{Policy: gatePolicy(t, "ssp", 3), bound: 3, loosen: -1}
-		r := newGateRig(pol, 3, wake)
-		for _, w := range []int{0, 1, 2, second, second} {
-			r.push(w) // versions 1 but second's 3, at bound 3: all released
-		}
-		pol.bound = 2
-		r.push(first)  // at 2
-		r.push(first)  // at 3: parked, the frontier is 1 + 2
-		r.push(second) // at 4: parked one past it
-		if r.slots[first].iter != 3 || r.slots[second].iter != 4 {
-			return r, fmt.Errorf("parked %+v, want robot %d at 3 and robot %d at 4", r.slots, first, second)
-		}
-		pol.loosen = first
-		r.push(2) // minimum 2: first released, bound 3
-		if r.slots[first].retry != nil || pol.bound != 3 {
-			return r, fmt.Errorf("after the minimum moved: slots %+v, bound %d; want robot %d released at bound 3", r.slots, pol.bound, first)
-		}
-		min := r.st.Versions.Min()
-		r.push(first) // the minimum stays
-		if r.st.Versions.Min() != min {
-			return r, fmt.Errorf("the minimum moved from %d to %d", min, r.st.Versions.Min())
-		}
-		if r.slots[second].retry != nil {
-			return r, fmt.Errorf("robot %d still parked at %d, frontier %d", second, r.slots[second].iter, r.st.Frontier())
-		}
-		return r, nil
-	}
-	for _, c := range []struct{ first, second int }{{0, 1}, {1, 0}} {
-		ref, err := run(c.first, c.second, allWake)
-		if err != nil {
-			t.Fatalf("%v reference: %v", c, err)
-		}
-		got, err := run(c.first, c.second, skipWake)
-		if err != nil {
-			t.Fatalf("%v skipping wake: %v", c, err)
-		}
-		if err := got.sameAs(ref); err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if got.wasted != 0 || ref.wasted == 0 {
-			t.Fatalf("%v failed retries: %d skipping, %d reference; want none and some", c, got.wasted, ref.wasted)
-		}
-	}
-	if _, err := run(1, 0, memoWake); err == nil {
-		t.Fatal("a wake that remembers the minimum passed: the scenario does not test the live bound")
 	}
 }
 

@@ -30,7 +30,6 @@ func TestPipelineRespectsEveryGate(t *testing.T) {
 		{SSP, 4, 4},
 		{FLOWN, 4, 4},
 		{ROG, 4, 4},
-		{DSSP, 4, 4},
 	} {
 		cfg := testConfig(tc.strategy, tc.threshold)
 		cfg.Pipeline = true

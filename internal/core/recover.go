@@ -200,7 +200,7 @@ func (c *cluster) restartServer() {
 	finish := func() {
 		c.serverDown = false
 		c.setServerDown(false)
-		c.gates.wake(c.state, 0, nil)
+		c.gates.wake(c.state.Frontier(), 0, nil)
 		for _, w := range c.rejoins {
 			c.rejoinWorker(w)
 		}

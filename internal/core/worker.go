@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the one per-worker loop every policy runs on (BSP, SSP,
-// FLOWN, ROG, DSSP; Config.Pipeline only sets its depth): compute → plan →
+// FLOWN, ROG; Config.Pipeline only sets its depth): compute → plan →
 // push → staleness gate → plan → pull, with every decision — what to
 // transmit, whether to skip, when to advance — delegated to the engine
 // policy. The loop owns only simnet mechanics: the robot's CPU and radio,
@@ -166,7 +166,7 @@ func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSe
 	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
 		c.peer[w].PushDone(c.state, n, mtaTime, pushSec, plan.Speculative)
 		c.recordMicro(w, n, delivered)
-		c.gates.wake(c.state, 0, nil)
+		c.gates.wake(c.state.Frontier(), 0, nil)
 
 		pull := func() bool {
 			if c.crashed[w] {

@@ -84,17 +84,14 @@ func (s *PlanScratch) orNew() *PlanScratch {
 // Policy is one synchronization strategy, transport-free. A policy
 // instance serves one run; implementations may keep per-run state but must
 // mutate it only in PlanPush, PlanPull and ObservePush — each called at
-// most once per worker-iteration by every runtime. Bound must be a pure
-// read: the socket runtime re-evaluates the gate arbitrarily often inside a
-// condition-variable loop.
+// most once per worker-iteration by every runtime.
 type Policy interface {
-	// Name is the registry name ("ssp", "rog", ...).
-	Name() string
 	// PlanPush decides what worker v.Worker transmits for iteration v.Iter.
 	PlanPush(v PushView) Plan
-	// Bound is the staleness gate's width: a worker at iteration iter may
-	// proceed while iter − min < Bound(), min the global minimum row
-	// version (State.CanAdvance applies it).
+	// Bound is the staleness gate's width, fixed for the run: a worker at
+	// iteration iter may proceed while iter − min < Bound(), min the global
+	// minimum row version. NewStateSharded reads it once; State.CanAdvance
+	// applies it.
 	Bound() int64
 	// PlanPull decides which averaged rows the server returns to the
 	// worker after iteration v.Iter's push.
@@ -119,28 +116,22 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// New builds the named policy. Names: "bsp", "ssp", "flown", "rog", "dssp".
+// New builds the named policy. Names: "bsp", "ssp", "flown", "rog". BSP is
+// SSP at bound 1, whatever p.Threshold says.
 func New(name string, p Params) (Policy, error) {
 	p = p.withDefaults()
 	switch name {
 	case "bsp":
-		return newBSP(), nil
+		return newSSP(1), nil
 	case "ssp":
-		return newSSP(p), nil
+		return newSSP(p.Threshold), nil
 	case "flown":
 		return newFLOWN(p), nil
 	case "rog":
 		return newROG(p), nil
-	case "dssp":
-		return newDSSP(p), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown policy %q", name)
 	}
-}
-
-// Names lists the registered policies.
-func Names() []string {
-	return []string{"bsp", "ssp", "flown", "rog", "dssp"}
 }
 
 // allUnits is the whole-model plan shared by the model-granular policies:

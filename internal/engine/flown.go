@@ -25,8 +25,6 @@ func newFLOWN(p Params) *flown {
 	}
 }
 
-func (*flown) Name() string { return "flown" }
-
 // period computes worker w's scheduled synchronization period: the slower
 // its last transmission relative to the team's slowest, the less often it
 // syncs. Before the first measurement a worker syncs every iteration.

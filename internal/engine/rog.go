@@ -27,8 +27,6 @@ func newROG(p Params) *rog {
 	}
 }
 
-func (*rog) Name() string { return "rog" }
-
 // PlanPush is Algo. 1 PushGradients with Algo. 3 worker mode: rank all
 // units by importance, then force rows whose within-worker staleness would
 // reach the threshold to the front — they transmit this iteration, budget

@@ -5,13 +5,16 @@ package engine
 // iteration n blocks while n − min(clock) ≥ threshold. Small thresholds
 // keep statistical efficiency but stall under bandwidth fades; large ones
 // trade accuracy-per-iteration for speed (paper Fig. 1).
+//
+// At threshold 1 it is Bulk Synchronous Parallel: a worker that pushed
+// iteration n is not answered until every attached worker's rows reached n.
+// Both runtimes get the lockstep from the bound alone: a pull's content is
+// fixed when the gate opens (Peer.HoldPull), so replicas stay equal.
 type ssp struct {
 	threshold int64
 }
 
-func newSSP(p Params) *ssp { return &ssp{threshold: int64(p.Threshold)} }
-
-func (*ssp) Name() string { return "ssp" }
+func newSSP(threshold int) *ssp { return &ssp{threshold: int64(threshold)} }
 
 func (*ssp) PlanPush(v PushView) Plan { return allUnits(len(v.Rows)) }
 

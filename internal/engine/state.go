@@ -24,7 +24,7 @@ import (
 // Each shard owns the merge-path bookkeeping for its unit range behind its
 // own lock, so pushes touching different shards proceed in parallel; the
 // small residue of genuinely global state — membership, the MTA tracker,
-// the policy's adaptive knobs, the churn/loss counters — sits behind
+// the policy's per-run state, the churn/loss counters — sits behind
 // State.mu. The lock order is
 //
 //	caller's lock (livenet server.mu) → State.mu → shard.mu (ascending)
@@ -47,7 +47,8 @@ import (
 //
 //roglint:lockorder Server.mu < State.mu < stateShard.mu < Store.mu
 type State struct {
-	policy  Policy // guarded by mu (adaptive policies mutate on observe/plan)
+	policy  Policy // guarded by mu (FLOWN's ObservePush mutates its schedule)
+	bound   int64  // policy.Bound(), read once: the gate's width is fixed per run
 	part    *rowsync.Partition
 	workers int
 
@@ -114,6 +115,7 @@ func NewStateSharded(policy Policy, part *rowsync.Partition, workers int, initia
 	sm := rowsync.NewShardMap(part.NumUnits(), shards)
 	s := &State{
 		policy:   policy,
+		bound:    policy.Bound(),
 		part:     part,
 		workers:  workers,
 		sm:       sm,
@@ -333,15 +335,11 @@ func (s *State) CanAdvance(iter int64) bool {
 }
 
 // Frontier is the first iteration the staleness gate holds back now: the
-// global minimum row version plus the policy's bound, read under one lock.
-// It moves only when the minimum advances or the policy's bound changes
-// (DSSP's PlanPull), so it is exact until the caller's next merge, detach
-// or pull plan.
+// global minimum row version plus the policy's bound. It takes no lock —
+// Min() folds the shards' atomically cached minima and the bound is fixed —
+// and moves only when a merge or a detach advances the minimum.
 func (s *State) Frontier() int64 {
-	s.mu.Lock()
-	f := s.Versions.Min() + s.policy.Bound()
-	s.mu.Unlock()
-	return f
+	return s.Versions.Min() + s.bound
 }
 
 // lastReleased returns the most recent merge or detach that advanced the
@@ -379,8 +377,7 @@ func (s *State) minBlocker() obs.Blocker {
 }
 
 // PlanPull asks the policy which averaged rows to return to worker after
-// its iteration-iter push. Called exactly once per worker-iteration — the
-// contract adaptive policies (DSSP) rely on.
+// its iteration-iter push. Called exactly once per worker-iteration.
 func (s *State) PlanPull(worker int, iter int64) Plan {
 	s.mu.Lock()
 	defer s.mu.Unlock()

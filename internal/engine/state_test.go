@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"rog/internal/nn"
 	"rog/internal/obs"
@@ -265,6 +266,30 @@ func TestObserversRunInRegistrationOrder(t *testing.T) {
 	}
 	if !slices.Equal(calls, want) {
 		t.Fatalf("observer calls = %v\nwant %v", calls, want)
+	}
+}
+
+// TestGateTakesNoStateLock asks the gate with the whole state quiesced:
+// the bound is fixed per run and the minimum is folded from atomics, so
+// CanAdvance and Frontier must answer under WithAllLocked — the socket
+// server asks them under its own lock, above State.mu in the lock order.
+func TestGateTakesNoStateLock(t *testing.T) {
+	s, _ := testState(t, 3)
+	answered := make(chan [2]int64, 1)
+	go s.WithAllLocked(func() {
+		var ok int64
+		if s.CanAdvance(3) {
+			ok = 1
+		}
+		answered <- [2]int64{ok, s.Frontier()}
+	})
+	select {
+	case got := <-answered:
+		if got != [2]int64{1, 4} {
+			t.Fatalf("(CanAdvance(3), Frontier()) = %v, want [1 4]: SSP-4 at minimum 0", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gate blocked on a lock WithAllLocked holds")
 	}
 }
 

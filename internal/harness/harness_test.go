@@ -157,10 +157,10 @@ func TestRegistryCompleteness(t *testing.T) {
 		"ablation-granularity", "ablation-importance", "ablation-speculative",
 		"churn",
 	}
-	// +8: ext-pipeline, ext-dssp, ext-convmlp, ext-gridmap, ext-loss,
-	// ext-recovery, fleet, serve
-	if len(reg) != len(want)+8 {
-		t.Fatalf("registry has %d entries, want %d", len(reg), len(want)+8)
+	// +7: ext-pipeline, ext-convmlp, ext-gridmap, ext-loss, ext-recovery,
+	// fleet, serve
+	if len(reg) != len(want)+7 {
+		t.Fatalf("registry has %d entries, want %d", len(reg), len(want)+7)
 	}
 	for _, id := range []string{"ext-loss", "ext-recovery", "fleet", "serve"} {
 		if _, ok := Find(id); !ok {

@@ -50,14 +50,6 @@ func Registry() []Experiment {
 		{ID: "ext-loss", Title: "Extension: bursty packet loss × selective reliability (lossnet channel)", run: runExtLoss},
 		{ID: "ext-recovery", Title: "Extension: crash-consistent checkpointing — snapshot interval vs recovery cost (servercrash)", run: runExtRecovery},
 		{ID: "ext-pipeline", Title: "Future-work extension: pipelined computation and communication (Sec. VI-D)", run: runExtPipeline},
-		// DSSP is the dynamic-staleness baseline after Zhao et al.: its
-		// threshold adapts inside [2, Threshold] from the observed iteration
-		// spread. The lineup isolates what dynamic staleness alone buys over
-		// fixed SSP, and what row granularity (ROG) adds at the same cap.
-		{ID: "ext-dssp", Title: "Extension: dynamic-staleness SSP (Zhao et al.) vs fixed SSP and ROG",
-			run: compare("Extension: dynamic-staleness SSP (DSSP) vs fixed SSP and ROG, CRUDA outdoors",
-				EndToEndOptions{Paradigm: "cruda", Env: trace.Outdoor,
-					Systems: []SystemSpec{{core.SSP, 4}, {core.SSP, 20}, {core.DSSP, 20}, {core.ROG, 20}}})},
 		{ID: "fleet", Title: "Fleet scaling: sharded parameter service × edge aggregation, up to 256 robots", run: runFleet},
 		{ID: "serve", Title: "Inference tier: bounded-staleness serving over versioned snapshots — latency × staleness sweep", run: runServe},
 		{ID: "ext-convmlp", Title: "Architecture-faithful CRUDA: ConvMLP stem + MLP head on synthetic images",

@@ -145,9 +145,6 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	if cfg.IdleTimeout < 0 {
 		return nil, fmt.Errorf("livenet: negative idle timeout %v", cfg.IdleTimeout)
 	}
-	if cfg.Coeff == (atp.Coefficients{}) {
-		cfg.Coeff = atp.DefaultCoefficients()
-	}
 	if cfg.MTAFloorSeconds <= 0 {
 		cfg.MTAFloorSeconds = 2 * time.Millisecond.Seconds()
 	}

@@ -59,9 +59,6 @@ type Worker struct {
 
 // NewWorker wires a worker to its model and server connection.
 func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg WorkerConfig) *Worker {
-	if cfg.Coeff == (atp.Coefficients{}) {
-		cfg.Coeff = atp.DefaultCoefficients()
-	}
 	if cfg.LR == 0 {
 		cfg.LR = 0.05
 	}

@@ -65,9 +65,6 @@ const (
 	FLOWN = core.FLOWN
 	// ROG is the paper's row-granulated system (RSP + ATP).
 	ROG = core.ROG
-	// DSSP is dynamic SSP (after Zhao et al.): SSP whose staleness
-	// threshold adapts at run time inside [2, Threshold].
-	DSSP = core.DSSP
 )
 
 // Env selects the wireless environment profile.
