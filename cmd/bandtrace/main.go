@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	bandtrace -env outdoor -duration 300            # print statistics
-//	bandtrace -env indoor -csv trace.csv            # export samples
-//	bandtrace -env outdoor -loss ge:0.05 -csv t.csv # with a loss-rate column
-//	bandtrace -stats trace.csv                      # analyze a recorded CSV
+//	bandtrace -env outdoor -duration 300  # print statistics
+//	bandtrace -env indoor -csv trace.csv  # export samples
+//	bandtrace -stats trace.csv            # analyze a recorded CSV
 package main
 
 import (
@@ -26,15 +25,11 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "generator seed")
 		csvPath  = flag.String("csv", "", "write the trace to this CSV file")
 		statsCSV = flag.String("stats", "", "analyze a recorded trace CSV instead of generating")
-		lossSpec = flag.String("loss", "", `attach a synthetic loss-rate column: "ge:0.05[/burst]" or "iid:0.02"`)
 	)
 	flag.Parse()
 
 	var tr *rog.BandwidthTrace
 	if *statsCSV != "" {
-		if *lossSpec != "" {
-			fatal(fmt.Errorf("-loss synthesizes a column for generated traces; -stats analyzes a recorded one"))
-		}
 		f, err := os.Open(*statsCSV)
 		if err != nil {
 			fatal(err)
@@ -50,18 +45,6 @@ func main() {
 			e = rog.Indoor
 		}
 		tr = rog.GenerateTrace(e, *duration, *seed)
-		if *lossSpec != "" {
-			sp, err := rog.ParseLossSpec(*lossSpec)
-			if err != nil {
-				fatal(err)
-			}
-			if !sp.Enabled() || sp.Kind == "trace" {
-				fatal(fmt.Errorf("-loss wants a generative model (iid:RATE or ge:RATE[/BURST]), got %q", *lossSpec))
-			}
-			// The Gilbert–Elliott chain advances once per trace sample, so
-			// loss bursts land alongside the bandwidth fades they model.
-			tr.Loss = sp.RateSeries(len(tr.Samples), *seed+1)
-		}
 	}
 
 	fmt.Printf("samples:                 %d (dt=%.2fs, %.0fs total)\n", len(tr.Samples), tr.Dt, tr.Duration())
@@ -70,9 +53,6 @@ func main() {
 	fmt.Printf("s per >=20%% fluctuation: %.2f  (paper: ~0.4s)\n", tr.MeanFluctuationInterval(0.2))
 	fmt.Printf("s per >=40%% fluctuation: %.2f  (paper: ~1.2s)\n", tr.MeanFluctuationInterval(0.4))
 	fmt.Printf("time below 5 Mbps:       %.1f%%\n", 100*tr.FractionBelow(5))
-	if len(tr.Loss) > 0 {
-		fmt.Printf("mean packet loss:        %.2f%%\n", 100*tr.MeanLoss())
-	}
 	fmt.Printf("profile:                 %s\n", tr.Sparkline(72))
 
 	if *csvPath != "" {

@@ -85,8 +85,8 @@ func newAggTier(c *cluster) *aggTier {
 	}
 	up := simnet.NewChannel(c.k, traces, c.ch.Scale())
 	t := &aggTier{c: c}
-	for i, tr := range traces {
-		l := c.newLink(up, i, -(i + 1), c.cfg.Seed*7013+uint64(i)+1, tr)
+	for i := range traces {
+		l := c.newLink(up, i, -(i + 1), c.cfg.Seed*7013+uint64(i)+1)
 		c.links = append(c.links, l)
 		a := &aggregator{up: l, queue: make([]*aggRow, c.part.NumUnits()), flying: make([]*aggRow, c.part.NumUnits())}
 		// Each combined row merges into the root state as it lands; when all

@@ -162,10 +162,8 @@ type Config struct {
 
 	// Loss injects a packet-loss channel model on every link — each robot's
 	// and each aggregator uplink's, every one from its own seed stream
-	// (internal/lossnet grammar: "iid:0.05", "ge:0.05/16", "trace", "none").
-	// "trace" replays the loss column of Traces, which a generated uplink
-	// does not have: uplinks then stay lossless. The zero value disables
-	// loss and leaves the transmit paths untouched.
+	// (internal/lossnet grammar: "iid:0.05", "ge:0.05/16", "none"). The zero
+	// value disables loss and leaves the transmit paths untouched.
 	Loss lossnet.Spec
 	// Reliability selects how lost rows settle: Selective (default)
 	// retransmits only a speculative plan's Must prefix and folds the rest
@@ -262,16 +260,6 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Loss.Validate(); err != nil {
 		return err
-	}
-	if c.Loss.Kind == "trace" {
-		if c.Traces == nil {
-			return fmt.Errorf("core: loss model %q needs replay Traces with a loss column", c.Loss.Kind)
-		}
-		for w, tr := range c.Traces {
-			if len(tr.Loss) == 0 {
-				return fmt.Errorf("core: loss model %q: trace for worker %d has no loss column", c.Loss.Kind, w)
-			}
-		}
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative Shards %d", c.Shards)
@@ -447,7 +435,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		crashed: make([]bool, cfg.Workers),
 	}
 	for w := range links {
-		c.links = append(c.links, c.newLink(c.ch, w, w, cfg.Seed*6151+uint64(w)+1, links[w]))
+		c.links = append(c.links, c.newLink(c.ch, w, w, cfg.Seed*6151+uint64(w)+1))
 	}
 	if cfg.Aggregators > 0 {
 		c.agg = newAggTier(c)
@@ -472,11 +460,9 @@ func (c *cluster) adopt(st *engine.State) {
 
 // newLink makes device dev of ch a link whose events carry id. Its loss model
 // draws cfg.Loss from its own seed stream, so loss and bandwidth schedules
-// stay independent draws. A model tr cannot feed ("trace" over a generated
-// backhaul; Validate pins the robots' loss columns) leaves the link lossless.
-func (c *cluster) newLink(ch *simnet.Channel, dev, id int, seed uint64, tr *trace.Trace) link {
-	m, _ := c.cfg.Loss.Model(seed, tr)
-	return link{ch: ch, dev: dev, loss: m, id: id}
+// stay independent draws.
+func (c *cluster) newLink(ch *simnet.Channel, dev, id int, seed uint64) link {
+	return link{ch: ch, dev: dev, loss: c.cfg.Loss.Model(seed), id: id}
 }
 
 // computeSecondsFor is one iteration's virtual compute time for worker w,

@@ -233,7 +233,7 @@ func TestLossConfigValidate(t *testing.T) {
 	cfg = testConfig(ROG, 4)
 	cfg.Loss = lossnet.Spec{Kind: "trace"}
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("trace loss without traces accepted")
+		t.Fatal("unknown loss model \"trace\" accepted")
 	}
 }
 

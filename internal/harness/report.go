@@ -162,8 +162,10 @@ func energyTable(systems []SystemReport, target float64, increasing bool) string
 // commonTarget picks the strictest quality level every system attained at
 // some checkpoint (noise-robust: best-over-series, not final value).
 func commonTarget(systems []SystemReport, increasing bool) float64 {
-	// Per system, the best value it ever checkpointed; the common target is
-	// the loosest of those bests, so every system can reach it.
+	// Per system, the best finite value it ever checkpointed; the common
+	// target is the loosest of those bests, so every system can reach it. A
+	// system with no finite checkpoint (a diverged run) makes no claim on
+	// the target and reads "not reached".
 	target := math.Inf(1) // min over bests for an increasing metric
 	if !increasing {
 		target = math.Inf(-1) // max over bests for a decreasing metric
@@ -173,12 +175,17 @@ func commonTarget(systems []SystemReport, increasing bool) float64 {
 		if !increasing {
 			best = math.Inf(1)
 		}
+		finite := false
 		for _, p := range s.Series {
+			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+				continue
+			}
+			finite = true
 			if increasing && p.Value > best || !increasing && p.Value < best {
 				best = p.Value
 			}
 		}
-		if increasing && best < target || !increasing && best > target {
+		if finite && (increasing && best < target || !increasing && best > target) {
 			target = best
 		}
 	}

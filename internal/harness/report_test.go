@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,28 @@ func TestEnergyTableNotReached(t *testing.T) {
 	// to confirm it does not crash with disjoint ranges.
 	if s := summary(filled(true, a, b).Systems, true); !strings.Contains(s, "ROG") {
 		t.Fatalf("summary: %s", s)
+	}
+}
+
+func TestDivergedSystemKeepsCommonTarget(t *testing.T) {
+	// A system whose every checkpoint is NaN makes no claim on the target:
+	// it stays ROG's best (0.9), which ROG reaches at its second checkpoint
+	// (200 J) and the diverged system never does.
+	a := fakeResult(core.ROG, 4, []float64{0.5, 0.9}, 100)
+	b := fakeResult(core.BSP, 0, []float64{math.NaN(), math.NaN()}, 100)
+	rep := filled(true, a, b)
+	if rep.Target != 0.9 {
+		t.Fatalf("target = %v, want 0.9", rep.Target)
+	}
+	if j := rep.Systems[0].JoulesToTarget; j == nil || *j != 200 {
+		t.Fatalf("ROG joules to target = %v, want 200", j)
+	}
+	if rep.Systems[1].JoulesToTarget != nil {
+		t.Fatalf("the diverged system reached the target at %v J", *rep.Systems[1].JoulesToTarget)
+	}
+	out := energyTable(rep.Systems, rep.Target, true)
+	if !strings.Contains(out, "accuracy = 0.9000") || !strings.Contains(out, "not reached") {
+		t.Fatalf("energy table:\n%s", out)
 	}
 }
 

@@ -4,10 +4,9 @@
 // moving robots also *drops* packets, in bursts, and provides the machinery
 // to train through it:
 //
-//   - Deterministic, seedable packet-loss channel models: i.i.d. Bernoulli,
-//     a Gilbert–Elliott bursty two-state chain calibrated by target loss
-//     rate and mean burst length, and a trace-driven model replaying the
-//     optional loss-rate column of a recorded bandwidth trace.
+//   - Deterministic, seedable packet-loss channel models: i.i.d. Bernoulli
+//     and a Gilbert–Elliott bursty two-state chain calibrated by target loss
+//     rate and mean burst length.
 //   - A frame-dropping net.Conn wrapper (conn.go) that injects loss under
 //     the existing TCP-style stream framing of internal/transport.
 //   - A datagram transport (dgram.go) with sequence numbers, cumulative
@@ -23,17 +22,17 @@ package lossnet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"rog/internal/tensor"
-	"rog/internal/trace"
 )
 
 // Model decides the fate of successive packets on one link. Each Lost call
 // consumes draws from a seeded generator, so a fixed seed replays the loss
-// schedule bit-identically; t is the send time in seconds (only the
-// trace-driven model reads it).
+// schedule bit-identically; t is the send time in seconds (no model in this
+// package reads it).
 type Model interface {
 	Lost(t float64) bool
 }
@@ -119,23 +118,6 @@ func (g *GilbertElliott) Lost(float64) bool {
 	return lost
 }
 
-// TraceModel replays the loss-rate column of a recorded trace: each packet
-// at time t is dropped with the trace's instantaneous rate, so a recorded
-// real-world run drives both bandwidth and loss.
-type TraceModel struct {
-	tr  *trace.Trace
-	rng *tensor.RNG
-}
-
-// FromTrace returns a model driven by tr's loss-rate column (a trace
-// without one never drops).
-func FromTrace(tr *trace.Trace, seed uint64) *TraceModel {
-	return &TraceModel{tr: tr, rng: tensor.NewRNG(seed)}
-}
-
-// Lost implements Model.
-func (m *TraceModel) Lost(t float64) bool { return m.rng.Float64() < m.tr.LossAt(t) }
-
 // Reliability selects which transmitted rows retransmit on loss.
 type Reliability int
 
@@ -180,40 +162,33 @@ const DefaultBurst = 8
 //	"iid:0.05"    i.i.d. Bernoulli at 5 %
 //	"ge:0.05"     Gilbert–Elliott at 5 % mean, default burst length
 //	"ge:0.05/16"  Gilbert–Elliott at 5 % mean, 16-packet mean bursts
-//	"trace"       replay the loss-rate column of the run's bandwidth traces
 type Spec struct {
-	Kind  string  // "", "none", "iid", "ge" or "trace"
-	Rate  float64 // target mean loss rate (iid, ge)
-	Burst float64 // mean burst length in packets (ge; 0 = DefaultBurst)
+	Kind  string  // "", "none", "iid" or "ge"
+	Rate  float64 // target mean loss rate
+	Burst float64 // mean burst length in packets (ge only; 0 = DefaultBurst)
 }
 
 // Enabled reports whether the spec names any loss at all.
-func (s Spec) Enabled() bool {
-	switch s.Kind {
-	case "", "none":
-		return false
-	case "trace":
-		return true
-	default:
-		return s.Rate > 0
-	}
-}
+func (s Spec) Enabled() bool { return s.Kind != "" && s.Kind != "none" && s.Rate > 0 }
 
-// Validate rejects nonsense and fills defaults.
+// Validate rejects what no model can run and fills defaults.
 func (s *Spec) Validate() error {
 	switch s.Kind {
-	case "", "none", "trace":
+	case "", "none":
 	case "iid", "ge":
-		if s.Rate < 0 || s.Rate >= 0.5 {
+		if !(s.Rate >= 0 && s.Rate < 0.5) {
 			return fmt.Errorf("lossnet: loss rate must be in [0, 0.5), got %g", s.Rate)
 		}
 	default:
-		return fmt.Errorf("lossnet: unknown loss model %q (want iid, ge or trace)", s.Kind)
+		return fmt.Errorf("lossnet: unknown loss model %q (want iid or ge)", s.Kind)
 	}
-	if s.Burst < 0 {
-		return fmt.Errorf("lossnet: burst length must be ≥ 1, got %g", s.Burst)
+	if s.Burst != 0 && s.Kind != "ge" {
+		return fmt.Errorf("lossnet: only ge takes a burst length, got %g on %q", s.Burst, s.Kind)
 	}
-	if s.Burst == 0 {
+	if s.Burst != 0 && !(s.Burst >= 1 && s.Burst <= math.MaxFloat64) {
+		return fmt.Errorf("lossnet: burst length must be finite and ≥ 1, got %g", s.Burst)
+	}
+	if s.Kind == "ge" && s.Burst == 0 {
 		s.Burst = DefaultBurst
 	}
 	return nil
@@ -221,14 +196,11 @@ func (s *Spec) Validate() error {
 
 // String renders the spec in ParseSpec's grammar.
 func (s Spec) String() string {
-	switch s.Kind {
-	case "", "none":
+	if s.Kind == "" || s.Kind == "none" {
 		return "none"
-	case "trace":
-		return "trace"
 	}
 	out := fmt.Sprintf("%s:%g", s.Kind, s.Rate)
-	if s.Kind == "ge" && s.Burst != 0 && s.Burst != DefaultBurst {
+	if s.Burst != 0 && s.Burst != DefaultBurst {
 		out += fmt.Sprintf("/%g", s.Burst)
 	}
 	return out
@@ -240,11 +212,8 @@ func ParseSpec(text string) (Spec, error) {
 	if text == "" || text == "none" {
 		return Spec{}, nil
 	}
-	if text == "trace" {
-		return Spec{Kind: "trace", Burst: DefaultBurst}, nil
-	}
 	kind, rest, ok := strings.Cut(text, ":")
-	if !ok {
+	if !ok || kind == "" || kind == "none" {
 		return Spec{}, fmt.Errorf("lossnet: bad loss spec %q (want kind:rate[/burst])", text)
 	}
 	s := Spec{Kind: kind}
@@ -267,62 +236,14 @@ func ParseSpec(text string) (Spec, error) {
 	return s, nil
 }
 
-// Model builds the spec's loss process for one link. tr supplies the
-// loss-rate column for the "trace" kind (required there, ignored
-// otherwise). A disabled spec returns nil.
-func (s Spec) Model(seed uint64, tr *trace.Trace) (Model, error) {
-	if !s.Enabled() {
-		return nil, nil
+// Model builds the loss process of a spec that passed Validate for one
+// link; a disabled spec returns nil.
+func (s Spec) Model(seed uint64) Model {
+	switch {
+	case !s.Enabled():
+		return nil
+	case s.Kind == "iid":
+		return NewBernoulli(s.Rate, seed)
 	}
-	switch s.Kind {
-	case "iid":
-		return NewBernoulli(s.Rate, seed), nil
-	case "ge":
-		burst := s.Burst
-		if burst == 0 {
-			burst = DefaultBurst
-		}
-		return NewGilbertElliott(s.Rate, burst, seed), nil
-	case "trace":
-		if tr == nil || tr.Loss == nil {
-			return nil, fmt.Errorf("lossnet: loss model %q needs a trace with a loss-rate column", s.Kind)
-		}
-		return FromTrace(tr, seed), nil
-	default:
-		return nil, fmt.Errorf("lossnet: unknown loss model %q", s.Kind)
-	}
-}
-
-// RateSeries synthesizes a per-sample loss-rate series for a bandwidth
-// trace of n samples: the Gilbert–Elliott chain advanced once per sample,
-// emitting each state's loss probability — the recorded-trace counterpart
-// that lets cmd/bandtrace export bandwidth and loss side by side. An iid
-// spec yields a constant series; a disabled spec yields zeros.
-func (s Spec) RateSeries(n int, seed uint64) []float64 {
-	out := make([]float64, n)
-	if !s.Enabled() || s.Kind == "trace" {
-		return out
-	}
-	if s.Kind == "iid" {
-		for i := range out {
-			out[i] = s.Rate
-		}
-		return out
-	}
-	g := NewGilbertElliott(s.Rate, s.Burst, seed)
-	for i := range out {
-		if g.bad {
-			out[i] = g.LossBad
-		} else {
-			out[i] = g.LossGood
-		}
-		if g.bad {
-			if g.rng.Float64() < g.PBadGood {
-				g.bad = false
-			}
-		} else if g.rng.Float64() < g.PGoodBad {
-			g.bad = true
-		}
-	}
-	return out
+	return NewGilbertElliott(s.Rate, s.Burst, seed)
 }

@@ -1,10 +1,6 @@
 package lossnet
 
-import (
-	"testing"
-
-	"rog/internal/trace"
-)
+import "testing"
 
 // drawSchedule records n fates from a model.
 func drawSchedule(m Model, n int) []bool {
@@ -116,26 +112,6 @@ func TestGilbertElliottNeverFullyBlocks(t *testing.T) {
 	}
 }
 
-func TestTraceModel(t *testing.T) {
-	tr := &trace.Trace{Dt: 1, Samples: []float64{10, 10, 10}, Loss: []float64{0, 1, 0}}
-	m := FromTrace(tr, 5)
-	for i := 0; i < 100; i++ {
-		if m.Lost(0.5) {
-			t.Fatal("lost a packet at a 0-loss sample")
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if !m.Lost(1.5) {
-			t.Fatal("delivered a packet at a 1.0-loss sample")
-		}
-	}
-	// No loss column → never loses.
-	bare := FromTrace(&trace.Trace{Dt: 1, Samples: []float64{10}}, 5)
-	if bare.Lost(0) {
-		t.Fatal("trace without loss column dropped a packet")
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -144,16 +120,23 @@ func TestParseSpec(t *testing.T) {
 	}{
 		{"", Spec{}, true},
 		{"none", Spec{}, true},
-		{"iid:0.05", Spec{Kind: "iid", Rate: 0.05, Burst: DefaultBurst}, true},
+		{"iid:0.05", Spec{Kind: "iid", Rate: 0.05}, true},
 		{"ge:0.05", Spec{Kind: "ge", Rate: 0.05, Burst: DefaultBurst}, true},
 		{"ge:0.05/16", Spec{Kind: "ge", Rate: 0.05, Burst: 16}, true},
-		{"trace", Spec{Kind: "trace", Burst: DefaultBurst}, true},
+		{"ge:1e-3/1", Spec{Kind: "ge", Rate: 1e-3, Burst: 1}, true},
+		{"trace", Spec{}, false},   // loss comes from a model, not a trace
 		{"ge:0.7", Spec{}, false},  // rate out of range
 		{"ge:-0.1", Spec{}, false}, // negative rate
 		{"iid:0.05/-2", Spec{}, false},
 		{"bogus:0.1", Spec{}, false},
 		{"ge", Spec{}, false}, // missing rate
 		{"ge:abc", Spec{}, false},
+		{":0.1", Spec{}, false},
+		{"none:0.1", Spec{}, false},
+		{"ge:0.05/0.5", Spec{}, false},  // a burst is at least one packet
+		{"iid:0.05/16", Spec{}, false},  // i.i.d. loss has no bursts
+		{"ge:NaN", Spec{}, false},       // would silently disable loss
+		{"ge:0.05/+Inf", Spec{}, false}, // would pin the chain in the bad state
 	}
 	for _, c := range cases {
 		got, err := ParseSpec(c.in)
@@ -165,7 +148,7 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 	// Round-trip through String.
-	for _, in := range []string{"iid:0.05", "ge:0.05/16", "trace", "none"} {
+	for _, in := range []string{"iid:0.05", "ge:0.05/16", "none"} {
 		s, err := ParseSpec(in)
 		if err != nil {
 			t.Fatal(err)
@@ -178,20 +161,37 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestSpecModel(t *testing.T) {
-	m, err := Spec{}.Model(1, nil)
-	if err != nil || m != nil {
-		t.Fatalf("disabled spec: model %v err %v", m, err)
+	if m := (Spec{}).Model(1); m != nil {
+		t.Fatalf("disabled spec: model %v", m)
 	}
-	if _, err := (Spec{Kind: "trace"}).Model(1, nil); err == nil {
-		t.Fatal("trace spec without a trace did not error")
+	if _, ok := (Spec{Kind: "iid", Rate: 0.05}).Model(1).(*Bernoulli); !ok {
+		t.Fatal("iid spec did not build a Bernoulli model")
 	}
-	if _, err := (Spec{Kind: "trace"}).Model(1, &trace.Trace{Dt: 1, Samples: []float64{1}}); err == nil {
-		t.Fatal("trace spec without a loss column did not error")
+	ge := Spec{Kind: "ge", Rate: 0.05}
+	if err := ge.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	m, err = Spec{Kind: "ge", Rate: 0.05}.Model(1, nil)
-	if err != nil || m == nil {
-		t.Fatalf("ge spec: model %v err %v", m, err)
+	if g, ok := ge.Model(1).(*GilbertElliott); !ok || g.PBadGood != 1.0/DefaultBurst {
+		t.Fatalf("ge spec without a burst: model %+v, want DefaultBurst", g)
 	}
+}
+
+// FuzzParseSpec holds ParseSpec to its inverse: every spec it accepts
+// renders through String to text that parses back to the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"ge:0.05/0.5", "iid:0.05/16", "ge:NaN", "ge:0.05/+Inf", "ge:0.05/16", "iid:0.05", "none", ":0.1", "none:0.1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil || back != s {
+			t.Fatalf("%q parsed to %+v, renders %q, parses back to %+v (err %v)", in, s, s.String(), back, err)
+		}
+	})
 }
 
 func TestParseReliability(t *testing.T) {
@@ -203,36 +203,5 @@ func TestParseReliability(t *testing.T) {
 	}
 	if _, err := ParseReliability("sometimes"); err == nil {
 		t.Fatal("bogus reliability accepted")
-	}
-}
-
-func TestRateSeries(t *testing.T) {
-	s := Spec{Kind: "iid", Rate: 0.1}
-	for _, v := range s.RateSeries(10, 1) {
-		if v != 0.1 {
-			t.Fatalf("iid rate series not constant: %g", v)
-		}
-	}
-	g := Spec{Kind: "ge", Rate: 0.1, Burst: 4}
-	a := g.RateSeries(5000, 2)
-	b := g.RateSeries(5000, 2)
-	sawBad := false
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rate series not deterministic at %d", i)
-		}
-		if a[i] == geLossBad {
-			sawBad = true
-		} else if a[i] != 0.1/8 {
-			t.Fatalf("sample %d = %g is neither state's loss rate", i, a[i])
-		}
-	}
-	if !sawBad {
-		t.Fatal("GE rate series never entered the bad state in 5000 samples")
-	}
-	for _, v := range (Spec{}).RateSeries(3, 1) {
-		if v != 0 {
-			t.Fatal("disabled spec rate series not zero")
-		}
 	}
 }

@@ -22,6 +22,8 @@
 //     itself does (the JSONL exporter reuses an internal buffer).
 package obs
 
+import "strconv"
+
 // Kind discriminates trace events.
 type Kind uint8
 
@@ -387,7 +389,7 @@ func (p *Probe) Merge(w, u int, n, seq, version, lag int64) {
 	if p.reg != nil {
 		p.reg.Counter("rows_merged").Add(1)
 		p.reg.Histogram("staleness", StalenessBounds).Observe(float64(lag))
-		p.reg.Histogram("staleness/unit"+itoa(u), StalenessBounds).Observe(float64(lag))
+		p.reg.Histogram("staleness/unit"+strconv.Itoa(u), StalenessBounds).Observe(float64(lag))
 	}
 }
 
@@ -615,22 +617,3 @@ var StallDurationBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5
 // request latency (seconds): sub-window batching delays up through
 // read-gate stalls spanning several training iterations.
 var ServeLatencyBounds = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
-
-// itoa is a minimal non-negative integer formatter (avoids strconv for the
-// one hot-path name join).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	if v < 0 {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

@@ -26,11 +26,6 @@ import (
 type Trace struct {
 	Dt      float64
 	Samples []float64
-	// Loss is an optional per-sample packet-loss-rate series aligned with
-	// Samples, so one recorded trace can drive both bandwidth and loss
-	// (internal/lossnet replays it). Nil means the trace carries no loss
-	// information — LossAt then reports 0.
-	Loss []float64
 }
 
 // At returns the bandwidth in Mbps at time t (t ≥ 0), wrapping past the end.
@@ -43,31 +38,6 @@ func (tr *Trace) At(t float64) float64 {
 		idx = 0
 	}
 	return tr.Samples[idx]
-}
-
-// LossAt returns the packet-loss rate at time t (t ≥ 0), wrapping past the
-// end like At. A trace without a loss column never loses.
-func (tr *Trace) LossAt(t float64) float64 {
-	if len(tr.Loss) == 0 {
-		return 0
-	}
-	idx := int(t/tr.Dt) % len(tr.Loss)
-	if idx < 0 {
-		idx = 0
-	}
-	return tr.Loss[idx]
-}
-
-// MeanLoss returns the average of the loss column (0 without one).
-func (tr *Trace) MeanLoss() float64 {
-	if len(tr.Loss) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range tr.Loss {
-		s += v
-	}
-	return s / float64(len(tr.Loss))
 }
 
 // Duration returns the trace length in seconds.
@@ -362,22 +332,11 @@ func (tr *Trace) Sparkline(width int) string {
 	return string(out)
 }
 
-// WriteCSV streams the trace as "time,mbps" rows, or "time,mbps,loss" rows
-// when the trace carries a loss column.
+// WriteCSV streams the trace as "time,mbps" rows.
 func (tr *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i, v := range tr.Samples {
-		var err error
-		if len(tr.Loss) > 0 {
-			loss := 0.0
-			if i < len(tr.Loss) {
-				loss = tr.Loss[i]
-			}
-			_, err = fmt.Fprintf(bw, "%.3f,%.4f,%.6f\n", float64(i)*tr.Dt, v, loss)
-		} else {
-			_, err = fmt.Fprintf(bw, "%.3f,%.4f\n", float64(i)*tr.Dt, v)
-		}
-		if err != nil {
+		if _, err := fmt.Fprintf(bw, "%.3f,%.4f\n", float64(i)*tr.Dt, v); err != nil {
 			return err
 		}
 	}
@@ -385,13 +344,12 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV (or recorded externally in the
-// same format): "time,mbps" rows, with an optional third loss-rate column.
-// All rows must agree on the column count. The sample period is inferred
-// from the first two timestamps; a single-row trace defaults to 0.1 s.
+// same format): "time,mbps" rows. The sample period is inferred from the
+// first two timestamps; a single-row trace defaults to 0.1 s.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	var times, vals, losses []float64
-	line, fields := 0, 0
+	var times, vals []float64
+	line := 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -399,13 +357,8 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			continue
 		}
 		parts := strings.Split(text, ",")
-		if len(parts) != 2 && len(parts) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 2 or 3 fields, got %d", line, len(parts))
-		}
-		if fields == 0 {
-			fields = len(parts)
-		} else if len(parts) != fields {
-			return nil, fmt.Errorf("trace: line %d: want %d fields like the first row, got %d", line, fields, len(parts))
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("trace: line %d: want 2 fields (time,mbps), got %d", line, len(parts))
 		}
 		ts, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		if err != nil {
@@ -414,16 +367,6 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad bandwidth: %w", line, err)
-		}
-		if len(parts) == 3 {
-			loss, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad loss rate: %w", line, err)
-			}
-			if loss < 0 || loss > 1 {
-				return nil, fmt.Errorf("trace: line %d: loss rate %g outside [0, 1]", line, loss)
-			}
-			losses = append(losses, loss)
 		}
 		times = append(times, ts)
 		vals = append(vals, v)
@@ -441,5 +384,5 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: non-increasing timestamps")
 		}
 	}
-	return &Trace{Dt: dt, Samples: vals, Loss: losses}, nil
+	return &Trace{Dt: dt, Samples: vals}, nil
 }

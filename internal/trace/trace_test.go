@@ -169,51 +169,23 @@ func TestCSVRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCSVRoundtripWithLoss round-trips the optional third column: loss
-// rates survive the write/read cycle and the derived statistics agree.
-func TestCSVRoundtripWithLoss(t *testing.T) {
-	tr := GenerateEnv(Outdoor, 5, 7)
-	tr.Loss = make([]float64, len(tr.Samples))
-	for i := range tr.Loss {
-		tr.Loss[i] = float64(i%5) / 20 // 0, 0.05, ..., 0.2
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Loss) != len(tr.Loss) {
-		t.Fatalf("loss column came back with %d of %d samples", len(got.Loss), len(tr.Loss))
-	}
-	for i := range tr.Loss {
-		if math.Abs(got.Loss[i]-tr.Loss[i]) > 1e-6 {
-			t.Fatalf("loss %d: %v vs %v", i, got.Loss[i], tr.Loss[i])
-		}
-	}
-	if math.Abs(got.MeanLoss()-tr.MeanLoss()) > 1e-6 {
-		t.Fatalf("mean loss drifted: %v vs %v", got.MeanLoss(), tr.MeanLoss())
-	}
-	if got.LossAt(0) != got.Loss[0] {
-		t.Fatalf("LossAt(0) = %v, want %v", got.LossAt(0), got.Loss[0])
-	}
-}
-
 func TestReadCSVErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":       "",
-		"lossRange":   "0.0,1.0,2.0\n", // third column is a rate in [0,1]
-		"badLoss":     "0.0,1.0,z\n",
-		"mixedFields": "0.0,1.0,0.1\n0.1,2.0\n",
-		"badTime":     "x,1.0\n",
-		"badValue":    "0.0,y\n",
-		"decreasing":  "1.0,5\n0.5,6\n",
+		"empty":      "",
+		"badTime":    "x,1.0\n",
+		"badValue":   "0.0,y\n",
+		"decreasing": "1.0,5\n0.5,6\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+	// A trace carries bandwidth only: a row of any other width, a third
+	// (loss) column included, fails on its field count.
+	for _, in := range []string{"0.0\n", "0.0,1.0,0.1\n", "0.0,1.0,z\n", "0.0,1.0\n0.1,2.0,0.1\n"} {
+		if _, err := ReadCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "want 2 fields") {
+			t.Errorf("%q: err %v, want a field-count error", in, err)
 		}
 	}
 	// Comments and blank lines are tolerated.

@@ -149,9 +149,8 @@ func OpenCheckpoints(dir string) (*CheckpointStore, error) {
 }
 
 // LossSpec names a packet-loss channel model injected via Config.Loss:
-// i.i.d. Bernoulli ("iid:0.05"), bursty Gilbert–Elliott ("ge:0.05" or
-// "ge:0.05/16" with a mean burst length), or the loss-rate column of a
-// recorded trace ("trace").
+// i.i.d. Bernoulli ("iid:0.05") or bursty Gilbert–Elliott ("ge:0.05" or
+// "ge:0.05/16" with a mean burst length).
 type LossSpec = lossnet.Spec
 
 // ParseLossSpec parses the "kind:rate[/burst]" loss-model grammar.

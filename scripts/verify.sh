@@ -140,18 +140,19 @@ run_kernels() {
 }
 
 run_fuzz() {
-	# The test stage runs every fuzz target's seed corpus only. These eight —
+	# The test stage runs every fuzz target's seed corpus only. These nine —
 	# both codec bodies against the branchy reference, the frame reader against its
 	# reference decoder, the protocol parser, the vector kernel against its Go
 	# body, the affine row pass (compaction, bias, rectifier) against the plain
 	# loops, the merge fan-out against a per-worker AddUnit loop, the paged
 	# in-memory file against a flat slice, the serve frames' scratch decoders
-	# against the allocating ones — also fuzz, for a fixed number of inputs
-	# rather than a duration, so the stage costs the same every run.
+	# against the allocating ones, the loss-spec parser against its String
+	# rendering — also fuzz, for a fixed number of inputs rather than a
+	# duration, so the stage costs the same every run.
 	for target in compress:FuzzEncodeMatchesReference transport:FuzzRecv livenet:FuzzParse \
 		tensor:FuzzAddScaledRowsMatchesGo tensor:FuzzRowPassMatchesReference \
 		rowsync:FuzzFanOutMatchesAddUnit durable:FuzzMemFSMatchesFlat \
-		serve:FuzzServeFrameDecode; do
+		serve:FuzzServeFrameDecode lossnet:FuzzParseSpec; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 50000x "./internal/${target%%:*}"
 	done
 }
