@@ -61,9 +61,6 @@ func NewCodec(rowLens []int) *Codec {
 	return &Codec{residual: res, comp: make([]float64, longest)}
 }
 
-// NumRows returns the number of rows the codec tracks.
-func (c *Codec) NumRows() int { return len(c.residual) }
-
 // Encode is EncodeInto over a fresh bit slice, the payload's one
 // allocation, for a caller that owns no buffer of the row's lifetime.
 func (c *Codec) Encode(rowID int, g []float32) Payload {
@@ -179,14 +176,6 @@ func Decode(p Payload, out []float32) {
 		for j := range row {
 			row[j] = tab[byt>>j&1]
 		}
-	}
-}
-
-// Reset clears the residual for one row (used when a row's accumulated
-// gradient is re-built from scratch).
-func (c *Codec) Reset(rowID int) {
-	for i := range c.residual[rowID] {
-		c.residual[rowID][i] = 0
 	}
 }
 

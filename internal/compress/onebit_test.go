@@ -71,10 +71,6 @@ func TestResidualEqualsDrift(t *testing.T) {
 	if math.Abs(c.ResidualNorm(0)-math.Sqrt(drift)) > 1e-5 {
 		t.Fatalf("residual %v != drift %v", c.ResidualNorm(0), math.Sqrt(drift))
 	}
-	c.Reset(0)
-	if c.ResidualNorm(0) != 0 {
-		t.Fatal("Reset did not clear residual")
-	}
 }
 
 func TestMarshalRoundtrip(t *testing.T) {

@@ -289,3 +289,117 @@ func compressPayload(t *testing.T) compress.Payload {
 	c := compress.NewCodec([]int{8})
 	return c.Encode(0, []float32{1, -2, 3, -4, 5, -6, 7, -8})
 }
+
+// TestClosedServerAnswersNoPush: once the server is closed it sends no pull,
+// neither to a push parked at the staleness gate nor to a later push the
+// gate would admit, and each handler returns, detaching its worker. A pull
+// sent there would let an iteration run past a gate that never admitted it.
+func TestClosedServerAnswersNoPush(t *testing.T) {
+	const threshold = 2
+	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(3))
+	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
+	parked := make(chan struct{}, 1)
+	srv, err := NewServer(part, ServerConfig{Workers: 2, Threshold: threshold, Trace: tracerFunc(func(e obs.Event) {
+		if e.Kind == obs.KindStallBegin {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+		}
+	})})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	// push connects worker, sends its push-done frames for iterations
+	// 1..n and reads every pull but the last. The handler's result arrives
+	// on done, the first frame answering push n (or the receive error) on
+	// answered.
+	push := func(worker int, n int64) (done, answered chan error) {
+		c, s := net.Pipe()
+		t.Cleanup(func() { c.Close() })
+		done, answered = make(chan error, 1), make(chan error, 1)
+		go func() { done <- srv.HandleConn(worker, s) }()
+		rc := transport.NewReceiver(c)
+		for k := int64(1); k <= n; k++ {
+			if err := transport.WriteFrame(c, pushDoneMsg(nil, k, 0, 0, false)); err != nil {
+				t.Fatalf("worker %d push %d: %v", worker, k, err)
+			}
+			for k < n {
+				frame, err := rc.Recv()
+				if err != nil {
+					t.Fatalf("worker %d pull %d: %v", worker, k, err)
+				}
+				if frame[0] == kindPullDone {
+					break
+				}
+			}
+		}
+		go func() {
+			_, err := rc.Recv()
+			answered <- err
+		}()
+		return done, answered
+	}
+	// noAnswer fails unless the handler returns nil before any frame answers.
+	noAnswer := func(what string, done, answered chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: handler returned %v after Close, want nil", what, err)
+			}
+		case err := <-answered:
+			t.Fatalf("%s: answered after Close (receive error %v), want no frame", what, err)
+		}
+	}
+
+	// Worker 1 stays silent at version 0, so worker 0's push 2 parks.
+	done, answered := push(0, 2)
+	<-parked
+	srv.Close()
+	noAnswer("a push parked at the gate", done, answered)
+	done, answered = push(1, 1)
+	noAnswer("a push after Close", done, answered)
+	if got := srv.ActiveWorkers(); got != 0 {
+		t.Fatalf("%d workers attached after their handlers returned, want 0", got)
+	}
+}
+
+// TestRejoinRebasesAtTheBaseline: a rejoining worker rebases its push stamps
+// at the baseline the server re-baselined its rows at, as core's rejoin does,
+// not at its own later iteration. The server holds a unit the worker never
+// pushed at that baseline.
+func TestRejoinRebasesAtTheBaseline(t *testing.T) {
+	const iters, baseline = 5, 3
+	model := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(3))
+	part := rowsync.NewPartition(model.Params(), rowsync.Rows)
+	pol, err := defaultPolicy(part, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(model, part, discardConn{}, WorkerConfig{ID: 0, Workers: 2, Threshold: 8, Policy: fixedPush{pol, []int{0}}})
+	for n := int64(1); n <= iters; n++ {
+		w.rep.Accumulate()
+		if _, err := w.push(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.iter = iters
+	c, s := net.Pipe()
+	defer c.Close()
+	go func() {
+		_ = transport.WriteFrame(s, resyncDoneMsg(nil, baseline, 0.01, baseline, 1)) // a failed write fails Rejoin below
+	}()
+	if err := w.Rejoin(c); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	if got := w.Iterations(); got != iters {
+		t.Fatalf("iteration %d after a rejoin at baseline %d, want %d: it never moves back", got, baseline, iters)
+	}
+	if got := w.rep.PushIter[0]; got != iters {
+		t.Fatalf("pushed unit 0 stamped %d after the rejoin, want %d: stamps never move back", got, iters)
+	}
+	if got := w.rep.PushIter[1]; got != baseline {
+		t.Fatalf("unpushed unit 1 stamped %d after the rejoin, want the baseline %d", got, baseline)
+	}
+}

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -42,17 +43,23 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 		t.Fatalf("fresh server at epoch %d", srv1.Epoch())
 	}
 
-	// dial always connects to the current server incarnation; the swap
-	// happens under mu while the old incarnation is torn down.
+	// dial connects to the current server incarnation and refuses while
+	// there is none (the old one torn down, the new one not yet up). pipes
+	// holds the current incarnation's connections.
 	var mu sync.Mutex
 	cur := srv1
+	var pipes []net.Conn
 	var handlerWG sync.WaitGroup
 	dial := func(id int) func() (net.Conn, error) {
 		return func() (net.Conn, error) {
 			mu.Lock()
+			defer mu.Unlock()
+			if cur == nil {
+				return nil, errors.New("no server is listening")
+			}
 			srv := cur
-			mu.Unlock()
 			c, s := net.Pipe()
+			pipes = append(pipes, c)
 			handlerWG.Add(1)
 			go func() {
 				defer handlerWG.Done()
@@ -67,7 +74,6 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 	data := newClusterData(43)
 	var models []*nn.Sequential
 	var ws []*Worker
-	var initialConns []net.Conn
 	for i := 0; i < workers; i++ {
 		m := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(1))
 		m.CopyParamsFrom(proto)
@@ -76,7 +82,6 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		initialConns = append(initialConns, conn)
 		ws = append(ws, NewWorker(m, part, conn, WorkerConfig{
 			ID: i, Workers: workers, Threshold: threshold, LR: 0.1, Momentum: 0.9,
 		}))
@@ -107,9 +112,11 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 	}
 
 	// Let the team make real progress, cut a mid-run checkpoint, then kill
-	// the server: crash the store (unsynced WAL bytes die with the process),
-	// sever every connection, and stand a new incarnation up over the same
-	// filesystem.
+	// the server: stop listening, sever every connection, let the first
+	// incarnation's handlers end, crash the store (unsynced WAL bytes die
+	// with the process) and stand a new incarnation up over the same
+	// filesystem. The first incarnation does nothing after the crash, so
+	// the log the second one recovers holds all it did.
 	deadline := time.Now().Add(20 * time.Second)
 	progressed := func() bool {
 		for i := range progress {
@@ -129,6 +136,15 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 		t.Fatalf("mid-run checkpoint: %v", err)
 	}
 
+	mu.Lock()
+	cur = nil
+	for _, c := range pipes {
+		c.Close()
+	}
+	pipes = nil
+	mu.Unlock()
+	srv1.Close()
+	handlerWG.Wait()
 	st1.Crash()
 	st2 := openStore()
 	if !st2.HasState() {
@@ -140,14 +156,7 @@ func TestServerCrashRecoveryWorkersRideThrough(t *testing.T) {
 	}
 	mu.Lock()
 	cur = srv2
-	srv1.Close()
 	mu.Unlock()
-	// The dead process takes its sockets with it: sever every pipe of the
-	// first incarnation so the workers' next frame fails and the reconnect
-	// backoff kicks in.
-	for _, c := range initialConns {
-		c.Close()
-	}
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()

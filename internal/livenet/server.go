@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
-	"rog/internal/atp"
 	"rog/internal/durable"
 	"rog/internal/engine"
 	"rog/internal/metrics"
@@ -23,14 +20,13 @@ import (
 type ServerConfig struct {
 	Workers   int
 	Threshold int
-	Coeff     atp.Coefficients
 	// Shards splits the server state into this many contiguous unit-range
 	// shards, each behind its own lock, so pushes landing on different
 	// ranges merge in parallel (clamped to [1, NumUnits]; 0 means 1 — the
 	// historical single-lock server, which shard 1 reproduces bit-for-bit).
 	Shards int
 	// Policy overrides the synchronization policy (any engine registry
-	// entry). nil selects ROG built from Workers/Threshold/Coeff — the
+	// entry). nil selects ROG built from Workers/Threshold — the
 	// paper's system and the historical default of this package.
 	Policy engine.Policy
 	// MTAFloorSeconds lower-bounds the transmission budget so that a cold
@@ -52,11 +48,6 @@ type ServerConfig struct {
 	// Metrics, when set, accumulates the server-side runtime counters
 	// (rows merged, staleness histogram, gate blocks, stall seconds, …).
 	Metrics *obs.Registry
-	// DebugAddr, when non-empty, serves the Metrics snapshot as JSON over
-	// HTTP on this listen address ("127.0.0.1:0" picks a free port; see
-	// DebugAddr() for the bound address), with net/http/pprof mounted under
-	// /debug/pprof/ on the same listener. Empty disables the endpoint.
-	DebugAddr string
 	// Durable, when set, makes the server crash-consistent: every state
 	// transition is journaled to the store's WAL, Checkpoint() rotates full
 	// snapshots, and a NewServer over a store that already holds state
@@ -113,9 +104,6 @@ type Server struct {
 	cfg   ServerConfig
 	part  *rowsync.Partition
 	probe *obs.Probe // nil when tracing and metrics are both off
-	// The debug endpoint and its listener; nil unless cfg.DebugAddr was set.
-	debug   *http.Server
-	debugLn net.Listener
 
 	// Lock order: mu → state's internal locks (State.mu → shard.mu,
 	// ascending) → the durable store's. The merge path never takes mu at
@@ -152,7 +140,7 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		if cfg.Threshold < 2 {
 			return nil, fmt.Errorf("livenet: threshold must be >= 2, got %d", cfg.Threshold)
 		}
-		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold, cfg.Coeff)
+		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold)
 		if err != nil {
 			return nil, err
 		}
@@ -202,57 +190,25 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		s.peers = append(s.peers, engine.NewPeer(i, part))
 	}
-	if cfg.DebugAddr != "" {
-		ln, err := net.Listen("tcp", cfg.DebugAddr)
-		if err != nil {
-			return nil, fmt.Errorf("livenet: debug endpoint: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/", obs.DebugHandler(cfg.Metrics))
-		// Explicit mounts rather than the DefaultServeMux side effect, so
-		// pprof is exposed only here.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		srv := &http.Server{Handler: mux}
-		s.debug, s.debugLn = srv, ln
-		go func() {
-			// Serve returns when Close shuts the endpoint down; that exit
-			// path is the expected shutdown, not an error to surface.
-			_ = srv.Serve(ln)
-		}()
-	}
 	return s, nil
 }
 
 // defaultPolicy is the policy a server or worker configured without one
 // executes: ROG, the paper's system.
-func defaultPolicy(part *rowsync.Partition, workers, threshold int, coeff atp.Coefficients) (engine.Policy, error) {
-	return engine.New("rog", engine.Params{Workers: workers, Threshold: threshold, NumUnits: part.NumUnits(), Coeff: coeff})
+func defaultPolicy(part *rowsync.Partition, workers, threshold int) (engine.Policy, error) {
+	return engine.New("rog", engine.Params{Workers: workers, Threshold: threshold, NumUnits: part.NumUnits()})
 }
 
-// DebugAddr reports the bound address of the metrics debug endpoint, or ""
-// when cfg.DebugAddr was empty.
-func (s *Server) DebugAddr() string {
-	if s.debugLn == nil {
-		return ""
-	}
-	return s.debugLn.Addr().String()
-}
-
-// Close wakes any goroutine blocked on the staleness condition so handlers
-// can drain after their peers disconnect, and shuts the debug endpoint down:
-// its listener and every connection it still serves.
+// Close stops the server answering pushes: a handler parked at the
+// staleness gate, or reaching it later, returns without sending the pull, so
+// no iteration runs past the gate once the server is closed. A handler
+// waiting on its connection returns at its next push or when the connection
+// ends; each detaches its worker as on any disconnect.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if s.debug != nil {
-		_ = s.debug.Close() // shutting down; a close error leaves nothing to recover
-	}
 }
 
 // Epoch reports the server's recovery epoch: 0 for a fresh (or volatile)
@@ -313,10 +269,12 @@ func (s *Server) State() *engine.State {
 // 7–9), and answers each iteration with the policy's pull plan (lines
 // 10–13). If the worker was previously detached, it is re-attached first:
 // the server replays all averaged rows accumulated during the absence, then
-// resumes the normal protocol. Whatever way the connection ends — clean
-// close, abrupt error, or silent stall past IdleTimeout — the worker is
-// detached on exit, so the gate never waits on a ghost. Callers must not
-// run two handlers for the same worker concurrently.
+// resumes the normal protocol. Once the server is closed, the first push
+// to reach the gate ends the handler unanswered. Whatever way the handler
+// ends — clean close, abrupt error, silent stall past IdleTimeout, or a
+// closed server — the worker is detached on exit, so the gate never waits on
+// a ghost. Callers must not run two handlers for the same worker
+// concurrently.
 func (s *Server) HandleConn(worker int, conn net.Conn) error {
 	if worker < 0 || worker >= s.cfg.Workers {
 		return fmt.Errorf("livenet: worker %d out of range [0,%d)", worker, s.cfg.Workers)
@@ -436,6 +394,12 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 			}
 			if s.detachEpoch != epoch {
 				s.state.AddDetachStall(time.Since(waitStart).Seconds())
+			}
+			if s.closed {
+				// A closed server sends no pull, so iteration n never runs
+				// past a gate that did not admit it; HandleConn detaches.
+				s.mu.Unlock()
+				return DisconnectClean, nil
 			}
 			// The pull's rows leave the server copy now, at plan time; the
 			// carry frames them in plan order and sends outside the lock.

@@ -1,14 +1,8 @@
 package livenet
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"io"
 	"net"
-	"net/http"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -230,111 +224,4 @@ func TestMaxStalenessIsTheTracedMaximum(t *testing.T) {
 	if got := srv.MaxStalenessObserved(); got != traced || got <= 0 || got > threshold {
 		t.Fatalf("MaxStalenessObserved = %d, the trace's largest merge lag %d; want them equal and in (0, %d]", got, traced, threshold)
 	}
-}
-
-// TestDebugEndpointServesSnapshot starts a server with the opt-in HTTP
-// debug endpoint and checks the live registry snapshot comes back as JSON.
-func TestDebugEndpointServesSnapshot(t *testing.T) {
-	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(7))
-	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
-	reg := obs.NewRegistry()
-	reg.Counter("rows_merged").Add(3)
-	srv, err := NewServer(part, ServerConfig{
-		Workers: 2, Threshold: 4, Metrics: reg, DebugAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close()
-
-	addr := srv.DebugAddr()
-	if addr == "" {
-		t.Fatal("DebugAddr empty after configuring a debug endpoint")
-	}
-	resp, err := http.Get("http://" + addr + "/")
-	if err != nil {
-		t.Fatalf("GET debug endpoint: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("debug endpoint returned invalid JSON: %v\n%s", err, body)
-	}
-	if snap.Counters["rows_merged"] != 3 {
-		t.Fatalf("snapshot counters = %v, want rows_merged=3", snap.Counters)
-	}
-
-	// The pprof mounts come with the listener.
-	prof, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatalf("GET pprof cmdline: %v", err)
-	}
-	defer prof.Body.Close()
-	cmdline, err := io.ReadAll(prof.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.StatusCode != http.StatusOK || !bytes.Contains(cmdline, []byte(os.Args[0])) {
-		t.Fatalf("pprof cmdline = %d %q, want 200 and this binary's name", prof.StatusCode, cmdline)
-	}
-}
-
-// TestCloseEndsDebugConnections holds a keep-alive connection open on the
-// debug endpoint, closes the server, and checks that the connection is
-// closed from the server's side and that no connection-serving goroutine
-// outlives the server.
-func TestCloseEndsDebugConnections(t *testing.T) {
-	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(7))
-	part := rowsync.NewPartition(proto.Params(), rowsync.Rows)
-	srv, err := NewServer(part, ServerConfig{
-		Workers: 2, Threshold: 4, Metrics: obs.NewRegistry(), DebugAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close() // a second Close is harmless
-	conn, err := net.Dial("tcp", srv.DebugAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: debug\r\n\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatalf("reading the debug response: %v", err)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.Close {
-		t.Fatalf("debug response: %v, Close=%v; want a whole body on a kept-alive connection", err, resp.Close)
-	}
-	resp.Body.Close()
-	if connServeGoroutines() == 0 {
-		t.Fatal("no connection-serving goroutine while the connection is open")
-	}
-
-	srv.Close()
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read after Close = %v, want io.EOF: the server kept the connection", err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); connServeGoroutines() > 0; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d connection-serving goroutines left after Close", connServeGoroutines())
-		}
-	}
-}
-
-// connServeGoroutines counts the goroutines serving an HTTP connection.
-func connServeGoroutines() int {
-	buf := make([]byte, 1<<20)
-	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("net/http.(*conn).serve("))
 }

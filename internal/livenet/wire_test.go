@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"rog/internal/atp"
 	"rog/internal/compress"
 	"rog/internal/engine"
 	"rog/internal/nn"
@@ -193,7 +192,7 @@ func TestWorkerPushAllocationsDoNotGrowWithRows(t *testing.T) {
 		all[u] = u
 	}
 	allocs := func(units []int) float64 {
-		pol, err := defaultPolicy(part, 2, 4, atp.DefaultCoefficients())
+		pol, err := defaultPolicy(part, 2, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,9 +19,8 @@ type WorkerConfig struct {
 	ID        int
 	Workers   int // team size; defaults to ID+1 (only per-worker policy state needs it)
 	Threshold int
-	Coeff     atp.Coefficients
 	// Policy overrides the synchronization policy. nil selects ROG built
-	// from Workers/Threshold/Coeff. Must decide like the server's policy —
+	// from Workers/Threshold. Must decide like the server's policy —
 	// the pair executes one strategy split across the wire.
 	Policy   engine.Policy
 	LR       float64
@@ -66,7 +65,7 @@ func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg
 		cfg.Workers = cfg.ID + 1
 	}
 	if cfg.Policy == nil {
-		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold, cfg.Coeff)
+		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold)
 		if err != nil {
 			panic(err) // unreachable: "rog" is always registered
 		}
@@ -235,9 +234,10 @@ func (w *Worker) pull() error {
 // The server answers a rejoining worker with the resync stream: every
 // averaged row accumulated while the worker was away, terminated by a
 // resync-done frame carrying the baseline iteration its versions were
-// re-baselined at. The worker applies the backlog and fast-forwards its
+// re-baselined at. The worker applies the backlog, fast-forwards its
 // iteration counter to the baseline so its next push stays monotone and
-// inside the staleness bound.
+// inside the staleness bound, and rebases its push stamps at the baseline,
+// as the server holds its rows.
 func (w *Worker) Rejoin(conn net.Conn) error {
 	w.conn = conn
 	w.rc = transport.NewReceiver(conn)
@@ -248,7 +248,7 @@ func (w *Worker) Rejoin(conn net.Conn) error {
 	if msg.iter > w.iter {
 		w.iter = msg.iter
 	}
-	w.rep.Rebase(w.iter)
+	w.rep.Rebase(msg.iter)
 	w.epoch = msg.epoch
 	return nil
 }

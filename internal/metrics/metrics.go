@@ -77,15 +77,6 @@ type ChurnStats struct {
 	DetachStall       float64 `json:"detach_stall_seconds"`         // seconds survivors spent blocked until a detach freed them
 }
 
-// Add accumulates another stats snapshot.
-func (c *ChurnStats) Add(o ChurnStats) {
-	c.Disconnects += o.Disconnects
-	c.Reconnects += o.Reconnects
-	c.RowsResynced += o.RowsResynced
-	c.DuplicatesDropped += o.DuplicatesDropped
-	c.DetachStall += o.DetachStall
-}
-
 // String renders the counters compactly.
 func (c ChurnStats) String() string {
 	s := fmt.Sprintf("disconnects %d reconnects %d rows resynced %d detach-stall %.2fs",
@@ -109,16 +100,6 @@ type RecoveryStats struct {
 	DowntimeSeconds float64 `json:"downtime_seconds"` // virtual seconds the server was unavailable
 }
 
-// Add accumulates another stats snapshot.
-func (r *RecoveryStats) Add(o RecoveryStats) {
-	r.Recoveries += o.Recoveries
-	r.ReplayedRecords += o.ReplayedRecords
-	r.ReplayedBytes += o.ReplayedBytes
-	r.SnapshotBytes += o.SnapshotBytes
-	r.RowsLost += o.RowsLost
-	r.DowntimeSeconds += o.DowntimeSeconds
-}
-
 // Enabled reports whether any recovery happened.
 func (r RecoveryStats) Enabled() bool { return r.Recoveries > 0 }
 
@@ -137,13 +118,6 @@ type LossStats struct {
 	RowsLostFolded    int     `json:"rows_lost_folded"`   // best-effort rows lost, gradients folded back
 	RowsRetransmitted int     `json:"rows_retransmitted"` // reliable rows sent again after loss
 	RetransmitBytes   float64 `json:"retransmit_bytes"`   // wire bytes spent on retransmissions
-}
-
-// Add accumulates another stats snapshot.
-func (l *LossStats) Add(o LossStats) {
-	l.RowsLostFolded += o.RowsLostFolded
-	l.RowsRetransmitted += o.RowsRetransmitted
-	l.RetransmitBytes += o.RetransmitBytes
 }
 
 // Enabled reports whether any loss activity was recorded.

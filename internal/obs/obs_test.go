@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -243,27 +242,10 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("hist mean = %g, want 1.6", got)
 	}
 
-	// Nil registry snapshots to empty, not panic (debug endpoint path).
+	// Nil registry snapshots to empty, not panic.
 	var nr *Registry
 	if got := nr.Snapshot(); len(got.Counters) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", got)
-	}
-}
-
-func TestDebugHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("iters_completed").Add(12)
-	rec := httptest.NewRecorder()
-	DebugHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rog", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Counters["iters_completed"] != 12 {
-		t.Errorf("served counter = %d, want 12", s.Counters["iters_completed"])
 	}
 }
 

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -95,7 +92,7 @@ func (h *Histogram) snapshot() HistSnapshot {
 
 // HistSnapshot is a histogram's frozen state. P50/P95/P99 are the
 // interpolated quantile estimates (see Quantile), filled by
-// Registry.Snapshot so the debug endpoint serves them directly.
+// Registry.Snapshot so a snapshot's reader gets them directly.
 type HistSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"` // len(Bounds)+1; the last is overflow
@@ -242,7 +239,7 @@ type Snapshot struct {
 }
 
 // Snapshot freezes every metric. Safe on a nil registry (returns empty
-// maps), so the debug endpoint can serve a metrics-less server.
+// maps), so a metrics-less runtime snapshots to empty.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64),
@@ -268,40 +265,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// SampleVitals samples Go runtime health into gauges: goroutine count,
-// heap bytes, cumulative GC pause seconds and GC cycles. It reads only the
-// runtime package (no clocks), so it is legal anywhere in the
-// wallclock-restricted core; callers pick the cadence — the debug endpoint
-// samples once per scrape, which keeps the deterministic runtimes free of
-// sampling timers.
-func (r *Registry) SampleVitals() {
-	if r == nil {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	r.Gauge("vitals/goroutines").Set(float64(runtime.NumGoroutine()))
-	r.Gauge("vitals/heap_alloc_bytes").Set(float64(ms.HeapAlloc))
-	r.Gauge("vitals/heap_sys_bytes").Set(float64(ms.HeapSys))
-	r.Gauge("vitals/gc_pause_total_seconds").Set(float64(ms.PauseTotalNs) / 1e9)
-	r.Gauge("vitals/num_gc").Set(float64(ms.NumGC))
-}
-
-// DebugHandler serves the registry snapshot as pretty-printed JSON — the
-// expvar-style debug endpoint the live server exposes when configured.
-// Runtime vitals are sampled per scrape, so the served snapshot always
-// carries fresh goroutine/heap/GC gauges.
-func DebugHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		r.SampleVitals()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r.Snapshot()); err != nil {
-			// The client went away mid-response; nothing to serve it.
-			return
-		}
-	})
 }

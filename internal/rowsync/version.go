@@ -121,12 +121,6 @@ func (vs *VersionStore) recomputeShardMin(s int) {
 	sh.min.Store(min)
 }
 
-// NumShards returns the number of count-index shards.
-func (vs *VersionStore) NumShards() int { return len(vs.shards) }
-
-// ShardMap returns the unit→shard assignment the store was built with.
-func (vs *VersionStore) ShardMap() *ShardMap { return vs.sm }
-
 // Get returns v[worker][unit].
 func (vs *VersionStore) Get(worker, unit int) int64 { return vs.v[worker][unit] }
 

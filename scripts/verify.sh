@@ -29,8 +29,9 @@
 # workload memo and Evaluate fan-out share builds across goroutines) again
 # under -race (engine and livenet three times), plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
-# green run proves little), and serve's read-gate tests twenty times under
-# -race. `verify.sh race` runs that stage alone — it is
+# green run proves little), serve's read-gate tests twenty times under
+# -race, and livenet's server crash-recovery and closed-server tests a
+# hundred times under -race. `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
 # stage reruns the newest BENCH_<n>.json snapshot of every experiment that
 # has one and fails the gate if any leaf of a report differs (the virtual
@@ -79,6 +80,9 @@ run_race() {
 	go test ./internal/lossnet -run 'Burst' -count=20
 	# A lost read-gate wakeup shows only when a park races a publish.
 	go test -race -run ReadGate -count=20 ./internal/serve
+	# A server torn down mid-run must neither answer a push past its gate
+	# nor leak what it did after the crash into the recovered log; ~8 s.
+	go test -race -count=100 -run 'TestServerCrashRecoveryWorkersRideThrough$|TestClosedServerAnswersNoPush$' ./internal/livenet
 }
 
 run_test() {
