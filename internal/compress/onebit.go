@@ -51,12 +51,20 @@ type Codec struct {
 }
 
 // NewCodec creates a codec for a model whose rows have the given lengths.
+// The residuals are capacity-capped views of one slab, so a codec costs the
+// same few allocations whatever its row count.
 func NewCodec(rowLens []int) *Codec {
-	res := make([][]float32, len(rowLens))
-	longest := 0
-	for i, n := range rowLens {
-		res[i] = make([]float32, n)
+	total, longest := 0, 0
+	for _, n := range rowLens {
+		total += n
 		longest = max(longest, n)
+	}
+	slab := make([]float32, total)
+	res := make([][]float32, len(rowLens))
+	off := 0
+	for i, n := range rowLens {
+		res[i] = slab[off : off+n : off+n]
+		off += n
 	}
 	return &Codec{residual: res, comp: make([]float64, longest)}
 }

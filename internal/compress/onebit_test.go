@@ -467,3 +467,33 @@ func BenchmarkCodec(b *testing.B) {
 		}
 	}
 }
+
+// TestNewCodecAllocationsDoNotGrowWithRows: the residuals share one slab, so
+// a codec for a thousand rows costs what a codec for one row costs, and no
+// row's residual reaches into its neighbour's.
+func TestNewCodecAllocationsDoNotGrowWithRows(t *testing.T) {
+	one := []int{17}
+	many := make([]int, 1000)
+	for i := range many {
+		many[i] = 1 + i%40
+	}
+	a1 := testing.AllocsPerRun(20, func() { NewCodec(one) })
+	aN := testing.AllocsPerRun(20, func() { NewCodec(many) })
+	if aN != a1 {
+		t.Fatalf("a %d-row codec allocates %v times, a 1-row codec %v", len(many), aN, a1)
+	}
+	c := NewCodec(many)
+	for i, n := range many {
+		if r := c.residual[i]; len(r) != n || cap(r) != n {
+			t.Fatalf("row %d residual len %d cap %d, want %d", i, len(r), cap(r), n)
+		}
+	}
+	g := make([]float32, many[0])
+	for i := range g {
+		g[i] = float32(i) - 0.3
+	}
+	c.Encode(0, g)
+	if c.ResidualNorm(1) != 0 {
+		t.Fatal("encoding row 0 wrote row 1's residual")
+	}
+}

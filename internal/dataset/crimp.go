@@ -126,18 +126,16 @@ func observe(cfg CRIMPConfig, r *tensor.RNG, px, py float64) Observation {
 	return Observation{Pose: [2]float64{px, py}, Points: pts, Values: vals}
 }
 
-// MapBatch flattens a set of observations into a training batch of
-// (coordinate → value) pairs for the implicit map.
-func MapBatch(obs []Observation, r *tensor.RNG, size int) (*tensor.Matrix, *tensor.Matrix) {
-	x := tensor.New(size, 2)
-	y := tensor.New(size, 1)
-	for i := 0; i < size; i++ {
+// MapBatch fills a training batch of (coordinate → value) pairs for the
+// implicit map from a set of observations: x.Rows pairs, coordinates into x
+// (x.Rows×2) and values into y (x.Rows×1), both the caller's.
+func MapBatch(x, y *tensor.Matrix, obs []Observation, r *tensor.RNG) {
+	for i := 0; i < x.Rows; i++ {
 		o := obs[r.Intn(len(obs))]
 		k := r.Intn(o.Points.Rows)
 		copy(x.Row(i), o.Points.Row(k))
 		y.Set(i, 0, o.Values.At(k, 0))
 	}
-	return x, y
 }
 
 // MapField is any learned field that can be evaluated at batched 2-D
@@ -183,12 +181,12 @@ func TrajectoryError(field MapField, obs []Observation, cfg LocalizeConfig, seed
 		// Body-frame offsets of the observation's sample points.
 		n := o.Points.Rows
 		off := make([][2]float64, n)
+		pts := tensor.New(n, 2) // field.Eval's input, refilled by every probe
 		for k := 0; k < n; k++ {
 			off[k][0] = float64(o.Points.At(k, 0)) - o.Pose[0]
 			off[k][1] = float64(o.Points.At(k, 1)) - o.Pose[1]
 		}
 		loss := func(cx, cy float64) float64 {
-			pts := tensor.New(n, 2)
 			for k := 0; k < n; k++ {
 				pts.Set(k, 0, float32(clamp(cx+off[k][0], -1, 1)))
 				pts.Set(k, 1, float32(clamp(cy+off[k][1], -1, 1)))

@@ -150,6 +150,8 @@ func (c Corruption) Apply(in []Sample, dim int) []Sample {
 type Shard struct {
 	Samples []Sample
 	rng     *tensor.RNG
+	x       *tensor.Matrix // Batch's scratch, reused across calls
+	y       []int
 }
 
 // NewShard wraps samples with a private sampling stream.
@@ -161,14 +163,16 @@ func NewShard(samples []Sample, seed uint64) *Shard {
 func (s *Shard) Len() int { return len(s.Samples) }
 
 // Batch draws a uniform random batch (with replacement) as a design matrix
-// and label slice.
+// and label slice. Both are the shard's scratch, valid until its next Batch.
 func (s *Shard) Batch(size int) (*tensor.Matrix, []int) {
 	if len(s.Samples) == 0 {
 		panic("dataset: Batch on empty shard")
 	}
 	dim := len(s.Samples[0].X)
-	x := tensor.New(size, dim)
-	y := make([]int, size)
+	if s.x == nil || s.x.Rows != size {
+		s.x, s.y = tensor.New(size, dim), make([]int, size)
+	}
+	x, y := s.x, s.y
 	for i := 0; i < size; i++ {
 		smp := s.Samples[s.rng.Intn(len(s.Samples))]
 		copy(x.Row(i), smp.X)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +154,9 @@ func TestShardBatchShape(t *testing.T) {
 	if x.Rows != 7 || x.Cols != d.Cfg.Dim || len(y) != 7 {
 		t.Fatalf("batch %dx%d labels %d", x.Rows, x.Cols, len(y))
 	}
+	if n := testing.AllocsPerRun(20, func() { sh.Batch(7) }); n != 0 {
+		t.Fatalf("a warm Batch allocates %v times", n)
+	}
 }
 
 func TestGammaPositiveAndMean(t *testing.T) {
@@ -236,9 +240,22 @@ func TestMapBatch(t *testing.T) {
 	scene := NewScene(5, 2, 3)
 	cfg := CRIMPConfig{Scene: scene, RaysPerObs: 8, SensorNoise: 0, Seed: 5}
 	obs := Trajectory(cfg, 5)
-	x, y := MapBatch(obs, tensor.NewRNG(1), 12)
-	if x.Rows != 12 || x.Cols != 2 || y.Rows != 12 || y.Cols != 1 {
-		t.Fatal("bad MapBatch shape")
+	x, y := tensor.New(12, 2), tensor.New(12, 1)
+	x.Fill(9) // no observed coordinate or value is 9
+	y.Fill(9)
+	MapBatch(x, y, obs, tensor.NewRNG(1))
+	for i := 0; i < x.Rows; i++ {
+		found := false
+		for _, o := range obs {
+			for k := 0; k < o.Points.Rows; k++ {
+				if slices.Equal(x.Row(i), o.Points.Row(k)) && y.At(i, 0) == o.Values.At(k, 0) {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("pair %d (%v → %v) is no observed point", i, x.Row(i), y.At(i, 0))
+		}
 	}
 }
 

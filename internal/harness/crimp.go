@@ -48,8 +48,9 @@ type CRIMPWorkload struct {
 	models  []*nn.Sequential
 	obs     [][]dataset.Observation
 	rngs    []*tensor.RNG
+	xs, ys  []*tensor.Matrix // the batch per worker, refilled every step
+	grads   []*tensor.Matrix // the loss gradient per worker, reused
 	testObs []dataset.Observation
-	batch   int
 	locCfg  dataset.LocalizeConfig
 	seed    uint64
 }
@@ -62,7 +63,6 @@ var _ core.Workload = (*CRIMPWorkload)(nil)
 func NewCRIMP(opts CRIMPOptions) *CRIMPWorkload {
 	scene := dataset.NewScene(8, 4, opts.Seed)
 	w := &CRIMPWorkload{
-		batch:  opts.BatchSize,
 		locCfg: dataset.DefaultLocalizeConfig(),
 		seed:   opts.Seed,
 	}
@@ -89,7 +89,10 @@ func NewCRIMP(opts CRIMPOptions) *CRIMPWorkload {
 		m.CopyParamsFrom(proto)
 		w.models = append(w.models, m)
 		w.rngs = append(w.rngs, tensor.NewRNG(opts.Seed+uint64(i)*13+3))
+		w.xs = append(w.xs, tensor.New(opts.BatchSize, 2))
+		w.ys = append(w.ys, tensor.New(opts.BatchSize, 1))
 	}
+	w.grads = make([]*tensor.Matrix, opts.Workers)
 	testCfg := dataset.CRIMPConfig{
 		Scene:       scene,
 		RaysPerObs:  opts.RaysPerObs,
@@ -106,10 +109,10 @@ func (c *CRIMPWorkload) Model(w int) *nn.Sequential { return c.models[w] }
 // ComputeGradients regresses the implicit map on a batch of worker w's
 // observations.
 func (c *CRIMPWorkload) ComputeGradients(w int) float64 {
-	x, y := dataset.MapBatch(c.obs[w], c.rngs[w], c.batch)
-	pred := c.models[w].Forward(x)
-	loss, g := nn.MSE(pred, y)
-	c.models[w].Backward(g)
+	dataset.MapBatch(c.xs[w], c.ys[w], c.obs[w], c.rngs[w])
+	var loss float64
+	loss, c.grads[w] = nn.MSEInto(c.grads[w], c.models[w].Forward(c.xs[w]), c.ys[w])
+	c.models[w].Backward(c.grads[w])
 	return loss
 }
 

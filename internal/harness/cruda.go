@@ -49,12 +49,12 @@ func DefaultCRUDAOptions() CRUDAOptions {
 // domain must adapt online to fog/brightness-corrupted data spread across
 // non-IID worker shards.
 type CRUDAWorkload struct {
-	*crudaBuild // shared with every workload of equal options: read only
+	*crudaBuild // shared with every workload of equal options
 	models      []*nn.Sequential
 	shards      []*dataset.Shard
 	batch       int
-	infer       []nn.Inference // Evaluate's forward-only pass, one per scorer
-	accs        []float64      // Evaluate's accuracy per replica
+	grads       []*tensor.Matrix // the loss gradient per worker, reused
+	accs        []float64        // Evaluate's accuracy per replica
 }
 
 var _ core.Workload = (*CRUDAWorkload)(nil)
@@ -63,13 +63,17 @@ var _ core.Workload = (*CRUDAWorkload)(nil)
 // is never written once built, so one build serves every system of an
 // experiment: Shard.Batch copies the samples it draws (and
 // Corruption.Apply copied them before), Evaluate only reads the eval batch,
-// and proto is only ever the source of CopyParamsFrom.
+// and proto is only ever the source of CopyParamsFrom. The one exception is
+// the scorers' activation buffers, which every workload of the build
+// shares under scoreMu rather than each holding a set of its own.
 type crudaBuild struct {
 	newModel func(r *tensor.RNG) *nn.Sequential
 	proto    *nn.Sequential     // pretrained on the clean domain
 	parts    [][]dataset.Sample // corrupted training data per worker
 	evalX    *tensor.Matrix     // corrupted test set
 	evalY    []int
+	scoreMu  sync.Mutex
+	infer    []nn.Inference // guarded by scoreMu; Evaluate's scorers, one per worker
 	// PretrainCleanAcc and PretrainNoisyAcc record the accuracy story the
 	// paper tells: high on the clean domain, degraded by the shift.
 	PretrainCleanAcc float64
@@ -90,7 +94,7 @@ func NewCRUDA(opts CRUDAOptions) *CRUDAWorkload {
 	w := &CRUDAWorkload{
 		crudaBuild: crudaBuilds.get(fmt.Sprintf("%+v", key), func() *crudaBuild { return buildCRUDA(opts) }),
 		batch:      opts.BatchSize * opts.BatchScale,
-		infer:      make([]nn.Inference, opts.Workers),
+		grads:      make([]*tensor.Matrix, opts.Workers),
 		accs:       make([]float64, opts.Workers),
 	}
 	for i := 0; i < opts.Workers; i++ {
@@ -138,10 +142,11 @@ func buildCRUDA(opts CRUDAOptions) *crudaBuild {
 	proto := newModel(tensor.NewRNG(opts.Seed + 77))
 	opt := nn.NewSGD(0.05, 0.9)
 	pre := dataset.NewShard(train, opts.Seed+3)
+	var g *tensor.Matrix
 	for i := 0; i < opts.PretrainIters; i++ {
 		x, y := pre.Batch(64)
 		proto.ZeroGrads()
-		_, g := nn.SoftmaxCrossEntropy(proto.Forward(x), y)
+		_, g = nn.SoftmaxCrossEntropyInto(g, proto.Forward(x), y)
 		proto.Backward(g)
 		opt.Step(proto.Params(), proto.Grads())
 	}
@@ -149,7 +154,7 @@ func buildCRUDA(opts CRUDAOptions) *crudaBuild {
 	noisyTrain := corr.Apply(train, dim)
 	noisyTest := corr.Apply(test, dim)
 
-	b := &crudaBuild{newModel: newModel, proto: proto}
+	b := &crudaBuild{newModel: newModel, proto: proto, infer: make([]nn.Inference, opts.Workers)}
 	b.evalX, b.evalY = samplesToBatch(noisyTest)
 	cleanX, cleanY := samplesToBatch(test)
 	var inf nn.Inference
@@ -172,20 +177,24 @@ func samplesToBatch(samples []dataset.Sample) (*tensor.Matrix, []int) {
 // Model returns worker w's replica.
 func (c *CRUDAWorkload) Model(w int) *nn.Sequential { return c.models[w] }
 
-// ComputeGradients runs one adaptation step on worker w's shard.
+// ComputeGradients runs one adaptation step on worker w's shard. Everything
+// it touches is worker w's, so different workers may step concurrently.
 func (c *CRUDAWorkload) ComputeGradients(w int) float64 {
 	x, y := c.shards[w].Batch(c.batch)
-	loss, g := nn.SoftmaxCrossEntropy(c.models[w].Forward(x), y)
-	c.models[w].Backward(g)
+	var loss float64
+	loss, c.grads[w] = nn.SoftmaxCrossEntropyInto(c.grads[w], c.models[w].Forward(x), y)
+	c.models[w].Backward(c.grads[w])
 	return loss
 }
 
 // Evaluate returns the mean corrupted-domain test accuracy across workers
 // (the paper checkpoints and validates on every worker, then averages).
-// The replicas are scored on up to GOMAXPROCS goroutines; their accuracies
-// are summed in replica order once all are in, so the value does not depend
-// on how many scorers ran or when.
+// The replicas are scored on up to GOMAXPROCS goroutines, through the
+// build's scorer buffers; their accuracies are summed in replica order once
+// all are in, so the value does not depend on how many scorers ran or when.
 func (c *CRUDAWorkload) Evaluate() float64 {
+	c.scoreMu.Lock()
+	defer c.scoreMu.Unlock()
 	n := min(runtime.GOMAXPROCS(0), len(c.models))
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {

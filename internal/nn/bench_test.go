@@ -28,10 +28,11 @@ func BenchmarkForward(b *testing.B) {
 
 func BenchmarkForwardBackward(b *testing.B) {
 	m, x, y := benchModel()
+	var d *tensor.Matrix
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrads()
-		_, d := SoftmaxCrossEntropy(m.Forward(x), y)
+		_, d = SoftmaxCrossEntropyInto(d, m.Forward(x), y)
 		m.Backward(d)
 	}
 }
@@ -66,10 +67,11 @@ func BenchmarkGridMapForwardBackward(b *testing.B) {
 	x.FillUniform(r, -1, 1)
 	tgt := tensor.New(32, 1)
 	tgt.FillUniform(r, -1, 1)
+	var d *tensor.Matrix
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrads()
-		_, d := MSE(m.Forward(x), tgt)
+		_, d = MSEInto(d, m.Forward(x), tgt)
 		m.Backward(d)
 	}
 }

@@ -22,6 +22,7 @@ type Conv2D struct {
 	Kern, B *tensor.Matrix // Kern: OutC×(InC·K·K); B: 1×OutC
 	GK, GB  *tensor.Matrix
 	x       *tensor.Matrix // cached input
+	out, dx *tensor.Matrix // scratch, reused across calls
 	name    string
 }
 
@@ -63,10 +64,10 @@ func (l *Conv2D) Forward(xm *tensor.Matrix) *tensor.Matrix {
 	}
 	l.x = xm
 	oh, ow := l.OutH(), l.OutW()
-	out := tensor.New(xm.Rows, l.OutDim())
+	l.out = sized(l.out, xm.Rows, l.OutDim())
 	for b := 0; b < xm.Rows; b++ {
 		in := xm.Row(b)
-		dst := out.Row(b)
+		dst := l.out.Row(b)
 		for oc := 0; oc < l.OutC; oc++ {
 			kern := l.Kern.Row(oc)
 			bias := l.B.Data[oc]
@@ -87,16 +88,16 @@ func (l *Conv2D) Forward(xm *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return out
+	return l.out
 }
 
 // Backward accumulates kernel/bias gradients and returns dLoss/dInput.
 func (l *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	oh, ow := l.OutH(), l.OutW()
-	dx := tensor.New(l.x.Rows, l.x.Cols)
+	l.dx = zeroed(l.dx, l.x.Rows, l.x.Cols)
 	for b := 0; b < l.x.Rows; b++ {
 		in := l.x.Row(b)
-		dIn := dx.Row(b)
+		dIn := l.dx.Row(b)
 		grad := dout.Row(b)
 		for oc := 0; oc < l.OutC; oc++ {
 			kern := l.Kern.Row(oc)
@@ -127,7 +128,7 @@ func (l *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return dx
+	return l.dx
 }
 
 func (l *Conv2D) Params() []*tensor.Matrix { return []*tensor.Matrix{l.Kern, l.B} }
@@ -138,6 +139,7 @@ func (l *Conv2D) Name() string             { return l.name }
 // windows; it has no parameters.
 type AvgPool2D struct {
 	C, H, W, S int
+	out, dx    *tensor.Matrix // scratch, reused across calls
 }
 
 // NewAvgPool2D creates a pooling layer; H and W must be divisible by s.
@@ -154,11 +156,11 @@ func (l *AvgPool2D) OutDim() int { return l.C * (l.H / l.S) * (l.W / l.S) }
 // Forward averages each window.
 func (l *AvgPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	oh, ow := l.H/l.S, l.W/l.S
-	out := tensor.New(x.Rows, l.OutDim())
+	l.out = sized(l.out, x.Rows, l.OutDim())
 	inv := 1 / float32(l.S*l.S)
 	for b := 0; b < x.Rows; b++ {
 		in := x.Row(b)
-		dst := out.Row(b)
+		dst := l.out.Row(b)
 		for c := 0; c < l.C; c++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
@@ -173,17 +175,17 @@ func (l *AvgPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return out
+	return l.out
 }
 
 // Backward distributes each window's gradient evenly.
 func (l *AvgPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	oh, ow := l.H/l.S, l.W/l.S
-	dx := tensor.New(dout.Rows, l.C*l.H*l.W)
+	l.dx = zeroed(l.dx, dout.Rows, l.C*l.H*l.W)
 	inv := 1 / float32(l.S*l.S)
 	for b := 0; b < dout.Rows; b++ {
 		grad := dout.Row(b)
-		dst := dx.Row(b)
+		dst := l.dx.Row(b)
 		for c := 0; c < l.C; c++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
@@ -197,7 +199,7 @@ func (l *AvgPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return dx
+	return l.dx
 }
 
 func (l *AvgPool2D) Params() []*tensor.Matrix { return nil }

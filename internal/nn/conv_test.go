@@ -90,12 +90,12 @@ func TestConvInputGradientNumerical(t *testing.T) {
 	target.FillNormal(r, 1)
 
 	loss := func() float64 {
-		v, _ := MSE(l.Forward(x), target)
+		v, _ := MSEInto(nil, l.Forward(x), target)
 		return v
 	}
 	l.GK.Zero()
 	l.GB.Zero()
-	_, d := MSE(l.Forward(x), target)
+	_, d := MSEInto(nil, l.Forward(x), target)
 	dx := l.Backward(d)
 
 	const eps = 1e-3

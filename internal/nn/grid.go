@@ -18,8 +18,9 @@ type FeatureGrid2D struct {
 	Grid  *tensor.Matrix // (G*G)×F
 	GGrid *tensor.Matrix
 	// cached interpolation state for the backward pass
-	idx [][4]int
-	wts [][4]float32
+	idx     [][4]int
+	wts     [][4]float32
+	out, dx *tensor.Matrix // scratch, reused across calls
 }
 
 // NewFeatureGrid2D creates a grid with small random features.
@@ -56,9 +57,12 @@ func (l *FeatureGrid2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != 2 {
 		panic(fmt.Sprintf("nn: FeatureGrid2D wants batch×2 coords, got %d cols", x.Cols))
 	}
-	out := tensor.New(x.Rows, l.F)
-	l.idx = make([][4]int, x.Rows)
-	l.wts = make([][4]float32, x.Rows)
+	l.out = zeroed(l.out, x.Rows, l.F)
+	if cap(l.idx) < x.Rows {
+		l.idx = make([][4]int, x.Rows)
+		l.wts = make([][4]float32, x.Rows)
+	}
+	l.idx, l.wts = l.idx[:x.Rows], l.wts[:x.Rows]
 	for b := 0; b < x.Rows; b++ {
 		cx, cy := x.At(b, 0), x.At(b, 1)
 		ix, fx := l.locate(cx)
@@ -73,7 +77,7 @@ func (l *FeatureGrid2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 		}
 		l.idx[b] = cells
 		l.wts[b] = w
-		dst := out.Row(b)
+		dst := l.out.Row(b)
 		for k := 0; k < 4; k++ {
 			cell := l.Grid.Row(cells[k])
 			for j := 0; j < l.F; j++ {
@@ -81,7 +85,7 @@ func (l *FeatureGrid2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return out
+	return l.out
 }
 
 // Backward scatters the feature gradient to the four interpolation corners
@@ -97,7 +101,8 @@ func (l *FeatureGrid2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return tensor.New(dout.Rows, 2)
+	l.dx = zeroed(l.dx, dout.Rows, 2)
+	return l.dx
 }
 
 func (l *FeatureGrid2D) Params() []*tensor.Matrix { return []*tensor.Matrix{l.Grid} }

@@ -68,7 +68,7 @@ func TestGridGradientNumerical(t *testing.T) {
 	target.FillUniform(r, -0.5, 0.5)
 
 	model.ZeroGrads()
-	_, d := MSE(model.Forward(x), target)
+	_, d := MSEInto(nil, model.Forward(x), target)
 	model.Backward(d)
 
 	params, grads := model.Params(), model.Grads()
@@ -77,9 +77,9 @@ func TestGridGradientNumerical(t *testing.T) {
 		for _, idx := range []int{0, len(p.Data) / 2, len(p.Data) - 1} {
 			orig := p.Data[idx]
 			p.Data[idx] = orig + eps
-			lp, _ := MSE(model.Forward(x), target)
+			lp, _ := MSEInto(nil, model.Forward(x), target)
 			p.Data[idx] = orig - eps
-			lm, _ := MSE(model.Forward(x), target)
+			lm, _ := MSEInto(nil, model.Forward(x), target)
 			p.Data[idx] = orig
 			want := (lp - lm) / (2 * eps)
 			got := float64(grads[pi].Data[idx])
@@ -108,7 +108,7 @@ func TestGridMapLearnsAField(t *testing.T) {
 			y.Set(b, 0, float32(field(px, py)))
 		}
 		model.ZeroGrads()
-		loss, g := MSE(model.Forward(x), y)
+		loss, g := MSEInto(nil, model.Forward(x), y)
 		last = loss
 		model.Backward(g)
 		opt.Step(model.Params(), model.Grads())

@@ -8,9 +8,11 @@ import "rog/internal/tensor"
 // rectifies each element in the register before its one store; a ReLU
 // anywhere else is applied in place on those buffers. Layer kinds without
 // such a form (convolution, pooling, Fourier encoding, tanh, feature grid)
-// run their ordinary Forward. The outputs equal Sequential.Forward's bit for
-// bit: Linear shares affineInto with it, and both rectifiers are Go's
-// max(v, 0) (NaN passes, -0 becomes +0).
+// run their ordinary Forward into their own scratch, so a model with one of
+// them must not be passed here between its Forward and Backward. The
+// outputs equal Sequential.Forward's bit for bit: Linear shares affineInto
+// with it, and both rectifiers are Go's max(v, 0) (NaN passes, -0 becomes
+// +0).
 //
 // One Inference serves any number of models, one call at a time; concurrent
 // callers each need their own. The zero value is ready to use.
@@ -18,8 +20,9 @@ type Inference struct {
 	bufs []*tensor.Matrix // one per layer index, grown on demand
 }
 
-// Forward returns m's output for the batch x. The result is owned by the
-// Inference and valid until its next Forward; x is never written to.
+// Forward returns m's output for the batch x, valid until the Inference's
+// next Forward (or, when m's last layer has no forward-only form, until
+// that layer's next Forward); x is never written to.
 func (inf *Inference) Forward(m *Sequential, x *tensor.Matrix) *tensor.Matrix {
 	for len(inf.bufs) < len(m.Layers) {
 		inf.bufs = append(inf.bufs, nil)

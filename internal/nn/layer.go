@@ -18,7 +18,12 @@ import (
 
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward for the same batch; layers cache whatever activations the
-// backward pass needs.
+// backward pass needs, the input x included, so x must not change until
+// Backward has run.
+//
+// Both passes return the layer's scratch: Forward's output is valid until the
+// layer's next Forward, Backward's until its next Backward. A caller that
+// keeps one past that clones it.
 type Layer interface {
 	// Forward maps a batch×in activation matrix to batch×out.
 	Forward(x *tensor.Matrix) *tensor.Matrix
@@ -40,6 +45,7 @@ type Linear struct {
 	W, B   *tensor.Matrix // B is 1×out
 	GW, GB *tensor.Matrix
 	x      *tensor.Matrix // cached input
+	out    *tensor.Matrix // Forward's scratch, reused across calls
 	gw, dx *tensor.Matrix // Backward's scratch, reused across calls
 	name   string
 }
@@ -69,6 +75,14 @@ func sized(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return m
 }
 
+// zeroed is sized with every element set to zero, for a scratch matrix the
+// caller accumulates into.
+func zeroed(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	m = sized(m, rows, cols)
+	clear(m.Data)
+	return m
+}
+
 // affineInto computes dst = x·W + b, rectified as ReLU.Forward rectifies when
 // relu is set: the one body the training pass and the forward-only pass
 // (Inference) share, so the two cannot round differently.
@@ -79,14 +93,13 @@ func (l *Linear) affineInto(dst, x *tensor.Matrix, relu bool) {
 // Forward computes x·W + b for a batch.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	out := tensor.New(x.Rows, l.W.Cols)
-	l.affineInto(out, x, false)
-	return out
+	l.out = sized(l.out, x.Rows, l.W.Cols)
+	l.affineInto(l.out, x, false)
+	return l.out
 }
 
 // Backward accumulates dW += xᵀ·dout, dB += colsum(dout) and returns
-// dx = dout·Wᵀ. The returned matrix is the layer's scratch: it is valid
-// until the layer's next Backward.
+// dx = dout·Wᵀ.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	// xᵀ·dout goes to a temporary and is then added, as one sum, so that a
 	// gradient accumulated over several batches rounds as it always has.
@@ -117,8 +130,7 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative activations. The returned matrix is the layer's
-// scratch: it is valid until the layer's next Forward.
+// Forward zeroes negative activations.
 func (l *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.out = sized(l.out, x.Rows, x.Cols)
 	if cap(l.mask) < len(x.Data) {
@@ -132,8 +144,7 @@ func (l *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return l.out
 }
 
-// Backward gates the upstream gradient by the forward mask. The returned
-// matrix is the layer's scratch: it is valid until the layer's next Backward.
+// Backward gates the upstream gradient by the forward mask.
 func (l *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	l.dx = sized(l.dx, dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
@@ -151,7 +162,7 @@ func (l *ReLU) Name() string             { return "relu" }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	out *tensor.Matrix
+	out, dx *tensor.Matrix // scratch, reused across calls
 }
 
 // NewTanh returns a tanh activation layer.
@@ -159,19 +170,20 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (l *Tanh) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := x.Clone()
-	out.Apply(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	l.out = out
-	return out
+	l.out = sized(l.out, x.Rows, x.Cols)
+	for i, v := range x.Data {
+		l.out.Data[i] = float32(math.Tanh(float64(v)))
+	}
+	return l.out
 }
 
 // Backward multiplies by 1−tanh².
 func (l *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := dout.Clone()
+	l.dx = sized(l.dx, dout.Rows, dout.Cols)
 	for i, y := range l.out.Data {
-		dx.Data[i] *= 1 - y*y
+		l.dx.Data[i] = dout.Data[i] * (1 - y*y)
 	}
-	return dx
+	return l.dx
 }
 
 func (l *Tanh) Params() []*tensor.Matrix { return nil }
@@ -183,8 +195,9 @@ func (l *Tanh) Name() string             { return "tanh" }
 // [sin(2^k π c), cos(2^k π c)] for k = 0..Levels-1, with the raw coordinate
 // prepended. This is the standard NeRF/NICE-SLAM encoding.
 type FourierEncode struct {
-	In     int
-	Levels int
+	In      int
+	Levels  int
+	out, dx *tensor.Matrix // scratch, reused across calls
 }
 
 // NewFourierEncode returns an encoding layer for `in` coordinates at
@@ -198,10 +211,10 @@ func (l *FourierEncode) OutDim() int { return l.In * (1 + 2*l.Levels) }
 
 // Forward expands each coordinate into its Fourier features.
 func (l *FourierEncode) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, l.OutDim())
+	l.out = sized(l.out, x.Rows, l.OutDim())
 	for i := 0; i < x.Rows; i++ {
 		src := x.Row(i)
-		dst := out.Row(i)
+		dst := l.out.Row(i)
 		p := 0
 		for _, c := range src {
 			dst[p] = c
@@ -214,13 +227,14 @@ func (l *FourierEncode) Forward(x *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return out
+	return l.out
 }
 
 // Backward stops the gradient: the encoding has no parameters and the
 // coordinates are inputs, so a zero matrix of the input shape is returned.
 func (l *FourierEncode) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	return tensor.New(dout.Rows, l.In)
+	l.dx = zeroed(l.dx, dout.Rows, l.In)
+	return l.dx
 }
 
 func (l *FourierEncode) Params() []*tensor.Matrix { return nil }

@@ -7,16 +7,25 @@ import (
 )
 
 // SoftmaxCrossEntropy computes the softmax cross-entropy loss for integer
+// class labels and its gradient with respect to the logits, into a fresh
+// matrix: SoftmaxCrossEntropyInto with no scratch.
+func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, grad *tensor.Matrix) {
+	return SoftmaxCrossEntropyInto(nil, logits, labels)
+}
+
+// SoftmaxCrossEntropyInto computes the softmax cross-entropy loss for integer
 // class labels and its gradient with respect to the logits.
 //
 // logits is batch×classes; labels holds one class index per batch row.
 // The returned gradient is (softmax − onehot)/batch, ready to feed to the
-// last layer's Backward.
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, grad *tensor.Matrix) {
+// last layer's Backward. It is dst reshaped when dst has the room (nil
+// never does), so the caller that passes its last gradient back in owns it
+// until that next call.
+func SoftmaxCrossEntropyInto(dst, logits *tensor.Matrix, labels []int) (loss float64, grad *tensor.Matrix) {
 	if len(labels) != logits.Rows {
 		panic("nn: label count != batch size")
 	}
-	grad = tensor.New(logits.Rows, logits.Cols)
+	grad = sized(dst, logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
 		g := grad.Row(i)
@@ -49,13 +58,14 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, gra
 	return loss / float64(logits.Rows), grad
 }
 
-// MSE computes the mean-squared-error loss ½·mean((pred−target)²) and its
-// gradient (pred−target)/n with respect to pred.
-func MSE(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
+// MSEInto computes the mean-squared-error loss ½·mean((pred−target)²) and
+// its gradient (pred−target)/n with respect to pred, into dst as
+// SoftmaxCrossEntropyInto does.
+func MSEInto(dst, pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic("nn: MSE shape mismatch")
 	}
-	grad = tensor.New(pred.Rows, pred.Cols)
+	grad = sized(dst, pred.Rows, pred.Cols)
 	n := float64(len(pred.Data))
 	for i, p := range pred.Data {
 		d := float64(p) - float64(target.Data[i])

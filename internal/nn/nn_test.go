@@ -68,7 +68,7 @@ func TestMSEGradientNumerical(t *testing.T) {
 
 	model.ZeroGrads()
 	pred := model.Forward(x)
-	_, dpred := MSE(pred, target)
+	_, dpred := MSEInto(nil, pred, target)
 	model.Backward(dpred)
 
 	params, grads := model.Params(), model.Grads()
@@ -77,9 +77,9 @@ func TestMSEGradientNumerical(t *testing.T) {
 	for _, idx := range []int{0, len(p.Data) - 1} {
 		orig := p.Data[idx]
 		p.Data[idx] = orig + eps
-		lp, _ := MSE(model.Forward(x), target)
+		lp, _ := MSEInto(nil, model.Forward(x), target)
 		p.Data[idx] = orig - eps
-		lm, _ := MSE(model.Forward(x), target)
+		lm, _ := MSEInto(nil, model.Forward(x), target)
 		p.Data[idx] = orig
 		want := (lp - lm) / (2 * eps)
 		got := float64(grads[0].Data[idx])

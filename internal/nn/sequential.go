@@ -13,18 +13,21 @@ import (
 type Sequential struct {
 	Layers []Layer
 	params []*tensor.Matrix // Params, listed once by NewSequential
+	grads  []*tensor.Matrix // Grads, likewise
 }
 
 // NewSequential builds a model from the given layers.
 func NewSequential(layers ...Layer) *Sequential {
-	var params []*tensor.Matrix
+	var params, grads []*tensor.Matrix
 	for _, l := range layers {
 		params = append(params, l.Params()...)
+		grads = append(grads, l.Grads()...)
 	}
-	return &Sequential{Layers: layers, params: slices.Clip(params)}
+	return &Sequential{Layers: layers, params: slices.Clip(params), grads: slices.Clip(grads)}
 }
 
-// Forward runs the batch through every layer.
+// Forward runs the batch through every layer. The result is the last
+// layer's scratch, valid until the model's next Forward.
 func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range s.Layers {
 		x = l.Forward(x)
@@ -48,12 +51,9 @@ func (s *Sequential) Params() []*tensor.Matrix {
 }
 
 // Grads returns all gradient matrices, matching Params element-for-element.
+// Like Params, the list is built once and shared.
 func (s *Sequential) Grads() []*tensor.Matrix {
-	var out []*tensor.Matrix
-	for _, l := range s.Layers {
-		out = append(out, l.Grads()...)
-	}
-	return out
+	return s.grads
 }
 
 // ZeroGrads clears every gradient matrix.

@@ -512,7 +512,7 @@ func TestConcurrentFlushesKeepRepliesApart(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				x := tensor.New(1, r.inDim)
 				x.FillNormal(rng, 1)
-				want := private.Forward(x)
+				want := private.Forward(x).Clone() // the next Forward reuses its output
 				// The reply may come from the other submitter's flush, which
 				// took both queued requests; wg waits for it either way.
 				wg.Add(1)
