@@ -35,9 +35,10 @@ import (
 // worker's per-unit version exactly as the direct path would. The RSP gate
 // is checked against root state, so a row parked in an aggregator queue
 // can only delay its own worker (the gate stays conservative); the
-// observed lead of any merge still obeys the bound, because a worker at
-// iteration n passed CanAdvance(n-1) when the version floor was no higher
-// than it is at merge time. Result.MaxStaleness reports the empirical
+// observed lead of any merge still obeys the bound by the admission rule:
+// a worker's push n leaves only once engine.Peer.Admit has found n−1 inside
+// the bound over the other workers' minimum, which can only have risen by
+// the time its rows merge here. Result.MaxStaleness reports the empirical
 // maximum for the fleet experiment to assert on.
 //
 // Pulls are not aggregated: averaged rows are per-worker state (error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"rog/internal/energy"
@@ -63,22 +64,41 @@ func TestChurnPermanentCrash(t *testing.T) {
 	}
 }
 
-// TestChurnRSPBoundHolds replays the ROG staleness invariant under churn:
-// at no point may an attached worker's row lead the active minimum by the
-// threshold or more. (MaxAhead is checked continuously via the versions
-// store after the run; the store panics on monotonicity violations during
-// it, so a rejoin that rewound versions would abort the test.)
+// TestChurnRSPBoundHolds replays the RSP staleness invariant under churn: no
+// merge may stamp a row more than the threshold ahead of the active minimum
+// (MaxStaleness, the largest lead any merge stamped). The short downtimes
+// rejoin a worker whose gate never admitted its last push: its first push
+// after the rejoin must wait for the bound (engine.Peer.Admit), not merge
+// past it. (The store also panics on monotonicity violations, so a rejoin
+// that rewound versions would abort the test.)
 func TestChurnRSPBoundHolds(t *testing.T) {
-	const threshold = 4
-	res, err := Run(churnConfig(ROG, threshold, "crash:1@25+40,crash:2@90+30"), newTestWorkload(3, 25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 10 {
-		t.Fatalf("run barely progressed: %d iterations", res.Iterations)
-	}
-	if res.Churn.Disconnects != 2 || res.Churn.Reconnects != 2 {
-		t.Fatalf("churn counters %+v", res.Churn)
+	for _, c := range []struct {
+		strategy  Strategy
+		threshold int
+		spec      string
+		crashes   int
+		seed      uint64
+	}{
+		{ROG, 4, "crash:1@25+40,crash:2@90+30", 2, 25},
+		{ROG, 4, "crash:0@17+1", 1, 21},
+		{ROG, 2, "crash:0@17+0.01", 1, 21},
+		{SSP, 2, "crash:0@17+0.01", 1, 21},
+	} {
+		t.Run(fmt.Sprintf("%v-%d %s", c.strategy, c.threshold, c.spec), func(t *testing.T) {
+			res, err := Run(churnConfig(c.strategy, c.threshold, c.spec), newTestWorkload(3, c.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations < 10 {
+				t.Fatalf("run barely progressed: %d iterations", res.Iterations)
+			}
+			if res.Churn.Disconnects != c.crashes || res.Churn.Reconnects != c.crashes {
+				t.Fatalf("churn counters %+v, want %d crashes", res.Churn, c.crashes)
+			}
+			if res.MaxStaleness > int64(c.threshold) {
+				t.Fatalf("a merge stamped a lead of %d over the threshold %d", res.MaxStaleness, c.threshold)
+			}
+		})
 	}
 }
 

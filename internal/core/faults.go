@@ -27,7 +27,7 @@ import (
 //     re-attaches the worker (rows re-baselined at the surviving
 //     minimum), takes the accumulated rows out of its server copy and
 //     transmits them over the worker's link as one reliable resync plan,
-//     fast-forwards the worker's iteration counters to the baseline, and
+//     resumes the worker at the baseline (engine.Replica.Rejoin), and
 //     restarts its loop.
 //
 // Link faults (blackout, flap) bypass this file entirely: the injector
@@ -79,12 +79,7 @@ func (c *cluster) rejoinWorker(w int) {
 		return
 	}
 	base, backlog := c.peer[w].Rejoin(c.state)
-	// Fast-forward the worker's counters to the baseline: its next
-	// iteration must version-stamp rows above every re-baselined entry.
-	if c.iter[w] < base {
-		c.iter[w] = base
-	}
-	c.rep[w].Rebase(base)
+	c.iter[w] = c.rep[w].Rejoin(c.iter[w], base)
 	// The rejoin resync: every averaged row that accumulated while the
 	// worker was away rides one whole-plan transmission over its (possibly
 	// still weak) link — all of it reliable: on a lossy channel a dropped

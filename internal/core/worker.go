@@ -155,14 +155,30 @@ func (c *cluster) transmit(w int, n int64, dir obs.Dir, plan engine.Plan, done f
 }
 
 // synchronize is the communication half of worker w's iteration n, the
-// engine.Peer sequence over simnet: push what the policy planned, report it
-// (PushDone, the Fig. 8 sample), let the merges retry every parked gate
-// they can open, wait out w's own — its Gate retried from w's gate slot, so
-// version advances and detaches re-check it — then pull what the server
-// plans. done gets the summed transmission seconds; a crash abandons the
-// iteration (the slot drops its retry, its stall stays open) and done never
-// fires.
+// engine.Peer sequence over simnet: admit the push (Admit — a refused one
+// waits in w's gate slot, retried on every wake), push what the policy
+// planned, report it (PushDone, the Fig. 8 sample), let the merges retry
+// every parked gate they can open, wait out w's own — its Gate retried from
+// w's gate slot, so version advances and detaches re-check it — then pull
+// what the server plans. done gets the summed transmission seconds; a crash
+// abandons the iteration (the slot drops its retry, its stall stays open)
+// and done never fires.
 func (c *cluster) synchronize(w int, n int64, plan engine.Plan, done func(commSec float64)) {
+	if c.peer[w].Admit(c.state, n, c.k.Now()) {
+		c.exchange(w, n, plan, done)
+		return
+	}
+	c.gates.parkPush(w, c.k.Now(), n-1, func() bool {
+		ok := c.peer[w].Admit(c.state, n, c.k.Now())
+		if ok {
+			c.exchange(w, n, plan, done)
+		}
+		return ok
+	})
+}
+
+// exchange is synchronize past the admission: the push, the gate, the pull.
+func (c *cluster) exchange(w int, n int64, plan engine.Plan, done func(commSec float64)) {
 	c.transmit(w, n, obs.DirPush, plan, func(delivered int, mtaTime, pushSec float64) {
 		c.peer[w].PushDone(c.state, n, mtaTime, pushSec, plan.Speculative)
 		c.recordMicro(w, n, delivered)

@@ -5,10 +5,11 @@ import (
 	"rog/internal/rowsync"
 )
 
-// Peer is the server's half of one worker's iteration (Algo. 2) once its
-// push's rows have merged (State.Merge/MergeBatch), shared by both runtimes
+// Peer is the server's half of one worker's iteration (Algo. 2) around its
+// push's merge (State.Merge/MergeBatch), shared by both runtimes
 // the way Replica is the worker's half; its methods are that sequence, in
-// order, plus the membership edges. A runtime supplies the wait — what asks
+// order — Admit before the merge, then PushDone, Gate, HoldPull, Settle —
+// plus the membership edges. A runtime supplies the wait — what asks
 // Gate again: a sync.Cond loop, a retry closure in a gate slot — and the
 // carry: frames or flows, and which of a pull's rows they delivered.
 //
@@ -26,9 +27,10 @@ type Peer struct {
 	held    []compress.Payload // guarded by Server.mu
 	bits    [][]byte           // guarded by Server.mu — per unit: held's sign bits
 	scratch []float32          // guarded by Server.mu
-	// The gate's edge: whether a wait is open, and since when.
-	stalled    bool    // guarded by Server.mu
-	stallBegan float64 // guarded by Server.mu
+	// The gate's edge: whether a wait is open, and since when. Touched only
+	// from the worker's loop (a socket handler asks Admit without Server.mu).
+	stalled    bool
+	stallBegan float64
 }
 
 // NewPeer builds worker's server half for a model decomposed by part.
@@ -47,26 +49,49 @@ func (p *Peer) PushDone(s *State, iter int64, mtaTime, elapsed float64, speculat
 	s.ObservePush(p.worker, iter, mtaTime, elapsed, speculative)
 }
 
+// Admit reports whether the worker's push of iteration m may merge, as the
+// gate of iteration m−1: the bound holds over merged rows. Its fast path —
+// m−1 < State.Frontier(), almost every push — takes no lock, emits nothing and
+// allocates nothing. Otherwise the push waits, traced as that gate's stall,
+// until m−1 is inside the bound over the other attached workers' rows: every
+// policy forces this worker's own rows at the bound into the push.
+func (p *Peer) Admit(s *State, m int64, now float64) bool {
+	if !p.stalled && m-1 < s.Frontier() {
+		return true
+	}
+	blk, pinned := s.minRow(p.worker)
+	ok := !pinned || m-1-blk.Version < s.bound
+	s.Probe.GateCheck(ok)
+	p.edge(s, ok, m-1, now, p.worker)
+	return ok
+}
+
 // Gate reports whether the worker may advance past iteration n (Algo. 2
 // lines 7–9) and traces a wait as one stall. It parks nobody: the runtime
-// asks again whenever a merge or a detach may have moved the minimum. The
-// first false opens the stall, naming what pins the minimum — a scan that
-// quiesces the state, so asked only with a probe; the true that ends the wait
-// closes it over now − began (the runtime's clock, in seconds; only
-// differences are used), naming the release.
+// asks again whenever a merge or a detach may have moved the minimum.
 func (p *Peer) Gate(s *State, n int64, now float64) bool {
 	ok := s.CanAdvance(n)
+	p.edge(s, ok, n, now, -1)
+	return ok
+}
+
+// edge traces a wait at iteration n as one stall, however often the runtime
+// asks: the first refusal opens it, naming what pins the minimum (minRow,
+// skipping worker except; asked only with a probe), and the admission that
+// ends it closes it over now − began (the runtime's clock, in seconds),
+// naming the release.
+func (p *Peer) edge(s *State, ok bool, n int64, now float64, except int) {
 	switch {
 	case !ok && !p.stalled:
 		p.stalled, p.stallBegan = true, now
 		if s.Probe != nil {
-			s.Probe.StallBegin(p.worker, n, "gate", s.minBlocker())
+			blk, _ := s.minRow(except)
+			s.Probe.StallBegin(p.worker, n, "gate", blk)
 		}
 	case ok && p.stalled:
 		p.stalled = false
 		s.Probe.StallEnd(p.worker, n, "gate", now-p.stallBegan, s.lastReleased())
 	}
-	return ok
 }
 
 // HoldPull plans the pull answering the worker's iteration-n push and takes

@@ -420,3 +420,79 @@ func TestOneServerStep(t *testing.T) {
 		}
 	}
 }
+
+// boundTwoState is a 2-worker SSP state at bound 2.
+func boundTwoState(t *testing.T) *State {
+	t.Helper()
+	_, part := testState(t, 2)
+	pol, err := New("ssp", Params{Workers: 2, Threshold: 2, NumUnits: part.NumUnits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewStateSharded(pol, part, 2, 1.0, 1)
+}
+
+// TestAdmitSelfPin: a push waits on the other workers' minimum, not on the
+// pusher's own rows. Worker 0 pushed unit 1 at iterations 1 and 2, left and
+// rejoined at baseline 0; its unit 0 at version 0 is then what pins the
+// global minimum once worker 1 pushes everything at iteration 1. Its push 3 —
+// which carries that row, as every policy forces it — is refused while
+// worker 1 is at 0 and admitted after, although Frontier() stays 2: judged
+// against the global minimum it would wait on itself forever.
+func TestAdmitSelfPin(t *testing.T) {
+	s := boundTwoState(t)
+	log := new(eventLog)
+	s.Probe = obs.NewProbe(log, nil, nil)
+	p0 := NewPeer(0, s.part)
+	for _, it := range []int64{1, 2} {
+		s.Merge(0, 1, make([]float32, s.part.Unit(1).Len), it)
+	}
+	p0.Leave(s)
+	if base, _ := p0.Rejoin(s); base != 0 {
+		t.Fatalf("rejoin baseline %d, want 0", base)
+	}
+	if p0.Admit(s, 3, 1) {
+		t.Fatal("push 3 admitted with worker 1 at version 0: lead 3 over bound 2")
+	}
+	mergeAll(s, 1, 1)
+	if f := s.Frontier(); f != 2 {
+		t.Fatalf("Frontier() = %d, want 2: worker 0's unit 0 pins the minimum at 0", f)
+	}
+	if !p0.Admit(s, 3, 4) {
+		t.Fatal("push 3 refused with the other worker at 1: its own forced row pins it")
+	}
+	begins, ends := log.ofKind(obs.KindStallBegin), log.ofKind(obs.KindStallEnd)
+	if len(begins) != 1 || begins[0].Iter != 2 || begins[0].BlockWorker != 1 || begins[0].BlockVersion != 0 {
+		t.Fatalf("StallBegin = %+v, want one at gate 2 blocked by worker 1 at version 0", begins)
+	}
+	if len(ends) != 1 || ends[0].Iter != 2 || ends[0].Seconds != 3 {
+		t.Fatalf("StallEnd = %+v, want one closing gate 2 after 3 s", ends)
+	}
+}
+
+// TestAdmitFastPathIsFree: a push inside the frontier is admitted without a
+// lock, an event or an allocation — every push of a recorded run takes this
+// path.
+func TestAdmitFastPathIsFree(t *testing.T) {
+	s := boundTwoState(t)
+	p1 := NewPeer(1, s.part)
+	mergeAll(s, 0, 1)
+	mergeAll(s, 1, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		if !p1.Admit(s, 2, 0) {
+			t.Fatal("push 2 refused with the minimum at 1")
+		}
+	}); n != 0 {
+		t.Fatalf("the fast path allocated %.1f times", n)
+	}
+	log, reg := new(eventLog), obs.NewRegistry()
+	s.Probe = obs.NewProbe(log, reg, nil)
+	s.shards[0].mu.Lock() // the fast path must not need it
+	defer s.shards[0].mu.Unlock()
+	if !p1.Admit(s, 2, 0) {
+		t.Fatal("push 2 refused with the minimum at 1")
+	}
+	if len(*log) != 0 || reg.Counter("gate_checks").Value() != 0 {
+		t.Fatalf("the fast path emitted %d events and %d gate checks", len(*log), reg.Counter("gate_checks").Value())
+	}
+}

@@ -139,13 +139,16 @@ func (r *Replica) Apply(u int, vals []float32) {
 	}
 }
 
-// Rebase fast-forwards the push stamps to the baseline a rejoin
-// re-baselined this worker's rows at, so the next push of every unit stamps
-// a fresh version. Stamps never move back.
-func (r *Replica) Rebase(base int64) {
+// Rejoin is the one resume rule both runtimes follow: after the server
+// re-baselined this worker's rows at base (Peer.Rejoin), the push stamps and
+// the last iteration iter fast-forward to base, never back, so the next push
+// of every unit stamps a fresh version. It returns the iteration to resume
+// from.
+func (r *Replica) Rejoin(iter, base int64) int64 {
 	for u, it := range r.PushIter {
 		if it < base {
 			r.PushIter[u] = base
 		}
 	}
+	return max(iter, base)
 }

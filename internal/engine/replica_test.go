@@ -45,20 +45,18 @@ func TestReplicaEncodeRestoreConservesMass(t *testing.T) {
 	}
 }
 
-// TestReplicaRebaseMonotone checks the rejoin re-baseline: stamps below the
-// baseline rise to it, stamps above it stay, and a lower baseline moves
-// nothing back.
+// TestReplicaRebaseMonotone checks the resume rule (Replica.Rejoin): stamps
+// below the baseline rise to it, stamps above it stay, the iteration
+// fast-forwards to the baseline, and a lower baseline moves nothing back.
 func TestReplicaRebaseMonotone(t *testing.T) {
 	r, _ := testReplica(rowsync.Rows, 0)
 	r.Stamp(0, 3)
 	r.Stamp(1, 9)
-	r.Rebase(5)
-	if r.PushIter[0] != 5 || r.PushIter[1] != 9 || r.PushIter[2] != 5 {
-		t.Fatalf("after Rebase(5): %v", r.PushIter[:3])
+	if it := r.Rejoin(4, 5); it != 5 || r.PushIter[0] != 5 || r.PushIter[1] != 9 || r.PushIter[2] != 5 {
+		t.Fatalf("after Rejoin(4, 5): iteration %d, stamps %v", it, r.PushIter[:3])
 	}
-	r.Rebase(2)
-	if r.PushIter[0] != 5 || r.PushIter[1] != 9 {
-		t.Fatalf("Rebase(2) moved stamps back: %v", r.PushIter[:3])
+	if it := r.Rejoin(7, 2); it != 7 || r.PushIter[0] != 5 || r.PushIter[1] != 9 {
+		t.Fatalf("Rejoin(7, 2) moved back: iteration %d, stamps %v", it, r.PushIter[:3])
 	}
 	if v := r.PushView(1, 10, 4, 0.5); v.Rows[1].Iter != 9 || v.Rows[2].Iter != 5 || v.Min != 4 || v.Worker != 1 {
 		t.Fatalf("push view does not carry the stamps: %+v", v)

@@ -326,8 +326,8 @@ func (s *State) MaxLeadObserved() int64 {
 
 // CanAdvance applies the policy's staleness gate at the current global
 // minimum row version: iter − min < Bound(), i.e. iter < Frontier(). It is
-// the one gate rule; a runtime that skips a check it knows would fail reads
-// the same Frontier.
+// the one gate rule, the pull's; Peer.Admit asks it of a push, and a runtime
+// that skips a check it knows would fail reads the same Frontier.
 func (s *State) CanAdvance(iter int64) bool {
 	ok := iter < s.Frontier()
 	s.Probe.GateCheck(ok)
@@ -352,28 +352,31 @@ func (s *State) lastReleased() obs.Blocker {
 	return obs.NoBlocker()
 }
 
-// minBlocker scans for the (worker, unit) pinning the global minimum
-// version — what a gate about to park is actually waiting on. The scan is
-// deterministic (lowest unit, then lowest worker, among attached workers)
-// and quiesces the state, so it runs only on the already-blocked slow path
-// of an enabled probe; NoBlocker (with the minimum as Version) when no
-// attached entry matches.
-func (s *State) minBlocker() obs.Blocker {
+// minRow scans for the attached (worker, unit) holding the lowest version,
+// skipping worker except (−1: none), ties to the lowest unit, then worker. It
+// quiesces the state, so it runs only on a wait's slow path. found is false
+// when no other worker is attached: blk is then NoBlocker at the minimum.
+func (s *State) minRow(except int) (blk obs.Blocker, found bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lockShardsLocked()
 	defer s.unlockShardsLocked()
-	min := s.Versions.Min()
+	blk = obs.NoBlocker()
+	blk.Version = s.Versions.Min()
 	for u := 0; u < s.part.NumUnits(); u++ {
 		for w := 0; w < s.workers; w++ {
-			if s.Versions.IsActive(w) && s.Versions.Get(w, u) == min {
-				return obs.Blocker{Worker: w, Unit: u, Version: min}
+			if w == except || !s.Versions.IsActive(w) {
+				continue
+			}
+			if v := s.Versions.Get(w, u); !found || v < blk.Version {
+				blk, found = obs.Blocker{Worker: w, Unit: u, Version: v}, true
+				if v == s.Versions.Min() {
+					return blk, found // nothing is lower
+				}
 			}
 		}
 	}
-	blk := obs.NoBlocker()
-	blk.Version = min
-	return blk
+	return blk, found
 }
 
 // PlanPull asks the policy which averaged rows to return to worker after

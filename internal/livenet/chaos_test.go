@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
 )
@@ -274,4 +275,39 @@ func TestBackoffCapsAndResets(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v outside [%v,%v]", i, d1, lo, base)
 		}
 	}
+}
+
+// TestReconnectSupersedesParkedHandler: worker 0 is parked at gate 2 when its
+// connection dies. Its handler waits on the gate, not on the dead connection,
+// so the worker is still attached when it reconnects. The new connection
+// must supersede the parked handler — which then ends and detaches the worker
+// — and rejoin through the ordinary resync, not hang waiting for one.
+func TestReconnectSupersedesParkedHandler(t *testing.T) {
+	r := newGateRig(t)
+	srv := r.server(nil)
+	pending := r.parkWorker0(srv)
+	r.ws[0].conn.Close()
+	if err := <-pending; err == nil {
+		t.Fatal("worker 0's iteration 2 completed over a closed connection")
+	}
+	r.rejoin(srv, 0)
+	r.await(obs.KindDetach, 0)
+	if got := srv.ActiveWorkers(); got != 2 {
+		t.Fatalf("%d workers attached after the rejoin, want 2", got)
+	}
+	// The rejoined worker trains on: its push 3 waits for worker 1.
+	pending = r.iterate(0)
+	for k := 0; k < 2; k++ {
+		if err := <-r.iterate(1); err != nil {
+			t.Fatalf("worker 1 iteration %d: %v", k+1, err)
+		}
+	}
+	if err := <-pending; err != nil {
+		t.Fatalf("worker 0 iteration 3: %v", err)
+	}
+	for _, w := range r.ws {
+		w.conn.Close()
+	}
+	srv.Close()
+	r.handlers.Wait()
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"rog/internal/durable"
+	"rog/internal/engine"
 	"rog/internal/nn"
+	"rog/internal/obs"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
 )
@@ -251,4 +253,170 @@ func TestNewServerRecoversState(t *testing.T) {
 	if srv3.Epoch() != 2 {
 		t.Fatalf("epoch %d after second recovery, want 2", srv3.Epoch())
 	}
+}
+
+// gateRig is a 2-worker SSP team at threshold 2 whose servers report their
+// stall and detach events to the test, so it can wait on the protocol's
+// state instead of sleeping.
+type gateRig struct {
+	t        *testing.T
+	part     *rowsync.Partition
+	events   chan obs.Event
+	handlers sync.WaitGroup
+	ws       [2]*Worker
+}
+
+func newGateRig(t *testing.T) *gateRig {
+	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(53))
+	return &gateRig{t: t, part: rowsync.NewPartition(proto.Params(), rowsync.Rows), events: make(chan obs.Event, 256)}
+}
+
+// server starts a server over store (nil: volatile) tracing into the rig.
+func (r *gateRig) server(store *durable.Store) *Server {
+	r.t.Helper()
+	srv, err := NewServer(r.part, ServerConfig{Workers: 2, Policy: r.policy(), Durable: store,
+		Trace: tracerFunc(func(e obs.Event) {
+			if e.Kind == obs.KindStallBegin || e.Kind == obs.KindDetach {
+				r.events <- e
+			}
+		})})
+	if err != nil {
+		r.t.Fatalf("NewServer: %v", err)
+	}
+	return srv
+}
+
+func (r *gateRig) policy() engine.Policy {
+	pol, err := engine.New("ssp", engine.Params{Workers: 2, Threshold: 2, NumUnits: r.part.NumUnits()})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return pol
+}
+
+// connect serves a fresh pipe for worker id on srv and returns the
+// worker's end.
+func (r *gateRig) connect(srv *Server, id int) net.Conn {
+	c, s := net.Pipe()
+	r.t.Cleanup(func() { c.Close() })
+	r.handlers.Add(1)
+	go func() {
+		defer r.handlers.Done()
+		_ = srv.HandleConn(id, s) // ends with the connection or the server
+	}()
+	return c
+}
+
+// await returns once srv reported an event of kind for worker.
+func (r *gateRig) await(kind obs.Kind, worker int) obs.Event {
+	r.t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case e := <-r.events:
+			if e.Kind == kind && e.Worker == worker {
+				return e
+			}
+		case <-timeout:
+			r.t.Fatalf("no %v event for worker %d", kind, worker)
+		}
+	}
+}
+
+// iterate runs worker id's next iteration in the background.
+func (r *gateRig) iterate(id int) chan error {
+	done := make(chan error, 1)
+	go func() { done <- r.ws[id].RunIteration(func() {}) }()
+	return done
+}
+
+// parkWorker0 connects both workers to srv and runs worker 0 to its gate at
+// iteration 2, where it parks: worker 1 stays silent at version 0. It
+// returns worker 0's pending iteration.
+func (r *gateRig) parkWorker0(srv *Server) chan error {
+	r.t.Helper()
+	for id := range r.ws {
+		model := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(53))
+		r.ws[id] = NewWorker(model, r.part, r.connect(srv, id), WorkerConfig{ID: id, Workers: 2, Policy: r.policy()})
+	}
+	if err := <-r.iterate(0); err != nil {
+		r.t.Fatalf("worker 0 iteration 1: %v", err)
+	}
+	pending := r.iterate(0)
+	if e := r.await(obs.KindStallBegin, 0); e.Iter != 2 {
+		r.t.Fatalf("worker 0 parked at gate %d, want 2", e.Iter)
+	}
+	return pending
+}
+
+// rejoin reconnects worker id to srv over a fresh pipe.
+func (r *gateRig) rejoin(srv *Server, id int) {
+	r.t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.ws[id].Rejoin(r.connect(srv, id)) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			r.t.Fatalf("worker %d rejoin: %v", id, err)
+		}
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("worker %d rejoin hangs", id)
+	}
+}
+
+// TestRejoinedPushWaitsForTheBound: a worker whose gate never admitted its
+// last push rejoins a recovered server at baseline 0 and pushes iteration 3
+// — two past a teammate still at version 0, at threshold 2. That push must
+// wait for the teammate (engine.Peer.Admit), not merge at lead 3.
+func TestRejoinedPushWaitsForTheBound(t *testing.T) {
+	r := newGateRig(t)
+	fs := durable.NewMemFS()
+	st1, err := durable.Open(fs, "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := r.server(st1)
+	pending := r.parkWorker0(srv1)
+
+	// Worker 0 detaches first, worker 1 last: the last detach freezes the
+	// minimum srv2 recovers, worker 1's 0.
+	srv1.Close()
+	r.await(obs.KindDetach, 0)
+	r.ws[0].conn.Close()
+	if err := <-pending; err == nil {
+		t.Fatal("worker 0's iteration 2 completed on a closed server")
+	}
+	r.ws[1].conn.Close()
+	r.await(obs.KindDetach, 1)
+	r.handlers.Wait()
+	st1.Crash()
+
+	st2, err := durable.Open(fs, "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := r.server(st2)
+	r.rejoin(srv2, 1)
+	r.rejoin(srv2, 0)
+	if got := r.ws[0].Iterations(); got != 2 {
+		t.Fatalf("worker 0 resumed at iteration %d, want 2", got)
+	}
+	pending = r.iterate(0)
+	r.await(obs.KindStallBegin, 0)
+	for k := 0; k < 2; k++ {
+		if err := <-r.iterate(1); err != nil {
+			t.Fatalf("worker 1 iteration %d: %v", k+1, err)
+		}
+	}
+	if err := <-pending; err != nil {
+		t.Fatalf("worker 0 iteration 3: %v", err)
+	}
+	if got := srv2.MaxStalenessObserved(); got > 2 {
+		t.Errorf("a merge stamped a lead of %d over threshold 2", got)
+	}
+	for _, w := range r.ws {
+		w.conn.Close()
+	}
+	srv2.Close()
+	r.handlers.Wait()
 }

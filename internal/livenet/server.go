@@ -114,13 +114,17 @@ type Server struct {
 	cond  *sync.Cond    // signals on mu; set once in NewServer
 	state *engine.State // internally locked; the pointer itself is set once in NewServer
 	// peers[w] is worker w's server half (engine.Peer); the slice is set once
-	// in NewServer. Each Peer's fields name their own guard: the push-plan
-	// seq belongs to w's handler goroutine, which counts and merges a push
-	// without mu; the pull in flight and the gate's stall edge are touched
-	// only with mu held.
+	// in NewServer. Each Peer's fields name their own guard: the pull in
+	// flight is touched only with mu held; the gate's stall edge belongs to
+	// w's handler goroutine, which asks a push's admission without mu.
 	peers       []*engine.Peer
 	closed      bool  // guarded by mu
 	detachEpoch int64 // guarded by mu — bumped on every detach; attributes wait time to churn
+	// conns[w] is the newest connection HandleConn took for worker w (nil:
+	// none) and serving[w] whether a handler for w runs. A handler whose
+	// connection is no longer conns[w] was superseded and ends.
+	conns   []net.Conn // guarded by mu
+	serving []bool     // guarded by mu
 }
 
 // NewServer creates a server for a model decomposed by part. It returns an
@@ -187,6 +191,7 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	s.probe = obs.NewProbe(cfg.Trace, cfg.Metrics, func() float64 { return time.Since(t0).Seconds() })
 	s.state.Probe = s.probe
 	s.cond = sync.NewCond(&s.mu)
+	s.conns, s.serving = make([]net.Conn, cfg.Workers), make([]bool, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.peers = append(s.peers, engine.NewPeer(i, part))
 	}
@@ -270,15 +275,21 @@ func (s *Server) State() *engine.State {
 // 10–13). If the worker was previously detached, it is re-attached first:
 // the server replays all averaged rows accumulated during the absence, then
 // resumes the normal protocol. Once the server is closed, the first push
-// to reach the gate ends the handler unanswered. Whatever way the handler
-// ends — clean close, abrupt error, silent stall past IdleTimeout, or a
-// closed server — the worker is detached on exit, so the gate never waits on
-// a ghost. Callers must not run two handlers for the same worker
-// concurrently.
+// to reach the gate ends the handler unanswered. A HandleConn for a worker
+// whose handler still runs — parked at a gate on a connection the worker has
+// given up — supersedes it: the old connection is closed, its handler wakes,
+// ends and detaches the worker, and only then does this one attach it.
+// Whatever way the handler ends — clean close, abrupt error, silent stall
+// past IdleTimeout, a closed server or a newer connection — the worker is
+// detached on exit, so the gate never waits on a ghost.
 func (s *Server) HandleConn(worker int, conn net.Conn) error {
 	if worker < 0 || worker >= s.cfg.Workers {
 		return fmt.Errorf("livenet: worker %d out of range [0,%d)", worker, s.cfg.Workers)
 	}
+	if !s.claim(worker, conn) {
+		return fmt.Errorf("livenet: worker %d: superseded by a newer connection", worker)
+	}
+	defer s.release(worker, conn)
 	// Every frame this connection sends — resync, pulls, control — is built
 	// in one buffer that grows to the largest plan and is then reused.
 	var out transport.Batch
@@ -296,6 +307,45 @@ func (s *Server) HandleConn(worker int, conn net.Conn) error {
 	return err
 }
 
+// claim makes conn worker's connection, superseding a handler still running
+// for the worker, and waits for that handler to end. It reports false when a
+// newer connection superseded conn in turn before it was served.
+func (s *Server) claim(worker int, conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.conns[worker]; old != nil {
+		old.Close() //roglint:ignore errdrop the superseded connection is abandoned; its handler ends on the error
+	}
+	s.conns[worker] = conn
+	s.cond.Broadcast()
+	for s.serving[worker] && s.conns[worker] == conn {
+		s.cond.Wait()
+	}
+	if s.conns[worker] != conn {
+		return false
+	}
+	s.serving[worker] = true
+	return true
+}
+
+// release ends conn's claim on worker and wakes a superseding handler.
+func (s *Server) release(worker int, conn net.Conn) {
+	s.mu.Lock()
+	s.serving[worker] = false
+	if s.conns[worker] == conn {
+		s.conns[worker] = nil
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// stoppedLocked reports whether the handler serving worker over conn must end
+// without answering: the server closed, or a newer connection superseded
+// conn. The caller holds mu.
+func (s *Server) stoppedLocked(worker int, conn net.Conn) bool {
+	return s.closed || s.conns[worker] != conn
+}
+
 // pushBatch buffers one in-flight push's rows between the first kindRow
 // frame and the pushDone that closes it, so the whole push merges with one
 // shard-lock acquisition per contiguous run instead of one lock per row.
@@ -308,15 +358,8 @@ type pushBatch struct {
 	arena []float32
 }
 
-// bufferRow decodes one received row into the batch. In the strict
-// request-response protocol a push's rows all carry one stamp; a row that
-// carries another flushes what is buffered first, which keeps a malformed
-// interleaving correct rather than fast.
-func (s *Server) bufferRow(worker int, b *pushBatch, msg parsed) error {
-	if msg.iter != b.iter {
-		s.flushPush(worker, b)
-		b.iter = msg.iter
-	}
+// bufferRow decodes one received row into the batch.
+func (s *Server) bufferRow(b *pushBatch, msg parsed) error {
 	if cap(b.arena)-len(b.arena) < msg.payload.N {
 		// Rows already decoded keep the array they are in; the push
 		// continues in a larger one, which the next push starts from.
@@ -332,20 +375,36 @@ func (s *Server) bufferRow(worker int, b *pushBatch, msg parsed) error {
 	return nil
 }
 
-// flushPush merges the buffered rows in arrival order.
-func (s *Server) flushPush(worker int, b *pushBatch) {
-	s.state.MergeBatch(worker, b.units, b.vals, b.iter)
+// flushPush merges the buffered rows in arrival order once engine.Peer.Admit
+// lets them, waiting on cond like the pull gate when it refuses (almost no
+// push waits, and the fast path takes no lock). It reports false, the rows
+// dropped, when the server closed or a newer connection superseded conn.
+func (s *Server) flushPush(worker int, conn net.Conn, b *pushBatch) bool {
+	peer := s.peers[worker]
+	ok := len(b.units) == 0 || peer.Admit(s.state, b.iter, 0)
+	if !ok {
+		s.mu.Lock()
+		waitStart := time.Now()
+		for !s.stoppedLocked(worker, conn) && !peer.Admit(s.state, b.iter, time.Since(waitStart).Seconds()) {
+			s.cond.Wait()
+		}
+		ok = !s.stoppedLocked(worker, conn)
+		s.mu.Unlock()
+	}
+	if ok {
+		s.state.MergeBatch(worker, b.units, b.vals, b.iter)
+	}
 	b.units, b.vals, b.arena = b.units[:0], b.vals[:0], b.arena[:0]
+	return ok
 }
 
 // serve is the receive loop; it reports how the connection ended.
 func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (DisconnectReason, error) {
 	rc := transport.NewReceiver(conn)
 	var batch pushBatch
-	// A connection that dies mid-push still merges what arrived — the
-	// partial-push mass lands before the detach folds state, exactly as
-	// the per-row merge path used to guarantee.
-	defer s.flushPush(worker, &batch)
+	// A connection that dies mid-push still merges what arrived, once
+	// admitted — the partial-push mass lands before the detach folds state.
+	defer s.flushPush(worker, conn, &batch)
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
@@ -372,14 +431,24 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 		switch msg.kind {
 		case kindRow:
 			// Decode outside any lock; the row merges at pushDone (or at
-			// connection end) through the batched per-shard path.
-			if err := s.bufferRow(worker, &batch, msg); err != nil {
+			// connection end) through the batched per-shard path. In the
+			// strict request-response protocol a push's rows all carry one
+			// stamp; a row that carries another flushes what is buffered
+			// first, which keeps a malformed interleaving correct rather
+			// than fast.
+			if msg.iter != batch.iter && !s.flushPush(worker, conn, &batch) {
+				return DisconnectClean, nil
+			}
+			batch.iter = msg.iter
+			if err := s.bufferRow(&batch, msg); err != nil {
 				return DisconnectError, fmt.Errorf("livenet: worker %d: %w", worker, err)
 			}
 		case kindPushDone:
 			// The engine.Peer sequence over sockets.
 			peer, n := s.peers[worker], msg.iter
-			s.flushPush(worker, &batch)
+			if !s.flushPush(worker, conn, &batch) {
+				return DisconnectClean, nil // closed or superseded: the push never merged
+			}
 			peer.PushDone(s.state, n, msg.mta, msg.elapsed, msg.spec)
 			s.mu.Lock()
 			// The flushed merges may release other workers' parked gates.
@@ -389,15 +458,16 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 			// departed teammate cannot park this loop forever; the wait time a
 			// detach releases is accounted as churn-attributable stall.
 			epoch, waitStart := s.detachEpoch, time.Now()
-			for !s.closed && !peer.Gate(s.state, n, time.Since(waitStart).Seconds()) {
+			for !s.stoppedLocked(worker, conn) && !peer.Gate(s.state, n, time.Since(waitStart).Seconds()) {
 				s.cond.Wait()
 			}
 			if s.detachEpoch != epoch {
 				s.state.AddDetachStall(time.Since(waitStart).Seconds())
 			}
-			if s.closed {
+			if s.stoppedLocked(worker, conn) {
 				// A closed server sends no pull, so iteration n never runs
-				// past a gate that did not admit it; HandleConn detaches.
+				// past a gate that did not admit it; a superseded handler's
+				// connection is gone. HandleConn detaches.
 				s.mu.Unlock()
 				return DisconnectClean, nil
 			}

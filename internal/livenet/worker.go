@@ -234,10 +234,9 @@ func (w *Worker) pull() error {
 // The server answers a rejoining worker with the resync stream: every
 // averaged row accumulated while the worker was away, terminated by a
 // resync-done frame carrying the baseline iteration its versions were
-// re-baselined at. The worker applies the backlog, fast-forwards its
-// iteration counter to the baseline so its next push stays monotone and
-// inside the staleness bound, and rebases its push stamps at the baseline,
-// as the server holds its rows.
+// re-baselined at. The worker applies the backlog and resumes at the
+// baseline (engine.Replica.Rejoin), as the server holds its rows; the server
+// admits its next push like any other (engine.Peer.Admit).
 func (w *Worker) Rejoin(conn net.Conn) error {
 	w.conn = conn
 	w.rc = transport.NewReceiver(conn)
@@ -245,10 +244,7 @@ func (w *Worker) Rejoin(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if msg.iter > w.iter {
-		w.iter = msg.iter
-	}
-	w.rep.Rebase(msg.iter)
+	w.iter = w.rep.Rejoin(w.iter, msg.iter)
 	w.epoch = msg.epoch
 	return nil
 }

@@ -7,7 +7,7 @@
 # test suite, a kernels stage (the tensor and codec packages vetted for arm64,
 # where only the Go bodies exist, and their bit-identity tests rerun at
 # GOAMD64=v3; `verify.sh kernels` = `make kernels` runs it alone), a fuzz
-# stage (eight differential fuzz targets, a fixed number of inputs each;
+# stage (nine differential fuzz targets, a fixed number of inputs each;
 # `verify.sh fuzz` = `make fuzz` runs it alone), a trace smoke (a tiny
 # traced simnet run, a FLOWN run whose plans skip and a lossy run, each read
 # in both rogtrace views: no structural error, ≥99% of every worker's wall
@@ -30,8 +30,8 @@
 # under -race (engine and livenet three times), plus the lossnet burst tests
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little), serve's read-gate tests twenty times under
-# -race, and livenet's server crash-recovery and closed-server tests a
-# hundred times under -race. `verify.sh race` runs that stage alone — it is
+# -race, and livenet's server crash-recovery, closed-server, rejoined-push
+# admission and reconnect-supersede tests a hundred times under -race. `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
 # stage reruns the newest BENCH_<n>.json snapshot of every experiment that
 # has one and fails the gate if any leaf of a report differs (the virtual
@@ -81,8 +81,10 @@ run_race() {
 	# A lost read-gate wakeup shows only when a park races a publish.
 	go test -race -run ReadGate -count=20 ./internal/serve
 	# A server torn down mid-run must neither answer a push past its gate
-	# nor leak what it did after the crash into the recovered log; ~8 s.
-	go test -race -count=100 -run 'TestServerCrashRecoveryWorkersRideThrough$|TestClosedServerAnswersNoPush$' ./internal/livenet
+	# nor leak what it did after the crash into the recovered log; a
+	# rejoined push must wait for the bound, and a reconnect must supersede
+	# a handler parked on the dead connection; ~8 s.
+	go test -race -count=100 -run 'TestServerCrashRecoveryWorkersRideThrough$|TestClosedServerAnswersNoPush$|TestRejoinedPushWaitsForTheBound$|TestReconnectSupersedesParkedHandler$' ./internal/livenet
 }
 
 run_test() {
