@@ -45,3 +45,13 @@ func (p Plan) DeliveredCount(bytes float64) int {
 	}
 	return k
 }
+
+// MTATime is Algo. 4's apportioning, for both runtimes: the share of elapsed
+// seconds that put sent bytes on the wire taken by the first must units,
+// elapsed × Prefix[must] ÷ sent (elapsed when nothing was sent).
+func (p Plan) MTATime(elapsed float64, must int, sent float64) float64 {
+	if sent > 0 {
+		return elapsed * p.Prefix[must] / sent
+	}
+	return elapsed
+}

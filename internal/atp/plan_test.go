@@ -1,6 +1,9 @@
 package atp
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func sizes(s ...float64) func(u int) float64 {
 	return func(u int) float64 { return s[u] }
@@ -56,5 +59,65 @@ func TestDeliveredCountEmptyPlan(t *testing.T) {
 	}
 	if p.TotalBytes() != 0 {
 		t.Fatalf("empty plan total = %v", p.TotalBytes())
+	}
+}
+
+// TestMTATimeMatchesBothRuntimes holds the one apportioning expression to
+// the three each runtime spelled out before it moved here, bit for bit:
+// simnet's whole flow (elapsed × floor ÷ total, when total > 0), simnet's
+// budget timer (budget × floor ÷ bytes sent, when any were) and the socket
+// worker's push (elapsed × floor ÷ bytes of the rows sent whole, when more
+// than the floor went out).
+func TestMTATimeMatchesBothRuntimes(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() float64 { // xorshift, uniform in [0, 1)
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return float64(rng>>11) / (1 << 53)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + trial%9
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = math.Floor(1 + 4000*next())
+		}
+		units := make([]int, n)
+		for i := range units {
+			units[i] = i
+		}
+		p := NewPlan(units, sizes(s...))
+		must := trial % (n + 1)
+		elapsed := 1e-3 + 3*next()
+
+		total := p.TotalBytes()
+		want := elapsed
+		if total > 0 {
+			want = elapsed * p.Prefix[must] / total
+		}
+		if got := p.MTATime(elapsed, must, total); !same(got, want) {
+			t.Fatalf("whole flow: MTATime = %v, want %v", got, want)
+		}
+
+		sent := total * next()
+		want = elapsed
+		if sent > 0 {
+			want = elapsed * p.Prefix[must] / sent
+		}
+		if got := p.MTATime(elapsed, must, sent); !same(got, want) {
+			t.Fatalf("budget cut: MTATime = %v, want %v", got, want)
+		}
+
+		whole := p.DeliveredCount(sent)
+		if whole > must && p.Prefix[whole] > 0 {
+			want = elapsed * p.Prefix[must] / p.Prefix[whole]
+			if got := p.MTATime(elapsed, must, p.Prefix[whole]); !same(got, want) {
+				t.Fatalf("socket push: MTATime = %v, want %v", got, want)
+			}
+		}
+	}
+	if got := NewPlan(nil, sizes()).MTATime(0.25, 0, 0); got != 0.25 {
+		t.Fatalf("nothing sent: MTATime = %v, want the elapsed 0.25", got)
 	}
 }

@@ -57,14 +57,9 @@ func (s Strategy) String() string {
 	return strategyNames[s]
 }
 
-// policyName maps the strategy to its engine registry name; "" for unknown
-// strategies.
-func (c Config) policyName() string {
-	if c.Strategy < 0 || int(c.Strategy) >= len(strategyNames) {
-		return ""
-	}
-	return strings.ToLower(strategyNames[c.Strategy])
-}
+// policyName is the strategy's engine registry name: its name in lower case
+// ("strategy(7)" for an unknown one, which engine.New refuses).
+func (c Config) policyName() string { return strings.ToLower(c.Strategy.String()) }
 
 // Workload abstracts the training task (CRUDA or CRIMP): per-worker model
 // replicas, local gradient computation, and a global quality metric.
@@ -195,7 +190,7 @@ type Config struct {
 	// recovery instantaneous — useful for bit-exactness tests.
 	RecoverySecondsPerMB float64
 
-	MaxIterations     int     // stop after worker 0 completes this many
+	MaxIterations     int     // every worker stops after completing this many
 	MaxVirtualSeconds float64 // and/or after this much virtual time
 	CheckpointEvery   int     // evaluate every N worker-0 iterations
 
@@ -214,11 +209,8 @@ func (c *Config) Validate() error {
 	if c.Workers < 2 {
 		return fmt.Errorf("core: need ≥2 workers, got %d", c.Workers)
 	}
-	if c.policyName() == "" {
-		return fmt.Errorf("core: unknown strategy %v", c.Strategy)
-	}
-	if c.Strategy != BSP && c.Threshold < 2 {
-		return fmt.Errorf("core: threshold must be ≥2, got %d", c.Threshold)
+	if _, err := engine.New(c.policyName(), engine.Params{Workers: c.Workers, Threshold: c.Threshold}); err != nil {
+		return err
 	}
 	if c.ComputeSeconds <= 0 {
 		c.ComputeSeconds = 2.64 // 2.18 compute + 0.46 compression
@@ -311,8 +303,9 @@ type Result struct {
 	Recovery    metrics.RecoveryStats // checkpoint/recovery counters (durable runs)
 	// MaxStaleness is the largest lead (merge iteration minus global
 	// version floor) any row merge observed — the empirical RSP bound.
-	// Aggregated runs assert it stays within the configured threshold.
+	// harness.run fails a cell whose MaxStaleness exceeds Bound.
 	MaxStaleness int64
+	Bound        int64 // the staleness bound the run's policy held (engine.Policy.Bound)
 }
 
 // Label renders "BSP", "SSP-4", "ROG-20", …
@@ -416,7 +409,7 @@ func newCluster(cfg Config, wl Workload) *cluster {
 		Coeff:     cfg.Coeff,
 	})
 	if err != nil {
-		// Validate rejects unknown strategies before any cluster is built.
+		// Validate asked engine.New the same question before any cluster is built.
 		panic(err)
 	}
 
@@ -583,6 +576,7 @@ func (c *cluster) result() *Result {
 		Loss:         c.state.LossSnapshot(),
 		Recovery:     c.recovery,
 		MaxStaleness: c.state.MaxLeadObserved(),
+		Bound:        c.policy.Bound(),
 	}
 	return r
 }

@@ -26,12 +26,9 @@ import (
 //   - The restart recovers the latest valid snapshot + WAL, swaps the
 //     recovered state under the running drivers (every driver reads c.state
 //     at call time, so parked predicates and in-flight completions see the
-//     new state), and re-stamps rows whose merges were lost: a worker that
-//     already pushed iteration n will never push n again, so the lost rows'
-//     versions are re-stamped with zero gradient mass — the gradient loss is
-//     counted in Recovery.RowsLost, and the RSP invariant
-//     versions[w][u] == pushIter[w][u] is restored without deadlocking the
-//     staleness gate.
+//     new state), and runs the recovery step (engine.Peer.Recover): rows a
+//     live worker pushed past the recovered versions are re-stamped with zero
+//     mass and counted in Recovery.RowsLost, so the gate matches its view.
 //   - Pre-crash pushes that DID survive (journaled and synced) are replayed
 //     by the store; a worker retransmitting them after reconnect is deduped
 //     by the merge version guard, so no gradient is applied twice.
@@ -173,25 +170,15 @@ func (c *cluster) restartServer() {
 		return
 	}
 
-	// Re-stamp pass: a row the worker already pushed past the recovered
-	// version will never be pushed at that iteration again. Stamp it with
-	// zero gradient mass so the version lattice (and with it the RSP gate)
-	// matches the workers' view; the lost mass is the price of the crash.
-	for w := 0; w < c.cfg.Workers; w++ {
+	// A robot that is down is detached again; a stamp an aggregator still
+	// holds is late, not lost.
+	for w, r := range c.rep {
+		pushed := r.PushIter
 		if c.crashed[w] {
-			// Its detach may have died with the old process (unsynced, or the
-			// robot crashed during the outage); a ghost would pin the gate.
-			c.state.Detach(w)
-			continue
+			pushed = nil
 		}
-		for u, n := range c.rep[w].PushIter {
-			if n > c.state.Versions.Get(w, u) && !(c.agg != nil && c.agg.holds(w, u, n)) {
-				zero := c.scratch[:c.part.Unit(u).Len]
-				clear(zero)
-				c.state.Merge(w, u, zero, n)
-				c.recovery.RowsLost++
-			}
-		}
+		held := func(u int, n int64) bool { return c.agg != nil && c.agg.holds(w, u, n) }
+		c.recovery.RowsLost += c.peer[w].Recover(c.state, pushed, held)
 	}
 
 	recSeconds := c.cfg.RecoverySecondsPerMB * (info.SnapshotBytes + info.ReplayedBytes) / 1e6

@@ -45,7 +45,6 @@ func (c *cluster) sendPlan(l link, ap atp.Plan, mustCount int, budget float64, d
 	}
 	start := c.k.Now()
 	total := ap.TotalBytes()
-	mustBytes := ap.Prefix[mustCount]
 
 	var timer *simnet.Timer
 	var flow *simnet.Flow
@@ -60,10 +59,9 @@ func (c *cluster) sendPlan(l link, ap atp.Plan, mustCount int, budget float64, d
 		}
 		elapsed := c.k.Now() - start
 		mta := elapsed
-		if deadline && total > 0 {
-			// Also when mustBytes == total: x*y/y is not always x in floating
-			// point, and the MTA tracker's recorded budgets carry this form.
-			mta = elapsed * mustBytes / total
+		if deadline {
+			// Even when the floor is the whole plan: x*y/y is not always x.
+			mta = ap.MTATime(elapsed, mustCount, total)
 		}
 		done(len(ap.Units), mta, elapsed)
 	})
@@ -79,7 +77,7 @@ func (c *cluster) sendPlan(l link, ap atp.Plan, mustCount int, budget float64, d
 		if k < mustCount {
 			// Forced continuation: retransmit the discarded partial unit
 			// and finish the MTA floor (Algo. 4 lines 4–7).
-			remaining := mustBytes - ap.Prefix[k]
+			remaining := ap.Prefix[mustCount] - ap.Prefix[k]
 			l.ch.StartFlow(l.dev, remaining, func() {
 				for _, u := range ap.Units[k:mustCount] {
 					deliver(u)
@@ -89,11 +87,7 @@ func (c *cluster) sendPlan(l link, ap atp.Plan, mustCount int, budget float64, d
 			})
 			return
 		}
-		mta := budget
-		if sent > 0 {
-			mta = budget * mustBytes / sent
-		}
-		done(k, mta, budget)
+		done(k, ap.MTATime(budget, mustCount, sent), budget)
 	})
 }
 

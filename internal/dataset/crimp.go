@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+
 	"rog/internal/tensor"
 )
 
@@ -51,12 +53,12 @@ func NewScene(nDiscs, nWalls int, seed uint64) *Scene {
 func (s *Scene) At(x, y float64) float64 {
 	v := -0.6 // free space bias
 	for _, d := range s.discs {
-		dist := hypot(x-d.cx, y-d.cy)
+		dist := math.Hypot(x-d.cx, y-d.cy)
 		// Smooth bump: contributes sign * falloff.
-		v += d.sign * 1.4 / (1 + pow(dist/d.r, 4))
+		v += d.sign * 1.4 / (1 + math.Pow(dist/d.r, 4))
 	}
 	for _, w := range s.walls {
-		v += 1.2 / (1 + pow(w.dist(x, y)/w.half, 4))
+		v += 1.2 / (1 + math.Pow(w.dist(x, y)/w.half, 4))
 	}
 	return clamp(v, -1, 1)
 }
@@ -66,14 +68,14 @@ func (w wall) dist(x, y float64) float64 {
 	wx, wy := x-w.x1, y-w.y1
 	c1 := vx*wx + vy*wy
 	if c1 <= 0 {
-		return hypot(x-w.x1, y-w.y1)
+		return math.Hypot(x-w.x1, y-w.y1)
 	}
 	c2 := vx*vx + vy*vy
 	if c2 <= c1 {
-		return hypot(x-w.x2, y-w.y2)
+		return math.Hypot(x-w.x2, y-w.y2)
 	}
 	t := c1 / c2
-	return hypot(x-(w.x1+t*vx), y-(w.y1+t*vy))
+	return math.Hypot(x-(w.x1+t*vx), y-(w.y1+t*vy))
 }
 
 // Observation is what a robot at a pose sees: occupancy sampled at fixed
@@ -104,8 +106,8 @@ func Trajectory(cfg CRIMPConfig, n int) []Observation {
 		obs = append(obs, observe(cfg, r, x, y))
 		heading += (r.Float64() - 0.5) * 0.9
 		step := 0.04 + 0.04*r.Float64()
-		x = clamp(x+step*cos(heading), -0.95, 0.95)
-		y = clamp(y+step*sin(heading), -0.95, 0.95)
+		x = clamp(x+step*math.Cos(heading), -0.95, 0.95)
+		y = clamp(y+step*math.Sin(heading), -0.95, 0.95)
 	}
 	return obs
 }
@@ -117,8 +119,8 @@ func observe(cfg CRIMPConfig, r *tensor.RNG, px, py float64) Observation {
 		// Sample points within sensing radius of the pose.
 		ang := r.Float64() * 6.28318
 		rad := r.Float64() * 0.35
-		sx := clamp(px+rad*cos(ang), -1, 1)
-		sy := clamp(py+rad*sin(ang), -1, 1)
+		sx := clamp(px+rad*math.Cos(ang), -1, 1)
+		sy := clamp(py+rad*math.Sin(ang), -1, 1)
 		pts.Set(k, 0, float32(sx))
 		pts.Set(k, 1, float32(sy))
 		vals.Set(k, 0, float32(clamp(cfg.Scene.At(sx, sy)+r.Norm()*cfg.SensorNoise, -1, 1)))
@@ -174,8 +176,8 @@ func TrajectoryError(field MapField, obs []Observation, cfg LocalizeConfig, seed
 	var total float64
 	for _, o := range obs {
 		ang := r.Float64() * 6.28318
-		ex := cfg.InitError * cos(ang)
-		ey := cfg.InitError * sin(ang)
+		ex := cfg.InitError * math.Cos(ang)
+		ey := cfg.InitError * math.Sin(ang)
 		px, py := o.Pose[0]+ex, o.Pose[1]+ey
 
 		// Body-frame offsets of the observation's sample points.
@@ -216,7 +218,19 @@ func TrajectoryError(field MapField, obs []Observation, cfg LocalizeConfig, seed
 				h *= cfg.Shrink
 			}
 		}
-		total += hypot(px-o.Pose[0], py-o.Pose[1])
+		total += math.Hypot(px-o.Pose[0], py-o.Pose[1])
 	}
 	return total / float64(len(obs))
+}
+
+// clamp limits x to [lo, hi], returning x itself whenever it compares
+// inside: against a zero bound, max and min would order −0 below +0.
+func clamp(x, lo, hi float64) float64 {
+	if x < lo {
+		return lo
+	}
+	if x > hi {
+		return hi
+	}
+	return x
 }

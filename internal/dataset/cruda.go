@@ -16,6 +16,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 
 	"rog/internal/tensor"
 )
@@ -250,10 +251,10 @@ func gamma(r *tensor.RNG, alpha float64) float64 {
 		if u == 0 {
 			u = 1e-12
 		}
-		return gamma(r, alpha+1) * pow(u, 1/alpha)
+		return gamma(r, alpha+1) * math.Pow(u, 1/alpha)
 	}
 	d := alpha - 1.0/3.0
-	c := 1.0 / (3.0 * sqrt(d))
+	c := 1.0 / (3.0 * math.Sqrt(d))
 	for {
 		x := r.Norm()
 		v := 1 + c*x
@@ -268,7 +269,7 @@ func gamma(r *tensor.RNG, alpha float64) float64 {
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}
-		if ln(u) < 0.5*x*x+d*(1-v+ln(v)) {
+		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
 			return d * v
 		}
 	}

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+
 	"rog/internal/tensor"
 )
 
@@ -62,8 +64,8 @@ func classTemplate(cfg ImageConfig, r *tensor.RNG) *tensor.Matrix {
 	phase := r.Float64() * 6.28318
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
-			u := float64(x)*cos(theta) + float64(y)*sin(theta)
-			t.Set(y, x, float32(0.6*sin(u*freq+phase)))
+			u := float64(x)*math.Cos(theta) + float64(y)*math.Sin(theta)
+			t.Set(y, x, float32(0.6*math.Sin(u*freq+phase)))
 		}
 	}
 	for b := 0; b < 2; b++ {

@@ -116,22 +116,23 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// New builds the named policy. Names: "bsp", "ssp", "flown", "rog". BSP is
-// SSP at bound 1, whatever p.Threshold says.
+// New builds the named policy: "bsp" (SSP at bound 1, whatever p.Threshold
+// says), or "ssp", "flown" or "rog", which New alone refuses a threshold < 2.
 func New(name string, p Params) (Policy, error) {
 	p = p.withDefaults()
-	switch name {
-	case "bsp":
+	switch {
+	case name == "bsp":
 		return newSSP(1), nil
-	case "ssp":
-		return newSSP(p.Threshold), nil
-	case "flown":
-		return newFLOWN(p), nil
-	case "rog":
-		return newROG(p), nil
-	default:
+	case name != "ssp" && name != "flown" && name != "rog":
 		return nil, fmt.Errorf("engine: unknown policy %q", name)
+	case p.Threshold < 2:
+		return nil, fmt.Errorf("engine: %s threshold must be ≥2, got %d", name, p.Threshold)
+	case name == "ssp":
+		return newSSP(p.Threshold), nil
+	case name == "flown":
+		return newFLOWN(p), nil
 	}
+	return newROG(p), nil
 }
 
 // allUnits is the whole-model plan shared by the model-granular policies:

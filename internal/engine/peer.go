@@ -194,6 +194,26 @@ func (p *Peer) Restore(s *State, payloads ...compress.Payload) {
 	}
 }
 
+// Recover is the worker's step after a restart on a recovered state. A worker
+// not connected (pushed nil; inFlight is not asked) is detached: a ghost
+// would pin the gate. Of a connected one's push stamps, every row pushed past
+// its recovered version, unless inFlight says that push is still on its way,
+// is re-stamped with zero mass, since the worker never pushes an iteration
+// twice. It returns how many rows it re-stamped: the gradient the crash lost.
+func (p *Peer) Recover(s *State, pushed []int64, inFlight func(u int, n int64) bool) (lost int) {
+	if pushed == nil {
+		s.Detach(p.worker)
+		return 0
+	}
+	for u, n := range pushed {
+		if n > s.Versions.Get(p.worker, u) && !inFlight(u, n) {
+			s.Merge(p.worker, u, s.zero[:s.part.Unit(u).Len], n)
+			lost++
+		}
+	}
+	return lost
+}
+
 // Leave removes the worker from membership (State.Detach) and abandons its
 // open stall: the wait ended with no release. The Detach event is the
 // runtime's — detection knows the cause and the iteration to name — and a

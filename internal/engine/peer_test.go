@@ -496,3 +496,83 @@ func TestAdmitFastPathIsFree(t *testing.T) {
 		t.Fatalf("the fast path emitted %d events and %d gate checks", len(*log), reg.Counter("gate_checks").Value())
 	}
 }
+
+// TestPeerRecover is the restart's recovery step, worker by worker: a worker
+// that is not connected is detached; a connected worker's rows pushed past
+// their recovered versions are re-stamped at its stamps with zero mass and
+// counted; a row the predicate holds in flight, or that no push passed, is
+// left alone.
+func TestPeerRecover(t *testing.T) {
+	const lostAt = 3
+	none := func(int, int64) bool { return false }
+	heldUnit2 := func(u int, n int64) bool { return u == 2 && n == lostAt }
+	for _, c := range []struct {
+		name      string
+		connected bool
+		inFlight  func(u int, n int64) bool
+		lost      []int // units re-stamped at lostAt, ascending
+	}{
+		{"not connected", false, nil, nil},
+		{"connected", true, none, []int{1, 2}},
+		{"connected, unit 2 in flight", true, heldUnit2, []int{1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, part := testState(t, 3)
+			seedCopies(s, 1) // worker 1's rows at version 1
+			s.Merge(0, 0, make([]float32, part.Unit(0).Len), 1)
+			// Worker 0 pushed unit 0 at its recovered version, units 1 and 2
+			// past it; the state lost those two merges.
+			var pushed []int64
+			if c.connected {
+				pushed = make([]int64, part.NumUnits())
+				pushed[0], pushed[1], pushed[2] = 1, lostAt, lostAt
+			}
+			mass := func(w int) (all []float32) {
+				for u := 0; u < part.NumUnits(); u++ {
+					all = append(all, s.Acc[w].Unit(u)...)
+				}
+				return all
+			}
+			before := [][]float32{mass(0), mass(1), mass(2)}
+			var merged []Transition
+			s.Observe(func(tr Transition) {
+				if tr.Kind == KindMerge {
+					tr.Vals = slices.Clone(tr.Vals)
+					merged = append(merged, tr)
+				}
+			})
+
+			lost := NewPeer(0, part).Recover(s, pushed, c.inFlight)
+
+			if lost != len(c.lost) || len(merged) != len(c.lost) {
+				t.Fatalf("Recover = %d lost over %d merges, want %d", lost, len(merged), len(c.lost))
+			}
+			for i, u := range c.lost {
+				m := merged[i]
+				if m.Worker != 0 || m.Unit != u || m.Iter != lostAt || slices.ContainsFunc(m.Vals, func(v float32) bool { return v != 0 }) {
+					t.Fatalf("merge %d = worker %d unit %d iter %d %v, want worker 0's unit %d at %d with zero mass", i, m.Worker, m.Unit, m.Iter, m.Vals, u, lostAt)
+				}
+			}
+			for u := 0; u < part.NumUnits(); u++ {
+				want := int64(0)
+				switch {
+				case slices.Contains(c.lost, u):
+					want = lostAt
+				case u == 0:
+					want = 1
+				}
+				if got := s.Versions.Get(0, u); got != want {
+					t.Errorf("worker 0's unit %d at version %d, want %d", u, got, want)
+				}
+			}
+			for w := range before {
+				if !slices.Equal(mass(w), before[w]) {
+					t.Errorf("worker %d's averaged copy moved: a re-stamp carries no mass", w)
+				}
+			}
+			if active := s.IsActive(0); active != c.connected {
+				t.Errorf("worker 0 active = %v after Recover, want %v", active, c.connected)
+			}
+		})
+	}
+}

@@ -177,3 +177,25 @@ func TestNormalizedPreservesRanking(t *testing.T) {
 		t.Fatal("zero-mass rows must pass through")
 	}
 }
+
+// TestNewRefusesThresholdsBelowTwo: engine.New is the one home of the bound
+// contract. SSP, FLOWN and ROG refuse thresholds 0 and 1 (at 0 no gate ever
+// opens); BSP's bound is 1 whatever the threshold says.
+func TestNewRefusesThresholdsBelowTwo(t *testing.T) {
+	for _, name := range []string{"ssp", "flown", "rog"} {
+		for _, th := range []int{0, 1} {
+			if _, err := New(name, params(4, th, 8)); err == nil {
+				t.Errorf("New(%q) accepted threshold %d", name, th)
+			}
+		}
+		if _, err := New(name, params(4, 2, 8)); err != nil {
+			t.Errorf("New(%q) refused threshold 2: %v", name, err)
+		}
+	}
+	for _, th := range []int{0, 1, 2, 9} {
+		p, err := New("bsp", params(4, th, 8))
+		if err != nil || p.Bound() != 1 {
+			t.Errorf("New(\"bsp\") at threshold %d: bound %v, err %v; want bound 1", th, p, err)
+		}
+	}
+}

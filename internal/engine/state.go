@@ -77,7 +77,8 @@ type State struct {
 	// Observe); appended to before the state is shared, read-only after.
 	observers []func(Transition)
 	// zero is MaxUnitLen zeros, never written: the row a combined merge's
-	// further live stamps are observed with.
+	// further live stamps are observed with, and the row Peer.Recover
+	// re-stamps a lost push with.
 	zero []float32
 
 	// Probe, when set, receives structured trace events and feeds the
@@ -190,9 +191,10 @@ func (s *State) Merge(worker, unit int, vals []float32, iter int64) bool {
 	return s.MergeBatch(worker, []int{unit}, [][]float32{vals}, iter)
 }
 
-// MergeBatch merges one push's rows — units ascending, vals[i] the row for
-// units[i], all stamped iter — taking each owning shard's lock once per
-// contiguous run instead of once per row. It reports whether the global
+// MergeBatch merges one push's rows — in any order, vals[i] the row for
+// units[i], all stamped iter — taking a shard's lock once per run of
+// consecutive units it owns instead of once per row (the socket server passes
+// plan order, so a ranked push may take a shard's lock more than once). It reports whether the global
 // minimum advanced across the whole batch.
 func (s *State) MergeBatch(worker int, units []int, vals [][]float32, iter int64) bool {
 	if len(units) == 0 {

@@ -196,7 +196,7 @@ func runLineup(o EndToEndOptions) ([]*core.Result, []*obs.CritReport, error) {
 // experiment is held to them: the trace analyser, teed onto cfg.Trace (the
 // simnet is bit-identical traced or untraced), finds no pairing error, and
 // no merge, direct or through an aggregator, leads the slowest worker by
-// more than the staleness bound (the threshold; 1 for BSP's barrier). The
+// more than the bound the run's policy reports (Result.Bound). The
 // analyser's critical-path report comes back beside the result.
 func run(cfg core.Config, wl core.Workload) (*core.Result, *obs.CritReport, error) {
 	crit := obs.NewCritPath()
@@ -209,12 +209,8 @@ func run(cfg core.Config, wl core.Workload) (*core.Result, *obs.CritReport, erro
 	if errs := rep.Errors; len(errs) > 0 {
 		return nil, nil, fmt.Errorf("%d structural trace error(s), first: %s", len(errs), errs[0])
 	}
-	bound := int64(cfg.Threshold)
-	if cfg.Strategy == core.BSP {
-		bound = 1
-	}
-	if res.MaxStaleness > bound {
-		return nil, nil, fmt.Errorf("staleness bound violated: max lead %d > %d", res.MaxStaleness, bound)
+	if res.MaxStaleness > res.Bound {
+		return nil, nil, fmt.Errorf("staleness bound violated: max lead %d > %d", res.MaxStaleness, res.Bound)
 	}
 	return res, rep, nil
 }

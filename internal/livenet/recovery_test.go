@@ -420,3 +420,37 @@ func TestRejoinedPushWaitsForTheBound(t *testing.T) {
 	srv2.Close()
 	r.handlers.Wait()
 }
+
+// TestPushWaitSpanningADetachIsChurn: the socket server's one wait charges
+// a wait during which a worker detached to Churn.DetachStall, a push's
+// admission as much as the pull gate. Worker 0's connection dies while it is
+// parked at gate 2; it rejoins at baseline 0 and pushes iteration 3, which
+// waits for worker 1, still at version 0, until worker 1's connection ends.
+// The detach releases the push, and its wait is churn's.
+func TestPushWaitSpanningADetachIsChurn(t *testing.T) {
+	r := newGateRig(t)
+	srv := r.server(nil)
+	pending := r.parkWorker0(srv)
+	r.ws[0].conn.Close()
+	if err := <-pending; err == nil {
+		t.Fatal("worker 0's iteration 2 completed over a closed connection")
+	}
+	r.rejoin(srv, 0)
+	pending = r.iterate(0)
+	if e := r.await(obs.KindStallBegin, 0); e.Iter != 2 {
+		t.Fatalf("worker 0's push 3 waited as gate %d, want 2", e.Iter)
+	}
+	if got := srv.Churn().DetachStall; got != 0 {
+		t.Fatalf("DetachStall = %g before worker 1 left, want 0", got)
+	}
+	r.ws[1].conn.Close()
+	if err := <-pending; err != nil {
+		t.Fatalf("worker 0 iteration 3 after worker 1 left: %v", err)
+	}
+	if got := srv.Churn().DetachStall; got <= 0 {
+		t.Errorf("DetachStall = %g: the push's wait that worker 1's detach released was not charged to churn", got)
+	}
+	r.ws[0].conn.Close()
+	srv.Close()
+	r.handlers.Wait()
+}

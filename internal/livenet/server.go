@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rog/internal/durable"
@@ -117,9 +118,11 @@ type Server struct {
 	// in NewServer. Each Peer's fields name their own guard: the pull in
 	// flight is touched only with mu held; the gate's stall edge belongs to
 	// w's handler goroutine, which asks a push's admission without mu.
-	peers       []*engine.Peer
-	closed      bool  // guarded by mu
-	detachEpoch int64 // guarded by mu — bumped on every detach; attributes wait time to churn
+	peers  []*engine.Peer
+	closed bool // guarded by mu
+	// detachEpoch counts detaches (bumped under mu; atomic so a push reads it
+	// before its lock-free admission): a wait spanning a bump is churn's.
+	detachEpoch atomic.Int64
 	// conns[w] is the newest connection HandleConn took for worker w (nil:
 	// none) and serving[w] whether a handler for w runs. A handler whose
 	// connection is no longer conns[w] was superseded and ends.
@@ -129,7 +132,7 @@ type Server struct {
 
 // NewServer creates a server for a model decomposed by part. It returns an
 // error for configurations that cannot train (fewer than 2 workers, a
-// staleness threshold below 2 when the default ROG policy is selected).
+// default ROG policy that engine.New refuses).
 func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	if cfg.Workers < 2 {
 		return nil, fmt.Errorf("livenet: need at least 2 workers, got %d", cfg.Workers)
@@ -141,12 +144,9 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		cfg.MTAFloorSeconds = 2 * time.Millisecond.Seconds()
 	}
 	if cfg.Policy == nil {
-		if cfg.Threshold < 2 {
-			return nil, fmt.Errorf("livenet: threshold must be >= 2, got %d", cfg.Threshold)
-		}
 		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("livenet: default policy: %w", err)
 		}
 		cfg.Policy = pol
 	}
@@ -155,22 +155,23 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 		part:  part,
 		state: engine.NewStateSharded(cfg.Policy, part, cfg.Workers, cfg.MTAFloorSeconds, cfg.Shards),
 	}
+	for i := 0; i < cfg.Workers; i++ {
+		s.peers = append(s.peers, engine.NewPeer(i, part))
+	}
 	if cfg.Durable != nil {
 		if cfg.Durable.HasState() {
 			// A previous server incarnation left durable state behind:
 			// recover it instead of training from scratch. No worker is
-			// connected to this fresh process, so every recovered-active
-			// worker is detached — the first HandleConn for each re-attaches
-			// it through the ordinary rejoin resync, which re-baselines its
-			// rows and dedupes any pre-crash push it retransmits.
+			// connected to this fresh process, so the recovery step detaches
+			// every one — the first HandleConn for each re-attaches it
+			// through the ordinary rejoin resync, which re-baselines its rows
+			// and dedupes any pre-crash push it retransmits.
 			rec, _, err := cfg.Durable.RecoverSharded(cfg.Policy, part, cfg.Workers, cfg.MTAFloorSeconds, cfg.Shards)
 			if err != nil {
 				return nil, fmt.Errorf("livenet: recover checkpoint store: %w", err)
 			}
-			for w := 0; w < cfg.Workers; w++ {
-				if rec.Versions.IsActive(w) {
-					rec.Detach(w)
-				}
+			for _, p := range s.peers {
+				p.Recover(rec, nil, nil)
 			}
 			s.state = rec
 		} else if err := cfg.Durable.Begin(s.state, nil); err != nil {
@@ -192,9 +193,6 @@ func NewServer(part *rowsync.Partition, cfg ServerConfig) (*Server, error) {
 	s.state.Probe = s.probe
 	s.cond = sync.NewCond(&s.mu)
 	s.conns, s.serving = make([]net.Conn, cfg.Workers), make([]bool, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		s.peers = append(s.peers, engine.NewPeer(i, part))
-	}
 	return s, nil
 }
 
@@ -376,19 +374,15 @@ func (s *Server) bufferRow(b *pushBatch, msg parsed) error {
 }
 
 // flushPush merges the buffered rows in arrival order once engine.Peer.Admit
-// lets them, waiting on cond like the pull gate when it refuses (almost no
-// push waits, and the fast path takes no lock). It reports false, the rows
+// lets them, waiting like the pull gate when it refuses (almost no push
+// waits, and the fast path takes no lock). It reports false, the rows
 // dropped, when the server closed or a newer connection superseded conn.
 func (s *Server) flushPush(worker int, conn net.Conn, b *pushBatch) bool {
-	peer := s.peers[worker]
-	ok := len(b.units) == 0 || peer.Admit(s.state, b.iter, 0)
+	epoch := s.detachEpoch.Load()
+	ok := len(b.units) == 0 || s.peers[worker].Admit(s.state, b.iter, 0)
 	if !ok {
 		s.mu.Lock()
-		waitStart := time.Now()
-		for !s.stoppedLocked(worker, conn) && !peer.Admit(s.state, b.iter, time.Since(waitStart).Seconds()) {
-			s.cond.Wait()
-		}
-		ok = !s.stoppedLocked(worker, conn)
+		ok = s.waitLocked(worker, conn, (*engine.Peer).Admit, b.iter, epoch)
 		s.mu.Unlock()
 	}
 	if ok {
@@ -396,6 +390,23 @@ func (s *Server) flushPush(worker int, conn net.Conn, b *pushBatch) bool {
 	}
 	b.units, b.vals, b.arena = b.units[:0], b.vals[:0], b.arena[:0]
 	return ok
+}
+
+// waitLocked is the server's one wait, for a push's admission (ask is
+// engine.Peer.Admit) and the pull gate (engine.Peer.Gate): it asks worker's
+// Peer about iteration n, parking on cond between asks, until ask admits, the
+// server closes or a newer connection supersedes conn, and reports whether the
+// handler may go on. A wait during which a worker detached (detachEpoch moved
+// off epoch) is charged to Churn.DetachStall. The caller holds mu.
+func (s *Server) waitLocked(worker int, conn net.Conn, ask func(*engine.Peer, *engine.State, int64, float64) bool, n, epoch int64) bool {
+	peer, start := s.peers[worker], time.Now()
+	for !s.stoppedLocked(worker, conn) && !ask(peer, s.state, n, time.Since(start).Seconds()) {
+		s.cond.Wait()
+	}
+	if s.detachEpoch.Load() != epoch {
+		s.state.AddDetachStall(time.Since(start).Seconds())
+	}
+	return !s.stoppedLocked(worker, conn)
 }
 
 // serve is the receive loop; it reports how the connection ended.
@@ -453,18 +464,10 @@ func (s *Server) serve(worker int, conn net.Conn, out *transport.Batch) (Disconn
 			s.mu.Lock()
 			// The flushed merges may release other workers' parked gates.
 			s.cond.Broadcast()
-			// The wait: serve the pull only when the gate lets the worker
-			// advance past iteration n. Min() spans attached workers only, so a
-			// departed teammate cannot park this loop forever; the wait time a
-			// detach releases is accounted as churn-attributable stall.
-			epoch, waitStart := s.detachEpoch, time.Now()
-			for !s.stoppedLocked(worker, conn) && !peer.Gate(s.state, n, time.Since(waitStart).Seconds()) {
-				s.cond.Wait()
-			}
-			if s.detachEpoch != epoch {
-				s.state.AddDetachStall(time.Since(waitStart).Seconds())
-			}
-			if s.stoppedLocked(worker, conn) {
+			// Serve the pull only when the gate lets the worker advance past
+			// iteration n. Min() spans attached workers only, so a departed
+			// teammate cannot park this wait forever.
+			if !s.waitLocked(worker, conn, (*engine.Peer).Gate, n, s.detachEpoch.Load()) {
 				// A closed server sends no pull, so iteration n never runs
 				// past a gate that did not admit it; a superseded handler's
 				// connection is gone. HandleConn detaches.
@@ -501,7 +504,7 @@ func (s *Server) detach(worker int, cause string) {
 	}
 	s.peers[worker].Leave(s.state)
 	s.probe.Detach(worker, s.state.Versions.Min(), cause)
-	s.detachEpoch++
+	s.detachEpoch.Add(1)
 	// Pull rows cut off mid-flight are still held; fold their mass back
 	// into the accumulator so nothing is lost across the disconnect.
 	s.peers[worker].Settle(s.state, nil)

@@ -20,7 +20,8 @@ type WorkerConfig struct {
 	Workers   int // team size; defaults to ID+1 (only per-worker policy state needs it)
 	Threshold int
 	// Policy overrides the synchronization policy. nil selects ROG built
-	// from Workers/Threshold. Must decide like the server's policy —
+	// from Workers/Threshold, which must then be ≥ 2 (engine.New), as the
+	// server's is. Must decide like the server's policy —
 	// the pair executes one strategy split across the wire.
 	Policy   engine.Policy
 	LR       float64
@@ -67,7 +68,7 @@ func NewWorker(model *nn.Sequential, part *rowsync.Partition, conn net.Conn, cfg
 	if cfg.Policy == nil {
 		pol, err := defaultPolicy(part, cfg.Workers, cfg.Threshold)
 		if err != nil {
-			panic(err) // unreachable: "rog" is always registered
+			panic(err) // a threshold NewServer refuses: no server runs this worker
 		}
 		cfg.Policy = pol
 	}
@@ -163,10 +164,10 @@ func (w *Worker) push(n int64) (skipped bool, err error) {
 	elapsed := time.Since(start).Seconds()
 	w.probe.RowsSent(w.cfg.ID, n, obs.DirPush, sent, ap.Prefix[sent], elapsed, plan.Speculative)
 	mtaTime := elapsed
-	if sent > must && ap.Prefix[sent] > 0 {
-		// Everything (or more than the floor) fit in the budget: the floor's
-		// share of the measured time, weighted by actual bytes on the wire.
-		mtaTime = elapsed * ap.Prefix[must] / ap.Prefix[sent]
+	if sent > must {
+		// More than the floor fit in the budget: the floor's share of the
+		// measured time, weighted by actual bytes on the wire.
+		mtaTime = ap.MTATime(elapsed, must, ap.Prefix[sent])
 	}
 	// Bookkeeping: delivered rows are version-stamped; undelivered rows get
 	// their mass back (the partial frame at the cut was discarded by the

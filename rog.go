@@ -236,7 +236,3 @@ func NewCritPath() *CritPath { return obs.NewCritPath() }
 
 // ReadTrace runs a fresh trace analyser over a recorded JSONL trace.
 func ReadTrace(r io.Reader) (*CritPath, error) { return obs.ReadTrace(r) }
-
-// TeeTracers fans one event stream out to several tracers (nil entries
-// are dropped; nil is returned when none remain).
-func TeeTracers(tracers ...Tracer) Tracer { return obs.Tee(tracers...) }

@@ -31,7 +31,8 @@
 # twenty times over (their liveness depends on goroutine scheduling, so one
 # green run proves little), serve's read-gate tests twenty times under
 # -race, and livenet's server crash-recovery, closed-server, rejoined-push
-# admission and reconnect-supersede tests a hundred times under -race. `verify.sh race` runs that stage alone — it is
+# admission, reconnect-supersede and detach-charged push-wait tests a hundred
+# times under -race. `verify.sh race` runs that stage alone — it is
 # what `make race` calls, so the package list lives only here. The final
 # stage reruns the newest BENCH_<n>.json snapshot of every experiment that
 # has one and fails the gate if any leaf of a report differs (the virtual
@@ -82,9 +83,10 @@ run_race() {
 	go test -race -run ReadGate -count=20 ./internal/serve
 	# A server torn down mid-run must neither answer a push past its gate
 	# nor leak what it did after the crash into the recovered log; a
-	# rejoined push must wait for the bound, and a reconnect must supersede
-	# a handler parked on the dead connection; ~8 s.
-	go test -race -count=100 -run 'TestServerCrashRecoveryWorkersRideThrough$|TestClosedServerAnswersNoPush$|TestRejoinedPushWaitsForTheBound$|TestReconnectSupersedesParkedHandler$' ./internal/livenet
+	# rejoined push must wait for the bound, a reconnect must supersede
+	# a handler parked on the dead connection, and a push's wait that a
+	# detach released is churn's; ~8 s.
+	go test -race -count=100 -run 'TestServerCrashRecoveryWorkersRideThrough$|TestClosedServerAnswersNoPush$|TestRejoinedPushWaitsForTheBound$|TestReconnectSupersedesParkedHandler$|TestPushWaitSpanningADetachIsChurn$' ./internal/livenet
 }
 
 run_test() {
